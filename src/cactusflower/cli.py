@@ -1,16 +1,17 @@
 """Command-line interface: enumeration, verification, coordinate maps, and
 exports over the whole toolkit.
 
-Every invocation is reproducible from its flags (randomized checks take an
-explicit seed, with a fixed default).  Exit status: 0 on success/pass, 1 on
-a verification failure, 2 on usage errors.
+Every invocation is reproducible from its flags: the one randomized verb,
+``verify acceptance``, takes ``--seed`` with a fixed default.  Each flag is
+declared only on the verbs that read it; ``--out`` is on every verb.  Exit
+status: 0 on success/pass, 1 on a verification failure, 2 on usage errors
+(a flag given to a verb that does not read it is a usage error).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import acceptance as acc
@@ -47,8 +48,7 @@ def _cmd_enumerate(args) -> int:
         counts = {str(k): v for k, v in sub.counts().items()}
     else:
         counts = {str(k): v for k, v in c.counts().items()}
-    if args.counts or True:
-        _emit(args, json.dumps(counts, sort_keys=True))
+    _emit(args, json.dumps(counts, sort_keys=True))
     return 0
 
 
@@ -112,13 +112,9 @@ def _cmd_verify(args) -> int:
     if args.what == "acceptance":
         if args.criterion:
             results = [acc.run_criterion(args.criterion, args.seed)]
-        elif args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(lambda f: f(args.seed), acc.ALL_CRITERIA))
         else:
-            results = [f(args.seed) for f in acc.ALL_CRITERIA]
-        for r in sorted(results, key=lambda r: r.number):
-            print(r.line())
+            results = acc.run_all(args.seed, echo=None)
+        _emit(args, "\n".join(r.line() for r in results))
         return 0 if all(r.passed for r in results) else 1
 
     raise AssertionError(args.what)
@@ -192,15 +188,11 @@ def _cmd_roots(args) -> int:
         spec = json.loads(spec)
     system = rs.build_root_system(spec)
     if args.verify == "face-centers":
-        import itertools as it
-
         total = bad = 0
-        for ss in system.simple_systems():
-            for dsize in range(system.rank + 1):
-                for delta in it.combinations(range(system.rank), dsize):
-                    total += 1
-                    if not rs.verify_face_center(rs.FaceDatum(ss, frozenset(delta))):
-                        bad += 1
+        for fd in rs.all_face_data(system):
+            total += 1
+            if not rs.verify_face_center(fd):
+                bad += 1
         _emit(args, json.dumps({"type": args.type, "checked": total, "failures": bad,
                                 "pass": bad == 0}, sort_keys=True))
         return 0 if bad == 0 else 1
@@ -231,96 +223,81 @@ def _cmd_export(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=acc.DEFAULT_SEED)
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--format", choices=("json", "csv", "dot"), default="json")
-    common.add_argument("--out", default=None)
-
     ap = argparse.ArgumentParser(
         prog="cactusflower",
         description="exact computations on flower and cactus-flower moduli",
-        parents=[common],
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_parser(owner, name, **kw):
-        return owner.add_parser(name, parents=[common], **kw)
+    def leaf(owner, name, func, **kw):
+        p = owner.add_parser(name, **kw)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
+        return p
 
-    p = add_parser(sub, "enumerate", help="cell counts of a complex")
+    p = leaf(sub, "enumerate", _cmd_enumerate, help="cell counts of a complex")
     p.add_argument("--complex", required=True, choices=("D", "hatD", "breveD", "P", "hatP", "breveP"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--subdivide", action="store_true")
     p.add_argument("--counts", action="store_true")
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = add_parser(sub, "verify", help="run a verification")
+    p = sub.add_parser("verify", help="run a verification")
     vsub = p.add_subparsers(dest="what", required=True)
 
-    q = add_parser(vsub, "npc")
+    q = leaf(vsub, "npc", _cmd_verify)
     q.add_argument("--complex", required=True, choices=("D", "hatD", "breveD"))
     q.add_argument("--n", type=int, required=True)
-    q.set_defaults(func=_cmd_verify)
 
-    q = add_parser(vsub, "local-isometry")
+    q = leaf(vsub, "local-isometry", _cmd_verify)
     q.add_argument("--from", required=True, choices=("D", "breveD"))
     q.add_argument("--to", required=True, choices=("breveD", "hatD"))
     q.add_argument("--n", type=int, required=True)
-    q.set_defaults(func=_cmd_verify)
 
-    q = add_parser(vsub, "hom")
+    q = leaf(vsub, "hom", _cmd_verify)
     q.add_argument("--from", required=True, choices=gr.GROUPS)
     q.add_argument("--to", required=True, choices=gr.GROUPS)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--depth", type=int, default=6)
-    q.set_defaults(func=_cmd_verify)
 
-    q = add_parser(vsub, "diagram")
+    q = leaf(vsub, "diagram", _cmd_verify)
     q.add_argument("--n", type=int, required=True)
-    q.set_defaults(func=_cmd_verify)
 
-    q = add_parser(vsub, "membership")
+    q = leaf(vsub, "membership", _cmd_verify)
     q.add_argument("--variety", required=True, choices=tuple(VARIETY_CODES))
     q.add_argument("--n", type=int, default=None)
     q.add_argument("--in", dest="infile", required=True)
-    q.set_defaults(func=_cmd_verify)
 
-    q = add_parser(vsub, "presentation")
+    q = leaf(vsub, "presentation", _cmd_verify)
     q.add_argument("--complex", required=True, choices=("hatD", "hatP"))
     q.add_argument("--n", type=int, required=True)
-    q.set_defaults(func=_cmd_verify)
 
-    q = add_parser(vsub, "acceptance")
+    q = leaf(vsub, "acceptance", _cmd_verify)
     q.add_argument("--criterion", type=int, default=None)
-    q.set_defaults(func=_cmd_verify)
+    q.add_argument("--seed", type=int, default=acc.DEFAULT_SEED)
 
-    p = add_parser(sub, "classify", help="strata of a flower-space point")
+    p = leaf(sub, "classify", _cmd_classify, help="strata of a flower-space point")
     p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=_cmd_classify)
 
-    p = add_parser(sub, "map", help="evaluate a coordinate map")
+    p = leaf(sub, "map", _cmd_map, help="evaluate a coordinate map")
     p.add_argument("--which", required=True, choices=("gamma", "theta", "theta-star"))
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--f", default="default", choices=("default",))
     p.add_argument("--convention", default="descending", choices=("descending", "ascending"))
-    p.set_defaults(func=_cmd_map)
 
-    p = add_parser(sub, "path", help="sample the twisting path, CSV output")
+    p = leaf(sub, "path", _cmd_path, help="sample the twisting path, CSV output")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--s", type=float, default=1.0)
-    p.set_defaults(func=_cmd_path)
 
-    p = add_parser(sub, "roots", help="root system data and verifications")
+    p = leaf(sub, "roots", _cmd_roots, help="root system data and verifications")
     p.add_argument("--type", required=True)
     p.add_argument("--verify", choices=("face-centers",), default=None)
-    p.set_defaults(func=_cmd_roots)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = add_parser(sub, "export", help="DOT 1-skeleton or JSON cell poset")
+    p = leaf(sub, "export", _cmd_export, help="DOT 1-skeleton or JSON cell poset")
     p.add_argument("--complex", required=True, choices=("D", "hatD", "breveD", "P", "hatP", "breveP"))
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_export)
+    p.add_argument("--format", choices=("json", "dot"), default="json")
 
     return ap
 
@@ -331,8 +308,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # seed propagation for subcommands that use it
-    args.criterion = getattr(args, "criterion", None)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:

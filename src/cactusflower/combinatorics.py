@@ -73,6 +73,23 @@ class SetPartition:
         return "{" + ", ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in self.blocks) + "}"
 
 
+def partition_closure(n: int, related) -> SetPartition:
+    """The finest set partition of {1..n} with i and j in one block whenever
+    related(i, j) holds with i < j: the equivalence relation generated
+    by those pairs.
+
+    >>> print(partition_closure(4, lambda i, j: j == i + 1 and i != 2))
+    {{1,2}, {3,4}}
+    """
+    parts = {i: {i} for i in range(1, n + 1)}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        if related(i, j) and parts[i] is not parts[j]:
+            merged = parts[i] | parts[j]
+            for x in merged:
+                parts[x] = merged
+    return SetPartition({frozenset(b) for b in parts.values()})
+
+
 def refines(b: SetPartition, s: SetPartition) -> bool:
     """True iff every block of b is contained in a block of s.
 

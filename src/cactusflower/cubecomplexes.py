@@ -175,11 +175,7 @@ def _ordered_set_partitions(n: int, parts: int):
             yield from rec(rest[1:], blocks)
             blocks.pop(pos)
 
-    seen = set()
-    for p in rec(items, []):
-        if p not in seen:
-            seen.add(p)
-            yield p
+    yield from rec(items, [])
 
 
 def _canon_p_cell(kind: str, parts: Tuple[FrozenSet[int], ...]):
@@ -773,8 +769,6 @@ def presentations_match(a: Presentation, b: Presentation) -> bool:
     rotation and inversion."""
     if set(a.generators) != set(b.generators):
         return False
-    if dict(a.partner) != {g: dict(b.partner)[g] for g in b.generators if g in set(a.generators)}:
-        pass  # partner maps may list extra paired generators; compare on shared set
     pa, pb = dict(a.partner), dict(b.partner)
     for g in a.generators:
         if pa[g] != pb.get(g, pa[g]):

@@ -644,7 +644,7 @@ class BushyForest:
         for t in trees:
             if not isinstance(t, tuple) or len(t) < 1:
                 raise ValueError("a bushy tree is a nonempty tuple of subtrees")
-            ts.append(tuple(_bushy_canon(c) for c in t))
+            ts.append(tuple(canon_tree_mod_flips(c) for c in t))
         ts.sort(key=lambda t: tuple(_subtree_key(c) for c in t))
         labels = [x for t in ts for c in t for x in leaves(c)]
         if len(labels) != len(set(labels)):
@@ -654,15 +654,6 @@ class BushyForest:
     @property
     def labels(self) -> FrozenSet[int]:
         return frozenset(x for t in self.trees for c in t for x in leaves(c))
-
-
-def _bushy_canon(s: Subtree) -> Subtree:
-    """Reduce orientations at non-root internal vertices, bottom-up."""
-    if isinstance(s, int):
-        return s
-    kids = tuple(_bushy_canon(c) for c in s)
-    rev = tuple(reversed(kids))
-    return min(kids, rev, key=lambda t: tuple(map(_subtree_key, t)))
 
 
 def zeros_to_bushy(zf: PlanarForestWithZeros) -> BushyForest:

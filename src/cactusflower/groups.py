@@ -278,9 +278,10 @@ def make_presentation(family: str, n: int) -> Presentation:
     raise AssertionError
 
 
-def _sym_word(tag: str, w: Permutation) -> Word:
-    """A fixed reduced word for w in adjacent transpositions (bubble sort)."""
-    images = list(w.images)
+def _transposition_word(p: Permutation) -> list[int]:
+    """A fixed reduced word for p in adjacent transpositions (bubble sort),
+    as the indices k of the letters (k, k+1)."""
+    images = list(p.images)
     out = []
     changed = True
     while changed:
@@ -288,10 +289,15 @@ def _sym_word(tag: str, w: Permutation) -> Word:
         for k in range(len(images) - 1):
             if images[k] > images[k + 1]:
                 images[k], images[k + 1] = images[k + 1], images[k]
-                out.append((tag, k + 1))
+                out.append(k + 1)
                 changed = True
-    # out sorts w to the identity multiplying on the right; reversal gives w
-    return tuple(reversed(out))
+    # out sorts p to the identity multiplying on the right; reversal gives p
+    return list(reversed(out))
+
+
+def _sym_word(tag: str, w: Permutation) -> Word:
+    """The word of _transposition_word(w) with each letter tagged."""
+    return tuple((tag, k) for k in _transposition_word(w))
 
 
 def ac_rotate_generator(i: int, j: int, n: int) -> tuple[int, int]:
@@ -1005,20 +1011,6 @@ def diagram_commutes(n: int) -> bool:
 
 # A separating quotient for witness checks: the symmetric group acting on the
 # rank-one lattice spanned by ordered pairs with e_ji = -e_ij.
-
-
-def _transposition_word(p: Permutation) -> list[int]:
-    images = list(p.images)
-    out = []
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(images) - 1):
-            if images[k] > images[k + 1]:
-                images[k], images[k + 1] = images[k + 1], images[k]
-                out.append(k + 1)
-                changed = True
-    return list(reversed(out))
 
 
 def _pair_vec_add(acc: dict, key: tuple[int, int], sign: int):

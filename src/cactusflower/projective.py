@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
-from .combinatorics import Permutation, SetPartition
+from .combinatorics import Permutation, SetPartition, partition_closure
 from .forests import PlanarForest, meet as forest_meet
 from .scalars import (
     ONE,
@@ -406,18 +406,8 @@ def classify_strata(point: NuTuple):
     n = point.n
     d = point.as_dict()
 
-    def closure(related) -> SetPartition:
-        parts = {i: {i} for i in range(1, n + 1)}
-        for i, j in itertools.combinations(range(1, n + 1), 2):
-            if related(i, j) and parts[i] is not parts[j]:
-                merged = parts[i] | parts[j]
-                for x in merged:
-                    parts[x] = merged
-        blocks = {frozenset(b) for b in parts.values()}
-        return SetPartition(blocks)
-
-    s_part = closure(lambda i, j: not d[(i, j)].is_zero())
-    b_part = closure(lambda i, j: d[(i, j)].is_infinite())
+    s_part = partition_closure(n, lambda i, j: not d[(i, j)].is_zero())
+    b_part = partition_closure(n, lambda i, j: d[(i, j)].is_infinite())
     # members give genuine equivalence relations; assert no mixed pairs
     for i, j in itertools.combinations(range(1, n + 1), 2):
         if s_part.same_block(i, j) != (not d[(i, j)].is_zero()):
@@ -454,15 +444,8 @@ def natural_chart(point: NuTuple) -> SetPartition:
     """The set partition whose chart contains the point: i ~ j iff
     nu_ij is not 0 or eps."""
     eps = point.epsilon if point.epsilon is not None else ZERO
-    n, d = point.n, point.as_dict()
-    parts = {i: {i} for i in range(1, n + 1)}
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        p = d[(i, j)]
-        if not (p.is_zero() or p == eps) and parts[i] is not parts[j]:
-            merged = parts[i] | parts[j]
-            for x in merged:
-                parts[x] = merged
-    return SetPartition({frozenset(b) for b in parts.values()})
+    d = point.as_dict()
+    return partition_closure(point.n, lambda i, j: not (d[(i, j)].is_zero() or d[(i, j)] == eps))
 
 
 def chart_membership(tau: PlanarForest, mus: Dict[frozenset, MuTuple]) -> list:

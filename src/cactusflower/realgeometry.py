@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
-from .combinatorics import Permutation, SetPartition
+from .combinatorics import Permutation, SetPartition, partition_closure
 from .forests import (
     PlanarForest,
     PlanarForestWithZeros,
@@ -468,15 +468,8 @@ class ThetaImage:
 
     def b_part(self) -> SetPartition:
         """The coincidence partition: i ~ j iff the distance vanishes."""
-        n = self.nu.n
-        parts = {i: {i} for i in range(1, n + 1)}
         d = self.nu.as_dict()
-        for (i, j) in ordered_pairs(range(1, n + 1)):
-            if i < j and d[(i, j)].is_infinite() and parts[i] is not parts[j]:
-                merged = parts[i] | parts[j]
-                for x in merged:
-                    parts[x] = merged
-        return SetPartition({frozenset(b) for b in parts.values()})
+        return partition_closure(self.nu.n, lambda i, j: d[(i, j)].is_infinite())
 
 
 def theta(p: CubePoint, f: RationalDiffeo = DEFAULT_F) -> ThetaImage:

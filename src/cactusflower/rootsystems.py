@@ -314,6 +314,15 @@ class FaceDatum:
             raise ValueError("delta positions out of range")
 
 
+def all_face_data(sys_: RootSystem):
+    """Every face datum (Pi, Delta): each simple system with each subset of
+    its positions, by increasing size of Delta."""
+    for ss in sys_.simple_systems():
+        for size in range(sys_.rank + 1):
+            for delta in itertools.combinations(range(sys_.rank), size):
+                yield FaceDatum(ss, frozenset(delta))
+
+
 def _parabolic_positive_sum(ss: SimpleSystem, keep_positions) -> Vec:
     """Half the sum of the roots that are nonnegative combinations of the
     kept simple roots of the system."""

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,8 +6,28 @@ import sys
 
 import pytest
 
+from cactusflower.cli import main, make_parser
+
 HERE = os.path.dirname(__file__)
 DEMOS = os.path.join(HERE, "..", "demos")
+
+# one quick invocation of every leaf verb, keyed by its verb path
+QUICK = {
+    ("enumerate",): ["enumerate", "--complex", "hatD", "--n", "3"],
+    ("verify", "npc"): ["verify", "npc", "--complex", "hatD", "--n", "3"],
+    ("verify", "local-isometry"): ["verify", "local-isometry", "--from", "D", "--to", "breveD", "--n", "3"],
+    ("verify", "hom"): ["verify", "hom", "--from", "AC", "--to", "AS", "--n", "3"],
+    ("verify", "diagram"): ["verify", "diagram", "--n", "3"],
+    ("verify", "membership"): ["verify", "membership", "--variety", "f",
+                               "--in", os.path.join(DEMOS, "figure2.json")],
+    ("verify", "presentation"): ["verify", "presentation", "--complex", "hatP", "--n", "3"],
+    ("verify", "acceptance"): ["verify", "acceptance", "--criterion", "1"],
+    ("classify",): ["classify", "--in", os.path.join(DEMOS, "figure2.json")],
+    ("map",): ["map", "--which", "gamma", "--in", os.path.join(DEMOS, "cubepoint.json")],
+    ("path",): ["path", "--n", "4", "--k", "3", "--samples", "2"],
+    ("roots",): ["roots", "--type", "G2", "--format", "csv"],
+    ("export",): ["export", "--complex", "hatD", "--n", "3", "--format", "dot"],
+}
 
 
 def run_cli(*args):
@@ -117,3 +138,58 @@ def test_acceptance_single_criterion():
     code, out, _ = run_cli("verify", "acceptance", "--criterion", "1")
     assert code == 0
     assert "[PASS] criterion  1" in out
+
+
+def _option_slots(parser, path=()):
+    """(verb path, option) for every option of every parser under parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _option_slots(child, path + (name,))
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            yield path, action.option_strings[0]
+
+
+def test_flags_live_on_the_verbs_that_read_them():
+    slots = list(_option_slots(make_parser()))
+
+    def where(flag):
+        return {path for path, f in slots if f == flag}
+
+    assert where("--seed") == {("verify", "acceptance")}
+    assert where("--format") == {("roots",), ("export",)}
+    # every leaf verb, and nothing else, takes --out
+    assert where("--out") == {path for path, _ in slots} == set(QUICK)
+    assert not where("--jobs") and not where("--f")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "7", "verify", "acceptance", "--criterion", "1"],
+    ["--format", "dot", "export", "--complex", "hatD", "--n", "3"],
+    ["export", "--complex", "hatD", "--n", "3", "--format", "csv"],
+    ["roots", "--type", "G2", "--format", "dot"],
+    ["verify", "acceptance", "--jobs", "2"],
+    ["map", "--which", "gamma", "--in", os.path.join(DEMOS, "cubepoint.json"), "--f", "default"],
+])
+def test_flag_on_a_verb_that_does_not_read_it_is_a_usage_error(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "error:" in err
+
+
+@pytest.mark.parametrize("argv", QUICK.values(), ids=[" ".join(k) for k in QUICK])
+def test_out_writes_what_stdout_would(argv, tmp_path, capsys):
+    code = main(argv)
+    printed = capsys.readouterr().out
+    target = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == printed
+
+
+def test_acceptance_seed_and_out(tmp_path):
+    target = tmp_path / "acc.txt"
+    code, out, _ = run_cli("verify", "acceptance", "--criterion", "1", "--seed", "7",
+                           "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text().startswith("[PASS] criterion  1")

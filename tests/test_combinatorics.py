@@ -19,6 +19,7 @@ from cactusflower.combinatorics import (
     ext_affine_to_semidirect,
     interval_reversal,
     is_translation,
+    partition_closure,
     refines,
     semidirect_mul,
     semidirect_to_ext_affine,
@@ -32,6 +33,36 @@ def test_refines_examples():
     assert not refines(SetPartition([{1, 2}, {3}]), SetPartition([{1, 3}, {2}]))
     with pytest.raises(ValueError):
         refines(SetPartition([{1}, {2}]), SetPartition([{1, 2}, {3}]))
+
+
+def _merge_loop_closure(n, related):
+    # the loop partition_closure replaced, kept as the reference
+    parts = {i: {i} for i in range(1, n + 1)}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        if related(i, j) and parts[i] is not parts[j]:
+            merged = parts[i] | parts[j]
+            for x in merged:
+                parts[x] = merged
+    return SetPartition({frozenset(b) for b in parts.values()})
+
+
+def test_partition_closure_matches_merge_loop():
+    relations = [
+        (lambda i, j, p=p: p.same_block(i, j)) for p in all_set_partitions(4)
+    ]
+    # non-transitive relations: a path, a star missing an edge, i + j odd
+    relations += [
+        lambda i, j: j == i + 1,
+        lambda i, j: i == 1 and j != 4,
+        lambda i, j: (i + j) % 2 == 1,
+        lambda i, j: False,
+    ]
+    for related in relations:
+        assert partition_closure(4, related) == _merge_loop_closure(4, related)
+    for p in all_set_partitions(4):
+        assert partition_closure(4, lambda i, j: p.same_block(i, j)) == p
+    assert partition_closure(4, lambda i, j: j == i + 1) == SetPartition.indiscrete(4)
+    assert partition_closure(4, lambda i, j: False) == SetPartition.discrete(4)
 
 
 def test_refines_partial_order_on_5():

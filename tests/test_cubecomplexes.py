@@ -1,10 +1,12 @@
 import itertools
 import json
+import math
 
 import pytest
 
-from cactusflower.combinatorics import Permutation, all_permutations
+from cactusflower.combinatorics import Permutation, SetPartition, all_permutations, all_set_partitions
 from cactusflower.cubecomplexes import (
+    _ordered_set_partitions,
     build_complex,
     build_breveD,
     build_breveP,
@@ -37,6 +39,17 @@ def test_cell_counts_rank_three():
     assert build_P(3).f_vector() == (6, 6, 1)
     assert build_hatP(3).f_vector() == (1, 3, 1)
     assert build_breveP(3).f_vector()[0] == 2
+
+
+def test_ordered_set_partitions_count_and_no_duplicates():
+    for n in range(1, 7):
+        unordered = all_set_partitions(n)
+        for k in range(1, n + 1):
+            ordered = list(_ordered_set_partitions(n, k))
+            stirling = sum(1 for p in unordered if len(p) == k)
+            assert len(ordered) == math.factorial(k) * stirling
+            assert len(set(ordered)) == len(ordered)
+            assert {SetPartition(p) for p in ordered} == {p for p in unordered if len(p) == k}
 
 
 def test_f_vector_matches_forest_counts():
