@@ -35,6 +35,11 @@ from .scalars import Dual, GaussianRational, I, matrix_rank
 
 DEFAULT_SEED = 20240331
 PATH_TOLERANCE = 1e-9
+MAX_ATTEMPTS = 100  # draws a sampler makes before giving up on degenerate input
+
+
+class RetriesExhausted(RuntimeError):
+    """A random sampler drew only degenerate inputs, MAX_ATTEMPTS times over."""
 
 
 @dataclass
@@ -169,13 +174,29 @@ def _distinct_fractions(rng, count) -> list[Fraction]:
 
 
 def _random_member(family: str, rng):
-    """A structured random member, via the chart generators."""
+    """A structured random member, via the chart generators.
+
+    A degenerate draw is discarded and the whole draw repeated, at most
+    MAX_ATTEMPTS times; then RetriesExhausted is raised.
+    """
+    for _ in range(MAX_ATTEMPTS):
+        member = _draw_member(family, rng)
+        if member is not None:
+            return member
+    raise RetriesExhausted(f"no {family} member in {MAX_ATTEMPTS} draws")
+
+
+def _draw_member(family: str, rng):
+    """One draw of _random_member; None when the draw is degenerate."""
     epsilons = [Fraction(0), Fraction(1), I]
     if family == "LosevManin":
         n = rng.randrange(2, 5)
-        xs = dict(enumerate(_distinct_fractions(rng, n), start=1))
-        while any(1 - x == 0 for x in xs.values()):
+        for _ in range(MAX_ATTEMPTS):
             xs = dict(enumerate(_distinct_fractions(rng, n), start=1))
+            if all(1 - x != 0 for x in xs.values()):
+                break
+        else:
+            return None
         return pj.VarietySpec("LosevManin", n), pj.losev_manin_iso(pj.orbit_map(xs, Fraction(1)))
     if family in ("Flower", "DeformedFlower"):
         eps = Fraction(0) if family == "Flower" else rng.choice(epsilons)
@@ -201,15 +222,15 @@ def _random_member(family: str, rng):
                 core = pj.orbit_map(core_xs, eps)
                 point = pj.extend_nu(spart, blocks, core, eps)
             except (pj.InvariantViolation, ValueError):
-                return _random_member(family, rng)
+                return None
             if not pj.open_cover_membership(spart, point):
-                return _random_member(family, rng)
+                return None
             return pj.VarietySpec("DeformedFlower" if family != "Flower" else "Flower", n), point
         xs = dict(enumerate(_distinct_fractions(rng, n), start=1))
         try:
             return pj.VarietySpec(family, n), pj.orbit_map(xs, eps)
         except ValueError:
-            return _random_member(family, rng)
+            return None
     if family == "DeligneMumford":
         n = rng.randrange(3, 5)
         zs = dict(enumerate(_distinct_fractions(rng, n), start=1))
@@ -234,7 +255,7 @@ def _random_member(family: str, rng):
                     {t: full[t] for t in pj.ordered_triples(range(1, n + 1))},
                 )
         except ValueError:
-            return _random_member(family, rng)
+            return None
         return pj.VarietySpec(family, n), pj.QTuple(n, nu, mu, eps)
     raise ValueError(family)
 
@@ -401,24 +422,26 @@ def _stratum_B_parameterization(b_part: SetPartition):
 
 
 def _jacobian_rank(params, coords, rng) -> int:
-    base = {}
-    for p in params:
-        v = _random_fraction(rng) + Fraction(rng.randrange(1, 40), 37)
-        base[p] = v
-    # retry until no degeneracies (coincident positions give zero division)
-    rows = []
-    for p in params:
-        values = {
-            q: Dual(base[q], Fraction(1 if q == p else 0)) for q in params
-        }
+    # redraw the base point when it is degenerate (coincident positions give
+    # zero division), at most MAX_ATTEMPTS times
+    for _ in range(MAX_ATTEMPTS):
+        base = {}
+        for p in params:
+            v = _random_fraction(rng) + Fraction(rng.randrange(1, 40), 37)
+            base[p] = v
+        rows = []
         try:
-            out = coords(values)
+            for p in params:
+                values = {
+                    q: Dual(base[q], Fraction(1 if q == p else 0)) for q in params
+                }
+                rows.append([c.b for c in coords(values)])
         except ZeroDivisionError:
-            return _jacobian_rank(params, coords, rng)
-        rows.append([c.b for c in out])
-    if not rows:
-        return 0
-    return matrix_rank(rows)
+            continue
+        if not rows:
+            return 0
+        return matrix_rank(rows)
+    raise RetriesExhausted(f"no regular base point in {MAX_ATTEMPTS} draws")
 
 
 def criterion_8(seed=DEFAULT_SEED) -> CriterionResult:

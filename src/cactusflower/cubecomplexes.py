@@ -33,10 +33,11 @@ from .forests import (
     canon_forest,
     collapse,
     collapse_all,
-    enumerate_planar_forests,
+    faces,
     flip,
     forest_key,
     forest_to_newick,
+    planar_forests,
     z_from_plain,
     zeros_to_planar,
 )
@@ -97,7 +98,8 @@ class CubeComplex:
         return _canon_big(self.kind, f)
 
     def vertex_of(self, f: PlanarForest) -> PlanarForest:
-        return self.canon_sub(collapse_all(f, f.edges()))
+        (corner,) = faces(f, 0)  # every edge collapsed
+        return self.canon_sub(corner)
 
     def sub_face(self, f: PlanarForest, keep) -> PlanarForest:
         keep = set(keep)
@@ -114,7 +116,7 @@ def build_complex(kind: str, n: int) -> CubeComplex:
             raise ValueError("need n >= 2")
         c = CubeComplex(kind, n)
         for k in range(n):
-            subs = {_canon_sub(kind, f) for f in enumerate_planar_forests(n, k)}
+            subs = {_canon_sub(kind, f) for f in planar_forests(n, k)}
             bigs = {_canon_big(kind, f) for f in subs}
             c.subcubes[k] = subs
             c.bigcubes[k] = bigs
@@ -237,6 +239,47 @@ def vertex_link(c: CubeComplex, vertex: PlanarForest) -> VertexLink:
     return VertexLink(vertex, tuple(ones), frozenset(simplices))
 
 
+def _faces(c: CubeComplex, sigma: PlanarForest, size: int) -> list:
+    """The canonical faces of a sub-cube that keep `size` of its edges, one per
+    edge subset in itertools.combinations order.  The 1-faces are the link
+    vertices at the sub-cube's 0-cube."""
+    kind = D_KINDS[c.kind]
+    return [canon_forest(kind, f, False) for f in faces(sigma, size)]
+
+
+def _square_index(c: CubeComplex):
+    """Index the sub-2-cubes by vertex and corner pair.
+
+    Returns ({vertex: {frozenset of the two corners: square}}, fault).
+    fault is None, or (detail, witness) for the first square whose corners
+    coincide or whose corner pair another square already has; the index is
+    complete either way.
+    """
+    index: Dict[PlanarForest, Dict[FrozenSet, PlanarForest]] = {}
+    fault = None
+    for sq in c.subcubes.get(2, ()):
+        a, b = _faces(c, sq, 1)
+        pairs = index.setdefault(c.vertex_of(sq), {})
+        pair = frozenset((a, b))
+        if fault is None:
+            if a == b:
+                fault = ("degenerate square link", (forest_to_newick(sq),))
+            elif pair in pairs:
+                fault = (
+                    "two squares on the same corner pair",
+                    (forest_to_newick(pairs[pair]), forest_to_newick(sq)),
+                )
+        pairs[pair] = sq
+    return index, fault
+
+
+def _ones_by_vertex(c: CubeComplex) -> Dict[PlanarForest, list]:
+    out: Dict[PlanarForest, list] = {}
+    for s1 in c.subcubes.get(1, ()):
+        out.setdefault(c.vertex_of(s1), []).append(s1)
+    return out
+
+
 def check_gromov_flag(c: CubeComplex) -> FlagReport:
     """Certify non-positive curvature combinatorially.
 
@@ -251,8 +294,7 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
     # face closure: every 2-face of every higher subcube must be present
     for k in range(3, c.dim + 1):
         for sigma in c.subcubes.get(k, ()):
-            for pair in itertools.combinations(sigma.edges(), 2):
-                face = c.sub_face(sigma, pair)
+            for face in _faces(c, sigma, 2):
                 if face not in squares:
                     return FlagReport(
                         False,
@@ -260,65 +302,48 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
                         "missing square face",
                     )
 
-    by_vertex_1: Dict[PlanarForest, list] = {}
-    for s1 in c.subcubes.get(1, ()):
-        by_vertex_1.setdefault(c.vertex_of(s1), []).append(s1)
+    by_square, fault = _square_index(c)
+    if fault is not None:
+        detail, witness = fault
+        return FlagReport(False, witness, detail)
 
-    pair_to_square: Dict[tuple, PlanarForest] = {}
-    for sq in squares:
-        e, f = sq.edges()
-        a, b = c.sub_face(sq, [e]), c.sub_face(sq, [f])
-        if a == b:
-            return FlagReport(False, (forest_to_newick(sq),), "degenerate square link")
-        key = (c.vertex_of(sq), frozenset({forest_key(a), forest_key(b)}))
-        if key in pair_to_square and pair_to_square[key] != sq:
-            return FlagReport(
-                False,
-                (forest_to_newick(pair_to_square[key]), forest_to_newick(sq)),
-                "two squares on the same corner pair",
-            )
-        pair_to_square[key] = sq
-
-    # simplices of each link, indexed by their vertex sets
-    simplex_to_cube: Dict[tuple, PlanarForest] = {}
-    for k in range(2, c.dim + 1):
+    # simplices of each link, indexed by their vertex sets; the squares are
+    # the 1-simplices, indexed above
+    simplices = {v: dict(pairs) for v, pairs in by_square.items()}
+    for k in range(3, c.dim + 1):
         for sigma in c.subcubes.get(k, ()):
-            verts = frozenset(forest_key(c.sub_face(sigma, [e])) for e in sigma.edges())
+            verts = frozenset(_faces(c, sigma, 1))
             if len(verts) != k:
                 return FlagReport(
                     False, (forest_to_newick(sigma),), "repeated corner in a link simplex"
                 )
-            key = (c.vertex_of(sigma), verts)
-            if key in simplex_to_cube and simplex_to_cube[key] != sigma:
+            at_v = simplices.setdefault(c.vertex_of(sigma), {})
+            if verts in at_v:
                 return FlagReport(
                     False,
-                    (forest_to_newick(simplex_to_cube[key]), forest_to_newick(sigma)),
+                    (forest_to_newick(at_v[verts]), forest_to_newick(sigma)),
                     "two cubes span the same link simplex",
                 )
-            simplex_to_cube[key] = sigma
+            at_v[verts] = sigma
 
     # flagness: every clique spans a unique simplex
-    for v, ones in by_vertex_1.items():
-        keys = {forest_key(s): s for s in ones}
-        adj = {kk: set() for kk in keys}
-        for (vv, pair), _sq in pair_to_square.items():
-            if vv == v:
-                a, b = tuple(pair)
-                adj[a].add(b)
-                adj[b].add(a)
-
-        names = sorted(keys)
+    for v, ones in _ones_by_vertex(c).items():
+        names = sorted(ones, key=forest_key)
+        adj = {a: set() for a in names}
+        for pair in by_square.get(v, ()):
+            a, b = tuple(pair)
+            adj[a].add(b)
+            adj[b].add(a)
+        at_v = simplices.get(v, {})
 
         def extend(clique, candidates):
             size = len(clique)
-            if size >= 2:
-                key = (v, frozenset(clique))
-                if key not in simplex_to_cube:
-                    return FlagReport(
-                        False,
-                        (str(v and forest_to_newick(v)), tuple(map(str, clique))),
-                        f"{size}-clique spans no cube",
-                    )
+            if size >= 2 and frozenset(clique) not in at_v:
+                return FlagReport(
+                    False,
+                    (str(v and forest_to_newick(v)), tuple(str(forest_key(x)) for x in clique)),
+                    f"{size}-clique spans no cube",
+                )
             for idx, cand in enumerate(candidates):
                 rep = extend(clique + [cand], [x for x in candidates[idx + 1 :] if x in adj[cand]])
                 if rep is not None:
@@ -387,22 +412,10 @@ def check_local_isometry(phi: CombinatorialMap) -> IsometryReport:
     higher simplices follow because both links are flag).
     """
     src, dst = phi.source, phi.target
-    src_ones: Dict[PlanarForest, list] = {}
-    for s1 in src.subcubes.get(1, ()):
-        src_ones.setdefault(src.vertex_of(s1), []).append(s1)
+    src_sq = _square_index(src)[0]
+    dst_sq = _square_index(dst)[0]
 
-    def square_pairs(c: CubeComplex):
-        pairs = set()
-        for sq in c.subcubes.get(2, ()):
-            e, f = sq.edges()
-            a, b = c.sub_face(sq, [e]), c.sub_face(sq, [f])
-            pairs.add((c.vertex_of(sq), frozenset({forest_key(a), forest_key(b)})))
-        return pairs
-
-    src_sq = square_pairs(src)
-    dst_sq = square_pairs(dst)
-
-    for v, ones in src_ones.items():
+    for v, ones in _ones_by_vertex(src).items():
         images = {}
         for s1 in ones:
             im = phi.apply(s1)
@@ -413,17 +426,15 @@ def check_local_isometry(phi: CombinatorialMap) -> IsometryReport:
                     "link not injective",
                 )
             images[im] = s1
-        vi = dst.vertex_of(next(iter(ones)))
-        for a, b in itertools.combinations(ones, 2):
-            key = (vi, frozenset({forest_key(phi.apply(a)), forest_key(phi.apply(b))}))
-            if key in dst_sq:
-                src_key = (v, frozenset({forest_key(a), forest_key(b)}))
-                if src_key not in src_sq:
-                    return IsometryReport(
-                        False,
-                        (forest_to_newick(a), forest_to_newick(b)),
-                        "image square has no preimage square",
-                    )
+        at_v = src_sq.get(v, {})
+        at_vi = dst_sq.get(dst.vertex_of(ones[0]), {})
+        for (ia, a), (ib, b) in itertools.combinations(images.items(), 2):
+            if frozenset((ia, ib)) in at_vi and frozenset((a, b)) not in at_v:
+                return IsometryReport(
+                    False,
+                    (forest_to_newick(a), forest_to_newick(b)),
+                    "image square has no preimage square",
+                )
     return IsometryReport(True)
 
 

@@ -16,6 +16,14 @@ Zero-decorated forests mark a subset of internal edges; they are considered
 up to flips at the marked edges only.  Bushy forests allow roots of degree
 greater than one and are considered up to order reversal at non-root
 vertices.
+
+At the API, edges are always leaf-set frozensets.  Internally, flip,
+collapse, collapse_all and faces name each vertex by an int leaf mask (bit x
+set for every leaf x above it), built in one bottom-up pass per tree, and
+the canonical forms compute each subtree's sort key once.  PlanarForest(...)
+validates its trees (ordered children, at least two per internal vertex,
+distinct non-negative int labels); forests derived inside this module from
+valid ones are built without re-validation.
 """
 from __future__ import annotations
 
@@ -23,6 +31,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import FrozenSet, Iterable, Sequence, Tuple, Union
 
 from .combinatorics import Permutation
@@ -43,7 +52,10 @@ def leaves(s: Subtree) -> list[int]:
         return [s]
     out: list[int] = []
     for c in s:
-        out.extend(leaves(c))
+        if isinstance(c, int):
+            out.append(c)
+        else:
+            out += leaves(c)
     return out
 
 
@@ -59,6 +71,8 @@ def mirror(s: Subtree) -> Subtree:
 
 def _validate(s: Subtree) -> None:
     if isinstance(s, int):
+        if s < 0:
+            raise ValueError(f"leaf labels must be non-negative: {s!r}")
         return
     if not isinstance(s, tuple) or len(s) < 2:
         raise ValueError(f"internal vertex needs >= 2 ordered children: {s!r}")
@@ -69,10 +83,19 @@ def _validate(s: Subtree) -> None:
 def internal_nodes(s: Subtree):
     """Yield (leafset, node) for every internal vertex of the subtree."""
     if isinstance(s, int):
-        return
-    yield leafset(s), s
-    for c in s:
-        yield from internal_nodes(c)
+        return iter(())
+    order: list = []
+    spans: list = []
+    _spans(s, order, spans)
+    return ((frozenset(order[a:b]), node) for _, a, b, node in spans)
+
+
+def _forest(trees: tuple) -> "PlanarForest":
+    """A PlanarForest on trees known to be valid, built without the checks
+    of the public constructor."""
+    f = object.__new__(PlanarForest)
+    object.__setattr__(f, "trees", trees)
+    return f
 
 
 @dataclass(frozen=True)
@@ -93,25 +116,23 @@ class PlanarForest:
 
     @property
     def labels(self) -> FrozenSet[int]:
-        return frozenset(x for t in self.trees for x in leaves(t))
+        return frozenset(self.leaf_order())
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
     def edges(self) -> list[FrozenSet[int]]:
-        """Internal edges, as leaf sets of their upper vertices."""
-        out = []
-        for t in self.trees:
-            out.extend(ls for ls, _ in internal_nodes(t))
-        return out
+        """Internal edges, as leaf sets of their upper vertices, in preorder."""
+        order, spans = _vertices(self)
+        return [frozenset(order[a:b]) for _, a, b, _ in spans]
 
     def num_edges(self) -> int:
         return len(self.edges())
 
     def tree_of(self, label: int) -> int:
         for i, t in enumerate(self.trees):
-            if label in leafset(t):
+            if label in leaves(t):
                 return i
         raise KeyError(label)
 
@@ -137,81 +158,148 @@ def total_order(forest: PlanarForest) -> Permutation:
     return Permutation(order)
 
 
-def _replace_node(s: Subtree, target: FrozenSet[int], new: Subtree) -> Subtree:
-    if isinstance(s, int):
-        return s
-    if leafset(s) == target:
-        return new
-    return tuple(_replace_node(c, target, new) for c in s)
+# ---------------------------------------------------------------------------
+# flip and collapse, on leaf masks
+#
+# Inside these passes a vertex is named by its leaf mask, the int with bit x
+# set for every leaf label x above it: one bottom-up pass per tree ORs the
+# masks together, and an edge matches the vertex whose mask equals its own.
+# The leaves above a vertex are also an interval of the planar leaf order, so
+# contracting edges only regroups that order: each surviving vertex keeps its
+# interval, nested as before.
 
 
-def _find_node(s: Subtree, target: FrozenSet[int]) -> Subtree:
-    if isinstance(s, int):
-        raise KeyError(target)
-    if leafset(s) == target:
-        return s
-    for c in s:
-        if not isinstance(c, int) and target <= leafset(c):
-            return _find_node(c, target)
-    raise KeyError(target)
+def _edge_mask(edge: Iterable[int]) -> int:
+    m = 0
+    try:
+        for x in edge:
+            m |= 1 << x
+    except (TypeError, ValueError):
+        raise ValueError(f"not an internal edge: {set(edge)}") from None
+    return m
+
+
+def _flip_at(s: tuple, target: int):
+    """(leaf mask of s, s mirrored above the vertex with the target mask).
+
+    Subtrees without that vertex come back as the same objects."""
+    m = 0
+    kids = None
+    for i, c in enumerate(s):
+        if isinstance(c, int):
+            m |= 1 << c
+        else:
+            cm, new = _flip_at(c, target)
+            m |= cm
+            if new is not c:  # only one child can hold the target
+                kids = list(s)
+                kids[i] = new
+    if m == target:
+        return m, mirror(s)
+    return m, s if kids is None else tuple(kids)
 
 
 def flip(forest: PlanarForest, edge: FrozenSet[int]) -> PlanarForest:
     """Mirror the subtree above the given internal edge."""
-    edge = frozenset(edge)
-    if edge not in forest.edges():
-        raise ValueError(f"not an internal edge: {set(edge)}")
-    trees = []
-    for t in forest.trees:
-        if not isinstance(t, int) and edge <= leafset(t):
-            node = _find_node(t, edge)
-            t = _replace_node(t, edge, mirror(node))
-        trees.append(t)
-    return PlanarForest(trees)
+    target = _edge_mask(edge)
+    trees = forest.trees
+    for i, t in enumerate(trees):
+        if not isinstance(t, int):
+            new = _flip_at(t, target)[1]
+            if new is not t:
+                return _forest(trees[:i] + (new,) + trees[i + 1 :])
+    raise ValueError(f"not an internal edge: {set(edge)}")
 
 
-def collapse(forest: PlanarForest, edge: FrozenSet[int]) -> PlanarForest:
-    """Contract the given internal edge.
-
-    Contracting a trunk splits its tree into the consecutive sequence of
-    top-level subtrees; contracting any other edge splices the children into
-    the parent's child list in place.
-    """
-    edge = frozenset(edge)
-    trees: list[Subtree] = []
-    done = False
-    for t in forest.trees:
-        if done or isinstance(t, int) or not edge <= leafset(t):
-            trees.append(t)
-            continue
-        if leafset(t) == edge:
-            trees.extend(t)  # trunk: split into consecutive trees
-        else:
-            trees.append(_collapse_inner(t, edge))
-        done = True
-    if not done:
-        raise ValueError(f"not an internal edge: {set(edge)}")
-    return PlanarForest(trees)
-
-
-def _collapse_inner(s: Subtree, target: FrozenSet[int]) -> Subtree:
-    assert not isinstance(s, int)
-    out = []
+def _spans(s: tuple, order: list, out: list) -> int:
+    """Append s's leaves to order and (leaf mask, start, stop, node) for every
+    internal vertex of s to out, in preorder: the leaves above the vertex are
+    order[start:stop].  Return the mask of s."""
+    i = len(out)
+    out.append(None)
+    start = len(order)
+    m = 0
     for c in s:
-        if isinstance(c, int) or not target <= leafset(c):
-            out.append(c)
-        elif leafset(c) == target:
-            out.extend(c)  # splice grandchildren in place
+        if isinstance(c, int):
+            order.append(c)
+            m |= 1 << c
         else:
-            out.append(_collapse_inner(c, target))
-    return tuple(out)
+            m |= _spans(c, order, out)
+    out[i] = (m, start, len(order), s)
+    return m
+
+
+def _vertices(forest: PlanarForest):
+    """(leaf order, [(leaf mask, start, stop, node)] of the internal vertices
+    in preorder), in one pass per tree."""
+    order: list = []
+    spans: list = []
+    for t in forest.trees:
+        if isinstance(t, int):
+            order.append(t)
+        else:
+            _spans(t, order, spans)
+    return order, spans
+
+
+def _nest(order: list, spans: list, lo: int, hi: int, j: int):
+    """The subtrees covering order[lo:hi] when the vertices left are those of
+    spans[j:] (preorder) that start before hi; return them and the index of
+    the first span past hi."""
+    items = []
+    while j < len(spans) and spans[j][1] < hi:
+        _, start, stop, _ = spans[j]
+        items += order[lo:start]
+        kids, j = _nest(order, spans, start, stop, j + 1)
+        items.append(tuple(kids))
+        lo = stop
+    items += order[lo:hi]
+    return items, j
+
+
+def _keeping(order: list, spans) -> PlanarForest:
+    """The forest on the leaf order whose internal vertices are the spans."""
+    return _forest(tuple(_nest(order, spans, 0, len(order), 0)[0]))
 
 
 def collapse_all(forest: PlanarForest, edges: Iterable[FrozenSet[int]]) -> PlanarForest:
-    out = forest
-    for e in edges:
-        out = collapse(out, e)
-    return out
+    """Contract a set of distinct internal edges, in one pass per tree.
+
+    Contracting a trunk splits its tree into the consecutive sequence of
+    top-level subtrees; contracting any other edge splices the children into
+    the parent's child list in place.  The result is the one of contracting
+    the edges one at a time, in any order.
+    """
+    edges = list(edges)
+    masks = [_edge_mask(e) for e in edges]
+    if not masks:
+        return forest
+    targets = set(masks)
+    if len(targets) != len(masks):
+        raise ValueError("repeated edge")
+    order, spans = _vertices(forest)
+    kept = [v for v in spans if v[0] not in targets]
+    if len(kept) != len(spans) - len(targets):
+        found = {v[0] for v in spans}
+        missing = next(e for e, m in zip(edges, masks) if m not in found)
+        raise ValueError(f"not an internal edge: {set(missing)}")
+    return _keeping(order, kept)
+
+
+def collapse(forest: PlanarForest, edge: FrozenSet[int]) -> PlanarForest:
+    """Contract the given internal edge (see collapse_all)."""
+    return collapse_all(forest, (edge,))
+
+
+def faces(forest: PlanarForest, size: int) -> list[PlanarForest]:
+    """The forests left by contracting all internal edges but `size` of them,
+    one per kept subset, in itertools.combinations order over edges().
+
+    These are the faces of the forest's sub-cube that keep `size` of its
+    directions.
+    """
+    order, spans = _vertices(forest)
+    return [_keeping(order, keep) for keep in itertools.combinations(spans, size)]
 
 
 def meet(forest: PlanarForest, a: int, b: int) -> FrozenSet[int]:
@@ -267,44 +355,62 @@ def _unordered_partitions(items: Tuple[int, ...]):
             yield sub[:i] + ((first,) + sub[i],) + sub[i + 1 :]
 
 
-def _ordered_partitions(items: Tuple[int, ...], min_parts: int = 1):
-    """Ordered sequences of disjoint nonempty parts covering the items."""
+def _ordered_partitions(items: Tuple[int, ...], min_parts: int, max_parts: int):
+    """Ordered sequences of disjoint nonempty parts covering the items, each
+    part a sorted tuple."""
     for blocks in _unordered_partitions(items):
-        if len(blocks) < min_parts:
-            continue
-        for perm in itertools.permutations(blocks):
-            yield perm
+        if min_parts <= len(blocks) <= max_parts:
+            yield from itertools.permutations(blocks)
+
+
+def _edge_splits(total: int, parts: Sequence[tuple]):
+    """The ways to give each part a number of internal edges, summing to
+    total, in lexicographic order: a tree on s >= 2 leaves has between 1 and
+    s - 1 edges, a bare leaf none."""
+    size = len(parts[0])
+    lo, hi = (1, size - 1) if size > 1 else (0, 0)
+    if len(parts) == 1:
+        if lo <= total <= hi:
+            yield (total,)
+        return
+    for first in range(lo, min(hi, total) + 1):
+        for rest in _edge_splits(total - first, parts[1:]):
+            yield (first,) + rest
+
+
+def _combos(parts: Sequence[tuple], k: int):
+    """Tuples of planar trees, one on each part, with k internal edges in all."""
+    for split in _edge_splits(k, parts):
+        yield from itertools.product(*[_trees_on(p, e) for p, e in zip(parts, split)])
 
 
 @lru_cache(maxsize=None)
 def _trees_on(labels: Tuple[int, ...], k: int) -> Tuple[Subtree, ...]:
-    """All planar trees on the given labels with exactly k internal edges."""
+    """All planar trees on the given sorted labels with exactly k internal
+    edges."""
     if len(labels) == 1:
         return (labels[0],) if k == 0 else ()
-    if k == 0:
-        return ()
-    out = []
-    for parts in _ordered_partitions(labels, min_parts=2):
-        for split in _compositions(k - 1, len(parts)):
-            choices = [_trees_on(tuple(sorted(p)), e) for p, e in zip(parts, split)]
-            if any(not c for c in choices):
-                continue
-            for combo in itertools.product(*choices):
-                out.append(tuple(combo))
-    return tuple(out)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    # the trunk is one edge; the root's children share the other k - 1
+    return tuple(
+        combo
+        for parts in _ordered_partitions(labels, 2, len(labels) - k + 1)
+        for combo in _combos(parts, k - 1)
+    )
 
 
 def enumerate_planar_trees(labels: Sequence[int], k: int) -> list[Subtree]:
     return list(_trees_on(tuple(sorted(labels)), k))
+
+
+def planar_forests(n: int, k: int):
+    """Yield the planar forests labelled by [n] with exactly k internal
+    edges, in generation order (enumerate_planar_forests sorts them)."""
+    if not 0 <= k <= max(n - 1, 0):
+        raise ValueError("need 0 <= k <= n-1")
+    # a forest of m trees on n leaves has at most n - m internal edges
+    for parts in _ordered_partitions(tuple(range(1, n + 1)), 1, n - k):
+        for combo in _combos(parts, k):
+            yield _forest(combo)
 
 
 def enumerate_planar_forests(n: int, k: int) -> list[PlanarForest]:
@@ -313,19 +419,7 @@ def enumerate_planar_forests(n: int, k: int) -> list[PlanarForest]:
     >>> [len(enumerate_planar_forests(3, k)) for k in range(3)]
     [6, 18, 12]
     """
-    if not 0 <= k <= max(n - 1, 0):
-        raise ValueError("need 0 <= k <= n-1")
-    items = tuple(range(1, n + 1))
-    out = []
-    for parts in _ordered_partitions(items):
-        for split in _compositions(k, len(parts)):
-            choices = [_trees_on(tuple(sorted(p)), e) for p, e in zip(parts, split)]
-            if any(not c for c in choices):
-                continue
-            for combo in itertools.product(*choices):
-                out.append(PlanarForest(combo))
-    out.sort(key=forest_key)
-    return out
+    return sorted(planar_forests(n, k), key=forest_key)
 
 
 def catalan(n: int) -> int:
@@ -342,7 +436,25 @@ def catalan(n: int) -> int:
 def _subtree_key(s: Subtree):
     if isinstance(s, int):
         return (0, s)
-    return (1, tuple(_subtree_key(c) for c in s))
+    return (1, tuple([(0, c) if isinstance(c, int) else _subtree_key(c) for c in s]))
+
+
+def _flip_canon(s: Subtree):
+    """(canon_tree_mod_flips(s), its _subtree_key), each child key computed
+    once."""
+    if isinstance(s, int):
+        return s, (0, s)
+    kids = []
+    keys = []
+    for c in s:
+        kid, key = _flip_canon(c)
+        kids.append(kid)
+        keys.append(key)
+    keys = tuple(keys)
+    rev = keys[::-1]
+    if rev < keys:
+        return tuple(reversed(kids)), (1, rev)
+    return tuple(kids), (1, keys)
 
 
 def canon_tree_mod_flips(s: Subtree) -> Subtree:
@@ -351,11 +463,7 @@ def canon_tree_mod_flips(s: Subtree) -> Subtree:
     Flips generate an independent orientation choice at every internal
     vertex, so the bottom-up lexicographic minimum is canonical.
     """
-    if isinstance(s, int):
-        return s
-    kids = tuple(canon_tree_mod_flips(c) for c in s)
-    rev = tuple(reversed(kids))
-    return min(kids, rev, key=lambda t: tuple(map(_subtree_key, t)))
+    return _flip_canon(s)[0]
 
 
 def forest_key(f: PlanarForest):
@@ -369,18 +477,23 @@ def canon_forest(kind: str, f: PlanarForest, mod_flips: bool) -> PlanarForest:
     takes the minimal rotation.  With mod_flips, each tree is first reduced
     modulo flipping.
     """
-    trees = list(f.trees)
     if mod_flips:
-        trees = [canon_tree_mod_flips(t) for t in trees]
-    if kind == "ordered":
-        return PlanarForest(trees)
+        keyed = [_flip_canon(t) for t in f.trees]
+    elif kind == "ordered":
+        return f
+    elif kind == "unordered":
+        return _forest(tuple(sorted(f.trees, key=_subtree_key)))
+    else:
+        keyed = [(t, _subtree_key(t)) for t in f.trees]
     if kind == "unordered":
-        return PlanarForest(sorted(trees, key=_subtree_key))
-    if kind == "cyclic":
-        rots = [tuple(trees[i:] + trees[:i]) for i in range(len(trees))]
-        best = min(rots, key=lambda ts: tuple(_subtree_key(t) for t in ts))
-        return PlanarForest(best)
-    raise ValueError(f"unknown kind {kind!r}")
+        keyed.sort(key=itemgetter(1))
+    elif kind == "cyclic":
+        keys = [key for _, key in keyed]
+        i = min(range(len(keys)), key=lambda i: keys[i:] + keys[:i])
+        keyed = keyed[i:] + keyed[:i]
+    elif kind != "ordered":
+        raise ValueError(f"unknown kind {kind!r}")
+    return _forest(tuple(t for t, _ in keyed))
 
 
 # ---------------------------------------------------------------------------

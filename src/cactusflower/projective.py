@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
-from .combinatorics import Permutation, SetPartition, partition_closure
+from .combinatorics import Permutation, SetPartition, partition_closure, refines
 from .forests import PlanarForest, meet as forest_meet
 from .scalars import (
     ONE,
@@ -414,15 +414,11 @@ def classify_strata(point: NuTuple):
             raise InvariantViolation(f"finiteness relation not transitive at {(i, j)}")
         if b_part.same_block(i, j) != d[(i, j)].is_infinite():
             raise InvariantViolation(f"vanishing relation not transitive at {(i, j)}")
-    if not _refines(b_part, s_part):
+    if not refines(b_part, s_part):
         raise InvariantViolation("vanishing partition does not refine finiteness partition")
     m, r = len(s_part), len(b_part)
     p = sum(1 for b in b_part if len(b) == 1)
     return s_part, b_part, (n - m, n - 1 - r + p)
-
-
-def _refines(b: SetPartition, s: SetPartition) -> bool:
-    return all(blk <= s.block_of(min(blk)) for blk in b.blocks)
 
 
 def open_cover_membership(s_part: SetPartition, point: NuTuple) -> bool:

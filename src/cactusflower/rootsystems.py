@@ -211,23 +211,18 @@ class RootSystem:
 
     def simple_systems(self) -> list["SimpleSystem"]:
         out = []
-        inverse_matrix = {}
         for perm, m in self.elements.items():
             inv = [0] * len(perm)
             for a, b in enumerate(perm):
                 inv[b] = a
-            inverse_matrix[perm] = self.elements[tuple(inv)]
-        for perm, m in self.elements.items():
-            inv = [0] * len(perm)
-            for a, b in enumerate(perm):
-                inv[b] = a
+            inv = tuple(inv)
             out.append(
                 SimpleSystem(
                     self,
                     tuple(perm[i] for i in self._simple_idx),
                     m,
-                    tuple(inv),
-                    inverse_matrix[perm],
+                    inv,
+                    self.elements[inv],
                 )
             )
         out.sort(key=lambda s: s.root_indices)

@@ -10,8 +10,11 @@ from cactusflower.forests import (
     NoMeetError,
     PlanarForest,
     PlanarForestWithZeros,
+    canon_forest,
+    canon_tree_mod_flips,
     catalan,
     collapse,
+    collapse_all,
     enumerate_planar_forests,
     enumerate_zero_forests,
     flip,
@@ -20,6 +23,7 @@ from cactusflower.forests import (
     forest_to_json,
     forest_to_newick,
     leafset,
+    leaves,
     meet,
     total_order,
     z_from_plain,
@@ -148,8 +152,6 @@ def test_zeros_to_planar_lands_in_flip_classes():
     for zf in enumerate_zero_forests(3):
         plain = zeros_to_planar(zf)
         # a canonical unordered flip-reduced forest: stable under re-canon
-        from cactusflower.forests import canon_forest
-
         assert canon_forest("unordered", plain, mod_flips=True) == plain
 
 
@@ -166,3 +168,152 @@ def test_single_leaf_tree_allowed():
     f = PlanarForest([1])
     assert f.n == 1 and f.edges() == []
     assert f.leaf_order() == (1,)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass forest core against a sequential reference
+#
+# The reference re-derives leaf sets at every vertex and contracts one edge
+# at a time, as the forest core did before it worked on leaf masks.
+
+
+def _ref_nodes(s):
+    if isinstance(s, int):
+        return
+    yield leafset(s), s
+    for c in s:
+        yield from _ref_nodes(c)
+
+
+def _ref_edges(forest):
+    return [ls for t in forest.trees for ls, _ in _ref_nodes(t)]
+
+
+def _ref_mirror(s):
+    return s if isinstance(s, int) else tuple(_ref_mirror(c) for c in reversed(s))
+
+
+def _ref_flip(forest, edge):
+    if edge not in _ref_edges(forest):
+        raise ValueError(edge)
+
+    def rec(s):
+        if isinstance(s, int):
+            return s
+        if leafset(s) == edge:
+            return _ref_mirror(s)
+        return tuple(rec(c) for c in s)
+
+    return PlanarForest([rec(t) for t in forest.trees])
+
+
+def _ref_collapse(forest, edge):
+    if edge not in _ref_edges(forest):
+        raise ValueError(edge)
+
+    def rec(s):
+        out = []
+        for c in s:
+            if not isinstance(c, int) and leafset(c) == edge:
+                out.extend(rec(c))
+            elif isinstance(c, int):
+                out.append(c)
+            else:
+                out.append(tuple(rec(c)))
+        return out
+
+    trees = []
+    for t in forest.trees:
+        if isinstance(t, int):
+            trees.append(t)
+        elif leafset(t) == edge:
+            trees.extend(rec(t))
+        else:
+            trees.append(tuple(rec(t)))
+    return PlanarForest(trees)
+
+
+def _ref_collapse_all(forest, edges):
+    for e in edges:
+        forest = _ref_collapse(forest, e)
+    return forest
+
+
+def _ref_key(s):
+    return (0, s) if isinstance(s, int) else (1, tuple(_ref_key(c) for c in s))
+
+
+def _ref_canon_tree(s):
+    if isinstance(s, int):
+        return s
+    kids = tuple(_ref_canon_tree(c) for c in s)
+    return min(kids, kids[::-1], key=lambda t: tuple(map(_ref_key, t)))
+
+
+def _ref_canon_forest(kind, forest, mod_flips):
+    trees = list(forest.trees)
+    if mod_flips:
+        trees = [_ref_canon_tree(t) for t in trees]
+    if kind == "unordered":
+        trees.sort(key=_ref_key)
+    elif kind == "cyclic":
+        rots = [trees[i:] + trees[:i] for i in range(len(trees))]
+        trees = min(rots, key=lambda ts: [_ref_key(t) for t in ts])
+    return PlanarForest(trees)
+
+
+def _all_forests(n):
+    return [f for k in range(n) for f in enumerate_planar_forests(n, k)]
+
+
+def _revalidates(forest):
+    return PlanarForest(forest.trees) == forest
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_forest_core_matches_sequential_reference(n):
+    for forest in _all_forests(n):
+        edges = forest.edges()
+        assert edges == _ref_edges(forest)  # same sets, same preorder
+        for e in edges:
+            flipped = flip(forest, e)
+            assert flipped == _ref_flip(forest, e) and _revalidates(flipped)
+        for r in range(len(edges) + 1):
+            for subset in itertools.combinations(edges, r):
+                got = collapse_all(forest, subset)
+                assert got == _ref_collapse_all(forest, subset) and _revalidates(got)
+                if r == 1:
+                    assert collapse(forest, subset[0]) == got
+        for kind in ("ordered", "unordered", "cyclic"):
+            for mod_flips in (False, True):
+                got = canon_forest(kind, forest, mod_flips)
+                assert got == _ref_canon_forest(kind, forest, mod_flips)
+                assert _revalidates(got)
+        for t in forest.trees:
+            assert canon_tree_mod_flips(t) == _ref_canon_tree(t)
+
+
+def test_forest_core_error_parity():
+    forest = PlanarForest([((1, (2, 3)), 4), (5, 6)])
+    e = frozenset({2, 3})
+    for bad in (frozenset({1, 2}), frozenset({9}), frozenset(), frozenset({-1, 2})):
+        for op in (flip, collapse, _ref_flip, _ref_collapse):
+            with pytest.raises(ValueError):
+                op(forest, bad)
+        with pytest.raises(ValueError):
+            collapse_all(forest, [e, bad])
+    for op in (collapse_all, _ref_collapse_all):
+        with pytest.raises(ValueError):
+            op(forest, [e, e])
+    # the public constructor still validates; the leaf-mask passes need
+    # non-negative labels
+    for trees in ([(1,)], [(1, 2), 2], [(1, "a")], [(-1, 2)]):
+        with pytest.raises(ValueError):
+            PlanarForest(trees)
+
+
+def test_top_cells_of_hatD_are_double_factorials():
+    from cactusflower.cubecomplexes import build_hatD
+
+    for n, want in ((3, 3), (4, 15), (5, 105)):
+        assert build_hatD(n).f_vector()[-1] == want == math.prod(range(1, 2 * n - 2, 2))
