@@ -23,7 +23,6 @@ from cactusflower.forests import (
     forest_to_json,
     forest_to_newick,
     leafset,
-    leaves,
     meet,
     total_order,
     z_from_plain,
