@@ -88,11 +88,15 @@ def canonical_cyclic(w: Word, partner: Dict[Letter, Letter]) -> Word:
     """Canonical form of a relator: minimum over rotations of the word and of
     its inverse (reverse with letters replaced by their partners)."""
     inv = tuple(partner[x] for x in reversed(w))
-    cands = []
+    best = best_key = None
     for word in (w, inv):
+        # the key of a rotation is the rotation of the key
+        key = _word_key(word)
         for k in range(len(word)):
-            cands.append(word[k:] + word[:k])
-    return min(cands, key=_word_key)
+            rotated = key[k:] + key[:k]
+            if best_key is None or rotated < best_key:
+                best, best_key = word[k:] + word[:k], rotated
+    return best
 
 
 def _standard_pairs(n: int):
@@ -249,12 +253,19 @@ def make_presentation(family: str, n: int) -> Presentation:
         partner_d = {("sA", a): ("sA", tuple(reversed(a))) for a in ordered_subsets(n)}
         rels = set()
         subsets = list(ordered_subsets(n))
+        # commuting relators for disjoint A, B: group the ordered subsets by
+        # their bitmask and pair only disjoint masks
+        by_mask: Dict[int, list] = {}
         for a in subsets:
-            for b in subsets:
-                if set(a) & set(b):
+            by_mask.setdefault(sum(1 << x for x in a), []).append(a)
+        for mask_a, group_a in by_mask.items():
+            for mask_b, group_b in by_mask.items():
+                if mask_a & mask_b:
                     continue
-                w = (("sA", a), ("sA", b), partner_d[("sA", a)], partner_d[("sA", b)])
-                rels.add(canonical_cyclic(w, partner_d))
+                for a in group_a:
+                    for b in group_b:
+                        w = (("sA", a), ("sA", b), partner_d[("sA", a)], partner_d[("sA", b)])
+                        rels.add(canonical_cyclic(w, partner_d))
         # nesting: A inside the context (C, ..., B); C and B may be empty but
         # not both, and the whole ordered subset C A B stays inside [n]
         for a in subsets:
@@ -409,14 +420,18 @@ class GroupHom:
 
     def map_word(self, w: Word) -> Word:
         """Substitute generator images (for presentation targets)."""
-        out: list[Letter] = []
-        table = dict(self.images)
-        for x in w:
-            img = table.get(x)
-            if img is None:
-                img = _generic_letter_image(self.source, self.target, x, self.n)
-            out.extend(img)
-        return tuple(out)
+        return _substitute(self, dict(self.images), w)
+
+
+def _substitute(h: GroupHom, table: dict, w: Word) -> Word:
+    """map_word with the generator-image table of h already built."""
+    out: list[Letter] = []
+    for x in w:
+        img = table.get(x)
+        if img is None:
+            img = _generic_letter_image(h.source, h.target, x, h.n)
+        out.extend(img)
+    return tuple(out)
 
 
 def _generic_letter_image(source: str, target: str, x: Letter, n: int):
@@ -926,14 +941,23 @@ def evaluate_path(word: Word, path: list[tuple[str, str]], n: int):
     substitution; at the first solvable target it is evaluated, and any
     remaining arrows must be concrete projections between solvable groups.
     """
+    return _evaluate_path(word, path, n, {})
+
+
+def _evaluate_path(word: Word, path: list[tuple[str, str]], n: int, tables: dict):
+    """evaluate_path, reading and filling `tables`: arrow -> (hom, its
+    generator-image table), so callers evaluating many paths build each
+    arrow once."""
     element = None
     for (src, dst) in path:
         if element is not None:
             element = _project_solvable(src, dst, element, n)
             continue
-        if dst in SOLVABLE_TARGETS:
+        if (src, dst) not in tables:
             h = hom((src, dst), n)
-            table = dict(h.images)
+            tables[(src, dst)] = (h, dict(h.images))
+        h, table = tables[(src, dst)]
+        if dst in SOLVABLE_TARGETS:
             acc = None
             for x in word:
                 img = table.get(x)
@@ -944,7 +968,7 @@ def evaluate_path(word: Word, path: list[tuple[str, str]], n: int):
                 acc = img if acc is None else acc * img
             element = acc if acc is not None else evaluate_word(dst, (), n)
         else:
-            word = push_word(word, (src, dst), n)
+            word = _substitute(h, table, word)
     if element is None:
         raise ValueError("path must end in a solvable group")
     return element
@@ -990,14 +1014,15 @@ def diagram_report(n: int) -> list[tuple[str, Letter, bool]]:
     evaluation in the symmetric group (all six sources) and additionally in
     the extended affine symmetric group where two routes exist."""
     out = []
+    tables: dict = {}
     for src, paths in DIAGRAM_PATHS_TO_S.items():
         for g in generators_of(src, n):
-            vals = [evaluate_path((g,), path, n) for path in paths]
+            vals = [_evaluate_path((g,), path, n, tables) for path in paths]
             ok = all(v.images == vals[0].images for v in vals)
             out.append((src, g, ok))
     for src, paths in DIAGRAM_PATHS_TO_EAS.items():
         for g in generators_of(src, n):
-            vals = [evaluate_path((g,), path, n) for path in paths]
+            vals = [_evaluate_path((g,), path, n, tables) for path in paths]
             ok = all(
                 v.base == vals[0].base and v.shift == vals[0].shift for v in vals
             )

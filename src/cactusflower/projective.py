@@ -152,6 +152,17 @@ def ordered_triples(labels: Iterable[int]):
     return [t for t in itertools.permutations(ls, 3)]
 
 
+def _lookup(obj, items) -> dict:
+    """The items of a frozen tuple as a dict, built on the first lookup and
+    kept on the instance outside its dataclass fields, so that ==, hash and
+    repr do not see it."""
+    table = obj.__dict__.get("_table")
+    if table is None:
+        table = dict(items)
+        object.__setattr__(obj, "_table", table)
+    return table
+
+
 @dataclass(frozen=True)
 class NuTuple:
     """A map p([n]) -> P^1, with optional deformation parameter.
@@ -183,7 +194,7 @@ class NuTuple:
         return dict(self.nu)
 
     def __getitem__(self, ij) -> ProjPoint:
-        return self.as_dict()[ij]
+        return _lookup(self, self.nu)[ij]
 
     def delta(self, i: int, j: int) -> ProjPoint:
         """delta_ij = 1/nu_ij, the coordinate swap."""
@@ -220,7 +231,7 @@ class MuTuple:
         return dict(self.mu)
 
     def __getitem__(self, t) -> ProjPoint:
-        return self.as_dict()[t]
+        return _lookup(self, self.mu)[t]
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,20 @@ faces and their centres, the star-to-permutahedron map, and the
 star-to-real-locus coordinates.
 
 Conventions.  Vectors live in the fundamental-weight basis of a fixed base
-simple system, so a weight is a tuple of rational pairings with the base
-simple coroots; roots additionally carry their integer coordinates in the
-base simple roots.  Other simple systems are Weyl translates of the base and
-are represented by the translating group element.  With these choices every
-pairing used below is exact and almost everything is integer arithmetic.
+simple system, so a weight is a tuple of pairings with the base simple
+coroots; roots additionally carry their integer coordinates in the base
+simple roots.  Weights, coroot pairings, rho and every Weyl image of them
+are integral, so the Weyl group is enumerated as integer matrices keyed by
+the root permutations they induce.  Other simple systems are Weyl
+translates of the base and are represented by the translating group
+element.  Fractions appear only where the inputs are rational: the
+parallelepiped coordinates, xi, theta, face centres (half-integral) and
+simple-root coordinates of arbitrary vectors.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -34,7 +38,7 @@ def _chain(n: int) -> list[list[int]]:
 
 for _r in range(1, 5):
     NAMED_CARTAN[f"A{_r}"] = _chain(_r)
-for _r in (2, 3):
+for _r in (2, 3, 4):
     _m = _chain(_r)
     _m[_r - 2][_r - 1] = -2  # short last root
     NAMED_CARTAN[f"B{_r}"] = _m
@@ -46,10 +50,14 @@ _d4[2][3] = _d4[3][2] = 0
 _d4[1][3] = _d4[3][1] = -1
 NAMED_CARTAN["D4"] = _d4
 NAMED_CARTAN["G2"] = [[2, -1], [-3, 2]]
+_f4 = _chain(4)
+_f4[1][2] = -2
+NAMED_CARTAN["F4"] = _f4
 
 EXPECTED_ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A4": 20,
-    "B2": 8, "B3": 18, "C2": 8, "C3": 18, "D4": 24, "G2": 12,
+    "B2": 8, "B3": 18, "B4": 32, "C2": 8, "C3": 18, "C4": 32, "D4": 24,
+    "F4": 48, "G2": 12,
 }
 
 
@@ -72,7 +80,7 @@ class Root:
 
     simple: Tuple[int, ...]
     weight: Tuple[int, ...]
-    copairing: Vec  # <alpha^vee, x> = sum copairing[j] * x_j
+    copairing: Tuple[int, ...]  # <alpha^vee, x> = sum copairing[j] * x_j
 
     def is_positive(self) -> bool:
         return all(c >= 0 for c in self.simple)
@@ -80,7 +88,8 @@ class Root:
 
 class RootSystem:
     """The full root set generated from a Cartan matrix by reflection
-    closure, with the Weyl group enumerated as matrices on weight space."""
+    closure, with the Weyl group enumerated as integer matrices on weight
+    space, keyed by the root permutations they induce."""
 
     def __init__(self, cartan):
         a = [list(map(int, row)) for row in cartan]
@@ -132,28 +141,49 @@ class RootSystem:
         for c in sorted(roots):
             w = tuple(sum(a[i][j] * c[j] for j in range(r)) for i in range(r))
             norm = self._norm_c(c)
-            # coroot coordinates: <alpha^vee, omega_j> = c_j (a_j, a_j)/(a, a)
+            # coroot coordinates: <alpha^vee, omega_j> = c_j (a_j, a_j)/(a, a),
+            # integral because the system is crystallographic
             cop = tuple(c[j] * 2 * d[j] / norm for j in range(r))
-            self.roots.append(Root(c, w, cop))
+            assert all(q.denominator == 1 for q in cop)
+            self.roots.append(Root(c, w, tuple(int(q) for q in cop)))
         self._root_index = {rt.simple: k for k, rt in enumerate(self.roots)}
         self._simple_idx = [self._root_index[s] for s in simples]
 
+        # s_i sends the root with simple coordinates c to c - <alpha_i^vee,
+        # alpha> alpha_i, and <alpha_i^vee, alpha> is the i-th weight coordinate
+        reflections = []
+        for i in range(r):
+            perm = []
+            for rt in self.roots:
+                c = list(rt.simple)
+                c[i] -= rt.weight[i]
+                perm.append(self._root_index[tuple(c)])
+            reflections.append(perm)
+
         # Weyl group as matrices on weight coordinates (columns = images of
-        # the fundamental weights) together with the induced root permutation
+        # the fundamental weights), keyed by the induced root permutation.
+        # Since <alpha_i^vee, omega_j> = delta_ij, s_i x = x - x_i alpha_i:
+        # row k of s_i m is row k of m minus a_ki times row i.
         ident = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-        self.elements: Dict[tuple, tuple] = {self._root_perm(ident): ident}
-        frontier = [ident]
+        key = tuple(range(len(self.roots)))
+        self.elements: Dict[tuple, tuple] = {key: ident}
+        frontier = [(key, ident)]
         while frontier:
             nxt = []
-            for m in frontier:
-                for i in range(r):
-                    m2 = self._reflect_matrix(i, m)
-                    key = self._root_perm(m2)
-                    if key not in self.elements:
-                        self.elements[key] = m2
-                        nxt.append(m2)
+            for key, m in frontier:
+                for i, perm in enumerate(reflections):
+                    key2 = tuple(perm[k] for k in key)
+                    if key2 not in self.elements:
+                        mi = m[i]
+                        m2 = tuple(
+                            tuple(x - a[k][i] * y for x, y in zip(m[k], mi))
+                            for k in range(r)
+                        )
+                        self.elements[key2] = m2
+                        nxt.append((key2, m2))
             frontier = nxt
         self.order = len(self.elements)
+        self._chambers = self._build_simple_systems()
 
     # -- pairings -----------------------------------------------------------
 
@@ -174,20 +204,8 @@ class RootSystem:
         return sum(q * xi for q, xi in zip(root.copairing, x))
 
     def reflect(self, root: Root, x: Vec) -> Vec:
-        return _vsub(x, _vscale(self.copair(root, x), tuple(map(Fraction, root.weight))))
-
-    def _reflect_matrix(self, i: int, m) -> tuple:
-        root = self.roots[self._simple_idx[i]]
-        cols = list(zip(*m))
-        new_cols = [self.reflect(root, tuple(map(Fraction, col))) for col in cols]
-        return tuple(tuple(row) for row in zip(*new_cols))
-
-    def _root_perm(self, m) -> tuple:
-        out = []
-        for rt in self.roots:
-            img = self.apply_matrix(m, tuple(map(Fraction, rt.weight)))
-            out.append(self._root_index[self.simple_coords(img)])
-        return tuple(out)
+        """The reflection in the root; integer vectors stay integer."""
+        return _vsub(x, _vscale(self.copair(root, x), root.weight))
 
     def apply_matrix(self, m, x: Vec) -> Vec:
         r = self.rank
@@ -206,10 +224,15 @@ class RootSystem:
     # -- derived data --------------------------------------------------------
 
     @property
-    def rho(self) -> Vec:
-        return tuple(Fraction(1) for _ in range(self.rank))
+    def rho(self) -> Tuple[int, ...]:
+        return (1,) * self.rank
 
     def simple_systems(self) -> list["SimpleSystem"]:
+        """Every simple system, one per Weyl element, sorted by the indices
+        of its roots (a fresh list; the systems are built once)."""
+        return list(self._chambers)
+
+    def _build_simple_systems(self) -> list["SimpleSystem"]:
         out = []
         for perm, m in self.elements.items():
             inv = [0] * len(perm)
@@ -264,13 +287,17 @@ def build_root_system(cartan_or_name) -> RootSystem:
 
 @dataclass(frozen=True)
 class SimpleSystem:
-    """A simple system: the Weyl image of the base, carried by its element."""
+    """A simple system: the Weyl image of the base, carried by its element.
+
+    It is identified by its system and its roots; the element's matrix, its
+    inverse and the inverse root permutation follow from those, so they are
+    left out of equality and hashing."""
 
     system: RootSystem
     root_indices: Tuple[int, ...]  # images of the base simple roots
-    matrix: tuple
-    inv_perm: Tuple[int, ...]  # inverse of the induced root permutation
-    matrix_inv: tuple
+    matrix: tuple = field(compare=False)
+    inv_perm: Tuple[int, ...] = field(compare=False)  # inverse of the induced root permutation
+    matrix_inv: tuple = field(compare=False)
 
     def roots(self) -> list[Root]:
         return [self.system.roots[i] for i in self.root_indices]
@@ -323,12 +350,12 @@ def _parabolic_positive_sum(ss: SimpleSystem, keep_positions) -> Vec:
     kept simple roots of the system."""
     sys_ = ss.system
     keep = set(keep_positions)
-    total = tuple(Fraction(0) for _ in range(sys_.rank))
+    total = (0,) * sys_.rank
     for root in sys_.roots:
         c = ss.coords_in(root)
         if all(x >= 0 for x in c) and all(c[i] == 0 or i in keep for i in range(sys_.rank)):
-            total = _vadd(total, tuple(map(Fraction, root.weight)))
-    return _vscale(Fraction(1, 2), total)
+            total = _vadd(total, root.weight)
+    return tuple(Fraction(x, 2) for x in total)
 
 
 def face_center(fd: FaceDatum) -> Vec:
@@ -362,10 +389,7 @@ def face_vertices(fd: FaceDatum) -> FrozenSet[Vec]:
 def verify_face_center(fd: FaceDatum) -> bool:
     """The vertex average of the face equals the centre formula, exactly."""
     verts = face_vertices(fd)
-    total = tuple(Fraction(0) for _ in range(fd.simple_system.system.rank))
-    for v in verts:
-        total = _vadd(total, v)
-    avg = _vscale(Fraction(1, len(verts)), total)
+    avg = tuple(Fraction(sum(col), len(verts)) for col in zip(*verts))
     return avg == face_center(fd)
 
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cactusflower import cli
 from cactusflower.cli import main, make_parser
 
 HERE = os.path.dirname(__file__)
@@ -132,6 +133,30 @@ def test_usage_errors():
     assert code == 2
     code, _, _ = run_cli("classify", "--in", "/nonexistent/x.json")
     assert code == 2
+
+
+def _raise(exc):
+    def stub(*args, **kwargs):
+        raise exc
+    return stub
+
+
+def test_invariant_violation_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli.pj, "classify_strata",
+                        _raise(cli.pj.InvariantViolation("stub: relation not transitive")))
+    assert main(["classify", "--in", os.path.join(DEMOS, "figure2.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stub: relation not transitive\n"
+
+
+def test_retries_exhausted_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli.acc, "run_criterion",
+                        _raise(cli.acc.RetriesExhausted("stub: no member in 100 draws")))
+    assert main(["verify", "acceptance", "--criterion", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stub: no member in 100 draws\n"
 
 
 def test_acceptance_single_criterion():

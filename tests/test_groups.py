@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,17 +9,22 @@ from cactusflower.combinatorics import (
     Permutation,
 )
 from cactusflower.groups import (
+    DIAGRAM_PATHS_TO_EAS,
+    DIAGRAM_PATHS_TO_S,
     GroupHom,
+    _word_key,
     canonical_cyclic,
     diagram_commutes,
     diagram_report,
     eval_word_affine,
     eval_word_ext_affine,
     eval_word_sym,
+    evaluate_path,
     generators_of,
     hom,
     make_presentation,
     normalise_vc,
+    ordered_subsets,
     pure_generator,
     rewrite_to_identity,
     semidirect_action,
@@ -216,3 +222,71 @@ def test_word_syntax_roundtrip():
         parse_word("q[1,2]")
     dump = json.loads(presentation_to_json(make_presentation("affine_cactus", 3)))
     assert "s[1,3] s[1,2] s[1,3] s[2,3]" in dump["relators"]
+
+
+# -- references for the table-free paths -------------------------------------
+
+
+def _reference_canonical_cyclic(w, partner):
+    """Every rotation of the word and of its inverse, keyed one by one."""
+    inv = tuple(partner[x] for x in reversed(w))
+    cands = [word[k:] + word[:k] for word in (w, inv) for k in range(len(word))]
+    return min(cands, key=_word_key)
+
+
+def _reference_pure_virtual_cactus_relators(n):
+    """The relators by testing every ordered pair of subsets for overlap."""
+    subsets = list(ordered_subsets(n))
+    partner = {("sA", a): ("sA", tuple(reversed(a))) for a in subsets}
+    rels = set()
+    for a in subsets:
+        for b in subsets:
+            if set(a) & set(b):
+                continue
+            w = (("sA", a), ("sA", b), partner[("sA", a)], partner[("sA", b)])
+            rels.add(_reference_canonical_cyclic(w, partner))
+    for a in subsets:
+        rest = [x for x in range(1, n + 1) if x not in a]
+        for csize in range(len(rest) + 1):
+            for c in itertools.permutations(rest, csize):
+                left = [x for x in rest if x not in c]
+                for bsize in range(len(left) + 1):
+                    if csize + bsize == 0:
+                        continue
+                    for b in itertools.permutations(left, bsize):
+                        ar = tuple(reversed(a))
+                        w = (("sA", ar), ("sA", c + a + b), ("sA", ar),
+                             ("sA", tuple(reversed(b)) + a + tuple(reversed(c))))
+                        rels.add(_reference_canonical_cyclic(w, partner))
+    return tuple(sorted(rels, key=_word_key))
+
+
+@pytest.mark.parametrize("n, count", [(4, 45), (5, 495)])
+def test_pure_virtual_cactus_relators_match_reference(n, count):
+    relators = make_presentation("pure_virtual_cactus", n).relators
+    assert len(relators) == count
+    assert relators == _reference_pure_virtual_cactus_relators(n)
+
+
+def test_canonical_cyclic_matches_reference():
+    for family in ("affine_cactus", "pure_virtual_sym", "ext_affine_cactus"):
+        p = make_presentation(family, 4)
+        partner = dict(p.partner)
+        for rel in p.relators:
+            for k in range(len(rel)):
+                w = rel[k:] + rel[:k]
+                assert canonical_cyclic(w, partner) == _reference_canonical_cyclic(w, partner)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_diagram_report_matches_per_call_evaluation(n):
+    expected = []
+    for paths, label, same in (
+        (DIAGRAM_PATHS_TO_S, "", lambda v, w: v.images == w.images),
+        (DIAGRAM_PATHS_TO_EAS, "=>EAS", lambda v, w: (v.base, v.shift) == (w.base, w.shift)),
+    ):
+        for src, chains in paths.items():
+            for g in generators_of(src, n):
+                vals = [evaluate_path((g,), chain, n) for chain in chains]
+                expected.append((src + label, g, all(same(v, vals[0]) for v in vals)))
+    assert diagram_report(n) == expected

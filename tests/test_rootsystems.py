@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cactusflower.realgeometry import INF, NEG_INF
 from cactusflower.rootsystems import (
     EXPECTED_ROOT_COUNTS,
+    NAMED_CARTAN,
     FaceDatum,
     all_face_data,
     build_root_system,
@@ -28,7 +30,9 @@ def test_root_counts():
 
 
 def test_weyl_orders():
-    for name, order in {"A2": 6, "A3": 24, "B2": 8, "B3": 48, "D4": 192, "G2": 12}.items():
+    orders = {"A2": 6, "A3": 24, "B2": 8, "B3": 48, "B4": 384, "C4": 384, "D4": 192,
+              "F4": 1152, "G2": 12}
+    for name, order in orders.items():
         assert build_root_system(name).order == order
 
 
@@ -198,3 +202,114 @@ def test_parallel_faces_hexagon():
                 partners.add(frozenset(face_vertices(fd2)))
     assert len(partners) == 2  # the edge itself and the opposite edge
     assert parallel_face_related(c1, fd1, c1, fd1)
+
+
+def test_face_centers_f4_seeded_chambers():
+    rs = build_root_system("F4")
+    systems = rs.simple_systems()
+    for index in random.Random(4).sample(range(rs.order), 2):
+        for mask in range(1 << rs.rank):
+            delta = frozenset(k for k in range(rs.rank) if mask >> k & 1)
+            assert verify_face_center(FaceDatum(systems[index], delta))
+
+
+# -- the Fraction Weyl closure, kept as a reference for the integer one ------
+
+
+def _fraction_reflect(root, x):
+    c = sum(F(q) * v for q, v in zip(root.copairing, x))
+    return tuple(v - c * w for v, w in zip(x, root.weight))
+
+
+def _reference_elements(rs):
+    """Matrices on weight space with Fraction entries, each new one obtained
+    by reflecting the columns of its parent in a simple root, keyed by the
+    root permutation read off from the image weights; in the same
+    breadth-first order as RootSystem.elements."""
+    r = rs.rank
+    by_weight = {rt.weight: k for k, rt in enumerate(rs.roots)}
+
+    def root_perm(m):
+        return tuple(by_weight[tuple(sum(m[i][j] * rt.weight[j] for j in range(r))
+                                     for i in range(r))] for rt in rs.roots)
+
+    ident = tuple(tuple(F(int(i == j)) for j in range(r)) for i in range(r))
+    elements, seen = {root_perm(ident): ident}, {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for i in range(r):
+                root = rs.roots[rs._simple_idx[i]]
+                m2 = tuple(zip(*(_fraction_reflect(root, col) for col in zip(*m))))
+                if m2 not in seen:  # the action on roots is faithful
+                    seen.add(m2)
+                    elements[root_perm(m2)] = m2
+                    nxt.append(m2)
+        frontier = nxt
+    return elements
+
+
+def _reference_simple_systems(rs, elements):
+    """(root_indices, matrix, inv_perm, matrix_inv) per Weyl element, sorted."""
+    out = []
+    for perm, m in elements.items():
+        inv = [0] * len(perm)
+        for a, b in enumerate(perm):
+            inv[b] = a
+        inv = tuple(inv)
+        out.append((tuple(perm[i] for i in rs._simple_idx), m, inv, elements[inv]))
+    return sorted(out)
+
+
+def _reference_face(rs, chamber, delta):
+    """Vertex set and centre of a face, in Fractions: the orbit of rho_Pi
+    under the reflections kept, and rho_Pi minus the parabolic half-sum."""
+    indices, m, inv, _ = chamber
+    r = rs.rank
+    rho = tuple(sum(m[i][j] for j in range(r)) for i in range(r))
+    keep = [k for k in range(r) if k not in delta]
+    gens = [rs.roots[indices[k]] for k in keep]
+    orbit, frontier = {rho}, [rho]
+    while frontier:
+        frontier = [y for x in frontier for g in gens
+                    for y in [_fraction_reflect(g, x)] if y not in orbit and not orbit.add(y)]
+    half = [F(0)] * r
+    for root in rs.roots:
+        c = rs.roots[inv[rs._root_index[root.simple]]].simple
+        if all(x >= 0 for x in c) and all(c[k] == 0 or k in keep for k in range(r)):
+            half = [h + F(w, 2) for h, w in zip(half, root.weight)]
+    return frozenset(orbit), tuple(p - h for p, h in zip(rho, half))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_CARTAN))
+def test_integer_weyl_closure_matches_fraction_reference(name):
+    rs = build_root_system(name)
+    ref = _reference_elements(rs)
+    assert list(rs.elements) == list(ref)  # same keys in the same order
+    assert list(rs.elements.values()) == list(ref.values())
+    ours = [(s.root_indices, s.matrix, s.inv_perm, s.matrix_inv) for s in rs.simple_systems()]
+    assert ours == _reference_simple_systems(rs, ref)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
+def test_faces_match_fraction_reference(name):
+    rs = build_root_system(name)
+    chambers = _reference_simple_systems(rs, _reference_elements(rs))
+    for ss, chamber in zip(rs.simple_systems(), chambers):
+        for size in range(rs.rank + 1):
+            for delta in itertools.combinations(range(rs.rank), size):
+                fd = FaceDatum(ss, frozenset(delta))
+                assert (face_vertices(fd), face_center(fd)) == _reference_face(rs, chamber, delta)
+
+
+def test_simple_systems_are_built_once_and_keyed_by_their_roots():
+    rs = build_root_system("B3")
+    first, second = rs.simple_systems(), rs.simple_systems()
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    # matrices stay out of equality and hashing
+    ss = first[5]
+    twin = type(ss)(rs, ss.root_indices, None, None, None)
+    assert twin == ss and hash(twin) == hash(ss)
+    assert FaceDatum(twin, frozenset([1])) == FaceDatum(ss, frozenset([1]))
