@@ -611,17 +611,16 @@ def permutahedron_points_related(
             cache[fd] = (face_vertices(fd), face_center(fd))
         return cache[fd]
 
-    y1 = tuple(Fraction(v) for v in y1)
-    y2 = tuple(Fraction(v) for v in y2)
+    # the only translation carrying y1 to y2 is y2 - y1, so a face through
+    # y1 can only be carried onto a face of faces2 centred at c1 + shift
+    shift = _vsub(tuple(Fraction(v) for v in y2), tuple(Fraction(v) for v in y1))
+    by_centre: Dict[Vec, list] = {}
+    for fd2 in faces2:
+        v2, c2 = verts(fd2)
+        by_centre.setdefault(c2, []).append(v2)
     for fd1 in faces1:
         v1, c1 = verts(fd1)
-        for fd2 in faces2:
-            v2, c2 = verts(fd2)
-            if len(v1) != len(v2):
-                continue
-            shift = _vsub(c2, c1)
-            if tuple(_vadd(y1, shift)) != y2:
-                continue
-            if {tuple(_vadd(v, shift)) for v in v1} == set(v2):
+        for v2 in by_centre.get(_vadd(c1, shift), ()):
+            if len(v1) == len(v2) and {_vadd(v, shift) for v in v1} == v2:
                 return True
     return False

@@ -14,7 +14,9 @@ from cactusflower.rootsystems import (
     face_center,
     face_vertices,
     parallel_face_related,
+    permutahedron_faces_containing,
     permutahedron_membership,
+    permutahedron_points_related,
     star_faces_related,
     star_membership,
     star_point_coords,
@@ -313,3 +315,36 @@ def test_simple_systems_are_built_once_and_keyed_by_their_roots():
     twin = type(ss)(rs, ss.root_indices, None, None, None)
     assert twin == ss and hash(twin) == hash(ss)
     assert FaceDatum(twin, frozenset([1])) == FaceDatum(ss, frozenset([1]))
+
+
+def _reference_points_related(y1, y2, faces1, faces2, data):
+    """Every pair of faces through the two points, tested one by one;
+    data maps a face to its vertices and centre."""
+    for fd1 in faces1:
+        v1, c1 = data[fd1]
+        for fd2 in faces2:
+            v2, c2 = data[fd2]
+            shift = tuple(b - a for a, b in zip(c1, c2))
+            if (len(v1) == len(v2)
+                    and tuple(a + d for a, d in zip(y1, shift)) == tuple(y2)
+                    and {tuple(a + d for a, d in zip(v, shift)) for v in v1} == set(v2)):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["A2", "B2"])
+def test_points_related_matches_pairwise_reference(name):
+    rs = build_root_system(name)
+    images = set()
+    for ss in rs.simple_systems():
+        fd = FaceDatum(ss, frozenset())
+        for tt in itertools.product([F(0), F(1, 2), F(1)], repeat=rs.rank):
+            images.add(xi(fd, dict(enumerate(tt))))
+    faces = {y: permutahedron_faces_containing(rs, y) for y in images}
+    data = {fd: (face_vertices(fd), face_center(fd)) for fs in faces.values() for fd in fs}
+    cache, verdicts = {}, []
+    for y1, y2 in itertools.product(sorted(images), repeat=2):
+        got = permutahedron_points_related(rs, y1, y2, faces[y1], faces[y2], cache)
+        assert got == _reference_points_related(y1, y2, faces[y1], faces[y2], data)
+        verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
