@@ -183,7 +183,7 @@ class RootSystem:
                         nxt.append((key2, m2))
             frontier = nxt
         self.order = len(self.elements)
-        self._chambers = self._build_simple_systems()
+        self._simple_systems = self._build_simple_systems()
 
     # -- pairings -----------------------------------------------------------
 
@@ -230,7 +230,7 @@ class RootSystem:
     def simple_systems(self) -> list["SimpleSystem"]:
         """Every simple system, one per Weyl element, sorted by the indices
         of its roots (a fresh list; the systems are built once)."""
-        return list(self._chambers)
+        return list(self._simple_systems)
 
     def _build_simple_systems(self) -> list["SimpleSystem"]:
         out = []

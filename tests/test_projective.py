@@ -65,6 +65,16 @@ def test_projpoint_canonical():
         ProjPoint(0, 0)
 
 
+def test_tuple_lookup_leaves_identity_alone():
+    q = q_member({1: F(0), 2: F(1), 3: F(3), 4: F(7)}, F(0), 4)
+    nu_twin = NuTuple(q.nu.n, q.nu.as_dict(), q.nu.epsilon)
+    mu_twin = MuTuple(q.mu.labels, q.mu.as_dict())
+    for tup, twin, key in ((q.nu, nu_twin, (2, 1)), (q.mu, mu_twin, (1, 3, 4))):
+        assert tup[key] == tup.as_dict()[key]
+        # the lookup table built by tup[...] is not a field
+        assert tup == twin and hash(tup) == hash(twin) and repr(tup) == repr(twin)
+
+
 def test_flower_membership_examples():
     spec = VarietySpec("Flower", 3)
     all_deltas_zero = NuTuple(3, {(i, j): PP_INF for (i, j) in [(1, 2), (1, 3), (2, 3)]})

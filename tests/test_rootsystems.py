@@ -274,8 +274,9 @@ def _reference_face(rs, chamber, delta):
     gens = [rs.roots[indices[k]] for k in keep]
     orbit, frontier = {rho}, [rho]
     while frontier:
-        frontier = [y for x in frontier for g in gens
-                    for y in [_fraction_reflect(g, x)] if y not in orbit and not orbit.add(y)]
+        images = {_fraction_reflect(g, x) for x in frontier for g in gens}
+        frontier = images - orbit
+        orbit |= frontier
     half = [F(0)] * r
     for root in rs.roots:
         c = rs.roots[inv[rs._root_index[root.simple]]].simple
