@@ -17,6 +17,21 @@ from typing import FrozenSet, Iterable, Sequence, Tuple
 
 
 # ---------------------------------------------------------------------------
+# look-ups in frozen tuples
+
+
+def lookup_table(obj, items) -> dict:
+    """The items of a frozen dataclass's tuple field as a dict, built on the
+    first lookup and kept on the instance outside its dataclass fields, so
+    that ==, hash and repr do not see it."""
+    table = obj.__dict__.get("_table")
+    if table is None:
+        table = dict(items)
+        object.__setattr__(obj, "_table", table)
+    return table
+
+
+# ---------------------------------------------------------------------------
 # set partitions
 
 

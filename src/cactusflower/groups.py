@@ -6,6 +6,10 @@ Words are tuples of letters:
                    affine family allows any i != j (cyclic intervals)
     ("w", perm)    an element of the symmetric-group letter copy
     ("a", perm)    the other symmetric-group copy (virtual symmetric words)
+    ("a", k)       Coxeter generator k = 1..n-1 of the first symmetric-group
+                   copy of virtual_sym
+    ("b", k)       Coxeter generator of the other copy (virtual_sym) or of
+                   the symmetric part of virtual_cactus
     ("r",)         the rotation of the extended (affine) groups
     ("sigma", k)   Coxeter generator of the affine symmetric group, k = 0..n-1
     ("sA", seq)    pure virtual cactus generator, seq an ordered subset
@@ -30,6 +34,7 @@ from .combinatorics import (
     all_permutations,
     interval_reversal,
     is_translation,
+    lookup_table,
 )
 
 Letter = tuple
@@ -416,11 +421,11 @@ class GroupHom:
     images: Tuple[Tuple[Letter, object], ...]
 
     def image_of(self, g: Letter):
-        return dict(self.images)[g]
+        return lookup_table(self, self.images)[g]
 
     def map_word(self, w: Word) -> Word:
         """Substitute generator images (for presentation targets)."""
-        return _substitute(self, dict(self.images), w)
+        return _substitute(self, lookup_table(self, self.images), w)
 
 
 def _substitute(h: GroupHom, table: dict, w: Word) -> Word:
@@ -798,18 +803,21 @@ def format_word(word: Word) -> str:
             out.append("s[A:" + ",".join(map(str, x[1])) + "]")
         elif x[0] == "sig":
             out.append(f"sig[{x[1]},{x[2]}]")
+        elif x[0] in ("sigma", "b") or (x[0] == "a" and isinstance(x[1], int)):
+            out.append(f"{x[0]}[{x[1]}]")
         elif x[0] in ("w", "a"):
             tag = x[0]
             out.append(f"{tag}(" + " ".join(map(str, x[1].images)) + ")")
         elif x[0] in ("r", "r-"):
-            k = 0
-            while i < len(word) and word[i][0] in ("r", "r-"):
-                k += 1 if word[i][0] == "r" else -1
+            # one power per run of equal letters, so that r r^-1 is not
+            # written r^0 and parsing gives the word back
+            k = 1
+            while i + 1 < len(word) and word[i + 1] == x:
+                k += 1
                 i += 1
-            i -= 1
+            if x[0] == "r-":
+                k = -k
             out.append("r" if k == 1 else f"r^{k}")
-        elif x[0] in ("sigma", "b"):
-            out.append(f"{x[0]}[{x[1]}]")
         else:
             raise ValueError(f"cannot format letter {x!r}")
         i += 1
@@ -826,7 +834,7 @@ def _word_tokens(text: str) -> list[str]:
 
         _TOKEN_RE = re.compile(
             r"s\[A:[\d,]+\]|s\[\d+,\d+\]|sig\[\d+,\d+\]|[wa]\([\d ]+\)"
-            r"|sigma\[\d+\]|b\[\d+\]|r\^-?\d+|r\b"
+            r"|(?:sigma|a|b)\[\d+\]|r\^-?\d+|r\b"
         )
     tokens = _TOKEN_RE.findall(text)
     if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
@@ -850,7 +858,7 @@ def parse_word(text: str) -> Word:
         elif tok.startswith(("w(", "a(")):
             images = tuple(int(v) for v in tok[2:-1].split())
             out.append((tok[0], Permutation(images)))
-        elif tok.startswith(("sigma[", "b[")):
+        elif tok.startswith(("sigma[", "a[", "b[")):
             tag, rest = tok.split("[")
             out.append((tag, int(rest[:-1])))
         elif tok == "r":
@@ -955,7 +963,7 @@ def _evaluate_path(word: Word, path: list[tuple[str, str]], n: int, tables: dict
             continue
         if (src, dst) not in tables:
             h = hom((src, dst), n)
-            tables[(src, dst)] = (h, dict(h.images))
+            tables[(src, dst)] = (h, lookup_table(h, h.images))
         h, table = tables[(src, dst)]
         if dst in SOLVABLE_TARGETS:
             acc = None

@@ -27,7 +27,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
-from .combinatorics import Permutation, SetPartition, partition_closure, refines
+from .combinatorics import (
+    Permutation,
+    SetPartition,
+    lookup_table,
+    partition_closure,
+    refines,
+)
 from .forests import PlanarForest, meet as forest_meet
 from .scalars import (
     ONE,
@@ -53,7 +59,8 @@ class InvariantViolation(RuntimeError):
 class ProjPoint:
     """A point (u : v) of P^1, canonically scaled.
 
-    Finite values are stored as (x : 1), infinity as (1 : 0).
+    Finite values are stored as (x : 1), infinity as (1 : 0).  The equation
+    evaluators (_eq_prod and the rest) depend on this: they read v as 1 or 0.
     """
 
     u: Scalar
@@ -152,17 +159,6 @@ def ordered_triples(labels: Iterable[int]):
     return [t for t in itertools.permutations(ls, 3)]
 
 
-def _lookup(obj, items) -> dict:
-    """The items of a frozen tuple as a dict, built on the first lookup and
-    kept on the instance outside its dataclass fields, so that ==, hash and
-    repr do not see it."""
-    table = obj.__dict__.get("_table")
-    if table is None:
-        table = dict(items)
-        object.__setattr__(obj, "_table", table)
-    return table
-
-
 @dataclass(frozen=True)
 class NuTuple:
     """A map p([n]) -> P^1, with optional deformation parameter.
@@ -194,7 +190,7 @@ class NuTuple:
         return dict(self.nu)
 
     def __getitem__(self, ij) -> ProjPoint:
-        return _lookup(self, self.nu)[ij]
+        return lookup_table(self, self.nu)[ij]
 
     def delta(self, i: int, j: int) -> ProjPoint:
         """delta_ij = 1/nu_ij, the coordinate swap."""
@@ -231,7 +227,7 @@ class MuTuple:
         return dict(self.mu)
 
     def __getitem__(self, t) -> ProjPoint:
-        return _lookup(self, self.mu)[t]
+        return lookup_table(self, self.mu)[t]
 
 
 @dataclass(frozen=True)
@@ -298,31 +294,46 @@ class MembershipReport:
         return "\n".join(lines)
 
 
-# equation evaluators: each returns a scalar residual, zero iff satisfied
+# equation evaluators: each returns a scalar residual, zero iff satisfied.
+# The points are canonical (v is 1, or v is 0 and u is 1), so each evaluator
+# branches on which v vanish instead of multiplying by them; the residual is
+# the multihomogenized polynomial's value all the same.
 
 
 def _eq_prod(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> Scalar:
     """a*b = c  homogenized as a1 b1 c2 = c1 a2 b2."""
-    return a.u * b.u * c.v - c.u * a.v * b.v
+    if not c.v:
+        return -ONE if a.v and b.v else ZERO
+    return a.u * b.u - c.u if a.v and b.v else a.u * b.u
 
 
 def _eq_prod_one(a: ProjPoint, b: ProjPoint) -> Scalar:
-    return a.u * b.u - a.v * b.v
+    """a*b = 1  homogenized as a1 b1 = a2 b2."""
+    return a.u * b.u - ONE if a.v and b.v else a.u * b.u
 
 
 def _eq_sum_const(a: ProjPoint, b: ProjPoint, c: Scalar) -> Scalar:
-    """a + b = c with c an affine scalar."""
-    return a.u * b.v + b.u * a.v - c * a.v * b.v
+    """a + b = c with c an affine scalar: a1 b2 + b1 a2 = c a2 b2."""
+    if a.v and b.v:
+        return a.u + b.u - c
+    return ONE if a.v or b.v else ZERO
 
 
 def _eq_triangle(x: ProjPoint, y: ProjPoint, z: ProjPoint, eps: Scalar) -> Scalar:
-    """eps*z + x*y = z*y + x*z for (x, y, z) = (nu_ij, nu_jk, nu_ik)."""
-    return eps * z.u * x.v * y.v + x.u * y.u * z.v - z.u * y.u * x.v - x.u * z.u * y.v
+    """eps*z + x*y = z*y + x*z for (x, y, z) = (nu_ij, nu_jk, nu_ik),
+    homogenized as eps z1 x2 y2 + x1 y1 z2 = z1 y1 x2 + x1 z1 y2."""
+    if x.v and y.v:
+        return x.u * y.u - z.u * (x.u + y.u - eps) if z.v else eps - x.u - y.u
+    if x.v:  # y at infinity
+        return x.u - z.u if z.v else -ONE
+    if y.v:  # x at infinity
+        return y.u - z.u if z.v else -ONE
+    return ONE if z.v else ZERO
 
 
 def _eq_link(m: ProjPoint, x: ProjPoint, y: ProjPoint) -> Scalar:
     """m * x = y for (m, x, y) = (mu_ijk, nu_ik, nu_ij)."""
-    return m.u * x.u * y.v - y.u * m.v * x.v
+    return _eq_prod(m, x, y)
 
 
 def _mu_equations(labels, mu: MuTuple, report: MembershipReport, quad_style: str):

@@ -6,7 +6,7 @@ which evaluates an analytic path (it needs cot(pi/n)) in floating point.
 
 The interval-to-line reparameterization f defaults to t / (1 - t^2): odd,
 strictly increasing on (-1, 1), with f(0) = 0 and f(+-1) = +-infinity, and
-rational at rationals.  Any替代 with those properties can be plugged in.
+rational at rationals.  Any substitute with those properties can be plugged in.
 
 Sign convention: on the fundamental domain the positions decrease along the
 order (consecutive differences x_i - x_{i+1} lie in [0, 1]), and the default
@@ -22,18 +22,18 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from .combinatorics import Permutation, SetPartition, partition_closure
 from .forests import (
     PlanarForest,
     PlanarForestWithZeros,
+    _spans,
     binary_refinement,
     collapse,
-    internal_nodes,
     is_binary,
     leafset,
-    leaves,
     meet as forest_meet,
     path_edges,
     z_from_plain,
@@ -47,7 +47,7 @@ from .projective import (
     ordered_pairs,
     ordered_triples,
 )
-from .scalars import sqrt_fraction
+from .scalars import ONE, ZERO, sqrt_fraction
 
 INF = "inf"
 NEG_INF = "-inf"
@@ -280,15 +280,30 @@ def theta_star(
 # tree charts
 
 
-def _consecutive_pair_at(tree, vertex: FrozenSet[int]) -> tuple[int, int]:
-    """The unique consecutive leaf pair (in planar order) whose meet is the
-    given vertex, for a binary tree."""
-    f = PlanarForest([tree])
-    order = leaves(tree)
-    for a, b in zip(order, order[1:]):
-        if forest_meet(f, a, b) == vertex:
-            return a, b
-    raise LookupError(vertex)
+def _tree_walk(tree):
+    """One preorder walk of a tree (forests._spans) and what the charts read
+    off it: the leaf order; each internal vertex as its leaf set, with the
+    start of its span of the order and the index of its parent (-1 at the
+    root); and for each consecutive gap r, between order[r] and
+    order[r + 1], the index of the vertex owning it, the deepest vertex
+    covering both leaves.  Vertices are indexed in preorder, so a vertex
+    comes before everything above it."""
+    order: list = []
+    spans: list = []
+    _spans(tree, order, spans)
+    vertices, starts, parent = [], [], []
+    owner = [0] * (len(order) - 1)
+    stack: list = []
+    for j, (_, start, stop, _) in enumerate(spans):
+        while stack and spans[stack[-1]][2] <= start:
+            stack.pop()
+        parent.append(stack[-1] if stack else -1)
+        stack.append(j)
+        vertices.append(frozenset(order[start:stop]))
+        starts.append(start)
+        for r in range(start, stop - 1):
+            owner[r] = j  # a deeper vertex, later in preorder, overwrites
+    return order, vertices, starts, parent, owner
 
 
 def b_map(tree, t: Dict[FrozenSet[int], Fraction], f: RationalDiffeo = DEFAULT_F):
@@ -300,24 +315,19 @@ def b_map(tree, t: Dict[FrozenSet[int], Fraction], f: RationalDiffeo = DEFAULT_F
     falling back to b_e = t_e when some edge below carries 0."""
     if not is_binary(tree):
         raise ValueError("charts are indexed by binary trees")
-    edges = [ls for ls, _ in internal_nodes(tree)]
-    trunk = leafset(tree)
-    if t[trunk] == 1:
+    if t[leafset(tree)] == 1:
         raise ValueError("the chart needs trunk value < 1")
-    forest = PlanarForest([tree])
+    _, vertices, _, parent, _ = _tree_walk(tree)
+    below: list = []  # P per vertex; preorder puts each parent first
     b = {}
-    for e in edges:
-        below = [x for x in path_edges(forest, e) if x != e]
-        if e == trunk:
+    for e, p in zip(vertices, parent):
+        if p < 0:
+            below.append(ONE)
             b[e] = f(t[e])
             continue
-        prod = Fraction(1)
-        for x in below:
-            prod *= t[x]
-        if prod == 0:
-            b[e] = t[e]
-        else:
-            b[e] = f(t[e] * prod) / f(prod)
+        prod = below[p] * t[vertices[p]]
+        below.append(prod)
+        b[e] = t[e] if prod == 0 else f(t[e] * prod) / f(prod)
     return b
 
 
@@ -327,81 +337,43 @@ class _Chart:
     The consecutive planar gaps z_r - z_{r+1} are monomials in the b values
     (the root path of the consecutive pair's meet); any pair difference is a
     contiguous sum of them, and any triple ratio is a pair of such sums
-    divided by the common monomial of the spanning interval (which keeps the
-    denominator's constant term alive when b values vanish)."""
+    divided by the common monomial of the spanning interval, the root path
+    of the interval's meet c (which keeps the denominator's constant term
+    alive when b values vanish).
+
+    So each vertex c keeps the prefix sums of the gaps inside its span taken
+    relative to c: a gap's relative value is the product of b over the edges
+    from its meet up to c, c excluded, and it is 0 exactly when a zero edge
+    survives the cancellation.  A ratio is then two differences of prefix
+    sums at c, with no division."""
 
     def __init__(self, tree, b: Dict[FrozenSet[int], Fraction]):
-        forest = PlanarForest([tree])
-        self.order = leaves(tree)
-        self.pos = {lab: r for r, lab in enumerate(self.order)}
-        zero_edges = {e for e, v in b.items() if v == 0}
-        # per-vertex path data: product of nonzero b's and set of zero edges
-        self.path_nonzero: Dict[FrozenSet[int], Fraction] = {}
-        self.path_zeros: Dict[FrozenSet[int], FrozenSet] = {}
-        for ls, _ in internal_nodes(tree):
-            path = path_edges(forest, ls)
-            prod = Fraction(1)
-            zs = set()
-            for e in path:
-                if e in zero_edges:
-                    zs.add(e)
-                else:
-                    prod *= b[e]
-            self.path_nonzero[ls] = prod
-            self.path_zeros[ls] = frozenset(zs)
-        # consecutive meets and their absolute gap values
-        self.gap_vertex = []
-        self.gap_value = []
-        for r in range(len(self.order) - 1):
-            v = forest_meet(forest, self.order[r], self.order[r + 1])
-            self.gap_vertex.append(v)
-            self.gap_value.append(
-                Fraction(0) if self.path_zeros[v] else self.path_nonzero[v]
-            )
-        self.prefix = [Fraction(0)]
-        for g in self.gap_value:
-            self.prefix.append(self.prefix[-1] + g)
-        self._span_meet: Dict[tuple, FrozenSet[int]] = {}
+        order, vertices, self.start, parent, self.owner = _tree_walk(tree)
+        self.pos = {lab: r for r, lab in enumerate(order)}
+        # relative gap values per vertex; a vertex's own gaps are 1, and a
+        # child's gaps enter its parent times the child's b
+        rel = [[ONE] * (len(v) - 1) for v in vertices]
+        for j in reversed(range(1, len(vertices))):  # children before parents
+            p, bj = parent[j], b[vertices[j]]
+            off = self.start[j] - self.start[p]
+            rel[p][off : off + len(rel[j])] = [bj * g for g in rel[j]]
+        self.rel_prefix = [list(accumulate(gaps, initial=ZERO)) for gaps in rel]
+        root = b[vertices[0]]
+        self.prefix = [root * s for s in self.rel_prefix[0]]
 
     def delta(self, a: int, c: int) -> Fraction:
-        pa, pc = self.pos[a], self.pos[c]
-        if pa <= pc:
-            return self.prefix[pc] - self.prefix[pa]
-        return -(self.prefix[pa] - self.prefix[pc])
-
-    def _meet_of_span(self, lo: int, hi: int) -> FrozenSet[int]:
-        key = (lo, hi)
-        v = self._span_meet.get(key)
-        if v is None:
-            # the shallowest vertex among the consecutive meets in the span
-            v = min(self.gap_vertex[lo:hi], key=lambda ls: -len(ls))
-            self._span_meet[key] = v
-        return v
-
-    def _slice_sum_rel(self, lo: int, hi: int, common: FrozenSet[int]):
-        czeros = self.path_zeros[common]
-        cprod = self.path_nonzero[common]
-        total = Fraction(0)
-        for r in range(lo, hi):
-            v = self.gap_vertex[r]
-            if self.path_zeros[v] - czeros:
-                continue  # a zero edge survives the cancellation
-            total += self.path_nonzero[v] / cprod
-        return total
+        return self.prefix[self.pos[c]] - self.prefix[self.pos[a]]
 
     def mu(self, i: int, j: int, k: int) -> ProjPoint:
         pi, pj, pk = self.pos[i], self.pos[j], self.pos[k]
-        lo, hi = min(pi, pj, pk), max(pi, pj, pk)
-        common = self._meet_of_span(lo, hi)
-        nlo, nhi = min(pi, pk), max(pi, pk)
-        dlo, dhi = min(pi, pj), max(pi, pj)
-        s1 = 1 if pi <= pk else -1
-        s2 = 1 if pi <= pj else -1
-        nv = self._slice_sum_rel(nlo, nhi, common)
-        dv = self._slice_sum_rel(dlo, dhi, common)
+        # the interval's meet: of the gap owners in it, the first in preorder
+        c = min(self.owner[min(pi, pj, pk) : max(pi, pj, pk)])
+        prefix, base = self.rel_prefix[c], self.start[c]
+        nv = prefix[pk - base] - prefix[pi - base]
+        dv = prefix[pj - base] - prefix[pi - base]
         if nv == 0 and dv == 0:
             raise ValueError("degenerate ratio outside the chart domain")
-        return ProjPoint(s1 * nv, s2 * dv)
+        return ProjPoint(nv, dv)
 
 
 def chart_H(tree, b: Dict[FrozenSet[int], Fraction]):
@@ -433,19 +405,14 @@ def chart_b(tree, zdiffs: Dict[tuple, Fraction]):
     trunk takes the bare difference)."""
     if not is_binary(tree):
         raise ValueError("charts are indexed by binary trees")
-    forest = PlanarForest([tree])
-    trunk = leafset(tree)
+    order, vertices, _, parent, owner = _tree_walk(tree)
+    pair = [None] * len(vertices)  # a binary vertex owns exactly one gap
+    for r, j in enumerate(owner):
+        pair[j] = (order[r], order[r + 1])
     b = {}
-    for e, _ in internal_nodes(tree):
-        i, j = _consecutive_pair_at(tree, e)
-        num = zdiffs[(i, j)]
-        if e == trunk:
-            b[e] = num
-            continue
-        below = [x for x in path_edges(forest, e) if x != e]
-        lower = min(below, key=len)
-        k, l = _consecutive_pair_at(tree, lower)
-        b[e] = num / zdiffs[(k, l)]
+    for j, (e, p) in enumerate(zip(vertices, parent)):
+        num = zdiffs[pair[j]]
+        b[e] = num if p < 0 else num / zdiffs[pair[p]]
     return b
 
 

@@ -11,6 +11,7 @@ from cactusflower.combinatorics import (
 from cactusflower.groups import (
     DIAGRAM_PATHS_TO_EAS,
     DIAGRAM_PATHS_TO_S,
+    FAMILIES,
     GroupHom,
     _word_key,
     canonical_cyclic,
@@ -222,6 +223,30 @@ def test_word_syntax_roundtrip():
         parse_word("q[1,2]")
     dump = json.loads(presentation_to_json(make_presentation("affine_cactus", 3)))
     assert "s[1,3] s[1,2] s[1,3] s[2,3]" in dump["relators"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_presentation_dumps_and_parses_back(family):
+    from cactusflower.groups import format_word, parse_word, presentation_to_json
+    import json
+
+    for n in range(3, 5 if family == "virtual_sym" else 6):
+        p = make_presentation(family, n)
+        dump = json.loads(presentation_to_json(p))
+        assert len(dump["relators"]) == len(p.relators)
+        for g in p.generators:
+            assert parse_word(format_word((g,))) == (g,)
+        for r in p.relators:
+            assert parse_word(format_word(r)) == r
+    assert format_word((("a", 2), ("r",), ("r-",), ("r-",))) == "a[2] r r^-2"
+
+
+def test_hom_image_table_is_not_a_field():
+    h, twin = hom(("AC", "vC"), 4), hom(("AC", "vC"), 4)
+    g = h.images[0][0]
+    assert h.image_of(g) == dict(h.images)[g]
+    assert h.map_word((g, g)) == twin.map_word((g, g))
+    assert h == twin and hash(h) == hash(twin) and repr(h) == repr(twin)
 
 
 # -- references for the table-free paths -------------------------------------

@@ -20,6 +20,7 @@ from cactusflower.projective import (
     check_membership,
     classify_strata,
     collapse_to_LM,
+    compose_nu,
     cross_ratios,
     dm_to_q_identification,
     eps_family_delta,
@@ -36,12 +37,13 @@ from cactusflower.projective import (
     ordered_triples,
     point_from_json,
     point_to_json,
+    pp_mul,
     q_to_dm_identification,
     sigma_dm,
     sigma_flower,
     sigma_mau_woodward,
 )
-from cactusflower.scalars import GaussianRational, I
+from cactusflower.scalars import ONE, ZERO, GaussianRational, I, format_scalar
 
 
 def q_member(xs, eps, n):
@@ -116,6 +118,64 @@ def test_homogenization_soundness():
         eps = F(rng.randrange(-2, 3))
         affine = eps * vals[2] + vals[0] * vals[1] == vals[2] * vals[1] + vals[0] * vals[2]
         assert (_eq_triangle(a, b, c, eps) == 0) == affine
+
+
+def _sample_scalar(rng):
+    x = F(rng.randrange(-9, 10), rng.randrange(1, 5))
+    if rng.random() < 0.5:
+        return x
+    return GaussianRational(x, F(rng.randrange(-9, 10), rng.randrange(1, 5)))
+
+
+def _assert_canonical(p):
+    assert type(p.v) is F and (p.v == ONE or (p.v == ZERO and p.u == ONE)), repr(p)
+
+
+def test_projpoints_are_canonically_scaled():
+    # the equation evaluators read v as 1 or 0, so every way of making a
+    # point must scale it that way
+    rng = random.Random(8)
+    for _ in range(300):
+        x, y, eps = (_sample_scalar(rng) for _ in range(3))
+        u, v = (rng.choice((x, F(0))), rng.choice((y, F(0), F(1))))
+        if u == 0 and v == 0:
+            continue
+        p, q = ProjPoint(u, v), ProjPoint.finite(y)
+        made = [p, q, ProjPoint.infinity(), p.reciprocal(), p.conj(), q.conj()]
+        for binary in (lambda: pp_mul(p, q), lambda: compose_nu(p, q, eps)):
+            try:
+                made.append(binary())
+            except (ValueError, InvariantViolation):
+                pass  # 0 * infinity, or a (0 : 0) completion
+        for point in made:
+            _assert_canonical(point)
+
+
+def test_residuals_match_homogenized_formulas():
+    # the evaluators branch on which coordinates sit at infinity; their
+    # residuals must be the multihomogenized polynomials' values
+    from cactusflower.projective import (
+        _eq_link,
+        _eq_prod,
+        _eq_prod_one,
+        _eq_sum_const,
+        _eq_triangle,
+    )
+
+    pool = [PP_ZERO, PP_ONE, PP_INF, ProjPoint.finite(F(-3, 2)), ProjPoint.finite(F(5)),
+            ProjPoint.finite(GaussianRational(F(1), F(2))), ProjPoint.finite(I)]
+    for a, b, c in itertools.product(pool, repeat=3):
+        for eps in (F(0), F(1), I):
+            pairs = [
+                (_eq_prod(a, b, c), a.u * b.u * c.v - c.u * a.v * b.v),
+                (_eq_prod_one(a, b), a.u * b.u - a.v * b.v),
+                (_eq_sum_const(a, b, eps), a.u * b.v + b.u * a.v - eps * a.v * b.v),
+                (_eq_triangle(a, b, c, eps),
+                 eps * c.u * a.v * b.v + a.u * b.u * c.v - c.u * b.u * a.v - a.u * c.u * b.v),
+                (_eq_link(a, b, c), a.u * b.u * c.v - c.u * a.v * b.v),
+            ]
+            for got, want in pairs:
+                assert got == want and format_scalar(got) == format_scalar(want), (a, b, c, eps)
 
 
 def test_classify_strata_examples():

@@ -8,13 +8,25 @@ import pytest
 from cactusflower.combinatorics import Permutation
 from cactusflower.forests import (
     PlanarForest,
+    binary_refinement,
     collapse,
     enumerate_planar_forests,
     flip,
+    internal_nodes,
     is_binary,
+    leafset,
+    leaves,
+    meet,
+    path_edges,
     random_binary_tree,
 )
-from cactusflower.projective import VarietySpec, chart_membership, check_membership
+from cactusflower.projective import (
+    ProjPoint,
+    VarietySpec,
+    chart_membership,
+    check_membership,
+    ordered_triples,
+)
 from cactusflower.realgeometry import (
     DEFAULT_F,
     INF,
@@ -169,6 +181,110 @@ def test_chart_b_inverts_chart_H():
             order = forest.leaf_order()
             zdiffs = {(a, c): delta[(a, c)] for a, c in zip(order, order[1:])}
             assert chart_b(tree, zdiffs) == b
+
+
+# The chart kernels as they were before per-vertex prefix sums: products
+# along path_edges per vertex, a zero set per vertex, and an O(n) sum of
+# quotients per ratio.  The tests below hold the kernels to them.
+
+
+def _ref_b_map(tree, t, f=DEFAULT_F):
+    forest = PlanarForest([tree])
+    trunk = leafset(tree)
+    if t[trunk] == 1:
+        raise ValueError("the chart needs trunk value < 1")
+    b = {}
+    for e, _ in internal_nodes(tree):
+        if e == trunk:
+            b[e] = f(t[e])
+            continue
+        prod = F(1)
+        for x in path_edges(forest, e):
+            if x != e:
+                prod *= t[x]
+        b[e] = t[e] if prod == 0 else f(t[e] * prod) / f(prod)
+    return b
+
+
+def _ref_chart_H(tree, b):
+    forest = PlanarForest([tree])
+    order = leaves(tree)
+    pos = {lab: r for r, lab in enumerate(order)}
+    nonzero, zeros = {}, {}
+    for v, _ in internal_nodes(tree):
+        path = path_edges(forest, v)
+        nonzero[v] = math.prod((b[e] for e in path if b[e] != 0), start=F(1))
+        zeros[v] = {e for e in path if b[e] == 0}
+    gaps = [meet(forest, x, y) for x, y in zip(order, order[1:])]
+    prefix = [F(0)]
+    for v in gaps:
+        prefix.append(prefix[-1] + (F(0) if zeros[v] else nonzero[v]))
+
+    def slice_sum_rel(lo, hi, common):
+        return sum(
+            (nonzero[v] / nonzero[common] for v in gaps[lo:hi] if not zeros[v] - zeros[common]),
+            F(0),
+        )
+
+    delta = {(a, c): prefix[pos[c]] - prefix[pos[a]] for a in order for c in order if a != c}
+    mu = {}
+    for i, j, k in ordered_triples(order):
+        pi, pj, pk = pos[i], pos[j], pos[k]
+        common = max(gaps[min(pi, pj, pk) : max(pi, pj, pk)], key=len)
+        nv = slice_sum_rel(min(pi, pk), max(pi, pk), common)
+        dv = slice_sum_rel(min(pi, pj), max(pi, pj), common)
+        mu[(i, j, k)] = ProjPoint(nv if pi <= pk else -nv, dv if pi <= pj else -dv)
+    return delta, mu
+
+
+def _assert_chart_matches_reference(tree, t):
+    try:
+        expected = _ref_b_map(tree, t)
+    except ValueError:
+        with pytest.raises(ValueError):
+            b_map(tree, t)
+        return
+    b = b_map(tree, t)
+    assert b == expected and list(b) == list(expected)
+    delta, mu = chart_H(tree, b)
+    ref_delta, ref_mu = _ref_chart_H(tree, b)
+    assert delta == ref_delta
+    assert mu.as_dict() == ref_mu
+
+
+def test_chart_kernels_match_reference_on_pinned_forests():
+    # every forest on [4] with each edge pinned to 0 and to 1, as in the
+    # gluing check of criterion 10; each tree is refined as theta does
+    rng = random.Random(10)
+    for k in range(1, 4):
+        for forest in enumerate_planar_forests(4, k):
+            for e in forest.edges():
+                for pin in (F(0), F(1)):
+                    t = {x: F(rng.randrange(0, 17), 16) for x in forest.edges()}
+                    t[e] = pin
+                    for tree in forest.trees:
+                        if isinstance(tree, int):
+                            continue
+                        btree, added = binary_refinement(tree)
+                        tt = {x: t[x] for x in PlanarForest([tree]).edges()}
+                        tt.update({x: F(1) for x in added})
+                        _assert_chart_matches_reference(btree, tt)
+
+
+def test_chart_kernels_match_reference_on_random_trees():
+    rng = random.Random(12)
+    for n in range(5, 11):
+        for _ in range(6):
+            tree = random_binary_tree(range(1, n + 1), rng)
+            edges = PlanarForest([tree]).edges()
+            # about one value in four is zero, the trunk included
+            t = {e: F(max(rng.randrange(-4, 16), 0), 16) for e in edges}
+            _assert_chart_matches_reference(tree, t)
+            if all(t.values()):
+                b = b_map(tree, t)
+                order = leaves(tree)
+                delta, _ = chart_H(tree, b)
+                assert chart_b(tree, {(x, y): delta[(x, y)] for x, y in zip(order, order[1:])}) == b
 
 
 def test_equal_b_values_give_equal_spacing():
