@@ -343,8 +343,8 @@ class _Chart:
 
     So each vertex c keeps the prefix sums of the gaps inside its span taken
     relative to c: a gap's relative value is the product of b over the edges
-    from its meet up to c, c excluded, and it is 0 exactly when a zero edge
-    survives the cancellation.  A ratio is then two differences of prefix
+    on the path from its meet to c, c's own edge excluded, and it is 0
+    exactly when a zero edge survives the cancellation.  A ratio is then two differences of prefix
     sums at c, with no division."""
 
     def __init__(self, tree, b: Dict[FrozenSet[int], Fraction]):
