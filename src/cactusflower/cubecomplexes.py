@@ -18,6 +18,20 @@ collapsing all its edges, and the link of a 0-cube has one vertex per
 incident sub-1-cube and one (k-1)-simplex per incident sub-k-cube.  The
 non-positive-curvature certificate checks Gromov's flag condition in exactly
 this combinatorial form.
+
+The certificates work on keys read off a sub-cube's leaf order in one pass,
+without building face forests.  A corner of a sub-cube (a link vertex) is
+its canonical 1-face: collapsing every edge but one leaves one corolla on
+that edge's leaf span order[lo:hi].  Per kind:
+
+    D       vertex key: the leaf order;  corner key: (order, lo, hi)
+    hatD    vertex key: () (a single 0-cube);  corner key: order[lo:hi]
+    breveD  vertex key: the leaf order rotated to start at its smallest
+            label;  corner key: (order[lo:hi], order[hi:] + order[:lo])
+
+A sub-2-cube is determined by its 0-cube and its two corners (its two edge
+spans on the vertex's leaf order), so a face of a higher sub-cube is present
+exactly when its corner pair indexes a square at that cube's vertex.
 """
 from __future__ import annotations
 
@@ -30,6 +44,7 @@ from .combinatorics import CyclicSetPartition, Permutation, SetPartition
 from .forests import (
     PlanarForest,
     PlanarForestWithZeros,
+    _vertices,
     canon_forest,
     collapse,
     collapse_all,
@@ -221,45 +236,67 @@ class VertexLink:
 
 
 def vertex_link(c: CubeComplex, vertex: PlanarForest) -> VertexLink:
-    """Assemble the link at a 0-cube from the incident sub-cubes."""
+    """Assemble the link at a 0-cube from the incident sub-cubes, in one pass
+    filtered by vertex key.  A forest that is not a 0-cube of c has an empty
+    link."""
     if not c.is_cubical:
         raise ValueError("links are computed for the cube complexes")
-    ones = sorted(
-        (s for s in c.subcubes.get(1, ()) if c.vertex_of(s) == vertex), key=forest_key
-    )
+    kind = D_KINDS[c.kind]
+    target = _link_keys(kind, vertex)[0] if vertex in c.subcubes.get(0, ()) else None
+    ones = _ones_by_vertex(c).get(target, {})
+    names = {a: forest_key(s1) for a, s1 in ones.items()}
     simplices = set()
     for k in range(1, c.dim + 1):
         for sigma in c.subcubes.get(k, ()):
-            if c.vertex_of(sigma) != vertex:
+            v, corners = _link_keys(kind, sigma)
+            if v != target:
                 continue
-            corners = [forest_key(c.sub_face(sigma, [e])) for e in sigma.edges()]
+            if all(a in names for a in corners):
+                corners = [names[a] for a in corners]
+            else:  # a corner that is not a sub-1-cube of c
+                corners = [forest_key(f) for f in _faces(c, sigma, 1)]
             for size in range(1, len(corners) + 1):
                 for combo in itertools.combinations(corners, size):
                     simplices.add(frozenset(combo))
-    return VertexLink(vertex, tuple(ones), frozenset(simplices))
+    return VertexLink(vertex, tuple(sorted(ones.values(), key=forest_key)), frozenset(simplices))
 
 
 def _faces(c: CubeComplex, sigma: PlanarForest, size: int) -> list:
     """The canonical faces of a sub-cube that keep `size` of its edges, one per
     edge subset in itertools.combinations order.  The 1-faces are the link
-    vertices at the sub-cube's 0-cube."""
+    vertices at the sub-cube's 0-cube.  Built only to print witnesses."""
     kind = D_KINDS[c.kind]
     return [canon_forest(kind, f, False) for f in faces(sigma, size)]
 
 
-def _square_index(c: CubeComplex):
-    """Index the sub-2-cubes by vertex and corner pair.
+def _link_keys(kind: str, sigma: PlanarForest):
+    """(vertex key, corner keys in edges() order) of a sub-cube, for a
+    D_KINDS value `kind`, from one leaf-order pass (see the module
+    docstring).  Any representative of sigma's class gives the same keys."""
+    order, spans = _vertices(sigma)
+    order = tuple(order)
+    if kind == "ordered":
+        return order, [(order, lo, hi) for _, lo, hi, _ in spans]
+    if kind == "unordered":
+        return (), [order[lo:hi] for _, lo, hi, _ in spans]
+    i = order.index(min(order))
+    return order[i:] + order[:i], [(order[lo:hi], order[hi:] + order[:lo]) for _, lo, hi, _ in spans]
 
-    Returns ({vertex: {frozenset of the two corners: square}}, fault).
+
+def _square_index(c: CubeComplex):
+    """Index the sub-2-cubes by vertex key and corner-key pair.
+
+    Returns ({vertex key: {frozenset of the two corner keys: square}}, fault).
     fault is None, or (detail, witness) for the first square whose corners
     coincide or whose corner pair another square already has; the index is
     complete either way.
     """
-    index: Dict[PlanarForest, Dict[FrozenSet, PlanarForest]] = {}
+    kind = D_KINDS[c.kind]
+    index: Dict[tuple, Dict[FrozenSet, PlanarForest]] = {}
     fault = None
     for sq in c.subcubes.get(2, ()):
-        a, b = _faces(c, sq, 1)
-        pairs = index.setdefault(c.vertex_of(sq), {})
+        v, (a, b) = _link_keys(kind, sq)
+        pairs = index.setdefault(v, {})
         pair = frozenset((a, b))
         if fault is None:
             if a == b:
@@ -273,75 +310,92 @@ def _square_index(c: CubeComplex):
     return index, fault
 
 
-def _ones_by_vertex(c: CubeComplex) -> Dict[PlanarForest, list]:
-    out: Dict[PlanarForest, list] = {}
+def _ones_by_vertex(c: CubeComplex) -> Dict[tuple, Dict[tuple, PlanarForest]]:
+    """{vertex key: {corner key: sub-1-cube}}; a sub-1-cube is its own corner."""
+    kind = D_KINDS[c.kind]
+    out: Dict[tuple, Dict[tuple, PlanarForest]] = {}
     for s1 in c.subcubes.get(1, ()):
-        out.setdefault(c.vertex_of(s1), []).append(s1)
+        v, (a,) = _link_keys(kind, s1)
+        out.setdefault(v, {})[a] = s1
     return out
 
 
 def check_gromov_flag(c: CubeComplex) -> FlagReport:
     """Certify non-positive curvature combinatorially.
 
-    Checks, at every 0-cube: the two sub-1-cubes of each sub-2-cube are
+    Checks, at every 0-cube: the two corners of each sub-2-cube are present,
     distinct and determine it uniquely, and every clique of sub-1-cubes
-    pairwise joined by sub-2-cubes spans a unique sub-cube.  A missing
-    2-face of a higher cube is reported with the expected square as witness.
+    pairwise joined by sub-2-cubes spans a unique sub-cube.  A missing face
+    is reported with the cube and the expected face as witness.
     """
     if not c.is_cubical:
         raise ValueError("the flag certificate needs subcube data (a cube complex)")
-    squares = c.subcubes.get(2, set())
-    # face closure: every 2-face of every higher subcube must be present
+    kind = D_KINDS[c.kind]
+    ones = _ones_by_vertex(c)
+    by_square, fault = _square_index(c)
+
+    # face closure: both corners of every square are sub-1-cubes ...
+    for v, pairs in by_square.items():
+        at_v = ones.get(v, {})
+        for pair, sq in pairs.items():
+            if not all(a in at_v for a in pair):
+                _, corners = _link_keys(kind, sq)
+                missing = next(f for f, a in zip(_faces(c, sq, 1), corners) if a not in at_v)
+                return FlagReport(
+                    False,
+                    (forest_to_newick(sq), forest_to_newick(missing)),
+                    "missing edge face",
+                )
+
+    # ... and every corner pair of a higher sub-cube spans a square at its
+    # vertex.  The same pass indexes the higher link simplices by corner set.
+    simplices: Dict[tuple, Dict[FrozenSet, PlanarForest]] = {}
+    simplex_fault = None
     for k in range(3, c.dim + 1):
         for sigma in c.subcubes.get(k, ()):
-            for face in _faces(c, sigma, 2):
-                if face not in squares:
+            v, corners = _link_keys(kind, sigma)
+            pairs = by_square.get(v, {})
+            for idx, pair in enumerate(itertools.combinations(corners, 2)):
+                if frozenset(pair) not in pairs:
                     return FlagReport(
                         False,
-                        (forest_to_newick(sigma), forest_to_newick(face)),
+                        (forest_to_newick(sigma), forest_to_newick(_faces(c, sigma, 2)[idx])),
                         "missing square face",
                     )
-
-    by_square, fault = _square_index(c)
+            if simplex_fault is not None:
+                continue
+            verts = frozenset(corners)
+            at_v = simplices.setdefault(v, {})
+            if len(verts) != k:
+                simplex_fault = ("repeated corner in a link simplex", (forest_to_newick(sigma),))
+            elif verts in at_v:
+                simplex_fault = (
+                    "two cubes span the same link simplex",
+                    (forest_to_newick(at_v[verts]), forest_to_newick(sigma)),
+                )
+            at_v[verts] = sigma
+    fault = fault or simplex_fault
     if fault is not None:
         detail, witness = fault
         return FlagReport(False, witness, detail)
 
-    # simplices of each link, indexed by their vertex sets; the squares are
-    # the 1-simplices, indexed above
-    simplices = {v: dict(pairs) for v, pairs in by_square.items()}
-    for k in range(3, c.dim + 1):
-        for sigma in c.subcubes.get(k, ()):
-            verts = frozenset(_faces(c, sigma, 1))
-            if len(verts) != k:
-                return FlagReport(
-                    False, (forest_to_newick(sigma),), "repeated corner in a link simplex"
-                )
-            at_v = simplices.setdefault(c.vertex_of(sigma), {})
-            if verts in at_v:
-                return FlagReport(
-                    False,
-                    (forest_to_newick(at_v[verts]), forest_to_newick(sigma)),
-                    "two cubes span the same link simplex",
-                )
-            at_v[verts] = sigma
-
-    # flagness: every clique spans a unique simplex
-    for v, ones in _ones_by_vertex(c).items():
-        names = sorted(ones, key=forest_key)
+    # flagness: every clique spans a unique simplex; the 2-cliques are the
+    # squares themselves
+    for v, at_v in ones.items():
+        names = sorted(at_v, key=lambda a: forest_key(at_v[a]))
         adj = {a: set() for a in names}
-        for pair in by_square.get(v, ()):
-            a, b = tuple(pair)
+        for a, b in by_square.get(v, ()):
             adj[a].add(b)
             adj[b].add(a)
-        at_v = simplices.get(v, {})
+        higher = simplices.get(v, {})
 
         def extend(clique, candidates):
             size = len(clique)
-            if size >= 2 and frozenset(clique) not in at_v:
+            if size >= 3 and frozenset(clique) not in higher:
+                vertex = c.vertex_of(at_v[clique[0]])
                 return FlagReport(
                     False,
-                    (str(v and forest_to_newick(v)), tuple(str(forest_key(x)) for x in clique)),
+                    (forest_to_newick(vertex), tuple(str(forest_key(at_v[x])) for x in clique)),
                     f"{size}-clique spans no cube",
                 )
             for idx, cand in enumerate(candidates):
@@ -412,27 +466,28 @@ def check_local_isometry(phi: CombinatorialMap) -> IsometryReport:
     higher simplices follow because both links are flag).
     """
     src, dst = phi.source, phi.target
+    dst_kind = D_KINDS[dst.kind]
     src_sq = _square_index(src)[0]
     dst_sq = _square_index(dst)[0]
 
     for v, ones in _ones_by_vertex(src).items():
-        images = {}
-        for s1 in ones:
-            im = phi.apply(s1)
+        images = {}  # image corner key -> (source corner key, sub-1-cube)
+        for a, s1 in ones.items():
+            _, (im,) = _link_keys(dst_kind, phi.apply(s1))
             if im in images:
                 return IsometryReport(
                     False,
-                    (forest_to_newick(images[im]), forest_to_newick(s1)),
+                    (forest_to_newick(images[im][1]), forest_to_newick(s1)),
                     "link not injective",
                 )
-            images[im] = s1
+            images[im] = (a, s1)
         at_v = src_sq.get(v, {})
-        at_vi = dst_sq.get(dst.vertex_of(ones[0]), {})
-        for (ia, a), (ib, b) in itertools.combinations(images.items(), 2):
+        at_vi = dst_sq.get(_link_keys(dst_kind, next(iter(ones.values())))[0], {})
+        for (ia, (a, fa)), (ib, (b, fb)) in itertools.combinations(images.items(), 2):
             if frozenset((ia, ib)) in at_vi and frozenset((a, b)) not in at_v:
                 return IsometryReport(
                     False,
-                    (forest_to_newick(a), forest_to_newick(b)),
+                    (forest_to_newick(fa), forest_to_newick(fb)),
                     "image square has no preimage square",
                 )
     return IsometryReport(True)

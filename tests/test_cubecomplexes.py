@@ -1,11 +1,18 @@
 import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import pytest
 
 from cactusflower.combinatorics import Permutation, SetPartition, all_permutations, all_set_partitions
 from cactusflower.cubecomplexes import (
+    D_KINDS,
+    CombinatorialMap,
+    FlagReport,
+    VertexLink,
+    _faces,
+    _link_keys,
     _ordered_set_partitions,
     build_complex,
     build_breveD,
@@ -27,8 +34,16 @@ from cactusflower.cubecomplexes import (
     remove_subcube,
     simplify_presentation,
     skeleton_D,
+    vertex_link,
 )
-from cactusflower.forests import enumerate_planar_forests, enumerate_zero_forests, zeros_to_planar
+from cactusflower.forests import (
+    enumerate_planar_forests,
+    enumerate_zero_forests,
+    forest_from_newick,
+    forest_key,
+    forest_to_newick,
+    zeros_to_planar,
+)
 from cactusflower.groups import make_presentation, ordered_subsets
 
 
@@ -184,3 +199,217 @@ def test_vertex_link_is_flag_when_certified():
         for size in range(1, len(simplex)):
             for sub in itertools.combinations(simplex, size):
                 assert frozenset(sub) in link.simplices  # closed under faces
+
+
+# ---------------------------------------------------------------------------
+# the link-key certificates against the forest-building reference
+
+
+def _reference_square_index(c):
+    index, fault = {}, None
+    for sq in c.subcubes.get(2, ()):
+        a, b = _faces(c, sq, 1)
+        pairs = index.setdefault(c.vertex_of(sq), {})
+        pair = frozenset((a, b))
+        if fault is None:
+            if a == b:
+                fault = ("degenerate square link", (forest_to_newick(sq),))
+            elif pair in pairs:
+                fault = (
+                    "two squares on the same corner pair",
+                    (forest_to_newick(pairs[pair]), forest_to_newick(sq)),
+                )
+        pairs[pair] = sq
+    return index, fault
+
+
+def _reference_flag(c):
+    """The flag check as it was when it built and canonicalised every face
+    forest; it raises KeyError when a square's corner is not a sub-1-cube."""
+    squares = c.subcubes.get(2, set())
+    for k in range(3, c.dim + 1):
+        for sigma in c.subcubes.get(k, ()):
+            for face in _faces(c, sigma, 2):
+                if face not in squares:
+                    return FlagReport(
+                        False, (forest_to_newick(sigma), forest_to_newick(face)), "missing square face"
+                    )
+    by_square, fault = _reference_square_index(c)
+    if fault is not None:
+        detail, witness = fault
+        return FlagReport(False, witness, detail)
+    simplices = {v: dict(pairs) for v, pairs in by_square.items()}
+    for k in range(3, c.dim + 1):
+        for sigma in c.subcubes.get(k, ()):
+            verts = frozenset(_faces(c, sigma, 1))
+            if len(verts) != k:
+                return FlagReport(False, (forest_to_newick(sigma),), "repeated corner in a link simplex")
+            at_v = simplices.setdefault(c.vertex_of(sigma), {})
+            if verts in at_v:
+                return FlagReport(
+                    False,
+                    (forest_to_newick(at_v[verts]), forest_to_newick(sigma)),
+                    "two cubes span the same link simplex",
+                )
+            at_v[verts] = sigma
+    ones_by_vertex = {}
+    for s1 in c.subcubes.get(1, ()):
+        ones_by_vertex.setdefault(c.vertex_of(s1), []).append(s1)
+    for v, ones in ones_by_vertex.items():
+        names = sorted(ones, key=forest_key)
+        adj = {a: set() for a in names}
+        for pair in by_square.get(v, ()):
+            a, b = tuple(pair)
+            adj[a].add(b)
+            adj[b].add(a)
+        at_v = simplices.get(v, {})
+
+        def extend(clique, candidates):
+            size = len(clique)
+            if size >= 2 and frozenset(clique) not in at_v:
+                return FlagReport(
+                    False,
+                    (str(v and forest_to_newick(v)), tuple(str(forest_key(x)) for x in clique)),
+                    f"{size}-clique spans no cube",
+                )
+            for idx, cand in enumerate(candidates):
+                rep = extend(clique + [cand], [x for x in candidates[idx + 1 :] if x in adj[cand]])
+                if rep is not None:
+                    return rep
+            return None
+
+        for idx, a in enumerate(names):
+            rep = extend([a], [b for b in names[idx + 1 :] if b in adj[a]])
+            if rep is not None:
+                return rep
+    return FlagReport(True)
+
+
+def _reference_vertex_link(c, vertex):
+    ones = sorted((s for s in c.subcubes.get(1, ()) if c.vertex_of(s) == vertex), key=forest_key)
+    simplices = set()
+    for k in range(1, c.dim + 1):
+        for sigma in c.subcubes.get(k, ()):
+            if c.vertex_of(sigma) != vertex:
+                continue
+            corners = [forest_key(c.sub_face(sigma, [e])) for e in sigma.edges()]
+            for size in range(1, len(corners) + 1):
+                for combo in itertools.combinations(corners, size):
+                    simplices.add(frozenset(combo))
+    return VertexLink(vertex, tuple(ones), frozenset(simplices))
+
+
+@pytest.mark.parametrize("kind", ["D", "breveD", "hatD"])
+def test_flag_single_deletions_match_reference(kind):
+    for n in (3, 4):
+        c = build_complex(kind, n)
+        for k in range(1, c.dim + 1):
+            for sigma in sorted(c.subcubes[k], key=forest_key):
+                mutant = remove_subcube(c, sigma)
+                rep = check_gromov_flag(mutant)
+                if k == 1:
+                    assert not rep.ok and rep.detail == "missing edge face"
+                    square, corner = rep.witness
+                    assert corner == forest_to_newick(sigma)
+                    assert forest_from_newick(square) in c.subcubes[2]
+                else:
+                    ref = _reference_flag(mutant)
+                    assert (rep.ok, rep.detail, rep.witness) == (ref.ok, ref.detail, ref.witness)
+
+
+@pytest.mark.parametrize("kind", ["D", "breveD", "hatD"])
+def test_link_keys_are_faithful(kind):
+    for n in (2, 3, 4, 5):
+        c = build_complex(kind, n)
+        corner_of, face_of = {}, {}
+        vertex_of_key, key_of_vertex = {}, {}
+        for subs in c.subcubes.values():
+            for sigma in subs:
+                v, corners = _link_keys(D_KINDS[kind], sigma)
+                vertex = c.vertex_of(sigma)
+                assert vertex_of_key.setdefault(v, vertex) == vertex
+                assert key_of_vertex.setdefault(vertex, v) == v
+                faces1 = _faces(c, sigma, 1)
+                assert len(corners) == len(faces1) == sigma.num_edges()
+                for a, face in zip(corners, faces1):
+                    assert corner_of.setdefault(a, face) == face
+                    assert face_of.setdefault(face, a) == a
+        assert len(vertex_of_key) == len(c.subcubes[0])
+        assert len(corner_of) == len(c.subcubes[1])
+
+
+def test_vertex_link_matches_reference():
+    for kind, n in (("D", 4), ("breveD", 4), ("hatD", 4), ("hatD", 5)):
+        c = build_complex(kind, n)
+        for v in c.vertices():
+            assert vertex_link(c, v) == _reference_vertex_link(c, v)
+    c = build_D(3)
+    (sigma,) = [s for s in c.subcubes[1] if forest_to_newick(s) == "(1,2);3"]
+    assert vertex_link(c, sigma) == _reference_vertex_link(c, sigma)  # not a 0-cube: empty
+
+
+@dataclass
+class _MergeTwo(CombinatorialMap):
+    """The identity, except that one sub-1-cube goes onto another."""
+
+    merged: tuple = ()
+
+    def apply(self, f):
+        return self.merged[1] if f == self.merged[0] else super().apply(f)
+
+
+def test_isometry_negative_controls():
+    d = build_D(4)
+    a, b = sorted(
+        (s for s in d.subcubes[1] if forest_to_newick(d.vertex_of(s)) == "1;2;3;4"), key=forest_key
+    )[:2]
+    rep = check_local_isometry(_MergeTwo(d, d, "merge", (b, a)))
+    assert not rep.ok and rep.detail == "link not injective"
+    assert rep.witness == (forest_to_newick(a), forest_to_newick(b))
+
+    square = min(d.subcubes[2], key=forest_key)
+    rep = check_local_isometry(quotient_map(remove_subcube(d, square), build_breveD(4)))
+    assert not rep.ok and rep.detail == "image square has no preimage square"
+    assert rep.witness == ("1;(2,3,4)", "1;2;(3,4)")
+
+
+def _hatD_subcube_counts(n):
+    """Sub-cubes of hatD_n by dimension, without building it: the exponential
+    formula over planar trees counted by leaves and internal vertices.
+
+    A sub-k-cube is a set of planar trees on the blocks of a set partition
+    of [n] with k internal vertices in all; a tree is a leaf or a root with
+    a sequence of at least two subtrees, and labelling its m leaves gives m!
+    trees per shape."""
+    shapes = [[0] * n for _ in range(n + 1)]  # [leaves][internal vertices]
+    seqs = [[0] * n for _ in range(n + 1)]  # sequences of >= 1 shapes
+    for m in range(1, n + 1):
+        for j in range(n):
+            if m == 1:
+                shapes[m][j] = int(j == 0)
+            elif j:
+                shapes[m][j] = seqs[m][j - 1] - shapes[m][j - 1]  # >= 2 subtrees
+            seqs[m][j] = shapes[m][j] + sum(
+                shapes[m1][j1] * seqs[m - m1][j - j1] for m1 in range(1, m) for j1 in range(j + 1)
+            )
+    forests = [[1] + [0] * (n - 1)]  # forests[size][k]
+    for size in range(1, n + 1):
+        row = [0] * n
+        for m in range(1, size + 1):  # the block holding the first label
+            for j in range(n):
+                trees = math.comb(size - 1, m - 1) * math.factorial(m) * shapes[m][j]
+                for k in range(j, n):
+                    row[k] += trees * forests[size - m][k - j]
+        forests.append(row)
+    return tuple(forests[n])
+
+
+def test_hatD_subcube_counts_follow_the_exponential_formula():
+    for n in (2, 3, 4, 5):
+        c = build_hatD(n)
+        assert _hatD_subcube_counts(n) == tuple(len(c.subcubes[k]) for k in range(n))
+    assert sum(_hatD_subcube_counts(4)) == 361
+    assert sum(_hatD_subcube_counts(5)) == 7341
+    assert _hatD_subcube_counts(6) == (1, 1950, 20580, 63840, 75600, 30240)
+    assert sum(_hatD_subcube_counts(6)) == 192211
+    assert sum(_hatD_subcube_counts(7)) == 6154933
