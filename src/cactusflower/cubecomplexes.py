@@ -336,11 +336,11 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
 
     # face closure: both corners of every square are sub-1-cubes ...
     for v, pairs in by_square.items():
-        at_v = ones.get(v, {})
+        ones_v = ones.get(v, {})
         for pair, sq in pairs.items():
-            if not all(a in at_v for a in pair):
+            if not all(a in ones_v for a in pair):
                 _, corners = _link_keys(kind, sq)
-                missing = next(f for f, a in zip(_faces(c, sq, 1), corners) if a not in at_v)
+                missing = next(f for f, a in zip(_faces(c, sq, 1), corners) if a not in ones_v)
                 return FlagReport(
                     False,
                     (forest_to_newick(sq), forest_to_newick(missing)),
@@ -381,8 +381,8 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
 
     # flagness: every clique spans a unique simplex; the 2-cliques are the
     # squares themselves
-    for v, at_v in ones.items():
-        names = sorted(at_v, key=lambda a: forest_key(at_v[a]))
+    for v, ones_v in ones.items():
+        names = sorted(ones_v, key=lambda a: forest_key(ones_v[a]))
         adj = {a: set() for a in names}
         for a, b in by_square.get(v, ()):
             adj[a].add(b)
@@ -392,10 +392,10 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
         def extend(clique, candidates):
             size = len(clique)
             if size >= 3 and frozenset(clique) not in higher:
-                vertex = c.vertex_of(at_v[clique[0]])
+                vertex = c.vertex_of(ones_v[clique[0]])
                 return FlagReport(
                     False,
-                    (forest_to_newick(vertex), tuple(str(forest_key(at_v[x])) for x in clique)),
+                    (forest_to_newick(vertex), tuple(str(forest_key(ones_v[x])) for x in clique)),
                     f"{size}-clique spans no cube",
                 )
             for idx, cand in enumerate(candidates):
@@ -473,7 +473,7 @@ def check_local_isometry(phi: CombinatorialMap) -> IsometryReport:
     for v, ones in _ones_by_vertex(src).items():
         images = {}  # image corner key -> (source corner key, sub-1-cube)
         for a, s1 in ones.items():
-            _, (im,) = _link_keys(dst_kind, phi.apply(s1))
+            vi, (im,) = _link_keys(dst_kind, phi.apply(s1))
             if im in images:
                 return IsometryReport(
                     False,
@@ -482,7 +482,7 @@ def check_local_isometry(phi: CombinatorialMap) -> IsometryReport:
                 )
             images[im] = (a, s1)
         at_v = src_sq.get(v, {})
-        at_vi = dst_sq.get(_link_keys(dst_kind, next(iter(ones.values())))[0], {})
+        at_vi = dst_sq.get(vi, {})  # the images' 0-cube
         for (ia, (a, fa)), (ib, (b, fb)) in itertools.combinations(images.items(), 2):
             if frozenset((ia, ib)) in at_vi and frozenset((a, b)) not in at_v:
                 return IsometryReport(

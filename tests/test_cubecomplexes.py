@@ -346,6 +346,9 @@ def test_vertex_link_matches_reference():
     c = build_D(3)
     (sigma,) = [s for s in c.subcubes[1] if forest_to_newick(s) == "(1,2);3"]
     assert vertex_link(c, sigma) == _reference_vertex_link(c, sigma)  # not a 0-cube: empty
+    mutant = remove_subcube(c, sigma)  # its squares keep the deleted corner
+    v = c.vertex_of(sigma)
+    assert vertex_link(mutant, v) == _reference_vertex_link(mutant, v)
 
 
 @dataclass
