@@ -264,7 +264,8 @@ def vertex_link(c: CubeComplex, vertex: PlanarForest) -> VertexLink:
 def _faces(c: CubeComplex, sigma: PlanarForest, size: int) -> list:
     """The canonical faces of a sub-cube that keep `size` of its edges, one per
     edge subset in itertools.combinations order.  The 1-faces are the link
-    vertices at the sub-cube's 0-cube.  Built only to print witnesses."""
+    vertices at the sub-cube's 0-cube.  The certificates build them only for
+    witnesses."""
     kind = D_KINDS[c.kind]
     return [canon_forest(kind, f, False) for f in faces(sigma, size)]
 
