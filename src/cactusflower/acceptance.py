@@ -27,9 +27,6 @@ from .forests import (
     flip,
     leafset,
     random_binary_tree,
-    z_from_plain,
-    PlanarForestWithZeros,
-    zeros_to_bushy,
 )
 from .scalars import Dual, GaussianRational, I, matrix_rank
 

@@ -239,7 +239,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex", required=True, choices=("D", "hatD", "breveD", "P", "hatP", "breveP"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--subdivide", action="store_true")
-    p.add_argument("--counts", action="store_true")
 
     p = sub.add_parser("verify", help="run a verification")
     vsub = p.add_subparsers(dest="what", required=True)

@@ -43,7 +43,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 from .combinatorics import CyclicSetPartition, Permutation, SetPartition
 from .forests import (
     PlanarForest,
-    PlanarForestWithZeros,
+    _decorations,
     _vertices,
     canon_forest,
     collapse,
@@ -52,9 +52,8 @@ from .forests import (
     flip,
     forest_key,
     forest_to_newick,
+    leaves,
     planar_forests,
-    z_from_plain,
-    zeros_to_planar,
 )
 from .groups import Presentation, canonical_cyclic, _word_key
 
@@ -502,20 +501,6 @@ def identity_map(c: CubeComplex) -> CombinatorialMap:
 # cubical subdivision
 
 
-def _z_canon_for_kind(kind: str, zf_trees) -> tuple:
-    from .forests import _z_canon_tree, _z_key  # orbit reduction per tree
-
-    ts = [_z_canon_tree(t) for t in zf_trees]
-    if kind == "hatD":
-        return tuple(sorted(ts, key=_z_key))
-    if kind == "D":
-        return tuple(ts)
-    if kind == "breveD":
-        rots = [tuple(ts[i:] + ts[:i]) for i in range(len(ts))]
-        return min(rots, key=lambda tt: tuple(_z_key(t) for t in tt))
-    raise ValueError(kind)
-
-
 @dataclass
 class Subdivision:
     complex: CubeComplex
@@ -528,28 +513,17 @@ class Subdivision:
 def cubical_subdivision(c: CubeComplex) -> Subdivision:
     """Little cubes indexed by zero-decorated forests: the dimension is the
     number of undecorated internal edges, and forgetting the decoration is
-    the embedding into the big cubes."""
+    the embedding into the big cubes.  The cells are zero-forests with their
+    trees in the order of the complex's kind."""
     if not c.is_cubical:
         raise ValueError("subdivision applies to the forest cube complexes")
+    kind = D_KINDS[c.kind]
     little: Dict[int, set] = {}
     for k in range(c.n):
         for sub in c.subcubes.get(k, ()):
-            edges = sub.edges()
-            for r in range(len(edges) + 1):
-                for dec in itertools.combinations(edges, r):
-                    zt = tuple(z_from_plain(t, frozenset(dec)) for t in sub.trees)
-                    if c.kind == "hatD":
-                        cell = PlanarForestWithZeros(zt)
-                    else:
-                        cell = _z_canon_for_kind(c.kind, zt)
-                    little.setdefault(k - r, set()).add(cell)
+            for r, cell in _decorations(kind, sub):
+                little.setdefault(k - r, set()).add(cell)
     return Subdivision(c, little)
-
-
-def little_to_big(c: CubeComplex, cell: PlanarForestWithZeros) -> PlanarForest:
-    if c.kind != "hatD":
-        raise ValueError("decorated-forest cells index the unordered quotient")
-    return zeros_to_planar(cell)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +540,6 @@ def _edge_symbol_D(c: CubeComplex, sigma: PlanarForest):
     if c.kind == "hatD":
         for t in sigma.trees:
             if not isinstance(t, int):
-                from .forests import leaves
-
                 return ("sA", tuple(leaves(t)))
         raise AssertionError
     return ("e", forest_to_newick(sigma))

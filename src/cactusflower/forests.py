@@ -13,9 +13,19 @@ non-trunk edge splices the children into the parent; collapsing a trunk
 splits the tree into the consecutive sequence of its top-level subtrees.
 
 Zero-decorated forests mark a subset of internal edges; they are considered
-up to flips at the marked edges only.  Bushy forests allow roots of degree
-greater than one and are considered up to order reversal at non-root
-vertices.
+up to flips at the marked edges only.  One is stored as a canonical
+PlanarForest plus the frozenset of its decorated edges (leaf sets, which
+flips do not change).  The canonical trees come from one bottom-up pass that
+returns, for every subtree, two forms: the minimum of its flip orbit and the
+minimum over the mirrors of that orbit.  At an undecorated vertex the orbit
+is the product of the children's orbits, so its minimum keeps the children's
+minima in order, and the mirrored orbit's minimum is the children's mirror
+minima in reverse order.  At a decorated vertex the orbit is the union of
+those two sets and is closed under mirroring, so both forms are the smaller
+of the two.  Keys order a leaf as (0, label) and a vertex as (1, decorated
+flag, child keys), and the tree sequence is then arranged per complex kind as
+canon_forest arranges it.  Bushy forests allow roots of degree greater than
+one and are considered up to order reversal at non-root vertices.
 
 At the API, edges are always leaf-set frozensets.  Internally, flip,
 collapse, collapse_all and faces name each vertex by an int leaf mask (bit x
@@ -485,6 +495,13 @@ def canon_forest(kind: str, f: PlanarForest, mod_flips: bool) -> PlanarForest:
         return _forest(tuple(sorted(f.trees, key=_subtree_key)))
     else:
         keyed = [(t, _subtree_key(t)) for t in f.trees]
+    return _forest(_arrange(kind, keyed))
+
+
+def _arrange(kind: str, keyed: list) -> tuple:
+    """The trees of a list of (tree, key) pairs in the order of a complex
+    kind: as given ("ordered"), sorted by key ("unordered"), or the rotation
+    with the smallest key sequence ("cyclic")."""
     if kind == "unordered":
         keyed.sort(key=itemgetter(1))
     elif kind == "cyclic":
@@ -493,40 +510,46 @@ def canon_forest(kind: str, f: PlanarForest, mod_flips: bool) -> PlanarForest:
         keyed = keyed[i:] + keyed[:i]
     elif kind != "ordered":
         raise ValueError(f"unknown kind {kind!r}")
-    return _forest(tuple(t for t, _ in keyed))
+    return tuple(t for t, _ in keyed)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _subtree_to_newick(s: Subtree) -> str:
+def _subtree_to_newick(s: Subtree, zeros: FrozenSet[FrozenSet[int]] = frozenset()) -> str:
+    """Newick text of a subtree; a group whose leaf set is in zeros is
+    marked ":0"."""
     if isinstance(s, int):
         return str(s)
-    return "(" + ",".join(_subtree_to_newick(c) for c in s) + ")"
+    body = "(" + ",".join(_subtree_to_newick(c, zeros) for c in s) + ")"
+    return body + ":0" if zeros and leafset(s) in zeros else body
 
 
 def forest_to_newick(f: PlanarForest) -> str:
     return ";".join(_subtree_to_newick(t) for t in f.trees)
 
 
-def _parse_subtree(s: str, pos: int):
-    """Parse one subtree; decorated groups come back as ("z", 1, kids)."""
-    if s[pos] == "(":
+def _parse_subtree(s: str, pos: int, zeros: list):
+    """Parse the subtree at s[pos]; return it and the position after it.  The
+    leaf set of every group marked ":0" is appended to zeros."""
+    if s[pos : pos + 1] == "(":
         pos += 1
         kids = []
         while True:
-            kid, pos = _parse_subtree(s, pos)
+            kid, pos = _parse_subtree(s, pos, zeros)
             kids.append(kid)
-            if s[pos] == ",":
-                pos += 1
-                continue
-            if s[pos] == ")":
-                pos += 1
+            sep = s[pos : pos + 1]
+            pos += 1
+            if sep == ")":
                 break
+            if sep != ",":
+                raise ValueError(f"expected ',' or ')' at {pos - 1} in {s!r}")
+        node = tuple(kids)
         if s[pos : pos + 2] == ":0":
-            return ("z", 1, tuple(kids)), pos + 2
-        return tuple(kids), pos
+            zeros.append(leafset(node))
+            pos += 2
+        return node, pos
     j = pos
     while j < len(s) and s[j].isdigit():
         j += 1
@@ -535,16 +558,29 @@ def _parse_subtree(s: str, pos: int):
     return int(s[pos:j]), j
 
 
-def forest_from_newick(text: str) -> PlanarForest:
-    trees = []
+def _parse_forest(text: str):
+    """The trees of a ';'-separated Newick forest, and the leaf sets of its
+    groups marked ":0"."""
+    trees: list = []
+    zeros: list = []
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
-        t, pos = _parse_subtree(part, 0)
+        t, pos = _parse_subtree(part, 0, zeros)
         if pos != len(part):
             raise ValueError(f"trailing characters in {part!r}")
         trees.append(t)
+    return trees, zeros
+
+
+def forest_from_newick(text: str) -> PlanarForest:
+    trees, zeros = _parse_forest(text)
+    if zeros:
+        raise ValueError(
+            f"zero decoration ':0' in a plain forest {text!r}; "
+            "zero-decorated forests are read by zforest_from_newick"
+        )
     return PlanarForest(trees)
 
 
@@ -571,155 +607,89 @@ def forest_from_json(text: str) -> PlanarForest:
 
 # ---------------------------------------------------------------------------
 # zero-decorated forests
-#
-# A z-subtree is int | ("z", flag, children) where flag marks the descending
-# edge of this vertex as decorated.  The string tag keeps the encoding
-# unambiguous.
-
-ZSubtree = Union[int, tuple]
 
 
-def z_from_plain(s: Subtree, zeros: FrozenSet[FrozenSet[int]]) -> ZSubtree:
-    """Attach zero decorations (given as edge leaf sets) to a plain subtree."""
+def _zero_canon(s: Subtree, zmasks: set):
+    """(form, key, mirror form, mirror key, leaf mask) of a subtree, up to
+    flips at the vertices whose leaf masks are in zmasks.
+
+    The form is the minimum of the subtree's flip orbit, the mirror form the
+    minimum over the mirrors of that orbit, both by the key (0, label) of a
+    leaf and (1, decorated flag, child keys) of an internal vertex.
+    """
     if isinstance(s, int):
-        return s
-    flag = 1 if leafset(s) in zeros else 0
-    return ("z", flag, tuple(z_from_plain(c, zeros) for c in s))
+        return s, (0, s), s, (0, s), 1 << s
+    forms, keys, mforms, mkeys, masks = zip(*[_zero_canon(c, zmasks) for c in s])
+    m = sum(masks)  # the children's leaf sets are disjoint
+    flag = 1 if m in zmasks else 0
+    key, mkey = (1, flag, keys), (1, flag, mkeys[::-1])
+    if not flag:
+        return forms, key, mforms[::-1], mkey, m
+    if mkey < key:
+        forms, key = mforms[::-1], mkey
+    return forms, key, forms, key, m
 
 
-def z_strip(s: ZSubtree) -> Subtree:
-    if isinstance(s, int):
-        return s
-    _, _, kids = s
-    return tuple(z_strip(c) for c in kids)
+def _zero_forest(kind: str, trees: tuple, zeros: FrozenSet[FrozenSet[int]]):
+    """The canonical zero-forest on valid trees with the given decorated
+    edges, its trees in the order of a complex kind (see canon_forest); built
+    without the checks of the public constructor."""
+    zmasks = {_edge_mask(e) for e in zeros}
+    keyed = [_zero_canon(t, zmasks)[:2] for t in trees]
+    zf = object.__new__(PlanarForestWithZeros)
+    object.__setattr__(zf, "forest", _forest(_arrange(kind, keyed)))
+    object.__setattr__(zf, "zeros", zeros)
+    return zf
 
 
-def z_leafset(s: ZSubtree) -> FrozenSet[int]:
-    return leafset(z_strip(s))
-
-
-def z_mirror(s: ZSubtree) -> ZSubtree:
-    if isinstance(s, int):
-        return s
-    _, flag, kids = s
-    return ("z", flag, tuple(z_mirror(c) for c in reversed(kids)))
-
-
-def _z_decorated(s: ZSubtree):
-    if isinstance(s, int):
-        return
-    _, flag, kids = s
-    if flag:
-        yield z_leafset(s)
-    for c in kids:
-        yield from _z_decorated(c)
-
-
-def _z_flip_at(s: ZSubtree, target: FrozenSet[int]) -> ZSubtree:
-    if isinstance(s, int):
-        return s
-    _, flag, kids = s
-    if z_leafset(s) == target:
-        return z_mirror(s)
-    return ("z", flag, tuple(_z_flip_at(c, target) for c in kids))
-
-
-def _z_key(s: ZSubtree):
-    if isinstance(s, int):
-        return (0, s)
-    _, flag, kids = s
-    return (1, flag, tuple(_z_key(c) for c in kids))
-
-
-def _z_canon_tree(t: ZSubtree) -> ZSubtree:
-    """Minimum of the orbit under flips at decorated edges."""
-    seen = {t}
-    frontier = [t]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for e in set(_z_decorated(cur)):
-                v = _z_flip_at(cur, e)
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return min(seen, key=_z_key)
+def _decorations(kind: str, f: PlanarForest):
+    """(number of decorated edges, zero-forest) for every subset of f's
+    internal edges, in itertools.combinations order over edges()."""
+    edges = f.edges()
+    for r in range(len(edges) + 1):
+        for dec in itertools.combinations(edges, r):
+            yield r, _zero_forest(kind, f.trees, frozenset(dec))
 
 
 @dataclass(frozen=True)
 class PlanarForestWithZeros:
-    """An unordered planar forest with zero-decorated internal edges, up to
-    flipping at the decorated edges.  Stored canonically: minimum over the
-    flip orbit, trees sorted."""
+    """A planar forest with zero-decorated internal edges, up to flipping at
+    the decorated edges.  Stored canonically: the forest is the minimum over
+    the flip orbit, and zeros holds the decorated edges as leaf sets.  The
+    constructor sorts the trees (the unordered quotient); the cells of
+    cubecomplexes.cubical_subdivision keep their complex's tree order."""
 
-    trees: Tuple[ZSubtree, ...]
+    forest: PlanarForest
+    zeros: FrozenSet[FrozenSet[int]]
 
-    def __init__(self, trees: Iterable[ZSubtree]):
-        ts = sorted((_z_canon_tree(t) for t in trees), key=_z_key)
-        labels = [x for t in ts for x in leaves(z_strip(t))]
-        if len(labels) != len(set(labels)):
-            raise ValueError("duplicate leaf labels")
-        object.__setattr__(self, "trees", tuple(ts))
-
-    @property
-    def labels(self) -> FrozenSet[int]:
-        return frozenset(x for t in self.trees for x in leaves(z_strip(t)))
+    def __init__(self, trees: Iterable[Subtree], zeros: Iterable[Iterable[int]]):
+        forest = PlanarForest(trees)
+        zeros = frozenset(frozenset(e) for e in zeros)
+        if not zeros.issubset(forest.edges()):
+            raise ValueError(f"decorations {sorted(map(sorted, zeros))} are not all internal edges")
+        canon = _zero_forest("unordered", forest.trees, zeros)
+        object.__setattr__(self, "forest", canon.forest)
+        object.__setattr__(self, "zeros", zeros)
 
     def decorated_edges(self) -> list[FrozenSet[int]]:
-        out = []
-        for t in self.trees:
-            out.extend(_z_decorated(t))
-        return out
+        return [e for e in self.forest.edges() if e in self.zeros]
 
     def undecorated_edges(self) -> list[FrozenSet[int]]:
-        dec = set(self.decorated_edges())
-        out = []
-        for t in self.trees:
-            for ls, _ in internal_nodes(z_strip(t)):
-                if ls not in dec:
-                    out.append(ls)
-        return out
+        return [e for e in self.forest.edges() if e not in self.zeros]
 
     def __str__(self):
-        return ";".join(_z_to_newick(t) for t in self.trees)
-
-
-def _z_to_newick(s: ZSubtree) -> str:
-    if isinstance(s, int):
-        return str(s)
-    _, flag, kids = s
-    body = "(" + ",".join(_z_to_newick(c) for c in kids) + ")"
-    return body + ":0" if flag else body
-
-
-def _z_normalise(s) -> ZSubtree:
-    """Accept plain tuples (undecorated vertices) from the shared parser."""
-    if isinstance(s, int):
-        return s
-    if isinstance(s, tuple) and len(s) == 3 and s[0] == "z":
-        return ("z", s[1], tuple(_z_normalise(c) for c in s[2]))
-    return ("z", 0, tuple(_z_normalise(c) for c in s))
+        return ";".join(_subtree_to_newick(t, self.zeros) for t in self.forest.trees)
 
 
 def zforest_from_newick(text: str) -> PlanarForestWithZeros:
-    trees = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        t, pos = _parse_subtree(part, 0)
-        if pos != len(part):
-            raise ValueError(f"trailing characters in {part!r}")
-        trees.append(_z_normalise(t))
-    return PlanarForestWithZeros(trees)
+    """Read a zero-forest; a group followed by ":0" is a decorated edge."""
+    return PlanarForestWithZeros(*_parse_forest(text))
 
 
 def zeros_to_planar(zf: PlanarForestWithZeros) -> PlanarForest:
     """Forget the decorations; the result is well defined modulo flipping, so
     it is returned in the fully flip-reduced unordered canonical form."""
-    plain = PlanarForest([z_strip(t) for t in zf.trees])
-    return canon_forest("unordered", plain, mod_flips=True)
+    return canon_forest("unordered", zf.forest, mod_flips=True)
 
 
 def enumerate_zero_forests(n: int) -> list[PlanarForestWithZeros]:
@@ -728,15 +698,10 @@ def enumerate_zero_forests(n: int) -> list[PlanarForestWithZeros]:
     out = []
     for k in range(n):
         for f in enumerate_planar_forests(n, k):
-            edges = f.edges()
-            for r in range(len(edges) + 1):
-                for dec in itertools.combinations(edges, r):
-                    zf = PlanarForestWithZeros(
-                        [z_from_plain(t, frozenset(dec)) for t in f.trees]
-                    )
-                    if zf not in seen:
-                        seen.add(zf)
-                        out.append(zf)
+            for _, zf in _decorations("unordered", f):
+                if zf not in seen:
+                    seen.add(zf)
+                    out.append(zf)
     return out
 
 
@@ -771,22 +736,22 @@ class BushyForest:
 
 def zeros_to_bushy(zf: PlanarForestWithZeros) -> BushyForest:
     """Contract all undecorated internal edges, then erase the decorations."""
-    return BushyForest([tuple(_bushy_contract(t)) for t in zf.trees])
+    return BushyForest([tuple(_bushy_contract(t, zf.zeros)) for t in zf.forest.trees])
 
 
-def _bushy_contract(s: ZSubtree) -> list[Subtree]:
+def _bushy_contract(s: Subtree, zeros: FrozenSet[FrozenSet[int]]) -> list[Subtree]:
     """Children of the (merged) vertex at the bottom of this subtree.
 
-    A decorated vertex survives; an undecorated vertex merges downward,
-    contributing its recursively contracted children in order.
+    A decorated vertex (its leaf set in zeros) survives; an undecorated
+    vertex merges downward, contributing its recursively contracted children
+    in order.
     """
     if isinstance(s, int):
         return [s]
-    _, flag, kids = s
     spliced: list[Subtree] = []
-    for c in kids:
-        spliced.extend(_bushy_contract(c))
-    if flag:
+    for c in s:
+        spliced.extend(_bushy_contract(c, zeros))
+    if leafset(s) in zeros:
         assert len(spliced) >= 2
         return [tuple(spliced)]
     return spliced

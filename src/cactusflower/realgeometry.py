@@ -32,11 +32,12 @@ from .forests import (
     _spans,
     binary_refinement,
     collapse,
+    forest_from_newick,
+    forest_to_newick,
     is_binary,
     leafset,
     meet as forest_meet,
     path_edges,
-    z_from_plain,
 )
 from .projective import (
     MuTuple,
@@ -172,8 +173,6 @@ class CubePoint:
         return dict(self.t)
 
     def to_json(self) -> str:
-        from .forests import forest_to_newick
-
         return json.dumps(
             {
                 "forest": forest_to_newick(self.forest),
@@ -183,8 +182,6 @@ class CubePoint:
 
     @staticmethod
     def from_json(text: str) -> "CubePoint":
-        from .forests import forest_from_newick
-
         d = json.loads(text)
         forest = forest_from_newick(d["forest"])
         t = {
@@ -549,9 +546,7 @@ def tree_of_projective_configuration(zs: Dict[int, Fraction]) -> PlanarForestWit
     tree = forest.trees[0]
     if isinstance(tree, int):
         raise ValueError("need at least two points")
-    return PlanarForestWithZeros(
-        [z_from_plain(tree, frozenset([leafset(tree)]))]
-    )
+    return PlanarForestWithZeros([tree], [leafset(tree)])
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def run_cli(*args):
 
 
 def test_enumerate_counts():
-    code, out, _ = run_cli("enumerate", "--complex", "hatD", "--n", "3", "--counts")
+    code, out, _ = run_cli("enumerate", "--complex", "hatD", "--n", "3")
     assert code == 0
     assert json.loads(out) == {"0": 1, "1": 6, "2": 3}
 
@@ -133,6 +133,19 @@ def test_usage_errors():
     assert code == 2
     code, _, _ = run_cli("classify", "--in", "/nonexistent/x.json")
     assert code == 2
+    code, _, _ = run_cli("enumerate", "--complex", "hatD", "--n", "3", "--counts")
+    assert code == 2
+
+
+def test_malformed_forest_is_a_usage_error(tmp_path):
+    with open(os.path.join(DEMOS, "cubepoint.json")) as fh:
+        point = json.load(fh)
+    point["forest"] = point["forest"][:-1]  # "((1,(2,3)),4": truncated
+    path = tmp_path / "truncated.json"
+    path.write_text(json.dumps(point))
+    code, out, err = run_cli("map", "--which", "theta", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def _raise(exc):

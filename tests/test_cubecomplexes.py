@@ -37,6 +37,7 @@ from cactusflower.cubecomplexes import (
     vertex_link,
 )
 from cactusflower.forests import (
+    PlanarForestWithZeros,
     enumerate_planar_forests,
     enumerate_zero_forests,
     forest_from_newick,
@@ -132,6 +133,23 @@ def test_subdivision():
     assert sum(1 for z in sub.little[2] if zeros_to_planar(z) == big) == 4
     all_decorated = sum(1 for z in zf if not z.undecorated_edges())
     assert len(sub.little[0]) == all_decorated
+
+
+@pytest.mark.parametrize(
+    "build, counts",
+    [
+        (build_hatD, {0: 91, 1: 330, 2: 360, 3: 120}),
+        (build_D, {0: 171, 1: 474, 2: 420, 3: 120}),
+        (build_breveD, {0: 102, 1: 342, 2: 360, 3: 120}),
+    ],
+)
+def test_subdivision_counts_at_n4(build, counts):
+    sub = cubical_subdivision(build(4))
+    assert sub.counts() == counts
+    for k, cells in sub.little.items():
+        for z in cells:
+            assert isinstance(z, PlanarForestWithZeros)
+            assert len(z.undecorated_edges()) == k
 
 
 def test_extracted_presentations_match_generated():

@@ -10,6 +10,7 @@ from cactusflower.forests import (
     NoMeetError,
     PlanarForest,
     PlanarForestWithZeros,
+    _zero_forest,
     canon_forest,
     canon_tree_mod_flips,
     catalan,
@@ -25,7 +26,6 @@ from cactusflower.forests import (
     leafset,
     meet,
     total_order,
-    z_from_plain,
     zeros_to_bushy,
     zeros_to_planar,
     zforest_from_newick,
@@ -114,35 +114,33 @@ def test_serialization_roundtrip():
 def test_zero_forest_roundtrip_and_well_definedness():
     tree = ((1, (2, 3)), 4)
     dec = frozenset([frozenset({1, 2, 3})])
-    zf = PlanarForestWithZeros([z_from_plain(tree, dec)])
+    zf = PlanarForestWithZeros([tree], dec)
     assert zforest_from_newick(str(zf)) == zf
     # flipping at the decorated edge gives the same class, the same images
     rep2 = ((((3, 2), 1), 4))
-    zf2 = PlanarForestWithZeros([z_from_plain(rep2, dec)])
+    zf2 = PlanarForestWithZeros([rep2], dec)
     assert zf == zf2
     assert zeros_to_planar(zf) == zeros_to_planar(zf2)
     assert zeros_to_bushy(zf) == zeros_to_bushy(zf2)
     # flipping at an undecorated edge changes the class
     rep3 = ((1, (3, 2)), 4)
-    assert PlanarForestWithZeros([z_from_plain(rep3, dec)]) != zf
+    assert PlanarForestWithZeros([rep3], dec) != zf
 
 
 def test_zeros_to_bushy_examples():
     # no decorations: everything collapses to one vertex per tree
-    zf = PlanarForestWithZeros([z_from_plain(((1, (2, 3)), 4), frozenset())])
+    zf = PlanarForestWithZeros([((1, (2, 3)), 4)], frozenset())
     bushy = zeros_to_bushy(zf)
     assert bushy.trees == ((1, 2, 3, 4),)
     # decorating the edge below the (1,(2,3)) vertex keeps that vertex, the
     # rest merges into the root: a bushy tree with children {(1,2,3), 4}
-    zf = PlanarForestWithZeros(
-        [z_from_plain(((1, (2, 3)), 4), frozenset([frozenset({1, 2, 3})]))]
-    )
+    zf = PlanarForestWithZeros([((1, (2, 3)), 4)], [frozenset({1, 2, 3})])
     bushy = zeros_to_bushy(zf)
     assert bushy.trees == (((1, 2, 3), 4),)
     # a fully decorated binary tree maps to itself (up to vertex reversals)
     tree = ((1, 2), (3, 4))
     edges = frozenset(PlanarForest([tree]).edges())
-    zf = PlanarForestWithZeros([z_from_plain(tree, edges)])
+    zf = PlanarForestWithZeros([tree], edges)
     bushy = zeros_to_bushy(zf)
     assert bushy == BushyForest([(tree,)])
 
@@ -309,6 +307,142 @@ def test_forest_core_error_parity():
     for trees in ([(1,)], [(1, 2), 2], [(1, "a")], [(-1, 2)]):
         with pytest.raises(ValueError):
             PlanarForest(trees)
+
+
+@pytest.mark.parametrize(
+    "read, text, match",
+    [
+        (forest_from_newick, "((1,(2,3)),4", "expected ',' or '\\)' at 12"),  # truncated
+        (forest_from_newick, "((1,(2,3)),4)(", "trailing"),
+        (forest_from_newick, "(1(2,3))", "expected ',' or '\\)' at 2"),
+        (forest_from_newick, "((1,2):0,3)", "zero decoration"),
+        (zforest_from_newick, "((1,(2,3):0,4", "expected ',' or '\\)'"),
+        (zforest_from_newick, "(1):0", ">= 2 ordered children"),
+        (zforest_from_newick, "((1,2):0,(2,3))", "duplicate leaf labels"),
+    ],
+)
+def test_newick_errors_are_value_errors(read, text, match):
+    with pytest.raises(ValueError, match=match):
+        read(text)
+
+
+def test_zero_forest_validates_its_decorations():
+    with pytest.raises(ValueError):
+        PlanarForestWithZeros([((1, 2), 3)], [frozenset({1, 3})])
+    with pytest.raises(ValueError):
+        PlanarForestWithZeros([((1, 2), 3)], [frozenset({1})])
+    zf = zforest_from_newick("((1,2):0,3);(4,5):0")
+    assert zf.zeros == {frozenset({1, 2}), frozenset({4, 5})}
+    assert set(zf.decorated_edges()) == zf.zeros
+    assert zf.undecorated_edges() == [frozenset({1, 2, 3})]
+
+
+# ---------------------------------------------------------------------------
+# zero-forest canonical forms against the orbit search
+#
+# The reference encodes a vertex as ("z", flag, children), flag marking a
+# decorated edge, walks the whole orbit under flips at the decorated edges
+# breadth first and takes its minimum, as the zero-forests did before they
+# were canonicalised bottom-up.
+
+
+def _ref_z_from_plain(s, zeros):
+    if isinstance(s, int):
+        return s
+    flag = 1 if leafset(s) in zeros else 0
+    return ("z", flag, tuple(_ref_z_from_plain(c, zeros) for c in s))
+
+
+def _ref_z_leafset(s):
+    if isinstance(s, int):
+        return frozenset([s])
+    return frozenset().union(*(_ref_z_leafset(c) for c in s[2]))
+
+
+def _ref_z_mirror(s):
+    if isinstance(s, int):
+        return s
+    _, flag, kids = s
+    return ("z", flag, tuple(_ref_z_mirror(c) for c in reversed(kids)))
+
+
+def _ref_z_decorated(s):
+    if isinstance(s, int):
+        return
+    _, flag, kids = s
+    if flag:
+        yield _ref_z_leafset(s)
+    for c in kids:
+        yield from _ref_z_decorated(c)
+
+
+def _ref_z_flip_at(s, target):
+    if isinstance(s, int):
+        return s
+    _, flag, kids = s
+    if _ref_z_leafset(s) == target:
+        return _ref_z_mirror(s)
+    return ("z", flag, tuple(_ref_z_flip_at(c, target) for c in kids))
+
+
+def _ref_z_key(s):
+    if isinstance(s, int):
+        return (0, s)
+    _, flag, kids = s
+    return (1, flag, tuple(_ref_z_key(c) for c in kids))
+
+
+def _ref_z_canon_tree(t):
+    """Minimum of the orbit under flips at decorated edges."""
+    seen = {t}
+    frontier = [t]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for e in set(_ref_z_decorated(cur)):
+                v = _ref_z_flip_at(cur, e)
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return min(seen, key=_ref_z_key)
+
+
+def _ref_z_to_newick(s):
+    if isinstance(s, int):
+        return str(s)
+    _, flag, kids = s
+    body = "(" + ",".join(_ref_z_to_newick(c) for c in kids) + ")"
+    return body + ":0" if flag else body
+
+
+def _ref_zero_trees(kind, trees, zeros):
+    ts = [_ref_z_canon_tree(_ref_z_from_plain(t, zeros)) for t in trees]
+    if kind == "unordered":
+        ts.sort(key=_ref_z_key)
+    elif kind == "cyclic":
+        rots = [ts[i:] + ts[:i] for i in range(len(ts))]
+        ts = min(rots, key=lambda tt: tuple(_ref_z_key(t) for t in tt))
+    return tuple(ts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_zero_canon_matches_orbit_search(n):
+    for forest in _all_forests(n):
+        edges = forest.edges()
+        for r in range(len(edges) + 1):
+            for dec in itertools.combinations(edges, r):
+                zeros = frozenset(dec)
+                for kind in ("ordered", "unordered", "cyclic"):
+                    zf = _zero_forest(kind, forest.trees, zeros)
+                    want = _ref_zero_trees(kind, forest.trees, zeros)
+                    assert zf.zeros == zeros and _revalidates(zf.forest)
+                    got = tuple(_ref_z_from_plain(t, zeros) for t in zf.forest.trees)
+                    assert got == want
+                    assert str(zf) == ";".join(_ref_z_to_newick(t) for t in want)
+                    if kind == "unordered":
+                        assert PlanarForestWithZeros(forest.trees, zeros) == zf
+                        assert zforest_from_newick(str(zf)) == zf
 
 
 def test_top_cells_of_hatD_are_double_factorials():
