@@ -309,8 +309,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (pj.InvariantViolation, acc.RetriesExhausted) as exc:
-        # a verification failed partway: exit 1, as for a failed check
+    except (pj.InvariantViolation, pj.NotAMember, acc.RetriesExhausted) as exc:
+        # a verification failed partway, or its input is not a member of the
+        # family it needs: exit 1, as for a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError) as exc:

@@ -51,6 +51,11 @@ class InvariantViolation(RuntimeError):
     """A precondition certified impossible by the theory was hit anyway."""
 
 
+class NotAMember(ValueError):
+    """A computation defined on a family was given a point outside it; the
+    message carries the membership report."""
+
+
 # ---------------------------------------------------------------------------
 # points of the projective line
 
@@ -61,6 +66,11 @@ class ProjPoint:
 
     Finite values are stored as (x : 1), infinity as (1 : 0).  The equation
     evaluators (_eq_prod and the rest) depend on this: they read v as 1 or 0.
+
+    The constructor canonicalises any pair.  Code that already holds the
+    canonical parts uses ``ProjPoint._canonical(u, v)`` instead, which stores
+    them unchecked; its contract is that u is a Fraction (not an int) or a
+    GaussianRational with im != 0, and v is ONE, or v is ZERO with u ONE.
     """
 
     u: Scalar
@@ -76,6 +86,13 @@ class ProjPoint:
             u, v = ONE, ZERO
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
+
+    @staticmethod
+    def _canonical(u: Scalar, v: Scalar) -> "ProjPoint":
+        point = object.__new__(ProjPoint)
+        object.__setattr__(point, "u", u)
+        object.__setattr__(point, "v", v)
+        return point
 
     @staticmethod
     def finite(x) -> "ProjPoint":
@@ -297,33 +314,67 @@ class MembershipReport:
 # equation evaluators: each returns a scalar residual, zero iff satisfied.
 # The points are canonical (v is 1, or v is 0 and u is 1), so each evaluator
 # branches on which v vanish instead of multiplying by them; the residual is
-# the multihomogenized polynomial's value all the same.
+# the multihomogenized polynomial's value all the same.  When the finite
+# parts taking part (and epsilon) are all Fractions, the residual is
+# cross-multiplied over their numerators and denominators in int and built
+# as one Fraction, or ZERO when the integer numerator vanishes.  A Gaussian
+# rational anywhere (epsilon = i, say) takes the scalar arithmetic instead.
 
 
 def _eq_prod(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> Scalar:
     """a*b = c  homogenized as a1 b1 c2 = c1 a2 b2."""
     if not c.v:
         return -ONE if a.v and b.v else ZERO
-    return a.u * b.u - c.u if a.v and b.v else a.u * b.u
+    if not (a.v and b.v):
+        return a.u * b.u
+    au, bu, cu = a.u, b.u, c.u
+    if type(au) is type(bu) is type(cu) is Fraction:
+        ad, bd, cd = au.denominator, bu.denominator, cu.denominator
+        num = au.numerator * bu.numerator * cd - cu.numerator * ad * bd
+        return Fraction(num, ad * bd * cd) if num else ZERO
+    return au * bu - cu
 
 
 def _eq_prod_one(a: ProjPoint, b: ProjPoint) -> Scalar:
     """a*b = 1  homogenized as a1 b1 = a2 b2."""
-    return a.u * b.u - ONE if a.v and b.v else a.u * b.u
+    if not (a.v and b.v):
+        return a.u * b.u
+    au, bu = a.u, b.u
+    if type(au) is type(bu) is Fraction:
+        den = au.denominator * bu.denominator
+        num = au.numerator * bu.numerator - den
+        return Fraction(num, den) if num else ZERO
+    return au * bu - ONE
 
 
 def _eq_sum_const(a: ProjPoint, b: ProjPoint, c: Scalar) -> Scalar:
     """a + b = c with c an affine scalar: a1 b2 + b1 a2 = c a2 b2."""
-    if a.v and b.v:
-        return a.u + b.u - c
-    return ONE if a.v or b.v else ZERO
+    if not (a.v and b.v):
+        return ONE if a.v or b.v else ZERO
+    au, bu = a.u, b.u
+    if type(au) is type(bu) is type(c) is Fraction:
+        ad, bd, cd = au.denominator, bu.denominator, c.denominator
+        num = (au.numerator * bd + bu.numerator * ad) * cd - c.numerator * ad * bd
+        return Fraction(num, ad * bd * cd) if num else ZERO
+    return au + bu - c
 
 
 def _eq_triangle(x: ProjPoint, y: ProjPoint, z: ProjPoint, eps: Scalar) -> Scalar:
     """eps*z + x*y = z*y + x*z for (x, y, z) = (nu_ij, nu_jk, nu_ik),
     homogenized as eps z1 x2 y2 + x1 y1 z2 = z1 y1 x2 + x1 z1 y2."""
     if x.v and y.v:
-        return x.u * y.u - z.u * (x.u + y.u - eps) if z.v else eps - x.u - y.u
+        xu, yu, zu = x.u, y.u, z.u
+        if type(xu) is type(yu) is type(zu) is type(eps) is Fraction:
+            xn, xd, yn, yd = xu.numerator, xu.denominator, yu.numerator, yu.denominator
+            ed = eps.denominator
+            # x + y - eps over the denominator xd yd ed
+            s = (xn * yd + yn * xd) * ed - eps.numerator * xd * yd
+            if not z.v:  # eps - x - y
+                return Fraction(-s, xd * yd * ed) if s else ZERO
+            zd = zu.denominator
+            num = xn * yn * ed * zd - zu.numerator * s  # x y - z (x + y - eps)
+            return Fraction(num, xd * yd * ed * zd) if num else ZERO
+        return xu * yu - zu * (xu + yu - eps) if z.v else eps - xu - yu
     if x.v:  # y at infinity
         return x.u - z.u if z.v else -ONE
     if y.v:  # x at infinity
@@ -424,7 +475,7 @@ def classify_strata(point: NuTuple):
         raise ValueError("strata classification is for the epsilon = 0 fibre")
     rep = check_membership(VarietySpec("Flower", point.n), point)
     if not rep.ok:
-        raise ValueError(f"not a flower-space member:\n{rep}")
+        raise NotAMember(f"not a flower-space member:\n{rep}")
     n = point.n
     d = point.as_dict()
 

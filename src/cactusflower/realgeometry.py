@@ -46,9 +46,8 @@ from .projective import (
     PP_ZERO,
     ProjPoint,
     ordered_pairs,
-    ordered_triples,
 )
-from .scalars import ONE, ZERO, sqrt_fraction
+from .scalars import ONE, sqrt_fraction
 
 INF = "inf"
 NEG_INF = "-inf"
@@ -60,6 +59,8 @@ def ext_to_nu(delta) -> ProjPoint:
         return PP_ZERO
     if delta == 0:
         return PP_INF
+    if isinstance(delta, (int, Fraction)):  # the reciprocal swaps the parts
+        return ProjPoint._canonical(Fraction(delta.denominator, delta.numerator), ONE)
     return ProjPoint(1, delta)
 
 
@@ -95,7 +96,8 @@ class RationalDiffeo:
 
 
 def _default_func(t: Fraction) -> Fraction:
-    return t / (1 - t * t)
+    p, q = t.numerator, t.denominator
+    return Fraction(p * q, q * q - p * p)  # t/(1 - t^2) with t = p/q
 
 
 def _default_inv(y: Fraction) -> Optional[Fraction]:
@@ -160,6 +162,8 @@ class CubePoint:
     t: Tuple[Tuple[FrozenSet[int], Fraction], ...]
 
     def __init__(self, forest: PlanarForest, t: Dict[FrozenSet[int], Fraction]):
+        if not forest.n:
+            raise ValueError("a cube point needs a forest with at least one leaf")
         t = {frozenset(e): Fraction(v) for e, v in t.items()}
         edges = set(forest.edges())
         if set(t) != edges:
@@ -315,21 +319,35 @@ def b_map(tree, t: Dict[FrozenSet[int], Fraction], f: RationalDiffeo = DEFAULT_F
     if t[leafset(tree)] == 1:
         raise ValueError("the chart needs trunk value < 1")
     _, vertices, _, parent, _ = _tree_walk(tree)
-    below: list = []  # P per vertex; preorder puts each parent first
-    b = {}
-    for e, p in zip(vertices, parent):
+    return dict(zip(vertices, _b_values(parent, [t[e] for e in vertices], f)))
+
+
+def _b_values(parent, tv, f: RationalDiffeo):
+    """b_map on a walked tree: the t values and the b values are listed by
+    vertex in preorder, so each parent comes before its children."""
+    below: list = []  # P per vertex
+    b: list = []
+    for j, p in enumerate(parent):
         if p < 0:
             below.append(ONE)
-            b[e] = f(t[e])
+            b.append(f(tv[j]))
             continue
-        prod = below[p] * t[vertices[p]]
+        prod = below[p] * tv[p]
         below.append(prod)
-        b[e] = t[e] if prod == 0 else f(t[e] * prod) / f(prod)
+        b.append(tv[j] if prod == 0 else f(tv[j] * prod) / f(prod))
     return b
 
 
+def _ratio(num: int, den: int) -> ProjPoint:
+    if not den:
+        return PP_INF
+    if not num:
+        return PP_ZERO
+    return ProjPoint._canonical(Fraction(num, den), ONE)
+
+
 class _Chart:
-    """Precomputed evaluation data for one binary tree and one b-vector.
+    """Evaluation data for one walked tree and its b values (in preorder).
 
     The consecutive planar gaps z_r - z_{r+1} are monomials in the b values
     (the root path of the consecutive pair's meet); any pair difference is a
@@ -341,36 +359,87 @@ class _Chart:
     So each vertex c keeps the prefix sums of the gaps inside its span taken
     relative to c: a gap's relative value is the product of b over the edges
     on the path from its meet to c, c's own edge excluded, and it is 0
-    exactly when a zero edge survives the cancellation.  A ratio is then two differences of prefix
-    sums at c, with no division."""
+    exactly when a zero edge survives the cancellation.  The relative gaps
+    of c are scaled to one common denominator, the lcm of its children's,
+    so its prefix sums are ints.  A ratio is a quotient of two differences
+    of prefix sums at c, in which that denominator cancels: the three
+    differences of an unordered triple give all six of its ratios, each one
+    Fraction(int, int).  A distance is a difference of the root's prefix
+    sums times the root's b over the root's denominator."""
 
-    def __init__(self, tree, b: Dict[FrozenSet[int], Fraction]):
-        order, vertices, self.start, parent, self.owner = _tree_walk(tree)
-        self.pos = {lab: r for r, lab in enumerate(order)}
-        # relative gap values per vertex; a vertex's own gaps are 1, and a
-        # child's gaps enter its parent times the child's b
-        rel = [[ONE] * (len(v) - 1) for v in vertices]
-        for j in reversed(range(1, len(vertices))):  # children before parents
-            p, bj = parent[j], b[vertices[j]]
-            off = self.start[j] - self.start[p]
-            rel[p][off : off + len(rel[j])] = [bj * g for g in rel[j]]
-        self.rel_prefix = [list(accumulate(gaps, initial=ZERO)) for gaps in rel]
-        root = b[vertices[0]]
-        self.prefix = [root * s for s in self.rel_prefix[0]]
+    def __init__(self, walk, b):
+        self.order, vertices, self.start, parent, self.owner = walk
+        children: list = [[] for _ in vertices]
+        for j in range(1, len(vertices)):
+            children[parent[j]].append(j)
+        gaps: list = [None] * len(vertices)
+        den = [1] * len(vertices)
+        for j in reversed(range(len(vertices))):  # children before parents
+            d = math.lcm(*(b[c].denominator * den[c] for c in children[j]))
+            own = [d] * (len(vertices[j]) - 1)  # a vertex's own gaps are 1
+            for c in children[j]:
+                scale = b[c].numerator * (d // (b[c].denominator * den[c]))
+                off = self.start[c] - self.start[j]
+                own[off : off + len(gaps[c])] = [scale * g for g in gaps[c]]
+            gaps[j], den[j] = own, d
+        self.prefix = [list(accumulate(g, initial=0)) for g in gaps]
+        # delta = root_b * (prefix difference) / den[0] = num * diff / den
+        self.delta_num = b[0].numerator
+        self.delta_den = b[0].denominator * den[0]
 
-    def delta(self, a: int, c: int) -> Fraction:
-        return self.prefix[self.pos[c]] - self.prefix[self.pos[a]]
+    def delta(self) -> Dict[Tuple[int, int], Fraction]:
+        """delta_ac = z_a - z_c over every ordered pair."""
+        order, top, num, den = self.order, self.prefix[0], self.delta_num, self.delta_den
+        pos = {lab: r for r, lab in enumerate(order)}
+        labels = sorted(order)
+        return {
+            (a, c): Fraction(num * (top[pos[c]] - top[pos[a]]), den)
+            for a in labels
+            for c in labels
+            if a != c
+        }
 
-    def mu(self, i: int, j: int, k: int) -> ProjPoint:
-        pi, pj, pk = self.pos[i], self.pos[j], self.pos[k]
-        # the interval's meet: of the gap owners in it, the first in preorder
-        c = min(self.owner[min(pi, pj, pk) : max(pi, pj, pk)])
-        prefix, base = self.rel_prefix[c], self.start[c]
-        nv = prefix[pk - base] - prefix[pi - base]
-        dv = prefix[pj - base] - prefix[pi - base]
-        if nv == 0 and dv == 0:
-            raise ValueError("degenerate ratio outside the chart domain")
-        return ProjPoint(nv, dv)
+    def nu(self) -> Dict[Tuple[int, int], ProjPoint]:
+        """nu = 1/delta over every ordered pair, one division per unordered
+        pair: nu_ca = -nu_ac."""
+        order, top, num, den = self.order, self.prefix[0], self.delta_num, self.delta_den
+        nu = {}
+        for s in range(1, len(order)):
+            c = order[s]
+            for r in range(s):
+                a = order[r]
+                diff = num * (top[s] - top[r])
+                if diff:
+                    v = Fraction(den, diff)
+                    nu[(a, c)] = ProjPoint._canonical(v, ONE)
+                    nu[(c, a)] = ProjPoint._canonical(-v, ONE)
+                else:
+                    nu[(a, c)] = nu[(c, a)] = PP_INF
+        return nu
+
+    def mu(self) -> Dict[Tuple[int, int, int], ProjPoint]:
+        """mu_ijk = (z_i - z_k)/(z_i - z_j) over every ordered triple."""
+        order, owner, start, prefix = self.order, self.owner, self.start, self.prefix
+        mu = {}
+        for r0 in range(len(order) - 2):
+            lo, c = order[r0], owner[r0]
+            for r2 in range(r0 + 2, len(order)):
+                # the interval's meet: of the gap owners in it, the first in preorder
+                c = min(c, owner[r2 - 1])
+                sums, base = prefix[c], start[c]
+                x0, x2, hi = sums[r0 - base], sums[r2 - base], order[r2]
+                for r1 in range(r0 + 1, r2):
+                    x1, mid = sums[r1 - base], order[r1]
+                    near, far, rest = x1 - x0, x2 - x0, x2 - x1  # far = near + rest
+                    if not (near or rest):
+                        raise ValueError("degenerate ratio outside the chart domain")
+                    mu[(lo, mid, hi)] = _ratio(far, near)
+                    mu[(lo, hi, mid)] = _ratio(near, far)
+                    mu[(mid, lo, hi)] = _ratio(-rest, near)
+                    mu[(mid, hi, lo)] = _ratio(-near, rest)
+                    mu[(hi, lo, mid)] = _ratio(rest, far)
+                    mu[(hi, mid, lo)] = _ratio(far, rest)
+        return mu
 
 
 def chart_H(tree, b: Dict[FrozenSet[int], Fraction]):
@@ -381,15 +450,9 @@ def chart_H(tree, b: Dict[FrozenSet[int], Fraction]):
     the common positive monomial; a (0:0) ratio cannot arise on the chart
     domain because the factored denominator has constant term one.
     """
-    chart = _Chart(tree, b)
-    labels = sorted(leafset(tree))
-    delta = {}
-    for a in labels:
-        for c in labels:
-            if a != c:
-                delta[(a, c)] = chart.delta(a, c)
-    mu = {t: chart.mu(*t) for t in ordered_triples(labels)}
-    return delta, MuTuple(labels, mu)
+    walk = _tree_walk(tree)
+    chart = _Chart(walk, [b[e] for e in walk[1]])
+    return chart.delta(), MuTuple(walk[0], chart.mu())
 
 
 def chart_b(tree, zdiffs: Dict[tuple, Fraction]):
@@ -468,14 +531,12 @@ def theta(p: CubePoint, f: RationalDiffeo = DEFAULT_F) -> ThetaImage:
         if isinstance(tree, int):
             continue
         btree, added = binary_refinement(tree)
-        tt = {e: t[e] for e in PlanarForest([tree]).edges()}
-        for e in added:
-            tt[e] = Fraction(1)
-        b = b_map(btree, tt, f)
-        delta, mu = chart_H(btree, b)
-        for (a, c), val in delta.items():
-            nu[(a, c)] = ext_to_nu(val)
-        mus[part] = mu
+        walk = _tree_walk(btree)
+        # the added edges carry 1; the trunk is below 1 after the collapse
+        tv = [ONE if e in added else t[e] for e in walk[1]]
+        chart = _Chart(walk, _b_values(walk[3], tv, f))
+        nu.update(chart.nu())
+        mus[part] = MuTuple(part, chart.mu())
     s_part = SetPartition(parts)
     for (a, c) in ordered_pairs(range(1, n + 1)):
         if (a, c) not in nu:

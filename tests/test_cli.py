@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -146,6 +147,38 @@ def test_malformed_forest_is_a_usage_error(tmp_path):
     code, out, err = run_cli("map", "--which", "theta", "--in", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_empty_cube_point_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"forest": "", "t": {}}))
+    for which in ("theta", "gamma"):
+        assert main(["map", "--which", which, "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a cube point needs a forest with at least one leaf\n"
+
+
+def test_classify_nonmember_exits_1(tmp_path, capsys):
+    member = cli.pj.orbit_map({1: Fraction(0), 2: Fraction(1), 3: Fraction(3), 4: Fraction(7)},
+                              Fraction(0))
+    nu = member.as_dict()
+    nu[(1, 3)] = cli.pj.ProjPoint.finite(Fraction(5))
+    path = tmp_path / "perturbed.json"
+    path.write_text(cli.pj.point_to_json(cli.pj.NuTuple(4, nu, member.epsilon)))
+    assert main(["classify", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: not a flower-space member:\nNOT a member of Flower(n=4):\n  nu_antisym(1, 3)")
+    # a point off the epsilon = 0 fibre, bad JSON and a missing file stay usage errors
+    path.write_text(cli.pj.point_to_json(cli.pj.orbit_map({1: Fraction(0), 2: Fraction(2)},
+                                                          Fraction(1))))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    for target in (path, bad, tmp_path / "missing.json"):
+        assert main(["classify", "--in", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def _raise(exc):

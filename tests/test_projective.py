@@ -163,9 +163,11 @@ def test_residuals_match_homogenized_formulas():
     )
 
     pool = [PP_ZERO, PP_ONE, PP_INF, ProjPoint.finite(F(-3, 2)), ProjPoint.finite(F(5)),
-            ProjPoint.finite(GaussianRational(F(1), F(2))), ProjPoint.finite(I)]
+            ProjPoint.finite(GaussianRational(F(1), F(2))), ProjPoint.finite(I),
+            ProjPoint.finite(F(-123456789012345678901, 98765432109876543)),
+            ProjPoint(F(3**41 + 2), F(-(2**67) + 1)), ProjPoint.finite(F(-1, 10**18 + 9))]
     for a, b, c in itertools.product(pool, repeat=3):
-        for eps in (F(0), F(1), I):
+        for eps in (F(0), F(1), F(1, 3), I):
             pairs = [
                 (_eq_prod(a, b, c), a.u * b.u * c.v - c.u * a.v * b.v),
                 (_eq_prod_one(a, b), a.u * b.u - a.v * b.v),
@@ -176,6 +178,77 @@ def test_residuals_match_homogenized_formulas():
             ]
             for got, want in pairs:
                 assert got == want and format_scalar(got) == format_scalar(want), (a, b, c, eps)
+
+
+# The equation evaluators as they were before the integer fast path, in
+# scalar arithmetic throughout.
+
+
+def _ref_eq_prod(a, b, c):
+    if not c.v:
+        return -ONE if a.v and b.v else ZERO
+    return a.u * b.u - c.u if a.v and b.v else a.u * b.u
+
+
+def _ref_eq_prod_one(a, b):
+    return a.u * b.u - ONE if a.v and b.v else a.u * b.u
+
+
+def _ref_eq_sum_const(a, b, c):
+    if a.v and b.v:
+        return a.u + b.u - c
+    return ONE if a.v or b.v else ZERO
+
+
+def _ref_eq_triangle(x, y, z, eps):
+    if x.v and y.v:
+        return x.u * y.u - z.u * (x.u + y.u - eps) if z.v else eps - x.u - y.u
+    if x.v:
+        return x.u - z.u if z.v else -ONE
+    if y.v:
+        return y.u - z.u if z.v else -ONE
+    return ONE if z.v else ZERO
+
+
+def _perturbed(point, key, value):
+    d = point.as_dict()
+    d[key] = ProjPoint.finite(value)
+    if isinstance(point, MuTuple):
+        return MuTuple(point.labels, d)
+    return NuTuple(point.n, d, point.epsilon)
+
+
+def _nonmembers():
+    xs = {1: F(-7, 3), 2: F(0), 3: F(5, 2), 4: F(11), 5: F(-1, 9)}
+    big = F(-10**15 - 3, 7**9)
+    q0, qi = q_member(xs, F(0), 5), q_member(xs, I, 5)
+    return [
+        ("LosevManin", _perturbed(losev_manin_iso(orbit_map(xs, F(1, 3))), (2, 4), big)),
+        ("Flower", _perturbed(orbit_map(xs, F(0)), (1, 3), big)),
+        ("DeformedFlower", _perturbed(orbit_map(xs, F(1)), (3, 5), F(2, 3))),
+        ("DeligneMumford", _perturbed(cross_ratios(xs), (1, 2, 4), big)),
+        ("MauWoodward", QTuple(5, q0.nu, _perturbed(q0.mu, (2, 3, 5), F(-4)), F(0))),
+        ("DeformedMauWoodward", QTuple(5, _perturbed(qi.nu, (4, 1), big), qi.mu, I)),
+    ]
+
+
+def test_membership_reports_match_scalar_evaluators(monkeypatch):
+    # one perturbed non-member of each family: the report, residuals
+    # included, is the one the scalar evaluators give
+    import cactusflower.projective as pj
+
+    got = []
+    for tag, point in _nonmembers():
+        rep = check_membership(VarietySpec(tag, 5), point)
+        assert not rep.ok
+        got.append((str(rep), repr(rep.violations)))
+    for name in ("_eq_prod", "_eq_prod_one", "_eq_sum_const", "_eq_triangle"):
+        monkeypatch.setattr(pj, name, globals()["_ref" + name])
+    want = [
+        (str(rep), repr(rep.violations))
+        for rep in (check_membership(VarietySpec(tag, 5), point) for tag, point in _nonmembers())
+    ]
+    assert got == want
 
 
 def test_classify_strata_examples():

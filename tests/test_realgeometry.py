@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cactusflower.combinatorics import Permutation
+from cactusflower.combinatorics import Permutation, SetPartition
 from cactusflower.forests import (
     PlanarForest,
     binary_refinement,
@@ -21,18 +21,26 @@ from cactusflower.forests import (
     random_binary_tree,
 )
 from cactusflower.projective import (
+    PP_ZERO,
+    MuTuple,
+    NuTuple,
     ProjPoint,
     VarietySpec,
     chart_membership,
     check_membership,
+    ordered_pairs,
     ordered_triples,
 )
 from cactusflower.realgeometry import (
     DEFAULT_F,
     INF,
+    NEG_INF,
     CubePoint,
     PathPoint,
+    RationalDiffeo,
     StarPoint,
+    ThetaImage,
+    _tree_walk,
     affine_cactus_path,
     b_map,
     chart_H,
@@ -294,6 +302,133 @@ def test_equal_b_values_give_equal_spacing():
     delta, mu = chart_H(tree, b)
     assert delta[(1, 2)] == delta[(2, 3)] == delta[(3, 4)] == F(1)
     assert mu[(1, 2, 3)] == F(2)
+
+
+# theta as it was before the integer charts: Fraction prefix sums per
+# vertex, one ratio per ordered triple and one reciprocal per ordered pair,
+# each made by the canonicalising ProjPoint constructor.  b comes from
+# _ref_b_map above, with f evaluated by Fraction division.
+
+_REF_F = RationalDiffeo("t/(1-t^2)", lambda t: t / (1 - t * t), DEFAULT_F.inv)
+
+
+def _ref_ext_to_nu(delta):
+    if delta in (INF, NEG_INF):
+        return PP_ZERO
+    if delta == 0:
+        return ProjPoint(1, 0)
+    return ProjPoint(1, delta)
+
+
+class _RefChart:
+    def __init__(self, tree, b):
+        order, vertices, self.start, parent, self.owner = _tree_walk(tree)
+        self.pos = {lab: r for r, lab in enumerate(order)}
+        rel = [[F(1)] * (len(v) - 1) for v in vertices]
+        for j in reversed(range(1, len(vertices))):
+            p, bj = parent[j], b[vertices[j]]
+            off = self.start[j] - self.start[p]
+            rel[p][off : off + len(rel[j])] = [bj * g for g in rel[j]]
+        self.rel_prefix = [list(itertools.accumulate(gaps, initial=F(0))) for gaps in rel]
+        root = b[vertices[0]]
+        self.prefix = [root * s for s in self.rel_prefix[0]]
+
+    def delta(self, a, c):
+        return self.prefix[self.pos[c]] - self.prefix[self.pos[a]]
+
+    def mu(self, i, j, k):
+        pi, pj, pk = self.pos[i], self.pos[j], self.pos[k]
+        c = min(self.owner[min(pi, pj, pk) : max(pi, pj, pk)])
+        prefix, base = self.rel_prefix[c], self.start[c]
+        nv = prefix[pk - base] - prefix[pi - base]
+        dv = prefix[pj - base] - prefix[pi - base]
+        if nv == 0 and dv == 0:
+            raise ValueError("degenerate ratio outside the chart domain")
+        return ProjPoint(nv, dv)
+
+
+def _ref_theta(p):
+    forest, t = p.forest, p.t_dict()
+    changed = True
+    while changed:
+        changed = False
+        for tree in forest.trees:
+            if not isinstance(tree, int) and t.get(leafset(tree)) == 1:
+                forest = collapse(forest, leafset(tree))
+                del t[leafset(tree)]
+                changed = True
+                break
+    parts, nu, mus = [], {}, {}
+    for tree in forest.trees:
+        part = leafset(tree) if not isinstance(tree, int) else frozenset([tree])
+        parts.append(part)
+        if isinstance(tree, int):
+            continue
+        btree, added = binary_refinement(tree)
+        tt = {e: t[e] for e in PlanarForest([tree]).edges()}
+        tt.update({e: F(1) for e in added})
+        chart = _RefChart(btree, _ref_b_map(btree, tt, _REF_F))
+        labels = sorted(part)
+        for a in labels:
+            for c in labels:
+                if a != c:
+                    nu[(a, c)] = _ref_ext_to_nu(chart.delta(a, c))
+        mus[part] = MuTuple(labels, {x: chart.mu(*x) for x in ordered_triples(labels)})
+    n = p.forest.n
+    for ac in ordered_pairs(range(1, n + 1)):
+        nu.setdefault(ac, PP_ZERO)
+    return ThetaImage(
+        SetPartition(parts), NuTuple(n, nu, None),
+        tuple(sorted(mus.items(), key=lambda kv: min(kv[0]))),
+    )
+
+
+def _assert_theta_matches_reference(p):
+    image = theta(p)
+    # repr tells an int from a Fraction and an unreduced pair from a reduced one
+    assert repr(image) == repr(_ref_theta(p))
+    points = [v for _, v in image.nu.nu] + [v for _, mu in image.mus for _, v in mu.mu]
+    for point in points:
+        assert type(point.u) is F and type(point.v) is F, repr(point)
+        assert point.v == 1 or (point.v == 0 and point.u == 1), repr(point)
+
+
+def test_theta_matches_reference_on_small_forests():
+    # on [4], each edge of every forest at 0, at 1 and at a seeded value;
+    # on [5], every forest once, each edge at 0, 1 or a seeded value
+    rng = random.Random(14)
+    for n in (4, 5):
+        for k in range(1, n):
+            for forest in enumerate_planar_forests(n, k):
+                edges = forest.edges()
+                if n == 4:
+                    pins = [{e: v} for e in edges for v in (F(0), F(1), F(rng.randrange(17), 16))]
+                else:
+                    pins = [{}]
+                for pin in pins:
+                    t = {e: rng.choice((F(0), F(1), F(rng.randrange(17), 16))) for e in edges}
+                    t.update(pin)
+                    _assert_theta_matches_reference(CubePoint(forest, t))
+
+
+def test_theta_matches_reference_on_seeded_binary_trees():
+    rng = random.Random(15)
+    for n in range(5, 11):
+        for _ in range(8):
+            forest = PlanarForest([random_binary_tree(range(1, n + 1), rng)])
+            # about one value in four is zero, the trunk included
+            t = {e: F(max(rng.randrange(-4, 16), 0), 16) for e in forest.edges()}
+            _assert_theta_matches_reference(CubePoint(forest, t))
+
+
+def test_degenerate_ratio_is_refused():
+    # b = 0 on (1, 2) and b = -1 on (3, 4): z_1 = z_2 = z_4, a (0 : 0) ratio
+    tree = ((1, 2), (3, 4))
+    b = {frozenset({1, 2, 3, 4}): F(1), frozenset({1, 2}): F(0), frozenset({3, 4}): F(-1)}
+    with pytest.raises(ValueError, match="degenerate ratio"):
+        _RefChart(tree, b).mu(1, 2, 4)
+    with pytest.raises(ValueError, match="degenerate ratio outside the chart domain"):
+        chart_H(tree, b)
 
 
 def test_theta_running_example_and_commuting_square():
