@@ -78,12 +78,14 @@ class RationalDiffeo:
     inv: Callable[[Fraction], Optional[Fraction]]
 
     def __call__(self, t: Fraction):
-        t = Fraction(t)
-        if not -1 <= t <= 1:
+        if type(t) is not Fraction:
+            t = Fraction(t)
+        p, q = t.numerator, t.denominator  # q > 0
+        if not -q <= p <= q:
             raise ValueError(f"argument {t} outside [-1, 1]")
-        if t == 1:
+        if p == q:
             return INF
-        if t == -1:
+        if p == -q:
             return NEG_INF
         return self.func(t)
 
@@ -162,9 +164,9 @@ class CubePoint:
     t: Tuple[Tuple[FrozenSet[int], Fraction], ...]
 
     def __init__(self, forest: PlanarForest, t: Dict[FrozenSet[int], Fraction]):
-        if not forest.n:
+        if not forest.trees:  # every tree has a leaf
             raise ValueError("a cube point needs a forest with at least one leaf")
-        t = {frozenset(e): Fraction(v) for e, v in t.items()}
+        t = {frozenset(e): v if type(v) is Fraction else Fraction(v) for e, v in t.items()}
         edges = set(forest.edges())
         if set(t) != edges:
             raise ValueError("t must assign a value to every internal edge")
@@ -524,7 +526,6 @@ def theta(p: CubePoint, f: RationalDiffeo = DEFAULT_F) -> ThetaImage:
     parts = []
     nu: Dict[tuple, ProjPoint] = {}
     mus = {}
-    n = p.forest.n
     for tree in forest.trees:
         part = leafset(tree) if not isinstance(tree, int) else frozenset([tree])
         parts.append(part)
@@ -538,6 +539,7 @@ def theta(p: CubePoint, f: RationalDiffeo = DEFAULT_F) -> ThetaImage:
         nu.update(chart.nu())
         mus[part] = MuTuple(part, chart.mu())
     s_part = SetPartition(parts)
+    n = sum(map(len, parts))
     for (a, c) in ordered_pairs(range(1, n + 1)):
         if (a, c) not in nu:
             nu[(a, c)] = PP_ZERO  # infinite distance across trees
