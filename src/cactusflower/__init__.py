@@ -7,7 +7,6 @@ from .combinatorics import (
     CyclicInterval,
     CyclicSetPartition,
     ExtAffinePermutation,
-    OrderedSetPartition,
     Permutation,
     SetPartition,
     affine_decompose,

@@ -118,47 +118,54 @@ def refines(b: SetPartition, s: SetPartition) -> bool:
     return all(blk <= s.block_of(min(blk)) for blk in b.blocks)
 
 
-def all_set_partitions(n: int) -> list[SetPartition]:
-    """All set partitions of {1..n}, by the restricted-growth recursion."""
+def set_partitions(items: Iterable[int]):
+    """Yield the set partitions of the items by the restricted-growth
+    recursion: each as a tuple of blocks, each block a sorted tuple, the
+    blocks ordered by their smallest item.
 
-    def rec(k: int, blocks: list[list[int]]):
-        if k > n:
-            yield SetPartition([list(b) for b in blocks])
+    >>> list(set_partitions([1, 2, 3]))
+    [((1, 2, 3),), ((1, 2), (3,)), ((1, 3), (2,)), ((1,), (2, 3)), ((1,), (2,), (3,))]
+    """
+    items = sorted(items)
+    blocks: list[list[int]] = []
+
+    def rec(i: int):
+        if i == len(items):
+            yield tuple(tuple(b) for b in blocks)
             return
         for b in blocks:
-            b.append(k)
-            yield from rec(k + 1, blocks)
+            b.append(items[i])
+            yield from rec(i + 1)
             b.pop()
-        blocks.append([k])
-        yield from rec(k + 1, blocks)
+        blocks.append([items[i]])
+        yield from rec(i + 1)
         blocks.pop()
 
-    return list(rec(1, []))
+    return rec(0)
 
 
-@dataclass(frozen=True)
-class OrderedSetPartition:
-    """A sequence of nonempty disjoint blocks covering the ground set."""
+def all_set_partitions(n: int) -> list[SetPartition]:
+    """All set partitions of {1..n}, in set_partitions order."""
+    return [SetPartition(p) for p in set_partitions(range(1, n + 1))]
 
-    parts: Tuple[FrozenSet[int], ...]
 
-    def __init__(self, parts: Iterable[Iterable[int]]):
-        ps = tuple(frozenset(p) for p in parts)
-        if any(not p for p in ps):
-            raise ValueError("empty part")
-        all_elems = [x for p in ps for x in p]
-        if len(all_elems) != len(set(all_elems)):
-            raise ValueError("parts are not disjoint")
-        object.__setattr__(self, "parts", ps)
+def arrangements(kind: str, items: Sequence):
+    """The orders of the items that a complex kind tells apart: every order
+    ("ordered"), the first item fixed and the rest in every order
+    ("cyclic", one order per rotation class), or the items as given
+    ("unordered").
 
-    def forget_order(self) -> SetPartition:
-        return SetPartition(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
+    >>> [len(list(arrangements(kind, "abcd"))) for kind in ("ordered", "cyclic", "unordered")]
+    [24, 6, 1]
+    """
+    items = tuple(items)
+    if kind == "ordered":
+        return itertools.permutations(items)
+    if kind == "cyclic":
+        return (items[:1] + rest for rest in itertools.permutations(items[1:]))
+    if kind == "unordered":
+        return (items,)
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -172,8 +179,6 @@ class CyclicSetPartition:
     parts: Tuple[FrozenSet[int], ...]
 
     def __init__(self, parts):
-        if isinstance(parts, OrderedSetPartition):
-            parts = parts.parts
         ps = [frozenset(p) for p in parts]
         if any(not p for p in ps):
             raise ValueError("empty part")

@@ -40,7 +40,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from .combinatorics import CyclicSetPartition, Permutation, SetPartition
+from .combinatorics import CyclicSetPartition, Permutation, SetPartition, arrangements, set_partitions
 from .forests import (
     PlanarForest,
     _decorations,
@@ -63,10 +63,6 @@ P_KINDS = {"P": "ordered", "hatP": "unordered", "breveP": "cyclic"}
 
 # ---------------------------------------------------------------------------
 # the forest cube complexes
-
-
-def _canon_sub(kind: str, f: PlanarForest) -> PlanarForest:
-    return canon_forest(D_KINDS[kind], f, mod_flips=False)
 
 
 def _canon_big(kind: str, f: PlanarForest) -> PlanarForest:
@@ -106,7 +102,7 @@ class CubeComplex:
     # --- cube-complex structure -------------------------------------------
 
     def canon_sub(self, f: PlanarForest) -> PlanarForest:
-        return _canon_sub(self.kind, f)
+        return canon_forest(D_KINDS[self.kind], f, mod_flips=False)
 
     def canon_big(self, f: PlanarForest) -> PlanarForest:
         return _canon_big(self.kind, f)
@@ -130,17 +126,19 @@ def build_complex(kind: str, n: int) -> CubeComplex:
             raise ValueError("need n >= 2")
         c = CubeComplex(kind, n)
         for k in range(n):
-            subs = {_canon_sub(kind, f) for f in planar_forests(n, k)}
-            bigs = {_canon_big(kind, f) for f in subs}
+            subs = set(planar_forests(n, k, D_KINDS[kind]))
             c.subcubes[k] = subs
-            c.bigcubes[k] = bigs
+            c.bigcubes[k] = {_canon_big(kind, f) for f in subs}
         return c
     if kind in P_KINDS:
         c = CubeComplex(kind, n)
+        partitions = list(set_partitions(range(1, n + 1)))
         for k in range(n):
             c.cells[k] = {
                 _canon_p_cell(kind, parts)
-                for parts in _ordered_set_partitions(n, n - k)
+                for blocks in partitions
+                if len(blocks) == n - k
+                for parts in arrangements(P_KINDS[kind], blocks)
             }
         return c
     raise ValueError(f"unknown complex kind {kind!r}")
@@ -170,33 +168,9 @@ def build_breveP(n: int) -> CubeComplex:
     return build_complex("breveP", n)
 
 
-def _ordered_set_partitions(n: int, parts: int):
-    """Ordered set partitions of [n] with the given number of parts."""
-    items = list(range(1, n + 1))
-
-    def rec(rest, blocks):
-        if not rest:
-            if len(blocks) == parts:
-                yield tuple(frozenset(b) for b in blocks)
-            return
-        if len(blocks) > parts:
-            return
-        x = rest[0]
-        for b in blocks:
-            b.append(x)
-            yield from rec(rest[1:], blocks)
-            b.pop()
-        for pos in range(len(blocks) + 1):
-            blocks.insert(pos, [x])
-            yield from rec(rest[1:], blocks)
-            blocks.pop(pos)
-
-    yield from rec(items, [])
-
-
-def _canon_p_cell(kind: str, parts: Tuple[FrozenSet[int], ...]):
+def _canon_p_cell(kind: str, parts: Tuple[Tuple[int, ...], ...]):
     if kind == "P":
-        return tuple(parts)
+        return tuple(frozenset(p) for p in parts)
     if kind == "hatP":
         return SetPartition(parts)
     if kind == "breveP":
@@ -229,9 +203,6 @@ class VertexLink:
     vertex: PlanarForest
     vertices: Tuple[PlanarForest, ...]
     simplices: FrozenSet[FrozenSet]
-
-    def is_simplex(self, verts) -> bool:
-        return frozenset(forest_key(v) for v in verts) in self.simplices
 
 
 def vertex_link(c: CubeComplex, vertex: PlanarForest) -> VertexLink:

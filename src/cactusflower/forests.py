@@ -8,6 +8,9 @@ and an upper vertex is identified by the frozenset of leaf labels above it
 (distinct vertices of a forest always carry distinct leaf sets, so this gives
 stable edge ids that survive flips and collapses of other edges).
 
+Forests are enumerated from set partitions of the labels: one planar tree
+per block, then the trees arranged in every order a complex kind tells apart.
+
 Flipping at an edge mirrors the whole subtree above it.  Collapsing a
 non-trunk edge splices the children into the parent; collapsing a trunk
 splits the tree into the consecutive sequence of its top-level subtrees.
@@ -40,11 +43,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 from typing import FrozenSet, Iterable, Sequence, Tuple, Union
 
-from .combinatorics import Permutation
+from .combinatorics import Permutation, arrangements, set_partitions
 
 Subtree = Union[int, tuple]
 
@@ -351,28 +353,6 @@ def path_edges(forest: PlanarForest, vertex: FrozenSet[int]) -> list[FrozenSet[i
 # enumeration
 
 
-def _unordered_partitions(items: Tuple[int, ...]):
-    """Set partitions of the items, each as a tuple of sorted tuples."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for sub in _unordered_partitions(rest):
-        # put `first` in its own block
-        yield ((first,),) + sub
-        # or into an existing block
-        for i in range(len(sub)):
-            yield sub[:i] + ((first,) + sub[i],) + sub[i + 1 :]
-
-
-def _ordered_partitions(items: Tuple[int, ...], min_parts: int, max_parts: int):
-    """Ordered sequences of disjoint nonempty parts covering the items, each
-    part a sorted tuple."""
-    for blocks in _unordered_partitions(items):
-        if min_parts <= len(blocks) <= max_parts:
-            yield from itertools.permutations(blocks)
-
-
 def _edge_splits(total: int, parts: Sequence[tuple]):
     """The ways to give each part a number of internal edges, summing to
     total, in lexicographic order: a tree on s >= 2 leaves has between 1 and
@@ -388,39 +368,66 @@ def _edge_splits(total: int, parts: Sequence[tuple]):
             yield (first,) + rest
 
 
-def _combos(parts: Sequence[tuple], k: int):
-    """Tuples of planar trees, one on each part, with k internal edges in all."""
-    for split in _edge_splits(k, parts):
-        yield from itertools.product(*[_trees_on(p, e) for p, e in zip(parts, split)])
+def _leftmost(s: Subtree) -> tuple:
+    """(depth, label) of the leftmost leaf of a subtree.  On subtrees with
+    disjoint leaf sets this is the order of _subtree_key: two keys first
+    differ on the leftmost path, where a leaf (0, label) sorts before a
+    vertex (1, ...) and two leaves by label."""
+    depth = 0
+    while not isinstance(s, int):
+        s = s[0]
+        depth += 1
+    return depth, s
 
 
-@lru_cache(maxsize=None)
-def _trees_on(labels: Tuple[int, ...], k: int) -> Tuple[Subtree, ...]:
-    """All planar trees on the given sorted labels with exactly k internal
-    edges."""
-    if len(labels) == 1:
-        return (labels[0],) if k == 0 else ()
-    # the trunk is one edge; the root's children share the other k - 1
-    return tuple(
-        combo
-        for parts in _ordered_partitions(labels, 2, len(labels) - k + 1)
-        for combo in _combos(parts, k - 1)
-    )
+def _forests_on(labels: tuple, k: int, kind: str, min_trees: int, memo: dict):
+    """Yield the forests on the sorted labels with k internal edges and at
+    least min_trees trees, as tuples of trees, one per class of the kind in
+    canon_forest(kind, f, False) form.
+
+    Each comes from a set partition of the labels, one tree per block, the
+    trees sorted in _subtree_key order (by _leftmost) and then arranged: the
+    keys are distinct, so for "cyclic" the smallest tree first is _arrange's
+    minimal rotation.
+    """
+    # a forest of m trees on s leaves has at most s - m internal edges
+    for blocks in set_partitions(labels):
+        if min_trees <= len(blocks) <= len(labels) - k:
+            for split in _edge_splits(k, blocks):
+                choices = [_planar_trees(b, e, memo) for b, e in zip(blocks, split)]
+                for trees in itertools.product(*choices):
+                    yield from arrangements(kind, sorted(trees, key=_leftmost))
 
 
-def enumerate_planar_trees(labels: Sequence[int], k: int) -> list[Subtree]:
-    return list(_trees_on(tuple(sorted(labels)), k))
+def _planar_trees(labels: tuple, k: int, memo: dict) -> list:
+    """The planar trees on the sorted labels with exactly k internal edges,
+    kept in memo."""
+    trees = memo.get((labels, k))
+    if trees is None:
+        if len(labels) == 1:
+            trees = [labels[0]] if k == 0 else []
+        else:
+            # the trunk is one edge; the root's ordered children share the rest
+            trees = list(_forests_on(labels, k - 1, "ordered", 2, memo))
+        memo[labels, k] = trees
+    return trees
 
 
-def planar_forests(n: int, k: int):
-    """Yield the planar forests labelled by [n] with exactly k internal
-    edges, in generation order (enumerate_planar_forests sorts them)."""
+def planar_forests(n: int, k: int, kind: str):
+    """Yield each planar forest on [n] with exactly k internal edges once,
+    up to the tree order of a complex kind, in canon_forest(kind, f, False)
+    form.
+
+    The sub-cubes of D_3, breveD_3 and hatD_3 per dimension:
+
+    >>> [[len(list(planar_forests(3, k, kind))) for k in range(3)]
+    ...  for kind in ("ordered", "cyclic", "unordered")]
+    [[6, 18, 12], [2, 12, 12], [1, 12, 12]]
+    """
     if not 0 <= k <= max(n - 1, 0):
         raise ValueError("need 0 <= k <= n-1")
-    # a forest of m trees on n leaves has at most n - m internal edges
-    for parts in _ordered_partitions(tuple(range(1, n + 1)), 1, n - k):
-        for combo in _combos(parts, k):
-            yield _forest(combo)
+    for trees in _forests_on(tuple(range(1, n + 1)), k, kind, 1, {}):
+        yield _forest(trees)
 
 
 def enumerate_planar_forests(n: int, k: int) -> list[PlanarForest]:
@@ -429,7 +436,7 @@ def enumerate_planar_forests(n: int, k: int) -> list[PlanarForest]:
     >>> [len(enumerate_planar_forests(3, k)) for k in range(3)]
     [6, 18, 12]
     """
-    return sorted(planar_forests(n, k), key=forest_key)
+    return sorted(planar_forests(n, k, "ordered"), key=forest_key)
 
 
 def catalan(n: int) -> int:
@@ -722,12 +729,13 @@ class BushyForest:
         for t in trees:
             if not isinstance(t, tuple) or len(t) < 1:
                 raise ValueError("a bushy tree is a nonempty tuple of subtrees")
-            ts.append(tuple(canon_tree_mod_flips(c) for c in t))
-        ts.sort(key=lambda t: tuple(_subtree_key(c) for c in t))
-        labels = [x for t in ts for c in t for x in leaves(c)]
+            forms, keys = zip(*[_flip_canon(c) for c in t])
+            ts.append((forms, keys))
+        ts.sort(key=itemgetter(1))
+        labels = [x for t, _ in ts for c in t for x in leaves(c)]
         if len(labels) != len(set(labels)):
             raise ValueError("duplicate leaf labels")
-        object.__setattr__(self, "trees", tuple(ts))
+        object.__setattr__(self, "trees", tuple(t for t, _ in ts))
 
     @property
     def labels(self) -> FrozenSet[int]:

@@ -316,11 +316,6 @@ def _sym_word(tag: str, w: Permutation) -> Word:
     return tuple((tag, k) for k in _transposition_word(w))
 
 
-def ac_rotate_generator(i: int, j: int, n: int) -> tuple[int, int]:
-    """The rotation action r . s_ij = s_{i+1, j+1} (indices mod n)."""
-    return shift_pair(i, j, 1, n)
-
-
 # ---------------------------------------------------------------------------
 # evaluation into solvable targets
 
@@ -909,15 +904,6 @@ def generators_of(code: str, n: int) -> list[Letter]:
     if code == "vS":
         return [("a", k) for k in range(1, n)] + [("b", k) for k in range(1, n)]
     raise ValueError(code)
-
-
-def _as_word(img) -> Word:
-    return img if isinstance(img, tuple) and (not img or isinstance(img[0], tuple)) else None
-
-
-def push_word(word: Word, arrow: tuple[str, str], n: int) -> Word:
-    """Map a word through an arrow whose target is a presentation."""
-    return hom(arrow, n).map_word(word)
 
 
 def evaluate_word(code: str, word: Word, n: int):

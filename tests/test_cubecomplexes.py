@@ -5,7 +5,14 @@ from dataclasses import dataclass
 
 import pytest
 
-from cactusflower.combinatorics import Permutation, SetPartition, all_permutations, all_set_partitions
+from cactusflower.combinatorics import (
+    Permutation,
+    SetPartition,
+    all_permutations,
+    all_set_partitions,
+    arrangements,
+    set_partitions,
+)
 from cactusflower.cubecomplexes import (
     D_KINDS,
     CombinatorialMap,
@@ -13,7 +20,6 @@ from cactusflower.cubecomplexes import (
     VertexLink,
     _faces,
     _link_keys,
-    _ordered_set_partitions,
     build_complex,
     build_breveD,
     build_breveP,
@@ -61,7 +67,12 @@ def test_ordered_set_partitions_count_and_no_duplicates():
     for n in range(1, 7):
         unordered = all_set_partitions(n)
         for k in range(1, n + 1):
-            ordered = list(_ordered_set_partitions(n, k))
+            ordered = [
+                parts
+                for blocks in set_partitions(range(1, n + 1))
+                if len(blocks) == k
+                for parts in arrangements("ordered", blocks)
+            ]
             stirling = sum(1 for p in unordered if len(p) == k)
             assert len(ordered) == math.factorial(k) * stirling
             assert len(set(ordered)) == len(ordered)

@@ -25,6 +25,7 @@ from cactusflower.forests import (
     forest_to_newick,
     leafset,
     meet,
+    planar_forests,
     total_order,
     zeros_to_bushy,
     zeros_to_planar,
@@ -102,6 +103,27 @@ def test_enumeration_counts():
         assert len(binary) == math.factorial(n) * catalan(n - 1)
     with pytest.raises(ValueError):
         enumerate_planar_forests(3, 3)
+
+
+# distinct sub-cubes of D_n, breveD_n and hatD_n, pinned in perfbench/complexes.py
+SUBCUBE_TOTALS = {
+    3: {"ordered": 36, "cyclic": 26, "unordered": 25},
+    5: {"ordered": 10800, "cyclic": 7704, "unordered": 7341},
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_planar_forests_yield_each_canonical_form_once(n):
+    totals = dict.fromkeys(("ordered", "cyclic", "unordered"), 0)
+    for k in range(n):
+        ordered = enumerate_planar_forests(n, k)
+        for kind in totals:
+            got = list(planar_forests(n, k, kind))
+            assert len(set(got)) == len(got)
+            assert set(got) == {canon_forest(kind, f, False) for f in ordered}
+            totals[kind] += len(got)
+    if n in SUBCUBE_TOTALS:
+        assert totals == SUBCUBE_TOTALS[n]
 
 
 def test_serialization_roundtrip():
