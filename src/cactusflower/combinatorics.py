@@ -224,20 +224,25 @@ class CyclicInterval:
         return x in self.elements()
 
     def __len__(self):
-        return len(self.elements())
+        return (self.j - self.i) % self.n + 1
 
     def as_set(self) -> FrozenSet[int]:
         return frozenset(self.elements())
 
     def is_subinterval_of(self, other: "CyclicInterval") -> bool:
-        """Order-preserving containment: [3,1] is not inside [1,3]."""
+        """Order-preserving containment: [3,1] is not inside [1,3].
+
+        self starts (self.i - other.i) mod n steps into other and must end
+        inside it.
+
+        >>> CyclicInterval(3, 1, 4).is_subinterval_of(CyclicInterval(2, 1, 4))
+        True
+        >>> CyclicInterval(3, 1, 3).is_subinterval_of(CyclicInterval(1, 3, 3))
+        False
+        """
         if self.n != other.n:
             raise ValueError("different ambient cyclic orders")
-        inner, outer = self.elements(), other.elements()
-        if not set(inner) <= set(outer):
-            return False
-        pos = [outer.index(x) for x in inner]
-        return all(b == a + 1 for a, b in zip(pos, pos[1:]))
+        return (self.i - other.i) % self.n + len(self) <= len(other)
 
     def is_standard(self) -> bool:
         return self.i < self.j
@@ -269,7 +274,8 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.n != other.n:
             raise ValueError("size mismatch")
-        return Permutation(tuple(self(other(x)) for x in range(1, self.n + 1)))
+        sw = self.images
+        return Permutation(tuple(sw[x - 1] for x in other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
@@ -372,9 +378,17 @@ class AffinePermutation:
         return self.window[i - 1] + n * m
 
     def __mul__(self, other: "AffinePermutation") -> "AffinePermutation":
-        if self.n != other.n:
+        sw = self.window
+        n = len(sw)
+        if n != len(other.window):
             raise ValueError("size mismatch")
-        return AffinePermutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
+        # self(v) = sw[r] + v - 1 - r with r = (v - 1) mod n, for each entry v
+        # of other's window
+        out = []
+        for v in other.window:
+            r = (v - 1) % n
+            out.append(sw[r] + v - 1 - r)
+        return AffinePermutation(out)
 
     def inverse(self) -> "AffinePermutation":
         n = self.n
@@ -492,9 +506,8 @@ class ExtAffinePermutation:
     def __mul__(self, other: "ExtAffinePermutation") -> "ExtAffinePermutation":
         if self.n != other.n:
             raise ValueError("size mismatch")
-        return ExtAffinePermutation(
-            self.base * other.base.rotate(self.shift), self.shift + other.shift
-        )
+        base = other.base if self.shift == 0 else other.base.rotate(self.shift)
+        return ExtAffinePermutation(self.base * base, self.shift + other.shift)
 
     def inverse(self) -> "ExtAffinePermutation":
         return ExtAffinePermutation(

@@ -55,7 +55,7 @@ from .forests import (
     leaves,
     planar_forests,
 )
-from .groups import Presentation, canonical_cyclic, _word_key
+from .groups import Presentation, _ranked_presentation, _word_key
 
 D_KINDS = {"D": "ordered", "hatD": "unordered", "breveD": "cyclic"}
 P_KINDS = {"P": "ordered", "hatP": "unordered", "breveP": "cyclic"}
@@ -710,18 +710,9 @@ def extract_presentation(c: CubeComplex, base=None) -> Presentation:
 
     gens = tuple(sym for sym in sorted(table, key=lambda s: _word_key((s,))) if sym not in in_tree)
     genset = set(gens)
-    relators = set()
-    for walk in walks:
-        word = tuple(x for x in walk if x in genset)
-        word = _free_reduce(word, partner)
-        if word:
-            relators.add(canonical_cyclic(word, partner))
-    return Presentation(
-        f"extracted-{c.kind}",
-        c.n,
-        gens,
-        tuple(sorted(relators, key=_word_key)),
-        tuple((g, partner[g]) for g in gens),
+    words = (_free_reduce(tuple(x for x in walk if x in genset), partner) for walk in walks)
+    return _ranked_presentation(
+        f"extracted-{c.kind}", c.n, gens, partner, (word for word in words if word)
     )
 
 
@@ -783,9 +774,13 @@ def presentations_match(a: Presentation, b: Presentation) -> bool:
     for g in a.generators:
         if pa[g] != pb.get(g, pa[g]):
             return False
-    ra = {canonical_cyclic(r, pa) for r in a.relators if len(r) != 2 or r[0] != r[1]}
-    rb = {canonical_cyclic(r, pb) for r in b.relators if len(r) != 2 or r[0] != r[1]}
-    return ra == rb
+
+    # the pairings agree where both are given, so pa serves both sides
+    def canonical_relators(p: Presentation):
+        words = (r for r in p.relators if len(r) != 2 or r[0] != r[1])
+        return _ranked_presentation(p.family, p.n, a.generators, pa, words).relators
+
+    return canonical_relators(a) == canonical_relators(b)
 
 
 # ---------------------------------------------------------------------------

@@ -73,13 +73,6 @@ class Presentation:
     # partner[g] is the designated inverse generator (g itself for involutions)
     partner: Tuple[Tuple[Letter, Letter], ...]
 
-    def partner_of(self, g: Letter) -> Letter:
-        return dict(self.partner)[g]
-
-    def inverse_word(self, w: Word) -> Word:
-        p = dict(self.partner)
-        return tuple(p[x] for x in reversed(w))
-
 
 def _letter_key(x: Letter):
     return tuple((0, t) if isinstance(t, int) else (1, str(t)) for t in x)
@@ -89,19 +82,53 @@ def _word_key(w: Word):
     return tuple(_letter_key(x) for x in w)
 
 
+def _min_rotation(key: Tuple[int, ...], inv: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The least rotation of two int tuples of one length."""
+    return min(word[k:] + word[:k] for word in (key, inv) for k in range(len(word)))
+
+
 def canonical_cyclic(w: Word, partner: Dict[Letter, Letter]) -> Word:
     """Canonical form of a relator: minimum over rotations of the word and of
-    its inverse (reverse with letters replaced by their partners)."""
+    its inverse (reverse with letters replaced by their partners), in
+    `_word_key` order.  The letters are ranked in `_letter_key` order, so the
+    rotations compare as int tuples.
+
+    A rotated inverse of a stored relator gives the relator back:
+
+    >>> p = make_presentation("pure_virtual_sym", 3)
+    >>> partner = dict(p.partner)
+    >>> rel = p.relators[0]
+    >>> inv = tuple(partner[x] for x in reversed(rel))
+    >>> canonical_cyclic(inv[2:] + inv[:2], partner) == rel
+    True
+    """
     inv = tuple(partner[x] for x in reversed(w))
-    best = best_key = None
-    for word in (w, inv):
-        # the key of a rotation is the rotation of the key
-        key = _word_key(word)
-        for k in range(len(word)):
-            rotated = key[k:] + key[:k]
-            if best_key is None or rotated < best_key:
-                best, best_key = word[k:] + word[:k], rotated
-    return best
+    letters = sorted(set(w) | set(inv), key=_letter_key)
+    rank = {x: r for r, x in enumerate(letters)}
+    best = _min_rotation(tuple(rank[x] for x in w), tuple(rank[x] for x in inv))
+    return tuple(letters[r] for r in best)
+
+
+def _ranked_presentation(
+    family: str, n: int, gens: Tuple[Letter, ...], partner: Dict[Letter, Letter],
+    words: Iterable[Word],
+) -> Presentation:
+    """The presentation whose relators are the distinct canonical forms of
+    `words` (as canonical_cyclic gives them), sorted in `_word_key` order.
+
+    The generators are ranked once in `_letter_key` order; each word is kept
+    as an int tuple of ranks, so the set and the final sort compare plain
+    int tuples, which order as the letter keys do.
+    """
+    letters = sorted(gens, key=_letter_key)
+    rank = {x: r for r, x in enumerate(letters)}
+    partner_rank = [rank[partner[x]] for x in letters]
+    rels = set()
+    for w in words:
+        key = tuple(rank[x] for x in w)
+        rels.add(_min_rotation(key, tuple(partner_rank[r] for r in reversed(key))))
+    relators = tuple(tuple(letters[r] for r in rel) for rel in sorted(rels))
+    return Presentation(family, n, gens, relators, tuple((g, partner[g]) for g in gens))
 
 
 def _standard_pairs(n: int):
@@ -121,21 +148,18 @@ def _cactus_relators(pairs, n: int, cyclic: bool) -> list[Word]:
     for p in pairs:
         rel.append((gens[p], gens[p]))
     ivals = {p: CyclicInterval(p[0], p[1], n) for p in pairs}
+    sets = {p: ivals[p].as_set() for p in pairs}
     for p, q in itertools.combinations(pairs, 2):
         if not cyclic and not (p[0] < p[1] and q[0] < q[1]):
             continue
-        ip, iq = ivals[p], ivals[q]
-        if ip.as_set() & iq.as_set() == frozenset():
+        if not sets[p] & sets[q]:
             rel.append((gens[p], gens[q], gens[p], gens[q]))
     for p in pairs:
+        ip = ivals[p]
+        w = interval_reversal(p[0], p[1], n)
         for q in pairs:
-            if p == q:
-                continue
-            ip, iq = ivals[p], ivals[q]
-            if iq.is_subinterval_of(ip):
-                w = interval_reversal(p[0], p[1], n)
-                image = (w(q[1]), w(q[0]))
-                rel.append((gens[p], gens[q], gens[p], ("s", *image)))
+            if q != p and ivals[q].is_subinterval_of(ip):
+                rel.append((gens[p], gens[q], gens[p], ("s", w(q[1]), w(q[0]))))
     return rel
 
 
@@ -236,62 +260,61 @@ def make_presentation(family: str, n: int) -> Presentation:
     if family == "pure_virtual_sym":
         gens = tuple(("sig", i, j) for (i, j) in _cyclic_pairs(n))
         partner_d = {("sig", i, j): ("sig", j, i) for (i, j) in _cyclic_pairs(n)}
-        rels = set()
-        for (i, j) in _cyclic_pairs(n):
-            for (l, m) in _cyclic_pairs(n):
-                if {i, j} & {l, m}:
-                    continue
-                w = (("sig", i, j), ("sig", l, m), ("sig", j, i), ("sig", m, l))
-                rels.add(canonical_cyclic(w, partner_d))
-        for i, j, l in itertools.permutations(range(1, n + 1), 3):
-            w = (
-                ("sig", i, j), ("sig", i, l), ("sig", j, l),
-                ("sig", j, i), ("sig", l, i), ("sig", l, j),
-            )
-            rels.add(canonical_cyclic(w, partner_d))
-        return Presentation(
-            family, n, gens, tuple(sorted(rels, key=_word_key)), tuple(partner_d.items())
-        )
+        return _ranked_presentation(family, n, gens, partner_d, _pure_virtual_sym_words(n))
 
     if family == "pure_virtual_cactus":
-        gens = tuple(("sA", a) for a in ordered_subsets(n))
-        partner_d = {("sA", a): ("sA", tuple(reversed(a))) for a in ordered_subsets(n)}
-        rels = set()
         subsets = list(ordered_subsets(n))
-        # commuting relators for disjoint A, B: group the ordered subsets by
-        # their bitmask and pair only disjoint masks
-        by_mask: Dict[int, list] = {}
-        for a in subsets:
-            by_mask.setdefault(sum(1 << x for x in a), []).append(a)
-        for mask_a, group_a in by_mask.items():
-            for mask_b, group_b in by_mask.items():
-                if mask_a & mask_b:
-                    continue
-                for a in group_a:
-                    for b in group_b:
-                        w = (("sA", a), ("sA", b), partner_d[("sA", a)], partner_d[("sA", b)])
-                        rels.add(canonical_cyclic(w, partner_d))
-        # nesting: A inside the context (C, ..., B); C and B may be empty but
-        # not both, and the whole ordered subset C A B stays inside [n]
-        for a in subsets:
-            rest = [x for x in range(1, n + 1) if x not in a]
-            for csize in range(len(rest) + 1):
-                for c in itertools.permutations(rest, csize):
-                    left = [x for x in rest if x not in c]
-                    for bsize in range(len(left) + 1):
-                        if csize + bsize == 0:
-                            continue
-                        for b in itertools.permutations(left, bsize):
-                            ar = tuple(reversed(a))
-                            cab = c + a + b
-                            bracr = tuple(reversed(b)) + a + tuple(reversed(c))
-                            w = (("sA", ar), ("sA", cab), ("sA", ar), ("sA", bracr))
-                            rels.add(canonical_cyclic(w, partner_d))
-        return Presentation(
-            family, n, gens, tuple(sorted(rels, key=_word_key)), tuple(partner_d.items())
+        gens = tuple(("sA", a) for a in subsets)
+        partner_d = {("sA", a): ("sA", tuple(reversed(a))) for a in subsets}
+        return _ranked_presentation(
+            family, n, gens, partner_d, _pure_virtual_cactus_words(subsets, n)
         )
 
     raise AssertionError
+
+
+def _pure_virtual_sym_words(n: int):
+    """The commuting squares and the hexagons of the pure virtual symmetric
+    group, one word at a time."""
+    for (i, j) in _cyclic_pairs(n):
+        for (l, m) in _cyclic_pairs(n):
+            if not {i, j} & {l, m}:
+                yield (("sig", i, j), ("sig", l, m), ("sig", j, i), ("sig", m, l))
+    for i, j, l in itertools.permutations(range(1, n + 1), 3):
+        yield (
+            ("sig", i, j), ("sig", i, l), ("sig", j, l),
+            ("sig", j, i), ("sig", l, i), ("sig", l, j),
+        )
+
+
+def _pure_virtual_cactus_words(subsets: list, n: int):
+    """The commuting and nesting words of the pure virtual cactus group, one
+    at a time (listing them first costs memory at n >= 6)."""
+    # commuting relators for disjoint A, B: group the ordered subsets by
+    # their bitmask and pair only disjoint masks
+    by_mask: Dict[int, list] = {}
+    for a in subsets:
+        by_mask.setdefault(sum(1 << x for x in a), []).append(a)
+    for mask_a, group_a in by_mask.items():
+        for mask_b, group_b in by_mask.items():
+            if mask_a & mask_b:
+                continue
+            for a in group_a:
+                for b in group_b:
+                    yield (("sA", a), ("sA", b), ("sA", a[::-1]), ("sA", b[::-1]))
+    # nesting: A inside the context (C, ..., B); C and B may be empty but
+    # not both, and the whole ordered subset C A B stays inside [n]
+    for a in subsets:
+        ar = ("sA", a[::-1])
+        rest = [x for x in range(1, n + 1) if x not in a]
+        for csize in range(len(rest) + 1):
+            for c in itertools.permutations(rest, csize):
+                left = [x for x in rest if x not in c]
+                for bsize in range(len(left) + 1):
+                    if csize + bsize == 0:
+                        continue
+                    for b in itertools.permutations(left, bsize):
+                        yield (ar, ("sA", c + a + b), ar, ("sA", b[::-1] + a + c[::-1]))
 
 
 def _transposition_word(p: Permutation) -> list[int]:
@@ -576,11 +599,11 @@ def verify_hom(h: GroupHom, mode="solvable_target", depth: int = 6) -> HomReport
     if mode == "solvable_target":
         if h.target not in SOLVABLE_TARGETS:
             raise ValueError(f"target {h.target} has no evaluation; use bounded_rewrite")
+        table = lookup_table(h, h.images)
         for rel in pres.relators:
-            img = [h.image_of(x) for x in rel]
-            acc = img[0]
-            for x in img[1:]:
-                acc = acc * x
+            acc = table[rel[0]]
+            for x in rel[1:]:
+                acc = acc * table[x]
             ok = acc.is_identity()
             report.results.append((rel, "proven" if ok else "failed", None if ok else acc))
         return report

@@ -216,6 +216,63 @@ def test_cyclic_intervals():
         CyclicInterval(2, 2, 4)
 
 
+def _reference_elements(i, j, n):
+    out = [i]
+    while out[-1] != j:
+        out.append(out[-1] % n + 1)
+    return out
+
+
+def test_cyclic_interval_containment_matches_element_lists():
+    for n in range(2, 10):
+        ivals = [CyclicInterval(i, j, n) for i, j in itertools.permutations(range(1, n + 1), 2)]
+        for p in ivals:
+            outer = _reference_elements(p.i, p.j, n)
+            assert len(p) == len(outer)
+            for q in ivals:
+                inner = _reference_elements(q.i, q.j, n)
+                # inner occurs in outer as a contiguous run, in order
+                expected = any(
+                    outer[k:k + len(inner)] == inner for k in range(len(outer) - len(inner) + 1)
+                )
+                assert q.is_subinterval_of(p) == expected
+    with pytest.raises(ValueError):
+        CyclicInterval(1, 2, 3).is_subinterval_of(CyclicInterval(1, 2, 4))
+
+
+def _random_affine(rng, n):
+    sigma = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+    k = [rng.randrange(-3, 4) for _ in range(n - 1)]
+    return affine_recompose(sigma, tuple(k) + (-sum(k),))
+
+
+def test_products_match_composition_of_maps():
+    rng = random.Random(11)
+    for n in range(1, 10):
+        for _ in range(60):
+            u = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+            v = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+            assert u * v == Permutation(tuple(u(v(x)) for x in range(1, n + 1)))
+            f, g = _random_affine(rng, n), _random_affine(rng, n)
+            # affine maps are compared on two periods, not only the window
+            assert (f * g).window == tuple(f(g(a)) for a in range(1, n + 1))
+            assert all((f * g)(a) == f(g(a)) for a in range(-n + 1, n + 1))
+            for shift in (0, rng.randrange(n)):
+                x = ExtAffinePermutation(f, shift)
+                y = ExtAffinePermutation(g, rng.randrange(n))
+                base = AffinePermutation(
+                    tuple(f(g.rotate(shift)(a)) for a in range(1, n + 1))
+                )
+                assert x * y == ExtAffinePermutation(base, shift + y.shift)
+    for a, b in (
+        (Permutation.identity(2), Permutation.identity(3)),
+        (AffinePermutation.identity(3), AffinePermutation.identity(2)),
+        (ExtAffinePermutation.identity(2), ExtAffinePermutation.identity(3)),
+    ):
+        with pytest.raises(ValueError):
+            a * b
+
+
 def test_cyclic_set_partition_canonical():
     a = CyclicSetPartition([(4,), (1, 2), (3,)])
     b = CyclicSetPartition([(1, 2), (3,), (4,)])

@@ -97,6 +97,24 @@ def test_verify_hom_detects_shadow_failure():
     assert not witness.is_identity()
 
 
+@pytest.mark.parametrize("pair, failed, total, witness", [
+    (("AC", "AS"), 10, 42, AffinePermutation((4, 2, 1, 3))),
+    (("EAC", "EAS"), 12, 56, ExtAffinePermutation(AffinePermutation((4, 2, 1, 3)), 0)),
+])
+def test_verify_hom_solvable_target_negative_control(pair, failed, total, witness):
+    # s12 sent where s13 goes: a product that returned the identity would
+    # prove every relator
+    h = hom(pair, 4)
+    images = dict(h.images)
+    images[("s", 1, 2)] = images[("s", 1, 3)]
+    broken = GroupHom(*pair, 4, tuple(sorted(images.items(), key=repr)))
+    rep = verify_hom(broken, "solvable_target")
+    assert (len(rep.failures), len(rep.results)) == (failed, total)
+    relator, status, found = rep.failures[0]
+    assert relator == (("s", 1, 2), ("s", 3, 4), ("s", 1, 2), ("s", 3, 4))
+    assert found == witness
+
+
 def test_bounded_rewrite_certificates():
     for n in (3, 4):
         rep = verify_hom(hom(("AC", "vC"), n), "bounded_rewrite", depth=6)
@@ -286,6 +304,21 @@ def _reference_pure_virtual_cactus_relators(n):
     return tuple(sorted(rels, key=_word_key))
 
 
+def _reference_pure_virtual_sym_relators(n):
+    """The squares and hexagons, each canonicalised by the reference."""
+    partner = {("sig", i, j): ("sig", j, i) for i, j in itertools.permutations(range(1, n + 1), 2)}
+    rels = set()
+    for (i, j), (l, m) in itertools.product(itertools.permutations(range(1, n + 1), 2), repeat=2):
+        if not {i, j} & {l, m}:
+            w = (("sig", i, j), ("sig", l, m), ("sig", j, i), ("sig", m, l))
+            rels.add(_reference_canonical_cyclic(w, partner))
+    for i, j, l in itertools.permutations(range(1, n + 1), 3):
+        w = (("sig", i, j), ("sig", i, l), ("sig", j, l),
+             ("sig", j, i), ("sig", l, i), ("sig", l, j))
+        rels.add(_reference_canonical_cyclic(w, partner))
+    return tuple(sorted(rels, key=_word_key))
+
+
 @pytest.mark.parametrize("n, count", [(4, 45), (5, 495)])
 def test_pure_virtual_cactus_relators_match_reference(n, count):
     relators = make_presentation("pure_virtual_cactus", n).relators
@@ -293,9 +326,23 @@ def test_pure_virtual_cactus_relators_match_reference(n, count):
     assert relators == _reference_pure_virtual_cactus_relators(n)
 
 
+@pytest.mark.parametrize("n, count", [(4, 7), (5, 25)])
+def test_pure_virtual_sym_relators_match_reference(n, count):
+    relators = make_presentation("pure_virtual_sym", n).relators
+    assert len(relators) == count
+    assert relators == _reference_pure_virtual_sym_relators(n)
+
+
 def test_canonical_cyclic_matches_reference():
-    for family in ("affine_cactus", "pure_virtual_sym", "ext_affine_cactus"):
-        p = make_presentation(family, 4)
+    from cactusflower.cubecomplexes import build_D, build_hatD, extract_presentation
+
+    presentations = [
+        make_presentation(family, 4)
+        for family in ("affine_cactus", "pure_virtual_sym", "ext_affine_cactus")
+    ]
+    # extracted relators: ("sA", subset) letters, and ("e", newick) str letters
+    presentations += [extract_presentation(build(4)) for build in (build_hatD, build_D)]
+    for p in presentations:
         partner = dict(p.partner)
         for rel in p.relators:
             for k in range(len(rel)):
