@@ -110,7 +110,7 @@ def _cmd_verify(args) -> int:
         return 0 if ok else 1
 
     if args.what == "acceptance":
-        if args.criterion:
+        if args.criterion is not None:
             results = [acc.run_criterion(args.criterion, args.seed)]
         else:
             results = acc.run_all(args.seed, echo=None)
@@ -168,6 +168,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_path(args) -> int:
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     lines = ["n,k,t,s,coordinate,re,im"]
     for step in range(args.samples + 1):
         t = step / args.samples

@@ -13,9 +13,13 @@ Complex kinds:
 
 For the cube complexes, a sub-k-cube is a forest with k internal edges (with
 the tree order reduced per kind); the big k-cube containing it is its class
-modulo flipping.  Each sub-cube touches exactly one 0-cube, reached by
-collapsing all its edges, and the link of a 0-cube has one vertex per
-incident sub-1-cube and one (k-1)-simplex per incident sub-k-cube.  The
+modulo flipping.  Only the sub-cubes are stored.  The flips at the k edges
+of a sub-k-cube generate (Z/2)^k, and this group acts freely: flips keep each
+tree's leaf set, so they cannot permute the trees, and they reverse the
+children (distinct leaf sets) of the topmost flipped vertex.  So every big
+k-cube has exactly 2^k sub-cubes.  Each sub-cube touches exactly one 0-cube,
+reached by collapsing all its edges, and the link of a 0-cube has one vertex
+per incident sub-1-cube and one (k-1)-simplex per incident sub-k-cube.  The
 non-positive-curvature certificate checks Gromov's flag condition in exactly
 this combinatorial form.
 
@@ -65,22 +69,15 @@ P_KINDS = {"P": "ordered", "hatP": "unordered", "breveP": "cyclic"}
 # the forest cube complexes
 
 
-def _canon_big(kind: str, f: PlanarForest) -> PlanarForest:
-    return canon_forest(D_KINDS[kind], f, mod_flips=True)
-
-
-def _rev(f: PlanarForest) -> PlanarForest:
-    """Reverse a sub-1-cube: flip at its unique internal edge."""
-    (e,) = f.edges()
-    return flip(f, e)
-
-
 @dataclass
 class CubeComplex:
+    """A forest complex stores its sub-cubes only.  Its big cubes are formed
+    by canon_big where they are listed, and f_vector counts one big k-cube
+    per 2^k sub-k-cubes (the flips act freely; see the module docstring)."""
+
     kind: str
     n: int
-    subcubes: Dict[int, set] = field(default_factory=dict)
-    bigcubes: Dict[int, set] = field(default_factory=dict)
+    subcubes: Dict[int, set] = field(default_factory=dict)  # D-family only
     cells: Dict[int, set] = field(default_factory=dict)  # P-family only
 
     @property
@@ -89,12 +86,16 @@ class CubeComplex:
 
     @property
     def dim(self) -> int:
-        table = self.bigcubes if self.is_cubical else self.cells
+        table = self.subcubes if self.is_cubical else self.cells
         return max((k for k, v in table.items() if v), default=0)
 
     def f_vector(self) -> Tuple[int, ...]:
-        table = self.bigcubes if self.is_cubical else self.cells
-        return tuple(len(table.get(k, ())) for k in range(self.dim + 1))
+        if not self.is_cubical:
+            return tuple(len(self.cells.get(k, ())) for k in range(self.dim + 1))
+        subs = [len(self.subcubes.get(k, ())) for k in range(self.dim + 1)]
+        if any(m % (1 << k) for k, m in enumerate(subs)):
+            raise ValueError(f"sub-cube counts {subs} are not whole big cubes")
+        return tuple(m >> k for k, m in enumerate(subs))
 
     def counts(self) -> Dict[int, int]:
         return {k: c for k, c in enumerate(self.f_vector())}
@@ -105,7 +106,7 @@ class CubeComplex:
         return canon_forest(D_KINDS[self.kind], f, mod_flips=False)
 
     def canon_big(self, f: PlanarForest) -> PlanarForest:
-        return _canon_big(self.kind, f)
+        return canon_forest(D_KINDS[self.kind], f, mod_flips=True)
 
     def vertex_of(self, f: PlanarForest) -> PlanarForest:
         (corner,) = faces(f, 0)  # every edge collapsed
@@ -126,9 +127,7 @@ def build_complex(kind: str, n: int) -> CubeComplex:
             raise ValueError("need n >= 2")
         c = CubeComplex(kind, n)
         for k in range(n):
-            subs = set(planar_forests(n, k, D_KINDS[kind]))
-            c.subcubes[k] = subs
-            c.bigcubes[k] = {_canon_big(kind, f) for f in subs}
+            c.subcubes[k] = set(planar_forests(n, k, D_KINDS[kind]))
         return c
     if kind in P_KINDS:
         c = CubeComplex(kind, n)
@@ -389,9 +388,7 @@ def remove_subcube(c: CubeComplex, sigma: PlanarForest) -> CubeComplex:
         raise ValueError("subcube not present")
     out = CubeComplex(c.kind, c.n)
     out.subcubes = {d: set(v) for d, v in c.subcubes.items()}
-    out.bigcubes = {d: set(v) for d, v in c.bigcubes.items()}
-    out.subcubes[k] = out.subcubes[k] - {sigma}
-    out.bigcubes[k] = {_canon_big(c.kind, f) for f in out.subcubes[k]}
+    out.subcubes[k].discard(sigma)
     return out
 
 
@@ -501,12 +498,6 @@ def cubical_subdivision(c: CubeComplex) -> Subdivision:
 # 1-skeleta, 2-cell boundaries, presentation extraction
 
 
-def _directed_edges_D(c: CubeComplex):
-    """Directed 1-cells: the sub-1-cubes themselves (a direction of a 1-cube
-    is the choice of which sub-1-cube is traversed first)."""
-    return sorted(c.subcubes.get(1, ()), key=forest_key)
-
-
 def _edge_symbol_D(c: CubeComplex, sigma: PlanarForest):
     if c.kind == "hatD":
         for t in sigma.trees:
@@ -519,14 +510,13 @@ def _edge_symbol_D(c: CubeComplex, sigma: PlanarForest):
 def _boundary_words_D(c: CubeComplex):
     """Boundary walks of the big squares, as directed sub-1-cube lists."""
     walks = []
-    for big in sorted(c.bigcubes.get(2, ()), key=forest_key):
+    for big in sorted({c.canon_big(s) for s in c.subcubes.get(2, ())}, key=forest_key):
         e, f = big.edges()
-        tau = big
         sides = [
-            collapse(tau, e),
-            collapse(flip(tau, f), f),
-            collapse(flip(flip(tau, e), f), e),
-            collapse(flip(tau, e), f),
+            collapse(big, e),
+            collapse(flip(big, f), f),
+            collapse(flip(flip(big, e), f), e),
+            collapse(flip(big, e), f),
         ]
         walks.append([c.canon_sub(s) for s in sides])
     return walks
@@ -543,12 +533,16 @@ def _vertex_key(v) -> str:
 def skeleton_D(c: CubeComplex):
     """(vertices, directed edge table) of the 1-skeleton.
 
-    Each directed edge is (symbol, start, end, partner_symbol).
+    The directed 1-cells are the sub-1-cubes (a direction of a 1-cube is the
+    choice of which sub-1-cube is traversed first); the reverse of one is its
+    flip at its edge.  Each directed edge is (symbol, start, end,
+    partner_symbol).
     """
     table = {}
-    for sigma in _directed_edges_D(c):
+    for sigma in sorted(c.subcubes.get(1, ()), key=forest_key):
         sym = _edge_symbol_D(c, sigma)
-        rev = c.canon_sub(_rev(sigma))
+        (e,) = sigma.edges()
+        rev = c.canon_sub(flip(sigma, e))
         table[sym] = (
             _vertex_key(c.vertex_of(sigma)),
             _vertex_key(c.vertex_of(rev)),
@@ -676,15 +670,10 @@ def extract_presentation(c: CubeComplex, base=None) -> Presentation:
     complex has several 0-cells, then freely reduced."""
     if c.is_cubical:
         verts, table = skeleton_D(c)
-        walks = []
-        for walk in _boundary_words_D(c):
-            walks.append([_edge_symbol_D(c, s) for s in walk])
+        walks = [[_edge_symbol_D(c, s) for s in walk] for walk in _boundary_words_D(c)]
     else:
         verts, table = skeleton_P(c)
-        raw = _boundary_words_P(c)
-        walks = []
-        for walk in raw:
-            walks.append([_p_edge_symbol(c, ecell, pair) for (ecell, pair) in walk])
+        walks = [[_p_edge_symbol(c, *letter) for letter in walk] for walk in _boundary_words_P(c)]
 
     partner = {sym: info[2] for sym, info in table.items()}
     # spanning tree over the 1-skeleton
@@ -834,9 +823,9 @@ def export_poset(c: CubeComplex) -> str:
     """The graded cell poset with faces, as JSON."""
     out: Dict[str, dict] = {}
     if c.is_cubical:
-        for k in sorted(c.bigcubes):
+        for k in sorted(c.subcubes):
             cells = {}
-            for big in sorted(c.bigcubes[k], key=forest_key):
+            for big in sorted({c.canon_big(s) for s in c.subcubes[k]}, key=forest_key):
                 faces = set()
                 for e in big.edges():
                     faces.add(forest_to_newick(c.canon_big(collapse(big, e))))

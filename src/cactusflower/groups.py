@@ -472,6 +472,8 @@ def hom(pair: tuple[str, str], n: int) -> GroupHom:
     src, dst = pair
     if (src, dst) not in _DIAGRAM_ARROWS:
         raise ValueError(f"arrow {src} -> {dst} is not in the diagram")
+    if n < 2:
+        raise ValueError("need n >= 2")
     images: dict[Letter, object] = {}
 
     if (src, dst) == ("C", "S"):

@@ -191,10 +191,6 @@ def format_scalar(x: Scalar) -> str:
     return str(canon_scalar(x))
 
 
-def scalar_is_real(x: Scalar) -> bool:
-    return not isinstance(canon_scalar(x), GaussianRational)
-
-
 def sqrt_fraction(y: Fraction):
     """Exact square root of a nonnegative rational, or None if irrational."""
     if y < 0:

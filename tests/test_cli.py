@@ -211,6 +211,25 @@ def test_acceptance_single_criterion():
     assert "[PASS] criterion  1" in out
 
 
+@pytest.mark.parametrize("number", ["0", "-1", "99"])
+def test_acceptance_criterion_out_of_range_is_a_usage_error(number):
+    code, out, err = run_cli("verify", "acceptance", "--criterion", number)
+    assert code == 2 and out == ""
+    assert err == "error: criteria are numbered 1..13\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "diagram", "--n", "1"],
+    ["verify", "hom", "--from", "C", "--to", "S", "--n", "1"],
+    ["path", "--n", "3", "--k", "2", "--samples", "0"],
+    ["path", "--n", "3", "--k", "2", "--samples", "-2"],
+])
+def test_out_of_range_sizes_are_usage_errors(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def _option_slots(parser, path=()):
     """(verb path, option) for every option of every parser under parser."""
     for action in parser._actions:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -51,7 +52,7 @@ from cactusflower.forests import (
     forest_to_newick,
     zeros_to_planar,
 )
-from cactusflower.groups import make_presentation, ordered_subsets
+from cactusflower.groups import canonical_cyclic, make_presentation, ordered_subsets
 
 
 def test_cell_counts_rank_three():
@@ -86,6 +87,28 @@ def test_f_vector_matches_forest_counts():
             count = len(enumerate_planar_forests(n, k))
             assert count % (2 ** k) == 0
             assert c.f_vector()[k] == count // 2 ** k
+
+
+@pytest.mark.parametrize("kind", ["D", "breveD", "hatD"])
+def test_f_vector_counts_the_flip_classes(kind):
+    for n in (2, 3, 4, 5):
+        c = build_complex(kind, n)
+        classes = tuple(len({c.canon_big(s) for s in c.subcubes[k]}) for k in range(n))
+        assert c.f_vector() == classes
+        assert c.counts() == dict(enumerate(classes))
+        assert c.dim == n - 1
+
+
+@pytest.mark.parametrize("kind", ["D", "breveD", "hatD"])
+def test_f_vector_rejects_a_partial_big_cube(kind):
+    c = build_complex(kind, 4)
+    mutant = remove_subcube(c, min(c.subcubes[2], key=forest_key))
+    with pytest.raises(ValueError):
+        mutant.f_vector()
+    with pytest.raises(ValueError):
+        mutant.counts()
+    assert mutant.dim == c.dim == 3
+    assert len(mutant.subcubes[2]) == len(c.subcubes[2]) - 1
 
 
 def test_gromov_flag_certificates():
@@ -140,8 +163,8 @@ def test_subdivision():
     for z in zf:
         strata[len(z.undecorated_edges())] = strata.get(len(z.undecorated_edges()), 0) + 1
     assert sub.counts() == strata
-    big = next(iter(c.bigcubes[2]))
-    assert sum(1 for z in sub.little[2] if zeros_to_planar(z) == big) == 4
+    for big in {c.canon_big(s) for s in c.subcubes[2]}:
+        assert sum(1 for z in sub.little[2] if zeros_to_planar(z) == big) == 4
     all_decorated = sum(1 for z in zf if not z.undecorated_edges())
     assert len(sub.little[0]) == all_decorated
 
@@ -173,6 +196,26 @@ def test_extracted_presentations_match_generated():
             extract_presentation(build_hatP(n)),
             make_presentation("pure_virtual_sym", n),
         )
+
+
+@pytest.mark.parametrize(
+    "kind, family", [("hatD", "pure_virtual_cactus"), ("hatP", "pure_virtual_sym")]
+)
+def test_presentation_match_negative_controls(kind, family):
+    extracted = extract_presentation(build_complex(kind, 4))
+    generated = make_presentation(family, 4)
+    assert presentations_match(extracted, generated)
+    partner = dict(generated.partner)
+    relators = extracted.relators
+    dropped = dataclasses.replace(extracted, relators=relators[1:])
+    assert not presentations_match(dropped, generated)
+    # the last letter of the first relator replaced by its inverse
+    word = relators[0][:-1] + (partner[relators[0][-1]],)
+    assert canonical_cyclic(word, partner) not in {
+        canonical_cyclic(r, partner) for r in generated.relators
+    }
+    altered = dataclasses.replace(extracted, relators=(word,) + relators[1:])
+    assert not presentations_match(altered, generated)
 
 
 def test_simply_connected_complex_trivialises():
