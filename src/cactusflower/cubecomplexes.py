@@ -670,10 +670,15 @@ def extract_presentation(c: CubeComplex, base=None) -> Presentation:
     complex has several 0-cells, then freely reduced."""
     if c.is_cubical:
         verts, table = skeleton_D(c)
-        walks = [[_edge_symbol_D(c, s) for s in walk] for walk in _boundary_words_D(c)]
+        walks = []
+        for walk in _boundary_words_D(c):
+            walks.append([_edge_symbol_D(c, s) for s in walk])
     else:
         verts, table = skeleton_P(c)
-        walks = [[_p_edge_symbol(c, *letter) for letter in walk] for walk in _boundary_words_P(c)]
+        raw = _boundary_words_P(c)
+        walks = []
+        for walk in raw:
+            walks.append([_p_edge_symbol(c, ecell, pair) for (ecell, pair) in walk])
 
     partner = {sym: info[2] for sym, info in table.items()}
     # spanning tree over the 1-skeleton
