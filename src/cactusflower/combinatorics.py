@@ -244,9 +244,6 @@ class CyclicInterval:
             raise ValueError("different ambient cyclic orders")
         return (self.i - other.i) % self.n + len(self) <= len(other)
 
-    def is_standard(self) -> bool:
-        return self.i < self.j
-
 
 # ---------------------------------------------------------------------------
 # finite permutations
@@ -308,9 +305,6 @@ class Permutation:
         for _ in range(k):
             out = self * out
         return out
-
-    def apply_to_set(self, s: Iterable[int]) -> FrozenSet[int]:
-        return frozenset(self(x) for x in s)
 
     def __str__(self):
         return "(" + " ".join(map(str, self.images)) + ")"

@@ -122,9 +122,9 @@ class CubeComplex:
 
 def build_complex(kind: str, n: int) -> CubeComplex:
     """Build one of the six complexes at the given rank."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     if kind in D_KINDS:
-        if n < 2:
-            raise ValueError("need n >= 2")
         c = CubeComplex(kind, n)
         for k in range(n):
             c.subcubes[k] = set(planar_forests(n, k, D_KINDS[kind]))
@@ -609,58 +609,26 @@ def _p_refined_vertex(c: CubeComplex, blocks, fat, pair) -> str:
 def _boundary_words_P(c: CubeComplex):
     """Boundary walks of squares and hexagons as directed-pair letters.
 
-    Each letter is (edge cell, (x, y)); the walk starts at the representative
-    refinement and alternately swaps the two fat parts (square) or the two
-    adjacent positions inside the fat triple (hexagon).
+    Each letter is (edge cell, (x, y)).  A walk starts at the refinement that
+    lists every fat part in increasing order and swaps, in turn, the first
+    and the second adjacent pair inside a fat part (a square's two fat pairs,
+    or the two pairs of a hexagon's triple); the edge cell of a swap merges
+    that pair only.  The walk stops when it is back at the start.
     """
     walks = []
     for cell in sorted(c.cells.get(2, ()), key=_p_cell_str):
-        blocks = list(_p_cell_blocks(cell))
-        fats = [b for b in blocks if len(b) > 1]
-        if len(fats) == 2:  # square
-            (a, b) = sorted(fats[0])
-            (x, y) = sorted(fats[1])
-            seq = []
-            state = {fats[0]: (a, b), fats[1]: (x, y)}
-            for swap in (fats[0], fats[1], fats[0], fats[1]):
-                other = fats[1] if swap is fats[0] else fats[0]
-                edge_blocks = []
-                for blk in blocks:
-                    if blk == swap:
-                        edge_blocks.append(blk)
-                    elif blk == other:
-                        edge_blocks.extend(
-                            frozenset([t]) for t in state[other]
-                        )
-                    else:
-                        edge_blocks.append(blk)
-                ecell = _canon_p_cell(c.kind, tuple(edge_blocks))
-                seq.append((ecell, state[swap]))
-                state[swap] = (state[swap][1], state[swap][0])
-            walks.append(seq)
-        else:  # hexagon: one part of size three
-            fat = fats[0]
-            o = tuple(sorted(fat))
-            order = list(o)
-            seq = []
-            for step in range(6):
-                pos = 0 if step % 2 == 0 else 1
-                u, vv = order[pos], order[pos + 1]
-                edge_blocks = []
-                for blk in blocks:
-                    if blk == fat:
-                        if pos == 0:
-                            edge_blocks.append(frozenset([u, vv]))
-                            edge_blocks.append(frozenset([order[2]]))
-                        else:
-                            edge_blocks.append(frozenset([order[0]]))
-                            edge_blocks.append(frozenset([u, vv]))
-                    else:
-                        edge_blocks.append(blk)
-                ecell = _canon_p_cell(c.kind, tuple(edge_blocks))
-                seq.append((ecell, (u, vv)))
-                order[pos], order[pos + 1] = order[pos + 1], order[pos]
-            walks.append(seq)
+        blocks = _p_cell_blocks(cell)
+        start = [x for b in blocks for x in sorted(b)]
+        owner = [k for k, b in enumerate(blocks) for _ in b]
+        sites = [q for q in range(len(start) - 1) if owner[q] == owner[q + 1]]
+        order, seq = list(start), []
+        while not seq or order != start:
+            q = sites[len(seq) % 2]
+            pair = (order[q], order[q + 1])
+            parts = [(x,) for x in order[:q]] + [pair] + [(x,) for x in order[q + 2:]]
+            seq.append((_canon_p_cell(c.kind, tuple(parts)), pair))
+            order[q], order[q + 1] = pair[1], pair[0]
+        walks.append(seq)
     return walks
 
 

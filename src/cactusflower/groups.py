@@ -365,13 +365,6 @@ def eval_letter_sym(x: Letter, n: int) -> Permutation:
     raise ValueError(f"letter {x!r} has no symmetric-group shadow")
 
 
-def eval_word_sym(w: Word, n: int) -> Permutation:
-    out = Permutation.identity(n)
-    for x in w:
-        out = out * eval_letter_sym(x, n)
-    return out
-
-
 def affine_sigma(k: int, n: int) -> AffinePermutation:
     if k == 0:
         win = list(range(1, n + 1))
@@ -393,13 +386,6 @@ def eval_letter_affine(x: Letter, n: int) -> AffinePermutation:
     raise ValueError(f"letter {x!r} has no affine evaluation")
 
 
-def eval_word_affine(w: Word, n: int) -> AffinePermutation:
-    out = AffinePermutation.identity(n)
-    for x in w:
-        out = out * eval_letter_affine(x, n)
-    return out
-
-
 def eval_letter_ext_affine(x: Letter, n: int) -> ExtAffinePermutation:
     if x[0] == "r":
         return ExtAffinePermutation(AffinePermutation.identity(n), 1)
@@ -408,10 +394,24 @@ def eval_letter_ext_affine(x: Letter, n: int) -> ExtAffinePermutation:
     return ExtAffinePermutation(eval_letter_affine(x, n), 0)
 
 
-def eval_word_ext_affine(w: Word, n: int) -> ExtAffinePermutation:
-    out = ExtAffinePermutation.identity(n)
-    for x in w:
-        out = out * eval_letter_ext_affine(x, n)
+SOLVABLE_TARGETS = ("S", "AS", "EAS")
+
+# each solvable target: (its identity at rank n, its letter evaluator)
+_EVALUATORS = {
+    "S": (Permutation.identity, eval_letter_sym),
+    "AS": (AffinePermutation.identity, eval_letter_affine),
+    "EAS": (ExtAffinePermutation.identity, eval_letter_ext_affine),
+}
+
+
+def evaluate_word(code: str, word: Word, n: int):
+    """The value of a word in the solvable group S, AS or EAS of rank n."""
+    if code not in SOLVABLE_TARGETS:
+        raise ValueError(f"{code} is not a solvable evaluation target")
+    identity, evaluate = _EVALUATORS[code]
+    out = identity(n)
+    for x in word:
+        out = out * evaluate(x, n)
     return out
 
 
@@ -468,7 +468,11 @@ def _generic_letter_image(source: str, target: str, x: Letter, n: int):
 
 
 def hom(pair: tuple[str, str], n: int) -> GroupHom:
-    """The named arrow of the group diagram, as a generator-image table."""
+    """The named arrow of the group diagram, as a generator-image table.
+
+    An arrow into S, AS or EAS sends each generator (and r- from EAC) to its
+    letter's value there; the arrows into presentations are listed by hand.
+    """
     src, dst = pair
     if (src, dst) not in _DIAGRAM_ARROWS:
         raise ValueError(f"arrow {src} -> {dst} is not in the diagram")
@@ -476,15 +480,10 @@ def hom(pair: tuple[str, str], n: int) -> GroupHom:
         raise ValueError("need n >= 2")
     images: dict[Letter, object] = {}
 
-    if (src, dst) == ("C", "S"):
-        for (i, j) in _standard_pairs(n):
-            images[("s", i, j)] = interval_reversal(i, j, n)
-    elif (src, dst) == ("AC", "AS"):
-        for (i, j) in _cyclic_pairs(n):
-            images[("s", i, j)] = affine_interval_reversal(i, j, n)
-    elif (src, dst) == ("AC", "S"):
-        for (i, j) in _cyclic_pairs(n):
-            images[("s", i, j)] = interval_reversal(i, j, n)
+    if dst in SOLVABLE_TARGETS:
+        evaluate = _EVALUATORS[dst][1]
+        for x in generators_of(src, n) + ([("r-",)] if src == "EAC" else []):
+            images[x] = evaluate(x, n)
     elif (src, dst) == ("C", "EAC"):
         for (i, j) in _standard_pairs(n):
             images[("s", i, j)] = (("s", i, j),)
@@ -502,18 +501,6 @@ def hom(pair: tuple[str, str], n: int) -> GroupHom:
         if src == "EAC":
             images[("r",)] = (("w", r),)
             images[("r-",)] = (("w", r.inverse()),)
-    elif (src, dst) == ("EAC", "EAS"):
-        for (i, j) in _cyclic_pairs(n):
-            images[("s", i, j)] = ExtAffinePermutation(
-                affine_interval_reversal(i, j, n), 0
-            )
-        images[("r",)] = ExtAffinePermutation(AffinePermutation.identity(n), 1)
-        images[("r-",)] = ExtAffinePermutation(AffinePermutation.identity(n), -1)
-    elif (src, dst) == ("EAC", "S"):
-        for (i, j) in _cyclic_pairs(n):
-            images[("s", i, j)] = interval_reversal(i, j, n)
-        images[("r",)] = Permutation.long_cycle(n)
-        images[("r-",)] = Permutation.long_cycle(n).inverse()
     elif (src, dst) == ("EAS", "vS"):
         r = Permutation.long_cycle(n)
         for k in range(1, n):
@@ -524,36 +511,11 @@ def hom(pair: tuple[str, str], n: int) -> GroupHom:
             ("w", r),
         )
         images[("r",)] = (("w", r),)
-    elif (src, dst) == ("EAS", "S"):
-        for k in range(1, n):
-            images[("sigma", k)] = Permutation.transposition(n, k, k + 1)
-        images[("sigma", 0)] = Permutation.transposition(n, 1, n)
-        images[("r",)] = Permutation.long_cycle(n)
     elif (src, dst) == ("vC", "vS"):
         for (i, j) in _standard_pairs(n):
             images[("s", i, j)] = (("a", interval_reversal(i, j, n)),)
         for k in range(1, n):
             images[("b", k)] = (("w", Permutation.transposition(n, k, k + 1)),)
-    elif (src, dst) == ("vC", "S"):
-        for (i, j) in _standard_pairs(n):
-            images[("s", i, j)] = interval_reversal(i, j, n)
-        for k in range(1, n):
-            images[("b", k)] = Permutation.transposition(n, k, k + 1)
-    elif (src, dst) == ("vS", "S"):
-        for k in range(1, n):
-            images[("a", k)] = Permutation.transposition(n, k, k + 1)
-            images[("b", k)] = Permutation.transposition(n, k, k + 1)
-    elif (src, dst) == ("S", "EAS"):
-        for k in range(1, n):
-            images[("sigma", k)] = ExtAffinePermutation(
-                AffinePermutation.from_permutation(
-                    Permutation.transposition(n, k, k + 1)
-                ),
-                0,
-            )
-    elif (src, dst) == ("S", "S"):
-        for k in range(1, n):
-            images[("sigma", k)] = Permutation.transposition(n, k, k + 1)
     return GroupHom(src, dst, n, tuple(sorted(images.items(), key=lambda kv: _letter_key(kv[0]))))
 
 
@@ -585,9 +547,6 @@ class HomReport:
         return f"{self.hom.source}->{self.hom.target} n={self.hom.n}: {counts}"
 
 
-SOLVABLE_TARGETS = ("S", "AS", "EAS")
-
-
 def verify_hom(h: GroupHom, mode="solvable_target", depth: int = 6) -> HomReport:
     """Check that every relator of the source maps to the identity.
 
@@ -614,7 +573,7 @@ def verify_hom(h: GroupHom, mode="solvable_target", depth: int = 6) -> HomReport
             raise ValueError("bounded rewriting targets a presentation")
         for rel in pres.relators:
             word = h.map_word(rel)
-            shadow = eval_word_sym(word, h.n)
+            shadow = evaluate_word("S", word, h.n)
             if not shadow.is_identity():
                 report.results.append((rel, "failed", shadow))
                 continue
@@ -726,6 +685,8 @@ def rewrite_to_identity(
     involutions) is free.  Returns True iff the empty word is reached within
     the depth bound; False is honest ignorance, not a disproof.
     """
+    if depth < 0:
+        raise ValueError("depth must be at least 0")
     start = normalise_vc(word)
     if not start:
         return True
@@ -929,16 +890,6 @@ def generators_of(code: str, n: int) -> list[Letter]:
     if code == "vS":
         return [("a", k) for k in range(1, n)] + [("b", k) for k in range(1, n)]
     raise ValueError(code)
-
-
-def evaluate_word(code: str, word: Word, n: int):
-    if code == "S":
-        return eval_word_sym(word, n)
-    if code == "AS":
-        return eval_word_affine(word, n)
-    if code == "EAS":
-        return eval_word_ext_affine(word, n)
-    raise ValueError(f"{code} is not a solvable evaluation target")
 
 
 def _project_solvable(src: str, dst: str, x, n: int):

@@ -144,9 +144,6 @@ class StarPoint:
     def n(self) -> int:
         return len(self.order)
 
-    def is_interior(self) -> bool:
-        return all(d < 1 for d in self.diffs)
-
     def relabel(self, w: Permutation) -> "StarPoint":
         return StarPoint(tuple(w(x) for x in self.order), self.diffs)
 

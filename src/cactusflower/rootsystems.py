@@ -82,9 +82,6 @@ class Root:
     weight: Tuple[int, ...]
     copairing: Tuple[int, ...]  # <alpha^vee, x> = sum copairing[j] * x_j
 
-    def is_positive(self) -> bool:
-        return all(c >= 0 for c in self.simple)
-
 
 class RootSystem:
     """The full root set generated from a Cartan matrix by reflection

@@ -223,6 +223,10 @@ def test_acceptance_criterion_out_of_range_is_a_usage_error(number):
     ["verify", "hom", "--from", "C", "--to", "S", "--n", "1"],
     ["path", "--n", "3", "--k", "2", "--samples", "0"],
     ["path", "--n", "3", "--k", "2", "--samples", "-2"],
+    ["enumerate", "--complex", "P", "--n", "0"],
+    ["enumerate", "--complex", "hatP", "--n", "-1"],
+    ["export", "--complex", "P", "--n", "0"],
+    ["verify", "hom", "--from", "AC", "--to", "vC", "--n", "3", "--depth", "-1"],
 ])
 def test_out_of_range_sizes_are_usage_errors(argv):
     code, out, err = run_cli(*argv)

@@ -7,20 +7,20 @@ from cactusflower.combinatorics import (
     AffinePermutation,
     ExtAffinePermutation,
     Permutation,
+    interval_reversal,
 )
 from cactusflower.groups import (
     DIAGRAM_PATHS_TO_EAS,
     DIAGRAM_PATHS_TO_S,
     FAMILIES,
     GroupHom,
+    _letter_key,
     _word_key,
     canonical_cyclic,
     diagram_commutes,
     diagram_report,
-    eval_word_affine,
-    eval_word_ext_affine,
-    eval_word_sym,
     evaluate_path,
+    evaluate_word,
     generators_of,
     hom,
     make_presentation,
@@ -76,6 +76,42 @@ def test_hom_examples():
     assert acc.is_identity()
 
 
+SOLVABLE_ARROWS = [
+    ("C", "S"), ("AC", "AS"), ("AC", "S"), ("EAC", "EAS"), ("EAC", "S"),
+    ("EAS", "S"), ("vC", "S"), ("vS", "S"), ("S", "EAS"), ("S", "S"),
+]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("pair", SOLVABLE_ARROWS)
+def test_solvable_arrows_send_generators_to_letter_values(pair, n):
+    src, dst = pair
+    h = hom(pair, n)
+    domain = set(generators_of(src, n)) | ({("r-",)} if src == "EAC" else set())
+    assert [g for g, _ in h.images] == sorted(domain, key=_letter_key)
+    for g, img in h.images:
+        value = evaluate_word(dst, (g,), n)
+        assert type(img) is type(value) and img == value
+    if pair == ("EAS", "S"):
+        assert h.image_of(("sigma", 0)) == Permutation.transposition(n, 1, n)
+    if pair == ("S", "EAS"):
+        for k in range(1, n):
+            t = Permutation.transposition(n, k, k + 1)
+            assert h.image_of(("sigma", k)) == ExtAffinePermutation(
+                AffinePermutation.from_permutation(t), 0
+            )
+    if pair == ("EAC", "EAS"):
+        shift_back = ExtAffinePermutation(AffinePermutation.identity(n), -1)
+        assert h.image_of(("r-",)) == shift_back
+    if pair == ("AC", "S"):
+        assert h.image_of(("s", n, 1)) == interval_reversal(n, 1, n)
+
+
+def test_evaluate_word_rejects_a_presentation_target():
+    with pytest.raises(ValueError):
+        evaluate_word("vC", (), 3)
+
+
 def test_verify_hom_solvable_complete():
     for n in range(2, 7):
         rep = verify_hom(hom(("AC", "AS"), n), "solvable_target")
@@ -125,7 +161,7 @@ def test_bounded_rewrite_certificates():
 def test_rewrite_inconclusive_is_honest():
     # a deliberately hostile word at depth 0 is inconclusive, not false
     word = (("s", 1, 2), ("w", Permutation((2, 1, 3))), ("s", 1, 2), ("w", Permutation((2, 1, 3))))
-    assert eval_word_sym(word, 3).is_identity()
+    assert evaluate_word("S", word, 3).is_identity()
     assert not rewrite_to_identity(word, 3, depth=0)
 
 
