@@ -621,11 +621,12 @@ def _boundary_words_P(c: CubeComplex):
         start = [x for b in blocks for x in sorted(b)]
         owner = [k for k, b in enumerate(blocks) for _ in b]
         sites = [q for q in range(len(start) - 1) if owner[q] == owner[q + 1]]
+        one = {x: frozenset((x,)) for x in start}  # shared by every step
         order, seq = list(start), []
         while not seq or order != start:
             q = sites[len(seq) % 2]
             pair = (order[q], order[q + 1])
-            parts = [(x,) for x in order[:q]] + [pair] + [(x,) for x in order[q + 2:]]
+            parts = [one[x] for x in order[:q]] + [pair] + [one[x] for x in order[q + 2:]]
             seq.append((_canon_p_cell(c.kind, tuple(parts)), pair))
             order[q], order[q + 1] = pair[1], pair[0]
         walks.append(seq)
