@@ -346,6 +346,8 @@ class AffinePermutation:
 
     Validity (checked at construction, the single trust boundary): the window
     entries form a complete residue system mod n and sum to n(n+1)/2.
+    Products are valid by construction and are stored through
+    ``AffinePermutation._trusted``, unchecked.
     """
 
     window: Tuple[int, ...]
@@ -360,6 +362,14 @@ class AffinePermutation:
         if sum(t) != _binom2(n):
             raise ValueError(f"window sum {sum(t)} != {_binom2(n)}")
         object.__setattr__(self, "window", t)
+
+    @staticmethod
+    def _trusted(window: Tuple[int, ...]) -> "AffinePermutation":
+        """Store a window known to be valid; its contract is a tuple of ints
+        that the constructor would accept unchanged."""
+        ap = object.__new__(AffinePermutation)
+        object.__setattr__(ap, "window", window)
+        return ap
 
     @property
     def n(self) -> int:
@@ -382,7 +392,7 @@ class AffinePermutation:
         for v in other.window:
             r = (v - 1) % n
             out.append(sw[r] + v - 1 - r)
-        return AffinePermutation(out)
+        return AffinePermutation._trusted(tuple(out))
 
     def inverse(self) -> "AffinePermutation":
         n = self.n

@@ -553,8 +553,11 @@ def verify_hom(h: GroupHom, mode="solvable_target", depth: int = 6) -> HomReport
     For solvable targets the check is complete (evaluation).  Otherwise each
     relator image is attacked by bounded rewriting: a non-identity
     symmetric-group shadow is a definite failure; otherwise the status is
-    proven or inconclusive, never a false negative.
+    proven or inconclusive, never a false negative.  A negative depth is
+    rejected in either mode.
     """
+    if depth < 0:
+        raise ValueError("depth must be at least 0")
     pres = make_presentation(_family_of(h.source), h.n)
     report = HomReport(h)
     if mode == "solvable_target":
@@ -570,7 +573,7 @@ def verify_hom(h: GroupHom, mode="solvable_target", depth: int = 6) -> HomReport
         return report
     if mode == "bounded_rewrite":
         if h.target not in ("vC", "vS"):
-            raise ValueError("bounded rewriting targets a presentation")
+            raise ValueError(f"bounded rewriting targets only vC and vS, not {h.target}")
         for rel in pres.relators:
             word = h.map_word(rel)
             shadow = evaluate_word("S", word, h.n)
@@ -584,6 +587,8 @@ def verify_hom(h: GroupHom, mode="solvable_target", depth: int = 6) -> HomReport
 
 
 def _family_of(code: str) -> str:
+    if code in SOLVABLE_TARGETS:
+        raise ValueError(f"source {code} has no presentation to check")
     return {
         "C": "cactus",
         "AC": "affine_cactus",

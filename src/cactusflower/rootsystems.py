@@ -9,15 +9,25 @@ simple roots.  Weights, coroot pairings, rho and every Weyl image of them
 are integral, so the Weyl group is enumerated as integer matrices keyed by
 the root permutations they induce.  Other simple systems are Weyl
 translates of the base and are represented by the translating group
-element.  Fractions appear only where the inputs are rational: the
-parallelepiped coordinates, xi, theta, face centres (half-integral) and
-simple-root coordinates of arbitrary vectors.
+element.
+
+The permutahedron paths compute on integers and stay exact.  Each simple
+system keeps a table of doubled face centres, one integer vector per
+keep-mask, which face_center, xi and verify_face_center read.  A rational
+input point is scaled by the common denominator of its coordinates
+(_scaled) before it is reflected, paired or compared, and simple-root
+coordinates come from the integer matrix det(A) A^-1.  A Fraction is made
+only for a returned value: the parallelepiped coordinates, xi, theta, face
+centres (half-integral) and simple-root coordinates of arbitrary vectors.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .realgeometry import INF, NEG_INF, RationalDiffeo, DEFAULT_F
@@ -61,16 +71,11 @@ EXPECTED_ROOT_COUNTS = {
 }
 
 
-def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _vscale(c, a):
-    return tuple(c * x for x in a)
+def _scaled(x) -> Tuple[int, Tuple[int, ...]]:
+    """(q, q*x) for the least q > 0 that makes every coordinate integral."""
+    x = [v if type(v) in (int, Fraction) else Fraction(v) for v in x]
+    q = math.lcm(*(v.denominator for v in x))
+    return q, tuple(v.numerator * (q // v.denominator) for v in x)
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,9 @@ class RootSystem:
                         raise ValueError("not a finite-type Cartan matrix")
         self.cartan = tuple(tuple(row) for row in a)
         self.rank = r
-        self._ainv = _invert(a)
+        # simple coordinates are (det A)^-1 times _adj applied to a weight;
+        # det A > 0 for every finite type, so _adj keeps their signs
+        self._det, self._adj = _adjugate(a)
         # symmetrizer: d_i A_ij = d_j A_ji
         d = [Fraction(1)] * r
         changed = True
@@ -202,7 +209,8 @@ class RootSystem:
 
     def reflect(self, root: Root, x: Vec) -> Vec:
         """The reflection in the root; integer vectors stay integer."""
-        return _vsub(x, _vscale(self.copair(root, x), root.weight))
+        c = self.copair(root, x)
+        return tuple(v - c * w for v, w in zip(x, root.weight))
 
     def apply_matrix(self, m, x: Vec) -> Vec:
         r = self.rank
@@ -210,10 +218,8 @@ class RootSystem:
 
     def simple_coords(self, y: Vec) -> tuple:
         """Exact simple-root coordinates of a weight-basis vector."""
-        r = self.rank
-        c = tuple(
-            sum(self._ainv[i][j] * Fraction(y[j]) for j in range(r)) for i in range(r)
-        )
+        q, y = _scaled(y)
+        c = tuple(Fraction(v, self._det * q) for v in self.apply_matrix(self._adj, y))
         if all(x.denominator == 1 for x in c):
             return tuple(int(x) for x in c)
         return c
@@ -249,19 +255,24 @@ class RootSystem:
         return out
 
 
-def _invert(a):
+def _adjugate(a):
+    """(det A, det A * A^-1), both integral, by Gauss-Jordan elimination."""
     r = len(a)
     m = [[Fraction(a[i][j]) for j in range(r)] + [Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    det = Fraction(1)
     for col in range(r):
         piv = next(row for row in range(col, r) if m[row][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
         pv = m[col][col]
+        det *= pv
         m[col] = [x / pv for x in m[col]]
         for row in range(r):
             if row != col and m[row][col] != 0:
                 f = m[row][col]
                 m[row] = [x - f * y for x, y in zip(m[row], m[col])]
-    return tuple(tuple(m[i][r + j] for j in range(r)) for i in range(r))
+    return int(det), tuple(tuple(int(det * m[i][r + j]) for j in range(r)) for i in range(r))
 
 
 def build_root_system(cartan_or_name) -> RootSystem:
@@ -302,8 +313,10 @@ class SimpleSystem:
     def coords_of_vector(self, v: Vec) -> tuple:
         """Rational coordinates of a weight-space vector in this system's
         simple roots."""
-        back = self.system.apply_matrix(self.matrix_inv, tuple(map(Fraction, v)))
-        return tuple(map(Fraction, self.system.simple_coords(back)))
+        sys_ = self.system
+        q, v = _scaled(v)
+        back = sys_.apply_matrix(sys_._adj, sys_.apply_matrix(self.matrix_inv, v))
+        return tuple(Fraction(x, sys_._det * q) for x in back)
 
     def fundamental_weights(self) -> list[Vec]:
         return [tuple(map(Fraction, col)) for col in zip(*self.matrix)]
@@ -315,6 +328,27 @@ class SimpleSystem:
         """Integer coordinates of a root in this simple system."""
         idx = self.system._root_index[root.simple]
         return self.system.roots[self.inv_perm[idx]].simple
+
+    @cached_property
+    def doubled_centres(self) -> Tuple[Tuple[int, ...], ...]:
+        """Twice each face centre, indexed by the keep-mask J (bit i set when
+        position i is kept): 2 rho_Pi minus the sum of the positive roots of
+        this system whose support lies in J.  Built on first use, from one
+        pass over the roots bucketed by support and a subset sum over masks."""
+        r = self.system.rank
+        sums = [[0] * r for _ in range(1 << r)]
+        for root in self.system.roots:
+            c = self.coords_in(root)
+            if min(c) >= 0:
+                bucket = sums[sum(1 << i for i, x in enumerate(c) if x)]
+                for k, w in enumerate(root.weight):
+                    bucket[k] += w
+        for i in range(r):
+            for mask in range(1 << r):
+                if mask >> i & 1:
+                    sums[mask] = [a + b for a, b in zip(sums[mask], sums[mask ^ 1 << i])]
+        rho2 = [2 * x for x in self.rho()]
+        return tuple(tuple(a - b for a, b in zip(rho2, s)) for s in sums)
 
     def __str__(self):
         return f"Pi{self.root_indices}"
@@ -332,6 +366,11 @@ class FaceDatum:
         if not all(0 <= i < self.simple_system.system.rank for i in self.delta):
             raise ValueError("delta positions out of range")
 
+    @property
+    def keep_mask(self) -> int:
+        """The positions outside delta, as a bit mask."""
+        return (1 << self.simple_system.system.rank) - 1 - sum(1 << i for i in self.delta)
+
 
 def all_face_data(sys_: RootSystem):
     """Every face datum (Pi, Delta): each simple system with each subset of
@@ -342,52 +381,41 @@ def all_face_data(sys_: RootSystem):
                 yield FaceDatum(ss, frozenset(delta))
 
 
-def _parabolic_positive_sum(ss: SimpleSystem, keep_positions) -> Vec:
-    """Half the sum of the roots that are nonnegative combinations of the
-    kept simple roots of the system."""
-    sys_ = ss.system
-    keep = set(keep_positions)
-    total = (0,) * sys_.rank
-    for root in sys_.roots:
-        c = ss.coords_in(root)
-        if all(x >= 0 for x in c) and all(c[i] == 0 or i in keep for i in range(sys_.rank)):
-            total = _vadd(total, root.weight)
-    return tuple(Fraction(x, 2) for x in total)
-
-
 def face_center(fd: FaceDatum) -> Vec:
     """The centre of the face: rho_Pi minus the parabolic half-sum."""
-    ss = fd.simple_system
-    keep = [i for i in range(ss.system.rank) if i not in fd.delta]
-    return _vsub(ss.rho(), _parabolic_positive_sum(ss, keep))
+    return tuple(Fraction(x, 2) for x in fd.simple_system.doubled_centres[fd.keep_mask])
 
 
 def face_vertices(fd: FaceDatum) -> FrozenSet[Vec]:
     """The vertex set of the face: the orbit of rho_Pi under the parabolic
     subgroup generated by the reflections in Pi minus Delta."""
     ss = fd.simple_system
-    sys_ = ss.system
-    gens = [sys_.roots[ss.root_indices[i]] for i in range(sys_.rank) if i not in fd.delta]
+    gens = [(g.copairing, g.weight) for i, g in enumerate(ss.roots()) if i not in fd.delta]
     start = ss.rho()
     orbit = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
-                y = sys_.reflect(g, x)
-                if y not in orbit:
-                    orbit.add(y)
-                    nxt.append(y)
+            for cop, w in gens:
+                # rho_Pi is regular, so c != 0; c < 0 leads one level back
+                # towards rho_Pi, to a vertex already in the orbit
+                c = sum(map(mul, cop, x))
+                if c > 0:
+                    y = tuple([v - c * u for v, u in zip(x, w)])
+                    if y not in orbit:
+                        orbit.add(y)
+                        nxt.append(y)
         frontier = nxt
     return frozenset(orbit)
 
 
 def verify_face_center(fd: FaceDatum) -> bool:
-    """The vertex average of the face equals the centre formula, exactly."""
+    """The vertex average of the face equals the centre formula, exactly:
+    twice the vertex sum is the vertex count times the doubled centre."""
     verts = face_vertices(fd)
-    avg = tuple(Fraction(sum(col), len(verts)) for col in zip(*verts))
-    return avg == face_center(fd)
+    centre2 = fd.simple_system.doubled_centres[fd.keep_mask]
+    return all(2 * sum(col) == len(verts) * c for col, c in zip(zip(*verts), centre2))
 
 
 # ---------------------------------------------------------------------------
@@ -399,42 +427,37 @@ def xi(fd: FaceDatum, t: Dict[int, Fraction]) -> Vec:
 
     t assigns [0,1] values to the positions outside delta; delta positions
     are pinned at one.  Vertices go to face centres by design.
+
+    With t_i = p_i / q_i this is the sum over subsets d of the positions of
+    prod(p_i for i in d, q_i - p_i for i not in d) times the doubled centre
+    of the face keeping the complement of d, over 2 prod(q_i).
     """
     ss = fd.simple_system
     r = ss.system.rank
-    tv = {}
+    p, q = [1] * r, [1] * r
     for i in range(r):
-        if i in fd.delta:
-            tv[i] = Fraction(1)
-        else:
-            tv[i] = Fraction(t[i])
-            if not 0 <= tv[i] <= 1:
+        if i not in fd.delta:
+            v = Fraction(t[i])
+            if not 0 <= v <= 1:
                 raise ValueError("coordinates lie in [0, 1]")
-    rho_pi = ss.rho()
-    out = tuple(Fraction(0) for _ in range(r))
-    for dsize in range(r + 1):
-        for d in itertools.combinations(range(r), dsize):
-            dset = set(d)
-            if not fd.delta <= dset:
-                continue
-            coeff = Fraction(1)
-            for i in range(r):
-                coeff *= tv[i] if i in dset else (1 - tv[i])
-            if coeff == 0:
-                continue
-            keep = [i for i in range(r) if i not in dset]
-            centre = _vsub(rho_pi, _parabolic_positive_sum(ss, keep))
-            out = _vadd(out, _vscale(coeff, centre))
-    return out
+            p[i], q[i] = v.numerator, v.denominator
+    table = ss.doubled_centres
+    out = [0] * r
+    for d in range(1 << r):
+        coeff = 1
+        for i in range(r):
+            coeff *= p[i] if d >> i & 1 else q[i] - p[i]
+        if coeff:
+            for k, x in enumerate(table[(1 << r) - 1 - d]):
+                out[k] += coeff * x
+    den = 2 * math.prod(q)
+    return tuple(Fraction(x, den) for x in out)
 
 
 def star_point_coords(ss: SimpleSystem, t: Dict[int, Fraction]) -> Vec:
     """The point sum_i t_i * omega_i^Pi of the parallelepiped."""
-    fw = ss.fundamental_weights()
-    out = tuple(Fraction(0) for _ in range(ss.system.rank))
-    for i, w in enumerate(fw):
-        out = _vadd(out, _vscale(Fraction(t[i]), w))
-    return out
+    q, tq = _scaled([t[i] for i in range(ss.system.rank)])
+    return tuple(Fraction(x, q) for x in ss.system.apply_matrix(ss.matrix, tq))
 
 
 def theta_root(
@@ -479,8 +502,8 @@ def theta_root(
 def permutahedron_membership(sys_: RootSystem, x: Vec) -> bool:
     """Dominance criterion: bring x into the closed fundamental chamber and
     test that rho - x is a nonnegative rational combination of the simple
-    roots."""
-    y = tuple(Fraction(v) for v in x)
+    roots.  Runs on q*x, q the common denominator of x."""
+    q, y = _scaled(x)
     guard = 0
     while any(v < 0 for v in y):
         i = next(k for k, v in enumerate(y) if v < 0)
@@ -488,9 +511,8 @@ def permutahedron_membership(sys_: RootSystem, x: Vec) -> bool:
         guard += 1
         if guard > 10 * sys_.order:
             raise RuntimeError("dominance loop failed to terminate")
-    diff = _vsub(sys_.rho, y)
-    c = sys_.simple_coords(diff)
-    return all(Fraction(v) >= 0 for v in c)
+    diff = tuple(q * a - b for a, b in zip(sys_.rho, y))
+    return all(v >= 0 for v in sys_.apply_matrix(sys_._adj, diff))
 
 
 def star_membership(sys_: RootSystem, x: Vec):
@@ -499,12 +521,19 @@ def star_membership(sys_: RootSystem, x: Vec):
 
     The enumeration order fixes the representative deterministically (the
     lexicographically least admissible system)."""
-    y = tuple(Fraction(v) for v in x)
+    ss, t = next(_star_charts(sys_, x), (None, None))
+    return None if ss is None else (ss, dict(enumerate(t)))
+
+
+def _star_charts(sys_: RootSystem, x: Vec):
+    """Each simple system, in canonical order, whose parallelepiped contains
+    x, with the coordinates <alpha_i^vee, x>; paired in int on q*x, q the
+    common denominator of x."""
+    q, y = _scaled(x)
     for ss in sys_.simple_systems():
-        t = [sys_.copair(sys_.roots[ss.root_indices[i]], y) for i in range(sys_.rank)]
-        if all(0 <= v <= 1 for v in t):
-            return ss, {i: t[i] for i in range(sys_.rank)}
-    return None
+        tq = [sys_.copair(root, y) for root in ss.roots()]
+        if all(0 <= v <= q for v in tq):
+            yield ss, [Fraction(v, q) for v in tq]
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +545,10 @@ def parallel_face_related(v1: Vec, fd1: FaceDatum, v2: Vec, fd2: FaceDatum) -> b
     carrying the first onto the second carries the first point to the
     second."""
     verts1, verts2 = face_vertices(fd1), face_vertices(fd2)
-    shift = _vsub(face_center(fd2), face_center(fd1))
-    if {tuple(_vadd(v, shift)) for v in verts1} != set(verts2):
+    shift = tuple(b - a for a, b in zip(face_center(fd1), face_center(fd2)))
+    if {tuple(a + s for a, s in zip(v, shift)) for v in verts1} != set(verts2):
         return False
-    return tuple(_vadd(tuple(map(Fraction, v1)), shift)) == tuple(map(Fraction, v2))
+    return tuple(Fraction(a) + s for a, s in zip(v1, shift)) == tuple(map(Fraction, v2))
 
 
 def star_faces_related(
@@ -547,17 +576,10 @@ def star_presentations(sys_: RootSystem, x: Vec):
     whose coordinate is strictly below one (which any retained set must
     contain)."""
     out = []
-    y = tuple(Fraction(v) for v in x)
-    for ss in sys_.simple_systems():
-        t = tuple(
-            sys_.copair(sys_.roots[ss.root_indices[i]], y) for i in range(sys_.rank)
-        )
-        if all(0 <= v <= 1 for v in t):
-            pairing = {ss.root_indices[i]: t[i] for i in range(sys_.rank)}
-            need = frozenset(
-                ss.root_indices[i] for i in range(sys_.rank) if t[i] != 1
-            )
-            out.append((pairing, need))
+    for ss, t in _star_charts(sys_, x):
+        pairing = dict(zip(ss.root_indices, t))
+        need = frozenset(k for k, v in pairing.items() if v != 1)
+        out.append((pairing, need))
     return out
 
 
@@ -582,12 +604,12 @@ def star_points_related(sys_: RootSystem, x: Vec, y: Vec, pres_x=None, pres_y=No
 
 def permutahedron_faces_containing(sys_: RootSystem, y: Vec):
     """All face data (Pi, Delta) whose face contains the permutahedron
-    point."""
+    point.  Runs on q*y, q the common denominator of y."""
     out = []
-    yy = tuple(Fraction(v) for v in y)
+    q, yq = _scaled(y)
     for ss in sys_.simple_systems():
-        diff = _vsub(yy, ss.rho())
-        coords = ss.coords_of_vector(diff)
+        diff = tuple(a - q * b for a, b in zip(yq, ss.rho()))
+        coords = sys_.apply_matrix(sys_._adj, sys_.apply_matrix(ss.matrix_inv, diff))
         zero_positions = [i for i in range(sys_.rank) if coords[i] == 0]
         for size in range(len(zero_positions) + 1):
             for delta in itertools.combinations(zero_positions, size):
@@ -605,19 +627,26 @@ def permutahedron_points_related(
 
     def verts(fd):
         if fd not in cache:
-            cache[fd] = (face_vertices(fd), face_center(fd))
+            cache[fd] = (face_vertices(fd), fd.simple_system.doubled_centres[fd.keep_mask])
         return cache[fd]
 
-    # the only translation carrying y1 to y2 is y2 - y1, so a face through
-    # y1 can only be carried onto a face of faces2 centred at c1 + shift
-    shift = _vsub(tuple(Fraction(v) for v in y2), tuple(Fraction(v) for v in y1))
-    by_centre: Dict[Vec, list] = {}
+    # the only translation carrying y1 to y2 is y2 - y1; vertices are
+    # integral, so it carries no face onto another unless it is integral
+    r = sys_.rank
+    q, both = _scaled(tuple(y1) + tuple(y2))
+    shift = [b - a for a, b in zip(both[:r], both[r:])]
+    if any(s % q for s in shift):
+        return False
+    shift = [s // q for s in shift]
+    # a face through y1 can only be carried onto a face of faces2 centred at
+    # c1 + shift
+    by_centre: Dict[tuple, list] = {}
     for fd2 in faces2:
         v2, c2 = verts(fd2)
         by_centre.setdefault(c2, []).append(v2)
     for fd1 in faces1:
         v1, c1 = verts(fd1)
-        for v2 in by_centre.get(_vadd(c1, shift), ()):
-            if len(v1) == len(v2) and {_vadd(v, shift) for v in v1} == v2:
+        for v2 in by_centre.get(tuple(c + 2 * s for c, s in zip(c1, shift)), ()):
+            if len(v1) == len(v2) and {tuple(a + s for a, s in zip(v, shift)) for v in v1} == v2:
                 return True
     return False

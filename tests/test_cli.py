@@ -227,11 +227,27 @@ def test_acceptance_criterion_out_of_range_is_a_usage_error(number):
     ["enumerate", "--complex", "hatP", "--n", "-1"],
     ["export", "--complex", "P", "--n", "0"],
     ["verify", "hom", "--from", "AC", "--to", "vC", "--n", "3", "--depth", "-1"],
+    ["verify", "hom", "--from", "C", "--to", "S", "--n", "3", "--depth", "-1"],
+    ["verify", "hom", "--from", "EAC", "--to", "EAS", "--n", "3", "--depth", "-1"],
 ])
 def test_out_of_range_sizes_are_usage_errors(argv):
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source, target, message", [
+    ("S", "EAS", "source S has no presentation to check"),
+    ("S", "S", "source S has no presentation to check"),
+    ("EAS", "vS", "source EAS has no presentation to check"),
+    ("EAS", "S", "source EAS has no presentation to check"),
+    ("C", "EAC", "bounded rewriting targets only vC and vS, not EAC"),
+])
+def test_verify_hom_arrows_it_cannot_check_are_usage_errors(source, target, message, capsys):
+    assert main(["verify", "hom", "--from", source, "--to", target, "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def _option_slots(parser, path=()):

@@ -285,6 +285,108 @@ def _reference_face(rs, chamber, delta):
     return frozenset(orbit), tuple(p - h for p, h in zip(rho, half))
 
 
+def _reference_xi(rs, chamber, delta, t):
+    """xi in Fractions: the multilinear blend of the face centres, each
+    subset d of the positions (containing delta) weighted by the product of
+    t_i over d and 1 - t_i off it."""
+    r = rs.rank
+    tv = [F(1) if i in delta else F(t[i]) for i in range(r)]
+    if not all(0 <= v <= 1 for v in tv):
+        raise ValueError("coordinates lie in [0, 1]")
+    out = [F(0)] * r
+    for mask in range(1 << r):
+        d = {i for i in range(r) if mask >> i & 1}
+        if not set(delta) <= d:
+            continue
+        coeff = F(1)
+        for i in range(r):
+            coeff *= tv[i] if i in d else 1 - tv[i]
+        centre = _reference_face(rs, chamber, d)[1]
+        out = [o + coeff * c for o, c in zip(out, centre)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B3", "G2"])
+def test_xi_matches_fraction_reference_off_grid(name):
+    rs = build_root_system(name)
+    chambers = _reference_simple_systems(rs, _reference_elements(rs))
+    rng = random.Random(13)
+    for ss, chamber in zip(rs.simple_systems(), chambers):
+        for size in range(rs.rank + 1):
+            for delta in itertools.combinations(range(rs.rank), size):
+                fd = FaceDatum(ss, frozenset(delta))
+                t = {i: F(rng.randint(1, 10), rng.choice([7, 11, 13])) for i in range(rs.rank)}
+                t = {i: min(v, F(1)) for i, v in t.items()}
+                got = xi(fd, t)
+                assert got == _reference_xi(rs, chamber, delta, t)
+                assert all(type(v) is F for v in got)
+                if size < rs.rank:
+                    free = next(i for i in range(rs.rank) if i not in delta)
+                    for bad in (F(-1, 9), F(10, 9)):
+                        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                            xi(fd, {**t, free: bad})
+
+
+def _reference_membership(rs, x):
+    """The dominance criterion in Fractions: reflect x into the closed
+    fundamental chamber, then solve A c = rho - x for the simple-root
+    coordinates c and test them for signs."""
+    r = rs.rank
+    y = [F(v) for v in x]
+    while any(v < 0 for v in y):
+        i = next(k for k, v in enumerate(y) if v < 0)
+        y = list(_fraction_reflect(rs.roots[rs._simple_idx[i]], y))
+    m = [[F(a) for a in row] + [1 - v] for row, v in zip(rs.cartan, y)]
+    for col in range(r):
+        piv = next(k for k in range(col, r) if m[k][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for k in range(r):
+            if k != col:
+                m[k] = [a - m[k][col] * b for a, b in zip(m[k], m[col])]
+    return all(row[r] >= 0 for row in m)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B3", "C3", "G2"])
+def test_membership_matches_fraction_reference_on_perturbed_points(name):
+    rs = build_root_system(name)
+    rng = random.Random(7)
+    verdicts = []
+    for ss in rs.simple_systems():
+        fd = FaceDatum(ss, frozenset())
+        for _ in range(4):
+            y = xi(fd, {i: F(rng.randint(0, 6), 6) for i in range(rs.rank)})
+            for _ in range(3):
+                step = F(rng.choice([-1, 1]), rng.choice([5, 16, 49]))
+                k = rng.randrange(rs.rank)
+                probe = tuple(v + step * (i == k) for i, v in enumerate(y))
+                got = permutahedron_membership(rs, probe)
+                assert got == _reference_membership(rs, probe)
+                verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
+
+
+_CRITERION_12_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"]
+
+
+@pytest.mark.parametrize("name", _CRITERION_12_TYPES)
+def test_wrong_centre_fails_the_face_centre_comparison(name):
+    rs = build_root_system(name)
+    for ss in rs.simple_systems()[:6]:
+        table = ss.doubled_centres
+        faces = [FaceDatum(ss, frozenset(k for k in range(rs.rank) if mask >> k & 1))
+                 for mask in range(1 << rs.rank)]
+        assert all(verify_face_center(fd) for fd in faces)
+        # the entry of another keep-mask, then one coordinate off by one
+        for wrong in (tuple(table[mask ^ 1] for mask in range(len(table))),
+                      tuple((c[0] + 1,) + c[1:] for c in table)):
+            ss.__dict__["doubled_centres"] = wrong
+            try:
+                assert not any(verify_face_center(fd) for fd in faces)
+            finally:
+                ss.__dict__["doubled_centres"] = table
+
+
 @pytest.mark.parametrize("name", sorted(NAMED_CARTAN))
 def test_integer_weyl_closure_matches_fraction_reference(name):
     rs = build_root_system(name)
