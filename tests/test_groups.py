@@ -171,16 +171,6 @@ def test_affine_products_stored_unchecked_are_valid(n, monkeypatch):
         assert AffinePermutation(product.window) == product
 
 
-def test_verify_hom_rejects_negative_depth_and_unpresented_sources():
-    for pair in (("C", "S"), ("AC", "AS"), ("AC", "vC")):
-        with pytest.raises(ValueError, match="depth must be at least 0"):
-            verify_hom(hom(pair, 3), "solvable_target" if pair[1] != "vC" else "bounded_rewrite",
-                       depth=-1)
-    for pair in (("S", "EAS"), ("EAS", "vS")):
-        with pytest.raises(ValueError, match=f"source {pair[0]} has no presentation"):
-            verify_hom(hom(pair, 3), "bounded_rewrite")
-
-
 def test_bounded_rewrite_certificates():
     for n in (3, 4):
         rep = verify_hom(hom(("AC", "vC"), n), "bounded_rewrite", depth=6)

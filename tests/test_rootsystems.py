@@ -327,6 +327,15 @@ def test_xi_matches_fraction_reference_off_grid(name):
                             xi(fd, {**t, free: bad})
 
 
+@pytest.mark.parametrize("name", sorted(NAMED_CARTAN))
+def test_integer_inverse_of_the_cartan_matrix(name):
+    # A _adj = det I with det > 0, so _adj y has the signs of A^-1 y
+    rs = build_root_system(name)
+    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*rs._adj)] for row in rs.cartan]
+    assert rs._det > 0
+    assert product == [[rs._det * (i == j) for j in range(rs.rank)] for i in range(rs.rank)]
+
+
 def _reference_membership(rs, x):
     """The dominance criterion in Fractions: reflect x into the closed
     fundamental chamber, then solve A c = rho - x for the simple-root
