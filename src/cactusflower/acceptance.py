@@ -475,20 +475,11 @@ def criterion_8(seed=DEFAULT_SEED) -> CriterionResult:
 # 9: the commuting square
 
 
-def _random_cube_point(n, rng, binary_only=False, interior=False) -> rg.CubePoint:
-    if binary_only:
-        forest = PlanarForest([random_binary_tree(range(1, n + 1), rng)])
-    else:
-        k = rng.randrange(0, n)
-        candidates = enumerate_planar_forests(n, k)
-        forest = candidates[rng.randrange(len(candidates))]
-    t = {}
-    for e in forest.edges():
-        if interior:
-            t[e] = Fraction(rng.randrange(1, 16), 16)
-        else:
-            t[e] = Fraction(rng.randrange(0, 17), 16)
-    return rg.CubePoint(forest, t)
+def _random_cube_point(n, rng) -> rg.CubePoint:
+    k = rng.randrange(0, n)
+    candidates = enumerate_planar_forests(n, k)
+    forest = candidates[rng.randrange(len(candidates))]
+    return rg.CubePoint(forest, {e: Fraction(rng.randrange(0, 17), 16) for e in forest.edges()})
 
 
 def criterion_9(seed=DEFAULT_SEED, samples=100) -> CriterionResult:

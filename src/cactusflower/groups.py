@@ -22,6 +22,7 @@ bounded rewriting with an honest Inconclusive outcome.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Tuple
 
@@ -810,18 +811,13 @@ def format_word(word: Word) -> str:
     return " ".join(out)
 
 
-_TOKEN_RE = None
+_TOKEN_RE = re.compile(
+    r"s\[A:[\d,]+\]|s\[\d+,\d+\]|sig\[\d+,\d+\]|[wa]\([\d ]+\)"
+    r"|(?:sigma|a|b)\[\d+\]|r\^-?\d+|r\b"
+)
 
 
 def _word_tokens(text: str) -> list[str]:
-    global _TOKEN_RE
-    if _TOKEN_RE is None:
-        import re
-
-        _TOKEN_RE = re.compile(
-            r"s\[A:[\d,]+\]|s\[\d+,\d+\]|sig\[\d+,\d+\]|[wa]\([\d ]+\)"
-            r"|(?:sigma|a|b)\[\d+\]|r\^-?\d+|r\b"
-        )
     tokens = _TOKEN_RE.findall(text)
     if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
         raise ValueError(f"cannot parse word {text!r}")
@@ -1032,7 +1028,7 @@ def vs_lattice_image(word: Word, n: int):
     u = Permutation.identity(n)
     vec: dict = {}
     for x in word:
-        if x[0] in ("w", "b-perm"):
+        if x[0] == "w":
             u = u * x[1]
         elif x[0] == "b":
             u = u * Permutation.transposition(n, x[1], x[1] + 1)

@@ -548,12 +548,7 @@ def theta(p: CubePoint, f: RationalDiffeo = DEFAULT_F) -> ThetaImage:
 
 
 def theta_images_equal(a: ThetaImage, b: ThetaImage) -> bool:
-    return (
-        a.s_part == b.s_part
-        and a.nu.nu == b.nu.nu
-        and {k: v.mu for k, v in a.mu_dict().items()}
-        == {k: v.mu for k, v in b.mu_dict().items()}
-    )
+    return a == b
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ the root permutations they induce.  Other simple systems are Weyl
 translates of the base and are represented by the translating group
 element.
 
+A Cartan matrix is checked for finite type (every principal minor
+positive) before any closure runs, so the closures end.  One integer
+reflection closure builds the roots and their coroots together: the
+coroot coordinates reflect under the transposed Cartan matrix.
+
 The permutahedron paths compute on integers and stay exact.  Each simple
 system keeps a table of doubled face centres, one integer vector per
 keep-mask, which face_center, xi and verify_face_center read.  A rational
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .realgeometry import INF, NEG_INF, RationalDiffeo, DEFAULT_F
 
@@ -94,7 +99,10 @@ class RootSystem:
     space, keyed by the root permutations they induce."""
 
     def __init__(self, cartan):
-        a = [list(map(int, row)) for row in cartan]
+        if not all(isinstance(row, (list, tuple)) and all(type(x) is int for x in row)
+                   for row in cartan):
+            raise ValueError("a Cartan matrix is a list of rows of integers")
+        a = [list(row) for row in cartan]
         r = len(a)
         if any(len(row) != r for row in a):
             raise ValueError("Cartan matrix must be square")
@@ -102,67 +110,46 @@ class RootSystem:
             if a[i][i] != 2:
                 raise ValueError("diagonal entries must equal 2")
             for j in range(r):
-                if i != j:
-                    if a[i][j] > 0 or (a[i][j] == 0) != (a[j][i] == 0):
-                        raise ValueError("off-diagonal entries invalid")
-                    if a[i][j] * a[j][i] not in (0, 1, 2, 3):
-                        raise ValueError("not a finite-type Cartan matrix")
+                if i != j and (a[i][j] > 0 or (a[i][j] == 0) != (a[j][i] == 0)):
+                    raise ValueError("off-diagonal entries invalid")
+        # finite type iff every principal minor is positive (Kac, section 4);
+        # a finite-type matrix is symmetrizable and the closures below end
+        subsets = (s for k in range(1, r + 1) for s in itertools.combinations(range(r), k))
+        if any(_det([[a[i][j] for j in s] for i in s]) <= 0 for s in subsets):
+            raise ValueError("not a finite-type Cartan matrix")
         self.cartan = tuple(tuple(row) for row in a)
         self.rank = r
         # simple coordinates are (det A)^-1 times _adj applied to a weight;
         # det A > 0 for every finite type, so _adj keeps their signs
-        self._det, self._adj = _adjugate(a)
-        # symmetrizer: d_i A_ij = d_j A_ji
-        d = [Fraction(1)] * r
-        changed = True
-        while changed:
-            changed = False
-            for i in range(r):
-                for j in range(r):
-                    if a[i][j] and d[i] * a[i][j] != d[j] * a[j][i]:
-                        d[j] = d[i] * a[i][j] / a[j][i]
-                        changed = True
-        self.symmetrizer = tuple(d)
+        self._det, self._adj = _det(a), _adj(a)
 
-        # reflection closure on simple-root coordinates
+        # reflection closure on simple-root coordinates c, each root carrying
+        # its coroot in simple coroots, c^vee: s_i subtracts <alpha_i^vee,
+        # alpha> = (A c)_i from c_i and <alpha^vee, alpha_i> = (A^T c^vee)_i
+        # from c^vee_i.  images[c] lists s_1 c, ..., s_r c.
         simples = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
-        roots = set(simples)
+        at = list(zip(*a))
+        coroots, images = dict(zip(simples, simples)), {}
         frontier = list(simples)
         while frontier:
             nxt = []
             for c in frontier:
-                m = [sum(a[i][j] * c[j] for j in range(r)) for i in range(r)]
-                for i in range(r):
-                    c2 = list(c)
-                    c2[i] -= m[i]
-                    c2 = tuple(c2)
-                    if c2 not in roots:
-                        roots.add(c2)
+                cv = coroots[c]
+                images[c] = [c[:i] + (c[i] - sum(map(mul, a[i], c)),) + c[i + 1:] for i in range(r)]
+                for i, c2 in enumerate(images[c]):
+                    if c2 not in coroots:
+                        coroots[c2] = cv[:i] + (cv[i] - sum(map(mul, at[i], cv)),) + cv[i + 1:]
                         nxt.append(c2)
             frontier = nxt
 
-        self.roots: List[Root] = []
-        for c in sorted(roots):
-            w = tuple(sum(a[i][j] * c[j] for j in range(r)) for i in range(r))
-            norm = self._norm_c(c)
-            # coroot coordinates: <alpha^vee, omega_j> = c_j (a_j, a_j)/(a, a),
-            # integral because the system is crystallographic
-            cop = tuple(c[j] * 2 * d[j] / norm for j in range(r))
-            assert all(q.denominator == 1 for q in cop)
-            self.roots.append(Root(c, w, tuple(int(q) for q in cop)))
+        # <alpha_i^vee, omega_j> = delta_ij, so the copairing is c^vee
+        self.roots: List[Root] = [
+            Root(c, tuple(sum(map(mul, row, c)) for row in a), coroots[c]) for c in sorted(coroots)
+        ]
         self._root_index = {rt.simple: k for k, rt in enumerate(self.roots)}
         self._simple_idx = [self._root_index[s] for s in simples]
-
-        # s_i sends the root with simple coordinates c to c - <alpha_i^vee,
-        # alpha> alpha_i, and <alpha_i^vee, alpha> is the i-th weight coordinate
-        reflections = []
-        for i in range(r):
-            perm = []
-            for rt in self.roots:
-                c = list(rt.simple)
-                c[i] -= rt.weight[i]
-                perm.append(self._root_index[tuple(c)])
-            reflections.append(perm)
+        reflections = [[self._root_index[images[rt.simple][i]] for rt in self.roots]
+                       for i in range(r)]
 
         # Weyl group as matrices on weight coordinates (columns = images of
         # the fundamental weights), keyed by the induced root permutation.
@@ -190,18 +177,6 @@ class RootSystem:
         self._simple_systems = self._build_simple_systems()
 
     # -- pairings -----------------------------------------------------------
-
-    def _inner_c(self, c) -> Vec:
-        """(alpha, .) against the simple roots: row of B = D A."""
-        r = self.rank
-        return tuple(
-            sum(self.symmetrizer[i] * self.cartan[i][j] * c[i] for i in range(r))
-            for j in range(r)
-        )
-
-    def _norm_c(self, c) -> Fraction:
-        row = self._inner_c(c)
-        return sum(row[j] * c[j] for j in range(self.rank))
 
     def copair(self, root: Root, x: Vec) -> Fraction:
         """<alpha^vee, x> for a weight-basis vector x."""
@@ -255,24 +230,33 @@ class RootSystem:
         return out
 
 
-def _adjugate(a):
-    """(det A, det A * A^-1), both integral, by Gauss-Jordan elimination."""
+def _det(m) -> int:
+    """The determinant of an integer matrix, by fraction-free (Bareiss)
+    elimination: every division is exact."""
+    m = [list(row) for row in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def _adj(a) -> tuple:
+    """The adjugate det(A) A^-1 of an integer matrix, from its cofactors."""
     r = len(a)
-    m = [[Fraction(a[i][j]) for j in range(r)] + [Fraction(int(i == j)) for j in range(r)] for i in range(r)]
-    det = Fraction(1)
-    for col in range(r):
-        piv = next(row for row in range(col, r) if m[row][col] != 0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        pv = m[col][col]
-        det *= pv
-        m[col] = [x / pv for x in m[col]]
-        for row in range(r):
-            if row != col and m[row][col] != 0:
-                f = m[row][col]
-                m[row] = [x - f * y for x, y in zip(m[row], m[col])]
-    return int(det), tuple(tuple(int(det * m[i][r + j]) for j in range(r)) for i in range(r))
+    return tuple(
+        tuple((-1) ** (i + j) * _det([row[:i] + row[i + 1:] for k, row in enumerate(a) if k != j])
+              for j in range(r))
+        for i in range(r)
+    )
 
 
 def build_root_system(cartan_or_name) -> RootSystem:
@@ -309,17 +293,6 @@ class SimpleSystem:
 
     def roots(self) -> list[Root]:
         return [self.system.roots[i] for i in self.root_indices]
-
-    def coords_of_vector(self, v: Vec) -> tuple:
-        """Rational coordinates of a weight-space vector in this system's
-        simple roots."""
-        sys_ = self.system
-        q, v = _scaled(v)
-        back = sys_.apply_matrix(sys_._adj, sys_.apply_matrix(self.matrix_inv, v))
-        return tuple(Fraction(x, sys_._det * q) for x in back)
-
-    def fundamental_weights(self) -> list[Vec]:
-        return [tuple(map(Fraction, col)) for col in zip(*self.matrix)]
 
     def rho(self) -> Vec:
         return self.system.apply_matrix(self.matrix, self.system.rho)

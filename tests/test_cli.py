@@ -37,6 +37,7 @@ def run_cli(*args):
         [sys.executable, "-m", "cactusflower.cli", *args],
         capture_output=True,
         text=True,
+        timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -115,6 +116,23 @@ def test_path_csv():
 def test_roots_verify():
     code, out, _ = run_cli("roots", "--type", "B2", "--verify", "face-centers")
     assert code == 0 and json.loads(out)["pass"]
+
+
+@pytest.mark.parametrize("matrix, message", [
+    # affine A2 (singular), a non-symmetrizable matrix, and an indefinite one
+    ("[[2,-1,-1],[-1,2,-1],[-1,-1,2]]", "not a finite-type Cartan matrix"),
+    ("[[2,-1,-1],[-1,2,-2],[-1,-1,2]]", "not a finite-type Cartan matrix"),
+    ("[[2,-1,-1,-1],[-1,2,-1,-1],[-1,-1,2,-1],[-1,-1,-1,2]]", "not a finite-type Cartan matrix"),
+    # entries that are not integers (a bool is not), and a row that is not a list
+    ("[[2,-1.5],[-1,2]]", "a Cartan matrix is a list of rows of integers"),
+    ("[[2,-1],[-1,2.9]]", "a Cartan matrix is a list of rows of integers"),
+    ('[[2,"-1"],[-1,2]]', "a Cartan matrix is a list of rows of integers"),
+    ("[[2,-1],[true,2]]", "a Cartan matrix is a list of rows of integers"),
+    ("[2,-1]", "a Cartan matrix is a list of rows of integers"),
+])
+def test_bad_cartan_matrix_is_a_usage_error(matrix, message):
+    code, out, err = run_cli("roots", "--type", matrix)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_export_dot():

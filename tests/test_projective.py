@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cactusflower.acceptance import _random_member
 from cactusflower.combinatorics import Permutation, SetPartition
 from cactusflower.forests import PlanarForest
 from cactusflower.projective import (
@@ -28,6 +29,7 @@ from cactusflower.projective import (
     g_inv,
     g_mul,
     g_sigma,
+    involution_sigma,
     losev_manin_iso,
     losev_manin_iso_inverse,
     natural_chart,
@@ -473,6 +475,32 @@ def test_sigma_mau_woodward_and_dm():
     sd = sigma_dm(mu5, 4)
     assert check_membership(spec5, sd).ok
     assert sigma_dm(sd, 4).mu == mu5.mu
+
+
+_SIGMAS = {
+    "Flower": sigma_flower,
+    "DeformedFlower": sigma_flower,
+    "MauWoodward": sigma_mau_woodward,
+    "DeformedMauWoodward": sigma_mau_woodward,
+    "DeligneMumford": lambda mu: sigma_dm(mu, len(mu.labels) - 1),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_SIGMAS))
+def test_involution_sigma_on_seeded_members(tag):
+    rng = random.Random(23)
+    for _ in range(30):
+        spec, point = _random_member(tag, rng)
+        image = involution_sigma(tag, point)
+        assert image == _SIGMAS[tag](point)
+        assert check_membership(spec, image).ok
+        assert involution_sigma(tag, image) == point
+
+
+def test_involution_sigma_has_no_losev_manin_case():
+    spec, point = _random_member("LosevManin", random.Random(23))
+    with pytest.raises(ValueError, match="no involution"):
+        involution_sigma(spec.tag, point)
 
 
 def test_dm_q_identification_roundtrip():

@@ -336,6 +336,41 @@ def test_integer_inverse_of_the_cartan_matrix(name):
     assert product == [[rs._det * (i == j) for j in range(rs.rank)] for i in range(rs.rank)]
 
 
+def _reference_symmetrizer(a):
+    """d with d_i a_ij = d_j a_ji, in Fractions, by rescaling along the
+    edges until no pair disagrees (it ends on finite types, whose Dynkin
+    diagrams are forests)."""
+    r = len(a)
+    d = [F(1)] * r
+    changed = True
+    while changed:
+        changed = False
+        for i in range(r):
+            for j in range(r):
+                if a[i][j] and d[i] * a[i][j] != d[j] * a[j][i]:
+                    d[j] = d[i] * a[i][j] / a[j][i]
+                    changed = True
+    return d
+
+
+def _reference_copairing(a, d, c):
+    """The coroot of the root with simple coordinates c, in simple coroots:
+    c_j 2 d_j / (alpha, alpha), the form being (alpha_i, alpha_j) = d_i a_ij."""
+    r = len(a)
+    norm = sum(d[i] * a[i][j] * c[i] * c[j] for i in range(r) for j in range(r))
+    return tuple(c[j] * 2 * d[j] / norm for j in range(r))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_CARTAN))
+def test_copairing_matches_fraction_reference(name):
+    rs = build_root_system(name)
+    d = _reference_symmetrizer(rs.cartan)
+    for root in rs.roots:
+        assert all(type(q) is int for q in root.copairing)
+        assert root.copairing == _reference_copairing(rs.cartan, d, root.simple)
+        assert rs.copair(root, root.weight) == 2
+
+
 def _reference_membership(rs, x):
     """The dominance criterion in Fractions: reflect x into the closed
     fundamental chamber, then solve A c = rho - x for the simple-root
