@@ -19,7 +19,7 @@ from . import groups as gr
 from . import projective as pj
 from . import realgeometry as rg
 from . import rootsystems as rs
-from .combinatorics import SetPartition, all_permutations
+from .combinatorics import SetPartition
 from .forests import (
     PlanarForest,
     collapse,
@@ -28,7 +28,7 @@ from .forests import (
     leafset,
     random_binary_tree,
 )
-from .scalars import Dual, GaussianRational, I, matrix_rank
+from .scalars import Dual, I, matrix_rank
 
 DEFAULT_SEED = 20240331
 PATH_TOLERANCE = 1e-9
@@ -142,7 +142,7 @@ def criterion_5(seed=DEFAULT_SEED) -> CriterionResult:
     )
 
 
-# 6: bounded-rewrite certificates
+# 6: AC -> vC relator images decided in hatD_n
 
 
 def criterion_6(seed=DEFAULT_SEED) -> CriterionResult:

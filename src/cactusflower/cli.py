@@ -76,7 +76,7 @@ def _cmd_verify(args) -> int:
         counts = {}
         for _, st, _ in rep.results:
             counts[st] = counts.get(st, 0) + 1
-        ok = not rep.failures and not rep.inconclusive
+        ok = rep.all_proven
         _emit(args, json.dumps({"hom": f"{pair[0]}->{pair[1]}", "n": args.n,
                                 "mode": mode, "statuses": counts, "pass": ok}, sort_keys=True))
         return 0 if ok else 1

@@ -633,7 +633,7 @@ def _boundary_words_P(c: CubeComplex):
     return walks
 
 
-def extract_presentation(c: CubeComplex, base=None) -> Presentation:
+def extract_presentation(c: CubeComplex) -> Presentation:
     """Generators: directed 1-cells (with the reversal pairing); relators:
     boundary words of the 2-cells, rewritten over a spanning tree when the
     complex has several 0-cells, then freely reduced."""
@@ -654,10 +654,9 @@ def extract_presentation(c: CubeComplex, base=None) -> Presentation:
     adj: Dict[str, list] = {v: [] for v in verts}
     for sym, (start, end, _rev_sym) in table.items():
         adj[start].append((end, sym))
-    base_v = _vertex_key(base) if base is not None else verts[0]
     in_tree = set()
-    seen = {base_v}
-    frontier = [base_v]
+    seen = {verts[0]}
+    frontier = [verts[0]]
     while frontier:
         nxt = []
         for v in frontier:

@@ -15,9 +15,9 @@ Words are tuples of letters:
     ("sA", seq)    pure virtual cactus generator, seq an ordered subset
     ("sig", i, j)  pure virtual symmetric generator
 
-The word problem is solved only where a faithful evaluation exists (symmetric,
-affine symmetric, extended affine symmetric); elsewhere verification is by
-bounded rewriting with an honest Inconclusive outcome.
+The word problem is solved by faithful evaluation in S, AS and EAS, and for
+vC words of trivial shadow exactly in the one-vertex complex hatD_n; vS words
+are verified by bounded rewriting with an honest inconclusive outcome.
 """
 from __future__ import annotations
 
@@ -40,6 +40,7 @@ from .combinatorics import (
 
 Letter = tuple
 Word = Tuple[Letter, ...]
+_MAX_STATES = 200000  # the most words one bounded rewriting may visit
 
 FAMILIES = (
     "cactus",
@@ -142,7 +143,6 @@ def _cyclic_pairs(n: int):
 
 def _cactus_relators(pairs, n: int, cyclic: bool) -> list[Word]:
     """The involution, disjointness and nesting relators on interval
-
     reversers; `pairs` fixes the generating set (standard or cyclic)."""
     rel: list[Word] = []
     gens = {p: ("s", *p) for p in pairs}
@@ -181,8 +181,8 @@ def _coxeter_sym_relators(tag: str, n: int) -> list[Word]:
     return rel
 
 
-def ordered_subsets(n: int, min_len: int = 2):
-    for size in range(min_len, n + 1):
+def ordered_subsets(n: int):
+    for size in range(2, n + 1):
         for combo in itertools.permutations(range(1, n + 1), size):
             yield combo
 
@@ -541,21 +541,17 @@ class HomReport:
     def inconclusive(self):
         return [r for r in self.results if r[1] == "inconclusive"]
 
-    def __str__(self):
-        counts = {}
-        for _, st, _ in self.results:
-            counts[st] = counts.get(st, 0) + 1
-        return f"{self.hom.source}->{self.hom.target} n={self.hom.n}: {counts}"
-
 
 def verify_hom(h: GroupHom, mode="solvable_target", depth: int = 6) -> HomReport:
     """Check that every relator of the source maps to the identity.
 
-    For solvable targets the check is complete (evaluation).  Otherwise each
-    relator image is attacked by bounded rewriting: a non-identity
-    symmetric-group shadow is a definite failure; otherwise the status is
-    proven or inconclusive, never a false negative.  A negative depth is
-    rejected in either mode.
+    For solvable targets the check is complete (evaluation).  Otherwise a
+    non-identity symmetric-group shadow is failed, with the shadow as witness.
+    Into vC, an image of trivial shadow is decided exactly in hatD_n: proven,
+    or refuted with the stuck word of `_pvc_reduce` as witness, which rests on
+    hatD_n being non-positively curved (certified by the flag check for n <= 6,
+    the paper's theorem beyond).  Into vS, bounded rewriting to `depth` gives
+    proven or inconclusive.  A negative depth is rejected in either mode.
     """
     if depth < 0:
         raise ValueError("depth must be at least 0")
@@ -580,9 +576,12 @@ def verify_hom(h: GroupHom, mode="solvable_target", depth: int = 6) -> HomReport
             shadow = evaluate_word("S", word, h.n)
             if not shadow.is_identity():
                 report.results.append((rel, "failed", shadow))
-                continue
-            ok = rewrite_to_identity(word, h.n, depth=depth, flavour=h.target)
-            report.results.append((rel, "proven" if ok else "inconclusive", None))
+            elif h.target == "vS":
+                ok = rewrite_to_identity(word, h.n, depth=depth)
+                report.results.append((rel, "proven" if ok else "inconclusive", None))
+            else:
+                stuck = tuple(("sA", a) for a in _pvc_reduce(_pure_letters(word, h.n)))
+                report.results.append((rel, "refuted" if stuck else "proven", stuck or None))
         return report
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -602,66 +601,84 @@ def _family_of(code: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# bounded rewriting in the virtual groups
+# the word problem in the virtual groups
 
 
 def normalise_vc(word: Word) -> Word:
-    """Merge symmetric letters, drop identities, cancel doubled involutions."""
+    """Merge adjacent symmetric letters of one copy and drop identities."""
     out: list[Letter] = []
     for x in word:
-        if x[0] in ("w", "a"):
-            if x[1].is_identity():
-                continue
-            if out and out[-1][0] == x[0]:
-                merged = out[-1][1] * x[1]
-                out.pop()
-                if not merged.is_identity():
-                    out.append((x[0], merged))
-                # a cancellation may expose a doubled involution
-                while len(out) >= 2 and out[-1] == out[-2] and out[-1][0] == "s":
-                    out.pop()
-                    out.pop()
-                continue
-            out.append(x)
-        else:
-            if out and out[-1] == x and x[0] == "s":
-                out.pop()
-                while (
-                    len(out) >= 2
-                    and out[-1] == out[-2]
-                    and out[-1][0] == "s"
-                ):
-                    out.pop()
-                    out.pop()
-                continue
+        if x[0] in ("w", "a") and out and out[-1][0] == x[0]:
+            x = (x[0], out.pop()[1] * x[1])
+        if x[0] not in ("w", "a") or not x[1].is_identity():
             out.append(x)
     return tuple(out)
 
 
-def _vc_pair_moves(x: Letter, y: Letter, n: int):
-    """Rewrites of an adjacent pair of letters in a virtual cactus word."""
-    # disjoint commutation and nesting between interval reversers
-    if x[0] == "s" and y[0] == "s":
-        (i, j), (k, l) = (x[1], x[2]), (y[1], y[2])
-        si, sj = set(range(i, j + 1)), set(range(k, l + 1))
-        if not si & sj:
-            yield (y, x)
-        if si > sj:
-            w = interval_reversal(i, j, n)
-            yield (("s", w(l), w(k)), x)
-        if sj > si:
-            w = interval_reversal(k, l, n)
-            yield (y, ("s", w(j), w(i)))
-    # translation relations across a symmetric letter
-    if x[0] == "w" and y[0] == "s":
-        u, (i, j) = x[1], (y[1], y[2])
-        if is_translation(u, i, j):
-            yield (("s", u(i), u(j)), x)
-    if x[0] == "s" and y[0] == "w":
-        u, (i, j) = y[1], (x[1], x[2])
-        ui, uj = u.inverse()(i), u.inverse()(j)
-        if ui < uj and uj - ui == j - i and is_translation(u, ui, uj):
-            yield (y, ("s", ui, uj))
+def _pure_letters(word: Word, n: int) -> list:
+    """Reidemeister-Schreier rewriting of a virtual cactus word: with u the
+    shadow of the prefix read so far, ("s", i, j) gives the ordered subset
+    (u(i), ..., u(j)), so a word of trivial shadow is the product of the s_A.
+    """
+    u = Permutation.identity(n)
+    out = []
+    for x in word:
+        if x[0] == "s":
+            out.append(tuple(u(k) for k in range(x[1], x[2] + 1)))
+        u = u * eval_letter_sym(x, n)
+    return out
+
+
+def _pvc_corner(a: tuple, b: tuple):
+    """(b', a') with s_a s_b = s_b' s_a' across a square of hatD_n (a
+    commuting or nesting relator of PvC_n), or None if no square has it.
+
+    >>> _pvc_corner((1, 2), (3, 4))
+    ((3, 4), (1, 2))
+    >>> _pvc_corner((2, 1), (3, 1, 2))
+    ((3, 2, 1), (1, 2))
+    >>> _pvc_corner((3, 1, 2), (1, 3))
+    ((3, 1), (1, 3, 2))
+    """
+    if not set(a) & set(b):
+        return b, a
+    if len(a) < len(b) and a[-1] in b:
+        k = b.index(a[-1])
+        if b[k : k + len(a)] == a[::-1]:
+            return b[:k] + a + b[k + len(a) :], a[::-1]
+    if len(b) < len(a) and b[-1] in a:
+        k = a.index(b[-1])
+        if a[k : k + len(b)] == b[::-1]:
+            return b[::-1], a[:k] + b + a[k + len(b) :]
+    return None
+
+
+def _pvc_reduce(letters: list) -> list:
+    """The stuck word of a word in the s_A (as the subsets A), empty exactly
+    when the word is trivial in PvC_n.  Each letter is pushed right through
+    corners and cancelled if it meets its inverse; a push that sticks is
+    dropped.  As hatD_n has one vertex and is non-positively curved, the
+    innermost pair of edges dual to one hyperplane always cancels so, and a
+    word with no such pair is a geodesic (Sageev).  O(L^3), with no bound.
+    """
+    word = list(letters)
+    p = 0
+    while p < len(word):
+        x, moved = word[p], []
+        for y in word[p + 1 :]:
+            if y == x[::-1]:
+                word[p : p + len(moved) + 2] = moved
+                p = 0
+                break
+            corner = _pvc_corner(x, y)
+            if corner is None:
+                p += 1
+                break
+            moved.append(corner[0])
+            x = corner[1]
+        else:
+            p += 1
+    return word
 
 
 def _vs_pair_moves(x: Letter, y: Letter, n: int):
@@ -681,22 +698,18 @@ def _vs_pair_moves(x: Letter, y: Letter, n: int):
                 yield (y, ("a", t))
 
 
-def rewrite_to_identity(
-    word: Word, n: int, depth: int = 6, flavour: str = "vC", max_states: int = 200000
-) -> bool:
-    """Breadth-first search for a proof that the word is trivial.
+def rewrite_to_identity(word: Word, n: int, depth: int = 6) -> bool:
+    """Breadth-first search for a proof that a vS word is trivial.
 
-    Moves apply one defining relation at one position; symmetric-group
-    bookkeeping (merging adjacent permutation letters, cancelling doubled
-    involutions) is free.  Returns True iff the empty word is reached within
-    the depth bound; False is honest ignorance, not a disproof.
+    Moves apply one defining relation at one position; merging adjacent
+    permutation letters is free.  Returns True iff the empty word is reached
+    within the depth bound; False is honest ignorance, not a disproof.
     """
     if depth < 0:
         raise ValueError("depth must be at least 0")
     start = normalise_vc(word)
     if not start:
         return True
-    pair_moves = _vc_pair_moves if flavour == "vC" else _vs_pair_moves
     seen = {start}
     frontier = [start]
     maxlen = len(start) + 4
@@ -704,14 +717,14 @@ def rewrite_to_identity(
         nxt = []
         for w in frontier:
             for pos in range(len(w) - 1):
-                for rep in pair_moves(w[pos], w[pos + 1], n):
+                for rep in _vs_pair_moves(w[pos], w[pos + 1], n):
                     cand = normalise_vc(w[:pos] + rep + w[pos + 2 :])
                     if not cand:
                         return True
                     if len(cand) <= maxlen and cand not in seen:
                         seen.add(cand)
                         nxt.append(cand)
-                        if len(seen) > max_states:
+                        if len(seen) > _MAX_STATES:
                             return False
         frontier = nxt
     return False
@@ -719,11 +732,6 @@ def rewrite_to_identity(
 
 # ---------------------------------------------------------------------------
 # pure generators and the semidirect actions
-
-
-def _witness_for_pair(i: int, j: int, n: int) -> Permutation:
-    rest = [x for x in range(1, n + 1) if x not in (i, j)]
-    return Permutation(tuple([i, j] + rest))
 
 
 def pure_generator(family: str, data, n: int, witness=None) -> Word:
@@ -738,7 +746,8 @@ def pure_generator(family: str, data, n: int, witness=None) -> Word:
         if i == j:
             raise ValueError("need distinct indices")
         if witness is None:
-            w, k = _witness_for_pair(i, j, n), 1
+            rest = [x for x in range(1, n + 1) if x not in (i, j)]
+            w, k = Permutation(tuple([i, j] + rest)), 1
         else:
             w, k = witness
             if (w(k), w(k + 1)) != (i, j):
@@ -945,8 +954,9 @@ def _evaluate_path(word: Word, path: list[tuple[str, str]], n: int, tables: dict
     return element
 
 
-# every composable chain of diagram arrows from each source into S_n, plus
-# the two routes from the cactus group into the extended affine symmetric
+# routes from each source into S_n, and the two from C into EAS: a word follows
+# presentation arrows by substitution, is evaluated at the first solvable group
+# and then takes only the projections EAS->S, AS->S, S->EAS and S->S
 DIAGRAM_PATHS_TO_S = {
     "C": [
         [("C", "S")],
@@ -986,18 +996,11 @@ def diagram_report(n: int) -> list[tuple[str, Letter, bool]]:
     the extended affine symmetric group where two routes exist."""
     out = []
     tables: dict = {}
-    for src, paths in DIAGRAM_PATHS_TO_S.items():
-        for g in generators_of(src, n):
-            vals = [_evaluate_path((g,), path, n, tables) for path in paths]
-            ok = all(v.images == vals[0].images for v in vals)
-            out.append((src, g, ok))
-    for src, paths in DIAGRAM_PATHS_TO_EAS.items():
-        for g in generators_of(src, n):
-            vals = [_evaluate_path((g,), path, n, tables) for path in paths]
-            ok = all(
-                v.base == vals[0].base and v.shift == vals[0].shift for v in vals
-            )
-            out.append((src + "=>EAS", g, ok))
+    for routes, label in ((DIAGRAM_PATHS_TO_S, ""), (DIAGRAM_PATHS_TO_EAS, "=>EAS")):
+        for src, paths in routes.items():
+            for g in generators_of(src, n):
+                vals = [_evaluate_path((g,), path, n, tables) for path in paths]
+                out.append((src + label, g, all(v == vals[0] for v in vals)))
     return out
 
 
@@ -1028,17 +1031,10 @@ def vs_lattice_image(word: Word, n: int):
     u = Permutation.identity(n)
     vec: dict = {}
     for x in word:
-        if x[0] == "w":
-            u = u * x[1]
-        elif x[0] == "b":
-            u = u * Permutation.transposition(n, x[1], x[1] + 1)
-        elif x[0] == "a":
-            for k in _transposition_word(x[1]):
-                _pair_vec_add(vec, (u(k), u(k + 1)), 1)
-                u = u * Permutation.transposition(n, k, k + 1)
-        elif x[0] == "s":
-            i, j = x[1], x[2]
-            for k in _transposition_word(interval_reversal(i, j, n)):
+        if x[0] in ("w", "b"):
+            u = u * eval_letter_sym(x, n)
+        elif x[0] in ("a", "s"):
+            for k in _transposition_word(eval_letter_sym(x, n)):
                 _pair_vec_add(vec, (u(k), u(k + 1)), 1)
                 u = u * Permutation.transposition(n, k, k + 1)
         else:

@@ -268,6 +268,18 @@ def test_verify_hom_arrows_it_cannot_check_are_usage_errors(source, target, mess
     assert captured.err == f"error: {message}\n"
 
 
+def test_verify_hom_refuted_relators_fail(monkeypatch, capsys):
+    # AC -> vC with the images of s12 and s13 exchanged is not a hom
+    images = dict(cli.gr.hom(("AC", "vC"), 4).images)
+    images[("s", 1, 2)], images[("s", 1, 3)] = images[("s", 1, 3)], images[("s", 1, 2)]
+    swapped = cli.gr.GroupHom("AC", "vC", 4, tuple(sorted(images.items(), key=repr)))
+    monkeypatch.setattr(cli.gr, "hom", lambda pair, n: swapped)
+    assert main(["verify", "hom", "--from", "AC", "--to", "vC", "--n", "4"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["statuses"] == {"failed": 12, "proven": 28, "refuted": 2}
+    assert out["pass"] is False
+
+
 def _option_slots(parser, path=()):
     """(verb path, option) for every option of every parser under parser."""
     for action in parser._actions:

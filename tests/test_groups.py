@@ -15,6 +15,9 @@ from cactusflower.groups import (
     FAMILIES,
     GroupHom,
     _letter_key,
+    _pure_letters,
+    _pvc_corner,
+    _pvc_reduce,
     _word_key,
     canonical_cyclic,
     diagram_commutes,
@@ -26,6 +29,7 @@ from cactusflower.groups import (
     make_presentation,
     normalise_vc,
     ordered_subsets,
+    parse_word,
     pure_generator,
     rewrite_to_identity,
     semidirect_action,
@@ -179,10 +183,109 @@ def test_bounded_rewrite_certificates():
 
 
 def test_rewrite_inconclusive_is_honest():
-    # a deliberately hostile word at depth 0 is inconclusive, not false
-    word = (("s", 1, 2), ("w", Permutation((2, 1, 3))), ("s", 1, 2), ("w", Permutation((2, 1, 3))))
+    # a vC word of trivial shadow whose pure letters s_12 s_12 do not cancel
+    # (s_12 is inverse to s_21): the decision refutes it
+    t = Permutation((2, 1, 3))
+    word = (("s", 1, 2), ("w", t), ("s", 1, 2), ("w", t))
     assert evaluate_word("S", word, 3).is_identity()
-    assert not rewrite_to_identity(word, 3, depth=0)
+    assert _pure_letters(word, 3) == [(1, 2), (1, 2)]
+    assert _pvc_reduce(_pure_letters(word, 3)) == [(1, 2), (1, 2)]
+    # bounded rewriting of a vS word at depth 0 is inconclusive, not an error
+    word = (("a", t), ("w", t), ("a", t), ("w", t))
+    assert evaluate_word("S", word, 3).is_identity()
+    assert rewrite_to_identity(word, 3, depth=0) is False
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pvc_corner_matches_relator_squares(n):
+    # every rotation s_a s_b s_c s_d of every relator and of its inverse is
+    # a corner s_a s_b = s_rev(d) s_rev(c) of a square of hatD_n
+    squares = {}
+    for rel in make_presentation("pure_virtual_cactus", n).relators:
+        inv = tuple(("sA", x[1][::-1]) for x in reversed(rel))
+        for w in (rel, inv):
+            for k in range(4):
+                (_, a), (_, b), (_, c), (_, d) = w[k:] + w[:k]
+                corner = (d[::-1], c[::-1])
+                assert squares.setdefault((a, b), corner) == corner
+    subsets = list(ordered_subsets(n))
+    for a in subsets:
+        for b in subsets:
+            assert _pvc_corner(a, b) == squares.get((a, b))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_virtual_cactus_is_a_semidirect_product(n):
+    # vC_n = S_n x| PvC_n: every relator of vC_n has trivial shadow and
+    # pure letters that cancel in hatD_n
+    for rel in make_presentation("virtual_cactus", n).relators:
+        assert evaluate_word("S", rel, n).is_identity()
+        assert _pvc_reduce(_pure_letters(rel, n)) == []
+    # the pure generators come back from their words
+    for a in ordered_subsets(n):
+        assert _pure_letters(pure_generator("pure_virtual_cactus", a, n), n) == [a]
+    # S_n relabels the relators of PvC_n among themselves: enough to check
+    # on the adjacent transpositions, which generate S_n
+    if n <= 5:
+        p = make_presentation("pure_virtual_cactus", n)
+        partner = dict(p.partner)
+        relators = set(p.relators)
+        for k in range(1, n):
+            u = Permutation.transposition(n, k, k + 1)
+            for rel in p.relators:
+                image = tuple(
+                    ("sA", semidirect_action(u, "pure_virtual_cactus", x[1])) for x in rel
+                )
+                assert canonical_cyclic(image, partner) in relators
+
+
+def _swapped_ac_to_vc(n):
+    """AC -> vC with the images of s12 and s13 exchanged: not a hom."""
+    images = dict(hom(("AC", "vC"), n).images)
+    images[("s", 1, 2)], images[("s", 1, 3)] = images[("s", 1, 3)], images[("s", 1, 2)]
+    return GroupHom("AC", "vC", n, tuple(sorted(images.items(), key=repr)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_swapped_images_are_refuted(n):
+    rep = verify_hom(_swapped_ac_to_vc(n), "bounded_rewrite")
+    statuses = {st for _, st, _ in rep.results}
+    assert statuses == {"proven", "failed", "refuted"}
+    refuted = [(rel, witness) for rel, st, witness in rep.results if st == "refuted"]
+    assert [rel for rel, _ in refuted] == [
+        parse_word("s[1,3] s[1,2] s[1,3] s[2,3]"),
+        parse_word("s[1,3] s[2,3] s[1,3] s[1,2]"),
+    ]
+    for rel, witness in refuted:
+        assert witness and all(x[0] == "sA" for x in witness)
+        word = _swapped_ac_to_vc(n).map_word(rel)
+        assert list(witness) == [("sA", a) for a in _pvc_reduce(_pure_letters(word, n))]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_decision_agrees_with_seeded_cross_checks(n):
+    rng = random.Random(n)
+    gens = generators_of("vC", n)
+    to_vs = hom(("vC", "vS"), n)
+    lattice_refuted = 0
+    for _ in range(50):
+        # a random word closed up to trivial shadow: a nontrivial image in
+        # the pair-lattice quotient of vS must be refuted
+        word = tuple(rng.choice(gens) for _ in range(8))
+        word += (("w", evaluate_word("S", word, n).inverse()),)
+        if vs_lattice_image(to_vs.map_word(word), n)[1]:
+            assert _pvc_reduce(_pure_letters(word, n))
+            lattice_refuted += 1
+    assert lattice_refuted
+    relators = make_presentation("virtual_cactus", n).relators
+    for _ in range(50):
+        # a product of conjugated relators (all letters are involutions)
+        word = ()
+        for _ in range(2):
+            g = tuple(rng.choice(gens) for _ in range(rng.randrange(4)))
+            rel = rng.choice(relators)
+            word += g + (rel if rng.randrange(2) else rel[::-1]) + g[::-1]
+        assert _pvc_reduce(_pure_letters(word, n)) == []
 
 
 def test_diagram_commutes():
