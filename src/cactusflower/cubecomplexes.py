@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from .combinatorics import CyclicSetPartition, Permutation, SetPartition, arrangements, set_partitions
 from .forests import (
@@ -59,7 +59,7 @@ from .forests import (
     leaves,
     planar_forests,
 )
-from .groups import Presentation, _ranked_presentation, _word_key
+from .groups import Presentation, _in_ranks, _ranked_presentation, _word_key
 
 D_KINDS = {"D": "ordered", "hatD": "unordered", "breveD": "cyclic"}
 P_KINDS = {"P": "ordered", "hatP": "unordered", "breveP": "cyclic"}
@@ -674,7 +674,7 @@ def extract_presentation(c: CubeComplex) -> Presentation:
     genset = set(gens)
     words = (_free_reduce(tuple(x for x in walk if x in genset), partner) for walk in walks)
     return _ranked_presentation(
-        f"extracted-{c.kind}", c.n, gens, partner, (word for word in words if word)
+        f"extracted-{c.kind}", c.n, gens, partner, _in_ranks(word for word in words if word)
     )
 
 
@@ -740,7 +740,7 @@ def presentations_match(a: Presentation, b: Presentation) -> bool:
     # the pairings agree where both are given, so pa serves both sides
     def canonical_relators(p: Presentation):
         words = (r for r in p.relators if len(r) != 2 or r[0] != r[1])
-        return _ranked_presentation(p.family, p.n, a.generators, pa, words).relators
+        return _ranked_presentation(p.family, p.n, a.generators, pa, _in_ranks(words)).relators
 
     return canonical_relators(a) == canonical_relators(b)
 

@@ -39,6 +39,10 @@ from .realgeometry import INF, NEG_INF, RationalDiffeo, DEFAULT_F
 
 Vec = Tuple[Fraction, ...]
 
+# the most Weyl elements a RootSystem enumerates: |W(E6)| = 51,840 is
+# within it; |W(E7)| = 2,903,040 and |W(E8)| would need GiB
+_WEYL_CAP = 10 ** 5
+
 NAMED_CARTAN = {}
 
 
@@ -172,6 +176,11 @@ class RootSystem:
                         )
                         self.elements[key2] = m2
                         nxt.append((key2, m2))
+                        if len(self.elements) > _WEYL_CAP:
+                            raise ValueError(
+                                f"Weyl group has more than {_WEYL_CAP} elements, "
+                                "too many to enumerate"
+                            )
             frontier = nxt
         self.order = len(self.elements)
         self._simple_systems = self._build_simple_systems()

@@ -135,6 +135,16 @@ def test_bad_cartan_matrix_is_a_usage_error(matrix, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_weyl_group_over_the_cap_is_a_usage_error(monkeypatch, capsys):
+    # an E7 or E8 matrix passes the real cap; A4 (|W| = 120) passes this one
+    monkeypatch.setattr(cli.rs, "_WEYL_CAP", 100)
+    a4 = "[[2,-1,0,0],[-1,2,-1,0],[0,-1,2,-1],[0,0,-1,2]]"
+    assert main(["roots", "--type", a4]) == 2
+    assert capsys.readouterr() == (
+        "", "error: Weyl group has more than 100 elements, too many to enumerate\n"
+    )
+
+
 def test_export_dot():
     code, out, _ = run_cli("export", "--complex", "hatP", "--n", "3", "--format", "dot")
     assert code == 0 and out.startswith("graph")

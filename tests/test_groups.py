@@ -5,6 +5,7 @@ import pytest
 
 from cactusflower.combinatorics import (
     AffinePermutation,
+    CyclicInterval,
     ExtAffinePermutation,
     Permutation,
     interval_reversal,
@@ -14,10 +15,15 @@ from cactusflower.groups import (
     DIAGRAM_PATHS_TO_S,
     FAMILIES,
     GroupHom,
+    _cactus_relators,
+    _cyclic_pairs,
+    _family_of,
     _letter_key,
     _pure_letters,
+    _pure_virtual_cactus_words,
     _pvc_corner,
     _pvc_reduce,
+    _standard_pairs,
     _word_key,
     canonical_cyclic,
     diagram_commutes,
@@ -155,10 +161,33 @@ def test_verify_hom_solvable_target_negative_control(pair, failed, total, witnes
     assert found == witness
 
 
+def _swapped(h):
+    """h with the images of s12 and s13 exchanged (of a[1] and a[2] from vS)."""
+    x, y = ((("a", 1), ("a", 2)) if h.source == "vS" else (("s", 1, 2), ("s", 1, 3)))
+    images = dict(h.images)
+    images[x], images[y] = images[y], images[x]
+    return GroupHom(h.source, h.target, h.n, tuple(sorted(images.items(), key=repr)))
+
+
+def _object_products(h):
+    """Each source relator with the product of its letters' images, formed
+    through the target group's own multiplication."""
+    table = dict(h.images)
+    out = []
+    for rel in make_presentation(_family_of(h.source), h.n).relators:
+        acc = table[rel[0]]
+        for x in rel[1:]:
+            acc = acc * table[x]
+        out.append((rel, acc))
+    return out
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_affine_products_stored_unchecked_are_valid(n, monkeypatch):
-    # every product verify_hom forms into AS and EAS skips the constructor's
-    # checks; each must be what the checking constructor builds
+    # every product of generator images into AS and EAS skips the
+    # constructor's checks, both when a relator's images are multiplied out
+    # and on verify_hom's path for a failed relator; each must be what the
+    # checking constructor builds
     products = []
     mul = AffinePermutation.__mul__
 
@@ -168,11 +197,38 @@ def test_affine_products_stored_unchecked_are_valid(n, monkeypatch):
 
     monkeypatch.setattr(AffinePermutation, "__mul__", recording)
     for pair in (("AC", "AS"), ("EAC", "EAS")):
-        assert verify_hom(hom(pair, n), "solvable_target").all_proven
-    assert products
+        assert all(acc.is_identity() for _, acc in _object_products(hom(pair, n)))
+        formed = len(products)
+        assert formed
+        assert verify_hom(_swapped(hom(pair, n)), "solvable_target").failures
+        assert len(products) > formed
     for product in products:
         assert all(type(x) is int for x in product.window)
         assert AffinePermutation(product.window) == product
+
+
+# the arrows into S, AS and EAS whose source has a presentation
+PRESENTED_SOLVABLE_ARROWS = [
+    ("C", "S"), ("AC", "S"), ("AC", "AS"), ("EAC", "S"), ("EAC", "EAS"), ("vC", "S"), ("vS", "S"),
+]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("pair", PRESENTED_SOLVABLE_ARROWS)
+def test_window_evaluation_agrees_with_object_products(pair, n):
+    # verify_hom proves a relator on the window 1..n; the relators it leaves
+    # failed, with their witnesses, are those whose product of images in the
+    # target group is not the identity
+    for h in (hom(pair, n), _swapped(hom(pair, n))):
+        rep = verify_hom(h, "solvable_target")
+        expected = [
+            (rel, "proven", None) if acc.is_identity() else (rel, "failed", acc)
+            for rel, acc in _object_products(h)
+        ]
+        assert rep.results == expected
+    # the swapped images break some relator, except that at n = 3 they still
+    # define a hom from C_3
+    assert rep.failures or (pair, n) == (("C", "S"), 3)
 
 
 def test_bounded_rewrite_certificates():
@@ -239,16 +295,10 @@ def test_virtual_cactus_is_a_semidirect_product(n):
                 assert canonical_cyclic(image, partner) in relators
 
 
-def _swapped_ac_to_vc(n):
-    """AC -> vC with the images of s12 and s13 exchanged: not a hom."""
-    images = dict(hom(("AC", "vC"), n).images)
-    images[("s", 1, 2)], images[("s", 1, 3)] = images[("s", 1, 3)], images[("s", 1, 2)]
-    return GroupHom("AC", "vC", n, tuple(sorted(images.items(), key=repr)))
-
-
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_swapped_images_are_refuted(n):
-    rep = verify_hom(_swapped_ac_to_vc(n), "bounded_rewrite")
+    broken = _swapped(hom(("AC", "vC"), n))
+    rep = verify_hom(broken, "bounded_rewrite")
     statuses = {st for _, st, _ in rep.results}
     assert statuses == {"proven", "failed", "refuted"}
     refuted = [(rel, witness) for rel, st, witness in rep.results if st == "refuted"]
@@ -258,7 +308,7 @@ def test_swapped_images_are_refuted(n):
     ]
     for rel, witness in refuted:
         assert witness and all(x[0] == "sA" for x in witness)
-        word = _swapped_ac_to_vc(n).map_word(rel)
+        word = broken.map_word(rel)
         assert list(witness) == [("sA", a) for a in _pvc_reduce(_pure_letters(word, n))]
 
 
@@ -437,17 +487,22 @@ def _reference_canonical_cyclic(w, partner):
 
 
 def _reference_pure_virtual_cactus_relators(n):
-    """The relators by testing every ordered pair of subsets for overlap."""
+    """The relators from every spelling of each: the commuting word for
+    every ordered pair of disjoint ordered subsets, and the nesting word for
+    every A and context (C, B), each put in canonical form."""
     subsets = list(ordered_subsets(n))
-    partner = {("sA", a): ("sA", tuple(reversed(a))) for a in subsets}
+    partner = {("sA", a): ("sA", a[::-1]) for a in subsets}
     rels = set()
+    by_mask = {}
     for a in subsets:
-        for b in subsets:
-            if set(a) & set(b):
-                continue
-            w = (("sA", a), ("sA", b), partner[("sA", a)], partner[("sA", b)])
-            rels.add(_reference_canonical_cyclic(w, partner))
+        by_mask.setdefault(sum(1 << x for x in a), []).append(a)
+    for (mask_a, group_a), (mask_b, group_b) in itertools.product(by_mask.items(), repeat=2):
+        if not mask_a & mask_b:
+            for a, b in itertools.product(group_a, group_b):
+                w = (("sA", a), ("sA", b), ("sA", a[::-1]), ("sA", b[::-1]))
+                rels.add(canonical_cyclic(w, partner))
     for a in subsets:
+        ar = ("sA", a[::-1])
         rest = [x for x in range(1, n + 1) if x not in a]
         for csize in range(len(rest) + 1):
             for c in itertools.permutations(rest, csize):
@@ -456,10 +511,8 @@ def _reference_pure_virtual_cactus_relators(n):
                     if csize + bsize == 0:
                         continue
                     for b in itertools.permutations(left, bsize):
-                        ar = tuple(reversed(a))
-                        w = (("sA", ar), ("sA", c + a + b), ("sA", ar),
-                             ("sA", tuple(reversed(b)) + a + tuple(reversed(c))))
-                        rels.add(_reference_canonical_cyclic(w, partner))
+                        w = (ar, ("sA", c + a + b), ar, ("sA", b[::-1] + a + c[::-1]))
+                        rels.add(canonical_cyclic(w, partner))
     return tuple(sorted(rels, key=_word_key))
 
 
@@ -478,18 +531,59 @@ def _reference_pure_virtual_sym_relators(n):
     return tuple(sorted(rels, key=_word_key))
 
 
-@pytest.mark.parametrize("n, count", [(4, 45), (5, 495)])
+@pytest.mark.parametrize("n, count", [(3, 3), (4, 45), (5, 495), (6, 5145)])
 def test_pure_virtual_cactus_relators_match_reference(n, count):
     relators = make_presentation("pure_virtual_cactus", n).relators
     assert len(relators) == count
     assert relators == _reference_pure_virtual_cactus_relators(n)
 
 
-@pytest.mark.parametrize("n, count", [(4, 7), (5, 25)])
+def test_pure_virtual_cactus_relator_count_at_7():
+    assert len(make_presentation("pure_virtual_cactus", 7).relators) == 54810
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_pure_virtual_cactus_words_spell_each_relator_once(n):
+    p = make_presentation("pure_virtual_cactus", n)
+    letters = sorted(p.generators, key=_letter_key)
+    rank = {x: r for r, x in enumerate(letters)}
+    partner = dict(p.partner)
+    words = list(_pure_virtual_cactus_words(rank, n))
+    canon = {canonical_cyclic(tuple(letters[r] for r in w), partner) for w in words}
+    assert len(words) == len(canon) == len(p.relators)
+    assert canon == set(p.relators)
+
+
+@pytest.mark.parametrize("n, count", [(3, 1), (4, 7), (5, 25), (6, 65)])
 def test_pure_virtual_sym_relators_match_reference(n, count):
     relators = make_presentation("pure_virtual_sym", n).relators
     assert len(relators) == count
     assert relators == _reference_pure_virtual_sym_relators(n)
+
+
+def _reference_cactus_relators(pairs, n):
+    """The relators with each pair's interval built as a CyclicInterval."""
+    rel = []
+    gens = {p: ("s", *p) for p in pairs}
+    for p in pairs:
+        rel.append((gens[p], gens[p]))
+    ivals = {p: CyclicInterval(p[0], p[1], n) for p in pairs}
+    sets = {p: ivals[p].as_set() for p in pairs}
+    for p, q in itertools.combinations(pairs, 2):
+        if not sets[p] & sets[q]:
+            rel.append((gens[p], gens[q], gens[p], gens[q]))
+    for p in pairs:
+        w = interval_reversal(p[0], p[1], n)
+        for q in pairs:
+            if q != p and ivals[q].is_subinterval_of(ivals[p]):
+                rel.append((gens[p], gens[q], gens[p], ("s", w(q[1]), w(q[0]))))
+    return rel
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_cactus_relators_match_interval_reference(n):
+    for pairs in (_standard_pairs(n), _cyclic_pairs(n)):
+        assert _cactus_relators(pairs, n) == _reference_cactus_relators(pairs, n)
 
 
 def test_canonical_cyclic_matches_reference():

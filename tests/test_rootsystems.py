@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cactusflower import rootsystems
 from cactusflower.realgeometry import INF, NEG_INF
 from cactusflower.rootsystems import (
     EXPECTED_ROOT_COUNTS,
@@ -45,6 +46,14 @@ def test_invalid_cartan_rejected():
         build_root_system([[1]])
     with pytest.raises(ValueError):
         build_root_system("E8")
+
+
+def test_weyl_closure_stops_at_its_cap(monkeypatch):
+    # |W(A4)| = 120 passes a cap of 100 and raises; A3 (24) stays within it
+    monkeypatch.setattr(rootsystems, "_WEYL_CAP", 100)
+    with pytest.raises(ValueError, match="more than 100 elements"):
+        build_root_system(NAMED_CARTAN["A4"])
+    assert build_root_system("A3").order == 24
 
 
 def test_face_center_trivial_cases():
