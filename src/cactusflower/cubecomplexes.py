@@ -36,6 +36,14 @@ that edge's leaf span order[lo:hi].  Per kind:
 A sub-2-cube is determined by its 0-cube and its two corners (its two edge
 spans on the vertex's leaf order), so a face of a higher sub-cube is present
 exactly when its corner pair indexes a square at that cube's vertex.
+
+Each certificate call first builds the link graph (_link_graph): one pass
+over the sub-1-cubes and one over the sub-2-cubes give, per vertex key, the
+sub-1-cube at each corner key and, per corner, the set of corners joined to
+it by a square.  The flag check tests the corner pairs of every higher
+sub-cube and grows its cliques on that graph, and the local-isometry check
+reads the graphs of its source and target.  The graph lives only for the
+call that built it.
 """
 from __future__ import annotations
 
@@ -206,16 +214,23 @@ class VertexLink:
 
 def vertex_link(c: CubeComplex, vertex: PlanarForest) -> VertexLink:
     """Assemble the link at a 0-cube from the incident sub-cubes, in one pass
-    filtered by vertex key.  A forest that is not a 0-cube of c has an empty
-    link."""
+    filtered by vertex key, the sub-1-cubes first: they name the corners of
+    the rest.  A forest that is not a 0-cube of c has an empty link.
+
+    Unlike the certificates it builds no link graph, which would key every
+    square at every vertex for the link at one."""
     if not c.is_cubical:
         raise ValueError("links are computed for the cube complexes")
     kind = D_KINDS[c.kind]
     target = _link_keys(kind, vertex)[0] if vertex in c.subcubes.get(0, ()) else None
-    ones = _ones_by_vertex(c).get(target, {})
+    ones = {}
+    for s1 in c.subcubes.get(1, ()):
+        v, (a,) = _link_keys(kind, s1)
+        if v == target:
+            ones[a] = s1
     names = {a: forest_key(s1) for a, s1 in ones.items()}
-    simplices = set()
-    for k in range(1, c.dim + 1):
+    simplices = {frozenset((name,)) for name in names.values()}
+    for k in range(2, c.dim + 1):
         for sigma in c.subcubes.get(k, ()):
             v, corners = _link_keys(kind, sigma)
             if v != target:
@@ -246,48 +261,62 @@ def _link_keys(kind: str, sigma: PlanarForest):
     order, spans = _vertices(sigma)
     order = tuple(order)
     if kind == "ordered":
-        return order, [(order, lo, hi) for _, lo, hi, _ in spans]
+        return order, [(order, lo, hi) for lo, hi, _ in spans]
     if kind == "unordered":
-        return (), [order[lo:hi] for _, lo, hi, _ in spans]
+        return (), [order[lo:hi] for lo, hi, _ in spans]
     i = order.index(min(order))
-    return order[i:] + order[:i], [(order[lo:hi], order[hi:] + order[:lo]) for _, lo, hi, _ in spans]
+    return order[i:] + order[:i], [(order[lo:hi], order[hi:] + order[:lo]) for lo, hi, _ in spans]
 
 
-def _square_index(c: CubeComplex):
-    """Index the sub-2-cubes by vertex key and corner-key pair.
+def _link_graph(c: CubeComplex):
+    """The 1-skeleta of the links at every 0-cube of a cube complex, in one
+    pass over its sub-1-cubes and one over its sub-2-cubes.
 
-    Returns ({vertex key: {frozenset of the two corner keys: square}}, fault).
-    fault is None, or (detail, witness) for the first square whose corners
-    coincide or whose corner pair another square already has; the index is
-    complete either way.
+    Returns (ones, adj, open_square, bad_square): ones maps a vertex key to
+    {corner key: sub-1-cube}, adj maps it to {corner key: set of the corner
+    keys joined to it by a square}, with an entry for every sub-1-cube.  A
+    square whose corner is not a sub-1-cube still joins its two corners;
+    open_square is the first such square, or None.  bad_square is the first
+    square whose corners coincide or whose corner pair an earlier square
+    already joined, or None.
     """
     kind = D_KINDS[c.kind]
-    index: Dict[tuple, Dict[FrozenSet, PlanarForest]] = {}
-    fault = None
-    for sq in c.subcubes.get(2, ()):
-        v, (a, b) = _link_keys(kind, sq)
-        pairs = index.setdefault(v, {})
-        pair = frozenset((a, b))
-        if fault is None:
-            if a == b:
-                fault = ("degenerate square link", (forest_to_newick(sq),))
-            elif pair in pairs:
-                fault = (
-                    "two squares on the same corner pair",
-                    (forest_to_newick(pairs[pair]), forest_to_newick(sq)),
-                )
-        pairs[pair] = sq
-    return index, fault
-
-
-def _ones_by_vertex(c: CubeComplex) -> Dict[tuple, Dict[tuple, PlanarForest]]:
-    """{vertex key: {corner key: sub-1-cube}}; a sub-1-cube is its own corner."""
-    kind = D_KINDS[c.kind]
-    out: Dict[tuple, Dict[tuple, PlanarForest]] = {}
+    ones: Dict[tuple, Dict[tuple, PlanarForest]] = {}
+    adj: Dict[tuple, Dict[tuple, set]] = {}
     for s1 in c.subcubes.get(1, ()):
         v, (a,) = _link_keys(kind, s1)
-        out.setdefault(v, {})[a] = s1
-    return out
+        ones.setdefault(v, {})[a] = s1
+        adj.setdefault(v, {})[a] = set()
+    open_square = bad_square = None
+    for sq in c.subcubes.get(2, ()):
+        v, (a, b) = _link_keys(kind, sq)
+        if open_square is None:
+            ones_v = ones.get(v, ())
+            if a not in ones_v or b not in ones_v:
+                open_square = sq
+        at_v = adj.setdefault(v, {})
+        joined = at_v.setdefault(a, set())
+        if bad_square is None and (a == b or b in joined):
+            bad_square = sq
+        joined.add(b)
+        at_v.setdefault(b, set()).add(a)
+    return ones, adj, open_square, bad_square
+
+
+def _square_fault(c: CubeComplex, sq: PlanarForest):
+    """(detail, witness) for the bad square of _link_graph: its corners
+    coincide, or it repeats the corner pair of the first square (in the
+    same iteration order) that has it."""
+    kind = D_KINDS[c.kind]
+    v, (a, b) = _link_keys(kind, sq)
+    if a == b:
+        return "degenerate square link", (forest_to_newick(sq),)
+    for first in c.subcubes[2]:
+        w, corners = _link_keys(kind, first)
+        if w == v and set(corners) == {a, b}:
+            witness = (forest_to_newick(first), forest_to_newick(sq))
+            return "two squares on the same corner pair", witness
+    raise AssertionError("a repeated pair has an earlier square")
 
 
 def check_gromov_flag(c: CubeComplex) -> FlagReport:
@@ -301,21 +330,18 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
     if not c.is_cubical:
         raise ValueError("the flag certificate needs subcube data (a cube complex)")
     kind = D_KINDS[c.kind]
-    ones = _ones_by_vertex(c)
-    by_square, fault = _square_index(c)
+    ones, adj, open_square, bad_square = _link_graph(c)
 
     # face closure: both corners of every square are sub-1-cubes ...
-    for v, pairs in by_square.items():
+    if open_square is not None:
+        v, corners = _link_keys(kind, open_square)
         ones_v = ones.get(v, {})
-        for pair, sq in pairs.items():
-            if not all(a in ones_v for a in pair):
-                _, corners = _link_keys(kind, sq)
-                missing = next(f for f, a in zip(_faces(c, sq, 1), corners) if a not in ones_v)
-                return FlagReport(
-                    False,
-                    (forest_to_newick(sq), forest_to_newick(missing)),
-                    "missing edge face",
-                )
+        missing = next(f for f, a in zip(_faces(c, open_square, 1), corners) if a not in ones_v)
+        return FlagReport(
+            False,
+            (forest_to_newick(open_square), forest_to_newick(missing)),
+            "missing edge face",
+        )
 
     # ... and every corner pair of a higher sub-cube spans a square at its
     # vertex.  The same pass indexes the higher link simplices by corner set.
@@ -324,9 +350,9 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
     for k in range(3, c.dim + 1):
         for sigma in c.subcubes.get(k, ()):
             v, corners = _link_keys(kind, sigma)
-            pairs = by_square.get(v, {})
-            for idx, pair in enumerate(itertools.combinations(corners, 2)):
-                if frozenset(pair) not in pairs:
+            adj_v = adj.get(v, {})
+            for idx, (a, b) in enumerate(itertools.combinations(corners, 2)):
+                if b not in adj_v.get(a, ()):
                     return FlagReport(
                         False,
                         (forest_to_newick(sigma), forest_to_newick(_faces(c, sigma, 2)[idx])),
@@ -344,7 +370,7 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
                     (forest_to_newick(at_v[verts]), forest_to_newick(sigma)),
                 )
             at_v[verts] = sigma
-    fault = fault or simplex_fault
+    fault = simplex_fault if bad_square is None else _square_fault(c, bad_square)
     if fault is not None:
         detail, witness = fault
         return FlagReport(False, witness, detail)
@@ -353,10 +379,7 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
     # squares themselves
     for v, ones_v in ones.items():
         names = sorted(ones_v, key=lambda a: forest_key(ones_v[a]))
-        adj = {a: set() for a in names}
-        for a, b in by_square.get(v, ()):
-            adj[a].add(b)
-            adj[b].add(a)
+        adj_v = adj[v]
         higher = simplices.get(v, {})
 
         def extend(clique, candidates):
@@ -369,13 +392,13 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
                     f"{size}-clique spans no cube",
                 )
             for idx, cand in enumerate(candidates):
-                rep = extend(clique + [cand], [x for x in candidates[idx + 1 :] if x in adj[cand]])
+                rep = extend(clique + [cand], [x for x in candidates[idx + 1 :] if x in adj_v[cand]])
                 if rep is not None:
                     return rep
             return None
 
         for idx, a in enumerate(names):
-            rep = extend([a], [b for b in names[idx + 1 :] if b in adj[a]])
+            rep = extend([a], [b for b in names[idx + 1 :] if b in adj_v[a]])
             if rep is not None:
                 return rep
     return FlagReport(True)
@@ -435,10 +458,10 @@ def check_local_isometry(phi: CombinatorialMap) -> IsometryReport:
     """
     src, dst = phi.source, phi.target
     dst_kind = D_KINDS[dst.kind]
-    src_sq = _square_index(src)[0]
-    dst_sq = _square_index(dst)[0]
+    src_ones, src_adj = _link_graph(src)[:2]
+    dst_adj = _link_graph(dst)[1]
 
-    for v, ones in _ones_by_vertex(src).items():
+    for v, ones in src_ones.items():
         images = {}  # image corner key -> (source corner key, sub-1-cube)
         for a, s1 in ones.items():
             vi, (im,) = _link_keys(dst_kind, phi.apply(s1))
@@ -449,10 +472,10 @@ def check_local_isometry(phi: CombinatorialMap) -> IsometryReport:
                     "link not injective",
                 )
             images[im] = (a, s1)
-        at_v = src_sq.get(v, {})
-        at_vi = dst_sq.get(vi, {})  # the images' 0-cube
+        at_v = src_adj[v]
+        at_vi = dst_adj.get(vi, {})  # the images' 0-cube
         for (ia, (a, fa)), (ib, (b, fb)) in itertools.combinations(images.items(), 2):
-            if frozenset((ia, ib)) in at_vi and frozenset((a, b)) not in at_v:
+            if ib in at_vi.get(ia, ()) and b not in at_v[a]:
                 return IsometryReport(
                     False,
                     (forest_to_newick(fa), forest_to_newick(fb)),

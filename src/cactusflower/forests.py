@@ -15,6 +15,20 @@ Flipping at an edge mirrors the whole subtree above it.  Collapsing a
 non-trunk edge splices the children into the parent; collapsing a trunk
 splits the tree into the consecutive sequence of its top-level subtrees.
 
+Forests are ordered by forest_key, a flat int code of the tree sequence: a
+leaf x is the two tokens 1, x and a vertex is 2, its children's codes, then
+0.  The code is prefix-free, so comparing two codes compares the trees one
+by one, a leaf before a vertex, leaves by label, and a vertex's children in
+order, the shorter child list first when one is a prefix of the other.
+
+The canonical forms of plain forests need no keys.  Two subtrees with
+disjoint leaf sets, such as two children of one vertex or two trees of one
+forest, compare in that order as their leftmost leaves do, by (depth,
+label) (_leftmost): the codes first differ on the leftmost path.  So a tree
+modulo flips orients each vertex by comparing the leftmost leaves of its
+canonical first and last child, and a forest's trees are sorted, or rotated
+to put the least first, by their leftmost leaves.
+
 Zero-decorated forests mark a subset of internal edges; they are considered
 up to flips at the marked edges only.  One is stored as a canonical
 PlanarForest plus the frozenset of its decorated edges (leaf sets, which
@@ -25,18 +39,20 @@ is the product of the children's orbits, so its minimum keeps the children's
 minima in order, and the mirrored orbit's minimum is the children's mirror
 minima in reverse order.  At a decorated vertex the orbit is the union of
 those two sets and is closed under mirroring, so both forms are the smaller
-of the two.  Keys order a leaf as (0, label) and a vertex as (1, decorated
-flag, child keys), and the tree sequence is then arranged per complex kind as
-canon_forest arranges it.  Bushy forests allow roots of degree greater than
-one and are considered up to order reversal at non-root vertices.
+of the two.  These minima are taken by a key that orders a leaf as
+(0, label) and a vertex as (1, decorated flag, child keys), and the tree
+sequence is then arranged per complex kind as canon_forest arranges it.
+Bushy forests allow roots of degree greater than one and are considered up
+to order reversal at non-root vertices.
 
-At the API, edges are always leaf-set frozensets.  Internally, flip,
-collapse, collapse_all and faces name each vertex by an int leaf mask (bit x
-set for every leaf x above it), built in one bottom-up pass per tree, and
-the canonical forms compute each subtree's sort key once.  PlanarForest(...)
-validates its trees (ordered children, at least two per internal vertex,
-distinct non-negative int labels); forests derived inside this module from
-valid ones are built without re-validation.
+At the API, edges are always leaf-set frozensets.  Internally, flip and
+collapse find their vertex by its int leaf mask (bit x set for every leaf x
+above it), ORed up in the same bottom-up pass that rebuilds the one tree
+they change.  edges, collapse_all and faces read each vertex as a span
+(start, stop) of the planar leaf order, listed in one preorder walk per
+tree.  PlanarForest(...) validates its trees (ordered children, at least two
+per internal vertex, distinct non-negative int labels); forests derived
+inside this module from valid ones are built without re-validation.
 """
 from __future__ import annotations
 
@@ -99,7 +115,7 @@ def internal_nodes(s: Subtree):
     order: list = []
     spans: list = []
     _spans(s, order, spans)
-    return ((frozenset(order[a:b]), node) for _, a, b, node in spans)
+    return ((frozenset(order[a:b]), node) for a, b, node in spans)
 
 
 def _forest(trees: tuple) -> "PlanarForest":
@@ -137,7 +153,7 @@ class PlanarForest:
     def edges(self) -> list[FrozenSet[int]]:
         """Internal edges, as leaf sets of their upper vertices, in preorder."""
         order, spans = _vertices(self)
-        return [frozenset(order[a:b]) for _, a, b, _ in spans]
+        return [frozenset(order[a:b]) for a, b, _ in spans]
 
     def num_edges(self) -> int:
         return len(self.edges())
@@ -171,13 +187,14 @@ def total_order(forest: PlanarForest) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# flip and collapse, on leaf masks
+# flip and collapse
 #
-# Inside these passes a vertex is named by its leaf mask, the int with bit x
-# set for every leaf label x above it: one bottom-up pass per tree ORs the
-# masks together, and an edge matches the vertex whose mask equals its own.
-# The leaves above a vertex are also an interval of the planar leaf order, so
-# contracting edges only regroups that order: each surviving vertex keeps its
+# flip and collapse rebuild the one tree that holds their edge in one
+# bottom-up pass, which ORs leaf masks (bit x set for every leaf label x
+# above a vertex) and changes the tree at the vertex whose mask equals the
+# edge's.  The other passes read a vertex as its span of the planar leaf
+# order: the leaves above a vertex are an interval of that order, so
+# contracting edges only regroups it, and each surviving vertex keeps its
 # interval, nested as before.
 
 
@@ -223,27 +240,60 @@ def flip(forest: PlanarForest, edge: FrozenSet[int]) -> PlanarForest:
     raise ValueError(f"not an internal edge: {set(edge)}")
 
 
-def _spans(s: tuple, order: list, out: list) -> int:
-    """Append s's leaves to order and (leaf mask, start, stop, node) for every
-    internal vertex of s to out, in preorder: the leaves above the vertex are
-    order[start:stop].  Return the mask of s."""
+def _splice_at(s: tuple, target: int):
+    """(leaf mask of s, s with the children of the vertex with the target
+    mask spliced into its parent's child list in place).
+
+    s itself comes back unchanged when it is that vertex, and so do the
+    subtrees without it."""
+    m = 0
+    out = s
+    for i, c in enumerate(s):
+        if isinstance(c, int):
+            m |= 1 << c
+        else:
+            cm, new = _splice_at(c, target)
+            m |= cm
+            if cm == target:  # only one child can hold the target
+                out = s[:i] + c + s[i + 1 :]
+            elif new is not c:
+                out = s[:i] + (new,) + s[i + 1 :]
+    return m, out
+
+
+def collapse(forest: PlanarForest, edge: FrozenSet[int]) -> PlanarForest:
+    """Contract the given internal edge (see collapse_all), in one pass over
+    the tree that holds it."""
+    target = _edge_mask(edge)
+    trees = forest.trees
+    for i, t in enumerate(trees):
+        if not isinstance(t, int):
+            m, new = _splice_at(t, target)
+            if m == target:  # the trunk: the tree splits into its subtrees
+                return _forest(trees[:i] + t + trees[i + 1 :])
+            if new is not t:
+                return _forest(trees[:i] + (new,) + trees[i + 1 :])
+    raise ValueError(f"not an internal edge: {set(edge)}")
+
+
+def _spans(s: tuple, order: list, out: list) -> None:
+    """Append s's leaves to order and (start, stop, node) for every internal
+    vertex of s to out, in preorder: the leaves above the vertex are
+    order[start:stop]."""
     i = len(out)
     out.append(None)
     start = len(order)
-    m = 0
     for c in s:
         if isinstance(c, int):
             order.append(c)
-            m |= 1 << c
         else:
-            m |= _spans(c, order, out)
-    out[i] = (m, start, len(order), s)
-    return m
+            _spans(c, order, out)
+    out[i] = (start, len(order), s)
 
 
 def _vertices(forest: PlanarForest):
-    """(leaf order, [(leaf mask, start, stop, node)] of the internal vertices
-    in preorder), in one pass per tree."""
+    """(leaf order, [(start, stop, node)] of the internal vertices in
+    preorder), in one pass per tree."""
     order: list = []
     spans: list = []
     for t in forest.trees:
@@ -259,8 +309,8 @@ def _nest(order: list, spans: list, lo: int, hi: int, j: int):
     spans[j:] (preorder) that start before hi; return them and the index of
     the first span past hi."""
     items = []
-    while j < len(spans) and spans[j][1] < hi:
-        _, start, stop, _ = spans[j]
+    while j < len(spans) and spans[j][0] < hi:
+        start, stop, _ = spans[j]
         items += order[lo:start]
         kids, j = _nest(order, spans, start, stop, j + 1)
         items.append(tuple(kids))
@@ -283,24 +333,18 @@ def collapse_all(forest: PlanarForest, edges: Iterable[FrozenSet[int]]) -> Plana
     the edges one at a time, in any order.
     """
     edges = list(edges)
-    masks = [_edge_mask(e) for e in edges]
-    if not masks:
+    if not edges:
         return forest
-    targets = set(masks)
-    if len(targets) != len(masks):
+    targets = {frozenset(e) for e in edges}
+    if len(targets) != len(edges):
         raise ValueError("repeated edge")
     order, spans = _vertices(forest)
-    kept = [v for v in spans if v[0] not in targets]
+    kept = [v for v in spans if frozenset(order[v[0] : v[1]]) not in targets]
     if len(kept) != len(spans) - len(targets):
-        found = {v[0] for v in spans}
-        missing = next(e for e, m in zip(edges, masks) if m not in found)
+        found = {frozenset(order[a:b]) for a, b, _ in spans}
+        missing = next(e for e in edges if frozenset(e) not in found)
         raise ValueError(f"not an internal edge: {set(missing)}")
     return _keeping(order, kept)
-
-
-def collapse(forest: PlanarForest, edge: FrozenSet[int]) -> PlanarForest:
-    """Contract the given internal edge (see collapse_all)."""
-    return collapse_all(forest, (edge,))
 
 
 def faces(forest: PlanarForest, size: int) -> list[PlanarForest]:
@@ -370,9 +414,9 @@ def _edge_splits(total: int, parts: Sequence[tuple]):
 
 def _leftmost(s: Subtree) -> tuple:
     """(depth, label) of the leftmost leaf of a subtree.  On subtrees with
-    disjoint leaf sets this is the order of _subtree_key: two keys first
-    differ on the leftmost path, where a leaf (0, label) sorts before a
-    vertex (1, ...) and two leaves by label."""
+    disjoint leaf sets this is the order of their forest_key codes: two
+    codes first differ on the leftmost path, where a leaf (1, label) sorts
+    before a vertex (2, ...) and two leaves by label."""
     depth = 0
     while not isinstance(s, int):
         s = s[0]
@@ -386,8 +430,8 @@ def _forests_on(labels: tuple, k: int, kind: str, min_trees: int, memo: dict):
     canon_forest(kind, f, False) form.
 
     Each comes from a set partition of the labels, one tree per block, the
-    trees sorted in _subtree_key order (by _leftmost) and then arranged: the
-    keys are distinct, so for "cyclic" the smallest tree first is _arrange's
+    trees sorted by _leftmost (the forest_key order of disjoint trees) and
+    then arranged: for "cyclic" the smallest tree first is _arrange's
     minimal rotation.
     """
     # a forest of m trees on s leaves has at most s - m internal edges
@@ -450,74 +494,74 @@ def catalan(n: int) -> int:
 # canonical forms
 
 
-def _subtree_key(s: Subtree):
-    if isinstance(s, int):
-        return (0, s)
-    return (1, tuple([(0, c) if isinstance(c, int) else _subtree_key(c) for c in s]))
-
-
-def _flip_canon(s: Subtree):
-    """(canon_tree_mod_flips(s), its _subtree_key), each child key computed
-    once."""
-    if isinstance(s, int):
-        return s, (0, s)
-    kids = []
-    keys = []
-    for c in s:
-        kid, key = _flip_canon(c)
-        kids.append(kid)
-        keys.append(key)
-    keys = tuple(keys)
-    rev = keys[::-1]
-    if rev < keys:
-        return tuple(reversed(kids)), (1, rev)
-    return tuple(kids), (1, keys)
-
-
 def canon_tree_mod_flips(s: Subtree) -> Subtree:
     """Canonical representative of a tree modulo flips at all its edges.
 
     Flips generate an independent orientation choice at every internal
-    vertex, so the bottom-up lexicographic minimum is canonical.
+    vertex, so the bottom-up lexicographic minimum is canonical.  A vertex
+    keeps its canonical children in order unless the last one's leftmost
+    leaf comes before the first one's: their leaf sets are disjoint, so that
+    decides between the two orders.
     """
-    return _flip_canon(s)[0]
+    if isinstance(s, int):
+        return s
+    kids = [c if isinstance(c, int) else canon_tree_mod_flips(c) for c in s]
+    if _leftmost(kids[-1]) < _leftmost(kids[0]):
+        kids.reverse()
+    return tuple(kids)
 
 
-def forest_key(f: PlanarForest):
-    return tuple(_subtree_key(t) for t in f.trees)
+def _code(trees: tuple, out: list) -> None:
+    """Append the forest_key code of each subtree in turn to out."""
+    for s in trees:
+        if isinstance(s, int):
+            out += (1, s)
+        else:
+            out.append(2)
+            _code(s, out)
+            out.append(0)
+
+
+def forest_key(f: PlanarForest) -> Tuple[int, ...]:
+    """The sort key of a forest: its trees' codes in turn, a leaf x as
+    1, x and a vertex as 2, its children's codes, 0 (see the module
+    docstring).
+
+    >>> forest_key(PlanarForest([(1, (2, 3)), 4]))
+    (2, 1, 1, 2, 1, 2, 1, 3, 0, 0, 1, 4)
+    """
+    out: list = []
+    _code(f.trees, out)
+    return tuple(out)
 
 
 def canon_forest(kind: str, f: PlanarForest, mod_flips: bool) -> PlanarForest:
     """Canonical form of a forest for a complex kind.
 
     kind "ordered" keeps the tree sequence, "unordered" sorts it, "cyclic"
-    takes the minimal rotation.  With mod_flips, each tree is first reduced
-    modulo flipping.
+    takes the minimal rotation, both by _leftmost.  With mod_flips, each
+    tree is first reduced modulo flipping.
     """
-    if mod_flips:
-        keyed = [_flip_canon(t) for t in f.trees]
-    elif kind == "ordered":
-        return f
-    elif kind == "unordered":
-        return _forest(tuple(sorted(f.trees, key=_subtree_key)))
-    else:
-        keyed = [(t, _subtree_key(t)) for t in f.trees]
-    return _forest(_arrange(kind, keyed))
+    if not mod_flips:
+        if kind == "ordered":
+            return f
+        return _forest(_arrange(kind, f.trees, _leftmost))
+    return _forest(_arrange(kind, tuple([canon_tree_mod_flips(t) for t in f.trees]), _leftmost))
 
 
-def _arrange(kind: str, keyed: list) -> tuple:
-    """The trees of a list of (tree, key) pairs in the order of a complex
-    kind: as given ("ordered"), sorted by key ("unordered"), or the rotation
-    with the smallest key sequence ("cyclic")."""
+def _arrange(kind: str, items: tuple, key) -> tuple:
+    """The items in the order of a complex kind: as given ("ordered"),
+    sorted by key ("unordered"), or the rotation with the smallest key
+    sequence ("cyclic").  The keys of the trees of a forest are distinct, so
+    that rotation starts at the smallest key."""
     if kind == "unordered":
-        keyed.sort(key=itemgetter(1))
-    elif kind == "cyclic":
-        keys = [key for _, key in keyed]
-        i = min(range(len(keys)), key=lambda i: keys[i:] + keys[:i])
-        keyed = keyed[i:] + keyed[:i]
-    elif kind != "ordered":
-        raise ValueError(f"unknown kind {kind!r}")
-    return tuple(t for t, _ in keyed)
+        return tuple(sorted(items, key=key))
+    if kind == "cyclic":
+        i = items.index(min(items, key=key))
+        return items[i:] + items[:i]
+    if kind == "ordered":
+        return items
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -642,9 +686,9 @@ def _zero_forest(kind: str, trees: tuple, zeros: FrozenSet[FrozenSet[int]]):
     edges, its trees in the order of a complex kind (see canon_forest); built
     without the checks of the public constructor."""
     zmasks = {_edge_mask(e) for e in zeros}
-    keyed = [_zero_canon(t, zmasks)[:2] for t in trees]
+    keyed = _arrange(kind, tuple([_zero_canon(t, zmasks)[:2] for t in trees]), itemgetter(1))
     zf = object.__new__(PlanarForestWithZeros)
-    object.__setattr__(zf, "forest", _forest(_arrange(kind, keyed)))
+    object.__setattr__(zf, "forest", _forest(tuple([t for t, _ in keyed])))
     object.__setattr__(zf, "zeros", zeros)
     return zf
 
@@ -729,8 +773,8 @@ class BushyForest:
         for t in trees:
             if not isinstance(t, tuple) or len(t) < 1:
                 raise ValueError("a bushy tree is a nonempty tuple of subtrees")
-            forms, keys = zip(*[_flip_canon(c) for c in t])
-            ts.append((forms, keys))
+            forms = tuple([canon_tree_mod_flips(c) for c in t])
+            ts.append((forms, _leftmost(forms[0])))  # trees with disjoint leaves differ there
         ts.sort(key=itemgetter(1))
         labels = [x for t, _ in ts for c in t for x in leaves(c)]
         if len(labels) != len(set(labels)):

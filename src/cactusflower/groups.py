@@ -33,7 +33,6 @@ from .combinatorics import (
     affine_interval_reversal,
     all_permutations,
     interval_reversal,
-    is_translation,
     lookup_table,
 )
 
@@ -258,9 +257,7 @@ def make_presentation(family: str, n: int) -> Presentation:
         rel = _cactus_relators(pairs, n)
         rel += _coxeter_sym_relators("b", n)
         for (i, j) in pairs:
-            for w in all_permutations(n):
-                if w.is_identity() or not is_translation(w, i, j):
-                    continue
+            for w in _translations(i, j, n):
                 bw = _sym_word("b", w)
                 bwi = _sym_word("b", w.inverse())
                 rel.append(bw + (("s", i, j),) + bwi + (("s", w(i), w(j)),))
@@ -338,6 +335,24 @@ def _pure_virtual_cactus_words(rank: Dict[Letter, int], n: int):
                     for b in itertools.permutations(left, bsize):
                         if (c, b) < (b[::-1], c[::-1]):
                             yield (ar, r[c + a + b], ar, r[b[::-1] + a + c[::-1]])
+
+
+def _translations(i: int, j: int, n: int) -> list[Permutation]:
+    """The permutations w of [n] other than the identity that translate
+    [i, j], w(i + k) = w(i) + k for k <= j - i (is_translation), in the
+    lexicographic order of all_permutations.  The interval goes onto a block
+    a, ..., a + j - i, and the other positions take the other values in
+    every order."""
+    span = j - i
+    found = []
+    for a in range(1, n - span + 1):
+        block = tuple(range(a, a + span + 1))
+        rest = [x for x in range(1, n + 1) if not a <= x <= a + span]
+        for p in itertools.permutations(rest):
+            found.append(p[: i - 1] + block + p[i - 1 :])
+    found.sort()
+    identity = tuple(range(1, n + 1))
+    return [Permutation(w) for w in found if w != identity]
 
 
 def _transposition_word(p: Permutation) -> list[int]:

@@ -294,8 +294,8 @@ def _tree_walk(tree):
     vertices, starts, parent = [], [], []
     owner = [0] * (len(order) - 1)
     stack: list = []
-    for j, (_, start, stop, _) in enumerate(spans):
-        while stack and spans[stack[-1]][2] <= start:
+    for j, (start, stop, _) in enumerate(spans):
+        while stack and spans[stack[-1]][1] <= start:
             stack.pop()
         parent.append(stack[-1] if stack else -1)
         stack.append(j)

@@ -146,6 +146,9 @@ class RootSystem:
                         nxt.append(c2)
             frontier = nxt
 
+        if _weyl_order(coroots) > _WEYL_CAP:
+            raise ValueError(f"Weyl group has more than {_WEYL_CAP} elements, too many to enumerate")
+
         # <alpha_i^vee, omega_j> = delta_ij, so the copairing is c^vee
         self.roots: List[Root] = [
             Root(c, tuple(sum(map(mul, row, c)) for row in a), coroots[c]) for c in sorted(coroots)
@@ -176,11 +179,6 @@ class RootSystem:
                         )
                         self.elements[key2] = m2
                         nxt.append((key2, m2))
-                        if len(self.elements) > _WEYL_CAP:
-                            raise ValueError(
-                                f"Weyl group has more than {_WEYL_CAP} elements, "
-                                "too many to enumerate"
-                            )
             frontier = nxt
         self.order = len(self.elements)
         self._simple_systems = self._build_simple_systems()
@@ -237,6 +235,25 @@ class RootSystem:
             )
         out.sort(key=lambda s: s.root_indices)
         return out
+
+
+def _weyl_order(roots) -> int:
+    """|W| from the simple-root coordinates of all the roots, before any
+    element is built.  The numbers of positive roots of heights 1, 2, ...
+    form the partition dual to the exponents m_i (Kostant), and |W| is the
+    product of the degrees m_i + 1; both hold for reducible systems too.
+
+    >>> _weyl_order([(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)])
+    6
+    """
+    by_height: Dict[int, int] = {}
+    for c in roots:
+        h = sum(c)
+        if h > 0:
+            by_height[h] = by_height.get(h, 0) + 1
+    counts = by_height.values()  # positive roots per height
+    rank = by_height.get(1, 0)  # the simple roots
+    return math.prod(1 + sum(1 for m in counts if m >= j) for j in range(1, rank + 1))
 
 
 def _det(m) -> int:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,20 @@ def test_weyl_group_over_the_cap_is_a_usage_error(monkeypatch, capsys):
     assert main(["roots", "--type", a4]) == 2
     assert capsys.readouterr() == (
         "", "error: Weyl group has more than 100 elements, too many to enumerate\n"
+    )
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_e7_and_e8_are_refused_at_once(rank, capsys):
+    # refused from the order formula: no Weyl element is built
+    a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in [(0, 2), (1, 3), (2, 3)] + [(k, k + 1) for k in range(3, rank - 1)]:
+        a[i][j] = a[j][i] = -1
+    start = time.perf_counter()
+    assert main(["roots", "--type", json.dumps(a)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (
+        "", "error: Weyl group has more than 100000 elements, too many to enumerate\n"
     )
 
 

@@ -17,6 +17,7 @@ from cactusflower.combinatorics import (
 from cactusflower.cubecomplexes import (
     D_KINDS,
     CombinatorialMap,
+    CubeComplex,
     FlagReport,
     VertexLink,
     _faces,
@@ -44,6 +45,7 @@ from cactusflower.cubecomplexes import (
     vertex_link,
 )
 from cactusflower.forests import (
+    PlanarForest,
     PlanarForestWithZeros,
     enumerate_planar_forests,
     enumerate_zero_forests,
@@ -387,6 +389,23 @@ def test_flag_single_deletions_match_reference(kind):
                 else:
                     ref = _reference_flag(mutant)
                     assert (rep.ok, rep.detail, rep.witness) == (ref.ok, ref.detail, ref.witness)
+
+
+@pytest.mark.parametrize("kind", ["breveD", "hatD"])
+def test_two_squares_on_one_corner_pair_fail_naming_both(kind):
+    # a second representative of a square, its trees rotated, has the same
+    # corners at the same vertex
+    c = build_complex(kind, 4)
+    square = min((s for s in c.subcubes[2] if len(s.trees) > 1), key=forest_key)
+    twin = PlanarForest(square.trees[1:] + square.trees[:1])
+    assert twin != square and c.canon_sub(twin) == square
+    mutant = CubeComplex(kind, 4, {k: set(v) for k, v in c.subcubes.items()})
+    mutant.subcubes[2].add(twin)
+    rep = check_gromov_flag(mutant)
+    assert not rep.ok and rep.detail == "two squares on the same corner pair"
+    assert set(rep.witness) == {forest_to_newick(square), forest_to_newick(twin)}
+    ref = _reference_flag(mutant)
+    assert (rep.ok, rep.detail, rep.witness) == (ref.ok, ref.detail, ref.witness)
 
 
 @pytest.mark.parametrize("kind", ["D", "breveD", "hatD"])

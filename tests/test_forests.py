@@ -10,6 +10,7 @@ from cactusflower.forests import (
     NoMeetError,
     PlanarForest,
     PlanarForestWithZeros,
+    _bushy_contract,
     _zero_forest,
     canon_forest,
     canon_tree_mod_flips,
@@ -21,6 +22,7 @@ from cactusflower.forests import (
     flip,
     forest_from_json,
     forest_from_newick,
+    forest_key,
     forest_to_json,
     forest_to_newick,
     leafset,
@@ -310,6 +312,76 @@ def test_forest_core_matches_sequential_reference(n):
                 assert _revalidates(got)
         for t in forest.trees:
             assert canon_tree_mod_flips(t) == _ref_canon_tree(t)
+
+
+# ---------------------------------------------------------------------------
+# the flat forest_key and the key-free canonical forms against nested keys
+#
+# _ref_key is the nested sort key the forests had before forest_key became a
+# flat code: a leaf as (0, label), a vertex as (1, child keys).
+
+
+def _ref_forest_key(forest):
+    return tuple(_ref_key(t) for t in forest.trees)
+
+
+def _relabel(s, labels):
+    if isinstance(s, int):
+        return labels[s]
+    return tuple(_relabel(c, labels) for c in s)
+
+
+def test_forest_key_sorts_like_the_nested_key():
+    rng = random.Random(18)
+    pool = []
+    for forest in (f for n in range(1, 6) for f in _all_forests(n)):
+        pool.append(forest)
+        # the same shape on another label set, the labels out of order
+        labels = dict(zip(range(1, 6), rng.sample(range(12), 5)))
+        pool.append(PlanarForest([_relabel(t, labels) for t in forest.trees]))
+    rng.shuffle(pool)
+    assert sorted(pool, key=forest_key) == sorted(pool, key=_ref_forest_key)
+    assert len({forest_key(f) for f in pool}) == len(set(pool))
+
+
+def _flip_orbit(forest):
+    """The forest flipped at every subset of its edges, 2^k forests."""
+    orbit = [forest]
+    for e in forest.edges():
+        orbit += [flip(g, e) for g in orbit]
+    return orbit
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_canon_mod_flips_is_the_least_flip_under_the_nested_key(n):
+    for forest in _all_forests(n):
+        orbit = _flip_orbit(forest)
+        for kind in ("ordered", "unordered", "cyclic"):
+            want = min((_ref_canon_forest(kind, g, False) for g in orbit), key=_ref_forest_key)
+            assert canon_forest(kind, forest, True) == want
+            assert canon_forest(kind, forest, False) == _ref_canon_forest(kind, forest, False)
+
+
+def test_collapse_of_a_non_edge_names_it():
+    forest = PlanarForest([((1, (2, 3)), 4), (5, 6)])
+    e = frozenset({2, 3})
+    for bad in (frozenset({1, 2}), frozenset({9}), frozenset(), frozenset({-1, 2}), {5, 6, 7}):
+        message = f"not an internal edge: {set(bad)}"
+        for op in (collapse, flip, lambda f, x: collapse_all(f, [e, x])):
+            with pytest.raises(ValueError) as err:
+                op(forest, bad)
+            assert str(err.value) == message
+
+
+def test_bushy_forms_match_the_nested_key_sort():
+    for n in range(1, 5):
+        for zf in enumerate_zero_forests(n):
+            raw = [tuple(_bushy_contract(t, zf.zeros)) for t in zf.forest.trees]
+            forms = [tuple(_ref_canon_tree(c) for c in t) for t in raw]
+            want = tuple(sorted(forms, key=lambda t: tuple(map(_ref_key, t))))
+            assert zeros_to_bushy(zf).trees == want
+            assert BushyForest(raw[::-1]).trees == want
+            assert BushyForest([tuple(map(_ref_mirror, t)) for t in raw]).trees == want
 
 
 def test_forest_core_error_parity():

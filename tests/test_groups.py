@@ -8,7 +8,9 @@ from cactusflower.combinatorics import (
     CyclicInterval,
     ExtAffinePermutation,
     Permutation,
+    all_permutations,
     interval_reversal,
+    is_translation,
 )
 from cactusflower.groups import (
     DIAGRAM_PATHS_TO_EAS,
@@ -16,6 +18,7 @@ from cactusflower.groups import (
     FAMILIES,
     GroupHom,
     _cactus_relators,
+    _coxeter_sym_relators,
     _cyclic_pairs,
     _family_of,
     _letter_key,
@@ -24,6 +27,7 @@ from cactusflower.groups import (
     _pvc_corner,
     _pvc_reduce,
     _standard_pairs,
+    _sym_word,
     _word_key,
     canonical_cyclic,
     diagram_commutes,
@@ -615,3 +619,26 @@ def test_diagram_report_matches_per_call_evaluation(n):
                 vals = [evaluate_path((g,), chain, n) for chain in chains]
                 expected.append((src + label, g, all(same(v, vals[0]) for v in vals)))
     assert diagram_report(n) == expected
+
+
+def _reference_virtual_cactus(n):
+    """The virtual cactus presentation as it was built by filtering every
+    permutation of S_n with is_translation for every standard pair."""
+    pairs = _standard_pairs(n)
+    rel = _cactus_relators(pairs, n)
+    rel += _coxeter_sym_relators("b", n)
+    for (i, j) in pairs:
+        for w in all_permutations(n):
+            if w.is_identity() or not is_translation(w, i, j):
+                continue
+            bw = _sym_word("b", w)
+            bwi = _sym_word("b", w.inverse())
+            rel.append(bw + (("s", i, j),) + bwi + (("s", w(i), w(j)),))
+    gens = tuple(("s", *p) for p in pairs) + tuple(("b", k) for k in range(1, n))
+    return gens, tuple(rel), tuple((g, g) for g in gens)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_virtual_cactus_translations_match_the_filter(n):
+    p = make_presentation("virtual_cactus", n)
+    assert (p.generators, p.relators, p.partner) == _reference_virtual_cactus(n)

@@ -56,6 +56,52 @@ def test_weyl_closure_stops_at_its_cap(monkeypatch):
     assert build_root_system("A3").order == 24
 
 
+def _e_cartan(rank):
+    """The Cartan matrix of E6, E7 or E8 (Bourbaki labels: 1-3-4-5-...,
+    with 2 joined to 4)."""
+    a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in [(0, 2), (1, 3), (2, 3)] + [(k, k + 1) for k in range(3, rank - 1)]:
+        a[i][j] = a[j][i] = -1
+    return a
+
+
+def test_weyl_order_formula_matches_enumeration():
+    a1_a2 = [[2, 0, 0], [0, 2, -1], [0, -1, 2]]  # reducible: |W| = 2 * 6
+    systems = [build_root_system(name) for name in NAMED_CARTAN]
+    systems += [build_root_system(_e_cartan(6)), build_root_system(a1_a2)]
+    for rs in systems:
+        assert rootsystems._weyl_order(rt.simple for rt in rs.roots) == len(rs.elements) == rs.order
+    assert systems[-2].order == 51840 and systems[-1].order == 12
+
+
+def test_weyl_groups_over_the_cap_are_refused_before_enumeration():
+    # |W(E7)| = 2,903,040 and |W(E8)| = 696,729,600
+    for rank, count, order in ((7, 126, 2903040), (8, 240, 696729600)):
+        a = _e_cartan(rank)
+        roots = _root_closure_coords(a)
+        assert len(roots) == count and rootsystems._weyl_order(roots) == order
+        with pytest.raises(ValueError, match="more than 100000 elements"):
+            build_root_system(a)
+
+
+def _root_closure_coords(a):
+    """Every root of a finite-type Cartan matrix, in simple-root coordinates,
+    by reflecting the simple roots until nothing new appears."""
+    r = len(a)
+    seen = {tuple(int(k == i) for k in range(r)) for i in range(r)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for i in range(r):
+                c2 = c[:i] + (c[i] - sum(a[i][j] * c[j] for j in range(r)),) + c[i + 1:]
+                if c2 not in seen:
+                    seen.add(c2)
+                    nxt.append(c2)
+        frontier = nxt
+    return seen
+
+
 def test_face_center_trivial_cases():
     rs = build_root_system("A2")
     for ss in rs.simple_systems():
