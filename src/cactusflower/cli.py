@@ -92,7 +92,7 @@ def _cmd_verify(args) -> int:
         with open(args.infile) as fh:
             point = pj.point_from_json(fh.read())
         tag = VARIETY_CODES[args.variety]
-        n = args.n if args.n else point.n
+        n = args.n if args.n else getattr(point, "n", None) or len(point.labels)
         rep = pj.check_membership(pj.VarietySpec(tag, n), point)
         _emit(args, json.dumps(
             {"variety": tag, "n": n, "pass": rep.ok,

@@ -388,7 +388,7 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
                 vertex = c.vertex_of(ones_v[clique[0]])
                 return FlagReport(
                     False,
-                    (forest_to_newick(vertex), tuple(str(forest_key(ones_v[x])) for x in clique)),
+                    (forest_to_newick(vertex), tuple(forest_to_newick(ones_v[x]) for x in clique)),
                     f"{size}-clique spans no cube",
                 )
             for idx, cand in enumerate(candidates):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
@@ -65,7 +66,7 @@ class ProjPoint:
     """A point (u : v) of P^1, canonically scaled.
 
     Finite values are stored as (x : 1), infinity as (1 : 0).  The equation
-    evaluators (_eq_prod and the rest) depend on this: they read v as 1 or 0.
+    evaluators' integer form (_hom) depends on this: it reads v as 1 or 0.
 
     The constructor canonicalises any pair.  Code that already holds the
     canonical parts uses ``ProjPoint._canonical(u, v)`` instead, which stores
@@ -120,6 +121,8 @@ class ProjPoint:
         return ProjPoint(conjugate(self.u), conjugate(self.v))
 
     def __eq__(self, other):
+        if type(other) is ProjPoint:  # canonical v: mostly the same ONE or ZERO
+            return self.u == other.u and (self.v is other.v or self.v == other.v)
         if isinstance(other, ProjPoint):
             return self.u == other.u and self.v == other.v
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -203,6 +206,16 @@ class NuTuple:
         object.__setattr__(self, "nu", tuple(sorted(full.items())))
         object.__setattr__(self, "epsilon", epsilon)
 
+    @staticmethod
+    def _trusted(n: int, nu: tuple, epsilon: Optional[Scalar]) -> "NuTuple":
+        """NuTuple(n, dict(nu), epsilon) unchecked: nu holds every ordered
+        pair of [n] once, sorted, and epsilon is None or canonical."""
+        point = object.__new__(NuTuple)
+        object.__setattr__(point, "n", n)
+        object.__setattr__(point, "nu", nu)
+        object.__setattr__(point, "epsilon", epsilon)
+        return point
+
     def as_dict(self) -> Dict[Tuple[int, int], ProjPoint]:
         return dict(self.nu)
 
@@ -239,6 +252,15 @@ class MuTuple:
             raise ValueError(f"missing mu coordinates: {missing[:4]}...")
         object.__setattr__(self, "labels", ls)
         object.__setattr__(self, "mu", tuple(sorted(mu.items())))
+
+    @staticmethod
+    def _trusted(labels: Tuple[int, ...], mu: tuple) -> "MuTuple":
+        """MuTuple(labels, dict(mu)) unchecked: labels are sorted and mu
+        holds every ordered triple of them once, sorted."""
+        point = object.__new__(MuTuple)
+        object.__setattr__(point, "labels", labels)
+        object.__setattr__(point, "mu", mu)
+        return point
 
     def as_dict(self) -> Dict[Tuple[int, int, int], ProjPoint]:
         return dict(self.mu)
@@ -312,90 +334,96 @@ class MembershipReport:
 
 
 # equation evaluators: each returns a scalar residual, zero iff satisfied.
-# The points are canonical (v is 1, or v is 0 and u is 1), so each evaluator
-# branches on which v vanish instead of multiplying by them; the residual is
-# the multihomogenized polynomial's value all the same.  When the finite
-# parts taking part (and epsilon) are all Fractions, the residual is
-# cross-multiplied over their numerators and denominators in int and built
-# as one Fraction, or ZERO when the integer numerator vanishes.  A Gaussian
-# rational anywhere (epsilon = i, say) takes the scalar arithmetic instead.
+# check_membership hands them every coordinate once, in the homogeneous
+# Gaussian-integer form of _hom: u = (Ur + i Ui)/d is (Ur, Ui, d, d) and
+# infinity is (1, 0, 0, 1); epsilon and other affine constants are finite
+# points.  Each evaluator is its multihomogenized polynomial H over these
+# ints, degree one in each point, so the residual at the canonically scaled
+# points is H over the product of the d's: a Fraction or GaussianRational,
+# built only when H != 0, and ZERO otherwise.
 
 
-def _eq_prod(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> Scalar:
+def _hom(p: ProjPoint) -> Tuple[int, int, int, int]:
+    """(Ur, Ui, V, d): p = (Ur + i Ui : V) with V = d when p is finite."""
+    if not p.v:
+        return 1, 0, 0, 1
+    u = p.u
+    if type(u) is Fraction:
+        d = u.denominator
+        return u.numerator, 0, d, d
+    re, im = u.re, u.im
+    d = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d, d
+
+
+def _residual(hr: int, hi: int, d: int) -> Scalar:
+    if hi:
+        return GaussianRational(Fraction(hr, d), Fraction(hi, d))
+    return Fraction(hr, d)
+
+
+def _eq_prod(a, b, c) -> Scalar:
     """a*b = c  homogenized as a1 b1 c2 = c1 a2 b2."""
-    if not c.v:
-        return -ONE if a.v and b.v else ZERO
-    if not (a.v and b.v):
-        return a.u * b.u
-    au, bu, cu = a.u, b.u, c.u
-    if type(au) is type(bu) is type(cu) is Fraction:
-        ad, bd, cd = au.denominator, bu.denominator, cu.denominator
-        num = au.numerator * bu.numerator * cd - cu.numerator * ad * bd
-        return Fraction(num, ad * bd * cd) if num else ZERO
-    return au * bu - cu
+    ar, ai, av, ad = a
+    br, bi, bv, bd = b
+    cr, ci, cv, cd = c
+    w = av * bv
+    hr = (ar * br - ai * bi) * cv - cr * w
+    hi = (ar * bi + ai * br) * cv - ci * w
+    return _residual(hr, hi, ad * bd * cd) if hr or hi else ZERO
 
 
-def _eq_prod_one(a: ProjPoint, b: ProjPoint) -> Scalar:
+def _eq_prod_one(a, b) -> Scalar:
     """a*b = 1  homogenized as a1 b1 = a2 b2."""
-    if not (a.v and b.v):
-        return a.u * b.u
-    au, bu = a.u, b.u
-    if type(au) is type(bu) is Fraction:
-        den = au.denominator * bu.denominator
-        num = au.numerator * bu.numerator - den
-        return Fraction(num, den) if num else ZERO
-    return au * bu - ONE
+    ar, ai, av, ad = a
+    br, bi, bv, bd = b
+    hr = ar * br - ai * bi - av * bv
+    hi = ar * bi + ai * br
+    return _residual(hr, hi, ad * bd) if hr or hi else ZERO
 
 
-def _eq_sum_const(a: ProjPoint, b: ProjPoint, c: Scalar) -> Scalar:
-    """a + b = c with c an affine scalar: a1 b2 + b1 a2 = c a2 b2."""
-    if not (a.v and b.v):
-        return ONE if a.v or b.v else ZERO
-    au, bu = a.u, b.u
-    if type(au) is type(bu) is type(c) is Fraction:
-        ad, bd, cd = au.denominator, bu.denominator, c.denominator
-        num = (au.numerator * bd + bu.numerator * ad) * cd - c.numerator * ad * bd
-        return Fraction(num, ad * bd * cd) if num else ZERO
-    return au + bu - c
+def _eq_sum_const(a, b, c) -> Scalar:
+    """a + b = c with c an affine scalar: a1 b2 c2 + b1 a2 c2 = c1 a2 b2."""
+    ar, ai, av, ad = a
+    br, bi, bv, bd = b
+    cr, ci, cv, cd = c
+    w = av * bv
+    hr = (ar * bv + br * av) * cv - cr * w
+    hi = (ai * bv + bi * av) * cv - ci * w
+    return _residual(hr, hi, ad * bd * cd) if hr or hi else ZERO
 
 
-def _eq_triangle(x: ProjPoint, y: ProjPoint, z: ProjPoint, eps: Scalar) -> Scalar:
+def _eq_triangle(x, y, z, e) -> Scalar:
     """eps*z + x*y = z*y + x*z for (x, y, z) = (nu_ij, nu_jk, nu_ik),
-    homogenized as eps z1 x2 y2 + x1 y1 z2 = z1 y1 x2 + x1 z1 y2."""
-    if x.v and y.v:
-        xu, yu, zu = x.u, y.u, z.u
-        if type(xu) is type(yu) is type(zu) is type(eps) is Fraction:
-            xn, xd, yn, yd = xu.numerator, xu.denominator, yu.numerator, yu.denominator
-            ed = eps.denominator
-            # x + y - eps over the denominator xd yd ed
-            s = (xn * yd + yn * xd) * ed - eps.numerator * xd * yd
-            if not z.v:  # eps - x - y
-                return Fraction(-s, xd * yd * ed) if s else ZERO
-            zd = zu.denominator
-            num = xn * yn * ed * zd - zu.numerator * s  # x y - z (x + y - eps)
-            return Fraction(num, xd * yd * ed * zd) if num else ZERO
-        return xu * yu - zu * (xu + yu - eps) if z.v else eps - xu - yu
-    if x.v:  # y at infinity
-        return x.u - z.u if z.v else -ONE
-    if y.v:  # x at infinity
-        return y.u - z.u if z.v else -ONE
-    return ONE if z.v else ZERO
+    homogenized as eps1 z1 x2 y2 + eps2 x1 y1 z2 = eps2 (z1 y1 x2 + x1 z1 y2)."""
+    xr, xi, xv, xd = x
+    yr, yi, yv, yd = y
+    zr, zi, zv, zd = z
+    er, ei, ev, ed = e
+    # H = z1 (eps1 x2 y2 - eps2 (y1 x2 + x1 y2)) + eps2 x1 y1 z2
+    w = xv * yv
+    wr = er * w - (yr * xv + xr * yv) * ev
+    wi = ei * w - (yi * xv + xi * yv) * ev
+    s = zv * ev
+    hr = zr * wr - zi * wi + (xr * yr - xi * yi) * s
+    hi = zr * wi + zi * wr + (xr * yi + xi * yr) * s
+    return _residual(hr, hi, xd * yd * zd * ed) if hr or hi else ZERO
 
 
-def _eq_link(m: ProjPoint, x: ProjPoint, y: ProjPoint) -> Scalar:
+def _eq_link(m, x, y) -> Scalar:
     """m * x = y for (m, x, y) = (mu_ijk, nu_ik, nu_ij)."""
     return _eq_prod(m, x, y)
 
 
-def _mu_equations(labels, mu: MuTuple, report: MembershipReport, quad_style: str):
-    d = mu.as_dict()
+def _mu_equations(labels, d: dict, report: MembershipReport, quad_style: str):
+    one = _hom(PP_ONE)
     for i, j, k in itertools.combinations(labels, 3):
         for a, b, c in itertools.permutations((i, j, k)):
             r = _eq_prod_one(d[(a, b, c)], d[(a, c, b)])
-            if r != 0:
+            if r:
                 report.add("mu_reciprocal", (a, b, c), r)
-            r = _eq_sum_const(d[(a, b, c)], d[(b, a, c)], ONE)
-            if r != 0:
+            r = _eq_sum_const(d[(a, b, c)], d[(b, a, c)], one)
+            if r:
                 report.add("mu_sum", (a, b, c), r)
     for quad in itertools.permutations(labels, 4):
         i, j, k, l = quad
@@ -405,19 +433,19 @@ def _mu_equations(labels, mu: MuTuple, report: MembershipReport, quad_style: str
         else:
             # mu_ijk * mu_ikl = mu_ijl
             r = _eq_prod(d[(i, j, k)], d[(i, k, l)], d[(i, j, l)])
-        if r != 0:
+        if r:
             report.add("mu_quad", quad, r)
 
 
-def _nu_equations(n, nu: NuTuple, eps: Scalar, report: MembershipReport):
-    d = nu.as_dict()
+def _nu_equations(n, d: dict, eps: Scalar, report: MembershipReport):
+    e = _hom(ProjPoint._canonical(eps, ONE))
     for i, j in itertools.combinations(range(1, n + 1), 2):
-        r = _eq_sum_const(d[(i, j)], d[(j, i)], eps)
-        if r != 0:
+        r = _eq_sum_const(d[(i, j)], d[(j, i)], e)
+        if r:
             report.add("nu_antisym", (i, j), r)
     for i, j, k in itertools.permutations(range(1, n + 1), 3):
-        r = _eq_triangle(d[(i, j)], d[(j, k)], d[(i, k)], eps)
-        if r != 0:
+        r = _eq_triangle(d[(i, j)], d[(j, k)], d[(i, k)], e)
+        if r:
             report.add("nu_triangle", (i, j, k), r)
 
 
@@ -425,32 +453,36 @@ def check_membership(spec: VarietySpec, point) -> MembershipReport:
     """Evaluate every defining polynomial of the family at the point."""
     report = MembershipReport(spec)
     tag = spec.tag
+    shape = QTuple if "MauWoodward" in tag else MuTuple if tag == "DeligneMumford" else NuTuple
+    if not isinstance(point, shape):
+        raise ValueError(f"a {tag} point is a {shape.__name__}, not a {type(point).__name__}")
     if tag == "LosevManin":
-        d = point.as_dict()
+        d = {ij: _hom(p) for ij, p in point.nu}
         for i, j in itertools.combinations(spec.labels, 2):
             r = _eq_prod_one(d[(i, j)], d[(j, i)])
-            if r != 0:
+            if r:
                 report.add("alpha_reciprocal", (i, j), r)
         for i, j, k in itertools.permutations(spec.labels, 3):
             r = _eq_prod(d[(i, j)], d[(j, k)], d[(i, k)])
-            if r != 0:
+            if r:
                 report.add("alpha_transitive", (i, j, k), r)
         return report
     if tag in ("Flower", "DeformedFlower"):
         eps = point.epsilon if (tag == "DeformedFlower" and point.epsilon is not None) else ZERO
-        _nu_equations(spec.n, point, eps, report)
+        _nu_equations(spec.n, {ij: _hom(p) for ij, p in point.nu}, eps, report)
         return report
     if tag == "DeligneMumford":
-        _mu_equations(spec.labels, point, report, quad_style="dm")
+        _mu_equations(spec.labels, {ijk: _hom(p) for ijk, p in point.mu}, report, quad_style="dm")
         return report
     if tag in ("MauWoodward", "DeformedMauWoodward"):
         eps = point.epsilon if (tag == "DeformedMauWoodward" and point.epsilon is not None) else ZERO
-        _nu_equations(spec.n, point.nu, eps, report)
-        _mu_equations(spec.labels, point.mu, report, quad_style="mw")
-        nud, mud = point.nu.as_dict(), point.mu.as_dict()
+        nud = {ij: _hom(p) for ij, p in point.nu.nu}
+        mud = {ijk: _hom(p) for ijk, p in point.mu.mu}
+        _nu_equations(spec.n, nud, eps, report)
+        _mu_equations(spec.labels, mud, report, quad_style="mw")
         for i, j, k in itertools.permutations(spec.labels, 3):
             r = _eq_link(mud[(i, j, k)], nud[(i, k)], nud[(i, j)])
-            if r != 0:
+            if r:
                 report.add("mu_nu_link", (i, j, k), r)
         return report
     raise ValueError(tag)

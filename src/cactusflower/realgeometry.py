@@ -46,6 +46,7 @@ from .projective import (
     PP_ZERO,
     ProjPoint,
     ordered_pairs,
+    ordered_triples,
 )
 from .scalars import ONE, sqrt_fraction
 
@@ -152,6 +153,13 @@ class StarPoint:
         return StarPoint(tuple(range(1, n + 1)), (Fraction(1),) * (n - 1))
 
 
+def _edge_key(item) -> Tuple[int, int]:
+    """A cube point's edges in order: by least leaf, then by size (edges
+    sharing a least leaf are nested, so the order is total)."""
+    e = item[0]
+    return min(e), len(e)
+
+
 @dataclass(frozen=True)
 class CubePoint:
     """A point of a cube: a planar forest and a [0,1] value per internal
@@ -164,13 +172,13 @@ class CubePoint:
         if not forest.trees:  # every tree has a leaf
             raise ValueError("a cube point needs a forest with at least one leaf")
         t = {frozenset(e): v if type(v) is Fraction else Fraction(v) for e, v in t.items()}
-        edges = set(forest.edges())
-        if set(t) != edges:
+        if t.keys() != set(forest.edges()):
             raise ValueError("t must assign a value to every internal edge")
-        if any(not 0 <= v <= 1 for v in t.values()):
-            raise ValueError("edge values must lie in [0, 1]")
+        for v in t.values():  # 0 <= v <= 1, the denominator being positive
+            if not 0 <= v.numerator <= v.denominator:
+                raise ValueError("edge values must lie in [0, 1]")
         object.__setattr__(self, "forest", forest)
-        object.__setattr__(self, "t", tuple(sorted(t.items(), key=lambda kv: (min(kv[0]), len(kv[0])))))
+        object.__setattr__(self, "t", tuple(sorted(t.items(), key=_edge_key)))
 
     def t_dict(self) -> Dict[FrozenSet[int], Fraction]:
         return dict(self.t)
@@ -534,15 +542,16 @@ def theta(p: CubePoint, f: RationalDiffeo = DEFAULT_F) -> ThetaImage:
         tv = [ONE if e in added else t[e] for e in walk[1]]
         chart = _Chart(walk, _b_values(walk[3], tv, f))
         nu.update(chart.nu())
-        mus[part] = MuTuple(part, chart.mu())
+        mu = chart.mu()  # every ordered triple of the part
+        mu_items = tuple((x, mu[x]) for x in ordered_triples(part))
+        mus[part] = MuTuple._trusted(tuple(sorted(part)), mu_items)
     s_part = SetPartition(parts)
     n = sum(map(len, parts))
-    for (a, c) in ordered_pairs(range(1, n + 1)):
-        if (a, c) not in nu:
-            nu[(a, c)] = PP_ZERO  # infinite distance across trees
+    # nu = 0 is the infinite distance across trees
+    nu_items = tuple((ac, nu.get(ac, PP_ZERO)) for ac in ordered_pairs(range(1, n + 1)))
     return ThetaImage(
         s_part,
-        NuTuple(n, nu, None),
+        NuTuple._trusted(n, nu_items, None),
         tuple(sorted(mus.items(), key=lambda kv: min(kv[0]))),
     )
 

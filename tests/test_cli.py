@@ -98,6 +98,19 @@ def test_membership_pass_and_fail(tmp_path):
     assert any(1 in idx and 4 in idx for _, idx in report["violations"])
 
 
+def test_membership_of_a_mu_point_and_of_the_wrong_shape(tmp_path):
+    zs = {1: Fraction(0), 2: Fraction(1), 3: Fraction(3), 4: Fraction(7)}
+    mu = tmp_path / "mu.json"
+    mu.write_text(cli.pj.point_to_json(cli.pj.cross_ratios(zs)))
+    # a mu-only point carries its labels, not n
+    code, out, _ = run_cli("verify", "membership", "--variety", "M", "--in", str(mu))
+    assert code == 0 and json.loads(out) == {"n": 4, "pass": True, "variety": "DeligneMumford",
+                                             "violations": []}
+    for variety in ("f", "Q"):  # nu tuples and joint tuples are other shapes
+        code, _, err = run_cli("verify", "membership", "--variety", variety, "--in", str(mu))
+        assert code == 2 and "is a" in err and "not a MuTuple" in err
+
+
 def test_map_gamma():
     code, out, _ = run_cli("map", "--which", "gamma", "--in", os.path.join(DEMOS, "cubepoint.json"))
     assert code == 0

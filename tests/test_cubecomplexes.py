@@ -343,7 +343,7 @@ def _reference_flag(c):
             if size >= 2 and frozenset(clique) not in at_v:
                 return FlagReport(
                     False,
-                    (str(v and forest_to_newick(v)), tuple(str(forest_key(x)) for x in clique)),
+                    (str(v and forest_to_newick(v)), tuple(forest_to_newick(x) for x in clique)),
                     f"{size}-clique spans no cube",
                 )
             for idx, cand in enumerate(candidates):
@@ -389,6 +389,16 @@ def test_flag_single_deletions_match_reference(kind):
                 else:
                     ref = _reference_flag(mutant)
                     assert (rep.ok, rep.detail, rep.witness) == (ref.ok, ref.detail, ref.witness)
+
+
+def test_clique_witness_names_link_vertices_by_newick():
+    # D_4 without its first sub-3-cube: the three corners are sub-1-cubes at
+    # the vertex, each named by its Newick string
+    c = build_D(4)
+    rep = check_gromov_flag(remove_subcube(c, min(c.subcubes[3], key=forest_key)))
+    assert (rep.ok, rep.detail) == (False, "3-clique spans no cube")
+    assert rep.witness == ("1;2;3;4", ("1;2;(3,4)", "1;(2,3,4)", "(1,2,3,4)"))
+    assert all(forest_from_newick(name) in c.subcubes[1] for name in rep.witness[1])
 
 
 @pytest.mark.parametrize("kind", ["breveD", "hatD"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -44,6 +45,14 @@ from cactusflower.projective import (
     sigma_dm,
     sigma_flower,
     sigma_mau_woodward,
+)
+from cactusflower.projective import (
+    _eq_link,
+    _eq_prod,
+    _eq_prod_one,
+    _eq_sum_const,
+    _eq_triangle,
+    _hom,
 )
 from cactusflower.scalars import ONE, ZERO, GaussianRational, I, format_scalar
 
@@ -112,14 +121,13 @@ def test_homogenization_soundness():
     rng = random.Random(5)
     for _ in range(200):
         vals = [F(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(3)]
-        a, b, c = (ProjPoint.finite(v) for v in vals)
-        from cactusflower.projective import _eq_prod, _eq_sum_const, _eq_triangle
+        a, b, c = (_hom(ProjPoint.finite(v)) for v in vals)
 
         assert (_eq_prod(a, b, c) == 0) == (vals[0] * vals[1] == vals[2])
-        assert (_eq_sum_const(a, b, F(1)) == 0) == (vals[0] + vals[1] == 1)
+        assert (_eq_sum_const(a, b, _hom(PP_ONE)) == 0) == (vals[0] + vals[1] == 1)
         eps = F(rng.randrange(-2, 3))
         affine = eps * vals[2] + vals[0] * vals[1] == vals[2] * vals[1] + vals[0] * vals[2]
-        assert (_eq_triangle(a, b, c, eps) == 0) == affine
+        assert (_eq_triangle(a, b, c, _hom(ProjPoint.finite(eps))) == 0) == affine
 
 
 def _sample_scalar(rng):
@@ -133,9 +141,8 @@ def _assert_canonical(p):
     assert type(p.v) is F and (p.v == ONE or (p.v == ZERO and p.u == ONE)), repr(p)
 
 
-def test_projpoints_are_canonically_scaled():
-    # the equation evaluators read v as 1 or 0, so every way of making a
-    # point must scale it that way
+def _canonical_scaling_pool():
+    """Points made every way a point can be made, on seeded scalars."""
     rng = random.Random(8)
     for _ in range(300):
         x, y, eps = (_sample_scalar(rng) for _ in range(3))
@@ -149,41 +156,56 @@ def test_projpoints_are_canonically_scaled():
                 made.append(binary())
             except (ValueError, InvariantViolation):
                 pass  # 0 * infinity, or a (0 : 0) completion
-        for point in made:
-            _assert_canonical(point)
+        yield from made
+
+
+def test_projpoints_are_canonically_scaled():
+    # the equation evaluators' integer form reads v as 1 or 0, so every way
+    # of making a point must scale it that way
+    for point in _canonical_scaling_pool():
+        _assert_canonical(point)
+
+
+def test_hom_round_trips_the_canonical_pool():
+    # (Ur, Ui, V, d): the point is (Ur + i Ui : V), d is the least common
+    # denominator of a finite point's parts and V = d, infinity is (1, 0, 0, 1)
+    for point in _canonical_scaling_pool():
+        ur, ui, v, d = _hom(point)
+        assert all(type(x) is int for x in (ur, ui, v, d)), point
+        assert ProjPoint(GaussianRational(F(ur), F(ui)), F(v)) == point
+        if point.is_infinite():
+            assert (ur, ui, v, d) == (1, 0, 0, 1)
+        else:
+            assert v == d > 0 and math.gcd(ur, ui, d) == 1
+            assert point.u == GaussianRational(F(ur, d), F(ui, d))
 
 
 def test_residuals_match_homogenized_formulas():
-    # the evaluators branch on which coordinates sit at infinity; their
-    # residuals must be the multihomogenized polynomials' values
-    from cactusflower.projective import (
-        _eq_link,
-        _eq_prod,
-        _eq_prod_one,
-        _eq_sum_const,
-        _eq_triangle,
-    )
-
+    # at finite and infinite coordinates alike, the residuals of the integer
+    # evaluators must be the multihomogenized polynomials' values
     pool = [PP_ZERO, PP_ONE, PP_INF, ProjPoint.finite(F(-3, 2)), ProjPoint.finite(F(5)),
             ProjPoint.finite(GaussianRational(F(1), F(2))), ProjPoint.finite(I),
             ProjPoint.finite(F(-123456789012345678901, 98765432109876543)),
             ProjPoint(F(3**41 + 2), F(-(2**67) + 1)), ProjPoint.finite(F(-1, 10**18 + 9))]
     for a, b, c in itertools.product(pool, repeat=3):
+        ha, hb, hc = _hom(a), _hom(b), _hom(c)
         for eps in (F(0), F(1), F(1, 3), I):
+            he = _hom(ProjPoint.finite(eps))
             pairs = [
-                (_eq_prod(a, b, c), a.u * b.u * c.v - c.u * a.v * b.v),
-                (_eq_prod_one(a, b), a.u * b.u - a.v * b.v),
-                (_eq_sum_const(a, b, eps), a.u * b.v + b.u * a.v - eps * a.v * b.v),
-                (_eq_triangle(a, b, c, eps),
+                (_eq_prod(ha, hb, hc), a.u * b.u * c.v - c.u * a.v * b.v),
+                (_eq_prod_one(ha, hb), a.u * b.u - a.v * b.v),
+                (_eq_sum_const(ha, hb, he), a.u * b.v + b.u * a.v - eps * a.v * b.v),
+                (_eq_triangle(ha, hb, hc, he),
                  eps * c.u * a.v * b.v + a.u * b.u * c.v - c.u * b.u * a.v - a.u * c.u * b.v),
-                (_eq_link(a, b, c), a.u * b.u * c.v - c.u * a.v * b.v),
+                (_eq_link(ha, hb, hc), a.u * b.u * c.v - c.u * a.v * b.v),
             ]
             for got, want in pairs:
                 assert got == want and format_scalar(got) == format_scalar(want), (a, b, c, eps)
 
 
-# The equation evaluators as they were before the integer fast path, in
-# scalar arithmetic throughout.
+# The equation evaluators as they were before the integer kernel, on
+# canonical points in scalar arithmetic throughout, with their branches at
+# infinity.
 
 
 def _ref_eq_prod(a, b, c):
@@ -234,23 +256,103 @@ def _nonmembers():
     ]
 
 
+def _use_scalar_evaluators(monkeypatch):
+    """Make check_membership run the reference evaluators: _hom hands over
+    the points unchanged, and the affine constants (epsilon and 1) reach the
+    references as the scalars they were."""
+    import cactusflower.projective as pj
+
+    monkeypatch.setattr(pj, "_hom", lambda p: p)
+    monkeypatch.setattr(pj, "_eq_prod", _ref_eq_prod)
+    monkeypatch.setattr(pj, "_eq_prod_one", _ref_eq_prod_one)
+    monkeypatch.setattr(pj, "_eq_sum_const", lambda a, b, c: _ref_eq_sum_const(a, b, c.u))
+    monkeypatch.setattr(pj, "_eq_triangle", lambda x, y, z, e: _ref_eq_triangle(x, y, z, e.u))
+
+
 def test_membership_reports_match_scalar_evaluators(monkeypatch):
     # one perturbed non-member of each family: the report, residuals
     # included, is the one the scalar evaluators give
-    import cactusflower.projective as pj
-
     got = []
     for tag, point in _nonmembers():
         rep = check_membership(VarietySpec(tag, 5), point)
         assert not rep.ok
         got.append((str(rep), repr(rep.violations)))
-    for name in ("_eq_prod", "_eq_prod_one", "_eq_sum_const", "_eq_triangle"):
-        monkeypatch.setattr(pj, name, globals()["_ref" + name])
+    _use_scalar_evaluators(monkeypatch)
     want = [
         (str(rep), repr(rep.violations))
         for rep in (check_membership(VarietySpec(tag, 5), point) for tag, point in _nonmembers())
     ]
     assert got == want
+
+
+_SPECS_BY_SHAPE = {
+    NuTuple: ("LosevManin", "Flower", "DeformedFlower"),
+    MuTuple: ("DeligneMumford",),
+    QTuple: ("MauWoodward", "DeformedMauWoodward"),
+}
+
+
+def _family_member(tag, xs, eps):
+    """A member of the family built through its chart; a family without
+    epsilon ignores it, except that the moduli points move off the real
+    line with it."""
+    n = len(xs)
+    if tag == "LosevManin":
+        return losev_manin_iso(orbit_map(xs, eps if eps != 0 else F(1)))
+    if tag in ("Flower", "DeformedFlower"):
+        return orbit_map(xs, eps)
+    if tag == "DeligneMumford":
+        return cross_ratios({k: x * (1 + eps) for k, x in xs.items()})
+    return q_member(xs, eps, n)
+
+
+def _with_coordinates(point, values, rng):
+    """A copy of the point with rng-chosen coordinates set to the values in
+    turn (the nu or the mu part of a joint tuple, by a coin)."""
+    if isinstance(point, QTuple):
+        if rng.random() < 0.5:
+            return QTuple(point.n, _with_coordinates(point.nu, values, rng), point.mu, point.epsilon)
+        return QTuple(point.n, point.nu, _with_coordinates(point.mu, values, rng), point.epsilon)
+    d = point.as_dict()
+    for key, value in zip(rng.sample(sorted(d), len(values)), values):
+        d[key] = value
+    if isinstance(point, MuTuple):
+        return MuTuple(point.labels, d)
+    return NuTuple(point.n, d, point.epsilon)
+
+
+def _differential_points(n, rng):
+    """Members of all six families at each epsilon, and copies of each with
+    coordinates moved to 0, 1, infinity, a mix of those, or a Gaussian value."""
+    for eps in (F(0), F(1), F(1, 3), I, GaussianRational(F(1), F(2))):
+        xs = {}
+        while len(xs) < n:  # clear of 1/eps, the extra point of q_member
+            x = F(rng.randrange(-12, 13), rng.randrange(1, 7))
+            if x not in xs.values() and x not in (1, 3):
+                xs[len(xs) + 1] = x
+        for tag in VarietySpec.TAGS:
+            point = _family_member(tag, xs, eps)
+            yield point
+            for special in (PP_ZERO, PP_ONE, PP_INF):
+                yield _with_coordinates(point, [special] * rng.randrange(1, 3), rng)
+            yield _with_coordinates(point, [rng.choice((PP_ZERO, PP_ONE, PP_INF)) for _ in range(n)], rng)
+            yield _with_coordinates(point, [ProjPoint.finite(_sample_scalar(rng))], rng)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_membership_reports_match_scalar_evaluators_differentially(n, monkeypatch):
+    # every report, violations and residuals in order, equals the one the
+    # scalar references give, at members and at points with coordinates at
+    # 0, 1 and infinity
+    points = list(_differential_points(n, random.Random(100 + n)))
+    checks = [(VarietySpec(tag, n), point) for point in points for tag in _SPECS_BY_SHAPE[type(point)]]
+    got = [check_membership(spec, point) for spec, point in checks]
+    assert sum(rep.ok for rep in got) >= 5 * 6 and sum(not rep.ok for rep in got) >= 5 * 6 * 4
+    _use_scalar_evaluators(monkeypatch)
+    for (spec, point), rep in zip(checks, got):
+        want = check_membership(spec, point)
+        assert repr(rep.violations) == repr(want.violations), (spec, point)
+        assert str(rep) == str(want)
 
 
 def test_classify_strata_examples():

@@ -527,6 +527,83 @@ def test_cube_point_json():
     assert CubePoint.from_json(p.to_json()) == p
 
 
+_BAD_EDGES = "t must assign a value to every internal edge"
+_BAD_VALUES = r"edge values must lie in \[0, 1\]"
+
+
+@pytest.mark.parametrize(
+    "forest, t, message",
+    [
+        (PlanarForest([]), {}, "at least one leaf"),
+        (RUNNING, {e: v for e, v in T_RUNNING.items() if len(e) != 3}, _BAD_EDGES),
+        (RUNNING, {**T_RUNNING, frozenset({1, 2}): F(1, 2)}, _BAD_EDGES),
+        (PlanarForest([1, 2]), {frozenset({1, 2}): F(0)}, _BAD_EDGES),
+        (RUNNING, {**T_RUNNING, frozenset({2, 3}): F(-1, 5)}, _BAD_VALUES),
+        (RUNNING, {**T_RUNNING, frozenset({2, 3}): F(6, 5)}, _BAD_VALUES),
+        (RUNNING, {**T_RUNNING, frozenset({2, 3}): 2}, _BAD_VALUES),
+        (RUNNING, {**T_RUNNING, frozenset({2, 3}): -0.5}, _BAD_VALUES),
+        (RUNNING, {**T_RUNNING, frozenset({2, 3}): F(10**30 + 1, 10**30)}, _BAD_VALUES),
+        # a missing edge is reported before an out-of-range value
+        (RUNNING, {frozenset({1, 2, 3, 4}): F(2)}, _BAD_EDGES),
+    ],
+)
+def test_cube_point_rejects_bad_inputs(forest, t, message):
+    with pytest.raises(ValueError, match=message):
+        CubePoint(forest, t)
+
+
+def test_cube_point_accepts_the_closed_interval_and_orders_its_edges():
+    forest = PlanarForest([(1, (2, 3)), ((4, 5), 6)])
+    t = {tuple(e): v for e, v in zip(forest.edges(), (0, 1.0, F(1, 3), "1/2"))}
+    p = CubePoint(forest, t)
+    assert all(type(v) is F and 0 <= v <= 1 for _, v in p.t)
+    # by least leaf, then by size
+    assert [sorted(e) for e, _ in p.t] == [[1, 2, 3], [2, 3], [4, 5], [4, 5, 6]]
+    assert p.t_dict() == {frozenset(e): F(v) for e, v in t.items()}
+
+
+def _assert_trusted_tuples_validate(image):
+    # theta builds its tuples unchecked; the validating constructors, given
+    # the same coordinates, must build equal tuples
+    nu = image.nu
+    twin = NuTuple(nu.n, nu.as_dict(), nu.epsilon)
+    assert nu == twin and repr(nu) == repr(twin) and hash(nu) == hash(twin)
+    assert [ac for ac, _ in nu.nu] == ordered_pairs(range(1, nu.n + 1))
+    for part, mu in image.mus:
+        twin = MuTuple(part, mu.as_dict())
+        assert mu == twin and repr(mu) == repr(twin) and hash(mu) == hash(twin)
+        assert [t for t, _ in mu.mu] == ordered_triples(part)
+
+
+def test_theta_trusted_tuples_on_the_gluing_stream():
+    # criterion 10's stream at its default seed, two samples per edge
+    # instead of twenty: every forest on [4], each edge at 0 against its
+    # flip and at 1 against its collapse
+    rng = random.Random(20240331 + 10)
+    for k in range(1, 4):
+        for forest in enumerate_planar_forests(4, k):
+            for e in forest.edges():
+                for _ in range(2):
+                    vals = {x: F(rng.randrange(0, 17), 16) for x in forest.edges()}
+                    v0, v1 = {**vals, e: F(0)}, {**vals, e: F(1)}
+                    images = [theta(CubePoint(forest, v0)), theta(CubePoint(flip(forest, e), v0)),
+                              theta(CubePoint(forest, v1))]
+                    del v1[e]
+                    images.append(theta(CubePoint(collapse(forest, e), v1)))
+                    for image in images:
+                        _assert_trusted_tuples_validate(image)
+                    assert theta_images_equal(*images[:2]) and theta_images_equal(*images[2:])
+
+
+def test_theta_trusted_tuples_on_fresh_trees():
+    rng = random.Random(29)
+    for _ in range(50):
+        n = rng.randrange(5, 11)
+        forest = PlanarForest([random_binary_tree(range(1, n + 1), rng)])
+        t = {e: F(max(rng.randrange(-4, 16), 0), 16) for e in forest.edges()}
+        _assert_trusted_tuples_validate(theta(CubePoint(forest, t)))
+
+
 def test_affine_cactus_path():
     rng = random.Random(19)
     for n in (3, 4, 5):
