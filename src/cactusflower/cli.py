@@ -92,8 +92,9 @@ def _cmd_verify(args) -> int:
         with open(args.infile) as fh:
             point = pj.point_from_json(fh.read())
         tag = VARIETY_CODES[args.variety]
-        n = args.n if args.n else getattr(point, "n", None) or len(point.labels)
-        rep = pj.check_membership(pj.VarietySpec(tag, n), point)
+        labels = () if args.n else getattr(point, "labels", ())  # a mu-only point's own labels
+        n = args.n or getattr(point, "n", None) or len(labels)
+        rep = pj.check_membership(pj.VarietySpec(tag, n, labels), point)
         _emit(args, json.dumps(
             {"variety": tag, "n": n, "pass": rep.ok,
              "violations": [[name, list(idx)] for name, idx, _ in sorted(rep.violations)[:20]]},

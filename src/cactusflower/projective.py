@@ -121,10 +121,8 @@ class ProjPoint:
         return ProjPoint(conjugate(self.u), conjugate(self.v))
 
     def __eq__(self, other):
-        if type(other) is ProjPoint:  # canonical v: mostly the same ONE or ZERO
+        if isinstance(other, ProjPoint):  # canonical v: mostly the same ONE or ZERO
             return self.u == other.u and (self.v is other.v or self.v == other.v)
-        if isinstance(other, ProjPoint):
-            return self.u == other.u and self.v == other.v
         if isinstance(other, (int, Fraction, GaussianRational)):
             return not self.is_infinite() and self.u == other
         return NotImplemented
@@ -356,7 +354,12 @@ def _hom(p: ProjPoint) -> Tuple[int, int, int, int]:
     return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d, d
 
 
+_H_ONE = (1, 0, 1, 1)  # _hom(PP_ONE)
+
+
 def _residual(hr: int, hi: int, d: int) -> Scalar:
+    if not (hr or hi):
+        return ZERO
     if hi:
         return GaussianRational(Fraction(hr, d), Fraction(hi, d))
     return Fraction(hr, d)
@@ -370,16 +373,12 @@ def _eq_prod(a, b, c) -> Scalar:
     w = av * bv
     hr = (ar * br - ai * bi) * cv - cr * w
     hi = (ar * bi + ai * br) * cv - ci * w
-    return _residual(hr, hi, ad * bd * cd) if hr or hi else ZERO
+    return _residual(hr, hi, ad * bd * cd)
 
 
 def _eq_prod_one(a, b) -> Scalar:
     """a*b = 1  homogenized as a1 b1 = a2 b2."""
-    ar, ai, av, ad = a
-    br, bi, bv, bd = b
-    hr = ar * br - ai * bi - av * bv
-    hi = ar * bi + ai * br
-    return _residual(hr, hi, ad * bd) if hr or hi else ZERO
+    return _eq_prod(a, b, _H_ONE)
 
 
 def _eq_sum_const(a, b, c) -> Scalar:
@@ -390,7 +389,7 @@ def _eq_sum_const(a, b, c) -> Scalar:
     w = av * bv
     hr = (ar * bv + br * av) * cv - cr * w
     hi = (ai * bv + bi * av) * cv - ci * w
-    return _residual(hr, hi, ad * bd * cd) if hr or hi else ZERO
+    return _residual(hr, hi, ad * bd * cd)
 
 
 def _eq_triangle(x, y, z, e) -> Scalar:
@@ -407,7 +406,7 @@ def _eq_triangle(x, y, z, e) -> Scalar:
     s = zv * ev
     hr = zr * wr - zi * wi + (xr * yr - xi * yi) * s
     hi = zr * wi + zi * wr + (xr * yi + xi * yr) * s
-    return _residual(hr, hi, xd * yd * zd * ed) if hr or hi else ZERO
+    return _residual(hr, hi, xd * yd * zd * ed)
 
 
 def _eq_link(m, x, y) -> Scalar:

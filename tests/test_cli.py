@@ -106,6 +106,19 @@ def test_membership_of_a_mu_point_and_of_the_wrong_shape(tmp_path):
     code, out, _ = run_cli("verify", "membership", "--variety", "M", "--in", str(mu))
     assert code == 0 and json.loads(out) == {"n": 4, "pass": True, "variety": "DeligneMumford",
                                              "violations": []}
+    # labels other than 1..n are the point's own
+    zs = {2: Fraction(0), 4: Fraction(1), 5: Fraction(3), 9: Fraction(7), 11: Fraction(-2)}
+    mu2 = tmp_path / "mu2.json"
+    mu2.write_text(cli.pj.point_to_json(cli.pj.cross_ratios(zs, distinguished=11)))
+    code, out, _ = run_cli("verify", "membership", "--variety", "M", "--in", str(mu2))
+    assert code == 0 and json.loads(out) == {"n": 4, "pass": True, "variety": "DeligneMumford",
+                                             "violations": []}
+    bad = json.loads(mu2.read_text())
+    bad["mu"]["2,4,5"] = ["7", "1"]
+    mu2.write_text(json.dumps(bad))
+    code, out, _ = run_cli("verify", "membership", "--variety", "M", "--in", str(mu2))
+    assert code == 1 and json.loads(out)["n"] == 4
+    assert ["mu_reciprocal", [2, 4, 5]] in json.loads(out)["violations"]
     for variety in ("f", "Q"):  # nu tuples and joint tuples are other shapes
         code, _, err = run_cli("verify", "membership", "--variety", variety, "--in", str(mu))
         assert code == 2 and "is a" in err and "not a MuTuple" in err
