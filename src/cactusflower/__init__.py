@@ -5,7 +5,6 @@ root-system permutahedra."""
 from .combinatorics import (
     AffinePermutation,
     CyclicInterval,
-    CyclicSetPartition,
     ExtAffinePermutation,
     Permutation,
     SetPartition,

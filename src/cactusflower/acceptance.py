@@ -23,6 +23,7 @@ from .combinatorics import SetPartition
 from .forests import (
     PlanarForest,
     collapse,
+    collapse_all,
     enumerate_planar_forests,
     flip,
     leafset,
@@ -503,23 +504,13 @@ def _subdivision_strata(p: rg.CubePoint):
     """The (S, B) partitions read from the little-cube index of the point:
     collapse edges at one, decorate edges at zero; parts of B are the leaf
     sets above outermost decorated edges, singletons elsewhere."""
-    forest, t = p.forest, p.t_dict()
-    changed = True
-    while changed:
-        changed = False
-        for e, v in list(t.items()):
-            if v == 1:
-                forest = collapse(forest, e)
-                del t[e]
-                changed = True
-                break
+    t = p.t_dict()
+    forest = collapse_all(p.forest, [e for e, v in t.items() if v == 1])
     zeros = {e for e, v in t.items() if v == 0}
     s_parts = [leafset(tr) if not isinstance(tr, int) else frozenset([tr]) for tr in forest.trees]
     outer = [e for e in zeros if not any(e < f for f in zeros)]
     b_parts = list(outer)
-    rest = set(range(1, p.forest.n + 1)) - set().union(*outer) if outer else set(
-        range(1, p.forest.n + 1)
-    )
+    rest = set(range(1, p.forest.n + 1)) - set().union(*outer)
     b_parts.extend(frozenset([x]) for x in rest)
     return SetPartition(s_parts), SetPartition(b_parts)
 

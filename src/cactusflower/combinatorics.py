@@ -168,30 +168,31 @@ def arrangements(kind: str, items: Sequence):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class CyclicSetPartition:
-    """An ordered set partition up to cyclic rotation of the parts.
+def arrange(kind: str, items: tuple, key) -> tuple:
+    """The items in the canonical order of a complex kind: as given
+    ("ordered"), sorted by key ("unordered"), or the rotation that starts at
+    the smallest key ("cyclic"); key None compares the items themselves.
+    The keys must be distinct, as the blocks of a set partition and the
+    trees of a forest are, for the rotation to be canonical.
 
-    The canonical representative starts with the part containing the minimal
-    ground element.
+    >>> blocks = ((3,), (1, 2), (4,))
+    >>> [arrange(kind, blocks, None) for kind in ("ordered", "unordered", "cyclic")]
+    [((3,), (1, 2), (4,)), ((1, 2), (3,), (4,)), ((1, 2), (4,), (3,))]
+    >>> arrange("cyclic", ("abc", "d", "ef"), len)
+    ('d', 'ef', 'abc')
+    >>> arrange("dihedral", blocks, None)
+    Traceback (most recent call last):
+    ...
+    ValueError: unknown kind 'dihedral'
     """
-
-    parts: Tuple[FrozenSet[int], ...]
-
-    def __init__(self, parts):
-        ps = [frozenset(p) for p in parts]
-        if any(not p for p in ps):
-            raise ValueError("empty part")
-        all_elems = [x for p in ps for x in p]
-        if len(all_elems) != len(set(all_elems)):
-            raise ValueError("parts are not disjoint")
-        lo = min(all_elems)
-        k = next(i for i, p in enumerate(ps) if lo in p)
-        ps = ps[k:] + ps[:k]
-        object.__setattr__(self, "parts", tuple(ps))
-
-    def __len__(self):
-        return len(self.parts)
+    if kind == "unordered":
+        return tuple(sorted(items, key=key))
+    if kind == "cyclic":
+        i = items.index(min(items, key=key))
+        return items[i:] + items[:i]
+    if kind == "ordered":
+        return items
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

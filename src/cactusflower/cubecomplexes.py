@@ -11,6 +11,14 @@ Complex kinds:
     hatP    modulo forgetting the order
     breveP  modulo cyclic rotation of the order
 
+A cell of the P kinds is a tuple of blocks, each block a sorted tuple of
+labels, in the order that combinatorics.arrange gives for the kind (the
+same routine arranges the trees of a forest): as listed for P, sorted for
+hatP, and rotated to start at the block of the smallest label for breveP.
+Disjoint sorted blocks compare by their least labels, so no key is needed.
+build_complex stores the arrangements of set_partitions as they come, as
+they are already in this form; _canon_p_cell brings any block list to it.
+
 For the cube complexes, a sub-k-cube is a forest with k internal edges (with
 the tree order reduced per kind); the big k-cube containing it is its class
 modulo flipping.  Only the sub-cubes are stored.  The flips at the k edges
@@ -47,12 +55,13 @@ call that built it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .combinatorics import CyclicSetPartition, Permutation, SetPartition, arrangements, set_partitions
+from .combinatorics import Permutation, arrange, arrangements, set_partitions
 from .forests import (
     PlanarForest,
     _decorations,
@@ -142,7 +151,7 @@ def build_complex(kind: str, n: int) -> CubeComplex:
         partitions = list(set_partitions(range(1, n + 1)))
         for k in range(n):
             c.cells[k] = {
-                _canon_p_cell(kind, parts)
+                parts
                 for blocks in partitions
                 if len(blocks) == n - k
                 for parts in arrangements(P_KINDS[kind], blocks)
@@ -175,14 +184,10 @@ def build_breveP(n: int) -> CubeComplex:
     return build_complex("breveP", n)
 
 
-def _canon_p_cell(kind: str, parts: Tuple[Tuple[int, ...], ...]):
-    if kind == "P":
-        return tuple(frozenset(p) for p in parts)
-    if kind == "hatP":
-        return SetPartition(parts)
-    if kind == "breveP":
-        return CyclicSetPartition(parts)
-    raise ValueError(kind)
+def _canon_p_cell(kind: str, parts) -> Tuple[Tuple[int, ...], ...]:
+    """The stored form of the cell with these blocks (see the module
+    docstring)."""
+    return arrange(P_KINDS[kind], tuple(tuple(sorted(b)) for b in parts), None)
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +550,6 @@ def _boundary_words_D(c: CubeComplex):
     return walks
 
 
-def _vertex_key(v) -> str:
-    if isinstance(v, PlanarForest):
-        return forest_to_newick(v)
-    if isinstance(v, (tuple, SetPartition, CyclicSetPartition)):
-        return _p_cell_str(v)
-    return str(v)
-
-
 def skeleton_D(c: CubeComplex):
     """(vertices, directed edge table) of the 1-skeleton.
 
@@ -567,29 +564,17 @@ def skeleton_D(c: CubeComplex):
         (e,) = sigma.edges()
         rev = c.canon_sub(flip(sigma, e))
         table[sym] = (
-            _vertex_key(c.vertex_of(sigma)),
-            _vertex_key(c.vertex_of(rev)),
+            forest_to_newick(c.vertex_of(sigma)),
+            forest_to_newick(c.vertex_of(rev)),
             _edge_symbol_D(c, rev),
         )
-    return [_vertex_key(v) for v in c.vertices()], table
+    return [forest_to_newick(v) for v in c.vertices()], table
 
 
-def _p_cell_blocks(cell):
-    if isinstance(cell, tuple):
-        return cell
-    if isinstance(cell, SetPartition):
-        return cell.blocks
-    return cell.parts
-
-
-def _p_cell_str(cell) -> str:
-    blocks = _p_cell_blocks(cell)
-    body = "|".join(",".join(map(str, sorted(b))) for b in blocks)
-    if isinstance(cell, SetPartition):
-        return "{" + body + "}"
-    if isinstance(cell, CyclicSetPartition):
-        return "(" + body + ")"
-    return "[" + body + "]"
+def _p_cell_str(kind: str, cell) -> str:
+    """[1|2,3] for P, {1|2,3} for hatP, (1|2,3) for breveP."""
+    left, right = {"P": "[]", "hatP": "{}", "breveP": "()"}[kind]
+    return left + "|".join(",".join(map(str, b)) for b in cell) + right
 
 
 def skeleton_P(c: CubeComplex):
@@ -598,35 +583,30 @@ def skeleton_P(c: CubeComplex):
     A directed 1-cell is the traversal from the refinement with x before y.
     For the plain permutahedron the context is the full ordered partition.
     """
+    name = functools.partial(_p_cell_str, c.kind)
     table = {}
-    for cell in sorted(c.cells.get(1, ()), key=_p_cell_str):
-        blocks = _p_cell_blocks(cell)
-        fat = next(b for b in blocks if len(b) == 2)
-        x, y = sorted(fat)
+    for cell in sorted(c.cells.get(1, ()), key=name):
+        fat = next(b for b in cell if len(b) == 2)
+        x, y = fat
         for (u, vv) in ((x, y), (y, x)):
             sym = _p_edge_symbol(c, cell, (u, vv))
-            start = _p_refined_vertex(c, blocks, fat, (u, vv))
-            end = _p_refined_vertex(c, blocks, fat, (vv, u))
+            start = _p_refined_vertex(c, cell, fat, (u, vv))
+            end = _p_refined_vertex(c, cell, fat, (vv, u))
             table[sym] = (start, end, _p_edge_symbol(c, cell, (vv, u)))
-    verts = sorted({_p_cell_str(v) for v in c.cells.get(0, ())})
+    verts = sorted({name(v) for v in c.cells.get(0, ())})
     return verts, table
 
 
 def _p_edge_symbol(c: CubeComplex, cell, pair):
     if c.kind == "hatP":
         return ("sig", pair[0], pair[1])
-    return ("pe", _p_cell_str(cell), pair)
+    return ("pe", _p_cell_str(c.kind, cell), pair)
 
 
-def _p_refined_vertex(c: CubeComplex, blocks, fat, pair) -> str:
-    out = []
-    for b in blocks:
-        if b == fat:
-            out.append(frozenset([pair[0]]))
-            out.append(frozenset([pair[1]]))
-        else:
-            out.append(b)
-    return _p_cell_str(_canon_p_cell(c.kind, tuple(out)))
+def _p_refined_vertex(c: CubeComplex, cell, fat, pair) -> str:
+    i = cell.index(fat)
+    split = cell[:i] + (pair[:1], pair[1:]) + cell[i + 1 :]
+    return _p_cell_str(c.kind, _canon_p_cell(c.kind, split))
 
 
 def _boundary_words_P(c: CubeComplex):
@@ -639,18 +619,17 @@ def _boundary_words_P(c: CubeComplex):
     that pair only.  The walk stops when it is back at the start.
     """
     walks = []
-    for cell in sorted(c.cells.get(2, ()), key=_p_cell_str):
-        blocks = _p_cell_blocks(cell)
-        start = [x for b in blocks for x in sorted(b)]
-        owner = [k for k, b in enumerate(blocks) for _ in b]
+    for cell in sorted(c.cells.get(2, ()), key=functools.partial(_p_cell_str, c.kind)):
+        start = [x for b in cell for x in b]
+        owner = [k for k, b in enumerate(cell) for _ in b]
         sites = [q for q in range(len(start) - 1) if owner[q] == owner[q + 1]]
-        one = {x: frozenset((x,)) for x in start}  # shared by every step
+        one = {x: (x,) for x in start}  # shared by every step
         order, seq = list(start), []
         while not seq or order != start:
             q = sites[len(seq) % 2]
             pair = (order[q], order[q + 1])
             parts = [one[x] for x in order[:q]] + [pair] + [one[x] for x in order[q + 2:]]
-            seq.append((_canon_p_cell(c.kind, tuple(parts)), pair))
+            seq.append((_canon_p_cell(c.kind, parts), pair))
             order[q], order[q + 1] = pair[1], pair[0]
         walks.append(seq)
     return walks
@@ -829,22 +808,17 @@ def export_poset(c: CubeComplex) -> str:
                 cells[forest_to_newick(big)] = sorted(faces)
             out[str(k)] = cells
     else:
+        name = functools.partial(_p_cell_str, c.kind)
         for k in sorted(c.cells):
             cells = {}
-            for cell in sorted(c.cells[k], key=_p_cell_str):
+            for cell in sorted(c.cells[k], key=name):
                 faces = set()
-                blocks = _p_cell_blocks(cell)
-                for bi, blk in enumerate(blocks):
-                    if len(blk) < 2:
-                        continue
+                for bi, blk in enumerate(cell):
                     for r in range(1, len(blk)):
-                        for sub in itertools.combinations(sorted(blk), r):
-                            split = (
-                                list(blocks[:bi])
-                                + [frozenset(sub), blk - frozenset(sub)]
-                                + list(blocks[bi + 1 :])
-                            )
-                            faces.add(_p_cell_str(_canon_p_cell(c.kind, tuple(split))))
-                cells[_p_cell_str(cell)] = sorted(faces)
+                        for sub in itertools.combinations(blk, r):
+                            rest = tuple(x for x in blk if x not in sub)
+                            split = cell[:bi] + (sub, rest) + cell[bi + 1 :]
+                            faces.add(name(_canon_p_cell(c.kind, split)))
+                cells[name(cell)] = sorted(faces)
             out[str(k)] = cells
     return json.dumps(out, sort_keys=True)

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import FrozenSet, Iterable, Sequence, Tuple, Union
 
-from .combinatorics import Permutation, arrangements, set_partitions
+from .combinatorics import Permutation, arrange, arrangements, set_partitions
 
 Subtree = Union[int, tuple]
 
@@ -431,7 +431,7 @@ def _forests_on(labels: tuple, k: int, kind: str, min_trees: int, memo: dict):
 
     Each comes from a set partition of the labels, one tree per block, the
     trees sorted by _leftmost (the forest_key order of disjoint trees) and
-    then arranged: for "cyclic" the smallest tree first is _arrange's
+    then arranged: for "cyclic" the smallest tree first is arrange's
     minimal rotation.
     """
     # a forest of m trees on s leaves has at most s - m internal edges
@@ -545,23 +545,8 @@ def canon_forest(kind: str, f: PlanarForest, mod_flips: bool) -> PlanarForest:
     if not mod_flips:
         if kind == "ordered":
             return f
-        return _forest(_arrange(kind, f.trees, _leftmost))
-    return _forest(_arrange(kind, tuple([canon_tree_mod_flips(t) for t in f.trees]), _leftmost))
-
-
-def _arrange(kind: str, items: tuple, key) -> tuple:
-    """The items in the order of a complex kind: as given ("ordered"),
-    sorted by key ("unordered"), or the rotation with the smallest key
-    sequence ("cyclic").  The keys of the trees of a forest are distinct, so
-    that rotation starts at the smallest key."""
-    if kind == "unordered":
-        return tuple(sorted(items, key=key))
-    if kind == "cyclic":
-        i = items.index(min(items, key=key))
-        return items[i:] + items[:i]
-    if kind == "ordered":
-        return items
-    raise ValueError(f"unknown kind {kind!r}")
+        return _forest(arrange(kind, f.trees, _leftmost))
+    return _forest(arrange(kind, tuple([canon_tree_mod_flips(t) for t in f.trees]), _leftmost))
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +671,7 @@ def _zero_forest(kind: str, trees: tuple, zeros: FrozenSet[FrozenSet[int]]):
     edges, its trees in the order of a complex kind (see canon_forest); built
     without the checks of the public constructor."""
     zmasks = {_edge_mask(e) for e in zeros}
-    keyed = _arrange(kind, tuple([_zero_canon(t, zmasks)[:2] for t in trees]), itemgetter(1))
+    keyed = arrange(kind, tuple([_zero_canon(t, zmasks)[:2] for t in trees]), itemgetter(1))
     zf = object.__new__(PlanarForestWithZeros)
     object.__setattr__(zf, "forest", _forest(tuple([t for t, _ in keyed])))
     object.__setattr__(zf, "zeros", zeros)

@@ -33,6 +33,7 @@ from .combinatorics import (
     affine_interval_reversal,
     all_permutations,
     interval_reversal,
+    is_translation,
     lookup_table,
 )
 
@@ -748,21 +749,27 @@ def _pvc_reduce(letters: list) -> list:
     return word
 
 
-def _vs_pair_moves(x: Letter, y: Letter, n: int):
-    """Rewrites for virtual symmetric words (whole-permutation letters)."""
+def _vs_pair_moves(x: Letter, y: Letter):
+    """Rewrites for virtual symmetric words (whole-permutation letters):
+    w(u) a(p) = a(u p u^-1) w(u) whenever u translates the interval spanned
+    by the points p moves, and the mirror a(p) w(u) = w(u) a(v p v^-1),
+    v = u^-1, whenever v translates it.  Both follow from the relation
+    w a_k w^-1 = a_{w(k)} for w(k+1) = w(k) + 1, p being a product of the
+    a_k inside its interval."""
     if x[0] == "w" and y[0] == "a":
         u, p = x[1], y[1]
-        # u p u^{-1} = u(p) whenever p reverses an interval u translates; the
-        # basic case of an adjacent transposition suffices for our chains
-        for k in range(1, n):
-            if p == Permutation.transposition(n, k, k + 1) and u(k + 1) == u(k) + 1:
-                yield (("a", Permutation.transposition(n, u(k), u(k) + 1)), x)
+        if is_translation(u, *_moved_span(p)):
+            yield (("a", u * p * u.inverse()), x)
     if x[0] == "a" and y[0] == "w":
-        p, u = x[1], y[1]
-        for k in range(1, n):
-            t = Permutation.transposition(n, k, k + 1)
-            if u(k + 1) == u(k) + 1 and p == Permutation.transposition(n, u(k), u(k) + 1):
-                yield (y, ("a", t))
+        p, v = x[1], y[1].inverse()
+        if is_translation(v, *_moved_span(p)):
+            yield (y, ("a", v * p * y[1]))
+
+
+def _moved_span(p: Permutation) -> Tuple[int, int]:
+    """The least and the greatest point that p (not the identity) moves."""
+    moved = [k for k, v in enumerate(p.images, 1) if v != k]
+    return moved[0], moved[-1]
 
 
 def rewrite_to_identity(word: Word, n: int, depth: int = 6) -> bool:
@@ -784,7 +791,7 @@ def rewrite_to_identity(word: Word, n: int, depth: int = 6) -> bool:
         nxt = []
         for w in frontier:
             for pos in range(len(w) - 1):
-                for rep in _vs_pair_moves(w[pos], w[pos + 1], n):
+                for rep in _vs_pair_moves(w[pos], w[pos + 1]):
                     cand = normalise_vc(w[:pos] + rep + w[pos + 2 :])
                     if not cand:
                         return True

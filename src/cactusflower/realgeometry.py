@@ -31,7 +31,6 @@ from .forests import (
     PlanarForestWithZeros,
     _spans,
     binary_refinement,
-    collapse,
     forest_from_newick,
     forest_to_newick,
     is_binary,
@@ -514,24 +513,18 @@ def theta(p: CubePoint, f: RationalDiffeo = DEFAULT_F) -> ThetaImage:
     binary tree with value one on the added edges, reparameterized by
     b_map, and evaluated through its chart.
     """
-    forest, t = p.forest, p.t_dict()
-    # collapse trunks at value 1
-    changed = True
-    while changed:
-        changed = False
-        for tree in forest.trees:
-            if isinstance(tree, int):
-                continue
-            trunk = leafset(tree)
-            if t.get(trunk) == 1:
-                forest = collapse(forest, trunk)
-                del t[trunk]
-                changed = True
-                break
+    t = p.t_dict()
+
+    def split(tree):
+        """The tree, or the trees left by collapsing its trunks at value 1."""
+        if isinstance(tree, int) or t.get(leafset(tree)) != 1:
+            return [tree]
+        return [s for child in tree for s in split(child)]
+
     parts = []
     nu: Dict[tuple, ProjPoint] = {}
     mus = {}
-    for tree in forest.trees:
+    for tree in [s for tree in p.forest.trees for s in split(tree)]:
         part = leafset(tree) if not isinstance(tree, int) else frozenset([tree])
         parts.append(part)
         if isinstance(tree, int):

@@ -42,3 +42,23 @@ def test_samplers_give_up_after_bounded_degenerate_draws(monkeypatch):
 
     with pytest.raises(acceptance.RetriesExhausted):
         acceptance._jacobian_rank(["x"], singular, random.Random(1))
+
+
+def test_subdivision_strata_match_theta_on_every_corner_value():
+    # every edge value in {0, 1/2, 1} on every forest of rank 4: nested
+    # edges at 1, which random points rarely draw, collapse together
+    from fractions import Fraction
+    from itertools import product
+
+    from cactusflower import acceptance
+    from cactusflower.forests import enumerate_planar_forests
+
+    rg = acceptance.rg
+    values = (Fraction(0), Fraction(1, 2), Fraction(1))
+    for k in range(4):
+        for forest in enumerate_planar_forests(4, k):
+            edges = forest.edges()
+            for vals in product(values, repeat=len(edges)):
+                p = rg.CubePoint(forest, dict(zip(edges, vals)))
+                im = rg.theta(p)
+                assert acceptance._subdivision_strata(p) == (im.s_part, im.b_part())

@@ -331,6 +331,22 @@ def test_verify_hom_refuted_relators_fail(monkeypatch, capsys):
     assert out["pass"] is False
 
 
+def test_verify_hom_vc_to_vs_is_proven(monkeypatch, capsys):
+    assert main(["verify", "hom", "--from", "vC", "--to", "vS", "--n", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["statuses"] == {"proven": 39} and out["pass"] is True
+    # the images of s12 and s13 exchanged: some relator images have a
+    # nontrivial shadow
+    images = dict(cli.gr.hom(("vC", "vS"), 4).images)
+    images[("s", 1, 2)], images[("s", 1, 3)] = images[("s", 1, 3)], images[("s", 1, 2)]
+    swapped = cli.gr.GroupHom("vC", "vS", 4, tuple(sorted(images.items(), key=repr)))
+    monkeypatch.setattr(cli.gr, "hom", lambda pair, n: swapped)
+    assert main(["verify", "hom", "--from", "vC", "--to", "vS", "--n", "4"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["statuses"] == {"failed": 16, "proven": 23}
+    assert out["pass"] is False
+
+
 def _option_slots(parser, path=()):
     """(verb path, option) for every option of every parser under parser."""
     for action in parser._actions:

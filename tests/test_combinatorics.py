@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from cactusflower.combinatorics import (
     AffinePermutation,
     CyclicInterval,
-    CyclicSetPartition,
     ExtAffinePermutation,
     Permutation,
     SetPartition,
@@ -271,13 +270,6 @@ def test_products_match_composition_of_maps():
     ):
         with pytest.raises(ValueError):
             a * b
-
-
-def test_cyclic_set_partition_canonical():
-    a = CyclicSetPartition([(4,), (1, 2), (3,)])
-    b = CyclicSetPartition([(1, 2), (3,), (4,)])
-    assert a == b
-    assert a.parts[0] == frozenset({1, 2})
 
 
 def test_json_encodings():

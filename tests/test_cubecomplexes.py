@@ -16,10 +16,12 @@ from cactusflower.combinatorics import (
 )
 from cactusflower.cubecomplexes import (
     D_KINDS,
+    P_KINDS,
     CombinatorialMap,
     CubeComplex,
     FlagReport,
     VertexLink,
+    _canon_p_cell,
     _faces,
     _link_keys,
     build_complex,
@@ -244,6 +246,121 @@ def test_exports():
     # faces of the hexagon are the six edges
     (hexagon,) = poset_p["2"].values()
     assert len(hexagon) == 6
+
+
+# export_poset and export_dot of the three permutahedron kinds at n = 3
+P3_EXPORTS = {
+    "P": (
+        {
+            "0": {
+                "[1|2|3]": [],
+                "[1|3|2]": [],
+                "[2|1|3]": [],
+                "[2|3|1]": [],
+                "[3|1|2]": [],
+                "[3|2|1]": [],
+            },
+            "1": {
+                "[1,2|3]": ["[1|2|3]", "[2|1|3]"],
+                "[1,3|2]": ["[1|3|2]", "[3|1|2]"],
+                "[1|2,3]": ["[1|2|3]", "[1|3|2]"],
+                "[2,3|1]": ["[2|3|1]", "[3|2|1]"],
+                "[2|1,3]": ["[2|1|3]", "[2|3|1]"],
+                "[3|1,2]": ["[3|1|2]", "[3|2|1]"],
+            },
+            "2": {
+                "[1,2,3]": ["[1,2|3]", "[1,3|2]", "[1|2,3]", "[2,3|1]", "[2|1,3]", "[3|1,2]"],
+            },
+        },
+        [
+            'graph skeleton {',
+            '  "[1|2|3]";',
+            '  "[1|3|2]";',
+            '  "[2|1|3]";',
+            '  "[2|3|1]";',
+            '  "[3|1|2]";',
+            '  "[3|2|1]";',
+            '  "[1|2|3]" -- "[2|1|3]" [label="(\'pe\', \'[1,2|3]\', (1, 2))"];',
+            '  "[1|3|2]" -- "[3|1|2]" [label="(\'pe\', \'[1,3|2]\', (1, 3))"];',
+            '  "[1|2|3]" -- "[1|3|2]" [label="(\'pe\', \'[1|2,3]\', (2, 3))"];',
+            '  "[2|3|1]" -- "[3|2|1]" [label="(\'pe\', \'[2,3|1]\', (2, 3))"];',
+            '  "[2|1|3]" -- "[2|3|1]" [label="(\'pe\', \'[2|1,3]\', (1, 3))"];',
+            '  "[3|1|2]" -- "[3|2|1]" [label="(\'pe\', \'[3|1,2]\', (1, 2))"];',
+            '}',
+        ],
+    ),
+    "hatP": (
+        {
+            "0": {
+                "{1|2|3}": [],
+            },
+            "1": {
+                "{1,2|3}": ["{1|2|3}"],
+                "{1,3|2}": ["{1|2|3}"],
+                "{1|2,3}": ["{1|2|3}"],
+            },
+            "2": {
+                "{1,2,3}": ["{1,2|3}", "{1,3|2}", "{1|2,3}"],
+            },
+        },
+        [
+            'graph skeleton {',
+            '  "{1|2|3}";',
+            '  "{1|2|3}" -- "{1|2|3}" [label="(\'sig\', 1, 2)"];',
+            '  "{1|2|3}" -- "{1|2|3}" [label="(\'sig\', 1, 3)"];',
+            '  "{1|2|3}" -- "{1|2|3}" [label="(\'sig\', 2, 3)"];',
+            '}',
+        ],
+    ),
+    "breveP": (
+        {
+            "0": {
+                "(1|2|3)": [],
+                "(1|3|2)": [],
+            },
+            "1": {
+                "(1,2|3)": ["(1|2|3)", "(1|3|2)"],
+                "(1,3|2)": ["(1|2|3)", "(1|3|2)"],
+                "(1|2,3)": ["(1|2|3)", "(1|3|2)"],
+            },
+            "2": {
+                "(1,2,3)": ["(1,2|3)", "(1,3|2)", "(1|2,3)"],
+            },
+        },
+        [
+            'graph skeleton {',
+            '  "(1|2|3)";',
+            '  "(1|3|2)";',
+            '  "(1|2|3)" -- "(1|3|2)" [label="(\'pe\', \'(1,2|3)\', (1, 2))"];',
+            '  "(1|3|2)" -- "(1|2|3)" [label="(\'pe\', \'(1,3|2)\', (1, 3))"];',
+            '  "(1|2|3)" -- "(1|3|2)" [label="(\'pe\', \'(1|2,3)\', (2, 3))"];',
+            '}',
+        ],
+    ),
+}
+
+
+def test_p_family_exports_at_n3():
+    for kind, (poset, dot) in P3_EXPORTS.items():
+        c = build_complex(kind, 3)
+        assert export_poset(c) == json.dumps(poset, sort_keys=True)
+        assert export_dot(c) == "\n".join(dot)
+
+
+def test_p_cells_are_stored_canonical():
+    for kind in P_KINDS:
+        for n in (2, 3, 4, 5):
+            c = build_complex(kind, n)
+            for cells in c.cells.values():
+                for cell in cells:
+                    assert _canon_p_cell(kind, cell) == cell
+    # a rotation of the blocks, or unsorted blocks, name the same breveP cell
+    assert _canon_p_cell("breveP", [(4,), (1, 2), (3,)]) == ((1, 2), (3,), (4,))
+    assert _canon_p_cell("breveP", [(4,), (2, 1), (3,)]) == ((1, 2), (3,), (4,))
+    assert _canon_p_cell("breveP", [(3,), (4,), (1, 2)]) == ((1, 2), (3,), (4,))
+    assert _canon_p_cell("breveP", [(3,), (1, 2), (4,)]) == ((1, 2), (4,), (3,))
+    assert _canon_p_cell("hatP", [(3,), (4,), (2, 1)]) == ((1, 2), (3,), (4,))
+    assert _canon_p_cell("P", [(4,), (2, 1), (3,)]) == ((4,), (1, 2), (3,))
 
 
 def test_build_rejects_small_n():

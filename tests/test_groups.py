@@ -28,6 +28,7 @@ from cactusflower.groups import (
     _pvc_reduce,
     _standard_pairs,
     _sym_word,
+    _vs_pair_moves,
     _word_key,
     canonical_cyclic,
     diagram_commutes,
@@ -254,6 +255,23 @@ def test_rewrite_inconclusive_is_honest():
     word = (("a", t), ("w", t), ("a", t), ("w", t))
     assert evaluate_word("S", word, 3).is_identity()
     assert rewrite_to_identity(word, 3, depth=0) is False
+
+
+@pytest.mark.parametrize("n, count", [(3, 10), (4, 39), (5, 159)])
+def test_vc_to_vs_relators_are_proven(n, count):
+    rep = verify_hom(hom(("vC", "vS"), n), "bounded_rewrite")
+    assert [st for _, st, _ in rep.results] == ["proven"] * count
+    assert verify_hom(_swapped(hom(("vC", "vS"), n)), "bounded_rewrite").failures
+
+
+def test_vs_pair_moves_conjugate_across_a_translated_interval():
+    r24, r35 = interval_reversal(2, 4, 5), interval_reversal(3, 5, 5)
+    u = Permutation((1, 3, 4, 5, 2))  # translates [2, 4] onto [3, 5]
+    assert list(_vs_pair_moves(("w", u), ("a", r24))) == [(("a", r35), ("w", u))]
+    assert list(_vs_pair_moves(("a", r35), ("w", u))) == [(("w", u), ("a", r24))]
+    # u does not translate [3, 5], and r24 reverses [2, 4]: no move
+    assert list(_vs_pair_moves(("w", u), ("a", r35))) == []
+    assert list(_vs_pair_moves(("w", r24), ("a", r24))) == []
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
