@@ -64,7 +64,6 @@ from .cubecomplexes import (
 from .groups import (
     GroupHom,
     Presentation,
-    diagram_commutes,
     hom,
     make_presentation,
     pure_generator,

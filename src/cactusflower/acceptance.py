@@ -537,17 +537,23 @@ def criterion_10(seed=DEFAULT_SEED, samples=20) -> CriterionResult:
                     b = rg.theta(rg.CubePoint(collapse(forest, e), v1))
                     glue_ok &= rg.theta_images_equal(a, b)
                     cases += 2
+    # the random points, then every forest with all its edges at 0 and at 1:
+    # the corners put a trunk and its child edges at 1 together, which the
+    # random points may never draw
+    points = [_random_cube_point(n, rng) for _ in range(200)]
+    corners = [
+        rg.CubePoint(forest, dict.fromkeys(forest.edges(), Fraction(v)))
+        for k in range(1, n) for forest in enumerate_planar_forests(n, k) for v in (0, 1)
+    ]
     strata_ok = True
-    for _ in range(200):
-        p = _random_cube_point(4, rng)
+    for p in points + corners:
         im = rg.theta(p)
-        s_img, b_img = im.s_part, im.b_part()
-        s_idx, b_idx = _subdivision_strata(p)
-        strata_ok &= s_img == s_idx and b_img == b_idx
+        strata_ok &= (im.s_part, im.b_part()) == _subdivision_strata(p)
     ok = glue_ok and strata_ok
     return CriterionResult(
         10, "gluing and strata duality", ok,
-        f"{cases} gluing cases exact; strata indices {'match' if strata_ok else 'MISMATCH'} on 200 points",
+        f"{cases} gluing cases exact; strata indices {'match' if strata_ok else 'MISMATCH'} "
+        f"on {len(points)} points and {len(corners)} corner points",
     )
 
 

@@ -11,7 +11,6 @@ window (f(1), ..., f(n)).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Sequence, Tuple
 
@@ -76,13 +75,6 @@ class SetPartition:
     @staticmethod
     def indiscrete(n: int) -> "SetPartition":
         return SetPartition([range(1, n + 1)])
-
-    def to_json(self) -> str:
-        return json.dumps(sorted(sorted(b) for b in self.blocks))
-
-    @staticmethod
-    def from_json(s: str) -> "SetPartition":
-        return SetPartition(json.loads(s))
 
     def __str__(self):
         return "{" + ", ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in self.blocks) + "}"
@@ -431,17 +423,6 @@ class AffinePermutation:
     def rotate(self, p: int = 1) -> "AffinePermutation":
         """The Z/n action (r^p . f)(a) = f(a-p) + p."""
         return AffinePermutation(tuple(self(i - p) + p for i in range(1, self.n + 1)))
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "window": list(self.window)})
-
-    @staticmethod
-    def from_json(s: str) -> "AffinePermutation":
-        d = json.loads(s)
-        ap = AffinePermutation(tuple(d["window"]))
-        if ap.n != d["n"]:
-            raise ValueError("inconsistent window length")
-        return ap
 
     def __str__(self):
         return "[" + " ".join(map(str, self.window)) + "]"

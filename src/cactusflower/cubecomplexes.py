@@ -207,49 +207,6 @@ class FlagReport:
         return "flag condition holds" if self.ok else f"FAIL: {self.detail} {self.witness}"
 
 
-@dataclass(frozen=True)
-class VertexLink:
-    """The link of a 0-cube: one vertex per incident sub-1-cube, one simplex
-    per incident sub-cube, closed under faces."""
-
-    vertex: PlanarForest
-    vertices: Tuple[PlanarForest, ...]
-    simplices: FrozenSet[FrozenSet]
-
-
-def vertex_link(c: CubeComplex, vertex: PlanarForest) -> VertexLink:
-    """Assemble the link at a 0-cube from the incident sub-cubes, in one pass
-    filtered by vertex key, the sub-1-cubes first: they name the corners of
-    the rest.  A forest that is not a 0-cube of c has an empty link.
-
-    Unlike the certificates it builds no link graph, which would key every
-    square at every vertex for the link at one."""
-    if not c.is_cubical:
-        raise ValueError("links are computed for the cube complexes")
-    kind = D_KINDS[c.kind]
-    target = _link_keys(kind, vertex)[0] if vertex in c.subcubes.get(0, ()) else None
-    ones = {}
-    for s1 in c.subcubes.get(1, ()):
-        v, (a,) = _link_keys(kind, s1)
-        if v == target:
-            ones[a] = s1
-    names = {a: forest_key(s1) for a, s1 in ones.items()}
-    simplices = {frozenset((name,)) for name in names.values()}
-    for k in range(2, c.dim + 1):
-        for sigma in c.subcubes.get(k, ()):
-            v, corners = _link_keys(kind, sigma)
-            if v != target:
-                continue
-            if all(a in names for a in corners):
-                corners = [names[a] for a in corners]
-            else:  # a corner that is not a sub-1-cube of c
-                corners = [forest_key(f) for f in _faces(c, sigma, 1)]
-            for size in range(1, len(corners) + 1):
-                for combo in itertools.combinations(corners, size):
-                    simplices.add(frozenset(combo))
-    return VertexLink(vertex, tuple(sorted(ones.values(), key=forest_key)), frozenset(simplices))
-
-
 def _faces(c: CubeComplex, sigma: PlanarForest, size: int) -> list:
     """The canonical faces of a sub-cube that keep `size` of its edges, one per
     edge subset in itertools.combinations order.  The 1-faces are the link
@@ -489,10 +446,6 @@ def check_local_isometry(phi: CombinatorialMap) -> IsometryReport:
     return IsometryReport(True)
 
 
-def identity_map(c: CubeComplex) -> CombinatorialMap:
-    return CombinatorialMap(c, c, "identity")
-
-
 # ---------------------------------------------------------------------------
 # cubical subdivision
 
@@ -691,41 +644,6 @@ def _free_reduce(word, partner):
     while len(out) >= 2 and partner.get(out[0]) == out[-1]:
         out = out[1:-1]
     return tuple(out)
-
-
-def simplify_presentation(p: Presentation) -> Presentation:
-    """Tietze simplification by free reduction and removal of generators
-    killed by length-one relators."""
-    partner = dict(p.partner)
-    gens = set(p.generators)
-    relators = [list(r) for r in p.relators]
-    changed = True
-    while changed:
-        changed = False
-        dead = set()
-        for r in relators:
-            if len(r) == 1:
-                dead.add(r[0])
-                dead.add(partner[r[0]])
-        if dead:
-            gens -= dead
-            relators = [[x for x in r if x not in dead] for r in relators]
-            changed = True
-        new_rel = []
-        for r in relators:
-            rr = list(_free_reduce(tuple(r), partner))
-            if rr != r:
-                changed = True
-            if rr:
-                new_rel.append(rr)
-        relators = new_rel
-    return Presentation(
-        p.family + "-simplified",
-        p.n,
-        tuple(sorted(gens, key=lambda s: _word_key((s,)))),
-        tuple(sorted((tuple(r) for r in relators), key=_word_key)),
-        tuple((g, partner[g]) for g in sorted(gens, key=lambda s: _word_key((s,)))),
-    )
 
 
 def presentations_match(a: Presentation, b: Presentation) -> bool:

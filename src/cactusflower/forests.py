@@ -57,7 +57,6 @@ inside this module from valid ones are built without re-validation.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import FrozenSet, Iterable, Sequence, Tuple, Union
@@ -618,27 +617,6 @@ def forest_from_newick(text: str) -> PlanarForest:
             "zero-decorated forests are read by zforest_from_newick"
         )
     return PlanarForest(trees)
-
-
-def subtree_to_json(s: Subtree):
-    if isinstance(s, int):
-        return s
-    return {"children": [subtree_to_json(c) for c in s]}
-
-
-def forest_to_json(f: PlanarForest) -> str:
-    return json.dumps({"trees": [subtree_to_json(t) for t in f.trees]})
-
-
-def _subtree_from_json(d) -> Subtree:
-    if isinstance(d, int):
-        return d
-    return tuple(_subtree_from_json(c) for c in d["children"])
-
-
-def forest_from_json(text: str) -> PlanarForest:
-    d = json.loads(text)
-    return PlanarForest([_subtree_from_json(t) for t in d["trees"]])
 
 
 # ---------------------------------------------------------------------------

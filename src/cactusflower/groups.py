@@ -672,7 +672,7 @@ def _family_of(code: str) -> str:
 # the word problem in the virtual groups
 
 
-def normalise_vc(word: Word) -> Word:
+def merge_permutation_letters(word: Word) -> Word:
     """Merge adjacent symmetric letters of one copy and drop identities."""
     out: list[Letter] = []
     for x in word:
@@ -781,7 +781,7 @@ def rewrite_to_identity(word: Word, n: int, depth: int = 6) -> bool:
     """
     if depth < 0:
         raise ValueError("depth must be at least 0")
-    start = normalise_vc(word)
+    start = merge_permutation_letters(word)
     if not start:
         return True
     seen = {start}
@@ -792,7 +792,7 @@ def rewrite_to_identity(word: Word, n: int, depth: int = 6) -> bool:
         for w in frontier:
             for pos in range(len(w) - 1):
                 for rep in _vs_pair_moves(w[pos], w[pos + 1]):
-                    cand = normalise_vc(w[:pos] + rep + w[pos + 2 :])
+                    cand = merge_permutation_letters(w[:pos] + rep + w[pos + 2 :])
                     if not cand:
                         return True
                     if len(cand) <= maxlen and cand not in seen:
@@ -827,7 +827,7 @@ def pure_generator(family: str, data, n: int, witness=None) -> Word:
             if (w(k), w(k + 1)) != (i, j):
                 raise ValueError("witness does not present the pair")
         t = Permutation.transposition(n, k, k + 1)
-        return normalise_vc((("w", w), ("a", t), ("w", t), ("w", w.inverse())))
+        return merge_permutation_letters((("w", w), ("a", t), ("w", t), ("w", w.inverse())))
     if family == "pure_virtual_cactus":
         a = tuple(data)
         if len(set(a)) != len(a) or len(a) < 2:
@@ -840,7 +840,7 @@ def pure_generator(family: str, data, n: int, witness=None) -> Word:
             if tuple(w(i + t) for t in range(j - i + 1)) != a:
                 raise ValueError("witness does not present the ordered subset")
         wij = interval_reversal(i, j, n)
-        return normalise_vc(
+        return merge_permutation_letters(
             (("w", w), ("s", i, j), ("w", wij), ("w", w.inverse()))
         )
     raise ValueError(f"unknown pure family {family!r}")
@@ -936,20 +936,6 @@ def parse_word(text: str) -> Word:
     return tuple(out)
 
 
-def presentation_to_json(p: Presentation) -> str:
-    import json
-
-    return json.dumps(
-        {
-            "family": p.family,
-            "n": p.n,
-            "generators": [format_word((g,)) for g in p.generators],
-            "relators": [format_word(r) for r in p.relators],
-        },
-        sort_keys=True,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the diagram of groups
 
@@ -988,20 +974,15 @@ def _project_solvable(src: str, dst: str, x, n: int):
     raise ValueError(f"no concrete projection {src} -> {dst}")
 
 
-def evaluate_path(word: Word, path: list[tuple[str, str]], n: int):
+def _evaluate_path(word: Word, path: list[tuple[str, str]], n: int, tables: dict):
     """Map a word along a chain of diagram arrows.
 
     While the targets are presentations, the word is rewritten by generator
     substitution; at the first solvable target it is evaluated, and any
     remaining arrows must be concrete projections between solvable groups.
+    `tables` maps each arrow to (hom, its generator-image table); it is read
+    and filled, so callers evaluating many paths build each arrow once.
     """
-    return _evaluate_path(word, path, n, {})
-
-
-def _evaluate_path(word: Word, path: list[tuple[str, str]], n: int, tables: dict):
-    """evaluate_path, reading and filling `tables`: arrow -> (hom, its
-    generator-image table), so callers evaluating many paths build each
-    arrow once."""
     element = None
     for (src, dst) in path:
         if element is not None:
@@ -1076,10 +1057,6 @@ def diagram_report(n: int) -> list[tuple[str, Letter, bool]]:
                 vals = [_evaluate_path((g,), path, n, tables) for path in paths]
                 out.append((src + label, g, all(v == vals[0] for v in vals)))
     return out
-
-
-def diagram_commutes(n: int) -> bool:
-    return all(ok for _, _, ok in diagram_report(n))
 
 
 # A separating quotient for witness checks: the symmetric group acting on the

@@ -99,10 +99,6 @@ class ProjPoint:
     def finite(x) -> "ProjPoint":
         return ProjPoint(x, ONE)
 
-    @staticmethod
-    def infinity() -> "ProjPoint":
-        return ProjPoint(ONE, ZERO)
-
     def is_infinite(self) -> bool:
         return self.v == 0
 

@@ -22,8 +22,8 @@ keep-mask, which face_center, xi and verify_face_center read.  A rational
 input point is scaled by the common denominator of its coordinates
 (_scaled) before it is reflected, paired or compared, and simple-root
 coordinates come from the integer matrix det(A) A^-1.  A Fraction is made
-only for a returned value: the parallelepiped coordinates, xi, theta, face
-centres (half-integral) and simple-root coordinates of arbitrary vectors.
+only for a returned value: the parallelepiped coordinates, xi, theta and
+face centres (half-integral).
 """
 from __future__ import annotations
 
@@ -197,14 +197,6 @@ class RootSystem:
     def apply_matrix(self, m, x: Vec) -> Vec:
         r = self.rank
         return tuple(sum(m[i][j] * x[j] for j in range(r)) for i in range(r))
-
-    def simple_coords(self, y: Vec) -> tuple:
-        """Exact simple-root coordinates of a weight-basis vector."""
-        q, y = _scaled(y)
-        c = tuple(Fraction(v, self._det * q) for v in self.apply_matrix(self._adj, y))
-        if all(x.denominator == 1 for x in c):
-            return tuple(int(x) for x in c)
-        return c
 
     # -- derived data --------------------------------------------------------
 

@@ -12,6 +12,8 @@ PINNED_DETAILS = {
     "criterion_1": "hatD_3=(1, 6, 3) D_3=(6, 9, 3) (1-cube oracle 9) breveD_3 vertices=2",
     "criterion_2": "D_3:ok D_4:ok hatD_3:ok hatD_4:ok breveD_3:ok breveD_4:ok "
     "mutated:witness ((2,1),4,3)",
+    "criterion_10": "39360 gluing cases exact; strata indices match on 200 points "
+    "and 1008 corner points",
 }
 
 

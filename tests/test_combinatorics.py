@@ -270,10 +270,3 @@ def test_products_match_composition_of_maps():
     ):
         with pytest.raises(ValueError):
             a * b
-
-
-def test_json_encodings():
-    s = SetPartition([{2, 5}, {1}, {3, 4}])
-    assert SetPartition.from_json(s.to_json()) == s
-    f = AffinePermutation((0, 2, 4))
-    assert AffinePermutation.from_json(f.to_json()) == f

@@ -20,9 +20,9 @@ from cactusflower.cubecomplexes import (
     CombinatorialMap,
     CubeComplex,
     FlagReport,
-    VertexLink,
     _canon_p_cell,
     _faces,
+    _link_graph,
     _link_keys,
     build_complex,
     build_breveD,
@@ -38,13 +38,10 @@ from cactusflower.cubecomplexes import (
     export_dot,
     export_poset,
     extract_presentation,
-    identity_map,
     presentations_match,
     quotient_map,
     remove_subcube,
-    simplify_presentation,
     skeleton_D,
-    vertex_link,
 )
 from cactusflower.forests import (
     PlanarForest,
@@ -141,7 +138,7 @@ def test_local_isometries():
         d, bd, hd = build_D(n), build_breveD(n), build_hatD(n)
         assert check_local_isometry(quotient_map(d, bd)).ok
         assert check_local_isometry(quotient_map(bd, hd)).ok
-        assert check_local_isometry(identity_map(d)).ok
+        assert check_local_isometry(quotient_map(d, d)).ok
     with pytest.raises(ValueError):
         quotient_map(build_hatD(3), build_D(3))
 
@@ -223,8 +220,12 @@ def test_presentation_match_negative_controls(kind, family):
 
 
 def test_simply_connected_complex_trivialises():
-    simp = simplify_presentation(extract_presentation(build_P(3)))
-    assert simp.generators == () and simp.relators == ()
+    # every generator, or its partner, is killed by a one-letter relator
+    p = extract_presentation(build_P(3))
+    partner = dict(p.partner)
+    assert p.relators and all(len(r) == 1 for r in p.relators)
+    killed = {x for r in p.relators for x in r}
+    assert killed | {partner[x] for x in killed} == set(p.generators)
 
 
 def test_symmetric_group_action():
@@ -370,28 +371,6 @@ def test_build_rejects_small_n():
         build_complex("X", 3)
 
 
-def test_vertex_link_is_flag_when_certified():
-    from cactusflower.cubecomplexes import vertex_link
-
-    c = build_hatD(3)
-    assert check_gromov_flag(c).ok
-    (v,) = c.vertices()
-    link = vertex_link(c, v)
-    assert len(link.vertices) == 12  # directed-cell pairs: 6 one-cubes
-    # flagness: every pairwise-joined set spans a simplex
-    from cactusflower.forests import forest_key
-
-    names = [forest_key(x) for x in link.vertices]
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            if i < j and frozenset({a, b}) in link.simplices:
-                assert frozenset({a}) in link.simplices
-    for simplex in link.simplices:
-        for size in range(1, len(simplex)):
-            for sub in itertools.combinations(simplex, size):
-                assert frozenset(sub) in link.simplices  # closed under faces
-
-
 # ---------------------------------------------------------------------------
 # the link-key certificates against the forest-building reference
 
@@ -477,17 +456,19 @@ def _reference_flag(c):
 
 
 def _reference_vertex_link(c, vertex):
+    """(the sub-1-cubes at a 0-cube, the simplices of its link): one simplex
+    per face set of corners of each incident sub-cube, corners as forests."""
     ones = sorted((s for s in c.subcubes.get(1, ()) if c.vertex_of(s) == vertex), key=forest_key)
     simplices = set()
     for k in range(1, c.dim + 1):
         for sigma in c.subcubes.get(k, ()):
             if c.vertex_of(sigma) != vertex:
                 continue
-            corners = [forest_key(c.sub_face(sigma, [e])) for e in sigma.edges()]
+            corners = [c.sub_face(sigma, [e]) for e in sigma.edges()]
             for size in range(1, len(corners) + 1):
                 for combo in itertools.combinations(corners, size):
                     simplices.add(frozenset(combo))
-    return VertexLink(vertex, tuple(ones), frozenset(simplices))
+    return tuple(ones), frozenset(simplices)
 
 
 @pytest.mark.parametrize("kind", ["D", "breveD", "hatD"])
@@ -556,17 +537,32 @@ def test_link_keys_are_faithful(kind):
         assert len(corner_of) == len(c.subcubes[1])
 
 
-def test_vertex_link_matches_reference():
-    for kind, n in (("D", 4), ("breveD", 4), ("hatD", 4), ("hatD", 5)):
-        c = build_complex(kind, n)
-        for v in c.vertices():
-            assert vertex_link(c, v) == _reference_vertex_link(c, v)
+def test_link_graph_matches_reference():
+    complexes = [build_complex(kind, n) for kind, n in
+                 (("hatD", 3), ("D", 4), ("breveD", 4), ("hatD", 4), ("hatD", 5))]
     c = build_D(3)
     (sigma,) = [s for s in c.subcubes[1] if forest_to_newick(s) == "(1,2);3"]
-    assert vertex_link(c, sigma) == _reference_vertex_link(c, sigma)  # not a 0-cube: empty
-    mutant = remove_subcube(c, sigma)  # its squares keep the deleted corner
-    v = c.vertex_of(sigma)
-    assert vertex_link(mutant, v) == _reference_vertex_link(mutant, v)
+    complexes.append(remove_subcube(c, sigma))  # its squares keep the deleted corner
+    for c in complexes:
+        kind = D_KINDS[c.kind]
+
+        def corner(f):
+            return _link_keys(kind, f)[1][0]
+
+        ones, adj = _link_graph(c)[:2]
+        for v in c.vertices():
+            ref_ones, simplices = _reference_vertex_link(c, v)
+            for simplex in simplices:
+                for sub in itertools.combinations(simplex, len(simplex) - 1):
+                    assert not sub or frozenset(sub) in simplices  # closed under faces
+            key = _link_keys(kind, v)[0]
+            assert ones.get(key, {}) == {corner(s1): s1 for s1 in ref_ones}
+            at_v = adj.get(key, {})
+            assert set(at_v) == {corner(f) for s in simplices if len(s) == 1 for f in s}
+            joined = {(a, b) for a, bs in at_v.items() for b in bs}
+            edges = (map(corner, s) for s in simplices if len(s) == 2)
+            assert joined == {pair for e in edges for pair in itertools.permutations(e)}
+    assert len(_link_graph(complexes[0])[0][()]) == 12  # hatD_3: 6 big 1-cubes, 2 sub-1-cubes each
 
 
 @dataclass

@@ -20,10 +20,8 @@ from cactusflower.forests import (
     enumerate_planar_forests,
     enumerate_zero_forests,
     flip,
-    forest_from_json,
     forest_from_newick,
     forest_key,
-    forest_to_json,
     forest_to_newick,
     leafset,
     meet,
@@ -132,7 +130,6 @@ def test_serialization_roundtrip():
     for k in range(3):
         for forest in enumerate_planar_forests(3, k):
             assert forest_from_newick(forest_to_newick(forest)) == forest
-            assert forest_from_json(forest_to_json(forest)) == forest
 
 
 def test_zero_forest_roundtrip_and_well_definedness():

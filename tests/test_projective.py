@@ -150,7 +150,7 @@ def _canonical_scaling_pool():
         if u == 0 and v == 0:
             continue
         p, q = ProjPoint(u, v), ProjPoint.finite(y)
-        made = [p, q, ProjPoint.infinity(), p.reciprocal(), p.conj(), q.conj()]
+        made = [p, q, PP_INF, p.reciprocal(), p.conj(), q.conj()]
         for binary in (lambda: pp_mul(p, q), lambda: compose_nu(p, q, eps)):
             try:
                 made.append(binary())
