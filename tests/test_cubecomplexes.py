@@ -537,32 +537,58 @@ def test_link_keys_are_faithful(kind):
         assert len(corner_of) == len(c.subcubes[1])
 
 
-def test_link_graph_matches_reference():
+def _link_corner(c):
+    """The corner key of a sub-1-cube in the links of c."""
+    kind = D_KINDS[c.kind]
+    return lambda f: _link_keys(kind, f)[1][0]
+
+
+def test_vertex_link_is_flag_when_certified():
+    # the link read from _link_graph: every set of pairwise-joined corners
+    # spans a simplex, and the simplices are closed under faces
+    c = build_hatD(3)
+    assert check_gromov_flag(c).ok
+    (v,) = c.vertices()
+    corner = _link_corner(c)
+    key = _link_keys(D_KINDS[c.kind], v)[0]
+    ones, adj = _link_graph(c)[:2]
+    assert len(ones[key]) == 12  # directed-cell pairs: 6 one-cubes
+    at_v = adj[key]
+    _, simplices = _reference_vertex_link(c, v)
+    spans = {frozenset(map(corner, s)) for s in simplices}
+    names = sorted(at_v)
+    for size in range(1, len(names) + 1):
+        for clique in itertools.combinations(names, size):
+            if all(b in at_v[a] for a, b in itertools.combinations(clique, 2)):
+                assert frozenset(clique) in spans
+    for simplex in simplices:
+        for size in range(1, len(simplex)):
+            for sub in itertools.combinations(simplex, size):
+                assert frozenset(sub) in simplices  # closed under faces
+
+
+def test_vertex_link_matches_reference():
+    # _link_graph's link at each 0-cube against the forest-building reference
     complexes = [build_complex(kind, n) for kind, n in
                  (("hatD", 3), ("D", 4), ("breveD", 4), ("hatD", 4), ("hatD", 5))]
     c = build_D(3)
     (sigma,) = [s for s in c.subcubes[1] if forest_to_newick(s) == "(1,2);3"]
     complexes.append(remove_subcube(c, sigma))  # its squares keep the deleted corner
     for c in complexes:
-        kind = D_KINDS[c.kind]
-
-        def corner(f):
-            return _link_keys(kind, f)[1][0]
-
+        corner = _link_corner(c)
         ones, adj = _link_graph(c)[:2]
         for v in c.vertices():
             ref_ones, simplices = _reference_vertex_link(c, v)
             for simplex in simplices:
                 for sub in itertools.combinations(simplex, len(simplex) - 1):
                     assert not sub or frozenset(sub) in simplices  # closed under faces
-            key = _link_keys(kind, v)[0]
+            key = _link_keys(D_KINDS[c.kind], v)[0]
             assert ones.get(key, {}) == {corner(s1): s1 for s1 in ref_ones}
             at_v = adj.get(key, {})
             assert set(at_v) == {corner(f) for s in simplices if len(s) == 1 for f in s}
             joined = {(a, b) for a, bs in at_v.items() for b in bs}
             edges = (map(corner, s) for s in simplices if len(s) == 2)
             assert joined == {pair for e in edges for pair in itertools.permutations(e)}
-    assert len(_link_graph(complexes[0])[0][()]) == 12  # hatD_3: 6 big 1-cubes, 2 sub-1-cubes each
 
 
 @dataclass
