@@ -8,6 +8,12 @@ participating homogeneous pair (so "ab = c" means a1*b1*c2 = c1*a2*b2, which
 is satisfied by a = 0, b = infinity, c arbitrary).  The deformation parameter
 epsilon enters as an affine scalar.
 
+The constructions of family members (orbit_map, cross_ratios,
+losev_manin_iso, eps_family_delta) scale their inputs once to Gaussian
+integers over one common denominator, form the pair differences once, and
+turn each integer pair (ur + i ui : vr + i vi) into a canonical point with
+_int_point, the one place where a coordinate is divided out.
+
 Space families (VarietySpec tags):
 
   LosevManin            alpha on ordered pairs:  a_ij a_jk = a_ik, a_ij a_ji = 1
@@ -60,6 +66,8 @@ class NotAMember(ValueError):
 # ---------------------------------------------------------------------------
 # points of the projective line
 
+_new, _setattr = object.__new__, object.__setattr__  # bound once for _canonical
+
 
 @dataclass(frozen=True)
 class ProjPoint:
@@ -90,9 +98,9 @@ class ProjPoint:
 
     @staticmethod
     def _canonical(u: Scalar, v: Scalar) -> "ProjPoint":
-        point = object.__new__(ProjPoint)
-        object.__setattr__(point, "u", u)
-        object.__setattr__(point, "v", v)
+        point = _new(ProjPoint)
+        _setattr(point, "u", u)
+        _setattr(point, "v", v)
         return point
 
     @staticmethod
@@ -138,6 +146,36 @@ class ProjPoint:
 PP_ZERO = ProjPoint(ZERO, ONE)
 PP_ONE = ProjPoint(ONE, ONE)
 PP_INF = ProjPoint(ONE, ZERO)
+
+
+def _int_point(ur: int, ui: int, vr: int, vi: int) -> ProjPoint:
+    """The canonical point (ur + i ui : vr + i vi) of Gaussian-integer parts,
+    equal to ProjPoint(ur + i ui, vr + i vi)."""
+    if vi:  # multiply through by the conjugate of v, which makes v a positive int
+        ur, ui, vr = ur * vr + ui * vi, ui * vr - ur * vi, vr * vr + vi * vi
+    elif not vr:
+        if ur or ui:
+            return PP_INF
+        raise ValueError("(0 : 0) is not a point of P^1")
+    if ui:
+        return ProjPoint._canonical(GaussianRational(Fraction(ur, vr), Fraction(ui, vr)), ONE)
+    return ProjPoint._canonical(Fraction(ur, vr), ONE)
+
+
+def _gaussian_ints(values) -> Tuple[int, list]:
+    """(d, [(re, im), ...]): each value, an int, Fraction or
+    GaussianRational, is (re + i im)/d, with d the least common denominator
+    of all their parts."""
+    parts = [(x.re, x.im) if isinstance(x, GaussianRational) else (x, 0) for x in values]
+    d = math.lcm(*(q.denominator for pair in parts for q in pair))
+    return d, [
+        (r.numerator * (d // r.denominator), i.numerator * (d // i.denominator)) for r, i in parts
+    ]
+
+
+def _differences(zs: list) -> list:
+    """The Gaussian-integer differences zs[a] - zs[b], as diff[a][b]."""
+    return [[(ar - br, ai - bi) for br, bi in zs] for ar, ai in zs]
 
 
 def pp_sub_scalar(p: ProjPoint, c: Scalar) -> ProjPoint:
@@ -643,10 +681,13 @@ def losev_manin_iso(point: NuTuple) -> AlphaTuple:
     eps = point.epsilon
     if eps is None or eps == 0:
         raise ValueError("the multiplicative chart needs epsilon != 0")
-    alpha = {}
-    for (i, j), p in point.as_dict().items():
-        alpha[(i, j)] = ProjPoint(p.u - eps * p.v, p.u)
-    return AlphaTuple(point.n, alpha, None)
+    # nu_ij = x = X/d and eps = E/d; infinity (1 : 0) goes to 1
+    _, ((er, ei), *xs) = _gaussian_ints([eps] + [p.u for _, p in point.nu])
+    alpha = tuple(
+        (ij, _int_point(xr - er, xi - ei, xr, xi) if p.v else PP_ONE)
+        for (ij, p), (xr, xi) in zip(point.nu, xs)
+    )
+    return NuTuple._trusted(point.n, alpha, None)
 
 
 def losev_manin_iso_inverse(alpha: AlphaTuple, eps: Scalar) -> NuTuple:
@@ -687,19 +728,25 @@ def orbit_map(xs: Dict[int, Scalar], eps: Scalar) -> NuTuple:
     the diagonal group action."""
     eps = canon_scalar(eps)
     labels = sorted(xs)
-    for i in labels:
-        if 1 - eps * xs[i] == 0:
+    # x_i = X_i/d and eps = E/d: nu_ij = (d^2 - E X_j : d (X_i - X_j))
+    d, ((er, ei), *zs) = _gaussian_ints([eps] + [xs[i] for i in labels])
+    dd = d * d
+    top = [(dd - er * xr + ei * xi, -er * xi - ei * xr) for xr, xi in zs]
+    for i, (tr, ti) in zip(labels, top):
+        if not (tr or ti):
             raise ValueError(f"1 - eps*x_{i} = 0")
-    for i, j in itertools.combinations(labels, 2):
-        if xs[i] == xs[j]:
-            raise ValueError(f"coincident points x_{i} = x_{j}")
-    nu = {}
+    diff = _differences(zs)
+    for a, b in itertools.combinations(range(len(labels)), 2):
+        if not any(diff[a][b]):
+            raise ValueError(f"coincident points x_{labels[a]} = x_{labels[b]}")
     n = len(labels)
-    for a, i in enumerate(labels, start=1):
-        for b, j in enumerate(labels, start=1):
-            if a != b:
-                nu[(a, b)] = ProjPoint(1 - eps * xs[j], xs[i] - xs[j])
-    return NuTuple(n, nu, eps)
+    nu = [
+        _int_point(*top[b], d * dr, d * di)
+        for a in range(n)
+        for b, (dr, di) in enumerate(diff[a])
+        if a != b
+    ]
+    return NuTuple._trusted(n, tuple(zip(ordered_pairs(range(1, n + 1)), nu)), eps)
 
 
 def cross_ratios(zs: Dict[int, Scalar], distinguished: Optional[int] = None) -> MuTuple:
@@ -707,16 +754,23 @@ def cross_ratios(zs: Dict[int, Scalar], distinguished: Optional[int] = None) -> 
     distinguished label; distinguished None places the extra point at
     infinity, reducing to (z_i - z_k)/(z_i - z_j)."""
     labels = sorted(k for k in zs if k != distinguished)
-    mu = {}
-    for i, j, k in itertools.permutations(labels, 3):
-        if distinguished is None:
-            mu[(i, j, k)] = ProjPoint(zs[i] - zs[k], zs[i] - zs[j])
-        else:
-            zl = zs[distinguished]
-            mu[(i, j, k)] = ProjPoint(
-                (zs[i] - zs[k]) * (zl - zs[j]), (zs[i] - zs[j]) * (zl - zs[k])
-            )
-    return MuTuple(labels, mu)
+    values = [zs[k] for k in labels]
+    if distinguished is not None:
+        values.append(zs[distinguished])
+    # the common denominator cancels from every ratio of differences
+    diff = _differences(_gaussian_ints(values)[1])
+    triples = list(itertools.permutations(range(len(labels)), 3))
+    if distinguished is None:
+        mu = [_int_point(*diff[i][k], *diff[i][j]) for i, j, k in triples]
+    else:
+        to_l = diff[-1]  # z_l - z_j
+        mu = []
+        for i, j, k in triples:
+            (ar, ai), (br, bi) = diff[i][k], to_l[j]
+            (cr, ci), (dr, di) = diff[i][j], to_l[k]
+            mu.append(_int_point(ar * br - ai * bi, ar * bi + ai * br,
+                                 cr * dr - ci * di, cr * di + ci * dr))
+    return MuTuple._trusted(tuple(labels), tuple(zip(ordered_triples(labels), mu)))
 
 
 def collapse_to_LM(mu: MuTuple, n: int) -> AlphaTuple:
@@ -730,15 +784,20 @@ def eps_family_delta(us: Dict[int, Scalar], y: Scalar, eps: Scalar) -> NuTuple:
     """delta_ij = (u_i - u_j)/(y + eps*u_i): the line-bundle family chart."""
     eps, y = canon_scalar(eps), canon_scalar(y)
     labels = sorted(us)
-    for i in labels:
-        if y + eps * us[i] == 0:
+    # u_i = U_i/d, y = Y/d and eps = E/d: nu_ij = (Y d + E U_i : d (U_i - U_j))
+    d, ((er, ei), (yr, yi), *zs) = _gaussian_ints([eps, y] + [us[i] for i in labels])
+    top = [(yr * d + er * ur - ei * ui, yi * d + er * ui + ei * ur) for ur, ui in zs]
+    for i, (tr, ti) in zip(labels, top):
+        if not (tr or ti):
             raise ValueError(f"y + eps*u_{i} = 0")
-    nu = {}
-    for a, i in enumerate(labels, start=1):
-        for b, j in enumerate(labels, start=1):
-            if a != b:
-                nu[(a, b)] = ProjPoint(y + eps * us[i], us[i] - us[j])
-    return NuTuple(len(labels), nu, eps)
+    n = len(labels)
+    nu = [
+        _int_point(*top[a], d * dr, d * di)
+        for a, row in enumerate(_differences(zs))
+        for b, (dr, di) in enumerate(row)
+        if a != b
+    ]
+    return NuTuple._trusted(n, tuple(zip(ordered_pairs(range(1, n + 1)), nu)), eps)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ x_{k+1} - x_k, nonpositive on the domain) is exposed as a flag.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from itertools import accumulate, combinations, permutations
+from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from .combinatorics import Permutation, SetPartition, partition_closure
 from .forests import (
@@ -44,6 +45,7 @@ from .projective import (
     PP_INF,
     PP_ZERO,
     ProjPoint,
+    _int_point,
     ordered_pairs,
     ordered_triples,
 )
@@ -344,108 +346,154 @@ def _b_values(parent, tv, f: RationalDiffeo):
     return b
 
 
-def _ratio(num: int, den: int) -> ProjPoint:
-    if not den:
-        return PP_INF
-    if not num:
-        return PP_ZERO
-    return ProjPoint._canonical(Fraction(num, den), ONE)
+# Plans are kept in a bounded cache: a process evaluates charts on few
+# distinct trees (criterion 10 uses 348), trees are immutable nested tuples,
+# so a plan never goes stale, and the bound caps the memory that a stream of
+# fresh trees can take.
+_PLAN_CACHE = 1024
 
 
-class _Chart:
-    """Evaluation data for one walked tree and its b values (in preorder).
+class _Plan(NamedTuple):
+    """Everything about one chart evaluation that depends only on the tree.
 
-    The consecutive planar gaps z_r - z_{r+1} are monomials in the b values
-    (the root path of the consecutive pair's meet); any pair difference is a
-    contiguous sum of them, and any triple ratio is a pair of such sums
-    divided by the common monomial of the spanning interval, the root path
-    of the interval's meet c (which keeps the denominator's constant term
-    alive when b values vanish).
+    The tree is refined to a binary tree (the added edges carry the value 1)
+    and walked in preorder.  The consecutive planar gaps z_r - z_{r+1} are
+    monomials in the b values (the root path of the consecutive pair's
+    meet); any pair difference is a contiguous sum of them, and any triple
+    ratio is a pair of such sums divided by the common monomial of the
+    spanning interval, the root path of the interval's meet c (which keeps
+    the denominator's constant term alive when b values vanish).
 
     So each vertex c keeps the prefix sums of the gaps inside its span taken
     relative to c: a gap's relative value is the product of b over the edges
     on the path from its meet to c, c's own edge excluded, and it is 0
     exactly when a zero edge survives the cancellation.  The relative gaps
     of c are scaled to one common denominator, the lcm of its children's,
-    so its prefix sums are ints.  A ratio is a quotient of two differences
-    of prefix sums at c, in which that denominator cancels: the three
-    differences of an unordered triple give all six of its ratios, each one
-    Fraction(int, int).  A distance is a difference of the root's prefix
-    sums times the root's b over the root's denominator."""
+    so its prefix sums are ints; the prefix sums of all vertices are laid
+    end to end, in preorder, in one flat list.  A ratio is a quotient of two
+    differences of prefix sums at c, in which that denominator cancels: the
+    three differences of an unordered triple give all six of its ratios.  A
+    distance is a difference of the root's prefix sums times the root's b
+    over the root's denominator.
 
-    def __init__(self, walk, b):
-        self.order, vertices, self.start, parent, self.owner = walk
-        children: list = [[] for _ in vertices]
-        for j in range(1, len(vertices)):
-            children[parent[j]].append(j)
-        gaps: list = [None] * len(vertices)
-        den = [1] * len(vertices)
-        for j in reversed(range(len(vertices))):  # children before parents
-            d = math.lcm(*(b[c].denominator * den[c] for c in children[j]))
-            own = [d] * (len(vertices[j]) - 1)  # a vertex's own gaps are 1
-            for c in children[j]:
-                scale = b[c].numerator * (d // (b[c].denominator * den[c]))
-                off = self.start[c] - self.start[j]
-                own[off : off + len(gaps[c])] = [scale * g for g in gaps[c]]
-            gaps[j], den[j] = own, d
-        self.prefix = [list(accumulate(g, initial=0)) for g in gaps]
-        # delta = root_b * (prefix difference) / den[0] = num * diff / den
-        self.delta_num = b[0].numerator
-        self.delta_den = b[0].denominator * den[0]
+    Every int field is flat and holds only small ints; what depends on the
+    number of leaves alone (_six_slots) or on the labels alone (keys) is
+    shared between plans."""
 
-    def delta(self) -> Dict[Tuple[int, int], Fraction]:
-        """delta_ac = z_a - z_c over every ordered pair."""
-        order, top, num, den = self.order, self.prefix[0], self.delta_num, self.delta_den
-        pos = {lab: r for r, lab in enumerate(order)}
-        labels = sorted(order)
-        return {
-            (a, c): Fraction(num * (top[pos[c]] - top[pos[a]]), den)
-            for a in labels
-            for c in labels
-            if a != c
-        }
+    part: FrozenSet[int]  # the leaf set
+    labels: Tuple[int, ...]  # sorted
+    order: Tuple[int, ...]  # the planar leaf order
+    edges: tuple  # per vertex in preorder: its leaf set, or None on an added edge
+    parent: Tuple[int, ...]  # per vertex: its parent's index, -1 at the root
+    kids: Tuple[int, ...]  # per vertex: its left and right child vertices, -1 at a leaf
+    # per x < y < z of range(len(labels)), in combinations order: the flat
+    # prefix indices, at the meet of the three leaves, of the labels of
+    # rank x, y and z; and where in `keys` their six ratios go
+    triples: Tuple[int, ...]
+    six: Tuple[int, ...]  # _six_slots(len(labels))
+    keys: tuple  # ordered_triples(labels)
 
-    def nu(self) -> Dict[Tuple[int, int], ProjPoint]:
-        """nu = 1/delta over every ordered pair, one division per unordered
-        pair: nu_ca = -nu_ac."""
-        order, top, num, den = self.order, self.prefix[0], self.delta_num, self.delta_den
-        nu = {}
-        for s in range(1, len(order)):
-            c = order[s]
-            for r in range(s):
-                a = order[r]
-                diff = num * (top[s] - top[r])
-                if diff:
-                    v = Fraction(den, diff)
-                    nu[(a, c)] = ProjPoint._canonical(v, ONE)
-                    nu[(c, a)] = ProjPoint._canonical(-v, ONE)
-                else:
-                    nu[(a, c)] = nu[(c, a)] = PP_INF
-        return nu
 
-    def mu(self) -> Dict[Tuple[int, int, int], ProjPoint]:
-        """mu_ijk = (z_i - z_k)/(z_i - z_j) over every ordered triple."""
-        order, owner, start, prefix = self.order, self.owner, self.start, self.prefix
-        mu = {}
-        for r0 in range(len(order) - 2):
-            lo, c = order[r0], owner[r0]
-            for r2 in range(r0 + 2, len(order)):
-                # the interval's meet: of the gap owners in it, the first in preorder
-                c = min(c, owner[r2 - 1])
-                sums, base = prefix[c], start[c]
-                x0, x2, hi = sums[r0 - base], sums[r2 - base], order[r2]
-                for r1 in range(r0 + 1, r2):
-                    x1, mid = sums[r1 - base], order[r1]
-                    near, far, rest = x1 - x0, x2 - x0, x2 - x1  # far = near + rest
-                    if not (near or rest):
-                        raise ValueError("degenerate ratio outside the chart domain")
-                    mu[(lo, mid, hi)] = _ratio(far, near)
-                    mu[(lo, hi, mid)] = _ratio(near, far)
-                    mu[(mid, lo, hi)] = _ratio(-rest, near)
-                    mu[(mid, hi, lo)] = _ratio(-near, rest)
-                    mu[(hi, lo, mid)] = _ratio(rest, far)
-                    mu[(hi, mid, lo)] = _ratio(far, rest)
-        return mu
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def _triple_keys(labels: Tuple[int, ...]) -> tuple:
+    return tuple(ordered_triples(labels))
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def _pair_keys(n: int) -> tuple:
+    return tuple(ordered_pairs(range(1, n + 1)))
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def _six_slots(m: int) -> Tuple[int, ...]:
+    """Per x < y < z of range(m), in combinations order, the indices among
+    the ordered triples of range(m) of (x,y,z), (x,z,y), (y,x,z), (y,z,x),
+    (z,x,y) and (z,y,x)."""
+    index = {t: k for k, t in enumerate(permutations(range(m), 3))}
+    return tuple(
+        index[t]
+        for x, y, z in combinations(range(m), 3)
+        for t in ((x, y, z), (x, z, y), (y, x, z), (y, z, x), (z, x, y), (z, y, x))
+    )
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def _plan(tree) -> _Plan:
+    btree, added = binary_refinement(tree)
+    order, vertices, starts, parent, owner = _tree_walk(btree)
+    kids = [-1] * (2 * len(vertices))
+    for j in range(1, len(vertices)):  # a right child starts after its parent
+        kids[2 * parent[j] + (starts[j] != starts[parent[j]])] = j
+    offset = list(accumulate((len(v) for v in vertices), initial=0))
+    m = len(order)
+    # base[r0][r2]: the flat prefix index of position 0 at the meet of the
+    # interval order[r0..r2], the first of its gap owners in preorder
+    base = [[0] * m for _ in range(m)]
+    for r0 in range(m - 1):
+        c = owner[r0]
+        for r2 in range(r0 + 1, m):
+            c = min(c, owner[r2 - 1])
+            base[r0][r2] = offset[c] - starts[c]
+    labels = tuple(sorted(order))
+    pos = {lab: r for r, lab in enumerate(order)}
+    at = [pos[lab] for lab in labels]  # the position of each rank
+    triples: list = []
+    for x, y, z in combinations(range(m), 3):
+        px, py, pz = at[x], at[y], at[z]
+        b = base[min(px, py, pz)][max(px, py, pz)]
+        triples += (b + px, b + py, b + pz)
+    added = set(added)
+    return _Plan(
+        vertices[0], labels, tuple(order), tuple(None if v in added else v for v in vertices),
+        tuple(parent), tuple(kids), tuple(triples), _six_slots(m), _triple_keys(labels),
+    )
+
+
+def _prefix_sums(kids, b) -> Tuple[list, int, int]:
+    """The flat prefix sums of a plan's vertices at the b values (listed by
+    vertex in preorder), and the root's b numerator and denominator, whose
+    quotient scales a difference of the root's prefix sums to a distance."""
+    count = len(kids) // 2
+    gaps: list = [()] * count
+    den = [1] * count
+    for j in reversed(range(count)):  # children before parents
+        left, right = kids[2 * j], kids[2 * j + 1]
+        dl = b[left].denominator * den[left] if left >= 0 else 1
+        dr = b[right].denominator * den[right] if right >= 0 else 1
+        d = math.lcm(dl, dr)
+        own = [d]  # a vertex's own gap is 1
+        if left >= 0:
+            scale = b[left].numerator * (d // dl)
+            own[:0] = [scale * g for g in gaps[left]]
+        if right >= 0:
+            scale = b[right].numerator * (d // dr)
+            own += [scale * g for g in gaps[right]]
+        gaps[j], den[j] = own, d
+    prefix: list = []
+    for g in gaps:
+        prefix += accumulate(g, initial=0)
+    return prefix, b[0].numerator, b[0].denominator * den[0]
+
+
+def _ratios(plan: _Plan, prefix) -> list:
+    """The ratios mu_ijk = (z_i - z_k)/(z_i - z_j) of a plan's triples, in
+    the order of its keys; at the meet of i, j and k, z_a - z_c is a
+    multiple, the same for all three, of the prefix sum at c less that at a."""
+    mu: list = [None] * len(plan.keys)
+    it, slots = iter(plan.triples), iter(plan.six)
+    for ix, iy, iz, s0, s1, s2, s3, s4, s5 in zip(it, it, it, slots, slots, slots, slots, slots, slots):
+        zx = prefix[ix]
+        xy, xz = prefix[iy] - zx, prefix[iz] - zx
+        if not (xy or xz):
+            raise ValueError("degenerate ratio outside the chart domain")
+        yz = xz - xy
+        mu[s0] = _int_point(xz, 0, xy, 0)  # (x, y, z)
+        mu[s1] = _int_point(xy, 0, xz, 0)  # (x, z, y)
+        mu[s2] = _int_point(-yz, 0, xy, 0)  # (y, x, z)
+        mu[s3] = _int_point(-xy, 0, yz, 0)  # (y, z, x)
+        mu[s4] = _int_point(yz, 0, xz, 0)  # (z, x, y)
+        mu[s5] = _int_point(xz, 0, yz, 0)  # (z, y, x)
+    return mu
 
 
 def chart_H(tree, b: Dict[FrozenSet[int], Fraction]):
@@ -456,9 +504,17 @@ def chart_H(tree, b: Dict[FrozenSet[int], Fraction]):
     the common positive monomial; a (0:0) ratio cannot arise on the chart
     domain because the factored denominator has constant term one.
     """
-    walk = _tree_walk(tree)
-    chart = _Chart(walk, [b[e] for e in walk[1]])
-    return chart.delta(), MuTuple(walk[0], chart.mu())
+    plan = _plan(tree)
+    if None in plan.edges:
+        raise ValueError("charts are indexed by binary trees")
+    prefix, num, den = _prefix_sums(plan.kids, [b[e] for e in plan.edges])
+    order, delta = plan.order, {}
+    for s, c in enumerate(order):
+        for r in range(s):
+            d = Fraction(num * (prefix[s] - prefix[r]), den)
+            delta[(order[r], c)], delta[(c, order[r])] = d, -d
+    mu = _ratios(plan, prefix)
+    return delta, MuTuple._trusted(plan.labels, tuple(zip(plan.keys, mu)))
 
 
 def chart_b(tree, zdiffs: Dict[tuple, Fraction]):
@@ -511,41 +567,50 @@ def theta(p: CubePoint, f: RationalDiffeo = DEFAULT_F) -> ThetaImage:
     Trunk values equal to one are removed first by the collapse
     identification (splitting trees); each remaining tree is refined to a
     binary tree with value one on the added edges, reparameterized by
-    b_map, and evaluated through its chart.
+    b_map, and evaluated through its chart (_Plan).
     """
     t = p.t_dict()
 
     def split(tree):
-        """The tree, or the trees left by collapsing its trunks at value 1."""
-        if isinstance(tree, int) or t.get(leafset(tree)) != 1:
+        """The tree's plan, or the plans of the trees left by collapsing its
+        trunks at value 1; a leaf stays a leaf."""
+        if isinstance(tree, int):
             return [tree]
+        plan = _plan(tree)
+        if t[plan.part] != 1:
+            return [plan]
         return [s for child in tree for s in split(child)]
 
-    parts = []
-    nu: Dict[tuple, ProjPoint] = {}
-    mus = {}
-    for tree in [s for tree in p.forest.trees for s in split(tree)]:
-        part = leafset(tree) if not isinstance(tree, int) else frozenset([tree])
-        parts.append(part)
-        if isinstance(tree, int):
-            continue
-        btree, added = binary_refinement(tree)
-        walk = _tree_walk(btree)
-        # the added edges carry 1; the trunk is below 1 after the collapse
-        tv = [ONE if e in added else t[e] for e in walk[1]]
-        chart = _Chart(walk, _b_values(walk[3], tv, f))
-        nu.update(chart.nu())
-        mu = chart.mu()  # every ordered triple of the part
-        mu_items = tuple((x, mu[x]) for x in ordered_triples(part))
-        mus[part] = MuTuple._trusted(tuple(sorted(part)), mu_items)
-    s_part = SetPartition(parts)
+    plans = [s for tree in p.forest.trees for s in split(tree)]
+    parts = [frozenset([s]) if isinstance(s, int) else s.part for s in plans]
     n = sum(map(len, parts))
-    # nu = 0 is the infinite distance across trees
-    nu_items = tuple((ac, nu.get(ac, PP_ZERO)) for ac in ordered_pairs(range(1, n + 1)))
+    if min(map(min, parts)) < 1 or max(map(max, parts)) > n:  # the labels are distinct
+        raise ValueError("theta needs a forest on the labels 1..n")
+    n1 = n - 1
+    nu = [PP_ZERO] * (n * n1)  # nu = 0 is the infinite distance across trees
+    mus = []
+    for plan in plans:
+        if isinstance(plan, int):
+            continue
+        # the added edges carry 1; the trunk is below 1 after the collapse
+        tv = [ONE if e is None else t[e] for e in plan.edges]
+        prefix, num, den = _prefix_sums(plan.kids, _b_values(plan.parent, tv, f))
+        # the root's prefix sums come first; (a, c) is row a - 1, column
+        # c - 1 (less one past the diagonal) of the ordered pairs of [n]
+        rows = [lab - 1 for lab in plan.order]
+        for s, c in enumerate(rows):
+            zc = prefix[s]
+            for r in range(s):
+                a = rows[r]
+                diff = num * (zc - prefix[r])
+                nu[a * n1 + c - (c > a)] = _int_point(den, 0, diff, 0)
+                nu[c * n1 + a - (a > c)] = _int_point(-den, 0, diff, 0)
+        mu = _ratios(plan, prefix)
+        mus.append((plan.part, MuTuple._trusted(plan.labels, tuple(zip(plan.keys, mu)))))
     return ThetaImage(
-        s_part,
-        NuTuple._trusted(n, nu_items, None),
-        tuple(sorted(mus.items(), key=lambda kv: min(kv[0]))),
+        SetPartition(parts),
+        NuTuple._trusted(n, tuple(zip(_pair_keys(n), nu)), None),
+        tuple(sorted(mus, key=lambda kv: min(kv[0]))),
     )
 
 

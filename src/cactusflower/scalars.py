@@ -202,9 +202,15 @@ def sqrt_fraction(y: Fraction):
     return None
 
 
+_EXACT = (int, Fraction, GaussianRational)
+
+
 @dataclass(frozen=True)
 class Dual:
-    """Dual number a + b*d, d^2 = 0, over any of the exact scalars."""
+    """Dual number a + b*d, d^2 = 0, over any of the exact scalars.
+
+    An exact scalar operand x of +, -, * and / acts directly on a and b,
+    as the dual number (x, 0) would."""
 
     a: Scalar
     b: Scalar
@@ -213,15 +219,16 @@ class Dual:
     def _coerce(x):
         if isinstance(x, Dual):
             return x
-        if isinstance(x, (int, Fraction, GaussianRational)):
+        if isinstance(x, _EXACT):
             return Dual(canon_scalar(x), ZERO)
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Dual(self.a + o.a, self.b + o.b)
+        if isinstance(other, Dual):
+            return Dual(self.a + other.a, self.b + other.b)
+        if isinstance(other, _EXACT):
+            return Dual(self.a + other, self.b)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -229,27 +236,33 @@ class Dual:
         return Dual(-self.a, -self.b)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Dual(self.a - o.a, self.b - o.b)
+        if isinstance(other, Dual):
+            return Dual(self.a - other.a, self.b - other.b)
+        if isinstance(other, _EXACT):
+            return Dual(self.a - other, self.b)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        if isinstance(other, _EXACT):
+            return Dual(other - self.a, -self.b)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Dual(self.a * o.a, self.a * o.b + self.b * o.a)
+        if isinstance(other, Dual):
+            return Dual(self.a * other.a, self.a * other.b + self.b * other.a)
+        if isinstance(other, _EXACT):
+            return Dual(self.a * other, self.b * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Dual(self.a / o.a, (self.b * o.a - self.a * o.b) / (o.a * o.a))
+        if isinstance(other, Dual):
+            q = self.a / other.a
+            return Dual(q, (self.b - q * other.b) / other.a)
+        if isinstance(other, _EXACT):
+            return Dual(self.a / other, self.b / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self

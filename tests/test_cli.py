@@ -218,6 +218,16 @@ def test_malformed_forest_is_a_usage_error(tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_cube_point_off_the_labels_1_to_n_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "labels25.json"
+    path.write_text(json.dumps({"forest": "(2,5)", "t": {"2,5": "1/2"}}))
+    for which, message in (("theta", "theta needs a forest on the labels 1..n"),
+                           ("gamma", "order must be a permutation of [n]")):
+        assert main(["map", "--which", which, "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_empty_cube_point_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"forest": "", "t": {}}))

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import pytest
 
 from cactusflower.combinatorics import (
-    Permutation,
     SetPartition,
     all_permutations,
     all_set_partitions,

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cactusflower.combinatorics import Permutation, interval_reversal
+from cactusflower.combinatorics import interval_reversal
 from cactusflower.forests import (
     BushyForest,
     NoMeetError,

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from cactusflower.acceptance import _random_member
-from cactusflower.combinatorics import Permutation, SetPartition
+from cactusflower.combinatorics import SetPartition
 from cactusflower.forests import PlanarForest
 from cactusflower.projective import (
     InvariantViolation,
@@ -54,7 +54,7 @@ from cactusflower.projective import (
     _eq_triangle,
     _hom,
 )
-from cactusflower.scalars import ONE, ZERO, GaussianRational, I, format_scalar
+from cactusflower.scalars import ONE, ZERO, GaussianRational, I, canon_scalar, format_scalar
 
 
 def q_member(xs, eps, n):
@@ -642,3 +642,152 @@ def test_json_point_roundtrip():
     nut = orbit_map({1: F(0), 2: F(1, 3), 3: F(3)}, I)
     nut2 = point_from_json(point_to_json(nut))
     assert nut2.nu == nut.nu and nut2.epsilon == I
+
+
+# The four constructions as they were before the Gaussian-integer form:
+# field arithmetic through the canonicalising ProjPoint constructor, and the
+# validating tuple constructors.
+
+
+def _ref_orbit_map(xs, eps):
+    eps = canon_scalar(eps)
+    labels = sorted(xs)
+    for i in labels:
+        if 1 - eps * xs[i] == 0:
+            raise ValueError(f"1 - eps*x_{i} = 0")
+    for i, j in itertools.combinations(labels, 2):
+        if xs[i] == xs[j]:
+            raise ValueError(f"coincident points x_{i} = x_{j}")
+    nu = {}
+    for a, i in enumerate(labels, start=1):
+        for b, j in enumerate(labels, start=1):
+            if a != b:
+                nu[(a, b)] = ProjPoint(1 - eps * xs[j], xs[i] - xs[j])
+    return NuTuple(len(labels), nu, eps)
+
+
+def _ref_cross_ratios(zs, distinguished=None):
+    labels = sorted(k for k in zs if k != distinguished)
+    mu = {}
+    for i, j, k in itertools.permutations(labels, 3):
+        if distinguished is None:
+            mu[(i, j, k)] = ProjPoint(zs[i] - zs[k], zs[i] - zs[j])
+        else:
+            zl = zs[distinguished]
+            mu[(i, j, k)] = ProjPoint(
+                (zs[i] - zs[k]) * (zl - zs[j]), (zs[i] - zs[j]) * (zl - zs[k])
+            )
+    return MuTuple(labels, mu)
+
+
+def _ref_losev_manin_iso(point):
+    eps = point.epsilon
+    if eps is None or eps == 0:
+        raise ValueError("the multiplicative chart needs epsilon != 0")
+    alpha = {}
+    for (i, j), p in point.as_dict().items():
+        alpha[(i, j)] = ProjPoint(p.u - eps * p.v, p.u)
+    return NuTuple(point.n, alpha, None)
+
+
+def _ref_eps_family_delta(us, y, eps):
+    eps, y = canon_scalar(eps), canon_scalar(y)
+    labels = sorted(us)
+    for i in labels:
+        if y + eps * us[i] == 0:
+            raise ValueError(f"y + eps*u_{i} = 0")
+    nu = {}
+    for a, i in enumerate(labels, start=1):
+        for b, j in enumerate(labels, start=1):
+            if a != b:
+                nu[(a, b)] = ProjPoint(y + eps * us[i], us[i] - us[j])
+    return NuTuple(len(labels), nu, eps)
+
+
+def _outcome(f, *args):
+    """repr of the value, which tells an int from a Fraction and a reduced
+    pair from an unreduced one, or the error's type and message."""
+    try:
+        return repr(f(*args))
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def _construction_scalar(rng):
+    # a small pool, so that coincidences and 1 - eps*x = 0 come up
+    x = F(rng.randrange(-4, 5), rng.randrange(1, 4))
+    if rng.random() < 0.5:
+        return x
+    return canon_scalar(GaussianRational(x, F(rng.randrange(-3, 4), rng.randrange(1, 3))))
+
+
+def _construction_inputs(rng):
+    """Seeded configurations on labels that need not be 1..n, and epsilon
+    in {0, 1, i, a random value}."""
+    n = rng.randrange(1, 7)
+    labels = rng.sample(range(1, 12), n)
+    xs = {k: _construction_scalar(rng) for k in labels}
+    eps = rng.choice((F(0), F(1), I, _construction_scalar(rng)))
+    return labels, xs, eps
+
+
+def test_orbit_map_matches_reference():
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(600):
+        _, xs, eps = _construction_inputs(rng)
+        if eps != 0 and rng.random() < 0.3:  # one x at 1/eps
+            xs[min(xs)] = canon_scalar(1 / eps)
+        got = _outcome(orbit_map, xs, eps)
+        assert got == _outcome(_ref_orbit_map, xs, eps), (xs, eps)
+        seen.add(got.split("x_")[0] if got.startswith("ValueError") else "value")
+    assert seen == {"value", "ValueError: 1 - eps*", "ValueError: coincident points "}
+
+
+def test_cross_ratios_match_reference():
+    rng = random.Random(43)
+    errors = 0
+    for _ in range(600):
+        labels, zs, eps = _construction_inputs(rng)
+        choice = rng.randrange(3)
+        if choice == 0:
+            distinguished = None
+        elif choice == 1:
+            distinguished = rng.choice(labels)
+        else:  # the extra point of a deformed moduli point, at 1/i = -i
+            distinguished = 0
+            zs[0] = -I
+        if len(labels) >= 3 and rng.random() < 0.2:  # three coincident points
+            a, b, c = rng.sample(sorted(zs), 3)
+            zs[b] = zs[c] = zs[a]
+        got = _outcome(cross_ratios, zs, distinguished)
+        assert got == _outcome(_ref_cross_ratios, zs, distinguished), (zs, distinguished)
+        errors += got == "ValueError: (0 : 0) is not a point of P^1"
+    assert errors >= 50
+
+
+def test_losev_manin_iso_matches_reference():
+    rng = random.Random(47)
+    for _ in range(300):
+        _, xs, eps = _construction_inputs(rng)
+        try:
+            point = orbit_map(xs, eps)
+        except ValueError:
+            continue
+        # coordinates at 0 and infinity as well
+        point = _with_coordinates(point, [PP_ZERO, PP_INF][: min(rng.randrange(3), len(point.nu))], rng)
+        assert _outcome(losev_manin_iso, point) == _outcome(_ref_losev_manin_iso, point)
+    with pytest.raises(ValueError, match="needs epsilon != 0"):
+        losev_manin_iso(orbit_map({1: F(0), 2: F(1)}, F(0)))
+
+
+def test_eps_family_delta_matches_reference():
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(600):
+        _, us, eps = _construction_inputs(rng)
+        y = _construction_scalar(rng)
+        got = _outcome(eps_family_delta, us, y, eps)
+        assert got == _outcome(_ref_eps_family_delta, us, y, eps), (us, y, eps)
+        seen.add(got.startswith("ValueError: y + eps*u_"))
+    assert seen == {True, False}

@@ -13,7 +13,6 @@ from cactusflower.forests import (
     enumerate_planar_forests,
     flip,
     internal_nodes,
-    is_binary,
     leafset,
     leaves,
     meet,
@@ -36,10 +35,10 @@ from cactusflower.realgeometry import (
     INF,
     NEG_INF,
     CubePoint,
-    PathPoint,
     RationalDiffeo,
     StarPoint,
     ThetaImage,
+    _plan,
     _tree_walk,
     affine_cactus_path,
     b_map,
@@ -562,6 +561,27 @@ def test_cube_point_accepts_the_closed_interval_and_orders_its_edges():
     assert p.t_dict() == {frozenset(e): F(v) for e, v in t.items()}
 
 
+def _gluing_stream(rng, samples):
+    """Criterion 10's points: every forest on [4], each edge at 0 against its
+    flip and at 1 against its collapse."""
+    for k in range(1, 4):
+        for forest in enumerate_planar_forests(4, k):
+            for e in forest.edges():
+                for _ in range(samples):
+                    vals = {x: F(rng.randrange(0, 17), 16) for x in forest.edges()}
+                    v0, v1 = {**vals, e: F(0)}, {**vals, e: F(1)}
+                    yield from (CubePoint(forest, v0), CubePoint(flip(forest, e), v0),
+                                CubePoint(forest, v1))
+                    del v1[e]
+                    yield CubePoint(collapse(forest, e), v1)
+
+
+def _fresh_points(rng, count):
+    for _ in range(count):
+        forest = PlanarForest([random_binary_tree(range(1, rng.randrange(5, 12) + 1), rng)])
+        yield CubePoint(forest, {e: F(max(rng.randrange(-4, 16), 0), 16) for e in forest.edges()})
+
+
 def _assert_trusted_tuples_validate(image):
     # theta builds its tuples unchecked; the validating constructors, given
     # the same coordinates, must build equal tuples
@@ -577,22 +597,12 @@ def _assert_trusted_tuples_validate(image):
 
 def test_theta_trusted_tuples_on_the_gluing_stream():
     # criterion 10's stream at its default seed, two samples per edge
-    # instead of twenty: every forest on [4], each edge at 0 against its
-    # flip and at 1 against its collapse
-    rng = random.Random(20240331 + 10)
-    for k in range(1, 4):
-        for forest in enumerate_planar_forests(4, k):
-            for e in forest.edges():
-                for _ in range(2):
-                    vals = {x: F(rng.randrange(0, 17), 16) for x in forest.edges()}
-                    v0, v1 = {**vals, e: F(0)}, {**vals, e: F(1)}
-                    images = [theta(CubePoint(forest, v0)), theta(CubePoint(flip(forest, e), v0)),
-                              theta(CubePoint(forest, v1))]
-                    del v1[e]
-                    images.append(theta(CubePoint(collapse(forest, e), v1)))
-                    for image in images:
-                        _assert_trusted_tuples_validate(image)
-                    assert theta_images_equal(*images[:2]) and theta_images_equal(*images[2:])
+    # instead of twenty
+    images = [theta(p) for p in _gluing_stream(random.Random(20240331 + 10), 2)]
+    for image in images:
+        _assert_trusted_tuples_validate(image)
+    for k in range(0, len(images), 4):
+        assert theta_images_equal(*images[k : k + 2]) and theta_images_equal(*images[k + 2 : k + 4])
 
 
 def test_theta_trusted_tuples_on_fresh_trees():
@@ -602,6 +612,28 @@ def test_theta_trusted_tuples_on_fresh_trees():
         forest = PlanarForest([random_binary_tree(range(1, n + 1), rng)])
         t = {e: F(max(rng.randrange(-4, 16), 0), 16) for e in forest.edges()}
         _assert_trusted_tuples_validate(theta(CubePoint(forest, t)))
+
+
+def test_theta_plans_give_equal_images_cold_and_warm():
+    points = list(_gluing_stream(random.Random(31), 1)) + list(_fresh_points(random.Random(37), 30))
+    cold = []
+    for p in points:
+        _plan.cache_clear()
+        cold.append(theta(p))
+    _plan.cache_clear()
+    warm = [theta(p) for p in points]  # the gluing stream reuses its trees
+    assert _plan.cache_info().hits > len(points) // 2
+    for p, a, b in zip(points, cold, warm):
+        assert a == b and repr(a) == repr(b), p
+
+
+def test_theta_plan_cache_is_bounded():
+    assert 0 < _plan.cache_info().maxsize < 10**5
+
+
+def test_chart_H_refuses_a_tree_that_is_not_binary():
+    with pytest.raises(ValueError, match="binary"):
+        chart_H((1, 2, 3), {frozenset({1, 2, 3}): F(1, 2)})
 
 
 def test_affine_cactus_path():
