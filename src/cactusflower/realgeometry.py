@@ -376,9 +376,9 @@ class _Plan(NamedTuple):
     distance is a difference of the root's prefix sums times the root's b
     over the root's denominator.
 
-    Every int field is flat and holds only small ints; what depends on the
-    number of leaves alone (_six_slots) or on the labels alone (keys) is
-    shared between plans."""
+    The int fields of a plan's own are flat and hold only small ints; what
+    depends on the number of leaves alone (six) or on the labels alone
+    (keys) is shared between plans."""
 
     part: FrozenSet[int]  # the leaf set
     labels: Tuple[int, ...]  # sorted
