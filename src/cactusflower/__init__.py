@@ -72,13 +72,13 @@ from .groups import (
 )
 from .realgeometry import (
     CubePoint,
-    RationalDiffeo,
     StarPoint,
     affine_cactus_path,
     b_map,
     chart_H,
     chart_b,
     gamma,
+    reparameterize,
     star_equivalence_class,
     star_related,
     theta,

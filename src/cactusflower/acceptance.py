@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from . import cubecomplexes as cc
 from . import groups as gr
@@ -295,7 +295,8 @@ FAMILIES_7 = (
 )
 
 
-def criterion_7(seed=DEFAULT_SEED, per_family=1000, perturbed=100) -> CriterionResult:
+def criterion_7(seed=DEFAULT_SEED) -> CriterionResult:
+    per_family, perturbed = 1000, 100
     rng = random.Random(seed)
     ok = True
     details = []
@@ -483,7 +484,8 @@ def _random_cube_point(n, rng) -> rg.CubePoint:
     return rg.CubePoint(forest, {e: Fraction(rng.randrange(0, 17), 16) for e in forest.edges()})
 
 
-def criterion_9(seed=DEFAULT_SEED, samples=100) -> CriterionResult:
+def criterion_9(seed=DEFAULT_SEED) -> CriterionResult:
+    samples = 100
     rng = random.Random(seed + 9)
     ok = True
     for n in (3, 4, 5):
@@ -515,7 +517,8 @@ def _subdivision_strata(p: rg.CubePoint):
     return SetPartition(s_parts), SetPartition(b_parts)
 
 
-def criterion_10(seed=DEFAULT_SEED, samples=20) -> CriterionResult:
+def criterion_10(seed=DEFAULT_SEED) -> CriterionResult:
+    samples = 20  # per forest and edge
     rng = random.Random(seed + 10)
     n = 4
     glue_ok = True
@@ -560,7 +563,8 @@ def criterion_10(seed=DEFAULT_SEED, samples=20) -> CriterionResult:
 # 11: the inverse algorithm
 
 
-def criterion_11(seed=DEFAULT_SEED, samples=200) -> CriterionResult:
+def criterion_11(seed=DEFAULT_SEED) -> CriterionResult:
+    samples = 200
     rng = random.Random(seed + 11)
     ok = True
     for _ in range(samples):
@@ -638,7 +642,8 @@ def criterion_12(seed=DEFAULT_SEED) -> CriterionResult:
 # 13: the twisted path
 
 
-def criterion_13(seed=DEFAULT_SEED, samples=100) -> CriterionResult:
+def criterion_13(seed=DEFAULT_SEED) -> CriterionResult:
+    samples = 100
     rng = random.Random(seed + 13)
     ok = True
     worst = 0.0
@@ -670,11 +675,5 @@ def run_criterion(number: int, seed=DEFAULT_SEED) -> CriterionResult:
     return ALL_CRITERIA[number - 1](seed)
 
 
-def run_all(seed=DEFAULT_SEED, echo: Optional[Callable[[str], None]] = print) -> List[CriterionResult]:
-    results = []
-    for fn in ALL_CRITERIA:
-        res = fn(seed)
-        results.append(res)
-        if echo:
-            echo(res.line())
-    return results
+def run_all(seed=DEFAULT_SEED) -> List[CriterionResult]:
+    return [fn(seed) for fn in ALL_CRITERIA]

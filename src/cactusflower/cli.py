@@ -114,7 +114,7 @@ def _cmd_verify(args) -> int:
         if args.criterion is not None:
             results = [acc.run_criterion(args.criterion, args.seed)]
         else:
-            results = acc.run_all(args.seed, echo=None)
+            results = acc.run_all(args.seed)
         _emit(args, "\n".join(r.line() for r in results))
         return 0 if all(r.passed for r in results) else 1
 
@@ -161,7 +161,7 @@ def _cmd_map(args) -> int:
     if args.which == "theta-star":
         d = json.loads(text)
         x = rg.StarPoint(tuple(d["order"]), tuple(Fraction(v) for v in d["diffs"]))
-        nut = rg.theta_star(x, convention=args.convention)
+        nut = rg.theta_star(x)
         _emit(args, json.dumps(
             {f"{i},{j}": str(v) for (i, j), v in nut.as_dict().items()}, sort_keys=True))
         return 0
@@ -176,8 +176,6 @@ def _cmd_path(args) -> int:
         t = step / args.samples
         point = rg.affine_cactus_path(args.n, args.k, t, args.s)
         for (i, j), v in point.nu:
-            if v is None:
-                continue
             lines.append(f"{args.n},{args.k},{t},{args.s},nu_{i}_{j},{v.real},{v.imag}")
         for (a, b, c), v in point.mu:
             lines.append(f"{args.n},{args.k},{t},{args.s},mu_{a}_{b}_{c},{v.real},{v.imag}")
@@ -283,7 +281,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = leaf(sub, "map", _cmd_map, help="evaluate a coordinate map")
     p.add_argument("--which", required=True, choices=("gamma", "theta", "theta-star"))
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--convention", default="descending", choices=("descending", "ascending"))
 
     p = leaf(sub, "path", _cmd_path, help="sample the twisting path, CSV output")
     p.add_argument("--n", type=int, required=True)

@@ -4,16 +4,15 @@ space, and the inverse tree-of-configuration algorithm.
 Everything here is exact rational arithmetic except affine_cactus_path,
 which evaluates an analytic path (it needs cot(pi/n)) in floating point.
 
-The interval-to-line reparameterization f defaults to t / (1 - t^2): odd,
-strictly increasing on (-1, 1), with f(0) = 0 and f(+-1) = +-infinity, and
-rational at rationals.  Any substitute with those properties can be plugged in.
+The interval-to-line reparameterization is fixed: f(t) = t / (1 - t^2)
+(``reparameterize``), odd, strictly increasing on (-1, 1), with f(0) = 0 and
+f(+-1) = +-infinity, and rational at rationals.
 
 Sign convention: on the fundamental domain the positions decrease along the
-order (consecutive differences x_i - x_{i+1} lie in [0, 1]), and the default
-"descending" convention sums f over these nonnegative differences, which
-makes the square gamma-then-star-map = flower-map-then-theta commute
-exactly.  The alternative "ascending" convention (sum of f over
-x_{k+1} - x_k, nonpositive on the domain) is exposed as a flag.
+order (consecutive differences x_i - x_{i+1} lie in [0, 1]), and theta_star
+sums f over these nonnegative differences, which makes the square
+gamma-then-star-map = flower-map-then-theta commute exactly.  Like the tree
+charts, it sums on ints: the finite f values over one common denominator.
 """
 from __future__ import annotations
 
@@ -24,9 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
-from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Tuple
 
-from .combinatorics import Permutation, SetPartition, partition_closure
+from .combinatorics import Permutation, SetPartition, interval_reversal, partition_closure
 from .forests import (
     PlanarForest,
     PlanarForestWithZeros,
@@ -42,80 +41,40 @@ from .forests import (
 from .projective import (
     MuTuple,
     NuTuple,
-    PP_INF,
     PP_ZERO,
-    ProjPoint,
     _int_point,
     ordered_pairs,
     ordered_triples,
 )
-from .scalars import ONE, sqrt_fraction
+from .scalars import ONE
 
 INF = "inf"
 NEG_INF = "-inf"
-
-
-def ext_to_nu(delta) -> ProjPoint:
-    """A delta value (rational or +-infinity) as the nu = 1/delta point."""
-    if delta in (INF, NEG_INF):
-        return PP_ZERO
-    if delta == 0:
-        return PP_INF
-    if isinstance(delta, (int, Fraction)):  # the reciprocal swaps the parts
-        return ProjPoint._canonical(Fraction(delta.denominator, delta.numerator), ONE)
-    return ProjPoint(1, delta)
 
 
 # ---------------------------------------------------------------------------
 # the reparameterization
 
 
-@dataclass(frozen=True)
-class RationalDiffeo:
-    """An odd increasing bijection [-1,1] -> [-inf, inf] with f(0) = 0,
-    rational on rationals, with a partial exact inverse."""
+def reparameterize(t) -> object:
+    """The chart reparameterization f(t) = t / (1 - t^2) of [-1, 1] onto
+    [-inf, inf]; INF and NEG_INF at +-1.
 
-    name: str
-    func: Callable[[Fraction], Fraction]
-    inv: Callable[[Fraction], Optional[Fraction]]
-
-    def __call__(self, t: Fraction):
-        if type(t) is not Fraction:
-            t = Fraction(t)
-        p, q = t.numerator, t.denominator  # q > 0
-        if not -q <= p <= q:
-            raise ValueError(f"argument {t} outside [-1, 1]")
-        if p == q:
-            return INF
-        if p == -q:
-            return NEG_INF
-        return self.func(t)
-
-    def inverse(self, y) -> Optional[Fraction]:
-        if y == INF:
-            return Fraction(1)
-        if y == NEG_INF:
-            return Fraction(-1)
-        return self.inv(Fraction(y))
-
-
-def _default_func(t: Fraction) -> Fraction:
-    p, q = t.numerator, t.denominator
+    >>> reparameterize(Fraction(1, 2))
+    Fraction(2, 3)
+    >>> reparameterize(1)
+    'inf'
+    """
+    if type(t) is not Fraction:
+        t = Fraction(t)
+    p, q = t.numerator, t.denominator  # q > 0
+    if not -q <= p <= q:
+        raise ValueError(f"argument {t} outside [-1, 1]")
+    if p == q:
+        return INF
+    if p == -q:
+        return NEG_INF
     return Fraction(p * q, q * q - p * p)  # t/(1 - t^2) with t = p/q
-
-
-def _default_inv(y: Fraction) -> Optional[Fraction]:
-    # t/(1-t^2) = y  <=>  y t^2 + t - y = 0; the branch inside (-1,1)
-    if y == 0:
-        return Fraction(0)
-    disc = sqrt_fraction(1 + 4 * y * y)
-    if disc is None:
-        return None
-    t = (disc - 1) / (2 * y)
-    return t
-
-
-DEFAULT_F = RationalDiffeo("t/(1-t^2)", _default_func, _default_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -261,28 +220,33 @@ def star_related(x: StarPoint, y: StarPoint) -> bool:
     return px == py and rx == ry
 
 
-def theta_star(
-    x: StarPoint, f: RationalDiffeo = DEFAULT_F, convention: str = "descending"
-) -> NuTuple:
+def theta_star(x: StarPoint) -> NuTuple:
     """The star-to-flower map: distances are sums of reparameterized
     consecutive differences, extended off the fundamental domain by
-    equivariance.  Returns the point in nu coordinates (nu = 1/delta)."""
-    if convention not in ("descending", "ascending"):
-        raise ValueError("convention is 'descending' or 'ascending'")
+    equivariance.  Returns the point in nu coordinates (nu = 1/delta).
+
+    The finite f values are put over one common denominator, so a distance
+    is a difference of int prefix sums over it; a pair with a difference of
+    1 (f = inf) between them is at infinite distance, nu = 0."""
     n = x.n
-    fd = [f(d) for d in x.diffs]
-    if convention == "ascending":
-        fd = [NEG_INF if v == INF else (INF if v == NEG_INF else -v) for v in fd]
-    nu = {}
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            terms = fd[a - 1 : b - 1]
-            if any(v in (INF, NEG_INF) for v in terms):
-                delta = INF  # all terms share a sign per convention
-            else:
-                delta = sum(terms)
-            nu[(x.order[a - 1], x.order[b - 1])] = ext_to_nu(delta)
-    return NuTuple(n, nu, None)
+    fd = [reparameterize(d) for d in x.diffs]  # INF at a difference of 1
+    den = math.lcm(*(v.denominator for v in fd if v is not INF))
+    # per position: the prefix sum of the finite f values times den, and the
+    # number of f = inf gaps before it
+    sums = list(accumulate((0 if v is INF else v.numerator * (den // v.denominator) for v in fd), initial=0))
+    gaps = list(accumulate((v is INF for v in fd), initial=0))
+    # (a, c) is row a - 1, column c - 1 (less one past the diagonal) of the
+    # ordered pairs of [n], as in theta
+    rows = [lab - 1 for lab in x.order]
+    n1 = n - 1
+    nu = [PP_ZERO] * (n * n1)
+    for s, c in enumerate(rows):
+        for r in range(s):
+            if gaps[r] == gaps[s]:
+                a, diff = rows[r], sums[s] - sums[r]
+                nu[a * n1 + c - (c > a)] = _int_point(den, 0, diff, 0)
+                nu[c * n1 + a - (a > c)] = _int_point(-den, 0, diff, 0)
+    return NuTuple._trusted(n, tuple(zip(_pair_keys(n), nu)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +279,7 @@ def _tree_walk(tree):
     return order, vertices, starts, parent, owner
 
 
-def b_map(tree, t: Dict[FrozenSet[int], Fraction], f: RationalDiffeo = DEFAULT_F):
+def b_map(tree, t: Dict[FrozenSet[int], Fraction]):
     """The chart reparameterization: on a binary tree with trunk value
     below 1, b_trunk = f(t_trunk) and otherwise
 
@@ -327,22 +291,22 @@ def b_map(tree, t: Dict[FrozenSet[int], Fraction], f: RationalDiffeo = DEFAULT_F
     if t[leafset(tree)] == 1:
         raise ValueError("the chart needs trunk value < 1")
     _, vertices, _, parent, _ = _tree_walk(tree)
-    return dict(zip(vertices, _b_values(parent, [t[e] for e in vertices], f)))
+    return dict(zip(vertices, _b_values(parent, [t[e] for e in vertices])))
 
 
-def _b_values(parent, tv, f: RationalDiffeo):
+def _b_values(parent, tv):
     """b_map on a walked tree: the t values and the b values are listed by
-    vertex in preorder, so each parent comes before its children."""
-    below: list = []  # P per vertex
+    vertex in preorder, so each parent comes before its children.  A
+    vertex's f(t_e * P) is its children's f(P), so f is evaluated once per
+    vertex."""
+    tp: list = []  # t_e * P per vertex
+    fp: list = []  # f(t_e * P) per vertex
     b: list = []
     for j, p in enumerate(parent):
-        if p < 0:
-            below.append(ONE)
-            b.append(f(tv[j]))
-            continue
-        prod = below[p] * tv[p]
-        below.append(prod)
-        b.append(tv[j] if prod == 0 else f(tv[j] * prod) / f(prod))
+        below = tp[p] if p >= 0 else ONE
+        tp.append(tv[j] * below)
+        fp.append(reparameterize(tp[j]))
+        b.append(fp[j] if p < 0 else (fp[j] / fp[p] if below else tv[j]))
     return b
 
 
@@ -561,7 +525,7 @@ class ThetaImage:
         return partition_closure(self.nu.n, lambda i, j: d[(i, j)].is_infinite())
 
 
-def theta(p: CubePoint, f: RationalDiffeo = DEFAULT_F) -> ThetaImage:
+def theta(p: CubePoint) -> ThetaImage:
     """The chart map on a cube point.
 
     Trunk values equal to one are removed first by the collapse
@@ -594,7 +558,7 @@ def theta(p: CubePoint, f: RationalDiffeo = DEFAULT_F) -> ThetaImage:
             continue
         # the added edges carry 1; the trunk is below 1 after the collapse
         tv = [ONE if e is None else t[e] for e in plan.edges]
-        prefix, num, den = _prefix_sums(plan.kids, _b_values(plan.parent, tv, f))
+        prefix, num, den = _prefix_sums(plan.kids, _b_values(plan.parent, tv))
         # the root's prefix sums come first; (a, c) is row a - 1, column
         # c - 1 (less one past the diagonal) of the ordered pairs of [n]
         rows = [lab - 1 for lab in plan.order]
@@ -717,28 +681,19 @@ def affine_cactus_path(n: int, k: int, t: float, s: float) -> PathPoint:
         raise ValueError("parameters lie in the unit square")
     if t > 0.5:
         base = affine_cactus_path(n, k, 1 - t, s)
-        w = None
-        from .combinatorics import interval_reversal
-
         w = interval_reversal(1, k, n)
-        nu = {}
-        for (i, j), v in base.nu_dict().items():
-            nu[(w(i), w(j))] = v
-        mu = {(w(a), w(b), w(c)): v for (a, b, c), v in base.mu_dict().items()}
-        # renormalise onto consecutive pairs where possible
+        nu = {(w(i), w(j)): v for (i, j), v in base.nu}
+        mu = {(w(a), w(b), w(c)): v for (a, b, c), v in base.mu}
         return PathPoint(base.epsilon, tuple(sorted(nu.items())), tuple(sorted(mu.items())))
 
     eps = 1j * s
     cot_n = 1 / math.tan(math.pi / n)
     a = 1j * s / 2 + (s / 2) * cot_n - _float_f(2 * t)
+    nu = {(j, j + 1): a for j in range(1, k)}
     if k < n:
         cot_m = 1 / math.tan(math.pi / (n - k + 1))
         b = 1j * s / 2 + (s / 2) * ((1 - 2 * t) * cot_n + 2 * t * cot_m)
-    else:
-        b = None
-    nu = {}
-    for j in range(1, n):
-        nu[(j, j + 1)] = a if j < k else b
+        nu.update(((j, j + 1), b) for j in range(k, n))
     mu = {}
     if t == 0.5:
         for j in range(1, k - 1):
@@ -770,7 +725,7 @@ def path_sigma_residual(p: PathPoint) -> float:
     on the twisted real locus."""
     worst = 0.0
     for _, v in p.nu:
-        if v is None or not cmath.isfinite(v):
+        if not cmath.isfinite(v):
             continue
         worst = max(worst, abs(v.conjugate() - (v - p.epsilon)))
     return worst

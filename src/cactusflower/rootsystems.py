@@ -35,7 +35,7 @@ from functools import cached_property
 from operator import mul
 from typing import Dict, FrozenSet, List, Tuple
 
-from .realgeometry import INF, NEG_INF, RationalDiffeo, DEFAULT_F
+from .realgeometry import INF, NEG_INF, reparameterize
 
 Vec = Tuple[Fraction, ...]
 
@@ -451,9 +451,7 @@ def star_point_coords(ss: SimpleSystem, t: Dict[int, Fraction]) -> Vec:
     return tuple(Fraction(x, q) for x in ss.system.apply_matrix(ss.matrix, tq))
 
 
-def theta_root(
-    ss: SimpleSystem, t: Dict[int, Fraction], f: RationalDiffeo = DEFAULT_F
-) -> Dict[Tuple[int, ...], object]:
+def theta_root(ss: SimpleSystem, t: Dict[int, Fraction]) -> Dict[Tuple[int, ...], object]:
     """The coordinates of the real locus point attached to a parallelepiped
     point: z_alpha is the pairing-weighted sum of reparameterized
     coordinates, with value infinity when a coordinate at one participates.
@@ -461,7 +459,7 @@ def theta_root(
     Keyed by the root's base simple coordinates.
     """
     sys_ = ss.system
-    fv = {i: f(Fraction(t[i])) for i in range(sys_.rank)}
+    fv = {i: reparameterize(t[i]) for i in range(sys_.rank)}
     out = {}
     for root in sys_.roots:
         c = ss.coords_in(root)

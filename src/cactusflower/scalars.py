@@ -11,7 +11,6 @@ geometry.
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,17 +188,6 @@ def parse_scalar(s: str) -> Scalar:
 
 def format_scalar(x: Scalar) -> str:
     return str(canon_scalar(x))
-
-
-def sqrt_fraction(y: Fraction):
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if y < 0:
-        return None
-    n, d = y.numerator, y.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
 
 
 _EXACT = (int, Fraction, GaussianRational)

@@ -132,6 +132,19 @@ def test_map_gamma():
     assert data["diffs"] == ["1/6", "1/30", "1/2"]
 
 
+def test_map_theta_star(tmp_path, capsys):
+    from cactusflower.realgeometry import StarPoint, theta_star
+
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({"order": [3, 1, 4, 2, 5], "diffs": ["1", "0", "2/7", "1/3"]}))
+    assert main(["map", "--which", "theta-star", "--in", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    x = StarPoint((3, 1, 4, 2, 5), (Fraction(1), Fraction(0), Fraction(2, 7), Fraction(1, 3)))
+    assert out == {f"{i},{j}": str(v) for (i, j), v in theta_star(x).as_dict().items()}
+    # the sign convention is fixed; the flag that chose it is gone
+    assert main(["map", "--which", "theta-star", "--in", str(path), "--convention", "ascending"]) == 2
+
+
 def test_path_csv():
     code, out, _ = run_cli("path", "--n", "4", "--k", "3", "--samples", "4")
     assert code == 0

@@ -31,11 +31,9 @@ from cactusflower.projective import (
     ordered_triples,
 )
 from cactusflower.realgeometry import (
-    DEFAULT_F,
     INF,
     NEG_INF,
     CubePoint,
-    RationalDiffeo,
     StarPoint,
     ThetaImage,
     _plan,
@@ -46,6 +44,7 @@ from cactusflower.realgeometry import (
     chart_b,
     gamma,
     path_sigma_residual,
+    reparameterize,
     star_equivalence_class,
     star_related,
     theta,
@@ -64,15 +63,17 @@ T_RUNNING = {
 
 
 def test_default_f_properties():
-    f = DEFAULT_F
+    f = reparameterize
     assert f(F(0)) == 0
-    assert f(F(1)) == INF
+    assert f(F(1)) == INF and f(F(-1)) == NEG_INF
     grid = [F(k, 10) for k in range(-9, 10)]
     values = [f(t) for t in grid]
     assert all(a < b for a, b in zip(values, values[1:]))  # increasing
     for t in grid:
         assert f(-t) == -f(t)  # odd
-        assert f.inverse(f(t)) == t  # exact partial inverse on its image
+    for t in (F(11, 10), F(-3, 2), 2):
+        with pytest.raises(ValueError):
+            f(t)
 
 
 def test_gamma_running_example():
@@ -134,18 +135,8 @@ def test_theta_star_equivariance():
         assert theta_star(x.relabel(w)).nu == theta_star(x).relabel(w).nu
 
 
-def test_theta_star_conventions():
-    x = StarPoint((1, 2, 3), (F(1, 2), F(1, 3)))
-    down = theta_star(x, convention="descending")
-    up = theta_star(x, convention="ascending")
-    # the two conventions differ by a global sign on distances
-    for (i, j), p in down.as_dict().items():
-        q = up[(i, j)]
-        assert q.u * p.v == -p.u * q.v or (p.is_infinite() and q.is_infinite())
-
-
 def test_b_map_running_example_and_zero_case():
-    f = DEFAULT_F
+    f = reparameterize
     tree = ((1, (2, 3)), 4)
     t1, t2, t3 = F(1, 2), F(1, 3), F(1, 5)
     b = b_map(tree, T_RUNNING)
@@ -161,7 +152,6 @@ def test_b_map_running_example_and_zero_case():
 
 
 def test_b_map_injective_on_grid():
-    f = DEFAULT_F
     grid = [F(1, 4), F(2, 4), F(3, 4)]
     rng = random.Random(3)
     for n in range(2, 6):
@@ -192,10 +182,15 @@ def test_chart_b_inverts_chart_H():
 
 # The chart kernels as they were before per-vertex prefix sums: products
 # along path_edges per vertex, a zero set per vertex, and an O(n) sum of
-# quotients per ratio.  The tests below hold the kernels to them.
+# quotients per ratio, with f evaluated by Fraction division.  The tests
+# below hold the kernels to them.
 
 
-def _ref_b_map(tree, t, f=DEFAULT_F):
+def _ref_f(t):
+    return INF if t == 1 else t / (1 - t * t)
+
+
+def _ref_b_map(tree, t):
     forest = PlanarForest([tree])
     trunk = leafset(tree)
     if t[trunk] == 1:
@@ -203,13 +198,13 @@ def _ref_b_map(tree, t, f=DEFAULT_F):
     b = {}
     for e, _ in internal_nodes(tree):
         if e == trunk:
-            b[e] = f(t[e])
+            b[e] = _ref_f(t[e])
             continue
         prod = F(1)
         for x in path_edges(forest, e):
             if x != e:
                 prod *= t[x]
-        b[e] = t[e] if prod == 0 else f(t[e] * prod) / f(prod)
+        b[e] = t[e] if prod == 0 else _ref_f(t[e] * prod) / _ref_f(prod)
     return b
 
 
@@ -306,9 +301,7 @@ def test_equal_b_values_give_equal_spacing():
 # theta as it was before the integer charts: Fraction prefix sums per
 # vertex, one ratio per ordered triple and one reciprocal per ordered pair,
 # each made by the canonicalising ProjPoint constructor.  b comes from
-# _ref_b_map above, with f evaluated by Fraction division.
-
-_REF_F = RationalDiffeo("t/(1-t^2)", lambda t: t / (1 - t * t), DEFAULT_F.inv)
+# _ref_b_map above.
 
 
 def _ref_ext_to_nu(delta):
@@ -317,6 +310,39 @@ def _ref_ext_to_nu(delta):
     if delta == 0:
         return ProjPoint(1, 0)
     return ProjPoint(1, delta)
+
+
+# theta_star as it was before its int prefix sums: a Fraction sum of f over
+# each pair's differences, infinite when one of them is 1.
+
+
+def _ref_theta_star(x):
+    n = x.n
+    fd = [_ref_f(d) for d in x.diffs]
+    nu = {}
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            terms = fd[a - 1 : b - 1]
+            delta = INF if INF in terms else sum(terms)
+            nu[(x.order[a - 1], x.order[b - 1])] = _ref_ext_to_nu(delta)
+    return NuTuple(n, nu, None)
+
+
+def test_theta_star_matches_reference():
+    # seeded star points, n = 1..9, with many differences at 0 and at 1,
+    # and the all-ones star point of each n
+    rng = random.Random(23)
+    for n in range(1, 10):
+        points = [StarPoint.star_point(n)]
+        for _ in range(40):
+            diffs = [
+                rng.choice((F(0), F(1), F(rng.randrange(1, 16), 16), F(rng.randrange(1, 9), rng.randrange(9, 40))))
+                for _ in range(n - 1)
+            ]
+            points.append(StarPoint(rng.sample(range(1, n + 1), n), diffs))
+        for x in points:
+            # repr tells an int from a Fraction and an unreduced pair from a reduced one
+            assert repr(theta_star(x)) == repr(_ref_theta_star(x))
 
 
 class _RefChart:
@@ -366,7 +392,7 @@ def _ref_theta(p):
         btree, added = binary_refinement(tree)
         tt = {e: t[e] for e in PlanarForest([tree]).edges()}
         tt.update({e: F(1) for e in added})
-        chart = _RefChart(btree, _ref_b_map(btree, tt, _REF_F))
+        chart = _RefChart(btree, _ref_b_map(btree, tt))
         labels = sorted(part)
         for a in labels:
             for c in labels:
@@ -654,7 +680,6 @@ def test_affine_cactus_path():
 def test_path_matches_one_cube_at_s_zero():
     # H(t, 0) runs along the one-cube of the interval sequence: it equals the
     # chart image of the flipped interval tree at the reparameterized time
-    f = DEFAULT_F
     n, k = 4, 3
     # the one-cube of the sequence (1,2,3): its reversed-interval subcube
     forest = PlanarForest([(3, 2, 1), 4])
