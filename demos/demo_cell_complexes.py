@@ -6,9 +6,7 @@ read off the quotient complex coincides with the pure virtual cactus
 presentation.
 """
 from cactusflower import (
-    build_D,
-    build_breveD,
-    build_hatD,
+    build_complex,
     check_gromov_flag,
     check_local_isometry,
     extract_presentation,
@@ -19,7 +17,7 @@ from cactusflower import (
 from cactusflower.groups import format_word
 
 n = 3
-D, breve, hat = build_D(n), build_breveD(n), build_hatD(n)
+D, breve, hat = (build_complex(kind, n) for kind in ("D", "breveD", "hatD"))
 print("cells by dimension")
 for name, c in [("D_3", D), ("breveD_3", breve), ("hatD_3", hat)]:
     print(f"  {name}: {c.f_vector()}")

@@ -48,12 +48,6 @@ from .projective import (
 from .cubecomplexes import (
     CubeComplex,
     build_complex,
-    build_D,
-    build_hatD,
-    build_breveD,
-    build_P,
-    build_hatP,
-    build_breveP,
     check_gromov_flag,
     check_local_isometry,
     cubical_subdivision,
@@ -91,7 +85,6 @@ from .rootsystems import (
     SimpleSystem,
     build_root_system,
     face_center,
-    parallel_face_related,
     permutahedron_membership,
     star_membership,
     theta_root,

@@ -57,9 +57,9 @@ class CriterionResult:
 
 
 def criterion_1(seed=DEFAULT_SEED) -> CriterionResult:
-    hd = cc.build_hatD(3).f_vector()
-    d = cc.build_D(3).f_vector()
-    bd = cc.build_breveD(3).f_vector()
+    hd = cc.build_complex("hatD", 3).f_vector()
+    d = cc.build_complex("D", 3).f_vector()
+    bd = cc.build_complex("breveD", 3).f_vector()
     oracle_one_cubes = len(enumerate_planar_forests(3, 1)) // 2
     ok = hd == (1, 6, 3) and d == (6, 9, 3) and d[1] == oracle_one_cubes and bd[0] == 2
     return CriterionResult(
@@ -81,7 +81,7 @@ def criterion_2(seed=DEFAULT_SEED) -> CriterionResult:
             rep = cc.check_gromov_flag(cc.build_complex(kind, n))
             ok &= rep.ok
             details.append(f"{kind}_{n}:{'ok' if rep.ok else 'FAIL'}")
-    c4 = cc.build_hatD(4)
+    c4 = cc.build_complex("hatD", 4)
     cube3 = next(iter(c4.subcubes[3]))
     face = c4.sub_face(cube3, list(cube3.edges())[:2])
     mutated = cc.check_gromov_flag(cc.remove_subcube(c4, face))
@@ -97,7 +97,7 @@ def criterion_3(seed=DEFAULT_SEED) -> CriterionResult:
     details = []
     ok = True
     for n in (3, 4):
-        d, bd, hd = cc.build_D(n), cc.build_breveD(n), cc.build_hatD(n)
+        d, bd, hd = (cc.build_complex(kind, n) for kind in ("D", "breveD", "hatD"))
         r1 = cc.check_local_isometry(cc.quotient_map(d, bd))
         r2 = cc.check_local_isometry(cc.quotient_map(bd, hd))
         ok &= r1.ok and r2.ok
@@ -112,10 +112,10 @@ def criterion_4(seed=DEFAULT_SEED) -> CriterionResult:
     details = []
     ok = True
     for n in (3, 4):
-        e1 = cc.extract_presentation(cc.build_hatD(n))
+        e1 = cc.extract_presentation(cc.build_complex("hatD", n))
         g1 = gr.make_presentation("pure_virtual_cactus", n)
         m1 = cc.presentations_match(e1, g1)
-        e2 = cc.extract_presentation(cc.build_hatP(n))
+        e2 = cc.extract_presentation(cc.build_complex("hatP", n))
         g2 = gr.make_presentation("pure_virtual_sym", n)
         m2 = cc.presentations_match(e2, g2)
         ok &= m1 and m2

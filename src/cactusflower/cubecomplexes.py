@@ -41,6 +41,12 @@ that edge's leaf span order[lo:hi].  Per kind:
     breveD  vertex key: the leaf order rotated to start at its smallest
             label;  corner key: (order[lo:hi], order[hi:] + order[:lo])
 
+The corner keys of one sub-cube are pairwise distinct for every forest:
+distinct internal vertices have distinct leaf spans, and distinct spans of
+one leaf order (whose labels are distinct) cut out distinct label runs.  So
+a square has two distinct corners and a sub-k-cube spans k link vertices;
+no check tests for repeated corners.
+
 A sub-2-cube is determined by its 0-cube and its two corners (its two edge
 spans on the vertex's leaf order), so a face of a higher sub-cube is present
 exactly when its corner pair indexes a square at that cube's vertex.
@@ -160,30 +166,6 @@ def build_complex(kind: str, n: int) -> CubeComplex:
     raise ValueError(f"unknown complex kind {kind!r}")
 
 
-def build_D(n: int) -> CubeComplex:
-    return build_complex("D", n)
-
-
-def build_hatD(n: int) -> CubeComplex:
-    return build_complex("hatD", n)
-
-
-def build_breveD(n: int) -> CubeComplex:
-    return build_complex("breveD", n)
-
-
-def build_P(n: int) -> CubeComplex:
-    return build_complex("P", n)
-
-
-def build_hatP(n: int) -> CubeComplex:
-    return build_complex("hatP", n)
-
-
-def build_breveP(n: int) -> CubeComplex:
-    return build_complex("breveP", n)
-
-
 def _canon_p_cell(kind: str, parts) -> Tuple[Tuple[int, ...], ...]:
     """The stored form of the cell with these blocks (see the module
     docstring)."""
@@ -205,15 +187,6 @@ class FlagReport:
 
     def __str__(self):
         return "flag condition holds" if self.ok else f"FAIL: {self.detail} {self.witness}"
-
-
-def _faces(c: CubeComplex, sigma: PlanarForest, size: int) -> list:
-    """The canonical faces of a sub-cube that keep `size` of its edges, one per
-    edge subset in itertools.combinations order.  The 1-faces are the link
-    vertices at the sub-cube's 0-cube.  The certificates build them only for
-    witnesses."""
-    kind = D_KINDS[c.kind]
-    return [canon_forest(kind, f, False) for f in faces(sigma, size)]
 
 
 def _link_keys(kind: str, sigma: PlanarForest):
@@ -239,8 +212,7 @@ def _link_graph(c: CubeComplex):
     keys joined to it by a square}, with an entry for every sub-1-cube.  A
     square whose corner is not a sub-1-cube still joins its two corners;
     open_square is the first such square, or None.  bad_square is the first
-    square whose corners coincide or whose corner pair an earlier square
-    already joined, or None.
+    square whose corner pair an earlier square already joined, or None.
     """
     kind = D_KINDS[c.kind]
     ones: Dict[tuple, Dict[tuple, PlanarForest]] = {}
@@ -258,7 +230,7 @@ def _link_graph(c: CubeComplex):
                 open_square = sq
         at_v = adj.setdefault(v, {})
         joined = at_v.setdefault(a, set())
-        if bad_square is None and (a == b or b in joined):
+        if bad_square is None and b in joined:
             bad_square = sq
         joined.add(b)
         at_v.setdefault(b, set()).add(a)
@@ -266,13 +238,11 @@ def _link_graph(c: CubeComplex):
 
 
 def _square_fault(c: CubeComplex, sq: PlanarForest):
-    """(detail, witness) for the bad square of _link_graph: its corners
-    coincide, or it repeats the corner pair of the first square (in the
-    same iteration order) that has it."""
+    """(detail, witness) for the bad square of _link_graph: it repeats the
+    corner pair of the first square (in the same iteration order) that has
+    it."""
     kind = D_KINDS[c.kind]
     v, (a, b) = _link_keys(kind, sq)
-    if a == b:
-        return "degenerate square link", (forest_to_newick(sq),)
     for first in c.subcubes[2]:
         w, corners = _link_keys(kind, first)
         if w == v and set(corners) == {a, b}:
@@ -284,10 +254,10 @@ def _square_fault(c: CubeComplex, sq: PlanarForest):
 def check_gromov_flag(c: CubeComplex) -> FlagReport:
     """Certify non-positive curvature combinatorially.
 
-    Checks, at every 0-cube: the two corners of each sub-2-cube are present,
-    distinct and determine it uniquely, and every clique of sub-1-cubes
-    pairwise joined by sub-2-cubes spans a unique sub-cube.  A missing face
-    is reported with the cube and the expected face as witness.
+    Checks, at every 0-cube: the two corners of each sub-2-cube are present
+    and determine it uniquely, and every clique of sub-1-cubes pairwise
+    joined by sub-2-cubes spans a unique sub-cube.  A missing face is
+    reported with the cube and the expected face as witness.
     """
     if not c.is_cubical:
         raise ValueError("the flag certificate needs subcube data (a cube complex)")
@@ -298,10 +268,10 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
     if open_square is not None:
         v, corners = _link_keys(kind, open_square)
         ones_v = ones.get(v, {})
-        missing = next(f for f, a in zip(_faces(c, open_square, 1), corners) if a not in ones_v)
+        missing = next(e for e, a in zip(open_square.edges(), corners) if a not in ones_v)
         return FlagReport(
             False,
-            (forest_to_newick(open_square), forest_to_newick(missing)),
+            (forest_to_newick(open_square), forest_to_newick(c.sub_face(open_square, [missing]))),
             "missing edge face",
         )
 
@@ -313,20 +283,18 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
         for sigma in c.subcubes.get(k, ()):
             v, corners = _link_keys(kind, sigma)
             adj_v = adj.get(v, {})
-            for idx, (a, b) in enumerate(itertools.combinations(corners, 2)):
+            for a, b in itertools.combinations(corners, 2):
                 if b not in adj_v.get(a, ()):
+                    edge = dict(zip(corners, sigma.edges()))
+                    face = c.sub_face(sigma, (edge[a], edge[b]))
                     return FlagReport(
-                        False,
-                        (forest_to_newick(sigma), forest_to_newick(_faces(c, sigma, 2)[idx])),
-                        "missing square face",
+                        False, (forest_to_newick(sigma), forest_to_newick(face)), "missing square face"
                     )
             if simplex_fault is not None:
                 continue
             verts = frozenset(corners)
             at_v = simplices.setdefault(v, {})
-            if len(verts) != k:
-                simplex_fault = ("repeated corner in a link simplex", (forest_to_newick(sigma),))
-            elif verts in at_v:
+            if verts in at_v:
                 simplex_fault = (
                     "two cubes span the same link simplex",
                     (forest_to_newick(at_v[verts]), forest_to_newick(sigma)),

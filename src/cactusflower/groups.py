@@ -213,15 +213,8 @@ def make_presentation(family: str, n: int) -> Presentation:
     if n < 2:
         raise ValueError("need n >= 2")
 
-    if family == "cactus":
-        pairs = _standard_pairs(n)
-        gens = tuple(("s", *p) for p in pairs)
-        rel = _cactus_relators(pairs, n)
-        partner = tuple((g, g) for g in gens)
-        return Presentation(family, n, gens, tuple(rel), partner)
-
-    if family == "affine_cactus":
-        pairs = _cyclic_pairs(n)
+    if family in ("cactus", "affine_cactus"):
+        pairs = _standard_pairs(n) if family == "cactus" else _cyclic_pairs(n)
         gens = tuple(("s", *p) for p in pairs)
         rel = _cactus_relators(pairs, n)
         partner = tuple((g, g) for g in gens)
@@ -969,8 +962,6 @@ def _project_solvable(src: str, dst: str, x, n: int):
         return x.reduce_mod_n()
     if (src, dst) == ("S", "EAS"):
         return ExtAffinePermutation(AffinePermutation.from_permutation(x), 0)
-    if (src, dst) == ("S", "S"):
-        return x
     raise ValueError(f"no concrete projection {src} -> {dst}")
 
 
@@ -1011,7 +1002,7 @@ def _evaluate_path(word: Word, path: list[tuple[str, str]], n: int, tables: dict
 
 # routes from each source into S_n, and the two from C into EAS: a word follows
 # presentation arrows by substitution, is evaluated at the first solvable group
-# and then takes only the projections EAS->S, AS->S, S->EAS and S->S
+# and then takes only the projections EAS->S, AS->S and S->EAS
 DIAGRAM_PATHS_TO_S = {
     "C": [
         [("C", "S")],

@@ -216,15 +216,7 @@ class RootSystem:
             for a, b in enumerate(perm):
                 inv[b] = a
             inv = tuple(inv)
-            out.append(
-                SimpleSystem(
-                    self,
-                    tuple(perm[i] for i in self._simple_idx),
-                    m,
-                    inv,
-                    self.elements[inv],
-                )
-            )
+            out.append(SimpleSystem(self, tuple(perm[i] for i in self._simple_idx), m, inv))
         out.sort(key=lambda s: s.root_indices)
         return out
 
@@ -299,15 +291,15 @@ def build_root_system(cartan_or_name) -> RootSystem:
 class SimpleSystem:
     """A simple system: the Weyl image of the base, carried by its element.
 
-    It is identified by its system and its roots; the element's matrix, its
-    inverse and the inverse root permutation follow from those, so they are
-    left out of equality and hashing."""
+    It is identified by its system and its roots; the element's matrix and
+    the inverse root permutation follow from those, so they are left out of
+    equality and hashing.  The inverse element needs no matrix: the
+    coordinates of w^-1 x are the pairings of x with this system's coroots."""
 
     system: RootSystem
     root_indices: Tuple[int, ...]  # images of the base simple roots
     matrix: tuple = field(compare=False)
     inv_perm: Tuple[int, ...] = field(compare=False)  # inverse of the induced root permutation
-    matrix_inv: tuple = field(compare=False)
 
     def roots(self) -> list[Root]:
         return [self.system.roots[i] for i in self.root_indices]
@@ -526,36 +518,6 @@ def _star_charts(sys_: RootSystem, x: Vec):
 
 
 # ---------------------------------------------------------------------------
-# parallel faces
-
-
-def parallel_face_related(v1: Vec, fd1: FaceDatum, v2: Vec, fd2: FaceDatum) -> bool:
-    """Whether the two faces are parallel translates and the translation
-    carrying the first onto the second carries the first point to the
-    second."""
-    verts1, verts2 = face_vertices(fd1), face_vertices(fd2)
-    shift = tuple(b - a for a, b in zip(face_center(fd1), face_center(fd2)))
-    if {tuple(a + s for a, s in zip(v, shift)) for v in verts1} != set(verts2):
-        return False
-    return tuple(Fraction(a) + s for a, s in zip(v1, shift)) == tuple(map(Fraction, v2))
-
-
-def star_faces_related(
-    fd1: FaceDatum, t1: Dict[int, Fraction], fd2: FaceDatum, t2: Dict[int, Fraction]
-) -> bool:
-    """The equivalence on the star: both faces span the same set of retained
-    simple roots and the retained coordinates agree."""
-    ss1, ss2 = fd1.simple_system, fd2.simple_system
-    keep1 = {ss1.root_indices[i] for i in range(ss1.system.rank) if i not in fd1.delta}
-    keep2 = {ss2.root_indices[i] for i in range(ss2.system.rank) if i not in fd2.delta}
-    if keep1 != keep2:
-        return False
-    pair1 = {ss1.root_indices[i]: Fraction(t1[i]) for i in range(ss1.system.rank) if i not in fd1.delta}
-    pair2 = {ss2.root_indices[i]: Fraction(t2[i]) for i in range(ss2.system.rank) if i not in fd2.delta}
-    return pair1 == pair2
-
-
-# ---------------------------------------------------------------------------
 # the two point relations (quantified over all face presentations)
 
 
@@ -598,7 +560,7 @@ def permutahedron_faces_containing(sys_: RootSystem, y: Vec):
     q, yq = _scaled(y)
     for ss in sys_.simple_systems():
         diff = tuple(a - q * b for a, b in zip(yq, ss.rho()))
-        coords = sys_.apply_matrix(sys_._adj, sys_.apply_matrix(ss.matrix_inv, diff))
+        coords = sys_.apply_matrix(sys_._adj, [sys_.copair(root, diff) for root in ss.roots()])
         zero_positions = [i for i in range(sys_.rank) if coords[i] == 0]
         for size in range(len(zero_positions) + 1):
             for delta in itertools.combinations(zero_positions, size):

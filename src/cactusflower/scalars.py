@@ -99,18 +99,6 @@ class GaussianRational:
             return NotImplemented
         return o / self
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return 1 / (self ** (-k))
-        result = GaussianRational(Fraction(1), Fraction(0))
-        base = self
-        while k:
-            if k & 1:
-                result = GaussianRational._coerce(result * base)
-            base = GaussianRational._coerce(base * base)
-            k >>= 1
-        return canon_scalar(result)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other

@@ -132,6 +132,25 @@ def test_map_gamma():
     assert data["diffs"] == ["1/6", "1/30", "1/2"]
 
 
+def test_map_theta(capsys):
+    from cactusflower.realgeometry import CubePoint, theta
+
+    path = os.path.join(DEMOS, "cubepoint.json")
+    assert main(["map", "--which", "theta", "--in", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    with open(path) as fh:
+        im = theta(CubePoint.from_json(fh.read()))
+    assert out["partition"] == sorted(sorted(b) for b in im.s_part.blocks)
+    assert out["nu"] == {f"{i},{j}": str(v) for (i, j), v in im.nu.as_dict().items()}
+    assert out["mu"] == {
+        ",".join(map(str, sorted(part))): {
+            f"{a},{b},{c}": str(v) for (a, b, c), v in mu.as_dict().items()
+        }
+        for part, mu in im.mu_dict().items()
+    }
+    assert out["partition"] == [[1, 2, 3, 4]] and out["nu"]["3,4"] == "3/2"
+
+
 def test_map_theta_star(tmp_path, capsys):
     from cactusflower.realgeometry import StarPoint, theta_star
 
@@ -156,6 +175,17 @@ def test_path_csv():
 def test_roots_verify():
     code, out, _ = run_cli("roots", "--type", "B2", "--verify", "face-centers")
     assert code == 0 and json.loads(out)["pass"]
+
+
+def test_roots_json(capsys):
+    from cactusflower.rootsystems import build_root_system
+
+    assert main(["roots", "--type", "G2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    g2 = build_root_system("G2")
+    assert out == {"type": "G2", "rank": 2, "roots": [list(r.simple) for r in g2.roots],
+                   "weyl_order": 12}
+    assert len(out["roots"]) == 12
 
 
 @pytest.mark.parametrize("matrix, message", [
@@ -202,6 +232,12 @@ def test_e7_and_e8_are_refused_at_once(rank, capsys):
 def test_export_dot():
     code, out, _ = run_cli("export", "--complex", "hatP", "--n", "3", "--format", "dot")
     assert code == 0 and out.startswith("graph")
+
+
+def test_export_json(capsys):
+    assert main(["export", "--complex", "hatD", "--n", "3", "--format", "json"]) == 0
+    poset = json.loads(capsys.readouterr().out)
+    assert {k: len(cells) for k, cells in poset.items()} == {"0": 1, "1": 6, "2": 3}
 
 
 def test_determinism():

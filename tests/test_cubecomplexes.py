@@ -20,16 +20,9 @@ from cactusflower.cubecomplexes import (
     CubeComplex,
     FlagReport,
     _canon_p_cell,
-    _faces,
     _link_graph,
     _link_keys,
     build_complex,
-    build_breveD,
-    build_breveP,
-    build_D,
-    build_hatD,
-    build_hatP,
-    build_P,
     check_gromov_flag,
     check_local_isometry,
     complex_action_commutes,
@@ -47,21 +40,23 @@ from cactusflower.forests import (
     PlanarForestWithZeros,
     enumerate_planar_forests,
     enumerate_zero_forests,
+    faces,
     forest_from_newick,
     forest_key,
     forest_to_newick,
+    planar_forests,
     zeros_to_planar,
 )
 from cactusflower.groups import canonical_cyclic, make_presentation, ordered_subsets
 
 
 def test_cell_counts_rank_three():
-    assert build_hatD(3).f_vector() == (1, 6, 3)
-    assert build_D(3).f_vector() == (6, 9, 3)
-    assert build_breveD(3).f_vector()[0] == 2
-    assert build_P(3).f_vector() == (6, 6, 1)
-    assert build_hatP(3).f_vector() == (1, 3, 1)
-    assert build_breveP(3).f_vector()[0] == 2
+    assert build_complex("hatD", 3).f_vector() == (1, 6, 3)
+    assert build_complex("D", 3).f_vector() == (6, 9, 3)
+    assert build_complex("breveD", 3).f_vector()[0] == 2
+    assert build_complex("P", 3).f_vector() == (6, 6, 1)
+    assert build_complex("hatP", 3).f_vector() == (1, 3, 1)
+    assert build_complex("breveP", 3).f_vector()[0] == 2
 
 
 def test_ordered_set_partitions_count_and_no_duplicates():
@@ -82,7 +77,7 @@ def test_ordered_set_partitions_count_and_no_duplicates():
 
 def test_f_vector_matches_forest_counts():
     for n in (3, 4, 5):
-        c = build_D(n)
+        c = build_complex("D", n)
         for k in range(n):
             count = len(enumerate_planar_forests(n, k))
             assert count % (2 ** k) == 0
@@ -119,11 +114,11 @@ def test_gromov_flag_certificates():
 
 def test_gromov_flag_needs_cube_data():
     with pytest.raises(ValueError):
-        check_gromov_flag(build_P(3))
+        check_gromov_flag(build_complex("P", 3))
 
 
 def test_corrupted_complex_fails_with_witness():
-    c = build_hatD(4)
+    c = build_complex("hatD", 4)
     cube3 = next(iter(c.subcubes[3]))
     face = c.sub_face(cube3, list(cube3.edges())[:2])
     rep = check_gromov_flag(remove_subcube(c, face))
@@ -134,17 +129,17 @@ def test_corrupted_complex_fails_with_witness():
 
 def test_local_isometries():
     for n in (3, 4):
-        d, bd, hd = build_D(n), build_breveD(n), build_hatD(n)
+        d, bd, hd = (build_complex(kind, n) for kind in ("D", "breveD", "hatD"))
         assert check_local_isometry(quotient_map(d, bd)).ok
         assert check_local_isometry(quotient_map(bd, hd)).ok
         assert check_local_isometry(quotient_map(d, d)).ok
     with pytest.raises(ValueError):
-        quotient_map(build_hatD(3), build_D(3))
+        quotient_map(build_complex("hatD", 3), build_complex("D", 3))
 
 
 def test_one_cells_biject_with_ordered_subsets():
     for n in (3, 4):
-        c = build_hatD(n)
+        c = build_complex("hatD", n)
         verts, table = skeleton_D(c)
         assert verts == ["1;2;3" if n == 3 else "1;2;3;4"]
         symbols = set(table)
@@ -156,7 +151,7 @@ def test_one_cells_biject_with_ordered_subsets():
 
 
 def test_subdivision():
-    c = build_hatD(3)
+    c = build_complex("hatD", 3)
     sub = cubical_subdivision(c)
     zf = enumerate_zero_forests(3)
     strata = {}
@@ -170,15 +165,15 @@ def test_subdivision():
 
 
 @pytest.mark.parametrize(
-    "build, counts",
+    "kind, counts",
     [
-        (build_hatD, {0: 91, 1: 330, 2: 360, 3: 120}),
-        (build_D, {0: 171, 1: 474, 2: 420, 3: 120}),
-        (build_breveD, {0: 102, 1: 342, 2: 360, 3: 120}),
+        ("hatD", {0: 91, 1: 330, 2: 360, 3: 120}),
+        ("D", {0: 171, 1: 474, 2: 420, 3: 120}),
+        ("breveD", {0: 102, 1: 342, 2: 360, 3: 120}),
     ],
 )
-def test_subdivision_counts_at_n4(build, counts):
-    sub = cubical_subdivision(build(4))
+def test_subdivision_counts_at_n4(kind, counts):
+    sub = cubical_subdivision(build_complex(kind, 4))
     assert sub.counts() == counts
     for k, cells in sub.little.items():
         for z in cells:
@@ -189,11 +184,11 @@ def test_subdivision_counts_at_n4(build, counts):
 def test_extracted_presentations_match_generated():
     for n in (3, 4):
         assert presentations_match(
-            extract_presentation(build_hatD(n)),
+            extract_presentation(build_complex("hatD", n)),
             make_presentation("pure_virtual_cactus", n),
         )
         assert presentations_match(
-            extract_presentation(build_hatP(n)),
+            extract_presentation(build_complex("hatP", n)),
             make_presentation("pure_virtual_sym", n),
         )
 
@@ -218,9 +213,29 @@ def test_presentation_match_negative_controls(kind, family):
     assert not presentations_match(altered, generated)
 
 
+def test_presentation_match_rejects_other_generators_or_pairings():
+    p = make_presentation("pure_virtual_cactus", 3)
+    assert presentations_match(p, p)
+    # the same relators over one more generator
+    extra = ("x",)
+    more = dataclasses.replace(
+        p, generators=p.generators + (extra,), partner=p.partner + ((extra, extra),)
+    )
+    assert not presentations_match(more, p) and not presentations_match(p, more)
+    # the same generators and relators, a paired with the inverse of b and
+    # b with the inverse of a
+    partner = dict(p.partner)
+    a, b = p.generators[:2]
+    a2, b2 = partner[a], partner[b]
+    partner.update({a: b2, b2: a, b: a2, a2: b})
+    swapped = dataclasses.replace(p, partner=tuple(partner.items()))
+    assert set(swapped.generators) == set(p.generators) and swapped.relators == p.relators
+    assert not presentations_match(swapped, p) and not presentations_match(p, swapped)
+
+
 def test_simply_connected_complex_trivialises():
     # every generator, or its partner, is killed by a one-letter relator
-    p = extract_presentation(build_P(3))
+    p = extract_presentation(build_complex("P", 3))
     partner = dict(p.partner)
     assert p.relators and all(len(r) == 1 for r in p.relators)
     killed = {x for r in p.relators for x in r}
@@ -236,12 +251,12 @@ def test_symmetric_group_action():
 
 
 def test_exports():
-    c = build_hatD(3)
+    c = build_complex("hatD", 3)
     dot = export_dot(c)
     assert dot.startswith("graph") and dot.count("--") == 6
     poset = json.loads(export_poset(c))
     assert {k: len(v) for k, v in poset.items()} == {"0": 1, "1": 6, "2": 3}
-    poset_p = json.loads(export_poset(build_P(3)))
+    poset_p = json.loads(export_poset(build_complex("P", 3)))
     assert {k: len(v) for k, v in poset_p.items()} == {"0": 6, "1": 6, "2": 1}
     # faces of the hexagon are the six edges
     (hexagon,) = poset_p["2"].values()
@@ -365,7 +380,7 @@ def test_p_cells_are_stored_canonical():
 
 def test_build_rejects_small_n():
     with pytest.raises(ValueError):
-        build_D(1)
+        build_complex("D", 1)
     with pytest.raises(ValueError):
         build_complex("X", 3)
 
@@ -374,10 +389,17 @@ def test_build_rejects_small_n():
 # the link-key certificates against the forest-building reference
 
 
+def _sub_faces(c, sigma, size):
+    """The canonical faces of a sub-cube that keep `size` of its edges, one
+    per edge subset in itertools.combinations order, built by forests.faces
+    rather than by CubeComplex.sub_face."""
+    return [c.canon_sub(f) for f in faces(sigma, size)]
+
+
 def _reference_square_index(c):
     index, fault = {}, None
     for sq in c.subcubes.get(2, ()):
-        a, b = _faces(c, sq, 1)
+        a, b = _sub_faces(c, sq, 1)
         pairs = index.setdefault(c.vertex_of(sq), {})
         pair = frozenset((a, b))
         if fault is None:
@@ -398,7 +420,7 @@ def _reference_flag(c):
     squares = c.subcubes.get(2, set())
     for k in range(3, c.dim + 1):
         for sigma in c.subcubes.get(k, ()):
-            for face in _faces(c, sigma, 2):
+            for face in _sub_faces(c, sigma, 2):
                 if face not in squares:
                     return FlagReport(
                         False, (forest_to_newick(sigma), forest_to_newick(face)), "missing square face"
@@ -410,7 +432,7 @@ def _reference_flag(c):
     simplices = {v: dict(pairs) for v, pairs in by_square.items()}
     for k in range(3, c.dim + 1):
         for sigma in c.subcubes.get(k, ()):
-            verts = frozenset(_faces(c, sigma, 1))
+            verts = frozenset(_sub_faces(c, sigma, 1))
             if len(verts) != k:
                 return FlagReport(False, (forest_to_newick(sigma),), "repeated corner in a link simplex")
             at_v = simplices.setdefault(c.vertex_of(sigma), {})
@@ -491,7 +513,7 @@ def test_flag_single_deletions_match_reference(kind):
 def test_clique_witness_names_link_vertices_by_newick():
     # D_4 without its first sub-3-cube: the three corners are sub-1-cubes at
     # the vertex, each named by its Newick string
-    c = build_D(4)
+    c = build_complex("D", 4)
     rep = check_gromov_flag(remove_subcube(c, min(c.subcubes[3], key=forest_key)))
     assert (rep.ok, rep.detail) == (False, "3-clique spans no cube")
     assert rep.witness == ("1;2;3;4", ("1;2;(3,4)", "1;(2,3,4)", "(1,2,3,4)"))
@@ -515,6 +537,35 @@ def test_two_squares_on_one_corner_pair_fail_naming_both(kind):
     assert (rep.ok, rep.detail, rep.witness) == (ref.ok, ref.detail, ref.witness)
 
 
+@pytest.mark.parametrize("kind", ["breveD", "hatD"])
+def test_two_cubes_on_one_link_simplex_fail_naming_both(kind):
+    # a second representative of a 3-cube, its trees rotated, has the same
+    # corners at the same vertex, and all its square faces are present
+    c = build_complex(kind, 5)
+    cube = min((s for s in c.subcubes[3] if len(s.trees) > 1), key=forest_key)
+    twin = PlanarForest(cube.trees[1:] + cube.trees[:1])
+    assert twin != cube and c.canon_sub(twin) == cube
+    mutant = CubeComplex(kind, 5, {k: set(v) for k, v in c.subcubes.items()})
+    mutant.subcubes[3].add(twin)
+    rep = check_gromov_flag(mutant)
+    assert not rep.ok and rep.detail == "two cubes span the same link simplex"
+    assert set(rep.witness) == {forest_to_newick(cube), forest_to_newick(twin)}
+    ref = _reference_flag(mutant)
+    assert (rep.ok, rep.detail, rep.witness) == (ref.ok, ref.detail, ref.witness)
+
+
+@pytest.mark.parametrize("kind", ["D", "breveD", "hatD"])
+def test_corner_keys_of_a_subcube_are_distinct(kind):
+    # why the flag check never meets a degenerate square or a repeated
+    # corner in a link simplex: distinct spans of one leaf order give
+    # distinct corner keys
+    for n in range(2, 7):
+        for k in range(n):
+            for sigma in planar_forests(n, k, D_KINDS[kind]):
+                corners = _link_keys(D_KINDS[kind], sigma)[1]
+                assert len(set(corners)) == len(corners) == k
+
+
 @pytest.mark.parametrize("kind", ["D", "breveD", "hatD"])
 def test_link_keys_are_faithful(kind):
     for n in (2, 3, 4, 5):
@@ -527,7 +578,7 @@ def test_link_keys_are_faithful(kind):
                 vertex = c.vertex_of(sigma)
                 assert vertex_of_key.setdefault(v, vertex) == vertex
                 assert key_of_vertex.setdefault(vertex, v) == v
-                faces1 = _faces(c, sigma, 1)
+                faces1 = _sub_faces(c, sigma, 1)
                 assert len(corners) == len(faces1) == sigma.num_edges()
                 for a, face in zip(corners, faces1):
                     assert corner_of.setdefault(a, face) == face
@@ -545,7 +596,7 @@ def _link_corner(c):
 def test_vertex_link_is_flag_when_certified():
     # the link read from _link_graph: every set of pairwise-joined corners
     # spans a simplex, and the simplices are closed under faces
-    c = build_hatD(3)
+    c = build_complex("hatD", 3)
     assert check_gromov_flag(c).ok
     (v,) = c.vertices()
     corner = _link_corner(c)
@@ -570,7 +621,7 @@ def test_vertex_link_matches_reference():
     # _link_graph's link at each 0-cube against the forest-building reference
     complexes = [build_complex(kind, n) for kind, n in
                  (("hatD", 3), ("D", 4), ("breveD", 4), ("hatD", 4), ("hatD", 5))]
-    c = build_D(3)
+    c = build_complex("D", 3)
     (sigma,) = [s for s in c.subcubes[1] if forest_to_newick(s) == "(1,2);3"]
     complexes.append(remove_subcube(c, sigma))  # its squares keep the deleted corner
     for c in complexes:
@@ -601,7 +652,7 @@ class _MergeTwo(CombinatorialMap):
 
 
 def test_isometry_negative_controls():
-    d = build_D(4)
+    d = build_complex("D", 4)
     a, b = sorted(
         (s for s in d.subcubes[1] if forest_to_newick(d.vertex_of(s)) == "1;2;3;4"), key=forest_key
     )[:2]
@@ -610,7 +661,7 @@ def test_isometry_negative_controls():
     assert rep.witness == (forest_to_newick(a), forest_to_newick(b))
 
     square = min(d.subcubes[2], key=forest_key)
-    rep = check_local_isometry(quotient_map(remove_subcube(d, square), build_breveD(4)))
+    rep = check_local_isometry(quotient_map(remove_subcube(d, square), build_complex("breveD", 4)))
     assert not rep.ok and rep.detail == "image square has no preimage square"
     assert rep.witness == ("1;(2,3,4)", "1;2;(3,4)")
 
@@ -648,7 +699,7 @@ def _hatD_subcube_counts(n):
 
 def test_hatD_subcube_counts_follow_the_exponential_formula():
     for n in (2, 3, 4, 5):
-        c = build_hatD(n)
+        c = build_complex("hatD", n)
         assert _hatD_subcube_counts(n) == tuple(len(c.subcubes[k]) for k in range(n))
     assert sum(_hatD_subcube_counts(4)) == 361
     assert sum(_hatD_subcube_counts(5)) == 7341

@@ -537,7 +537,7 @@ def test_zero_canon_matches_orbit_search(n):
 
 
 def test_top_cells_of_hatD_are_double_factorials():
-    from cactusflower.cubecomplexes import build_hatD
+    from cactusflower.cubecomplexes import build_complex
 
     for n, want in ((3, 3), (4, 15), (5, 105)):
-        assert build_hatD(n).f_vector()[-1] == want == math.prod(range(1, 2 * n - 2, 2))
+        assert build_complex("hatD", n).f_vector()[-1] == want == math.prod(range(1, 2 * n - 2, 2))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cactusflower import groups
 from cactusflower.combinatorics import (
     AffinePermutation,
     CyclicInterval,
@@ -254,6 +255,20 @@ def test_rewrite_inconclusive_is_honest():
     word = (("a", t), ("w", t), ("a", t), ("w", t))
     assert evaluate_word("S", word, 3).is_identity()
     assert rewrite_to_identity(word, 3, depth=0) is False
+
+
+def test_rewrite_proof_of_two_moves_needs_depth_two(monkeypatch):
+    # w(2 3 1) a(2 1 3) w(2 3 1) a(1 3 2) w(2 3 1) a(2 3 1) is trivial in vS_3,
+    # and no single move shows it
+    u = Permutation((2, 3, 1))
+    word = (("w", u), ("a", Permutation((2, 1, 3))), ("w", u),
+            ("a", Permutation((1, 3, 2))), ("w", u), ("a", u))
+    assert evaluate_word("S", word, 3).is_identity()
+    assert rewrite_to_identity(word, 3, depth=1) is False
+    assert rewrite_to_identity(word, 3, depth=2) is True
+    # a search that may visit only one word gives up, honestly
+    monkeypatch.setattr(groups, "_MAX_STATES", 1)
+    assert rewrite_to_identity(word, 3, depth=2) is False
 
 
 @pytest.mark.parametrize("n, count", [(3, 10), (4, 39), (5, 159)])
@@ -612,14 +627,14 @@ def test_cactus_relators_match_interval_reference(n):
 
 
 def test_canonical_cyclic_matches_reference():
-    from cactusflower.cubecomplexes import build_D, build_hatD, extract_presentation
+    from cactusflower.cubecomplexes import build_complex, extract_presentation
 
     presentations = [
         make_presentation(family, 4)
         for family in ("affine_cactus", "pure_virtual_sym", "ext_affine_cactus")
     ]
     # extracted relators: ("sA", subset) letters, and ("e", newick) str letters
-    presentations += [extract_presentation(build(4)) for build in (build_hatD, build_D)]
+    presentations += [extract_presentation(build_complex(kind, 4)) for kind in ("hatD", "D")]
     for p in presentations:
         partner = dict(p.partner)
         for rel in p.relators:

@@ -14,13 +14,12 @@ from cactusflower.rootsystems import (
     build_root_system,
     face_center,
     face_vertices,
-    parallel_face_related,
     permutahedron_faces_containing,
     permutahedron_membership,
     permutahedron_points_related,
-    star_faces_related,
     star_membership,
     star_point_coords,
+    star_points_related,
     theta_root,
     verify_face_center,
     xi,
@@ -180,8 +179,10 @@ def test_translation_formula_for_related_points():
                     x2 = xi(fd2, {free2: tval})
                     shift = tuple(a - b for a, b in zip(ss1.rho(), ss2.rho()))
                     assert x1 == tuple(a + s for a, s in zip(x2, shift))
-                    assert star_faces_related(fd1, {free1: tval}, fd2, {free2: tval})
-                    assert parallel_face_related(x2, fd2, x1, fd1)
+                    s1 = star_point_coords(ss1, {free1: tval, d1: F(1)})
+                    s2 = star_point_coords(ss2, {free2: tval, d2: F(1)})
+                    assert star_points_related(rs, s1, s2)
+                    assert permutahedron_points_related(rs, x2, x1, [fd2], [fd1])
 
 
 def test_theta_root_values():
@@ -255,10 +256,10 @@ def test_parallel_faces_hexagon():
         for d in range(2):
             fd2 = FaceDatum(ss, frozenset([d]))
             c2 = face_center(fd2)
-            if parallel_face_related(c1, fd1, c2, fd2):
+            if permutahedron_points_related(rs, c1, c2, [fd1], [fd2]):
                 partners.add(frozenset(face_vertices(fd2)))
     assert len(partners) == 2  # the edge itself and the opposite edge
-    assert parallel_face_related(c1, fd1, c1, fd1)
+    assert permutahedron_points_related(rs, c1, c1, [fd1], [fd1])
 
 
 def test_face_centers_f4_seeded_chambers():
@@ -308,7 +309,8 @@ def _reference_elements(rs):
 
 
 def _reference_simple_systems(rs, elements):
-    """(root_indices, matrix, inv_perm, matrix_inv) per Weyl element, sorted."""
+    """(root_indices, matrix, inv_perm, inverse's matrix) per Weyl element,
+    sorted."""
     out = []
     for perm, m in elements.items():
         inv = [0] * len(perm)
@@ -492,7 +494,10 @@ def test_integer_weyl_closure_matches_fraction_reference(name):
     ref = _reference_elements(rs)
     assert list(rs.elements) == list(ref)  # same keys in the same order
     assert list(rs.elements.values()) == list(ref.values())
-    ours = [(s.root_indices, s.matrix, s.inv_perm, s.matrix_inv) for s in rs.simple_systems()]
+    # row i of the inverse's matrix is the copairing of the i-th root of the
+    # simple system: <alpha_i^vee, w^-1 x> = <w alpha_i^vee, x>
+    ours = [(s.root_indices, s.matrix, s.inv_perm, tuple(r.copairing for r in s.roots()))
+            for s in rs.simple_systems()]
     assert ours == _reference_simple_systems(rs, ref)
 
 
@@ -507,6 +512,36 @@ def test_faces_match_fraction_reference(name):
                 assert (face_vertices(fd), face_center(fd)) == _reference_face(rs, chamber, delta)
 
 
+def _reference_faces_containing(rs, chamber, y):
+    """The deltas of the faces of one chamber that contain y: each subset of
+    the positions where w^-1 (y - rho_Pi), w^-1 the reference matrix in
+    Fractions, has simple coordinate zero."""
+    _, m, _, m_inv = chamber
+    r = rs.rank
+    diff = [a - sum(row) for a, row in zip(y, m)]  # rho_Pi: the row sums of m
+    x = [sum(F(m_inv[i][j]) * diff[j] for j in range(r)) for i in range(r)]
+    zeros = [i for i, row in enumerate(rs._adj) if sum(a * b for a, b in zip(row, x)) == 0]
+    return [frozenset(d) for size in range(len(zeros) + 1)
+            for d in itertools.combinations(zeros, size)]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
+def test_faces_containing_match_fraction_reference(name):
+    rs = build_root_system(name)
+    systems = rs.simple_systems()
+    chambers = _reference_simple_systems(rs, _reference_elements(rs))
+    rng = random.Random(12)
+    points = [face_center(fd) for fd in all_face_data(rs) if fd.simple_system in systems[:4]]
+    points += [tuple(F(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(rs.rank))
+               for _ in range(20)]
+    for y in points:
+        got = [(fd.simple_system, fd.delta) for fd in permutahedron_faces_containing(rs, y)]
+        want = [(ss, delta) for ss, chamber in zip(systems, chambers)
+                for delta in _reference_faces_containing(rs, chamber, y)]
+        assert got == want
+    assert any(len(permutahedron_faces_containing(rs, y)) > 1 for y in points)
+
+
 def test_simple_systems_are_built_once_and_keyed_by_their_roots():
     rs = build_root_system("B3")
     first, second = rs.simple_systems(), rs.simple_systems()
@@ -514,7 +549,7 @@ def test_simple_systems_are_built_once_and_keyed_by_their_roots():
     assert all(a is b for a, b in zip(first, second))
     # matrices stay out of equality and hashing
     ss = first[5]
-    twin = type(ss)(rs, ss.root_indices, None, None, None)
+    twin = type(ss)(rs, ss.root_indices, None, None)
     assert twin == ss and hash(twin) == hash(ss)
     assert FaceDatum(twin, frozenset([1])) == FaceDatum(ss, frozenset([1]))
 
