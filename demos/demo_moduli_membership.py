@@ -15,7 +15,7 @@ from cactusflower import (
     losev_manin_iso,
     orbit_map,
 )
-from cactusflower.projective import PP_ZERO, ProjPoint, point_to_json, sigma_flower
+from cactusflower.projective import PP_ZERO, ProjPoint, sigma_flower
 from cactusflower.scalars import I
 
 xs = {1: F(0), 2: F(1, 3), 3: F(2), 4: F(5)}

@@ -75,7 +75,6 @@ from .forests import (
     canon_forest,
     collapse,
     collapse_all,
-    faces,
     flip,
     forest_key,
     forest_to_newick,
@@ -132,8 +131,7 @@ class CubeComplex:
         return canon_forest(D_KINDS[self.kind], f, mod_flips=True)
 
     def vertex_of(self, f: PlanarForest) -> PlanarForest:
-        (corner,) = faces(f, 0)  # every edge collapsed
-        return self.canon_sub(corner)
+        return self.sub_face(f, ())  # every edge collapsed
 
     def sub_face(self, f: PlanarForest, keep) -> PlanarForest:
         keep = set(keep)

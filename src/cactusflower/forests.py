@@ -48,7 +48,7 @@ to order reversal at non-root vertices.
 At the API, edges are always leaf-set frozensets.  Internally, flip and
 collapse find their vertex by its int leaf mask (bit x set for every leaf x
 above it), ORed up in the same bottom-up pass that rebuilds the one tree
-they change.  edges, collapse_all and faces read each vertex as a span
+they change.  edges and collapse_all read each vertex as a span
 (start, stop) of the planar leaf order, listed in one preorder walk per
 tree.  PlanarForest(...) validates its trees (ordered children, at least two
 per internal vertex, distinct non-negative int labels); forests derived
@@ -344,17 +344,6 @@ def collapse_all(forest: PlanarForest, edges: Iterable[FrozenSet[int]]) -> Plana
         missing = next(e for e in edges if frozenset(e) not in found)
         raise ValueError(f"not an internal edge: {set(missing)}")
     return _keeping(order, kept)
-
-
-def faces(forest: PlanarForest, size: int) -> list[PlanarForest]:
-    """The forests left by contracting all internal edges but `size` of them,
-    one per kept subset, in itertools.combinations order over edges().
-
-    These are the faces of the forest's sub-cube that keep `size` of its
-    directions.
-    """
-    order, spans = _vertices(forest)
-    return [_keeping(order, keep) for keep in itertools.combinations(spans, size)]
 
 
 def meet(forest: PlanarForest, a: int, b: int) -> FrozenSet[int]:

@@ -1,18 +1,19 @@
 """Exact projective-line coordinates and the defining equations of the
 deformation families.
 
-Every coordinate is a point of P^1 over Q or Q(i), stored as a homogeneous
-pair.  Equations between P^1-valued coordinates are multihomogenized: each
-relation is cleared to a polynomial of degree at most one in each
-participating homogeneous pair (so "ab = c" means a1*b1*c2 = c1*a2*b2, which
-is satisfied by a = 0, b = infinity, c arbitrary).  The deformation parameter
-epsilon enters as an affine scalar.
+Every coordinate is a point of P^1 over Q or Q(i), stored as one canonical
+Gaussian-integer triple (ProjPoint.h).  Equations between P^1-valued
+coordinates are multihomogenized: each relation is cleared to a polynomial
+of degree at most one in each participating homogeneous pair (so "ab = c"
+means a1*b1*c2 = c1*a2*b2, which is satisfied by a = 0, b = infinity, c
+arbitrary) and evaluated in integers on the triples.  The deformation
+parameter epsilon enters as an affine scalar.
 
 The constructions of family members (orbit_map, cross_ratios,
 losev_manin_iso, eps_family_delta) scale their inputs once to Gaussian
 integers over one common denominator, form the pair differences once, and
-turn each integer pair (ur + i ui : vr + i vi) into a canonical point with
-_int_point, the one place where a coordinate is divided out.
+turn each integer pair (ur + i ui : vr + i vi) into its triple with
+_int_point, the one normaliser, which ProjPoint(u, v) calls too.
 
 Space families (VarietySpec tags):
 
@@ -48,7 +49,6 @@ from .scalars import (
     GaussianRational,
     Scalar,
     canon_scalar,
-    conjugate,
     format_scalar,
     parse_scalar,
 )
@@ -66,52 +66,43 @@ class NotAMember(ValueError):
 # ---------------------------------------------------------------------------
 # points of the projective line
 
-_new, _setattr = object.__new__, object.__setattr__  # bound once for _canonical
+_new, _setattr = object.__new__, object.__setattr__  # bound once for the point constructors
 
 
 @dataclass(frozen=True)
 class ProjPoint:
-    """A point (u : v) of P^1, canonically scaled.
+    """A point (u : v) of P^1, stored as its canonical triple h.
 
-    Finite values are stored as (x : 1), infinity as (1 : 0).  The equation
-    evaluators' integer form (_hom) depends on this: it reads v as 1 or 0.
-
-    The constructor canonicalises any pair.  Code that already holds the
-    canonical parts uses ``ProjPoint._canonical(u, v)`` instead, which stores
-    them unchecked; its contract is that u is a Fraction (not an int) or a
-    GaussianRational with im != 0, and v is ONE, or v is ZERO with u ONE.
+    h = (ur, ui, d) is the value (ur + i ui)/d, with d > 0 and
+    gcd(ur, ui, d) = 1; infinity is (1, 0, 0).  Equal points have equal
+    triples.  u and v read the point back as (x : 1) or (1 : 0) over the
+    exact scalars.
     """
 
-    u: Scalar
-    v: Scalar
+    h: Tuple[int, int, int]
 
     def __init__(self, u, v):
-        u, v = canon_scalar(u), canon_scalar(v)
-        if u == 0 and v == 0:
-            raise ValueError("(0 : 0) is not a point of P^1")
-        if v != 0:
-            u, v = canon_scalar(u / v), ONE
-        else:
-            u, v = ONE, ZERO
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        _, ((ur, ui), (vr, vi)) = _gaussian_ints((u, v))
+        _setattr(self, "h", _int_point(ur, ui, vr, vi).h)
 
-    @staticmethod
-    def _canonical(u: Scalar, v: Scalar) -> "ProjPoint":
-        point = _new(ProjPoint)
-        _setattr(point, "u", u)
-        _setattr(point, "v", v)
-        return point
+    @property
+    def u(self) -> Scalar:
+        ur, ui, d = self.h
+        return _scalar(ur, ui, d) if d else ONE
+
+    @property
+    def v(self) -> Scalar:
+        return ONE if self.h[2] else ZERO
 
     @staticmethod
     def finite(x) -> "ProjPoint":
         return ProjPoint(x, ONE)
 
     def is_infinite(self) -> bool:
-        return self.v == 0
+        return not self.h[2]
 
     def is_zero(self) -> bool:
-        return self.u == 0
+        return not (self.h[0] or self.h[1])
 
     def value(self) -> Scalar:
         if self.is_infinite():
@@ -119,20 +110,22 @@ class ProjPoint:
         return self.u
 
     def reciprocal(self) -> "ProjPoint":
-        return ProjPoint(self.v, self.u)
+        ur, ui, d = self.h
+        return _int_point(d, 0, ur, ui)
 
     def conj(self) -> "ProjPoint":
-        return ProjPoint(conjugate(self.u), conjugate(self.v))
+        ur, ui, d = self.h
+        return _int_point(ur, -ui, d, 0)
 
     def __eq__(self, other):
-        if isinstance(other, ProjPoint):  # canonical v: mostly the same ONE or ZERO
-            return self.u == other.u and (self.v is other.v or self.v == other.v)
+        if isinstance(other, ProjPoint):
+            return self.h == other.h
         if isinstance(other, (int, Fraction, GaussianRational)):
             return not self.is_infinite() and self.u == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.u, self.v))
+        return hash(self.h)
 
     def __str__(self):
         if self.is_infinite():
@@ -143,23 +136,26 @@ class ProjPoint:
         return f"ProjPoint({self.u!r}, {self.v!r})"
 
 
-PP_ZERO = ProjPoint(ZERO, ONE)
-PP_ONE = ProjPoint(ONE, ONE)
-PP_INF = ProjPoint(ONE, ZERO)
-
-
 def _int_point(ur: int, ui: int, vr: int, vi: int) -> ProjPoint:
-    """The canonical point (ur + i ui : vr + i vi) of Gaussian-integer parts,
-    equal to ProjPoint(ur + i ui, vr + i vi)."""
+    """The point (ur + i ui : vr + i vi) of Gaussian-integer parts, equal to
+    ProjPoint(ur + i ui, vr + i vi): the one normaliser of a point's triple."""
     if vi:  # multiply through by the conjugate of v, which makes v a positive int
         ur, ui, vr = ur * vr + ui * vi, ui * vr - ur * vi, vr * vr + vi * vi
+    elif vr < 0:
+        ur, ui, vr = -ur, -ui, -vr
     elif not vr:
-        if ur or ui:
-            return PP_INF
-        raise ValueError("(0 : 0) is not a point of P^1")
-    if ui:
-        return ProjPoint._canonical(GaussianRational(Fraction(ur, vr), Fraction(ui, vr)), ONE)
-    return ProjPoint._canonical(Fraction(ur, vr), ONE)
+        if not (ur or ui):
+            raise ValueError("(0 : 0) is not a point of P^1")
+        ur, ui = 1, 0
+    g = math.gcd(ur, ui, vr)
+    point = _new(ProjPoint)
+    _setattr(point, "h", (ur // g, ui // g, vr // g))
+    return point
+
+
+PP_ZERO = _int_point(0, 0, 1, 0)
+PP_ONE = _int_point(1, 0, 1, 0)
+PP_INF = _int_point(1, 0, 0, 0)
 
 
 def _gaussian_ints(values) -> Tuple[int, list]:
@@ -367,31 +363,25 @@ class MembershipReport:
 
 # equation evaluators: each returns a scalar residual, zero iff satisfied.
 # check_membership hands them every coordinate once, in the homogeneous
-# Gaussian-integer form of _hom: u = (Ur + i Ui)/d is (Ur, Ui, d, d) and
-# infinity is (1, 0, 0, 1); epsilon and other affine constants are finite
-# points.  Each evaluator is its multihomogenized polynomial H over these
-# ints, degree one in each point, so the residual at the canonically scaled
-# points is H over the product of the d's: a Fraction or GaussianRational,
-# built only when H != 0, and ZERO otherwise.
+# Gaussian-integer form of _hom, read off the stored triple: u = (Ur + i Ui)/d
+# is (Ur, Ui, d, d) and infinity is (1, 0, 0, 1); epsilon and other affine
+# constants are finite points.  Each evaluator is its multihomogenized
+# polynomial H over these ints, degree one in each point, so the residual at
+# the points is H over the product of the d's: a Fraction or
+# GaussianRational, built only when H != 0, and ZERO otherwise.
 
 
 def _hom(p: ProjPoint) -> Tuple[int, int, int, int]:
     """(Ur, Ui, V, d): p = (Ur + i Ui : V) with V = d when p is finite."""
-    if not p.v:
-        return 1, 0, 0, 1
-    u = p.u
-    if type(u) is Fraction:
-        d = u.denominator
-        return u.numerator, 0, d, d
-    re, im = u.re, u.im
-    d = math.lcm(re.denominator, im.denominator)
-    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d, d
+    ur, ui, d = p.h
+    return ur, ui, d, d or 1
 
 
 _H_ONE = (1, 0, 1, 1)  # _hom(PP_ONE)
 
 
-def _residual(hr: int, hi: int, d: int) -> Scalar:
+def _scalar(hr: int, hi: int, d: int) -> Scalar:
+    """(hr + i hi)/d for d > 0."""
     if not (hr or hi):
         return ZERO
     if hi:
@@ -407,7 +397,7 @@ def _eq_prod(a, b, c) -> Scalar:
     w = av * bv
     hr = (ar * br - ai * bi) * cv - cr * w
     hi = (ar * bi + ai * br) * cv - ci * w
-    return _residual(hr, hi, ad * bd * cd)
+    return _scalar(hr, hi, ad * bd * cd)
 
 
 def _eq_prod_one(a, b) -> Scalar:
@@ -423,7 +413,7 @@ def _eq_sum_const(a, b, c) -> Scalar:
     w = av * bv
     hr = (ar * bv + br * av) * cv - cr * w
     hi = (ai * bv + bi * av) * cv - ci * w
-    return _residual(hr, hi, ad * bd * cd)
+    return _scalar(hr, hi, ad * bd * cd)
 
 
 def _eq_triangle(x, y, z, e) -> Scalar:
@@ -440,7 +430,7 @@ def _eq_triangle(x, y, z, e) -> Scalar:
     s = zv * ev
     hr = zr * wr - zi * wi + (xr * yr - xi * yi) * s
     hi = zr * wi + zi * wr + (xr * yi + xi * yr) * s
-    return _residual(hr, hi, xd * yd * zd * ed)
+    return _scalar(hr, hi, xd * yd * zd * ed)
 
 
 def _eq_link(m, x, y) -> Scalar:
@@ -471,7 +461,7 @@ def _mu_equations(labels, d: dict, report: MembershipReport, quad_style: str):
 
 
 def _nu_equations(n, d: dict, eps: Scalar, report: MembershipReport):
-    e = _hom(ProjPoint._canonical(eps, ONE))
+    e = _hom(ProjPoint.finite(eps))
     for i, j in itertools.combinations(range(1, n + 1), 2):
         r = _eq_sum_const(d[(i, j)], d[(j, i)], e)
         if r:
@@ -681,13 +671,14 @@ def losev_manin_iso(point: NuTuple) -> AlphaTuple:
     eps = point.epsilon
     if eps is None or eps == 0:
         raise ValueError("the multiplicative chart needs epsilon != 0")
-    # nu_ij = x = X/d and eps = E/d; infinity (1 : 0) goes to 1
-    _, ((er, ei), *xs) = _gaussian_ints([eps] + [p.u for _, p in point.nu])
-    alpha = tuple(
-        (ij, _int_point(xr - er, xi - ei, xr, xi) if p.v else PP_ONE)
-        for (ij, p), (xr, xi) in zip(point.nu, xs)
-    )
-    return NuTuple._trusted(point.n, alpha, None)
+    # nu_ij = X/x and eps = E/e: alpha_ij = (X e - E x : X e), and infinity
+    # (1 : 0) goes to 1
+    e, ((er, ei),) = _gaussian_ints([eps])
+    alpha = []
+    for ij, p in point.nu:
+        xr, xi, x = p.h
+        alpha.append((ij, _int_point(xr * e - er * x, xi * e - ei * x, xr * e, xi * e) if x else PP_ONE))
+    return NuTuple._trusted(point.n, tuple(alpha), None)
 
 
 def losev_manin_iso_inverse(alpha: AlphaTuple, eps: Scalar) -> NuTuple:
@@ -930,25 +921,33 @@ def point_to_json(point) -> str:
     return json.dumps(d, sort_keys=True)
 
 
+def _json_points(d: dict, name: str, arity: int) -> dict:
+    """The points of d[name], each written "i,j": [u, v] (arity 2) or
+    "i,j,k": [u, v] (arity 3) with scalar strings u and v; a ValueError
+    names the coordinate it could not read."""
+    points = {}
+    for key, pair in d[name].items():
+        try:
+            index = tuple(map(int, key.split(",")))
+            if len(index) != arity:
+                raise ValueError(f"a {name} index has {arity} labels")
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ValueError(f"a point is a pair [u, v] of scalar strings, not {json.dumps(pair)}")
+            points[index] = ProjPoint(parse_scalar(pair[0]), parse_scalar(pair[1]))
+        except ValueError as exc:
+            raise ValueError(f"{name} {key}: {exc}") from None
+    return points
+
+
 def point_from_json(text: str):
     d = json.loads(text)
     n = d["n"]
     eps = parse_scalar(d["epsilon"]) if d.get("epsilon") else None
-    nu = mu = None
-    if "nu" in d:
-        nu_dict = {}
-        for key, (u, v) in d["nu"].items():
-            i, j = map(int, key.split(","))
-            nu_dict[(i, j)] = ProjPoint(parse_scalar(u), parse_scalar(v))
-        nu = NuTuple(n, nu_dict, eps)
+    nu = NuTuple(n, _json_points(d, "nu", 2), eps) if "nu" in d else None
+    mu = None
     if "mu" in d:
-        mu_dict = {}
-        labels = set()
-        for key, (u, v) in d["mu"].items():
-            i, j, k = map(int, key.split(","))
-            labels |= {i, j, k}
-            mu_dict[(i, j, k)] = ProjPoint(parse_scalar(u), parse_scalar(v))
-        mu = MuTuple(sorted(labels), mu_dict)
+        points = _json_points(d, "mu", 3)
+        mu = MuTuple({label for index in points for label in index}, points)
     if nu is not None and mu is not None:
         return QTuple(n, nu, mu, eps)
     return nu if nu is not None else mu

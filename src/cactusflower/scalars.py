@@ -114,9 +114,6 @@ class GaussianRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def __str__(self):
         if self.im == 0:
             return str(self.re)
@@ -145,14 +142,19 @@ def canon_scalar(x: Scalar) -> Scalar:
     return x
 
 
-def conjugate(x: Scalar) -> Scalar:
-    if isinstance(x, GaussianRational):
-        return canon_scalar(x.conjugate())
-    return _as_fraction(x)
-
-
 def parse_scalar(s: str) -> Scalar:
-    """Parse "3/4", "-2", "1/2+3/4i", "i", "-i", "2-i", "1i"."""
+    """Parse "3/4", "-2", "1/2+3/4i", "i", "-i", "2-i", "1i"; anything else,
+    a value that is not a string or a zero denominator included, raises
+    ValueError."""
+    if not isinstance(s, str):
+        raise ValueError(f'a scalar is a string such as "3/4", not {s!r}')
+    try:
+        return _parse_scalar(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
+
+
+def _parse_scalar(s: str) -> Scalar:
     s = s.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar")

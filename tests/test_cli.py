@@ -309,6 +309,26 @@ def test_classify_nonmember_exits_1(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("verb", [["verify", "membership", "--variety", "f"], ["classify"]])
+@pytest.mark.parametrize("pair, message", [
+    (["1", "0/0"], "nu 1,2: zero denominator in '0/0'"),
+    (None, "nu 1,2: a point is a pair [u, v] of scalar strings, not null"),
+    ([1, 0], 'nu 1,2: a scalar is a string such as "3/4", not 1'),
+])
+def test_malformed_point_files_are_usage_errors(verb, pair, message, tmp_path, capsys):
+    # a coordinate that is not a pair of scalar strings names its field and
+    # exits 2, the usage-error code, not 1 with a traceback
+    with open(os.path.join(DEMOS, "figure2.json")) as fh:
+        data = json.load(fh)
+    data["nu"]["1,2"] = pair
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    assert main([*verb, "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def _raise(exc):
     def stub(*args, **kwargs):
         raise exc

@@ -40,13 +40,13 @@ from cactusflower.forests import (
     PlanarForestWithZeros,
     enumerate_planar_forests,
     enumerate_zero_forests,
-    faces,
     forest_from_newick,
     forest_key,
     forest_to_newick,
     planar_forests,
     zeros_to_planar,
 )
+from cactusflower.forests import _keeping, _vertices
 from cactusflower.groups import canonical_cyclic, make_presentation, ordered_subsets
 
 
@@ -387,6 +387,14 @@ def test_build_rejects_small_n():
 
 # ---------------------------------------------------------------------------
 # the link-key certificates against the forest-building reference
+
+
+def faces(forest, size):
+    """The forests left by contracting all internal edges but `size` of them,
+    one per kept subset, in itertools.combinations order over edges(): the
+    faces of the forest's sub-cube that keep `size` of its directions."""
+    order, spans = _vertices(forest)
+    return [_keeping(order, keep) for keep in itertools.combinations(spans, size)]
 
 
 def _sub_faces(c, sigma, size):

@@ -53,6 +53,7 @@ from cactusflower.projective import (
     _eq_sum_const,
     _eq_triangle,
     _hom,
+    _int_point,
 )
 from cactusflower.scalars import ONE, ZERO, GaussianRational, I, canon_scalar, format_scalar
 
@@ -164,6 +165,30 @@ def test_projpoints_are_canonically_scaled():
     # of making a point must scale it that way
     for point in _canonical_scaling_pool():
         _assert_canonical(point)
+        # the stored triple is the canonical one, so equal points share it
+        ur, ui, d = point.h
+        assert d >= 0 and math.gcd(ur, ui, d) == 1, point.h
+        assert (point.h == (1, 0, 0)) == point.is_infinite()
+        twin = ProjPoint(point.u, point.v)
+        assert twin.h == point.h and hash(twin) == hash(point)
+
+
+def test_int_point_is_the_constructor_on_gaussian_integers():
+    # negative and non-real second parts: the sign and the conjugate move
+    # onto the first part before the gcd is taken
+    rng = random.Random(26)
+    for _ in range(400):
+        ur, ui = rng.randrange(-30, 31), rng.choice((0, rng.randrange(-30, 31)))
+        vr = rng.randrange(-30, 1)
+        vi = rng.choice((0, rng.randrange(-30, 31)))
+        if not (ur or ui or vr or vi):
+            continue
+        u = canon_scalar(GaussianRational(F(ur), F(ui)))
+        v = canon_scalar(GaussianRational(F(vr), F(vi)))
+        p, q = _int_point(ur, ui, vr, vi), ProjPoint(u, v)
+        assert p == q and p.h == q.h and hash(p) == hash(q)
+        assert p.h[2] >= 0 and math.gcd(*p.h) == 1
+        assert p.is_infinite() if v == 0 else p.u == u / v
 
 
 def test_hom_round_trips_the_canonical_pool():
