@@ -399,7 +399,7 @@ def faces(forest, size):
 
 def _sub_faces(c, sigma, size):
     """The canonical faces of a sub-cube that keep `size` of its edges, one
-    per edge subset in itertools.combinations order, built by forests.faces
+    per edge subset in itertools.combinations order, built by faces above
     rather than by CubeComplex.sub_face."""
     return [c.canon_sub(f) for f in faces(sigma, size)]
 
