@@ -285,23 +285,13 @@ def _perturb(spec, point, rng):
     raise TypeError(type(point))
 
 
-FAMILIES_7 = (
-    "LosevManin",
-    "Flower",
-    "DeformedFlower",
-    "DeligneMumford",
-    "MauWoodward",
-    "DeformedMauWoodward",
-)
-
-
 def criterion_7(seed=DEFAULT_SEED) -> CriterionResult:
     per_family, perturbed = 1000, 100
     rng = random.Random(seed)
     ok = True
     details = []
     members = []
-    for family in FAMILIES_7:
+    for family in pj.VarietySpec.TAGS:
         good = 0
         for _ in range(per_family):
             spec, point = _random_member(family, rng)

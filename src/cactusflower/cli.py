@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import acceptance as acc
 from . import cubecomplexes as cc
@@ -159,9 +158,7 @@ def _cmd_map(args) -> int:
         _emit(args, json.dumps(out, sort_keys=True))
         return 0
     if args.which == "theta-star":
-        d = json.loads(text)
-        x = rg.StarPoint(tuple(d["order"]), tuple(Fraction(v) for v in d["diffs"]))
-        nut = rg.theta_star(x)
+        nut = rg.theta_star(rg.StarPoint.from_json(text))
         _emit(args, json.dumps(
             {f"{i},{j}": str(v) for (i, j), v in nut.as_dict().items()}, sort_keys=True))
         return 0

@@ -617,12 +617,14 @@ def extend_nu(
     labels (relabelled 1..|part| in sorted order); core is a nu-tuple on the
     m part representatives (the minima, relabelled 1..m in sorted order).
     Every missing cross coordinate has exactly one consistent value, obtained
-    by composing triangles through the representatives.
+    by composing triangles through the representatives:
+    nu_ab = nu_{a,r(a)} o nu_{r(a),r(b)} o nu_{r(b),b}.  Only the a < b half
+    is composed; NuTuple supplies nu_ba = eps - nu_ab.
     """
     eps = canon_scalar(eps)
     parts = sorted(s_part.blocks, key=min)
     reps = [min(b) for b in parts]
-    n = sum(len(b) for b in parts)
+    rep = {a: r for r, b in zip(reps, parts) for a in b}
     nu: Dict[Tuple[int, int], ProjPoint] = {}
 
     for b in parts:
@@ -633,33 +635,16 @@ def extend_nu(
     for (x, y) in ordered_pairs(range(1, len(reps) + 1)):
         nu[(reps[x - 1], reps[y - 1])] = core[(x, y)]
 
-    # first the representative-to-foreign-label coordinates ...
-    for k, bk in enumerate(parts):
-        for l, bl in enumerate(parts):
-            if k == l:
-                continue
-            ik, il = reps[k], reps[l]
-            for b in sorted(bl):
-                if b == il:
-                    continue
-                nu[(ik, b)] = compose_nu(nu[(ik, il)], nu[(il, b)], eps)
-                nu[(b, ik)] = ProjPoint(
-                    eps * nu[(ik, b)].v - nu[(ik, b)].u, nu[(ik, b)].v
-                )
-    # ... then everything else through the representative of the first label
-    for k, bk in enumerate(parts):
-        for a in sorted(bk):
-            if a == reps[k]:
-                continue
-            for l, bl in enumerate(parts):
-                if l == k:
-                    continue
-                for b in sorted(bl):
-                    if (a, b) in nu:
-                        continue
-                    nu[(a, b)] = compose_nu(nu[(a, reps[k])], nu[(reps[k], b)], eps)
-                    nu[(b, a)] = ProjPoint(eps * nu[(a, b)].v - nu[(a, b)].u, nu[(a, b)].v)
-    return NuTuple(n, nu, eps)
+    via: Dict[Tuple[int, int], ProjPoint] = {}  # nu_{r(a),b}, shared by a's part
+    for a, b in itertools.combinations(sorted(rep), 2):
+        if (a, b) in nu:  # inside one part, or between representatives
+            continue
+        ra, rb = rep[a], rep[b]
+        p = via.get((ra, b))
+        if p is None:
+            p = via[(ra, b)] = nu[(ra, b)] if b == rb else compose_nu(nu[(ra, rb)], nu[(rb, b)], eps)
+        nu[(a, b)] = p if a == ra else compose_nu(nu[(a, ra)], p, eps)
+    return NuTuple(len(rep), nu, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -893,31 +878,15 @@ def q_to_dm_identification(q: QTuple) -> MuTuple:
 
 
 def point_to_json(point) -> str:
-    d = {"n": getattr(point, "n", None)}
-    if isinstance(point, NuTuple):
-        d["epsilon"] = format_scalar(point.epsilon) if point.epsilon is not None else None
-        d["nu"] = {
-            f"{i},{j}": [format_scalar(p.u), format_scalar(p.v)]
-            for (i, j), p in point.as_dict().items()
-        }
-    elif isinstance(point, MuTuple):
-        d["n"] = len(point.labels)
-        d["mu"] = {
-            f"{i},{j},{k}": [format_scalar(p.u), format_scalar(p.v)]
-            for (i, j, k), p in point.as_dict().items()
-        }
-    elif isinstance(point, QTuple):
-        d["epsilon"] = format_scalar(point.epsilon) if point.epsilon is not None else None
-        d["nu"] = {
-            f"{i},{j}": [format_scalar(p.u), format_scalar(p.v)]
-            for (i, j), p in point.nu.as_dict().items()
-        }
-        d["mu"] = {
-            f"{i},{j},{k}": [format_scalar(p.u), format_scalar(p.v)]
-            for (i, j, k), p in point.mu.as_dict().items()
-        }
+    if isinstance(point, MuTuple):
+        d, blocks = {"n": len(point.labels)}, {"mu": point.mu}
+    elif isinstance(point, (NuTuple, QTuple)):
+        d = {"n": point.n, "epsilon": None if point.epsilon is None else format_scalar(point.epsilon)}
+        blocks = {"nu": point.nu} if isinstance(point, NuTuple) else {"nu": point.nu.nu, "mu": point.mu.mu}
     else:
         raise TypeError(type(point))
+    for name, coords in blocks.items():
+        d[name] = {",".join(map(str, index)): [format_scalar(p.u), format_scalar(p.v)] for index, p in coords}
     return json.dumps(d, sort_keys=True)
 
 
@@ -925,6 +894,8 @@ def _json_points(d: dict, name: str, arity: int) -> dict:
     """The points of d[name], each written "i,j": [u, v] (arity 2) or
     "i,j,k": [u, v] (arity 3) with scalar strings u and v; a ValueError
     names the coordinate it could not read."""
+    if type(d[name]) is not dict:
+        raise ValueError(f"{name} must be an object, not {json.dumps(d[name])}")
     points = {}
     for key, pair in d[name].items():
         try:
@@ -939,9 +910,24 @@ def _json_points(d: dict, name: str, arity: int) -> dict:
     return points
 
 
-def point_from_json(text: str):
+def _json_object(text: str, **fields) -> dict:
+    """The JSON object in text; a ValueError names a field that is missing
+    or not of its type (int, str, list or dict, as json.loads builds them)."""
     d = json.loads(text)
+    if type(d) is not dict:
+        raise ValueError(f"the file must hold a JSON object, not {json.dumps(d)}")
+    for name, kind in fields.items():
+        if type(d.get(name)) is not kind:
+            what = {int: "an integer", str: "a string", list: "an array", dict: "an object"}[kind]
+            raise ValueError(f"{name} must be {what}, not {json.dumps(d.get(name))}")
+    return d
+
+
+def point_from_json(text: str):
+    d = _json_object(text, n=int)
     n = d["n"]
+    if "nu" not in d and "mu" not in d:
+        raise ValueError("a point file holds nu, mu or both")
     eps = parse_scalar(d["epsilon"]) if d.get("epsilon") else None
     nu = NuTuple(n, _json_points(d, "nu", 2), eps) if "nu" in d else None
     mu = None

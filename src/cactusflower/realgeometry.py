@@ -43,6 +43,7 @@ from .projective import (
     NuTuple,
     PP_ZERO,
     _int_point,
+    _json_object,
     ordered_pairs,
     ordered_triples,
 )
@@ -112,6 +113,13 @@ class StarPoint:
     def star_point(n: int) -> "StarPoint":
         return StarPoint(tuple(range(1, n + 1)), (Fraction(1),) * (n - 1))
 
+    @staticmethod
+    def from_json(text: str) -> "StarPoint":
+        d = _json_object(text, order=list, diffs=list)
+        if any(type(k) is not int for k in d["order"]):
+            raise ValueError(f"order must be an array of integer labels, not {json.dumps(d['order'])}")
+        return StarPoint(d["order"], [_json_fraction(v, "diffs") for v in d["diffs"]])
+
 
 def _edge_key(item) -> Tuple[int, int]:
     """A cube point's edges in order: by least leaf, then by size (edges
@@ -153,13 +161,16 @@ class CubePoint:
 
     @staticmethod
     def from_json(text: str) -> "CubePoint":
-        d = json.loads(text)
-        forest = forest_from_newick(d["forest"])
-        t = {
-            frozenset(map(int, key.split(","))): Fraction(v)
-            for key, v in d["t"].items()
-        }
-        return CubePoint(forest, t)
+        d = _json_object(text, forest=str, t=dict)
+        t = {frozenset(map(int, key.split(","))): _json_fraction(v, f"t {key}") for key, v in d["t"].items()}
+        return CubePoint(forest_from_newick(d["forest"]), t)
+
+
+def _json_fraction(v, where: str) -> Fraction:
+    """A value read from a point file: a string such as "1/2", or an integer."""
+    if type(v) not in (str, int):
+        raise ValueError(f'{where}: a value is a string such as "1/2" or an integer, not {json.dumps(v)}')
+    return Fraction(v)
 
 
 def gamma(p: CubePoint) -> StarPoint:
@@ -231,22 +242,29 @@ def theta_star(x: StarPoint) -> NuTuple:
     n = x.n
     fd = [reparameterize(d) for d in x.diffs]  # INF at a difference of 1
     den = math.lcm(*(v.denominator for v in fd if v is not INF))
-    # per position: the prefix sum of the finite f values times den, and the
-    # number of f = inf gaps before it
+    # per position: the prefix sum of the finite f values times den
     sums = list(accumulate((0 if v is INF else v.numerator * (den // v.denominator) for v in fd), initial=0))
-    gaps = list(accumulate((v is INF for v in fd), initial=0))
-    # (a, c) is row a - 1, column c - 1 (less one past the diagonal) of the
-    # ordered pairs of [n], as in theta
     rows = [lab - 1 for lab in x.order]
-    n1 = n - 1
-    nu = [PP_ZERO] * (n * n1)
-    for s, c in enumerate(rows):
-        for r in range(s):
-            if gaps[r] == gaps[s]:
-                a, diff = rows[r], sums[s] - sums[r]
-                nu[a * n1 + c - (c > a)] = _int_point(den, 0, diff, 0)
-                nu[c * n1 + a - (a > c)] = _int_point(-den, 0, diff, 0)
+    nu = [PP_ZERO] * (n * (n - 1))
+    start = 0
+    for s, v in enumerate(fd + [INF]):
+        if v is INF:  # positions start..s have no f = inf between them
+            _write_distances(nu, n - 1, rows[start:s + 1], sums[start:s + 1], 1, den)
+            start = s + 1
     return NuTuple._trusted(n, tuple(zip(_pair_keys(n), nu)), None)
+
+
+def _write_distances(nu: list, n1: int, rows: list, prefix: list, num: int, den: int) -> None:
+    """Fill nu, the ordered pairs of [n1 + 1] in order, for one block whose
+    labels less one are rows: nu_ac = (den : num (prefix[s] - prefix[r])) and
+    nu_ca = -nu_ac for each pair of positions r < s, a = rows[r], c = rows[s]."""
+    for s, c in enumerate(rows):
+        zc = prefix[s]
+        for r in range(s):
+            a = rows[r]
+            diff = num * (zc - prefix[r])
+            nu[a * n1 + c - (c > a)] = _int_point(den, 0, diff, 0)
+            nu[c * n1 + a - (a > c)] = _int_point(-den, 0, diff, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -559,16 +577,8 @@ def theta(p: CubePoint) -> ThetaImage:
         # the added edges carry 1; the trunk is below 1 after the collapse
         tv = [ONE if e is None else t[e] for e in plan.edges]
         prefix, num, den = _prefix_sums(plan.kids, _b_values(plan.parent, tv))
-        # the root's prefix sums come first; (a, c) is row a - 1, column
-        # c - 1 (less one past the diagonal) of the ordered pairs of [n]
-        rows = [lab - 1 for lab in plan.order]
-        for s, c in enumerate(rows):
-            zc = prefix[s]
-            for r in range(s):
-                a = rows[r]
-                diff = num * (zc - prefix[r])
-                nu[a * n1 + c - (c > a)] = _int_point(den, 0, diff, 0)
-                nu[c * n1 + a - (a > c)] = _int_point(-den, 0, diff, 0)
+        # the root's prefix sums come first, one per position of the order
+        _write_distances(nu, n1, [lab - 1 for lab in plan.order], prefix, num, den)
         mu = _ratios(plan, prefix)
         mus.append((plan.part, MuTuple._trusted(plan.labels, tuple(zip(plan.keys, mu)))))
     return ThetaImage(

@@ -479,3 +479,47 @@ def test_acceptance_seed_and_out(tmp_path):
                            "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text().startswith("[PASS] criterion  1")
+
+
+@pytest.mark.parametrize("verb", [["verify", "membership", "--variety", "M"], ["classify"]])
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 3, "nu": []}', "nu must be an object, not []"),
+    ('"abc"', 'the file must hold a JSON object, not "abc"'),
+    ('{"n": "3", "nu": {"1,2": ["1", "1"]}}', 'n must be an integer, not "3"'),
+    ('{"n": 3, "mu": []}', "mu must be an object, not []"),
+    ('{"n": 3}', "a point file holds nu, mu or both"),
+])
+def test_point_files_of_the_wrong_shape_are_usage_errors(verb, text, message, tmp_path, capsys):
+    _file_is_a_usage_error(verb, text, message, tmp_path, capsys)
+
+
+def _file_is_a_usage_error(verb, text, message, tmp_path, capsys):
+    # the shape around the values is checked: each check names its field and
+    # exits 2, not 1 with a traceback
+    path = tmp_path / "shape.json"
+    path.write_text(text)
+    assert main([*verb, "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("which", ["gamma", "theta"])
+@pytest.mark.parametrize("text, message", [
+    ('"abc"', 'the file must hold a JSON object, not "abc"'),
+    ('{"forest": 3, "t": {}}', "forest must be a string, not 3"),
+    ('{"forest": [1, 2], "t": {}}', "forest must be a string, not [1, 2]"),
+    ('{"forest": "(1,2)", "t": []}', "t must be an object, not []"),
+    ('{"forest": "(1,2)", "t": {"1,2": null}}', 't 1,2: a value is a string such as "1/2" or an integer, not null'),
+])
+def test_cube_files_of_the_wrong_shape_are_usage_errors(which, text, message, tmp_path, capsys):
+    _file_is_a_usage_error(["map", "--which", which], text, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "the file must hold a JSON object, not []"),
+    ('{"order": [1, 2]}', "diffs must be an array, not null"),
+    ('{"order": [1, "a"], "diffs": ["0"]}', 'order must be an array of integer labels, not [1, "a"]'),
+    ('{"order": [1, 2], "diffs": [null]}', 'diffs: a value is a string such as "1/2" or an integer, not null'),
+])
+def test_star_files_of_the_wrong_shape_are_usage_errors(text, message, tmp_path, capsys):
+    _file_is_a_usage_error(["map", "--which", "theta-star"], text, message, tmp_path, capsys)

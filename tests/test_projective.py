@@ -816,3 +816,116 @@ def test_eps_family_delta_matches_reference():
         assert got == _outcome(_ref_eps_family_delta, us, y, eps), (us, y, eps)
         seen.add(got.startswith("ValueError: y + eps*u_"))
     assert seen == {True, False}
+
+
+# The chart-product solver as it was before the one-pass form: two passes
+# through the representatives, each writing both directions of a pair.
+
+
+def _ref_extend_nu(s_part, block_tuples, core, eps):
+    eps = canon_scalar(eps)
+    parts = sorted(s_part.blocks, key=min)
+    reps = [min(b) for b in parts]
+    n = sum(len(b) for b in parts)
+    nu = {}
+    for b in parts:
+        labels = sorted(b)
+        bt = block_tuples[frozenset(b)]
+        for (x, y) in ordered_pairs(range(1, len(labels) + 1)):
+            nu[(labels[x - 1], labels[y - 1])] = bt[(x, y)]
+    for (x, y) in ordered_pairs(range(1, len(reps) + 1)):
+        nu[(reps[x - 1], reps[y - 1])] = core[(x, y)]
+    for k in range(len(parts)):
+        for l, bl in enumerate(parts):
+            if k == l:
+                continue
+            ik, il = reps[k], reps[l]
+            for b in sorted(bl):
+                if b == il:
+                    continue
+                nu[(ik, b)] = compose_nu(nu[(ik, il)], nu[(il, b)], eps)
+                nu[(b, ik)] = ProjPoint(eps * nu[(ik, b)].v - nu[(ik, b)].u, nu[(ik, b)].v)
+    for k, bk in enumerate(parts):
+        for a in sorted(bk):
+            if a == reps[k]:
+                continue
+            for l, bl in enumerate(parts):
+                if l == k:
+                    continue
+                for b in sorted(bl):
+                    if (a, b) in nu:
+                        continue
+                    nu[(a, b)] = compose_nu(nu[(a, reps[k])], nu[(reps[k], b)], eps)
+                    nu[(b, a)] = ProjPoint(eps * nu[(a, b)].v - nu[(a, b)].u, nu[(a, b)].v)
+    return NuTuple(n, nu, eps)
+
+
+_NONMEMBER_VALUES = [PP_ZERO, PP_INF, PP_ONE, ProjPoint(-1, 1), ProjPoint(2, 1), ProjPoint(F(1, 2), 1),
+                     ProjPoint(I, 1)]
+
+
+def _product_tuple(rng, m, eps, member):
+    """A nu-tuple on [m]: an orbit-map member, or values drawn from
+    _NONMEMBER_VALUES for i < j, which need not satisfy the triangles."""
+    if m == 1:
+        return NuTuple(1, {}, eps)
+    if not member:
+        return NuTuple(m, {ij: rng.choice(_NONMEMBER_VALUES) for ij in itertools.combinations(range(1, m + 1), 2)},
+                       eps)
+    return orbit_map(dict(zip(range(1, m + 1), (F(v, 3) for v in rng.sample(range(-30, 31), m)))), eps)
+
+
+def test_extend_nu_matches_reference():
+    # products on shuffled parts of [n], so a part's labels interleave with
+    # the others'; a third have non-member blocks and core
+    rng = random.Random(61)
+    outcomes = set()
+    for _ in range(2000):
+        n = rng.randrange(2, 8)
+        eps = rng.choice((F(0), F(1), I))
+        labels = rng.sample(range(1, n + 1), n)
+        cuts = sorted(rng.sample(range(1, n), rng.randrange(n)))
+        parts = [labels[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        member = rng.random() < 0.7
+        try:
+            blocks = {frozenset(p): _product_tuple(rng, len(p), eps, member or rng.random() < 0.5)
+                      for p in parts}
+            core = _product_tuple(rng, len(parts), eps, member)
+        except ValueError:  # 1 - eps*x = 0 in an orbit map
+            continue
+        got, want = [], []
+        for solver, out in ((extend_nu, got), (_ref_extend_nu, want)):
+            try:
+                out.append(solver(SetPartition(parts), blocks, core, eps).nu)
+            except InvariantViolation as err:
+                out.append(f"InvariantViolation: {err}")
+        assert got == want, (parts, eps)
+        outcomes.add((member, isinstance(got[0], str)))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_point_to_json_text():
+    assert point_to_json(NuTuple(3, {(1, 2): ProjPoint(F(1, 2), 1), (1, 3): PP_INF, (2, 3): PP_ZERO})) == (
+        '{"epsilon": null, "n": 3, "nu": {"1,2": ["1/2", "1"], "1,3": ["1", "0"], "2,1": ["-1/2", "1"], '
+        '"2,3": ["0", "1"], "3,1": ["1", "0"], "3,2": ["0", "1"]}}')
+    assert point_to_json(orbit_map({1: F(0), 2: F(1)}, I)) == (
+        '{"epsilon": "1i", "n": 2, "nu": {"1,2": ["-1+1i", "1"], "2,1": ["1", "1"]}}')
+    xs = {1: F(0), 2: F(1), 3: F(3)}
+    mu = ('{"1,2,3": ["3", "1"], "1,3,2": ["1/3", "1"], "2,1,3": ["-2", "1"], "2,3,1": ["-1/2", "1"], '
+          '"3,1,2": ["2/3", "1"], "3,2,1": ["3/2", "1"]}')
+    assert point_to_json(cross_ratios(xs)) == f'{{"mu": {mu}, "n": 3}}'
+    assert point_to_json(QTuple(3, orbit_map(xs, F(0)), cross_ratios(xs), F(0))) == (
+        f'{{"epsilon": "0", "mu": {mu}, "n": 3, "nu": {{"1,2": ["-1", "1"], "1,3": ["-1/3", "1"], '
+        '"2,1": ["1", "1"], "2,3": ["-1/2", "1"], "3,1": ["1/3", "1"], "3,2": ["1/2", "1"]}}')
+    with pytest.raises(TypeError):
+        point_to_json(PP_ONE)
+
+
+def test_point_json_roundtrip_of_every_family():
+    rng = random.Random(67)
+    for family in VarietySpec.TAGS:
+        member = None
+        while member is None:
+            member = _random_member(family, rng)
+        point = member[1]
+        assert point_from_json(point_to_json(point)) == point, family
