@@ -20,14 +20,8 @@ from . import projective as pj
 from . import realgeometry as rg
 from . import rootsystems as rs
 
-VARIETY_CODES = {
-    "T": "LosevManin",
-    "f": "Flower",
-    "Cf": "DeformedFlower",
-    "M": "DeligneMumford",
-    "Q": "MauWoodward",
-    "CQ": "DeformedMauWoodward",
-}
+# the --variety code of each family, in the order of VarietySpec.TAGS
+VARIETY_CODES = dict(zip(("T", "f", "Cf", "M", "Q", "CQ"), pj.VarietySpec.TAGS))
 
 
 def _emit(args, payload: str):
@@ -91,9 +85,8 @@ def _cmd_verify(args) -> int:
         with open(args.infile) as fh:
             point = pj.point_from_json(fh.read())
         tag = VARIETY_CODES[args.variety]
-        labels = () if args.n else getattr(point, "labels", ())  # a mu-only point's own labels
-        n = args.n or getattr(point, "n", None) or len(labels)
-        rep = pj.check_membership(pj.VarietySpec(tag, n, labels), point)
+        n = len(point.labels) if isinstance(point, pj.MuTuple) else point.n
+        rep = pj.check_membership(pj.VarietySpec(tag, n), point)
         _emit(args, json.dumps(
             {"variety": tag, "n": n, "pass": rep.ok,
              "violations": [[name, list(idx)] for name, idx, _ in sorted(rep.violations)[:20]]},
@@ -261,7 +254,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     q = leaf(vsub, "membership", _cmd_verify)
     q.add_argument("--variety", required=True, choices=tuple(VARIETY_CODES))
-    q.add_argument("--n", type=int, default=None)
     q.add_argument("--in", dest="infile", required=True)
 
     q = leaf(vsub, "presentation", _cmd_verify)

@@ -41,15 +41,16 @@ Letter = tuple
 Word = Tuple[Letter, ...]
 _MAX_STATES = 200000  # the most words one bounded rewriting may visit
 
-FAMILIES = (
-    "cactus",
-    "affine_cactus",
-    "ext_affine_cactus",
-    "virtual_cactus",
-    "virtual_sym",
-    "pure_virtual_cactus",
-    "pure_virtual_sym",
-)
+_FAMILY_OF = {
+    "C": "cactus",
+    "AC": "affine_cactus",
+    "EAC": "ext_affine_cactus",
+    "vC": "virtual_cactus",
+    "vS": "virtual_sym",
+    "PvC": "pure_virtual_cactus",
+    "PvS": "pure_virtual_sym",
+}
+FAMILIES = tuple(_FAMILY_OF.values())
 
 
 def _cyc(i: int, k: int, n: int) -> int:
@@ -650,15 +651,7 @@ def _window_offsets(value, n: int) -> list[int]:
 def _family_of(code: str) -> str:
     if code in SOLVABLE_TARGETS:
         raise ValueError(f"source {code} has no presentation to check")
-    return {
-        "C": "cactus",
-        "AC": "affine_cactus",
-        "EAC": "ext_affine_cactus",
-        "vC": "virtual_cactus",
-        "vS": "virtual_sym",
-        "PvC": "pure_virtual_cactus",
-        "PvS": "pure_virtual_sym",
-    }[code]
+    return _FAMILY_OF[code]
 
 
 # ---------------------------------------------------------------------------

@@ -198,13 +198,11 @@ def compose_nu(p: ProjPoint, q: ProjPoint, eps: Scalar) -> ProjPoint:
 
 
 def ordered_pairs(labels: Iterable[int]):
-    ls = sorted(labels)
-    return [(i, j) for i in ls for j in ls if i != j]
+    return list(itertools.permutations(sorted(labels), 2))
 
 
 def ordered_triples(labels: Iterable[int]):
-    ls = sorted(labels)
-    return [t for t in itertools.permutations(ls, 3)]
+    return list(itertools.permutations(sorted(labels), 3))
 
 
 @dataclass(frozen=True)
@@ -220,6 +218,8 @@ class NuTuple:
     epsilon: Optional[Scalar]
 
     def __init__(self, n: int, nu: Dict[Tuple[int, int], ProjPoint], epsilon=None):
+        if n < 1:
+            raise ValueError(f"a nu tuple needs n >= 1, not {n}")
         if epsilon is not None:
             epsilon = canon_scalar(epsilon)
         full = dict(nu)
@@ -227,9 +227,10 @@ class NuTuple:
         for (i, j), p in list(full.items()):
             if (j, i) not in full:
                 full[(j, i)] = ProjPoint(eps * p.v - p.u, p.v)
-        missing = [ij for ij in ordered_pairs(range(1, n + 1)) if ij not in full]
-        if missing:
-            raise ValueError(f"missing nu coordinates: {missing}")
+        pairs = set(ordered_pairs(range(1, n + 1)))
+        if full.keys() != pairs:
+            raise ValueError(f"nu on [{n}] holds each ordered pair once; missing or extra: "
+                             f"{sorted(full.keys() ^ pairs)[:4]}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "nu", tuple(sorted(full.items())))
         object.__setattr__(self, "epsilon", epsilon)
@@ -275,9 +276,10 @@ class MuTuple:
 
     def __init__(self, labels: Iterable[int], mu: Dict[Tuple[int, int, int], ProjPoint]):
         ls = tuple(sorted(labels))
-        missing = [t for t in ordered_triples(ls) if t not in mu]
-        if missing:
-            raise ValueError(f"missing mu coordinates: {missing[:4]}...")
+        triples = set(ordered_triples(ls))
+        if mu.keys() != triples:
+            raise ValueError(f"mu on {list(ls)} holds each ordered triple once; missing or extra: "
+                             f"{sorted(mu.keys() ^ triples)[:4]}")
         object.__setattr__(self, "labels", ls)
         object.__setattr__(self, "mu", tuple(sorted(mu.items())))
 
@@ -299,7 +301,7 @@ class MuTuple:
 
 @dataclass(frozen=True)
 class QTuple:
-    """A joint (nu, mu) tuple for the Mau-Woodward family."""
+    """A joint (nu, mu) tuple for the Mau-Woodward family, both on [n]."""
 
     n: int
     nu: NuTuple
@@ -307,6 +309,8 @@ class QTuple:
     epsilon: Optional[Scalar]
 
     def __init__(self, n, nu: NuTuple, mu: MuTuple, epsilon=None):
+        if (nu.n, mu.labels) != (n, tuple(range(1, n + 1))):
+            raise ValueError(f"a joint tuple on [{n}] has nu on [{nu.n}] and mu on {list(mu.labels)}")
         if epsilon is not None:
             epsilon = canon_scalar(epsilon)
         object.__setattr__(self, "n", n)
@@ -319,7 +323,6 @@ class QTuple:
 class VarietySpec:
     tag: str
     n: int
-    labels: Tuple[int, ...] = ()
 
     TAGS = (
         "LosevManin",
@@ -333,8 +336,6 @@ class VarietySpec:
     def __post_init__(self):
         if self.tag not in self.TAGS:
             raise ValueError(f"unknown variety tag {self.tag!r}")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(range(1, self.n + 1)))
 
 
 @dataclass
@@ -460,50 +461,53 @@ def _mu_equations(labels, d: dict, report: MembershipReport, quad_style: str):
             report.add("mu_quad", quad, r)
 
 
-def _nu_equations(n, d: dict, eps: Scalar, report: MembershipReport):
+def _nu_equations(labels, d: dict, eps: Scalar, report: MembershipReport):
     e = _hom(ProjPoint.finite(eps))
-    for i, j in itertools.combinations(range(1, n + 1), 2):
+    for i, j in itertools.combinations(labels, 2):
         r = _eq_sum_const(d[(i, j)], d[(j, i)], e)
         if r:
             report.add("nu_antisym", (i, j), r)
-    for i, j, k in itertools.permutations(range(1, n + 1), 3):
+    for i, j, k in itertools.permutations(labels, 3):
         r = _eq_triangle(d[(i, j)], d[(j, k)], d[(i, k)], e)
         if r:
             report.add("nu_triangle", (i, j, k), r)
 
 
 def check_membership(spec: VarietySpec, point) -> MembershipReport:
-    """Evaluate every defining polynomial of the family at the point."""
+    """Evaluate every defining polynomial of the family at the point, over its own labels."""
     report = MembershipReport(spec)
     tag = spec.tag
     shape = QTuple if "MauWoodward" in tag else MuTuple if tag == "DeligneMumford" else NuTuple
     if not isinstance(point, shape):
         raise ValueError(f"a {tag} point is a {shape.__name__}, not a {type(point).__name__}")
+    labels = point.labels if shape is MuTuple else tuple(range(1, point.n + 1))
+    if len(labels) != spec.n:
+        raise ValueError(f"a {tag}(n={spec.n}) check got a point on {len(labels)} labels")
     if tag == "LosevManin":
         d = {ij: _hom(p) for ij, p in point.nu}
-        for i, j in itertools.combinations(spec.labels, 2):
+        for i, j in itertools.combinations(labels, 2):
             r = _eq_prod_one(d[(i, j)], d[(j, i)])
             if r:
                 report.add("alpha_reciprocal", (i, j), r)
-        for i, j, k in itertools.permutations(spec.labels, 3):
+        for i, j, k in itertools.permutations(labels, 3):
             r = _eq_prod(d[(i, j)], d[(j, k)], d[(i, k)])
             if r:
                 report.add("alpha_transitive", (i, j, k), r)
         return report
     if tag in ("Flower", "DeformedFlower"):
         eps = point.epsilon if (tag == "DeformedFlower" and point.epsilon is not None) else ZERO
-        _nu_equations(spec.n, {ij: _hom(p) for ij, p in point.nu}, eps, report)
+        _nu_equations(labels, {ij: _hom(p) for ij, p in point.nu}, eps, report)
         return report
     if tag == "DeligneMumford":
-        _mu_equations(spec.labels, {ijk: _hom(p) for ijk, p in point.mu}, report, quad_style="dm")
+        _mu_equations(labels, {ijk: _hom(p) for ijk, p in point.mu}, report, quad_style="dm")
         return report
     if tag in ("MauWoodward", "DeformedMauWoodward"):
         eps = point.epsilon if (tag == "DeformedMauWoodward" and point.epsilon is not None) else ZERO
         nud = {ij: _hom(p) for ij, p in point.nu.nu}
         mud = {ijk: _hom(p) for ijk, p in point.mu.mu}
-        _nu_equations(spec.n, nud, eps, report)
-        _mu_equations(spec.labels, mud, report, quad_style="mw")
-        for i, j, k in itertools.permutations(spec.labels, 3):
+        _nu_equations(labels, nud, eps, report)
+        _mu_equations(labels, mud, report, quad_style="mw")
+        for i, j, k in itertools.permutations(labels, 3):
             r = _eq_link(mud[(i, j, k)], nud[(i, k)], nud[(i, j)])
             if r:
                 report.add("mu_nu_link", (i, j, k), r)
@@ -526,6 +530,8 @@ def classify_strata(point: NuTuple):
     cactus-flower space (m, r = numbers of parts, p = singleton parts of B).
     B always refines S for members.
     """
+    if not isinstance(point, NuTuple):
+        raise ValueError(f"strata classification is for a NuTuple, not a {type(point).__name__}")
     if point.epsilon not in (None, ZERO):
         raise ValueError("strata classification is for the epsilon = 0 fibre")
     rep = check_membership(VarietySpec("Flower", point.n), point)
@@ -930,10 +936,12 @@ def point_from_json(text: str):
         raise ValueError("a point file holds nu, mu or both")
     eps = parse_scalar(d["epsilon"]) if d.get("epsilon") else None
     nu = NuTuple(n, _json_points(d, "nu", 2), eps) if "nu" in d else None
-    mu = None
-    if "mu" in d:
-        points = _json_points(d, "mu", 3)
-        mu = MuTuple({label for index in points for label in index}, points)
-    if nu is not None and mu is not None:
+    if "mu" not in d:
+        return nu
+    points = _json_points(d, "mu", 3)
+    mu = MuTuple({label for index in points for label in index}, points)
+    if nu is not None:
         return QTuple(n, nu, mu, eps)
-    return nu if nu is not None else mu
+    if len(mu.labels) != n:
+        raise ValueError(f"n is {n}, but mu has {len(mu.labels)} labels")
+    return mu

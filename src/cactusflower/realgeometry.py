@@ -47,7 +47,7 @@ from .projective import (
     ordered_pairs,
     ordered_triples,
 )
-from .scalars import ONE
+from .scalars import ONE, nonzero_denominator
 
 INF = "inf"
 NEG_INF = "-inf"
@@ -93,6 +93,8 @@ class StarPoint:
     def __init__(self, order, diffs):
         order = tuple(order)
         diffs = tuple(Fraction(d) for d in diffs)
+        if not order:
+            raise ValueError("a star point needs at least one label")
         if sorted(order) != list(range(1, len(order) + 1)):
             raise ValueError("order must be a permutation of [n]")
         if len(diffs) != len(order) - 1:
@@ -170,7 +172,7 @@ def _json_fraction(v, where: str) -> Fraction:
     """A value read from a point file: a string such as "1/2", or an integer."""
     if type(v) not in (str, int):
         raise ValueError(f'{where}: a value is a string such as "1/2" or an integer, not {json.dumps(v)}')
-    return Fraction(v)
+    return nonzero_denominator(Fraction, v)
 
 
 def gamma(p: CubePoint) -> StarPoint:

@@ -148,8 +148,13 @@ def parse_scalar(s: str) -> Scalar:
     ValueError."""
     if not isinstance(s, str):
         raise ValueError(f'a scalar is a string such as "3/4", not {s!r}')
+    return nonzero_denominator(_parse_scalar, s)
+
+
+def nonzero_denominator(parse, s):
+    """parse(s), with a zero denominator refused as a ValueError."""
     try:
-        return _parse_scalar(s)
+        return parse(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ import pytest
 
 from cactusflower import cli
 from cactusflower.cli import main, make_parser
+from cactusflower.scalars import I
 
 HERE = os.path.dirname(__file__)
 DEMOS = os.path.join(HERE, "..", "demos")
@@ -299,14 +301,19 @@ def test_classify_nonmember_exits_1(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(
         "error: not a flower-space member:\nNOT a member of Flower(n=4):\n  nu_antisym(1, 3)")
-    # a point off the epsilon = 0 fibre, bad JSON and a missing file stay usage errors
+    # a point off the epsilon = 0 fibre, a mu tuple, bad JSON and a missing
+    # file stay usage errors
     path.write_text(cli.pj.point_to_json(cli.pj.orbit_map({1: Fraction(0), 2: Fraction(2)},
                                                           Fraction(1))))
+    mu = tmp_path / "mu.json"
+    mu.write_text(_point_text(nu=None))
     bad = tmp_path / "bad.json"
     bad.write_text("{")
-    for target in (path, bad, tmp_path / "missing.json"):
+    for target in (path, mu, bad, tmp_path / "missing.json"):
         assert main(["classify", "--in", str(target)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    assert main(["classify", "--in", str(mu)]) == 2
+    assert capsys.readouterr().err == "error: strata classification is for a NuTuple, not a MuTuple\n"
 
 
 @pytest.mark.parametrize("verb", [["verify", "membership", "--variety", "f"], ["classify"]])
@@ -456,6 +463,8 @@ def test_flags_live_on_the_verbs_that_read_them():
     ["roots", "--type", "G2", "--format", "dot"],
     ["verify", "acceptance", "--jobs", "2"],
     ["map", "--which", "gamma", "--in", os.path.join(DEMOS, "cubepoint.json"), "--f", "default"],
+    # the point file declares its own n
+    ["verify", "membership", "--variety", "f", "--n", "3", "--in", os.path.join(DEMOS, "figure2.json")],
 ])
 def test_flag_on_a_verb_that_does_not_read_it_is_a_usage_error(argv):
     code, out, err = run_cli(*argv)
@@ -481,14 +490,46 @@ def test_acceptance_seed_and_out(tmp_path):
     assert target.read_text().startswith("[PASS] criterion  1")
 
 
-@pytest.mark.parametrize("verb", [["verify", "membership", "--variety", "M"], ["classify"]])
-@pytest.mark.parametrize("text, message", [
+def _point_text(**fields):
+    """A joint member's point file on [4], with the given fields put in
+    (or, given as None, left out)."""
+    xs = {1: Fraction(0), 2: Fraction(1), 3: Fraction(3), 4: Fraction(7)}
+    q = cli.pj.QTuple(4, cli.pj.orbit_map(xs, Fraction(0)), cli.pj.cross_ratios(xs), Fraction(0))
+    d = {**json.loads(cli.pj.point_to_json(q)), **fields}
+    return json.dumps({k: v for k, v in d.items() if v is not None})
+
+
+_ONE = ["1", "1"]
+_POINT_FILE_ERRORS = [
     ('{"n": 3, "nu": []}', "nu must be an object, not []"),
     ('"abc"', 'the file must hold a JSON object, not "abc"'),
     ('{"n": "3", "nu": {"1,2": ["1", "1"]}}', 'n must be an integer, not "3"'),
     ('{"n": 3, "mu": []}', "mu must be an object, not []"),
     ('{"n": 3}', "a point file holds nu, mu or both"),
-])
+    # each tuple holds the coordinates of its own index set, and no others
+    ('{"n": -1, "nu": {}}', "a nu tuple needs n >= 1, not -1"),
+    ('{"n": 0, "nu": {}}', "a nu tuple needs n >= 1, not 0"),
+    (json.dumps({"n": 2, "nu": {"1,2": _ONE, "5,9": _ONE}}),
+     "nu on [2] holds each ordered pair once; missing or extra: [(5, 9), (9, 5)]"),
+    (json.dumps({"n": 2, "nu": {"1,2": _ONE, "1,3": _ONE}}),
+     "nu on [2] holds each ordered pair once; missing or extra: [(1, 3), (3, 1)]"),
+    (json.dumps({"n": 2, "nu": {"1,2": _ONE, "2,2": _ONE}}),
+     "nu on [2] holds each ordered pair once; missing or extra: [(2, 2)]"),
+    (json.dumps({"n": 2, "nu": {"1,2,3": _ONE}}), "nu 1,2,3: a nu index has 2 labels"),
+    (json.dumps({"n": 2, "mu": {"1,2,2": _ONE}}),
+     "mu on [1, 2] holds each ordered triple once; missing or extra: [(1, 2, 2)]"),
+    (_point_text(nu=None, n=3), "n is 3, but mu has 4 labels"),
+    (_point_text(n=3, nu={"1,2": _ONE, "1,3": _ONE, "2,3": _ONE}),
+     "a joint tuple on [3] has nu on [3] and mu on [1, 2, 3, 4]"),
+]
+
+
+_POINT_VERBS = [["verify", "membership", "--variety", "M"], ["classify"],
+                ["verify", "membership", "--variety", "Q"]]
+
+
+@pytest.mark.parametrize("verb", _POINT_VERBS)
+@pytest.mark.parametrize("text, message", _POINT_FILE_ERRORS)
 def test_point_files_of_the_wrong_shape_are_usage_errors(verb, text, message, tmp_path, capsys):
     _file_is_a_usage_error(verb, text, message, tmp_path, capsys)
 
@@ -503,23 +544,182 @@ def _file_is_a_usage_error(verb, text, message, tmp_path, capsys):
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("which", ["gamma", "theta"])
-@pytest.mark.parametrize("text, message", [
+_CUBE_FILE_ERRORS = [
     ('"abc"', 'the file must hold a JSON object, not "abc"'),
     ('{"forest": 3, "t": {}}', "forest must be a string, not 3"),
     ('{"forest": [1, 2], "t": {}}', "forest must be a string, not [1, 2]"),
     ('{"forest": "(1,2)", "t": []}', "t must be an object, not []"),
     ('{"forest": "(1,2)", "t": {"1,2": null}}', 't 1,2: a value is a string such as "1/2" or an integer, not null'),
-])
-def test_cube_files_of_the_wrong_shape_are_usage_errors(which, text, message, tmp_path, capsys):
-    _file_is_a_usage_error(["map", "--which", which], text, message, tmp_path, capsys)
-
-
-@pytest.mark.parametrize("text, message", [
+    ('{"forest": "(1,2)", "t": {"1,2": "1/0"}}', "zero denominator in '1/0'"),
+    ('{"forest": "(1,2)", "t": {"1,2": "0/0"}}', "zero denominator in '0/0'"),
+    ('{"forest": "(1,2)", "t": {"1,2": "i"}}', "Invalid literal for Fraction: 'i'"),
+    ('{"forest": "", "t": {}}', "a cube point needs a forest with at least one leaf"),
+    ('{"forest": "(1,2)", "t": {}}', "t must assign a value to every internal edge"),
+    ('{"forest": "(1,2)", "t": {"1,2": "2"}}', "edge values must lie in [0, 1]"),
+]
+_STAR_FILE_ERRORS = [
     ("[]", "the file must hold a JSON object, not []"),
     ('{"order": [1, 2]}', "diffs must be an array, not null"),
     ('{"order": [1, "a"], "diffs": ["0"]}', 'order must be an array of integer labels, not [1, "a"]'),
     ('{"order": [1, 2], "diffs": [null]}', 'diffs: a value is a string such as "1/2" or an integer, not null'),
-])
+    ('{"order": [1, 2], "diffs": ["1/0"]}', "zero denominator in '1/0'"),
+    ('{"order": [1, 2], "diffs": ["0/0"]}', "zero denominator in '0/0'"),
+    ('{"order": [1, 2], "diffs": ["i"]}', "Invalid literal for Fraction: 'i'"),
+    ('{"order": [], "diffs": []}', "a star point needs at least one label"),
+    ('{"order": [1, 3], "diffs": ["0"]}', "order must be a permutation of [n]"),
+    ('{"order": [1, 2], "diffs": []}', "need one difference per consecutive pair"),
+    ('{"order": [1, 2], "diffs": ["2"]}', "differences must lie in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("which", ["gamma", "theta"])
+@pytest.mark.parametrize("text, message", _CUBE_FILE_ERRORS)
+def test_cube_files_of_the_wrong_shape_are_usage_errors(which, text, message, tmp_path, capsys):
+    _file_is_a_usage_error(["map", "--which", which], text, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("text, message", _STAR_FILE_ERRORS)
 def test_star_files_of_the_wrong_shape_are_usage_errors(text, message, tmp_path, capsys):
     _file_is_a_usage_error(["map", "--which", "theta-star"], text, message, tmp_path, capsys)
+
+
+# ---------------------------------------------------------------------------
+# a seeded sweep over every verb: small sizes, bad arguments and mutated files
+
+_SWEEP_CALLS = 2000
+_KEYS = ["1,2", "2,1", "1,3", "5,9", "2,2", "0,1", "-1,2", "1,2,3", "1,2,2", "2,4,5", "a", "", "1,,2",
+         "n", "nu", "mu", "epsilon", "forest", "t", "order", "diffs", "2,3", "1,2,3,4"]
+_JUNK = [None, True, 0, 1, -1, 3, 11, 2.5, "", "x", "i", "1/0", "0/0", "-1", "1/2", "1+i", "(1,2)", "((1,2),3)",
+         [], {}, [1, 0], ["1"], ["1", "0"], ["0", "1"], ["0", "0"], ["1", "0/0"], ["i", "1"], ["1/2", "1"],
+         [1, 2, 3], [3, 1, 2], ["1", "1", "1"]]
+
+
+def _mutate(rng, doc):
+    """doc, a JSON value, with one random edit somewhere inside it."""
+    if not isinstance(doc, (dict, list)) or not doc or rng.random() < 0.15:
+        return rng.choice(_JUNK + [{"n": rng.randrange(-1, 6), "nu": {}}, {"order": [], "diffs": []}])
+    if isinstance(doc, dict):
+        doc = dict(doc)
+        key = rng.choice(sorted(doc))
+        edit = rng.random()
+        if edit < 0.2:
+            del doc[key]
+        elif edit < 0.4:
+            doc[rng.choice(_KEYS)] = rng.choice(_JUNK + [doc[key]])
+        else:
+            doc[key] = _mutate(rng, doc[key])
+        return doc
+    doc = list(doc)
+    pos = rng.randrange(len(doc))
+    edit = rng.random()
+    if edit < 0.2:
+        del doc[pos]
+    elif edit < 0.3:
+        doc.append(rng.choice(_JUNK))
+    else:
+        doc[pos] = _mutate(rng, doc[pos])
+    return doc
+
+
+def _sweep_files(rng):
+    """Base files of every kind, on at most five labels (figure2.json has nine)."""
+    pj = cli.pj
+    with open(os.path.join(DEMOS, "figure2.json")) as fh:
+        points = [json.load(fh)]
+    with open(os.path.join(DEMOS, "cubepoint.json")) as fh:
+        cubes = [json.load(fh), {"forest": "(1,2)", "t": {"1,2": "1/2"}}]
+    for n in range(1, 6):
+        xs = {k: Fraction(k * k, 3) for k in range(1, n + 1)}
+        for eps in (Fraction(0), Fraction(1, 7), I):
+            points.append(json.loads(pj.point_to_json(pj.orbit_map(xs, eps))))
+        labels = sorted(rng.sample(range(1, 8), max(n, 3)))
+        points.append(json.loads(pj.point_to_json(pj.cross_ratios({k: Fraction(k, 2) for k in labels}))))
+        if n >= 3:
+            q = pj.QTuple(n, pj.orbit_map(xs, Fraction(0)), pj.cross_ratios(xs), Fraction(0))
+            points.append(json.loads(pj.point_to_json(q)))
+    stars = [{"order": rng.sample(range(1, k + 1), k), "diffs": [rng.choice(["0", "1", "1/2", "1/3"])
+                                                                 for _ in range(k - 1)]}
+             for k in range(1, 6)]
+    return {"point": points, "cube": cubes, "star": stars}
+
+
+def _sweep_argv(rng, files, path):
+    """One random invocation: a verb, its flags and, where it reads one,
+    the file at path written with a mutated (or intact) input."""
+    size = str(rng.choice([-1, 0, 1, 2, 3, 4, "x"]))
+    verb = rng.randrange(14)
+    if verb < 6:  # the verbs that read a file, six times as often
+        kind, argv = rng.choice([
+            ("point", ["verify", "membership", "--variety", rng.choice(list(cli.VARIETY_CODES))]),
+            ("point", ["classify"]),
+            ("cube", ["map", "--which", rng.choice(["gamma", "theta"])]),
+            ("star", ["map", "--which", "theta-star"]),
+        ])
+        if rng.random() < 0.1:
+            kind = rng.choice(["point", "cube", "star"])  # a file of another kind
+        doc = rng.choice(files[kind])
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            doc = _mutate(rng, doc)
+        path.write_text(json.dumps(doc))
+        argv += ["--in", str(path) if rng.random() < 0.97 else str(path.parent)]
+    elif verb == 6:
+        argv = [rng.choice(["enumerate", "export"]), "--complex",
+                rng.choice(["D", "hatD", "breveD", "P", "hatP", "breveP"]), "--n", size]
+    elif verb == 7:
+        argv = ["verify", "npc", "--complex", rng.choice(["D", "hatD", "breveD"]), "--n", size]
+    elif verb == 8:
+        argv = ["verify", "local-isometry", "--from", rng.choice(["D", "breveD"]),
+                "--to", rng.choice(["breveD", "hatD"]), "--n", size]
+    elif verb == 9:
+        argv = ["verify", "hom", "--from", rng.choice(cli.gr.GROUPS), "--to", rng.choice(cli.gr.GROUPS),
+                "--n", str(rng.choice([-1, 1, 2, 3, 4, 5])), "--depth", str(rng.choice([-1, 0, 2, 6]))]
+    elif verb == 10:
+        argv = rng.choice([["verify", "diagram", "--n", str(rng.randrange(-1, 6))],
+                           ["verify", "presentation", "--complex", rng.choice(["hatD", "hatP"]), "--n", size]])
+    elif verb == 11:  # the criteria that run in milliseconds, and numbers out of range
+        argv = ["verify", "acceptance", "--criterion", str(rng.choice([-1, 0, 1, 2, 3, 4, 5, 6, 8, 13, 14])),
+                "--seed", str(rng.randrange(100))]
+    elif verb == 12:
+        argv = ["path", "--n", str(rng.randrange(-1, 6)), "--k", str(rng.randrange(-1, 7)),
+                "--samples", str(rng.randrange(-1, 4)), "--s", rng.choice(["1", "0.5", "0", "-2", "nan", "inf"])]
+    else:
+        argv = ["roots", "--type", rng.choice(["A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4", "F4", "E6",
+                                               "A0", "Z2", "", "[]", "[[2]]", "[[0]]", "[[2,-1],[-1,2]]",
+                                               "[[2,-1],[-3,2]]", "[[2,-2],[-2,2]]", "[[2,-1],[-1]]",
+                                               "[[2,0],[0,2]]", "[[2,-1],[-1,2]", "[[a]]", "[1,2]"])]
+        if argv[-1] in ("A1", "A2", "A3", "B2", "B3", "C3", "G2") and rng.random() < 0.5:
+            argv += ["--verify", "face-centers"]  # a rank of at most 3: milliseconds
+        argv += ["--format", rng.choice(["json", "csv"])]
+    if rng.random() < 0.05:
+        argv += rng.choice([["--n", "3"], ["--bogus"], ["--out", str(path.parent / "no" / "out.txt")]])
+    return argv
+
+
+def test_seeded_sweep_of_every_verb_exits_0_1_or_2(tmp_path, capsys):
+    # every call returns 0, 1 or 2: no exception escapes main, on any input
+    rng = random.Random(28)
+    files = _sweep_files(rng)
+    escapes, codes, verbs = {}, set(), set()
+    for _ in range(_SWEEP_CALLS):
+        argv = _sweep_argv(rng, files, tmp_path / "in.json")
+        verbs.add(tuple(a for a in argv[:2] if not a.startswith("-")))
+        try:
+            code = main(argv)
+        except Exception as exc:  # an escape: main lets it through as a traceback
+            text = (tmp_path / "in.json").read_text() if "--in" in argv else None
+            escapes.setdefault((type(exc).__name__, *argv[:2]), (argv, repr(exc), text))
+            continue
+        assert code in (0, 1, 2), argv
+        codes.add(code)
+        capsys.readouterr()
+    assert not escapes, "\n".join(f"{key}: {call}" for key, call in escapes.items())
+    assert codes == {0, 1, 2}
+    assert verbs >= set(QUICK)
+    # each reader check still refuses its own repro, with its own message
+    pinned = [(verb, _POINT_FILE_ERRORS) for verb in _POINT_VERBS]
+    pinned += [(["map", "--which", "gamma"], _CUBE_FILE_ERRORS), (["map", "--which", "theta"], _CUBE_FILE_ERRORS),
+               (["map", "--which", "theta-star"], _STAR_FILE_ERRORS),
+               (["classify"], [(_point_text(nu=None), "strata classification is for a NuTuple, not a MuTuple")])]
+    for verb, errors in pinned:
+        for text, message in errors:
+            _file_is_a_usage_error(verb, text, message, tmp_path, capsys)

@@ -104,6 +104,27 @@ def test_flower_membership_examples():
     assert not rep.ok and any(v[0] == "nu_triangle" for v in rep.violations)
 
 
+def test_membership_reads_the_index_set_from_the_point():
+    # a spec of another size is refused, not checked on a subset of the labels
+    xs = {k: F(k * k, 3) for k in range(1, 10)}
+    broken = orbit_map(xs, F(0)).as_dict()
+    broken[(7, 9)] = ProjPoint.finite(F(5))
+    with pytest.raises(ValueError, match=r"a Flower\(n=4\) check got a point on 9 labels"):
+        check_membership(VarietySpec("Flower", 4), NuTuple(9, broken))
+    mu = cross_ratios({2: F(0), 4: F(1), 5: F(3), 9: F(7)})
+    assert check_membership(VarietySpec("DeligneMumford", 4), mu).ok
+    with pytest.raises(ValueError, match=r"a DeligneMumford\(n=5\) check got a point on 4 labels"):
+        check_membership(VarietySpec("DeligneMumford", 5), mu)
+    q = q_member({1: F(0), 2: F(1), 3: F(5)}, F(0), 3)
+    with pytest.raises(ValueError, match=r"a MauWoodward\(n=4\) check got a point on 3 labels"):
+        check_membership(VarietySpec("MauWoodward", 4), q)
+    # a joint tuple holds nu and mu on the same labels 1..n
+    for nu, mu in ((q.nu, MuTuple((1, 2, 4), {t: PP_ONE for t in ordered_triples((1, 2, 4))})),
+                   (orbit_map({1: F(0), 2: F(1)}, F(0)), q.mu)):
+        with pytest.raises(ValueError, match=r"a joint tuple on \[3\] has nu on \[\d\] and mu on \[1, 2, \d\]"):
+            QTuple(3, nu, mu, F(0))
+
+
 def test_q3_example():
     q = q_member({1: F(0), 2: F(1), 3: F(5)}, F(0), 3)
     rep = check_membership(VarietySpec("MauWoodward", 3), q)
@@ -597,7 +618,7 @@ def test_sigma_mau_woodward_and_dm():
     # the marked-point swap on the moduli of five points
     zs5 = {1: F(0), 2: F(1), 3: F(3), 4: F(11), 5: F(4, 7)}
     mu5 = cross_ratios(zs5)
-    spec5 = VarietySpec("DeligneMumford", 5, tuple(range(1, 6)))
+    spec5 = VarietySpec("DeligneMumford", 5)
     assert check_membership(spec5, mu5).ok
     sd = sigma_dm(mu5, 4)
     assert check_membership(spec5, sd).ok
