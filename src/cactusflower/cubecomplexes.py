@@ -51,13 +51,15 @@ A sub-2-cube is determined by its 0-cube and its two corners (its two edge
 spans on the vertex's leaf order), so a face of a higher sub-cube is present
 exactly when its corner pair indexes a square at that cube's vertex.
 
-Each certificate call first builds the link graph (_link_graph): one pass
-over the sub-1-cubes and one over the sub-2-cubes give, per vertex key, the
-sub-1-cube at each corner key and, per corner, the set of corners joined to
-it by a square.  The flag check tests the corner pairs of every higher
-sub-cube and grows its cliques on that graph, and the local-isometry check
-reads the graphs of its source and target.  The graph lives only for the
-call that built it.
+Each certificate call first builds one indexed link per vertex key
+(_link_graph, _Link): one pass over the sub-1-cubes numbers their corners
+as bits, in the forest_key order of the sub-1-cubes, and one pass over the
+sub-2-cubes sets two bits of the int adjacency masks, one mask per corner.
+A higher sub-cube's corners map to a mask, which is a link simplex when
+each corner's mask holds the others; the flag check keys the simplices at a
+vertex by mask and grows its cliques on masks, lowest bit first.  The
+local-isometry check reads the links of its source and target with bit
+tests.  The links live only for the call that built them.
 """
 from __future__ import annotations
 
@@ -65,7 +67,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .combinatorics import Permutation, arrange, arrangements, set_partitions
 from .forests import (
@@ -176,9 +178,13 @@ def _canon_p_cell(kind: str, parts) -> Tuple[Tuple[int, ...], ...]:
 
 @dataclass
 class FlagReport:
+    """cliques maps k to the number of k-cliques of the vertex links, summed
+    over the 0-cubes, when the check passes: one per sub-k-cube."""
+
     ok: bool
     witness: Optional[tuple] = None
     detail: str = ""
+    cliques: Dict[int, int] = field(default_factory=dict)
 
     def __bool__(self):
         return self.ok
@@ -201,38 +207,82 @@ def _link_keys(kind: str, sigma: PlanarForest):
     return order[i:] + order[:i], [(order[lo:hi], order[hi:] + order[:lo]) for lo, hi, _ in spans]
 
 
-def _link_graph(c: CubeComplex):
-    """The 1-skeleta of the links at every 0-cube of a cube complex, in one
-    pass over its sub-1-cubes and one over its sub-2-cubes.
+class _Link:
+    """The link of one 0-cube, indexed: its vertices are bits of an int.
 
-    Returns (ones, adj, open_square, bad_square): ones maps a vertex key to
-    {corner key: sub-1-cube}, adj maps it to {corner key: set of the corner
-    keys joined to it by a square}, with an entry for every sub-1-cube.  A
-    square whose corner is not a sub-1-cube still joins its two corners;
-    open_square is the first such square, or None.  bad_square is the first
-    square whose corner pair an earlier square already joined, or None.
+    ones maps the corner key of each incident sub-1-cube to it, in the order
+    the sub-1-cubes came; bit numbers those corners in the forest_key order
+    of their sub-1-cubes; rows[i] is the mask of the corners joined to corner
+    i by a square.  A square corner that is no sub-1-cube gets the next free
+    bit (see open)."""
+
+    __slots__ = ("ones", "bit", "rows")
+
+    def __init__(self, ones: Dict[tuple, PlanarForest]):
+        self.ones = ones
+        self.bit = {a: i for i, a in enumerate(sorted(ones, key=lambda a: forest_key(ones[a])))}
+        self.rows = [0] * len(ones)
+
+    def open(self, a) -> None:
+        if a not in self.bit:
+            self.bit[a] = len(self.rows)
+            self.rows.append(0)
+
+    def joined(self, a, b) -> bool:
+        bit = self.bit
+        return a in bit and b in bit and bool(self.rows[bit[a]] >> bit[b] & 1)
+
+    def span(self, corners) -> Optional[int]:
+        """The mask of the corners if they are pairwise joined, else None."""
+        bit, rows = self.bit, self.rows
+        try:
+            bits = [bit[a] for a in corners]
+        except KeyError:
+            return None
+        mask = 0
+        for i in bits:
+            mask |= 1 << i
+        for i in bits:
+            if rows[i] & mask != mask ^ (1 << i):
+                return None
+        return mask
+
+
+def _link_graph(c: CubeComplex):
+    """The indexed links at every 0-cube of a cube complex, in one pass over
+    its sub-1-cubes and one over its sub-2-cubes.
+
+    Returns (links, open_square, bad_square): links maps a vertex key to its
+    _Link.  A square whose corner is not a sub-1-cube still joins its two
+    corners; open_square is the first such square, or None.  bad_square is
+    the first square whose corner pair an earlier square already joined, or
+    None.
     """
     kind = D_KINDS[c.kind]
     ones: Dict[tuple, Dict[tuple, PlanarForest]] = {}
-    adj: Dict[tuple, Dict[tuple, set]] = {}
     for s1 in c.subcubes.get(1, ()):
         v, (a,) = _link_keys(kind, s1)
         ones.setdefault(v, {})[a] = s1
-        adj.setdefault(v, {})[a] = set()
+    links = {v: _Link(at_v) for v, at_v in ones.items()}
     open_square = bad_square = None
     for sq in c.subcubes.get(2, ()):
         v, (a, b) = _link_keys(kind, sq)
-        if open_square is None:
-            ones_v = ones.get(v, ())
-            if a not in ones_v or b not in ones_v:
+        link = links.get(v)
+        if link is None:
+            link = links[v] = _Link({})
+        bit = link.bit
+        if a not in bit or b not in bit:
+            if open_square is None:
                 open_square = sq
-        at_v = adj.setdefault(v, {})
-        joined = at_v.setdefault(a, set())
-        if bad_square is None and b in joined:
+            link.open(a)
+            link.open(b)
+        i, j = bit[a], bit[b]
+        rows = link.rows
+        if bad_square is None and rows[i] >> j & 1:
             bad_square = sq
-        joined.add(b)
-        at_v.setdefault(b, set()).add(a)
-    return ones, adj, open_square, bad_square
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return links, open_square, bad_square
 
 
 def _square_fault(c: CubeComplex, sq: PlanarForest):
@@ -255,17 +305,18 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
     Checks, at every 0-cube: the two corners of each sub-2-cube are present
     and determine it uniquely, and every clique of sub-1-cubes pairwise
     joined by sub-2-cubes spans a unique sub-cube.  A missing face is
-    reported with the cube and the expected face as witness.
+    reported with the cube and the expected face as witness; a passing
+    report counts the cliques it visited per size.
     """
     if not c.is_cubical:
         raise ValueError("the flag certificate needs subcube data (a cube complex)")
     kind = D_KINDS[c.kind]
-    ones, adj, open_square, bad_square = _link_graph(c)
+    links, open_square, bad_square = _link_graph(c)
 
     # face closure: both corners of every square are sub-1-cubes ...
     if open_square is not None:
         v, corners = _link_keys(kind, open_square)
-        ones_v = ones.get(v, {})
+        ones_v = links[v].ones
         missing = next(e for e, a in zip(open_square.edges(), corners) if a not in ones_v)
         return FlagReport(
             False,
@@ -274,62 +325,65 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
         )
 
     # ... and every corner pair of a higher sub-cube spans a square at its
-    # vertex.  The same pass indexes the higher link simplices by corner set.
-    simplices: Dict[tuple, Dict[FrozenSet, PlanarForest]] = {}
+    # vertex.  The same pass indexes the higher link simplices by corner mask.
+    simplices: Dict[tuple, Dict[int, PlanarForest]] = {}
     simplex_fault = None
     for k in range(3, c.dim + 1):
         for sigma in c.subcubes.get(k, ()):
             v, corners = _link_keys(kind, sigma)
-            adj_v = adj.get(v, {})
-            for a, b in itertools.combinations(corners, 2):
-                if b not in adj_v.get(a, ()):
-                    edge = dict(zip(corners, sigma.edges()))
-                    face = c.sub_face(sigma, (edge[a], edge[b]))
-                    return FlagReport(
-                        False, (forest_to_newick(sigma), forest_to_newick(face)), "missing square face"
-                    )
+            link = links.get(v) or _Link({})
+            mask = link.span(corners)
+            if mask is None:
+                a, b = next((a, b) for a, b in itertools.combinations(corners, 2) if not link.joined(a, b))
+                edge = dict(zip(corners, sigma.edges()))
+                face = c.sub_face(sigma, (edge[a], edge[b]))
+                return FlagReport(
+                    False, (forest_to_newick(sigma), forest_to_newick(face)), "missing square face"
+                )
             if simplex_fault is not None:
                 continue
-            verts = frozenset(corners)
             at_v = simplices.setdefault(v, {})
-            if verts in at_v:
+            if mask in at_v:
                 simplex_fault = (
                     "two cubes span the same link simplex",
-                    (forest_to_newick(at_v[verts]), forest_to_newick(sigma)),
+                    (forest_to_newick(at_v[mask]), forest_to_newick(sigma)),
                 )
-            at_v[verts] = sigma
+            at_v[mask] = sigma
     fault = simplex_fault if bad_square is None else _square_fault(c, bad_square)
     if fault is not None:
         detail, witness = fault
         return FlagReport(False, witness, detail)
 
     # flagness: every clique spans a unique simplex; the 2-cliques are the
-    # squares themselves
-    for v, ones_v in ones.items():
-        names = sorted(ones_v, key=lambda a: forest_key(ones_v[a]))
-        adj_v = adj[v]
+    # squares themselves.  A clique grows by its lowest joined candidate
+    # first, so cliques come in the forest_key order of their corners.
+    cliques = [0] * (c.dim + 2)
+    for v, link in links.items():
+        rows = link.rows
         higher = simplices.get(v, {})
 
-        def extend(clique, candidates):
-            size = len(clique)
-            if size >= 3 and frozenset(clique) not in higher:
-                vertex = c.vertex_of(ones_v[clique[0]])
-                return FlagReport(
-                    False,
-                    (forest_to_newick(vertex), tuple(forest_to_newick(ones_v[x]) for x in clique)),
-                    f"{size}-clique spans no cube",
-                )
-            for idx, cand in enumerate(candidates):
-                rep = extend(clique + [cand], [x for x in candidates[idx + 1 :] if x in adj_v[cand]])
-                if rep is not None:
-                    return rep
+        def extend(mask, size, cands):
+            cliques[size] += 1
+            if size >= 3 and mask not in higher:
+                return mask
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                bad = extend(mask | low, size + 1, cands & rows[low.bit_length() - 1])
+                if bad is not None:
+                    return bad
             return None
 
-        for idx, a in enumerate(names):
-            rep = extend([a], [b for b in names[idx + 1 :] if b in adj_v[a]])
-            if rep is not None:
-                return rep
-    return FlagReport(True)
+        for i, row in enumerate(rows):
+            bad = extend(1 << i, 1, row >> (i + 1) << (i + 1))
+            if bad is not None:
+                clique = [link.ones[a] for j, a in enumerate(link.bit) if bad >> j & 1]
+                return FlagReport(
+                    False,
+                    (forest_to_newick(c.vertex_of(clique[0])), tuple(map(forest_to_newick, clique))),
+                    f"{len(clique)}-clique spans no cube",
+                )
+    return FlagReport(True, cliques={k: cliques[k] for k in range(1, c.dim + 1)})
 
 
 def remove_subcube(c: CubeComplex, sigma: PlanarForest) -> CubeComplex:
@@ -386,29 +440,35 @@ def check_local_isometry(phi: CombinatorialMap) -> IsometryReport:
     """
     src, dst = phi.source, phi.target
     dst_kind = D_KINDS[dst.kind]
-    src_ones, src_adj = _link_graph(src)[:2]
-    dst_adj = _link_graph(dst)[1]
+    dst_links = _link_graph(dst)[0]
 
-    for v, ones in src_ones.items():
-        images = {}  # image corner key -> (source corner key, sub-1-cube)
-        for a, s1 in ones.items():
+    for link in _link_graph(src)[0].values():
+        images = {}  # image corner key -> source corner key
+        for a, s1 in link.ones.items():
             vi, (im,) = _link_keys(dst_kind, phi.apply(s1))
             if im in images:
                 return IsometryReport(
                     False,
-                    (forest_to_newick(images[im][1]), forest_to_newick(s1)),
+                    (forest_to_newick(link.ones[images[im]]), forest_to_newick(s1)),
                     "link not injective",
                 )
-            images[im] = (a, s1)
-        at_v = src_adj[v]
-        at_vi = dst_adj.get(vi, {})  # the images' 0-cube
-        for (ia, (a, fa)), (ib, (b, fb)) in itertools.combinations(images.items(), 2):
-            if ib in at_vi.get(ia, ()) and b not in at_v[a]:
-                return IsometryReport(
-                    False,
-                    (forest_to_newick(fa), forest_to_newick(fb)),
-                    "image square has no preimage square",
-                )
+            images[im] = a
+        target = dst_links.get(vi) if images else None  # the images' 0-cube
+        if target is None:
+            continue
+        # (target bit or None, source bit, sub-1-cube) per image, in order
+        order = [(target.bit.get(im), link.bit[a], link.ones[a]) for im, a in images.items()]
+        for p, (ti, si, fa) in enumerate(order):
+            if ti is None:
+                continue
+            trow, srow = target.rows[ti], link.rows[si]
+            for tj, sj, fb in order[p + 1 :]:
+                if tj is not None and trow >> tj & 1 and not srow >> sj & 1:
+                    return IsometryReport(
+                        False,
+                        (forest_to_newick(fa), forest_to_newick(fb)),
+                        "image square has no preimage square",
+                    )
     return IsometryReport(True)
 
 

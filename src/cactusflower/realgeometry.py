@@ -169,10 +169,14 @@ class CubePoint:
 
 
 def _json_fraction(v, where: str) -> Fraction:
-    """A value read from a point file: a string such as "1/2", or an integer."""
+    """A value read from a point file: a string such as "1/2", or an integer;
+    a ValueError names the field where it could not be read."""
     if type(v) not in (str, int):
         raise ValueError(f'{where}: a value is a string such as "1/2" or an integer, not {json.dumps(v)}')
-    return nonzero_denominator(Fraction, v)
+    try:
+        return nonzero_denominator(Fraction, v)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def gamma(p: CubePoint) -> StarPoint:

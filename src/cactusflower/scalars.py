@@ -258,7 +258,9 @@ class Dual:
 
 
 def matrix_rank(rows) -> int:
-    """Rank of a matrix of exact scalars by fraction-free Gaussian elimination."""
+    """Rank of a matrix of exact scalars by Gaussian elimination: each row
+    below the pivot loses its multiple (entry / pivot) of the pivot row, in
+    exact arithmetic."""
     m = [list(r) for r in rows]
     rank = 0
     n_cols = len(m[0]) if m else 0

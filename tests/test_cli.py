@@ -550,9 +550,9 @@ _CUBE_FILE_ERRORS = [
     ('{"forest": [1, 2], "t": {}}', "forest must be a string, not [1, 2]"),
     ('{"forest": "(1,2)", "t": []}', "t must be an object, not []"),
     ('{"forest": "(1,2)", "t": {"1,2": null}}', 't 1,2: a value is a string such as "1/2" or an integer, not null'),
-    ('{"forest": "(1,2)", "t": {"1,2": "1/0"}}', "zero denominator in '1/0'"),
-    ('{"forest": "(1,2)", "t": {"1,2": "0/0"}}', "zero denominator in '0/0'"),
-    ('{"forest": "(1,2)", "t": {"1,2": "i"}}', "Invalid literal for Fraction: 'i'"),
+    ('{"forest": "(1,2)", "t": {"1,2": "1/0"}}', "t 1,2: zero denominator in '1/0'"),
+    ('{"forest": "(1,2)", "t": {"1,2": "0/0"}}', "t 1,2: zero denominator in '0/0'"),
+    ('{"forest": "(1,2)", "t": {"1,2": "i"}}', "t 1,2: Invalid literal for Fraction: 'i'"),
     ('{"forest": "", "t": {}}', "a cube point needs a forest with at least one leaf"),
     ('{"forest": "(1,2)", "t": {}}', "t must assign a value to every internal edge"),
     ('{"forest": "(1,2)", "t": {"1,2": "2"}}', "edge values must lie in [0, 1]"),
@@ -562,9 +562,9 @@ _STAR_FILE_ERRORS = [
     ('{"order": [1, 2]}', "diffs must be an array, not null"),
     ('{"order": [1, "a"], "diffs": ["0"]}', 'order must be an array of integer labels, not [1, "a"]'),
     ('{"order": [1, 2], "diffs": [null]}', 'diffs: a value is a string such as "1/2" or an integer, not null'),
-    ('{"order": [1, 2], "diffs": ["1/0"]}', "zero denominator in '1/0'"),
-    ('{"order": [1, 2], "diffs": ["0/0"]}', "zero denominator in '0/0'"),
-    ('{"order": [1, 2], "diffs": ["i"]}', "Invalid literal for Fraction: 'i'"),
+    ('{"order": [1, 2], "diffs": ["1/0"]}', "diffs: zero denominator in '1/0'"),
+    ('{"order": [1, 2], "diffs": ["0/0"]}', "diffs: zero denominator in '0/0'"),
+    ('{"order": [1, 2], "diffs": ["i"]}', "diffs: Invalid literal for Fraction: 'i'"),
     ('{"order": [], "diffs": []}', "a star point needs at least one label"),
     ('{"order": [1, 3], "diffs": ["0"]}', "order must be a permutation of [n]"),
     ('{"order": [1, 2], "diffs": []}', "need one difference per consecutive pair"),

@@ -19,6 +19,7 @@ from cactusflower.cubecomplexes import (
     CombinatorialMap,
     CubeComplex,
     FlagReport,
+    IsometryReport,
     _canon_p_cell,
     _link_graph,
     _link_keys,
@@ -609,15 +610,14 @@ def test_vertex_link_is_flag_when_certified():
     (v,) = c.vertices()
     corner = _link_corner(c)
     key = _link_keys(D_KINDS[c.kind], v)[0]
-    ones, adj = _link_graph(c)[:2]
-    assert len(ones[key]) == 12  # directed-cell pairs: 6 one-cubes
-    at_v = adj[key]
+    link = _link_graph(c)[0][key]
+    assert len(link.ones) == 12  # directed-cell pairs: 6 one-cubes
     _, simplices = _reference_vertex_link(c, v)
     spans = {frozenset(map(corner, s)) for s in simplices}
-    names = sorted(at_v)
+    names = sorted(link.bit)
     for size in range(1, len(names) + 1):
         for clique in itertools.combinations(names, size):
-            if all(b in at_v[a] for a, b in itertools.combinations(clique, 2)):
+            if all(link.joined(a, b) for a, b in itertools.combinations(clique, 2)):
                 assert frozenset(clique) in spans
     for simplex in simplices:
         for size in range(1, len(simplex)):
@@ -634,19 +634,36 @@ def test_vertex_link_matches_reference():
     complexes.append(remove_subcube(c, sigma))  # its squares keep the deleted corner
     for c in complexes:
         corner = _link_corner(c)
-        ones, adj = _link_graph(c)[:2]
+        links = _link_graph(c)[0]
         for v in c.vertices():
             ref_ones, simplices = _reference_vertex_link(c, v)
             for simplex in simplices:
                 for sub in itertools.combinations(simplex, len(simplex) - 1):
                     assert not sub or frozenset(sub) in simplices  # closed under faces
-            key = _link_keys(D_KINDS[c.kind], v)[0]
-            assert ones.get(key, {}) == {corner(s1): s1 for s1 in ref_ones}
-            at_v = adj.get(key, {})
-            assert set(at_v) == {corner(f) for s in simplices if len(s) == 1 for f in s}
-            joined = {(a, b) for a, bs in at_v.items() for b in bs}
+            link = links[_link_keys(D_KINDS[c.kind], v)[0]]
+            assert link.ones == {corner(s1): s1 for s1 in ref_ones}
+            # the sub-1-cubes' corners take the low bits, in forest_key order
+            assert list(link.bit)[: len(ref_ones)] == [corner(s1) for s1 in ref_ones]
+            assert set(link.bit) == {corner(f) for s in simplices if len(s) == 1 for f in s}
+            joined = {(a, b) for a in link.bit for b in link.bit if link.joined(a, b)}
             edges = (map(corner, s) for s in simplices if len(s) == 2)
             assert joined == {pair for e in edges for pair in itertools.permutations(e)}
+
+
+@pytest.mark.parametrize("kind", ["D", "breveD", "hatD"])
+def test_flag_report_counts_one_clique_per_subcube(kind):
+    # each k-clique of a certified link is the corner set of one sub-k-cube
+    # (ROADMAP item 7's counting argument)
+    for n in (2, 3, 4, 5):
+        c = build_complex(kind, n)
+        rep = check_gromov_flag(c)
+        assert rep.ok
+        assert rep.cliques == {k: len(c.subcubes[k]) for k in range(1, n)}
+        if kind == "hatD":
+            assert tuple(rep.cliques.values()) == _hatD_subcube_counts(n)[1:]
+    mutant = remove_subcube(c, min(c.subcubes[3], key=forest_key))
+    rep = check_gromov_flag(mutant)
+    assert (rep.ok, rep.cliques) == (False, {})
 
 
 @dataclass
@@ -672,6 +689,72 @@ def test_isometry_negative_controls():
     rep = check_local_isometry(quotient_map(remove_subcube(d, square), build_complex("breveD", 4)))
     assert not rep.ok and rep.detail == "image square has no preimage square"
     assert rep.witness == ("1;(2,3,4)", "1;2;(3,4)")
+
+
+def _reference_isometry(phi):
+    """The local-isometry check as it was on link graphs kept as a dict of
+    corner-key sets per vertex key."""
+    def link_sets(c):
+        kind = D_KINDS[c.kind]
+        ones, adj = {}, {}
+        for s1 in c.subcubes.get(1, ()):
+            v, (a,) = _link_keys(kind, s1)
+            ones.setdefault(v, {})[a] = s1
+            adj.setdefault(v, {})[a] = set()
+        for sq in c.subcubes.get(2, ()):
+            v, (a, b) = _link_keys(kind, sq)
+            at_v = adj.setdefault(v, {})
+            at_v.setdefault(a, set()).add(b)
+            at_v.setdefault(b, set()).add(a)
+        return ones, adj
+
+    src, dst = phi.source, phi.target
+    dst_kind = D_KINDS[dst.kind]
+    src_ones, src_adj = link_sets(src)
+    dst_adj = link_sets(dst)[1]
+    for v, ones in src_ones.items():
+        images = {}  # image corner key -> (source corner key, sub-1-cube)
+        for a, s1 in ones.items():
+            vi, (im,) = _link_keys(dst_kind, phi.apply(s1))
+            if im in images:
+                return IsometryReport(
+                    False, (forest_to_newick(images[im][1]), forest_to_newick(s1)), "link not injective"
+                )
+            images[im] = (a, s1)
+        at_v = src_adj[v]
+        at_vi = dst_adj.get(vi, {})
+        for (ia, (a, fa)), (ib, (b, fb)) in itertools.combinations(images.items(), 2):
+            if ib in at_vi.get(ia, ()) and b not in at_v[a]:
+                return IsometryReport(
+                    False, (forest_to_newick(fa), forest_to_newick(fb)), "image square has no preimage square"
+                )
+    return IsometryReport(True)
+
+
+def _same_isometry_verdict(phi):
+    rep, ref = check_local_isometry(phi), _reference_isometry(phi)
+    assert (rep.ok, rep.detail, rep.witness) == (ref.ok, ref.detail, ref.witness)
+    return rep
+
+
+@pytest.mark.parametrize("source, target", [("D", "breveD"), ("breveD", "hatD")])
+def test_isometry_single_square_deletions_match_reference(source, target):
+    src, dst = build_complex(source, 4), build_complex(target, 4)
+    assert _same_isometry_verdict(quotient_map(src, dst)).ok
+    failed = 0
+    for square in sorted(src.subcubes[2], key=forest_key):
+        failed += not _same_isometry_verdict(quotient_map(remove_subcube(src, square), dst)).ok
+    assert failed == len(src.subcubes[2])  # every deleted square is some image's preimage
+
+
+def test_isometry_merges_match_reference():
+    d = build_complex("D", 4)
+    ones = sorted(
+        (s for s in d.subcubes[1] if forest_to_newick(d.vertex_of(s)) == "1;2;3;4"), key=forest_key
+    )
+    for merged in itertools.permutations(ones, 2):
+        rep = _same_isometry_verdict(_MergeTwo(d, d, "merge", merged))
+        assert not rep.ok and rep.detail == "link not injective"
 
 
 def _hatD_subcube_counts(n):
