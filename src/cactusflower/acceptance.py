@@ -467,9 +467,13 @@ def criterion_8(seed=DEFAULT_SEED) -> CriterionResult:
 # 9: the commuting square
 
 
-def _random_cube_point(n, rng) -> rg.CubePoint:
+def _random_cube_point(n, rng, forests: dict) -> rg.CubePoint:
+    """A cube point on a forest drawn from enumerate_planar_forests(n, k),
+    kept in forests under (n, k): one table per criterion call."""
     k = rng.randrange(0, n)
-    candidates = enumerate_planar_forests(n, k)
+    if (n, k) not in forests:
+        forests[(n, k)] = enumerate_planar_forests(n, k)
+    candidates = forests[(n, k)]
     forest = candidates[rng.randrange(len(candidates))]
     return rg.CubePoint(forest, {e: Fraction(rng.randrange(0, 17), 16) for e in forest.edges()})
 
@@ -477,10 +481,11 @@ def _random_cube_point(n, rng) -> rg.CubePoint:
 def criterion_9(seed=DEFAULT_SEED) -> CriterionResult:
     samples = 100
     rng = random.Random(seed + 9)
+    forests: dict = {}
     ok = True
     for n in (3, 4, 5):
         for _ in range(samples):
-            p = _random_cube_point(n, rng)
+            p = _random_cube_point(n, rng, forests)
             left = rg.theta(p).nu.nu
             right = rg.theta_star(rg.gamma(p)).nu
             if left != right:
@@ -511,10 +516,11 @@ def criterion_10(seed=DEFAULT_SEED) -> CriterionResult:
     samples = 20  # per forest and edge
     rng = random.Random(seed + 10)
     n = 4
+    forests = {(n, k): enumerate_planar_forests(n, k) for k in range(n)}
     glue_ok = True
     cases = 0
     for k in range(1, n):
-        for forest in enumerate_planar_forests(n, k):
+        for forest in forests[(n, k)]:
             for e in forest.edges():
                 for _ in range(samples):
                     vals = {x: Fraction(rng.randrange(0, 17), 16) for x in forest.edges()}
@@ -533,10 +539,10 @@ def criterion_10(seed=DEFAULT_SEED) -> CriterionResult:
     # the random points, then every forest with all its edges at 0 and at 1:
     # the corners put a trunk and its child edges at 1 together, which the
     # random points may never draw
-    points = [_random_cube_point(n, rng) for _ in range(200)]
+    points = [_random_cube_point(n, rng, forests) for _ in range(200)]
     corners = [
         rg.CubePoint(forest, dict.fromkeys(forest.edges(), Fraction(v)))
-        for k in range(1, n) for forest in enumerate_planar_forests(n, k) for v in (0, 1)
+        for k in range(1, n) for forest in forests[(n, k)] for v in (0, 1)
     ]
     strata_ok = True
     for p in points + corners:

@@ -49,6 +49,14 @@ class SetPartition:
             raise ValueError("blocks are not disjoint")
         object.__setattr__(self, "blocks", bs)
 
+    @staticmethod
+    def _trusted(blocks: Tuple[FrozenSet[int], ...]) -> "SetPartition":
+        """SetPartition(blocks) unchecked: blocks are nonempty disjoint
+        frozensets, sorted by their least element."""
+        part = object.__new__(SetPartition)
+        object.__setattr__(part, "blocks", blocks)
+        return part
+
     @property
     def ground(self) -> FrozenSet[int]:
         return frozenset(x for b in self.blocks for x in b)

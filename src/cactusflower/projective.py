@@ -153,6 +153,23 @@ def _int_point(ur: int, ui: int, vr: int, vi: int) -> ProjPoint:
     return point
 
 
+def _real_pair(u: int, v: int) -> Tuple[ProjPoint, ProjPoint]:
+    """The reciprocal points (u : v) and (v : u) of ints, equal to
+    (_int_point(u, 0, v, 0), _int_point(v, 0, u, 0)), with one gcd for both.
+
+    >>> [p.h for p in _real_pair(4, -6)]
+    [(-2, 0, 3), (-3, 0, 2)]
+    """
+    g = math.gcd(u, v)
+    if not g:
+        raise ValueError("(0 : 0) is not a point of P^1")
+    u, v = u // g, v // g
+    p, q = _new(ProjPoint), _new(ProjPoint)
+    _setattr(p, "h", (u, 0, v) if v > 0 else (-u, 0, -v) if v else (1, 0, 0))
+    _setattr(q, "h", (v, 0, u) if u > 0 else (-v, 0, -u) if u else (1, 0, 0))
+    return p, q
+
+
 PP_ZERO = _int_point(0, 0, 1, 0)
 PP_ONE = _int_point(1, 0, 1, 0)
 PP_INF = _int_point(1, 0, 0, 0)

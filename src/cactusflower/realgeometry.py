@@ -44,6 +44,7 @@ from .projective import (
     PP_ZERO,
     _int_point,
     _json_object,
+    _real_pair,
     ordered_pairs,
     ordered_triples,
 )
@@ -75,7 +76,18 @@ def reparameterize(t) -> object:
         return INF
     if p == -q:
         return NEG_INF
-    return Fraction(p * q, q * q - p * p)  # t/(1 - t^2) with t = p/q
+    return Fraction(*_f_ints(p, q))
+
+
+def _f_ints(p: int, q: int) -> Tuple[int, int]:
+    """f(p/q) = pq/(q^2 - p^2), the one formula for f, as an int numerator
+    and a positive denominator for |p| < q.  They are in lowest terms when
+    gcd(p, q) = 1: a prime dividing q and q^2 - p^2 divides p.
+
+    >>> _f_ints(1, 2)
+    (2, 3)
+    """
+    return p * q, q * q - p * p
 
 
 # ---------------------------------------------------------------------------
@@ -304,34 +316,63 @@ def _tree_walk(tree):
 
 
 def b_map(tree, t: Dict[FrozenSet[int], Fraction]):
-    """The chart reparameterization: on a binary tree with trunk value
-    below 1, b_trunk = f(t_trunk) and otherwise
+    """The chart reparameterization: on a binary tree with edge values in
+    [0, 1] and trunk value below 1, b_trunk = f(t_trunk) and otherwise
 
         b_e = f(t_e * P) / f(P),  P the product over the edges below e,
 
     falling back to b_e = t_e when some edge below carries 0."""
     if not is_binary(tree):
         raise ValueError("charts are indexed by binary trees")
-    if t[leafset(tree)] == 1:
-        raise ValueError("the chart needs trunk value < 1")
     _, vertices, _, parent, _ = _tree_walk(tree)
-    return dict(zip(vertices, _b_values(parent, [t[e] for e in vertices])))
+    tv = [Fraction(t[e]) for e in vertices]
+    for e, v in zip(vertices, tv):
+        if not 0 <= v <= 1:
+            raise ValueError(f"edge {','.join(map(str, sorted(e)))}: value {v} outside [0, 1]")
+    if tv[0] == 1:  # vertices[0] is the trunk
+        raise ValueError("the chart needs trunk value < 1")
+    bn, bd = _b_values(parent, tv)
+    return {e: Fraction(num, den) for e, num, den in zip(vertices, bn, bd)}
 
 
-def _b_values(parent, tv):
-    """b_map on a walked tree: the t values and the b values are listed by
-    vertex in preorder, so each parent comes before its children.  A
-    vertex's f(t_e * P) is its children's f(P), so f is evaluated once per
-    vertex."""
-    tp: list = []  # t_e * P per vertex
-    fp: list = []  # f(t_e * P) per vertex
-    b: list = []
-    for j, p in enumerate(parent):
-        below = tp[p] if p >= 0 else ONE
-        tp.append(tv[j] * below)
-        fp.append(reparameterize(tp[j]))
-        b.append(fp[j] if p < 0 else (fp[j] / fp[p] if below else tv[j]))
-    return b
+def _b_values(parent, tv) -> Tuple[list, list]:
+    """b_map on a walked tree, in ints: the t values, each in [0, 1] and the
+    trunk's below 1, are listed by vertex in preorder, so each parent comes
+    before its children; the b values come back as their numerators and
+    their positive denominators, in lowest terms.  A vertex's t_e * P is its
+    children's P, and its f(t_e * P) their f(P), so both are formed once per
+    vertex, t_e * P with one gcd and f with none (_f_ints); a child's b is
+    one quotient, reduced by one gcd.
+
+    >>> _b_values([-1, 0, 1], [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
+    ([2, 9, 175], [3, 35, 899])
+    """
+    pn: list = []  # t_e * P per vertex: numerators
+    pd: list = []  # and denominators
+    fn: list = []  # f(t_e * P) per vertex: numerators
+    fd: list = []  # and denominators
+    bn: list = []
+    bd: list = []
+    for t, p in zip(tv, parent):
+        num, den = a, c = t.numerator, t.denominator
+        if p >= 0:  # P is the parent's t * P
+            a, c = a * pn[p], c * pd[p]
+            g = math.gcd(a, c)
+            a, c = a // g, c // g
+        fa, fc = _f_ints(a, c)
+        if p < 0:  # the trunk: b = f(t)
+            num, den = fa, fc
+        elif pn[p]:  # b = f(t_e * P) / f(P); otherwise P = 0 and b = t
+            num, den = fa * fd[p], fc * fn[p]
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+        pn.append(a)
+        pd.append(c)
+        fn.append(fa)
+        fd.append(fc)
+        bn.append(num)
+        bd.append(den)
+    return bn, bd
 
 
 # Plans are kept in a bounded cache: a process evaluates charts on few
@@ -437,36 +478,39 @@ def _plan(tree) -> _Plan:
     )
 
 
-def _prefix_sums(kids, b) -> Tuple[list, int, int]:
-    """The flat prefix sums of a plan's vertices at the b values (listed by
-    vertex in preorder), and the root's b numerator and denominator, whose
-    quotient scales a difference of the root's prefix sums to a distance."""
+def _prefix_sums(kids, bn, bd) -> Tuple[list, int, int]:
+    """The flat prefix sums of a plan's vertices at the b values (numerators
+    bn and positive denominators bd, listed by vertex in preorder), and the
+    root's b numerator and denominator times the root's common denominator,
+    whose quotient scales a difference of the root's prefix sums to a
+    distance."""
     count = len(kids) // 2
     gaps: list = [()] * count
     den = [1] * count
     for j in reversed(range(count)):  # children before parents
         left, right = kids[2 * j], kids[2 * j + 1]
-        dl = b[left].denominator * den[left] if left >= 0 else 1
-        dr = b[right].denominator * den[right] if right >= 0 else 1
+        dl = bd[left] * den[left] if left >= 0 else 1
+        dr = bd[right] * den[right] if right >= 0 else 1
         d = math.lcm(dl, dr)
         own = [d]  # a vertex's own gap is 1
         if left >= 0:
-            scale = b[left].numerator * (d // dl)
+            scale = bn[left] * (d // dl)
             own[:0] = [scale * g for g in gaps[left]]
         if right >= 0:
-            scale = b[right].numerator * (d // dr)
+            scale = bn[right] * (d // dr)
             own += [scale * g for g in gaps[right]]
         gaps[j], den[j] = own, d
     prefix: list = []
     for g in gaps:
         prefix += accumulate(g, initial=0)
-    return prefix, b[0].numerator, b[0].denominator * den[0]
+    return prefix, bn[0], bd[0] * den[0]
 
 
 def _ratios(plan: _Plan, prefix) -> list:
     """The ratios mu_ijk = (z_i - z_k)/(z_i - z_j) of a plan's triples, in
     the order of its keys; at the meet of i, j and k, z_a - z_c is a
-    multiple, the same for all three, of the prefix sum at c less that at a."""
+    multiple, the same for all three, of the prefix sum at c less that at a.
+    The six ratios are three reciprocal pairs, each built by one _real_pair."""
     mu: list = [None] * len(plan.keys)
     it, slots = iter(plan.triples), iter(plan.six)
     for ix, iy, iz, s0, s1, s2, s3, s4, s5 in zip(it, it, it, slots, slots, slots, slots, slots, slots):
@@ -475,12 +519,9 @@ def _ratios(plan: _Plan, prefix) -> list:
         if not (xy or xz):
             raise ValueError("degenerate ratio outside the chart domain")
         yz = xz - xy
-        mu[s0] = _int_point(xz, 0, xy, 0)  # (x, y, z)
-        mu[s1] = _int_point(xy, 0, xz, 0)  # (x, z, y)
-        mu[s2] = _int_point(-yz, 0, xy, 0)  # (y, x, z)
-        mu[s3] = _int_point(-xy, 0, yz, 0)  # (y, z, x)
-        mu[s4] = _int_point(yz, 0, xz, 0)  # (z, x, y)
-        mu[s5] = _int_point(xz, 0, yz, 0)  # (z, y, x)
+        mu[s0], mu[s1] = _real_pair(xz, xy)  # (x, y, z) and (x, z, y)
+        mu[s2], mu[s3] = _real_pair(-yz, xy)  # (y, x, z) and (y, z, x)
+        mu[s4], mu[s5] = _real_pair(yz, xz)  # (z, x, y) and (z, y, x)
     return mu
 
 
@@ -495,7 +536,8 @@ def chart_H(tree, b: Dict[FrozenSet[int], Fraction]):
     plan = _plan(tree)
     if None in plan.edges:
         raise ValueError("charts are indexed by binary trees")
-    prefix, num, den = _prefix_sums(plan.kids, [b[e] for e in plan.edges])
+    bs = [b[e] for e in plan.edges]
+    prefix, num, den = _prefix_sums(plan.kids, [v.numerator for v in bs], [v.denominator for v in bs])
     order, delta = plan.order, {}
     for s, c in enumerate(order):
         for r in range(s):
@@ -569,10 +611,13 @@ def theta(p: CubePoint) -> ThetaImage:
             return [plan]
         return [s for child in tree for s in split(child)]
 
-    plans = [s for tree in p.forest.trees for s in split(tree)]
-    parts = [frozenset([s]) if isinstance(s, int) else s.part for s in plans]
+    # by least label, so the parts and their mu tuples come out sorted
+    plans = sorted((s for tree in p.forest.trees for s in split(tree)),
+                   key=lambda s: s if isinstance(s, int) else s.labels[0])
+    parts = tuple(frozenset([s]) if isinstance(s, int) else s.part for s in plans)
     n = sum(map(len, parts))
-    if min(map(min, parts)) < 1 or max(map(max, parts)) > n:  # the labels are distinct
+    # the forest's labels are distinct, so the parts are disjoint blocks
+    if min(parts[0]) < 1 or max(map(max, parts)) > n:
         raise ValueError("theta needs a forest on the labels 1..n")
     n1 = n - 1
     nu = [PP_ZERO] * (n * n1)  # nu = 0 is the infinite distance across trees
@@ -581,16 +626,16 @@ def theta(p: CubePoint) -> ThetaImage:
         if isinstance(plan, int):
             continue
         # the added edges carry 1; the trunk is below 1 after the collapse
-        tv = [ONE if e is None else t[e] for e in plan.edges]
-        prefix, num, den = _prefix_sums(plan.kids, _b_values(plan.parent, tv))
+        bn, bd = _b_values(plan.parent, [ONE if e is None else t[e] for e in plan.edges])
+        prefix, num, den = _prefix_sums(plan.kids, bn, bd)
         # the root's prefix sums come first, one per position of the order
         _write_distances(nu, n1, [lab - 1 for lab in plan.order], prefix, num, den)
         mu = _ratios(plan, prefix)
         mus.append((plan.part, MuTuple._trusted(plan.labels, tuple(zip(plan.keys, mu)))))
     return ThetaImage(
-        SetPartition(parts),
+        SetPartition._trusted(parts),
         NuTuple._trusted(n, tuple(zip(_pair_keys(n), nu)), None),
-        tuple(sorted(mus, key=lambda kv: min(kv[0]))),
+        tuple(mus),
     )
 
 

@@ -54,6 +54,7 @@ from cactusflower.projective import (
     _eq_triangle,
     _hom,
     _int_point,
+    _real_pair,
 )
 from cactusflower.scalars import ONE, ZERO, GaussianRational, I, canon_scalar, format_scalar
 
@@ -210,6 +211,21 @@ def test_int_point_is_the_constructor_on_gaussian_integers():
         assert p == q and p.h == q.h and hash(p) == hash(q)
         assert p.h[2] >= 0 and math.gcd(*p.h) == 1
         assert p.is_infinite() if v == 0 else p.u == u / v
+
+
+def test_real_pair_is_two_reciprocal_int_points():
+    # a seeded grid with zeros and both signs, plus every pair with a zero
+    rng = random.Random(30)
+    grid = [(rng.randrange(-40, 41), rng.randrange(-40, 41)) for _ in range(400)]
+    grid += [(0, v) for v in (-7, -1, 1, 12)] + [(u, 0) for u in (-9, -1, 1, 4)]
+    for u, v in grid:
+        if not (u or v):
+            continue
+        got, want = _real_pair(u, v), (_int_point(u, 0, v, 0), _int_point(v, 0, u, 0))
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want), (u, v)
+        assert [p.h for p in got] == [p.h for p in want]
+    with pytest.raises(ValueError, match=r"\(0 : 0\)"):
+        _real_pair(0, 0)
 
 
 def test_hom_round_trips_the_canonical_pool():

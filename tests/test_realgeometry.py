@@ -36,6 +36,7 @@ from cactusflower.realgeometry import (
     CubePoint,
     StarPoint,
     ThetaImage,
+    _b_values,
     _plan,
     _tree_walk,
     affine_cactus_path,
@@ -151,6 +152,16 @@ def test_b_map_running_example_and_zero_case():
         b_map(tree, {**T_RUNNING, frozenset({1, 2, 3, 4}): F(1)})
 
 
+@pytest.mark.parametrize("value", [F(2), F(3), F(-1, 2)])
+def test_b_map_refuses_values_outside_the_unit_interval(value):
+    tree = ((1, 2), 3)
+    t = {frozenset({1, 2, 3}): F(1, 2), frozenset({1, 2}): value}
+    with pytest.raises(ValueError, match=rf"edge 1,2: value {value} outside \[0, 1\]"):
+        b_map(tree, t)
+    with pytest.raises(ValueError, match=r"edge 1,2,3: "):
+        b_map(tree, {frozenset({1, 2, 3}): value, frozenset({1, 2}): F(1, 2)})
+
+
 def test_b_map_injective_on_grid():
     grid = [F(1, 4), F(2, 4), F(3, 4)]
     rng = random.Random(3)
@@ -237,6 +248,30 @@ def _ref_chart_H(tree, b):
         dv = slice_sum_rel(min(pi, pj), max(pi, pj), common)
         mu[(i, j, k)] = ProjPoint(nv if pi <= pk else -nv, dv if pi <= pj else -dv)
     return delta, mu
+
+
+def test_integer_b_values_match_the_reference():
+    # a zero trunk, a zero child below a nonzero trunk, and seeded values
+    rng = random.Random(30)
+    running = ((1, (2, 3)), 4)
+    cases = [
+        (running, {**T_RUNNING, frozenset({1, 2, 3, 4}): F(0)}),
+        (running, {**T_RUNNING, frozenset({1, 2, 3}): F(0)}),
+        (running, {**T_RUNNING, frozenset({2, 3}): F(0)}),
+    ]
+    for n in range(2, 9):
+        for _ in range(8):
+            tree = random_binary_tree(range(1, n + 1), rng)
+            edges = PlanarForest([tree]).edges()
+            t = {e: F(max(rng.randrange(-4, 16), 0), 16) for e in edges}
+            t[leafset(tree)] = F(rng.randrange(0, 16), 16)  # the trunk stays below 1
+            cases.append((tree, t))
+    for tree, t in cases:
+        _, vertices, _, parent, _ = _tree_walk(tree)
+        bn, bd = _b_values(parent, [t[e] for e in vertices])
+        assert all(type(x) is int for x in bn + bd) and all(d > 0 for d in bd)
+        assert all(math.gcd(num, den) == 1 for num, den in zip(bn, bd))
+        assert dict(zip(vertices, map(F, bn, bd))) == _ref_b_map(tree, t), (tree, t)
 
 
 def _assert_chart_matches_reference(tree, t):
@@ -609,8 +644,11 @@ def _fresh_points(rng, count):
 
 
 def _assert_trusted_tuples_validate(image):
-    # theta builds its tuples unchecked; the validating constructors, given
-    # the same coordinates, must build equal tuples
+    # theta builds its tuples and its partition unchecked; the validating
+    # constructors, given the same coordinates, must build equal ones
+    part = image.s_part
+    twin = SetPartition(part.blocks)
+    assert part == twin and repr(part) == repr(twin) and hash(part) == hash(twin)
     nu = image.nu
     twin = NuTuple(nu.n, nu.as_dict(), nu.epsilon)
     assert nu == twin and repr(nu) == repr(twin) and hash(nu) == hash(twin)
