@@ -63,9 +63,11 @@ def _cmd_verify(args) -> int:
 
     if args.what == "hom":
         pair = (getattr(args, "from"), args.to)
+        if args.depth is not None and args.to != "vS":
+            raise ValueError("--depth bounds rewriting into vS only")
         h = gr.hom(pair, args.n)
         mode = "solvable_target" if args.to in gr.SOLVABLE_TARGETS else "bounded_rewrite"
-        rep = gr.verify_hom(h, mode, depth=args.depth)
+        rep = gr.verify_hom(h, mode, depth=6 if args.depth is None else args.depth)
         counts = {}
         for _, st, _ in rep.results:
             counts[st] = counts.get(st, 0) + 1
@@ -247,7 +249,7 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--from", required=True, choices=gr.GROUPS)
     q.add_argument("--to", required=True, choices=gr.GROUPS)
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--depth", type=int, default=6)
+    q.add_argument("--depth", type=int, default=None, help="rewriting depth into vS (default 6)")
 
     q = leaf(vsub, "diagram", _cmd_verify)
     q.add_argument("--n", type=int, required=True)

@@ -32,8 +32,10 @@ non-positive-curvature certificate checks Gromov's flag condition in exactly
 this combinatorial form.
 
 The certificates work on keys read off a sub-cube's leaf order in one pass,
-without building face forests.  A corner of a sub-cube (a link vertex) is
-its canonical 1-face: collapsing every edge but one leaves one corolla on
+without building face forests: forests._vertices lists the leaf order and
+the span (lo, hi) of every internal vertex in preorder, and one loop over
+those pairs builds the corner keys.  A corner of a sub-cube (a link vertex)
+is its canonical 1-face: collapsing every edge but one leaves one corolla on
 that edge's leaf span order[lo:hi].  Per kind:
 
     D       vertex key: the leaf order;  corner key: (order, lo, hi)
@@ -69,7 +71,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from .combinatorics import Permutation, arrange, arrangements, set_partitions
+from .combinatorics import arrange, arrangements, set_partitions
 from .forests import (
     PlanarForest,
     _decorations,
@@ -199,12 +201,19 @@ def _link_keys(kind: str, sigma: PlanarForest):
     docstring).  Any representative of sigma's class gives the same keys."""
     order, spans = _vertices(sigma)
     order = tuple(order)
+    corners = []
     if kind == "ordered":
-        return order, [(order, lo, hi) for lo, hi, _ in spans]
+        for lo, hi in spans:
+            corners.append((order, lo, hi))
+        return order, corners
     if kind == "unordered":
-        return (), [order[lo:hi] for lo, hi, _ in spans]
+        for lo, hi in spans:
+            corners.append(order[lo:hi])
+        return (), corners
+    for lo, hi in spans:
+        corners.append((order[lo:hi], order[hi:] + order[:lo]))
     i = order.index(min(order))
-    return order[i:] + order[:i], [(order[lo:hi], order[hi:] + order[:lo]) for lo, hi, _ in spans]
+    return order[i:] + order[:i], corners
 
 
 class _Link:
@@ -692,31 +701,7 @@ def presentations_match(a: Presentation, b: Presentation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# group actions and exports
-
-
-def act_on_forest(w: Permutation, f: PlanarForest) -> PlanarForest:
-    def rec(s):
-        if isinstance(s, int):
-            return w(s)
-        return tuple(rec(c) for c in s)
-
-    return PlanarForest([rec(t) for t in f.trees])
-
-
-def complex_action_commutes(c: CubeComplex, w: Permutation) -> bool:
-    """Relabelling permutes the subcubes and commutes with the face maps."""
-    for k, subs in c.subcubes.items():
-        for sigma in subs:
-            im = c.canon_sub(act_on_forest(w, sigma))
-            if im not in subs:
-                return False
-            for e in sigma.edges():
-                left = c.canon_sub(act_on_forest(w, collapse(sigma, e)))
-                right = c.canon_sub(collapse(im, frozenset(w(x) for x in e)))
-                if left != right:
-                    return False
-    return True
+# exports
 
 
 def export_dot(c: CubeComplex) -> str:

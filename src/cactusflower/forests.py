@@ -47,12 +47,16 @@ to order reversal at non-root vertices.
 
 At the API, edges are always leaf-set frozensets.  Internally, flip and
 collapse find their vertex by its int leaf mask (bit x set for every leaf x
-above it), ORed up in the same bottom-up pass that rebuilds the one tree
-they change.  edges and collapse_all read each vertex as a span
-(start, stop) of the planar leaf order, listed in one preorder walk per
-tree.  PlanarForest(...) validates its trees (ordered children, at least two
-per internal vertex, distinct non-negative int labels); forests derived
-inside this module from valid ones are built without re-validation.
+above it), ORed up from the leaves.  A vertex returns its mask while the
+edge is not found; once it is, the vertex returns its rebuilt tuple instead,
+the caller tells the two apart by type and stops walking, so only the path
+down to the edge is rebuilt and every other subtree, and every other tree,
+is kept as the same object.  edges collects leaf sets in one preorder walk
+per tree; collapse_all and the certificates' keys read each vertex as a
+pair (start, stop), its span of the planar leaf order, which _spans lists
+in preorder.  PlanarForest(...) validates its trees (ordered children, at
+least two per internal vertex, distinct non-negative int labels); forests
+derived inside this module from valid ones are built without re-validation.
 """
 from __future__ import annotations
 
@@ -91,9 +95,17 @@ def leafset(s: Subtree) -> FrozenSet[int]:
 
 
 def mirror(s: Subtree) -> Subtree:
+    """The subtree with every child list reversed, the planar mirror image.
+
+    >>> mirror(((1, (2, 3)), 4))
+    (4, ((3, 2), 1))
+    """
     if isinstance(s, int):
         return s
-    return tuple(mirror(c) for c in reversed(s))
+    kids = []
+    for c in reversed(s):
+        kids.append(c if isinstance(c, int) else mirror(c))
+    return tuple(kids)
 
 
 def _validate(s: Subtree) -> None:
@@ -107,14 +119,18 @@ def _validate(s: Subtree) -> None:
         _validate(c)
 
 
-def internal_nodes(s: Subtree):
-    """Yield (leafset, node) for every internal vertex of the subtree."""
-    if isinstance(s, int):
-        return iter(())
-    order: list = []
-    spans: list = []
-    _spans(s, order, spans)
-    return ((frozenset(order[a:b]), node) for a, b, node in spans)
+def _leafsets(s: tuple, order: list, out: list) -> None:
+    """Append s's leaves to order and the leaf set of every internal vertex
+    of s to out, in preorder."""
+    i = len(out)
+    out.append(None)
+    start = len(order)
+    for c in s:
+        if isinstance(c, int):
+            order.append(c)
+        else:
+            _leafsets(c, order, out)
+    out[i] = frozenset(order[start:])
 
 
 def _forest(trees: tuple) -> "PlanarForest":
@@ -151,8 +167,12 @@ class PlanarForest:
 
     def edges(self) -> list[FrozenSet[int]]:
         """Internal edges, as leaf sets of their upper vertices, in preorder."""
-        order, spans = _vertices(self)
-        return [frozenset(order[a:b]) for a, b, _ in spans]
+        order: list = []
+        out: list = []
+        for t in self.trees:
+            if not isinstance(t, int):
+                _leafsets(t, order, out)
+        return out
 
     def num_edges(self) -> int:
         return len(self.edges())
@@ -188,13 +208,12 @@ def total_order(forest: PlanarForest) -> Permutation:
 # ---------------------------------------------------------------------------
 # flip and collapse
 #
-# flip and collapse rebuild the one tree that holds their edge in one
-# bottom-up pass, which ORs leaf masks (bit x set for every leaf label x
-# above a vertex) and changes the tree at the vertex whose mask equals the
-# edge's.  The other passes read a vertex as its span of the planar leaf
-# order: the leaves above a vertex are an interval of that order, so
-# contracting edges only regroups it, and each surviving vertex keeps its
-# interval, nested as before.
+# flip and collapse walk the trees in order and stop at the vertex whose
+# leaf mask equals their edge's (see the module docstring).  The other
+# passes read a vertex as its span of the planar leaf order: the leaves
+# above a vertex are an interval of that order, so contracting edges only
+# regroups it, and each surviving vertex keeps its interval, nested as
+# before.
 
 
 def _edge_mask(edge: Iterable[int]) -> int:
@@ -208,77 +227,84 @@ def _edge_mask(edge: Iterable[int]) -> int:
 
 
 def _flip_at(s: tuple, target: int):
-    """(leaf mask of s, s mirrored above the vertex with the target mask).
-
-    Subtrees without that vertex come back as the same objects."""
+    """s's leaf mask if no vertex of s has the target mask, else s with the
+    subtree above that vertex mirrored.  Only the path to it is rebuilt:
+    subtrees without that vertex come back as the same objects."""
     m = 0
-    kids = None
-    for i, c in enumerate(s):
+    for c in s:
         if isinstance(c, int):
             m |= 1 << c
         else:
-            cm, new = _flip_at(c, target)
-            m |= cm
-            if new is not c:  # only one child can hold the target
-                kids = list(s)
-                kids[i] = new
-    if m == target:
-        return m, mirror(s)
-    return m, s if kids is None else tuple(kids)
+            r = _flip_at(c, target)
+            if not isinstance(r, int):
+                i = s.index(c)  # found once per vertex on the path
+                return s[:i] + (r,) + s[i + 1 :]
+            m |= r
+    return mirror(s) if m == target else m
 
 
 def flip(forest: PlanarForest, edge: FrozenSet[int]) -> PlanarForest:
-    """Mirror the subtree above the given internal edge."""
+    """Mirror the subtree above the given internal edge.
+
+    >>> print(flip(PlanarForest([((1, (2, 3)), 4)]), frozenset({1, 2, 3})))
+    (((3,2),1),4)
+    """
     target = _edge_mask(edge)
     trees = forest.trees
     for i, t in enumerate(trees):
         if not isinstance(t, int):
-            new = _flip_at(t, target)[1]
-            if new is not t:
-                return _forest(trees[:i] + (new,) + trees[i + 1 :])
+            r = _flip_at(t, target)
+            if not isinstance(r, int):
+                return _forest(trees[:i] + (r,) + trees[i + 1 :])
     raise ValueError(f"not an internal edge: {set(edge)}")
 
 
 def _splice_at(s: tuple, target: int):
-    """(leaf mask of s, s with the children of the vertex with the target
-    mask spliced into its parent's child list in place).
-
-    s itself comes back unchanged when it is that vertex, and so do the
-    subtrees without it."""
+    """s's leaf mask if no vertex strictly inside s has the target mask, else
+    s with the children of that vertex spliced into its parent's child list
+    in place, rebuilt along the path to it only.  When s itself is that
+    vertex, the mask returned equals the target and the caller splices."""
     m = 0
-    out = s
-    for i, c in enumerate(s):
+    for c in s:
         if isinstance(c, int):
             m |= 1 << c
         else:
-            cm, new = _splice_at(c, target)
-            m |= cm
-            if cm == target:  # only one child can hold the target
-                out = s[:i] + c + s[i + 1 :]
-            elif new is not c:
-                out = s[:i] + (new,) + s[i + 1 :]
-    return m, out
+            r = _splice_at(c, target)
+            if not isinstance(r, int):
+                i = s.index(c)
+                return s[:i] + (r,) + s[i + 1 :]
+            if r == target:
+                i = s.index(c)
+                return s[:i] + c + s[i + 1 :]
+            m |= r
+    return m
 
 
 def collapse(forest: PlanarForest, edge: FrozenSet[int]) -> PlanarForest:
-    """Contract the given internal edge (see collapse_all), in one pass over
-    the tree that holds it."""
+    """Contract the given internal edge (see collapse_all), walking the trees
+    only up to it.
+
+    >>> print(collapse(PlanarForest([((1, (2, 3)), 4)]), frozenset({2, 3})))
+    ((1,2,3),4)
+    >>> print(collapse(PlanarForest([((1, (2, 3)), 4)]), frozenset({1, 2, 3, 4})))
+    (1,(2,3));4
+    """
     target = _edge_mask(edge)
     trees = forest.trees
     for i, t in enumerate(trees):
         if not isinstance(t, int):
-            m, new = _splice_at(t, target)
-            if m == target:  # the trunk: the tree splits into its subtrees
+            r = _splice_at(t, target)
+            if not isinstance(r, int):
+                return _forest(trees[:i] + (r,) + trees[i + 1 :])
+            if r == target:  # the trunk: the tree splits into its subtrees
                 return _forest(trees[:i] + t + trees[i + 1 :])
-            if new is not t:
-                return _forest(trees[:i] + (new,) + trees[i + 1 :])
     raise ValueError(f"not an internal edge: {set(edge)}")
 
 
 def _spans(s: tuple, order: list, out: list) -> None:
-    """Append s's leaves to order and (start, stop, node) for every internal
-    vertex of s to out, in preorder: the leaves above the vertex are
-    order[start:stop]."""
+    """Append s's leaves to order and the span (start, stop) of every
+    internal vertex of s to out, in preorder: the leaves above the vertex
+    are order[start:stop]."""
     i = len(out)
     out.append(None)
     start = len(order)
@@ -287,12 +313,12 @@ def _spans(s: tuple, order: list, out: list) -> None:
             order.append(c)
         else:
             _spans(c, order, out)
-    out[i] = (start, len(order), s)
+    out[i] = (start, len(order))
 
 
 def _vertices(forest: PlanarForest):
-    """(leaf order, [(start, stop, node)] of the internal vertices in
-    preorder), in one pass per tree."""
+    """(leaf order, the spans of the internal vertices in preorder), in one
+    pass per tree."""
     order: list = []
     spans: list = []
     for t in forest.trees:
@@ -309,7 +335,7 @@ def _nest(order: list, spans: list, lo: int, hi: int, j: int):
     the first span past hi."""
     items = []
     while j < len(spans) and spans[j][0] < hi:
-        start, stop, _ = spans[j]
+        start, stop = spans[j]
         items += order[lo:start]
         kids, j = _nest(order, spans, start, stop, j + 1)
         items.append(tuple(kids))
@@ -340,7 +366,7 @@ def collapse_all(forest: PlanarForest, edges: Iterable[FrozenSet[int]]) -> Plana
     order, spans = _vertices(forest)
     kept = [v for v in spans if frozenset(order[v[0] : v[1]]) not in targets]
     if len(kept) != len(spans) - len(targets):
-        found = {frozenset(order[a:b]) for a, b, _ in spans}
+        found = {frozenset(order[a:b]) for a, b in spans}
         missing = next(e for e in edges if frozenset(e) not in found)
         raise ValueError(f"not an internal edge: {set(missing)}")
     return _keeping(order, kept)
@@ -377,8 +403,7 @@ def path_edges(forest: PlanarForest, vertex: FrozenSet[int]) -> list[FrozenSet[i
     leaf set (the vertex's own descending edge included).
     """
     ti = forest.tree_of(min(vertex))
-    t = forest.trees[ti]
-    return [ls for ls, _ in internal_nodes(t) if vertex <= ls]
+    return [ls for ls in _forest(forest.trees[ti : ti + 1]).edges() if vertex <= ls]
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +496,6 @@ def enumerate_planar_forests(n: int, k: int) -> list[PlanarForest]:
     return sorted(planar_forests(n, k, "ordered"), key=forest_key)
 
 
-def catalan(n: int) -> int:
-    c = 1
-    for i in range(n):
-        c = c * 2 * (2 * i + 1) // (i + 2)
-    return c
-
-
 # ---------------------------------------------------------------------------
 # canonical forms
 
@@ -491,12 +509,29 @@ def canon_tree_mod_flips(s: Subtree) -> Subtree:
     leaf comes before the first one's: their leaf sets are disjoint, so that
     decides between the two orders.
     """
-    if isinstance(s, int):
-        return s
-    kids = [c if isinstance(c, int) else canon_tree_mod_flips(c) for c in s]
-    if _leftmost(kids[-1]) < _leftmost(kids[0]):
-        kids.reverse()
-    return tuple(kids)
+    return s if isinstance(s, int) else _canon_flips(s)[0]
+
+
+def _canon_flips(s: tuple):
+    """(canon_tree_mod_flips(s), depth, label), the last two its _leftmost,
+    carried up the pass: a vertex's leftmost leaf is one deeper than its
+    first child's."""
+    kids = []
+    first_depth = None
+    for c in s:
+        if isinstance(c, int):
+            kids.append(c)
+            depth, label = 1, c
+        else:
+            form, depth, label = _canon_flips(c)
+            kids.append(form)
+            depth += 1
+        if first_depth is None:
+            first_depth, first_label = depth, label
+    if depth < first_depth or depth == first_depth and label < first_label:
+        kids.reverse()  # the last child's leftmost leaf comes first
+        return tuple(kids), depth, label
+    return tuple(kids), first_depth, first_label
 
 
 def _code(trees: tuple, out: list) -> None:
@@ -530,11 +565,15 @@ def canon_forest(kind: str, f: PlanarForest, mod_flips: bool) -> PlanarForest:
     takes the minimal rotation, both by _leftmost.  With mod_flips, each
     tree is first reduced modulo flipping.
     """
-    if not mod_flips:
-        if kind == "ordered":
-            return f
-        return _forest(arrange(kind, f.trees, _leftmost))
-    return _forest(arrange(kind, tuple([canon_tree_mod_flips(t) for t in f.trees]), _leftmost))
+    trees = f.trees
+    if mod_flips:
+        forms = []
+        for t in trees:
+            forms.append(t if isinstance(t, int) else _canon_flips(t)[0])
+        trees = tuple(forms)
+    if kind != "ordered" and (len(trees) > 1 or kind not in ("cyclic", "unordered")):
+        trees = arrange(kind, trees, _leftmost)  # which refuses an unknown kind
+    return f if trees is f.trees else _forest(trees)
 
 
 # ---------------------------------------------------------------------------

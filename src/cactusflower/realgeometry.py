@@ -303,7 +303,7 @@ def _tree_walk(tree):
     vertices, starts, parent = [], [], []
     owner = [0] * (len(order) - 1)
     stack: list = []
-    for j, (start, stop, _) in enumerate(spans):
+    for j, (start, stop) in enumerate(spans):
         while stack and spans[stack[-1]][1] <= start:
             stack.pop()
         parent.append(stack[-1] if stack else -1)

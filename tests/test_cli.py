@@ -405,6 +405,14 @@ def test_verify_hom_arrows_it_cannot_check_are_usage_errors(source, target, mess
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("source, target", [("AC", "vC"), ("C", "S"), ("AC", "AS")])
+def test_verify_hom_depth_outside_vs_is_a_usage_error(source, target, capsys):
+    assert main(["verify", "hom", "--from", source, "--to", target, "--n", "3", "--depth", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --depth bounds rewriting into vS only\n"
+
+
 def test_verify_hom_refuted_relators_fail(monkeypatch, capsys):
     # AC -> vC with the images of s12 and s13 exchanged is not a hom
     images = dict(cli.gr.hom(("AC", "vC"), 4).images)
@@ -672,7 +680,9 @@ def _sweep_argv(rng, files, path):
                 "--to", rng.choice(["breveD", "hatD"]), "--n", size]
     elif verb == 9:
         argv = ["verify", "hom", "--from", rng.choice(cli.gr.GROUPS), "--to", rng.choice(cli.gr.GROUPS),
-                "--n", str(rng.choice([-1, 1, 2, 3, 4, 5])), "--depth", str(rng.choice([-1, 0, 2, 6]))]
+                "--n", str(rng.choice([-1, 1, 2, 3, 4, 5]))]
+        if rng.random() < 0.5:  # --depth is a usage error on arrows not into vS
+            argv += ["--depth", str(rng.choice([-1, 0, 2, 6]))]
     elif verb == 10:
         argv = rng.choice([["verify", "diagram", "--n", str(rng.randrange(-1, 6))],
                            ["verify", "presentation", "--complex", rng.choice(["hatD", "hatP"]), "--n", size]])

@@ -26,7 +26,6 @@ from cactusflower.cubecomplexes import (
     build_complex,
     check_gromov_flag,
     check_local_isometry,
-    complex_action_commutes,
     cubical_subdivision,
     export_dot,
     export_poset,
@@ -39,6 +38,7 @@ from cactusflower.cubecomplexes import (
 from cactusflower.forests import (
     PlanarForest,
     PlanarForestWithZeros,
+    collapse,
     enumerate_planar_forests,
     enumerate_zero_forests,
     forest_from_newick,
@@ -241,6 +241,30 @@ def test_simply_connected_complex_trivialises():
     assert p.relators and all(len(r) == 1 for r in p.relators)
     killed = {x for r in p.relators for x in r}
     assert killed | {partner[x] for x in killed} == set(p.generators)
+
+
+def act_on_forest(w, f):
+    def rec(s):
+        if isinstance(s, int):
+            return w(s)
+        return tuple(rec(c) for c in s)
+
+    return PlanarForest([rec(t) for t in f.trees])
+
+
+def complex_action_commutes(c, w):
+    """Relabelling permutes the subcubes and commutes with the face maps."""
+    for k, subs in c.subcubes.items():
+        for sigma in subs:
+            im = c.canon_sub(act_on_forest(w, sigma))
+            if im not in subs:
+                return False
+            for e in sigma.edges():
+                left = c.canon_sub(act_on_forest(w, collapse(sigma, e)))
+                right = c.canon_sub(collapse(im, frozenset(w(x) for x in e)))
+                if left != right:
+                    return False
+    return True
 
 
 def test_symmetric_group_action():
@@ -594,6 +618,31 @@ def test_link_keys_are_faithful(kind):
                     assert face_of.setdefault(face, a) == a
         assert len(vertex_of_key) == len(c.subcubes[0])
         assert len(corner_of) == len(c.subcubes[1])
+
+
+def _ref_link_keys(kind, sigma):
+    """The keys of the module docstring, with each edge's span read off the
+    leaf order by position."""
+    order = sigma.leaf_order()
+    pos = {x: r for r, x in enumerate(order)}
+    spans = []
+    for e in sigma.edges():
+        lo = min(pos[x] for x in e)
+        spans.append((lo, lo + len(e)))
+    assert _vertices(sigma) == (list(order), spans)
+    if kind == "ordered":
+        return order, [(order, lo, hi) for lo, hi in spans]
+    if kind == "unordered":
+        return (), [order[lo:hi] for lo, hi in spans]
+    i = order.index(min(order))
+    return order[i:] + order[:i], [(order[lo:hi], order[hi:] + order[:lo]) for lo, hi in spans]
+
+
+@pytest.mark.parametrize("kind", ["D", "breveD", "hatD"])
+def test_link_keys_match_the_span_reference(kind):
+    for subs in build_complex(kind, 5).subcubes.values():
+        for sigma in subs:
+            assert _link_keys(D_KINDS[kind], sigma) == _ref_link_keys(D_KINDS[kind], sigma)
 
 
 def _link_corner(c):

@@ -14,7 +14,6 @@ from cactusflower.forests import (
     _zero_forest,
     canon_forest,
     canon_tree_mod_flips,
-    catalan,
     collapse,
     collapse_all,
     enumerate_planar_forests,
@@ -25,6 +24,7 @@ from cactusflower.forests import (
     forest_to_newick,
     leafset,
     meet,
+    mirror,
     planar_forests,
     total_order,
     zeros_to_bushy,
@@ -94,6 +94,13 @@ def test_meet_examples():
                 except NoMeetError:
                     continue
                 assert m1 == meet(flipped, a, b)
+
+
+def catalan(n):
+    c = 1
+    for i in range(n):
+        c = c * 2 * (2 * i + 1) // (i + 2)
+    return c
 
 
 def test_enumeration_counts():
@@ -288,14 +295,48 @@ def _revalidates(forest):
     return PlanarForest(forest.trees) == forest
 
 
+def _vertex_ids(forest):
+    """The ids of the internal vertices (tuples) of a forest."""
+    ids = set()
+    stack = list(forest.trees)
+    while stack:
+        s = stack.pop()
+        if not isinstance(s, int):
+            ids.add(id(s))
+            stack.extend(s)
+    return ids
+
+
+def _check_kept_objects(forest, e, flipped, collapsed):
+    """Assert that flip and collapse at e keep what their walk does not
+    rebuild as the same objects, and return where e lies: (in a later tree,
+    at a trunk, at a vertex whose children are all leaves)."""
+    i, vertex = next((i, s) for i, t in enumerate(forest.trees) for ls, s in _ref_nodes(t) if ls == e)
+    after = len(forest.trees) - i - 1
+    for new in (flipped, collapsed):
+        assert all(a is b for a, b in zip(forest.trees[:i], new.trees))
+        assert all(a is b for a, b in zip(forest.trees[i + 1 :], new.trees[len(new.trees) - after :]))
+    # inside the edge's tree: under a flip every subtree disjoint from e,
+    # under a collapse every subtree that does not hold e (e's children are
+    # spliced as they are)
+    kept_flip, kept_collapse = _vertex_ids(flipped), _vertex_ids(collapsed)
+    for ls, s in _ref_nodes(forest.trees[i]):
+        assert bool(ls & e) or id(s) in kept_flip
+        assert e <= ls or id(s) in kept_collapse
+    return i > 0, vertex is forest.trees[i], all(isinstance(c, int) for c in vertex)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_forest_core_matches_sequential_reference(n):
+    cases = set()
     for forest in _all_forests(n):
         edges = forest.edges()
         assert edges == _ref_edges(forest)  # same sets, same preorder
         for e in edges:
-            flipped = flip(forest, e)
+            flipped, collapsed = flip(forest, e), collapse(forest, e)
             assert flipped == _ref_flip(forest, e) and _revalidates(flipped)
+            assert collapsed == _ref_collapse(forest, e)
+            cases.add(_check_kept_objects(forest, e, flipped, collapsed))
         for r in range(len(edges) + 1):
             for subset in itertools.combinations(edges, r):
                 got = collapse_all(forest, subset)
@@ -309,6 +350,9 @@ def test_forest_core_matches_sequential_reference(n):
                 assert _revalidates(got)
         for t in forest.trees:
             assert canon_tree_mod_flips(t) == _ref_canon_tree(t)
+            assert mirror(t) == _ref_mirror(t)
+    if n == 5:  # every combination of where an edge lies is met
+        assert len(cases) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +437,10 @@ def test_forest_core_error_parity():
     for op in (collapse_all, _ref_collapse_all):
         with pytest.raises(ValueError):
             op(forest, [e, e])
+    # canon_forest skips arrange on one tree, and still refuses an unknown kind
+    for mod_flips in (False, True):
+        with pytest.raises(ValueError, match="unknown kind"):
+            canon_forest("dihedral", PlanarForest([(1, 2)]), mod_flips)
     # the public constructor still validates; the leaf-mask passes need
     # non-negative labels
     for trees in ([(1,)], [(1, 2), 2], [(1, "a")], [(-1, 2)]):

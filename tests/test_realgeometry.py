@@ -12,7 +12,6 @@ from cactusflower.forests import (
     collapse,
     enumerate_planar_forests,
     flip,
-    internal_nodes,
     leafset,
     leaves,
     meet,
@@ -207,7 +206,7 @@ def _ref_b_map(tree, t):
     if t[trunk] == 1:
         raise ValueError("the chart needs trunk value < 1")
     b = {}
-    for e, _ in internal_nodes(tree):
+    for e in forest.edges():
         if e == trunk:
             b[e] = _ref_f(t[e])
             continue
@@ -224,7 +223,7 @@ def _ref_chart_H(tree, b):
     order = leaves(tree)
     pos = {lab: r for r, lab in enumerate(order)}
     nonzero, zeros = {}, {}
-    for v, _ in internal_nodes(tree):
+    for v in forest.edges():
         path = path_edges(forest, v)
         nonzero[v] = math.prod((b[e] for e in path if b[e] != 0), start=F(1))
         zeros[v] = {e for e in path if b[e] == 0}
