@@ -36,18 +36,21 @@ without building face forests: forests._vertices lists the leaf order and
 the span (lo, hi) of every internal vertex in preorder, and one loop over
 those pairs builds the corner keys.  A corner of a sub-cube (a link vertex)
 is its canonical 1-face: collapsing every edge but one leaves one corolla on
-that edge's leaf span order[lo:hi].  Per kind:
+that edge's leaf span order[lo:hi].  A corner key tells apart the corners
+at one vertex key (links are per 0-cube); i is the smallest label's place:
 
-    D       vertex key: the leaf order;  corner key: (order, lo, hi)
+    D       vertex key: the leaf order;  corner key: (lo, hi)
     hatD    vertex key: () (a single 0-cube);  corner key: order[lo:hi]
     breveD  vertex key: the leaf order rotated to start at its smallest
-            label;  corner key: (order[lo:hi], order[hi:] + order[:lo])
+            label;  corner key: ((lo - i) mod n, hi - lo) for n leaves
 
-The corner keys of one sub-cube are pairwise distinct for every forest:
-distinct internal vertices have distinct leaf spans, and distinct spans of
-one leaf order (whose labels are distinct) cut out distinct label runs.  So
-a square has two distinct corners and a sub-k-cube spans k link vertices;
-no check tests for repeated corners.
+A vertex key names a 0-cube (the leaf order up to the kind's tree order),
+and a corner key the run of that order the corolla gathers: by place, by
+labels, or by place on the rotated order and length, which rotating the
+trees keeps.  So (vertex key, corner key) and the 1-face determine each
+other, and the corner keys of one sub-cube, whose vertices have distinct
+spans, are distinct: a square has two distinct corners and a sub-k-cube
+spans k link vertices; no check tests for repeated corners.
 
 A sub-2-cube is determined by its 0-cube and its two corners (its two edge
 spans on the vertex's leaf order), so a face of a higher sub-cube is present
@@ -61,7 +64,7 @@ A higher sub-cube's corners map to a mask, which is a link simplex when
 each corner's mask holds the others; the flag check keys the simplices at a
 vertex by mask and grows its cliques on masks, lowest bit first.  The
 local-isometry check reads the links of its source and target with bit
-tests.  The links live only for the call that built them.
+tests, an image by its vertex and corner keys.  The links live per call.
 """
 from __future__ import annotations
 
@@ -75,6 +78,8 @@ from .combinatorics import arrange, arrangements, set_partitions
 from .forests import (
     PlanarForest,
     _decorations,
+    _forest,
+    _forests_on,
     _vertices,
     canon_forest,
     collapse,
@@ -83,7 +88,6 @@ from .forests import (
     forest_key,
     forest_to_newick,
     leaves,
-    planar_forests,
 )
 from .groups import Presentation, _in_ranks, _ranked_presentation, _word_key
 
@@ -135,7 +139,12 @@ class CubeComplex:
         return canon_forest(D_KINDS[self.kind], f, mod_flips=True)
 
     def vertex_of(self, f: PlanarForest) -> PlanarForest:
-        return self.sub_face(f, ())  # every edge collapsed
+        """sub_face(f, ()): the leaf order as bare leaves, in tree order.
+
+        >>> print(CubeComplex("breveD", 4).vertex_of(PlanarForest([(3, 1), (4, 2)])))
+        1;4;2;3
+        """
+        return self.canon_sub(_forest(f.leaf_order()))
 
     def sub_face(self, f: PlanarForest, keep) -> PlanarForest:
         keep = set(keep)
@@ -150,9 +159,9 @@ def build_complex(kind: str, n: int) -> CubeComplex:
     if n < 2:
         raise ValueError("need n >= 2")
     if kind in D_KINDS:
-        c = CubeComplex(kind, n)
+        c, labels, memo = CubeComplex(kind, n), tuple(range(1, n + 1)), {}  # one tree table
         for k in range(n):
-            c.subcubes[k] = set(planar_forests(n, k, D_KINDS[kind]))
+            c.subcubes[k] = set(map(_forest, _forests_on(labels, k, D_KINDS[kind], 1, memo)))
         return c
     if kind in P_KINDS:
         c = CubeComplex(kind, n)
@@ -198,21 +207,26 @@ class FlagReport:
 def _link_keys(kind: str, sigma: PlanarForest):
     """(vertex key, corner keys in edges() order) of a sub-cube, for a
     D_KINDS value `kind`, from one leaf-order pass (see the module
-    docstring).  Any representative of sigma's class gives the same keys."""
+    docstring).  Any representative of sigma's class gives the same keys.
+
+    >>> f = PlanarForest([((1, (2, 3)), 4)])
+    >>> for kind in ("ordered", "cyclic", "unordered"): print(_link_keys(kind, f))
+    ((1, 2, 3, 4), [(0, 4), (0, 3), (1, 3)])
+    ((1, 2, 3, 4), [(0, 4), (0, 3), (1, 2)])
+    ((), [(1, 2, 3, 4), (1, 2, 3), (2, 3)])
+    """
     order, spans = _vertices(sigma)
     order = tuple(order)
-    corners = []
     if kind == "ordered":
-        for lo, hi in spans:
-            corners.append((order, lo, hi))
-        return order, corners
+        return order, spans
+    corners = []
     if kind == "unordered":
         for lo, hi in spans:
             corners.append(order[lo:hi])
         return (), corners
+    n, i = len(order), order.index(min(order))
     for lo, hi in spans:
-        corners.append((order[lo:hi], order[hi:] + order[:lo]))
-    i = order.index(min(order))
+        corners.append(((lo - i) % n, hi - lo))
     return order[i:] + order[:i], corners
 
 
@@ -244,17 +258,15 @@ class _Link:
     def span(self, corners) -> Optional[int]:
         """The mask of the corners if they are pairwise joined, else None."""
         bit, rows = self.bit, self.rows
+        mask, common = 0, -1  # common: the bits every corner is or is joined to
         try:
-            bits = [bit[a] for a in corners]
+            for a in corners:
+                i = bit[a]
+                mask |= 1 << i
+                common &= rows[i] | 1 << i
         except KeyError:
             return None
-        mask = 0
-        for i in bits:
-            mask |= 1 << i
-        for i in bits:
-            if rows[i] & mask != mask ^ (1 << i):
-                return None
-        return mask
+        return mask if common & mask == mask else None
 
 
 def _link_graph(c: CubeComplex):
@@ -335,7 +347,7 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
 
     # ... and every corner pair of a higher sub-cube spans a square at its
     # vertex.  The same pass indexes the higher link simplices by corner mask.
-    simplices: Dict[tuple, Dict[int, PlanarForest]] = {}
+    simplices: Dict[tuple, Dict[int, PlanarForest]] = {v: {} for v in links}
     simplex_fault = None
     for k in range(3, c.dim + 1):
         for sigma in c.subcubes.get(k, ()):
@@ -351,7 +363,7 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
                 )
             if simplex_fault is not None:
                 continue
-            at_v = simplices.setdefault(v, {})
+            at_v = simplices[v]  # a spanned mask has its corners in links[v]
             if mask in at_v:
                 simplex_fault = (
                     "two cubes span the same link simplex",
@@ -369,7 +381,7 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
     cliques = [0] * (c.dim + 2)
     for v, link in links.items():
         rows = link.rows
-        higher = simplices.get(v, {})
+        higher = simplices[v]
 
         def extend(mask, size, cands):
             cliques[size] += 1
@@ -452,21 +464,22 @@ def check_local_isometry(phi: CombinatorialMap) -> IsometryReport:
     dst_links = _link_graph(dst)[0]
 
     for link in _link_graph(src)[0].values():
-        images = {}  # image corner key -> source corner key
+        images = {}  # (image vertex key, image corner key) -> source corner key
         for a, s1 in link.ones.items():
             vi, (im,) = _link_keys(dst_kind, phi.apply(s1))
-            if im in images:
+            if (vi, im) in images:
                 return IsometryReport(
                     False,
-                    (forest_to_newick(link.ones[images[im]]), forest_to_newick(s1)),
+                    (forest_to_newick(link.ones[images[vi, im]]), forest_to_newick(s1)),
                     "link not injective",
                 )
-            images[im] = a
-        target = dst_links.get(vi) if images else None  # the images' 0-cube
+            images[vi, im] = a
+        target = dst_links.get(vi) if images else None  # the last image's 0-cube
         if target is None:
             continue
-        # (target bit or None, source bit, sub-1-cube) per image, in order
-        order = [(target.bit.get(im), link.bit[a], link.ones[a]) for im, a in images.items()]
+        # (target bit or None, source bit, sub-1-cube) per image at that 0-cube
+        order = [(target.bit.get(im), link.bit[a], link.ones[a])
+                 for (w, im), a in images.items() if w == vi]
         for p, (ti, si, fa) in enumerate(order):
             if ti is None:
                 continue

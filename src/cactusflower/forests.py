@@ -56,7 +56,7 @@ per tree; collapse_all and the certificates' keys read each vertex as a
 pair (start, stop), its span of the planar leaf order, which _spans lists
 in preorder.  PlanarForest(...) validates its trees (ordered children, at
 least two per internal vertex, distinct non-negative int labels); forests
-derived inside this module from valid ones are built without re-validation.
+derived here from valid ones skip that (_forest sets the slot directly).
 """
 from __future__ import annotations
 
@@ -133,15 +133,7 @@ def _leafsets(s: tuple, order: list, out: list) -> None:
     out[i] = frozenset(order[start:])
 
 
-def _forest(trees: tuple) -> "PlanarForest":
-    """A PlanarForest on trees known to be valid, built without the checks
-    of the public constructor."""
-    f = object.__new__(PlanarForest)
-    object.__setattr__(f, "trees", trees)
-    return f
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanarForest:
     """An ordered sequence of planar rooted trees with distinct leaf labels."""
 
@@ -191,6 +183,17 @@ class PlanarForest:
 
     def __str__(self):
         return forest_to_newick(self)
+
+
+_set_trees = PlanarForest.trees.__set__  # the slot's setter, past the frozen __setattr__
+
+
+def _forest(trees: tuple) -> PlanarForest:
+    """A PlanarForest on trees known to be valid, built without the checks
+    of the public constructor."""
+    f = object.__new__(PlanarForest)
+    _set_trees(f, trees)
+    return f
 
 
 def total_order(forest: PlanarForest) -> Permutation:
@@ -483,8 +486,7 @@ def planar_forests(n: int, k: int, kind: str):
     """
     if not 0 <= k <= max(n - 1, 0):
         raise ValueError("need 0 <= k <= n-1")
-    for trees in _forests_on(tuple(range(1, n + 1)), k, kind, 1, {}):
-        yield _forest(trees)
+    yield from map(_forest, _forests_on(tuple(range(1, n + 1)), k, kind, 1, {}))
 
 
 def enumerate_planar_forests(n: int, k: int) -> list[PlanarForest]:

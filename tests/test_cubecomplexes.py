@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -613,9 +614,10 @@ def test_link_keys_are_faithful(kind):
                 assert key_of_vertex.setdefault(vertex, v) == v
                 faces1 = _sub_faces(c, sigma, 1)
                 assert len(corners) == len(faces1) == sigma.num_edges()
+                # links are per vertex: a corner is named by both keys
                 for a, face in zip(corners, faces1):
-                    assert corner_of.setdefault(a, face) == face
-                    assert face_of.setdefault(face, a) == a
+                    assert corner_of.setdefault((v, a), face) == face
+                    assert face_of.setdefault(face, (v, a)) == (v, a)
         assert len(vertex_of_key) == len(c.subcubes[0])
         assert len(corner_of) == len(c.subcubes[1])
 
@@ -631,11 +633,13 @@ def _ref_link_keys(kind, sigma):
         spans.append((lo, lo + len(e)))
     assert _vertices(sigma) == (list(order), spans)
     if kind == "ordered":
-        return order, [(order, lo, hi) for lo, hi in spans]
+        return order, spans
     if kind == "unordered":
         return (), [order[lo:hi] for lo, hi in spans]
     i = order.index(min(order))
-    return order[i:] + order[:i], [(order[lo:hi], order[hi:] + order[:lo]) for lo, hi in spans]
+    rotated = order[i:] + order[:i]
+    # a run's start on the rotated order, found by its first label
+    return rotated, [(rotated.index(order[lo]), hi - lo) for lo, hi in spans]
 
 
 @pytest.mark.parametrize("kind", ["D", "breveD", "hatD"])
@@ -649,6 +653,15 @@ def _link_corner(c):
     """The corner key of a sub-1-cube in the links of c."""
     kind = D_KINDS[c.kind]
     return lambda f: _link_keys(kind, f)[1][0]
+
+
+@pytest.mark.parametrize("kind", ["D", "breveD", "hatD"])
+def test_vertex_of_is_the_face_with_every_edge_collapsed(kind):
+    for n in range(2, 6):
+        c = build_complex(kind, n)
+        for subs in c.subcubes.values():
+            for sigma in subs:
+                assert c.vertex_of(sigma) == c.sub_face(sigma, ())
 
 
 def test_vertex_link_is_flag_when_certified():
@@ -742,7 +755,8 @@ def test_isometry_negative_controls():
 
 def _reference_isometry(phi):
     """The local-isometry check as it was on link graphs kept as a dict of
-    corner-key sets per vertex key."""
+    corner-key sets per vertex key.  An image is keyed by its vertex and
+    corner keys, and the pairs are read at the last image's vertex."""
     def link_sets(c):
         kind = D_KINDS[c.kind]
         ones, adj = {}, {}
@@ -762,18 +776,18 @@ def _reference_isometry(phi):
     src_ones, src_adj = link_sets(src)
     dst_adj = link_sets(dst)[1]
     for v, ones in src_ones.items():
-        images = {}  # image corner key -> (source corner key, sub-1-cube)
+        images = {}  # (image vertex, image corner) -> (source corner key, sub-1-cube)
         for a, s1 in ones.items():
             vi, (im,) = _link_keys(dst_kind, phi.apply(s1))
-            if im in images:
+            if (vi, im) in images:
                 return IsometryReport(
-                    False, (forest_to_newick(images[im][1]), forest_to_newick(s1)), "link not injective"
+                    False, (forest_to_newick(images[vi, im][1]), forest_to_newick(s1)), "link not injective"
                 )
-            images[im] = (a, s1)
+            images[vi, im] = (a, s1)
         at_v = src_adj[v]
         at_vi = dst_adj.get(vi, {})
-        for (ia, (a, fa)), (ib, (b, fb)) in itertools.combinations(images.items(), 2):
-            if ib in at_vi.get(ia, ()) and b not in at_v[a]:
+        for ((wa, ia), (a, fa)), ((wb, ib), (b, fb)) in itertools.combinations(images.items(), 2):
+            if wa == wb == vi and ib in at_vi.get(ia, ()) and b not in at_v[a]:
                 return IsometryReport(
                     False, (forest_to_newick(fa), forest_to_newick(fb)), "image square has no preimage square"
                 )
@@ -804,6 +818,32 @@ def test_isometry_merges_match_reference():
     for merged in itertools.permutations(ones, 2):
         rep = _same_isometry_verdict(_MergeTwo(d, d, "merge", merged))
         assert not rep.ok and rep.detail == "link not injective"
+
+
+@pytest.mark.parametrize("kind, away, failed", [("D", "2;1;3;4", 18), ("breveD", "1;3;2;4", 108)])
+def test_isometry_of_a_corner_sent_to_an_equal_position_key_elsewhere(kind, away, failed):
+    # a sub-1-cube at 1;2;3;4 sent onto one at another 0-cube whose corner
+    # key (a position on its own vertex) is also a corner key at 1;2;3;4:
+    # images are keyed by vertex and corner, so this is no merge.  The
+    # verdicts are pinned from the keys that spelled out the vertex in every
+    # corner, from the whole complex and with its least square deleted
+    c = build_complex(kind, 4)
+    corner = _link_corner(c)
+    home, there = (
+        sorted((s for s in c.subcubes[1] if forest_to_newick(c.vertex_of(s)) == v), key=forest_key)
+        for v in ("1;2;3;4", away)
+    )
+    assert {corner(s) for s in there} == {corner(s) for s in home}
+    holed = remove_subcube(c, min(c.subcubes[2], key=forest_key))
+    verdicts = Counter()
+    for x, z in itertools.product(home, there):
+        for src in (c, holed):
+            rep = _same_isometry_verdict(_MergeTwo(src, c, "elsewhere", (x, z)))
+            verdicts[rep.ok, rep.detail, rep.witness] += 1
+    assert verdicts == {
+        (True, "", None): 2 * len(home) * len(there) - failed,
+        (False, "image square has no preimage square", ("1;(2,3,4)", "1;2;(3,4)")): failed,
+    }
 
 
 def _hatD_subcube_counts(n):

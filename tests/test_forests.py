@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -11,6 +14,7 @@ from cactusflower.forests import (
     PlanarForest,
     PlanarForestWithZeros,
     _bushy_contract,
+    _forest,
     _zero_forest,
     canon_forest,
     canon_tree_mod_flips,
@@ -589,3 +593,33 @@ def test_top_cells_of_hatD_are_double_factorials():
 
     for n, want in ((3, 3), (4, 15), (5, 105)):
         assert build_complex("hatD", n).f_vector()[-1] == want == math.prod(range(1, 2 * n - 2, 2))
+
+
+def test_slotted_forest_keeps_the_frozen_dataclass_behaviour():
+    # a slotted PlanarForest: no per-instance dict, still frozen, and it
+    # copies, pickles, compares and hashes as the plain frozen dataclass did
+    assert not hasattr(RUNNING, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        RUNNING.trees = ()
+    for twin in (pickle.loads(pickle.dumps(RUNNING)), copy.copy(RUNNING), copy.deepcopy(RUNNING)):
+        assert type(twin) is PlanarForest and twin == RUNNING and hash(twin) == hash(RUNNING)
+        assert twin.trees == RUNNING.trees
+    for k in range(4):
+        for forest in enumerate_planar_forests(4, k):
+            built = _forest(forest.trees)
+            assert type(built) is PlanarForest and built.trees is forest.trees
+            assert built == forest == PlanarForest(forest.trees)
+            assert hash(built) == hash(PlanarForest(forest.trees)) == hash((forest.trees,))
+
+
+@pytest.mark.parametrize("kind", ["D", "breveD", "hatD"])
+def test_build_complex_keeps_the_enumeration_order(kind):
+    # one tree table for the whole build yields the forests of planar_forests
+    # in the same order, so each stored set iterates, and names its
+    # witnesses, as one built from planar_forests alone
+    from cactusflower.cubecomplexes import D_KINDS, build_complex
+
+    for n in range(2, 6):
+        c = build_complex(kind, n)
+        for k in range(n):
+            assert list(c.subcubes[k]) == list(set(planar_forests(n, k, D_KINDS[kind])))
