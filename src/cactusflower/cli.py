@@ -281,8 +281,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = leaf(sub, "roots", _cmd_roots, help="root system data and verifications")
     p.add_argument("--type", required=True)
-    p.add_argument("--verify", choices=("face-centers",), default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    out = p.add_mutually_exclusive_group()  # a verification prints its own JSON
+    out.add_argument("--verify", choices=("face-centers",), default=None)
+    # no default string: argparse lets through a value that is its default
+    out.add_argument("--format", choices=("json", "csv"), default=None, help="root table format (default json)")
 
     p = leaf(sub, "export", _cmd_export, help="DOT 1-skeleton or JSON cell poset")
     p.add_argument("--complex", required=True, choices=("D", "hatD", "breveD", "P", "hatP", "breveP"))

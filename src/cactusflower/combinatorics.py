@@ -76,14 +76,6 @@ class SetPartition:
     def same_block(self, x: int, y: int) -> bool:
         return y in self.block_of(x)
 
-    @staticmethod
-    def discrete(n: int) -> "SetPartition":
-        return SetPartition([{i} for i in range(1, n + 1)])
-
-    @staticmethod
-    def indiscrete(n: int) -> "SetPartition":
-        return SetPartition([range(1, n + 1)])
-
     def __str__(self):
         return "{" + ", ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in self.blocks) + "}"
 
@@ -226,9 +218,6 @@ class CyclicInterval:
 
     def __len__(self):
         return (self.j - self.i) % self.n + 1
-
-    def as_set(self) -> FrozenSet[int]:
-        return frozenset(self.elements())
 
     def is_subinterval_of(self, other: "CyclicInterval") -> bool:
         """Order-preserving containment: [3,1] is not inside [1,3].

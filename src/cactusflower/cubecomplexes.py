@@ -56,15 +56,16 @@ A sub-2-cube is determined by its 0-cube and its two corners (its two edge
 spans on the vertex's leaf order), so a face of a higher sub-cube is present
 exactly when its corner pair indexes a square at that cube's vertex.
 
-Each certificate call first builds one indexed link per vertex key
-(_link_graph, _Link): one pass over the sub-1-cubes numbers their corners
-as bits, in the forest_key order of the sub-1-cubes, and one pass over the
-sub-2-cubes sets two bits of the int adjacency masks, one mask per corner.
-A higher sub-cube's corners map to a mask, which is a link simplex when
-each corner's mask holds the others; the flag check keys the simplices at a
+Each certificate call first builds one indexed link per 0-cube with a
+sub-1-cube (_link_graph, _Link): one pass over the sub-1-cubes numbers their
+corners as bits, in the forest_key order of the sub-1-cubes, and one pass
+over the sub-2-cubes sets two bits of the int adjacency masks (one mask per
+corner) for each square whose corners are both sub-1-cubes.  A higher
+sub-cube's corners map to a mask, which is a link simplex when each
+corner's mask holds the others; the flag check keys the simplices at a
 vertex by mask and grows its cliques on masks, lowest bit first.  The
-local-isometry check reads the links of its source and target with bit
-tests, an image by its vertex and corner keys.  The links live per call.
+local-isometry check sends each source link into one target link, keyed
+there by corner key alone.  The links live per call.
 """
 from __future__ import annotations
 
@@ -236,8 +237,7 @@ class _Link:
     ones maps the corner key of each incident sub-1-cube to it, in the order
     the sub-1-cubes came; bit numbers those corners in the forest_key order
     of their sub-1-cubes; rows[i] is the mask of the corners joined to corner
-    i by a square.  A square corner that is no sub-1-cube gets the next free
-    bit (see open)."""
+    i by a square."""
 
     __slots__ = ("ones", "bit", "rows")
 
@@ -245,11 +245,6 @@ class _Link:
         self.ones = ones
         self.bit = {a: i for i, a in enumerate(sorted(ones, key=lambda a: forest_key(ones[a])))}
         self.rows = [0] * len(ones)
-
-    def open(self, a) -> None:
-        if a not in self.bit:
-            self.bit[a] = len(self.rows)
-            self.rows.append(0)
 
     def joined(self, a, b) -> bool:
         bit = self.bit
@@ -269,15 +264,18 @@ class _Link:
         return mask if common & mask == mask else None
 
 
+_NO_LINK = _Link({})  # the link at a 0-cube with no sub-1-cube
+
+
 def _link_graph(c: CubeComplex):
     """The indexed links at every 0-cube of a cube complex, in one pass over
     its sub-1-cubes and one over its sub-2-cubes.
 
-    Returns (links, open_square, bad_square): links maps a vertex key to its
-    _Link.  A square whose corner is not a sub-1-cube still joins its two
-    corners; open_square is the first such square, or None.  bad_square is
-    the first square whose corner pair an earlier square already joined, or
-    None.
+    Returns (links, open_square, bad_square): links maps the vertex key of
+    each 0-cube with a sub-1-cube to its _Link.  A square joins its corners
+    only when both are sub-1-cubes; open_square is the first square that
+    does not, or None.  bad_square is the first square whose corner pair an
+    earlier square already joined, or None.
     """
     kind = D_KINDS[c.kind]
     ones: Dict[tuple, Dict[tuple, PlanarForest]] = {}
@@ -288,15 +286,12 @@ def _link_graph(c: CubeComplex):
     open_square = bad_square = None
     for sq in c.subcubes.get(2, ()):
         v, (a, b) = _link_keys(kind, sq)
-        link = links.get(v)
-        if link is None:
-            link = links[v] = _Link({})
+        link = links.get(v, _NO_LINK)
         bit = link.bit
         if a not in bit or b not in bit:
             if open_square is None:
                 open_square = sq
-            link.open(a)
-            link.open(b)
+            continue
         i, j = bit[a], bit[b]
         rows = link.rows
         if bad_square is None and rows[i] >> j & 1:
@@ -337,7 +332,7 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
     # face closure: both corners of every square are sub-1-cubes ...
     if open_square is not None:
         v, corners = _link_keys(kind, open_square)
-        ones_v = links[v].ones
+        ones_v = links.get(v, _NO_LINK).ones
         missing = next(e for e, a in zip(open_square.edges(), corners) if a not in ones_v)
         return FlagReport(
             False,
@@ -352,7 +347,7 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
     for k in range(3, c.dim + 1):
         for sigma in c.subcubes.get(k, ()):
             v, corners = _link_keys(kind, sigma)
-            link = links.get(v) or _Link({})
+            link = links.get(v, _NO_LINK)
             mask = link.span(corners)
             if mask is None:
                 a, b = next((a, b) for a, b in itertools.combinations(corners, 2) if not link.joined(a, b))
@@ -451,46 +446,53 @@ class IsometryReport:
         return self.ok
 
 
-def check_local_isometry(phi: CombinatorialMap) -> IsometryReport:
-    """Link injectivity plus the edge-pair completion condition.
+def _isometry_fault(x: PlanarForest, y: PlanarForest, detail: str) -> IsometryReport:
+    return IsometryReport(False, (forest_to_newick(x), forest_to_newick(y)), detail)
 
-    At every source 0-cube: distinct incident sub-1-cubes must stay distinct
-    in the target link, and whenever two image link vertices span a square in
-    the target, the original pair must span a square in the source (the
-    higher simplices follow because both links are flag).
+
+def check_local_isometry(phi: CombinatorialMap) -> IsometryReport:
+    """Certify that phi is a local isometry, one source 0-cube at a time.
+
+    The link of a source 0-cube must go into the target vertex link at its
+    first sub-1-cube's image, onto sub-1-cubes there, injectively; and
+    whenever two images span a square in the target, the two sub-1-cubes
+    must span a square in the source (the higher simplices follow because
+    both links are flag).  A failure names two source sub-1-cubes, or one
+    and its image.
+
+    >>> d, bd = build_complex("D", 3), build_complex("breveD", 3)
+    >>> check_local_isometry(quotient_map(d, bd)).ok
+    True
+    >>> less = remove_subcube(bd, min(bd.subcubes[1], key=forest_key))
+    >>> rep = check_local_isometry(quotient_map(d, less))
+    >>> rep.detail, rep.witness
+    ('image is no sub-1-cube of the target', ('1;(2,3)', '1;(2,3)'))
     """
     src, dst = phi.source, phi.target
     dst_kind = D_KINDS[dst.kind]
     dst_links = _link_graph(dst)[0]
 
     for link in _link_graph(src)[0].values():
-        images = {}  # (image vertex key, image corner key) -> source corner key
+        images = {}  # image corner key -> source corner key
         for a, s1 in link.ones.items():
-            vi, (im,) = _link_keys(dst_kind, phi.apply(s1))
-            if (vi, im) in images:
-                return IsometryReport(
-                    False,
-                    (forest_to_newick(link.ones[images[vi, im]]), forest_to_newick(s1)),
-                    "link not injective",
-                )
-            images[vi, im] = a
-        target = dst_links.get(vi) if images else None  # the last image's 0-cube
-        if target is None:
-            continue
-        # (target bit or None, source bit, sub-1-cube) per image at that 0-cube
-        order = [(target.bit.get(im), link.bit[a], link.ones[a])
-                 for (w, im), a in images.items() if w == vi]
+            image = phi.apply(s1)
+            vi, (im,) = _link_keys(dst_kind, image)
+            if not images:  # the first image names the target 0-cube
+                home, first, target = vi, s1, dst_links.get(vi, _NO_LINK)
+            if vi != home:
+                return _isometry_fault(first, s1, "link not sent into one vertex link")
+            if im in images:
+                return _isometry_fault(link.ones[images[im]], s1, "link not injective")
+            if im not in target.bit:
+                return _isometry_fault(s1, image, "image is no sub-1-cube of the target")
+            images[im] = a
+        # (target bit, source bit, sub-1-cube) per image, in link.ones order
+        order = [(target.bit[im], link.bit[a], link.ones[a]) for im, a in images.items()]
         for p, (ti, si, fa) in enumerate(order):
-            if ti is None:
-                continue
             trow, srow = target.rows[ti], link.rows[si]
             for tj, sj, fb in order[p + 1 :]:
-                if tj is not None and trow >> tj & 1 and not srow >> sj & 1:
-                    return IsometryReport(
-                        False,
-                        (forest_to_newick(fa), forest_to_newick(fb)),
-                        "image square has no preimage square",
-                    )
+                if trow >> tj & 1 and not srow >> sj & 1:
+                    return _isometry_fault(fa, fb, "image square has no preimage square")
     return IsometryReport(True)
 
 

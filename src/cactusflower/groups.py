@@ -471,9 +471,6 @@ class GroupHom:
     n: int
     images: Tuple[Tuple[Letter, object], ...]
 
-    def image_of(self, g: Letter):
-        return lookup_table(self, self.images)[g]
-
     def map_word(self, w: Word) -> Word:
         """Substitute generator images (for presentation targets)."""
         return _substitute(self, lookup_table(self, self.images), w)

@@ -124,10 +124,6 @@ class StarPoint:
         return StarPoint(tuple(w(x) for x in self.order), self.diffs)
 
     @staticmethod
-    def star_point(n: int) -> "StarPoint":
-        return StarPoint(tuple(range(1, n + 1)), (Fraction(1),) * (n - 1))
-
-    @staticmethod
     def from_json(text: str) -> "StarPoint":
         d = _json_object(text, order=list, diffs=list)
         if any(type(k) is not int for k in d["order"]):
@@ -708,9 +704,6 @@ class PathPoint:
     epsilon: complex
     nu: Tuple[Tuple[Tuple[int, int], complex], ...]
     mu: Tuple[Tuple[Tuple[int, int, int], complex], ...]
-
-    def nu_dict(self):
-        return dict(self.nu)
 
     def mu_dict(self):
         return dict(self.mu)

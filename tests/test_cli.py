@@ -179,6 +179,14 @@ def test_roots_verify():
     assert code == 0 and json.loads(out)["pass"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_roots_verify_and_format_are_exclusive(fmt):
+    # a verification prints its own JSON, so --format would do nothing there
+    code, out, err = run_cli("roots", "--type", "B2", "--verify", "face-centers", "--format", fmt)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "not allowed with argument" in err
+
+
 def test_roots_json(capsys):
     from cactusflower.rootsystems import build_root_system
 
@@ -699,7 +707,8 @@ def _sweep_argv(rng, files, path):
                                                "[[2,0],[0,2]]", "[[2,-1],[-1,2]", "[[a]]", "[1,2]"])]
         if argv[-1] in ("A1", "A2", "A3", "B2", "B3", "C3", "G2") and rng.random() < 0.5:
             argv += ["--verify", "face-centers"]  # a rank of at most 3: milliseconds
-        argv += ["--format", rng.choice(["json", "csv"])]
+        if "--verify" not in argv:  # the two are exclusive
+            argv += ["--format", rng.choice(["json", "csv"])]
     if rng.random() < 0.05:
         argv += rng.choice([["--n", "3"], ["--bogus"], ["--out", str(path.parent / "no" / "out.txt")]])
     return argv

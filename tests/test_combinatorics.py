@@ -60,8 +60,8 @@ def test_partition_closure_matches_merge_loop():
         assert partition_closure(4, related) == _merge_loop_closure(4, related)
     for p in all_set_partitions(4):
         assert partition_closure(4, lambda i, j: p.same_block(i, j)) == p
-    assert partition_closure(4, lambda i, j: j == i + 1) == SetPartition.indiscrete(4)
-    assert partition_closure(4, lambda i, j: False) == SetPartition.discrete(4)
+    assert partition_closure(4, lambda i, j: j == i + 1) == SetPartition([{1, 2, 3, 4}])
+    assert partition_closure(4, lambda i, j: False) == SetPartition([{1}, {2}, {3}, {4}])
 
 
 def test_refines_partial_order_on_5():

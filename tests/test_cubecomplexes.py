@@ -130,7 +130,7 @@ def test_corrupted_complex_fails_with_witness():
 
 
 def test_local_isometries():
-    for n in (3, 4):
+    for n in (3, 4, 5):
         d, bd, hd = (build_complex(kind, n) for kind in ("D", "breveD", "hatD"))
         assert check_local_isometry(quotient_map(d, bd)).ok
         assert check_local_isometry(quotient_map(bd, hd)).ok
@@ -693,10 +693,11 @@ def test_vertex_link_matches_reference():
                  (("hatD", 3), ("D", 4), ("breveD", 4), ("hatD", 4), ("hatD", 5))]
     c = build_complex("D", 3)
     (sigma,) = [s for s in c.subcubes[1] if forest_to_newick(s) == "(1,2);3"]
-    complexes.append(remove_subcube(c, sigma))  # its squares keep the deleted corner
+    mutant = remove_subcube(c, sigma)  # its squares keep the deleted corner
+    complexes.append(mutant)
     for c in complexes:
         corner = _link_corner(c)
-        links = _link_graph(c)[0]
+        links, open_square, _ = _link_graph(c)
         for v in c.vertices():
             ref_ones, simplices = _reference_vertex_link(c, v)
             for simplex in simplices:
@@ -704,12 +705,17 @@ def test_vertex_link_matches_reference():
                     assert not sub or frozenset(sub) in simplices  # closed under faces
             link = links[_link_keys(D_KINDS[c.kind], v)[0]]
             assert link.ones == {corner(s1): s1 for s1 in ref_ones}
-            # the sub-1-cubes' corners take the low bits, in forest_key order
-            assert list(link.bit)[: len(ref_ones)] == [corner(s1) for s1 in ref_ones]
-            assert set(link.bit) == {corner(f) for s in simplices if len(s) == 1 for f in s}
+            # the bits are the sub-1-cubes' corners, in forest_key order
+            assert list(link.bit) == [corner(s1) for s1 in ref_ones]
+            assert set(link.bit) <= {corner(f) for s in simplices if len(s) == 1 for f in s}
+            # a square joins its corners when both are sub-1-cubes, else nothing
             joined = {(a, b) for a in link.bit for b in link.bit if link.joined(a, b)}
-            edges = (map(corner, s) for s in simplices if len(s) == 2)
-            assert joined == {pair for e in edges for pair in itertools.permutations(e)}
+            edges = (set(map(corner, s)) for s in simplices if len(s) == 2)
+            assert joined == {pair for e in edges if e <= set(link.bit) for pair in itertools.permutations(e)}
+        if c is mutant:
+            assert sigma in _sub_faces(c, open_square, 1)
+        else:
+            assert open_square is None
 
 
 @pytest.mark.parametrize("kind", ["D", "breveD", "hatD"])
@@ -754,9 +760,10 @@ def test_isometry_negative_controls():
 
 
 def _reference_isometry(phi):
-    """The local-isometry check as it was on link graphs kept as a dict of
-    corner-key sets per vertex key.  An image is keyed by its vertex and
-    corner keys, and the pairs are read at the last image's vertex."""
+    """The local-isometry check on link graphs kept as a dict of corner-key
+    sets per vertex key.  Each source link must go into the target link at
+    its first sub-1-cube's image, where the images are keyed by corner key
+    alone and must be sub-1-cubes of the target."""
     def link_sets(c):
         kind = D_KINDS[c.kind]
         ones, adj = {}, {}
@@ -771,26 +778,30 @@ def _reference_isometry(phi):
             at_v.setdefault(b, set()).add(a)
         return ones, adj
 
+    def fail(x, y, detail):
+        return IsometryReport(False, (forest_to_newick(x), forest_to_newick(y)), detail)
+
     src, dst = phi.source, phi.target
     dst_kind = D_KINDS[dst.kind]
     src_ones, src_adj = link_sets(src)
-    dst_adj = link_sets(dst)[1]
+    dst_ones, dst_adj = link_sets(dst)
     for v, ones in src_ones.items():
-        images = {}  # (image vertex, image corner) -> (source corner key, sub-1-cube)
+        first = next(iter(ones.values()))
+        home = _link_keys(dst_kind, phi.apply(first))[0]
+        images = {}  # image corner key at home -> (source corner key, sub-1-cube)
         for a, s1 in ones.items():
-            vi, (im,) = _link_keys(dst_kind, phi.apply(s1))
-            if (vi, im) in images:
-                return IsometryReport(
-                    False, (forest_to_newick(images[vi, im][1]), forest_to_newick(s1)), "link not injective"
-                )
-            images[vi, im] = (a, s1)
-        at_v = src_adj[v]
-        at_vi = dst_adj.get(vi, {})
-        for ((wa, ia), (a, fa)), ((wb, ib), (b, fb)) in itertools.combinations(images.items(), 2):
-            if wa == wb == vi and ib in at_vi.get(ia, ()) and b not in at_v[a]:
-                return IsometryReport(
-                    False, (forest_to_newick(fa), forest_to_newick(fb)), "image square has no preimage square"
-                )
+            image = phi.apply(s1)
+            vi, (im,) = _link_keys(dst_kind, image)
+            if vi != home:
+                return fail(first, s1, "link not sent into one vertex link")
+            if im in images:
+                return fail(images[im][1], s1, "link not injective")
+            if im not in dst_ones.get(home, {}):
+                return fail(s1, image, "image is no sub-1-cube of the target")
+            images[im] = (a, s1)
+        for (ia, (a, fa)), (ib, (b, fb)) in itertools.combinations(images.items(), 2):
+            if ib in dst_adj[home][ia] and b not in src_adj[v][a]:
+                return fail(fa, fb, "image square has no preimage square")
     return IsometryReport(True)
 
 
@@ -820,13 +831,13 @@ def test_isometry_merges_match_reference():
         assert not rep.ok and rep.detail == "link not injective"
 
 
-@pytest.mark.parametrize("kind, away, failed", [("D", "2;1;3;4", 18), ("breveD", "1;3;2;4", 108)])
-def test_isometry_of_a_corner_sent_to_an_equal_position_key_elsewhere(kind, away, failed):
+@pytest.mark.parametrize("kind, away, maps", [("D", "2;1;3;4", 72), ("breveD", "1;3;2;4", 288)])
+def test_isometry_of_a_corner_sent_to_an_equal_position_key_elsewhere(kind, away, maps):
     # a sub-1-cube at 1;2;3;4 sent onto one at another 0-cube whose corner
     # key (a position on its own vertex) is also a corner key at 1;2;3;4:
-    # images are keyed by vertex and corner, so this is no merge.  The
-    # verdicts are pinned from the keys that spelled out the vertex in every
-    # corner, from the whole complex and with its least square deleted
+    # the link of 1;2;3;4 no longer goes into one vertex link, so every map
+    # fails, from the whole complex and with its least square deleted, and
+    # names the moved sub-1-cube beside another at 1;2;3;4
     c = build_complex(kind, 4)
     corner = _link_corner(c)
     home, there = (
@@ -835,15 +846,31 @@ def test_isometry_of_a_corner_sent_to_an_equal_position_key_elsewhere(kind, away
     )
     assert {corner(s) for s in there} == {corner(s) for s in home}
     holed = remove_subcube(c, min(c.subcubes[2], key=forest_key))
+    names = set(map(forest_to_newick, home))
     verdicts = Counter()
     for x, z in itertools.product(home, there):
         for src in (c, holed):
             rep = _same_isometry_verdict(_MergeTwo(src, c, "elsewhere", (x, z)))
-            verdicts[rep.ok, rep.detail, rep.witness] += 1
-    assert verdicts == {
-        (True, "", None): 2 * len(home) * len(there) - failed,
-        (False, "image square has no preimage square", ("1;(2,3,4)", "1;2;(3,4)")): failed,
-    }
+            verdicts[rep.ok, rep.detail] += 1
+            assert forest_to_newick(x) in rep.witness and set(rep.witness) <= names
+            assert rep.witness[0] != rep.witness[1]
+    assert verdicts == {(False, "link not sent into one vertex link"): maps}
+    assert maps == 2 * len(home) * len(there)
+
+
+@pytest.mark.parametrize("source, target, n, maps", [
+    ("D", "breveD", 3, 12), ("breveD", "hatD", 3, 12), ("D", "breveD", 4, 72), ("breveD", "hatD", 4, 60),
+])
+def test_isometry_into_a_target_less_one_sub_1_cube_fails(source, target, n, maps):
+    # negative control: a quotient map into its target with one sub-1-cube
+    # deleted sends some source sub-1-cube onto the deleted one
+    src, dst = build_complex(source, n), build_complex(target, n)
+    assert len(dst.subcubes[1]) == maps
+    for s1 in sorted(dst.subcubes[1], key=forest_key):
+        rep = _same_isometry_verdict(quotient_map(src, remove_subcube(dst, s1)))
+        assert (rep.ok, rep.detail) == (False, "image is no sub-1-cube of the target")
+        assert rep.witness[1] == forest_to_newick(s1)
+        assert dst.canon_sub(forest_from_newick(rep.witness[0])) == s1
 
 
 def _hatD_subcube_counts(n):

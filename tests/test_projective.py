@@ -421,11 +421,11 @@ def test_classify_strata_examples():
     n = 3
     all_inf = NuTuple(3, {(i, j): PP_ZERO for (i, j) in [(1, 2), (1, 3), (2, 3)]})
     s, b, dims = classify_strata(all_inf)
-    assert s == SetPartition.discrete(3) and b == SetPartition.discrete(3)
+    assert s == SetPartition([{1}, {2}, {3}]) and b == SetPartition([{1}, {2}, {3}])
     assert dims == (0, 2)
     all_zero = NuTuple(3, {(i, j): PP_INF for (i, j) in [(1, 2), (1, 3), (2, 3)]})
     s, b, dims = classify_strata(all_zero)
-    assert s == SetPartition.indiscrete(3) and b == SetPartition.indiscrete(3)
+    assert s == SetPartition([{1, 2, 3}]) and b == SetPartition([{1, 2, 3}])
     assert dims == (3 - 1, 3 - 1 - 1 + 0)
 
 
@@ -460,12 +460,12 @@ def test_open_cover():
             assert open_cover_membership(chart, point)
     # generic finite distinct distances lie in the one-petal chart
     point = orbit_map({1: F(0), 2: F(1), 3: F(3)}, F(0))
-    assert natural_chart(point) == SetPartition.indiscrete(3)
+    assert natural_chart(point) == SetPartition([{1, 2, 3}])
     # the all-infinite-distance point lies in the all-singletons chart only
     all_inf = NuTuple(3, {(i, j): PP_ZERO for (i, j) in [(1, 2), (1, 3), (2, 3)]})
-    assert natural_chart(all_inf) == SetPartition.discrete(3)
-    assert open_cover_membership(SetPartition.discrete(3), all_inf)
-    assert not open_cover_membership(SetPartition.indiscrete(3), all_inf)
+    assert natural_chart(all_inf) == SetPartition([{1}, {2}, {3}])
+    assert open_cover_membership(SetPartition([{1}, {2}, {3}]), all_inf)
+    assert not open_cover_membership(SetPartition([{1, 2, 3}]), all_inf)
 
 
 def test_extend_nu_examples():
@@ -473,7 +473,7 @@ def test_extend_nu_examples():
     xs = {1: F(0), 2: F(1), 3: F(4)}
     point = orbit_map(xs, F(0))
     out = extend_nu(
-        SetPartition.indiscrete(3), {frozenset({1, 2, 3}): point}, NuTuple(1, {}, F(0)), F(0)
+        SetPartition([{1, 2, 3}]), {frozenset({1, 2, 3}): point}, NuTuple(1, {}, F(0)), F(0)
     )
     assert out.nu == point.nu
     # n = 3, parts {1,2} and {3}: the completed delta satisfies the triangle
