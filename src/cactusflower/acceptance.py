@@ -26,6 +26,7 @@ from .forests import (
     collapse_all,
     enumerate_planar_forests,
     flip,
+    forest_key,
     leafset,
     random_binary_tree,
 )
@@ -102,6 +103,10 @@ def criterion_3(seed=DEFAULT_SEED) -> CriterionResult:
         r2 = cc.check_local_isometry(cc.quotient_map(bd, hd))
         ok &= r1.ok and r2.ok
         details.append(f"n={n}: D->breveD {'ok' if r1.ok else 'FAIL'}, breveD->hatD {'ok' if r2.ok else 'FAIL'}")
+    less = cc.remove_subcube(bd, min(bd.subcubes[2], key=forest_key))  # must FAIL: a square's image is gone
+    control = cc.check_local_isometry(cc.quotient_map(d, less))
+    ok &= not control.ok
+    details.append(f"D_4->breveD_4 less a square:{'witness ' + str(control.witness) if not control.ok else 'MISSED'}")
     return CriterionResult(3, "local isometries", ok, "; ".join(details))
 
 

@@ -57,15 +57,17 @@ spans on the vertex's leaf order), so a face of a higher sub-cube is present
 exactly when its corner pair indexes a square at that cube's vertex.
 
 Each certificate call first builds one indexed link per 0-cube with a
-sub-1-cube (_link_graph, _Link): one pass over the sub-1-cubes numbers their
-corners as bits, in the forest_key order of the sub-1-cubes, and one pass
-over the sub-2-cubes sets two bits of the int adjacency masks (one mask per
+sub-1-cube (_link_graph, _Link): one pass over the sub-1-cubes in forest_key
+order appends each to its 0-cube's link as the next bit, and one pass over
+the sub-2-cubes sets two bits of the int adjacency masks (one mask per
 corner) for each square whose corners are both sub-1-cubes.  A higher
 sub-cube's corners map to a mask, which is a link simplex when each
 corner's mask holds the others; the flag check keys the simplices at a
 vertex by mask and grows its cliques on masks, lowest bit first.  The
 local-isometry check sends each source link into one target link, keyed
-there by corner key alone.  The links live per call.
+there by corner key alone.  Its witnesses and the flag check's cliques
+follow bit order, so they depend on the complex alone.  The links live per
+call.
 """
 from __future__ import annotations
 
@@ -234,21 +236,14 @@ def _link_keys(kind: str, sigma: PlanarForest):
 class _Link:
     """The link of one 0-cube, indexed: its vertices are bits of an int.
 
-    ones maps the corner key of each incident sub-1-cube to it, in the order
-    the sub-1-cubes came; bit numbers those corners in the forest_key order
-    of their sub-1-cubes; rows[i] is the mask of the corners joined to corner
-    i by a square."""
+    ones[i] is the incident sub-1-cube of bit i, in forest_key order; bit
+    maps the corner key of each to its bit; rows[i] is the mask of the bits
+    joined to bit i by a square."""
 
     __slots__ = ("ones", "bit", "rows")
 
-    def __init__(self, ones: Dict[tuple, PlanarForest]):
-        self.ones = ones
-        self.bit = {a: i for i, a in enumerate(sorted(ones, key=lambda a: forest_key(ones[a])))}
-        self.rows = [0] * len(ones)
-
-    def joined(self, a, b) -> bool:
-        bit = self.bit
-        return a in bit and b in bit and bool(self.rows[bit[a]] >> bit[b] & 1)
+    def __init__(self):
+        self.ones, self.bit, self.rows = [], {}, []
 
     def span(self, corners) -> Optional[int]:
         """The mask of the corners if they are pairwise joined, else None."""
@@ -264,12 +259,12 @@ class _Link:
         return mask if common & mask == mask else None
 
 
-_NO_LINK = _Link({})  # the link at a 0-cube with no sub-1-cube
+_NO_LINK = _Link()  # the link at a 0-cube with no sub-1-cube
 
 
 def _link_graph(c: CubeComplex):
     """The indexed links at every 0-cube of a cube complex, in one pass over
-    its sub-1-cubes and one over its sub-2-cubes.
+    its sub-1-cubes in forest_key order and one over its sub-2-cubes.
 
     Returns (links, open_square, bad_square): links maps the vertex key of
     each 0-cube with a sub-1-cube to its _Link.  A square joins its corners
@@ -278,11 +273,15 @@ def _link_graph(c: CubeComplex):
     earlier square already joined, or None.
     """
     kind = D_KINDS[c.kind]
-    ones: Dict[tuple, Dict[tuple, PlanarForest]] = {}
-    for s1 in c.subcubes.get(1, ()):
+    links: Dict[tuple, _Link] = {}
+    for s1 in sorted(c.subcubes.get(1, ()), key=forest_key):
         v, (a,) = _link_keys(kind, s1)
-        ones.setdefault(v, {})[a] = s1
-    links = {v: _Link(at_v) for v, at_v in ones.items()}
+        link = links.get(v)
+        if link is None:
+            link = links[v] = _Link()
+        link.bit[a] = len(link.ones)
+        link.ones.append(s1)
+        link.rows.append(0)
     open_square = bad_square = None
     for sq in c.subcubes.get(2, ()):
         v, (a, b) = _link_keys(kind, sq)
@@ -332,8 +331,8 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
     # face closure: both corners of every square are sub-1-cubes ...
     if open_square is not None:
         v, corners = _link_keys(kind, open_square)
-        ones_v = links.get(v, _NO_LINK).ones
-        missing = next(e for e, a in zip(open_square.edges(), corners) if a not in ones_v)
+        bit_v = links.get(v, _NO_LINK).bit
+        missing = next(e for e, a in zip(open_square.edges(), corners) if a not in bit_v)
         return FlagReport(
             False,
             (forest_to_newick(open_square), forest_to_newick(c.sub_face(open_square, [missing]))),
@@ -350,7 +349,7 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
             link = links.get(v, _NO_LINK)
             mask = link.span(corners)
             if mask is None:
-                a, b = next((a, b) for a, b in itertools.combinations(corners, 2) if not link.joined(a, b))
+                a, b = next(pair for pair in itertools.combinations(corners, 2) if link.span(pair) is None)
                 edge = dict(zip(corners, sigma.edges()))
                 face = c.sub_face(sigma, (edge[a], edge[b]))
                 return FlagReport(
@@ -393,7 +392,7 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
         for i, row in enumerate(rows):
             bad = extend(1 << i, 1, row >> (i + 1) << (i + 1))
             if bad is not None:
-                clique = [link.ones[a] for j, a in enumerate(link.bit) if bad >> j & 1]
+                clique = [s1 for j, s1 in enumerate(link.ones) if bad >> j & 1]
                 return FlagReport(
                     False,
                     (forest_to_newick(c.vertex_of(clique[0])), tuple(map(forest_to_newick, clique))),
@@ -407,8 +406,7 @@ def remove_subcube(c: CubeComplex, sigma: PlanarForest) -> CubeComplex:
     k = sigma.num_edges()
     if sigma not in c.subcubes.get(k, ()):
         raise ValueError("subcube not present")
-    out = CubeComplex(c.kind, c.n)
-    out.subcubes = {d: set(v) for d, v in c.subcubes.items()}
+    out = CubeComplex(c.kind, c.n, {d: set(v) for d, v in c.subcubes.items()})
     out.subcubes[k].discard(sigma)
     return out
 
@@ -454,11 +452,11 @@ def check_local_isometry(phi: CombinatorialMap) -> IsometryReport:
     """Certify that phi is a local isometry, one source 0-cube at a time.
 
     The link of a source 0-cube must go into the target vertex link at its
-    first sub-1-cube's image, onto sub-1-cubes there, injectively; and
-    whenever two images span a square in the target, the two sub-1-cubes
-    must span a square in the source (the higher simplices follow because
-    both links are flag).  A failure names two source sub-1-cubes, or one
-    and its image.
+    first sub-1-cube's image, onto sub-1-cubes there, injectively, and two
+    sub-1-cubes must span a square exactly when their images do.  Only
+    squares are compared: the verdict is sound for complexes that pass
+    check_gromov_flag, whose links are flag.  A failure names two source
+    sub-1-cubes (in bit order), or one and its image.
 
     >>> d, bd = build_complex("D", 3), build_complex("breveD", 3)
     >>> check_local_isometry(quotient_map(d, bd)).ok
@@ -473,26 +471,28 @@ def check_local_isometry(phi: CombinatorialMap) -> IsometryReport:
     dst_links = _link_graph(dst)[0]
 
     for link in _link_graph(src)[0].values():
-        images = {}  # image corner key -> source corner key
-        for a, s1 in link.ones.items():
+        images = {}  # image corner key -> source bit
+        for si, s1 in enumerate(link.ones):
             image = phi.apply(s1)
             vi, (im,) = _link_keys(dst_kind, image)
             if not images:  # the first image names the target 0-cube
-                home, first, target = vi, s1, dst_links.get(vi, _NO_LINK)
+                home, target = vi, dst_links.get(vi, _NO_LINK)
             if vi != home:
-                return _isometry_fault(first, s1, "link not sent into one vertex link")
+                return _isometry_fault(link.ones[0], s1, "link not sent into one vertex link")
             if im in images:
                 return _isometry_fault(link.ones[images[im]], s1, "link not injective")
             if im not in target.bit:
                 return _isometry_fault(s1, image, "image is no sub-1-cube of the target")
-            images[im] = a
-        # (target bit, source bit, sub-1-cube) per image, in link.ones order
-        order = [(target.bit[im], link.bit[a], link.ones[a]) for im, a in images.items()]
-        for p, (ti, si, fa) in enumerate(order):
+            images[im] = si
+        tbits = [target.bit[im] for im in images]  # the target bit of each source bit
+        for si, ti in enumerate(tbits):
             trow, srow = target.rows[ti], link.rows[si]
-            for tj, sj, fb in order[p + 1 :]:
-                if trow >> tj & 1 and not srow >> sj & 1:
-                    return _isometry_fault(fa, fb, "image square has no preimage square")
+            for sj in range(si + 1, len(tbits)):
+                joined = trow >> tbits[sj] & 1
+                if joined != srow >> sj & 1:
+                    detail = ("image square has no preimage square" if joined
+                              else "square's image is no square of the target")
+                    return _isometry_fault(link.ones[si], link.ones[sj], detail)
     return IsometryReport(True)
 
 
@@ -644,15 +644,10 @@ def extract_presentation(c: CubeComplex) -> Presentation:
     complex has several 0-cells, then freely reduced."""
     if c.is_cubical:
         verts, table = skeleton_D(c)
-        walks = []
-        for walk in _boundary_words_D(c):
-            walks.append([_edge_symbol_D(c, s) for s in walk])
+        walks = [[_edge_symbol_D(c, s) for s in walk] for walk in _boundary_words_D(c)]
     else:
         verts, table = skeleton_P(c)
-        raw = _boundary_words_P(c)
-        walks = []
-        for walk in raw:
-            walks.append([_p_edge_symbol(c, ecell, pair) for (ecell, pair) in walk])
+        walks = [[_p_edge_symbol(c, ecell, pair) for ecell, pair in walk] for walk in _boundary_words_P(c)]
 
     partner = {sym: info[2] for sym, info in table.items()}
     # spanning tree over the 1-skeleton

@@ -7,11 +7,14 @@ from cactusflower.acceptance import ALL_CRITERIA, DEFAULT_SEED
 
 
 # Criterion 2 mutates the first 3-cube of hatD_4 in set iteration order,
-# which can follow the enumeration order, so its witness is pinned here.
+# which can follow the enumeration order, so its witness is pinned here;
+# criterion 3's negative control is pinned with its witness.
 PINNED_DETAILS = {
     "criterion_1": "hatD_3=(1, 6, 3) D_3=(6, 9, 3) (1-cube oracle 9) breveD_3 vertices=2",
     "criterion_2": "D_3:ok D_4:ok hatD_3:ok hatD_4:ok breveD_3:ok breveD_4:ok "
     "mutated:witness ((2,1),4,3)",
+    "criterion_3": "n=3: D->breveD ok, breveD->hatD ok; n=4: D->breveD ok, breveD->hatD ok; "
+    "D_4->breveD_4 less a square:witness ('1;2;(3,4)', '1;(2,3,4)')",
     "criterion_10": "39360 gluing cases exact; strata indices match on 200 points "
     "and 1008 corner points",
 }

@@ -130,11 +130,11 @@ def test_corrupted_complex_fails_with_witness():
 
 
 def test_local_isometries():
+    # every quotient map, the identities included
     for n in (3, 4, 5):
-        d, bd, hd = (build_complex(kind, n) for kind in ("D", "breveD", "hatD"))
-        assert check_local_isometry(quotient_map(d, bd)).ok
-        assert check_local_isometry(quotient_map(bd, hd)).ok
-        assert check_local_isometry(quotient_map(d, d)).ok
+        built = {kind: build_complex(kind, n) for kind in ("D", "breveD", "hatD")}
+        for source, target in itertools.combinations_with_replacement(built, 2):
+            assert check_local_isometry(quotient_map(built[source], built[target])).ok
     with pytest.raises(ValueError):
         quotient_map(build_complex("hatD", 3), build_complex("D", 3))
 
@@ -676,11 +676,11 @@ def test_vertex_link_is_flag_when_certified():
     assert len(link.ones) == 12  # directed-cell pairs: 6 one-cubes
     _, simplices = _reference_vertex_link(c, v)
     spans = {frozenset(map(corner, s)) for s in simplices}
-    names = sorted(link.bit)
-    for size in range(1, len(names) + 1):
-        for clique in itertools.combinations(names, size):
-            if all(link.joined(a, b) for a, b in itertools.combinations(clique, 2)):
-                assert frozenset(clique) in spans
+    for size in range(1, len(link.ones) + 1):
+        for clique in itertools.combinations(link.ones, size):
+            names = list(map(corner, clique))
+            if link.span(names) is not None:  # pairwise joined
+                assert frozenset(names) in spans
     for simplex in simplices:
         for size in range(1, len(simplex)):
             for sub in itertools.combinations(simplex, size):
@@ -704,12 +704,13 @@ def test_vertex_link_matches_reference():
                 for sub in itertools.combinations(simplex, len(simplex) - 1):
                     assert not sub or frozenset(sub) in simplices  # closed under faces
             link = links[_link_keys(D_KINDS[c.kind], v)[0]]
-            assert link.ones == {corner(s1): s1 for s1 in ref_ones}
-            # the bits are the sub-1-cubes' corners, in forest_key order
-            assert list(link.bit) == [corner(s1) for s1 in ref_ones]
+            # bit i is the i-th sub-1-cube in forest_key order
+            assert link.ones == list(ref_ones)
+            assert link.bit == {corner(s1): i for i, s1 in enumerate(ref_ones)}
+            assert len(link.rows) == len(ref_ones)
             assert set(link.bit) <= {corner(f) for s in simplices if len(s) == 1 for f in s}
             # a square joins its corners when both are sub-1-cubes, else nothing
-            joined = {(a, b) for a in link.bit for b in link.bit if link.joined(a, b)}
+            joined = {(a, b) for a, b in itertools.permutations(link.bit, 2) if link.span((a, b)) is not None}
             edges = (set(map(corner, s)) for s in simplices if len(s) == 2)
             assert joined == {pair for e in edges if e <= set(link.bit) for pair in itertools.permutations(e)}
         if c is mutant:
@@ -756,18 +757,20 @@ def test_isometry_negative_controls():
     square = min(d.subcubes[2], key=forest_key)
     rep = check_local_isometry(quotient_map(remove_subcube(d, square), build_complex("breveD", 4)))
     assert not rep.ok and rep.detail == "image square has no preimage square"
-    assert rep.witness == ("1;(2,3,4)", "1;2;(3,4)")
+    assert rep.witness == ("1;2;(3,4)", "1;(2,3,4)")
 
 
 def _reference_isometry(phi):
     """The local-isometry check on link graphs kept as a dict of corner-key
-    sets per vertex key.  Each source link must go into the target link at
-    its first sub-1-cube's image, where the images are keyed by corner key
-    alone and must be sub-1-cubes of the target."""
+    sets per vertex key, each link in the forest_key order of its
+    sub-1-cubes.  Each source link must go into the target link at its first
+    sub-1-cube's image, where the images are keyed by corner key alone and
+    must be sub-1-cubes of the target; two sub-1-cubes span a square exactly
+    when their images do."""
     def link_sets(c):
         kind = D_KINDS[c.kind]
         ones, adj = {}, {}
-        for s1 in c.subcubes.get(1, ()):
+        for s1 in sorted(c.subcubes.get(1, ()), key=forest_key):
             v, (a,) = _link_keys(kind, s1)
             ones.setdefault(v, {})[a] = s1
             adj.setdefault(v, {})[a] = set()
@@ -802,6 +805,8 @@ def _reference_isometry(phi):
         for (ia, (a, fa)), (ib, (b, fb)) in itertools.combinations(images.items(), 2):
             if ib in dst_adj[home][ia] and b not in src_adj[v][a]:
                 return fail(fa, fb, "image square has no preimage square")
+            if b in src_adj[v][a] and ib not in dst_adj[home][ia]:
+                return fail(fa, fb, "square's image is no square of the target")
     return IsometryReport(True)
 
 
@@ -831,6 +836,11 @@ def test_isometry_merges_match_reference():
         assert not rep.ok and rep.detail == "link not injective"
 
 
+def _ones_at(c, vertex):
+    """The sub-1-cubes at the 0-cube named `vertex`, in forest_key order."""
+    return sorted((s for s in c.subcubes[1] if forest_to_newick(c.vertex_of(s)) == vertex), key=forest_key)
+
+
 @pytest.mark.parametrize("kind, away, maps", [("D", "2;1;3;4", 72), ("breveD", "1;3;2;4", 288)])
 def test_isometry_of_a_corner_sent_to_an_equal_position_key_elsewhere(kind, away, maps):
     # a sub-1-cube at 1;2;3;4 sent onto one at another 0-cube whose corner
@@ -840,10 +850,7 @@ def test_isometry_of_a_corner_sent_to_an_equal_position_key_elsewhere(kind, away
     # names the moved sub-1-cube beside another at 1;2;3;4
     c = build_complex(kind, 4)
     corner = _link_corner(c)
-    home, there = (
-        sorted((s for s in c.subcubes[1] if forest_to_newick(c.vertex_of(s)) == v), key=forest_key)
-        for v in ("1;2;3;4", away)
-    )
+    home, there = _ones_at(c, "1;2;3;4"), _ones_at(c, away)
     assert {corner(s) for s in there} == {corner(s) for s in home}
     holed = remove_subcube(c, min(c.subcubes[2], key=forest_key))
     names = set(map(forest_to_newick, home))
@@ -871,6 +878,78 @@ def test_isometry_into_a_target_less_one_sub_1_cube_fails(source, target, n, map
         assert (rep.ok, rep.detail) == (False, "image is no sub-1-cube of the target")
         assert rep.witness[1] == forest_to_newick(s1)
         assert dst.canon_sub(forest_from_newick(rep.witness[0])) == s1
+
+
+@pytest.mark.parametrize("source, target, n, maps", [
+    ("D", "breveD", 3, 12), ("breveD", "hatD", 3, 12), ("D", "hatD", 3, 12),
+    ("D", "breveD", 4, 180), ("breveD", "hatD", 4, 180), ("D", "hatD", 4, 180),
+])
+def test_isometry_into_a_target_less_one_square_fails(source, target, n, maps):
+    # negative control: a quotient map into its target with one square
+    # deleted sends two source sub-1-cubes that span a square onto the
+    # deleted square's corners
+    src, dst = build_complex(source, n), build_complex(target, n)
+    assert len(dst.subcubes[2]) == maps
+    for square in sorted(dst.subcubes[2], key=forest_key):
+        rep = _same_isometry_verdict(quotient_map(src, remove_subcube(dst, square)))
+        assert (rep.ok, rep.detail) == (False, "square's image is no square of the target")
+        assert {dst.canon_sub(forest_from_newick(w)) for w in rep.witness} == set(_sub_faces(dst, square, 1))
+
+
+@pytest.mark.parametrize("source, target", [("D", "breveD"), ("breveD", "hatD"), ("D", "hatD")])
+def test_a_lost_sub_3_cube_passes_the_isometry_check_and_fails_the_flag_check(source, target):
+    # check_local_isometry compares links up to squares, which determine the
+    # higher simplices of flag links only: a source or target less one
+    # sub-3-cube passes it, and check_gromov_flag rejects that complex
+    src, dst = build_complex(source, 4), build_complex(target, 4)
+    for side, c in (("source", src), ("target", dst)):
+        assert len(c.subcubes[3]) == 120
+        for cube in sorted(c.subcubes[3], key=forest_key):
+            less = remove_subcube(c, cube)
+            phi = quotient_map(less, dst) if side == "source" else quotient_map(src, less)
+            assert _same_isometry_verdict(phi).ok
+            rep = check_gromov_flag(less)
+            assert (rep.ok, rep.detail) == (False, "3-clique spans no cube")
+
+
+def _reordered(c):
+    """An equal copy of c whose sub-cube sets were filled in reverse order."""
+    return CubeComplex(c.kind, c.n, {k: set(reversed(list(v))) for k, v in c.subcubes.items()})
+
+
+def _verdict(rep):
+    return rep.ok, rep.detail, rep.witness
+
+
+def test_isometry_witness_names_the_least_sub_1_cube_of_a_link():
+    # breveD_4 with the sub-1-cube 2;3;(4,1) at 1;2;3;4 moved onto 1;3;2;4:
+    # the witness pairs it with the forest_key-least sub-1-cube at 1;2;3;4,
+    # whatever order the complex's sets iterate in
+    c = build_complex("breveD", 4)
+    twin = _reordered(c)
+    (x,) = (s for s in c.subcubes[1] if forest_to_newick(s) == "2;3;(4,1)")
+    witness = (forest_to_newick(_ones_at(c, "1;2;3;4")[0]), "2;3;(4,1)")
+    assert witness == ("1;2;(3,4)", "2;3;(4,1)")
+    for z in _ones_at(c, "1;3;2;4"):
+        for src in (c, twin):
+            rep = check_local_isometry(_MergeTwo(src, src, "elsewhere", (x, z)))
+            assert _verdict(rep) == (False, "link not sent into one vertex link", witness)
+
+
+@pytest.mark.parametrize("kind, away", [("D", "2;1;3;4"), ("breveD", "1;3;2;4")])
+def test_witnesses_depend_only_on_the_complex(kind, away):
+    # an equal copy whose sets iterate in another order gives the same flag
+    # report, on the complex and on it less its least square, and the same
+    # isometry report on every map of the elsewhere test above
+    c = build_complex(kind, 4)
+    holed = remove_subcube(c, min(c.subcubes[2], key=forest_key))
+    twin = _reordered(c)
+    for src, src_twin in ((c, twin), (holed, _reordered(holed))):
+        assert _verdict(check_gromov_flag(src)) == _verdict(check_gromov_flag(src_twin))
+        for x, z in itertools.product(_ones_at(c, "1;2;3;4"), _ones_at(c, away)):
+            rep = check_local_isometry(_MergeTwo(src, c, "elsewhere", (x, z)))
+            again = check_local_isometry(_MergeTwo(src_twin, twin, "elsewhere", (x, z)))
+            assert _verdict(rep) == _verdict(again)
 
 
 def _hatD_subcube_counts(n):
