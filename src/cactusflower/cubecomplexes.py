@@ -66,8 +66,9 @@ corner's mask holds the others; the flag check keys the simplices at a
 vertex by mask and grows its cliques on masks, lowest bit first.  The
 local-isometry check sends each source link into one target link, keyed
 there by corner key alone.  Its witnesses and the flag check's cliques
-follow bit order, so they depend on the complex alone.  The links live per
-call.
+follow bit order, and the flag check's other witnesses name the least
+faulty cube in forest_key order, so they depend on the complex alone.  The
+links live per call.
 """
 from __future__ import annotations
 
@@ -266,11 +267,11 @@ def _link_graph(c: CubeComplex):
     """The indexed links at every 0-cube of a cube complex, in one pass over
     its sub-1-cubes in forest_key order and one over its sub-2-cubes.
 
-    Returns (links, open_square, bad_square): links maps the vertex key of
-    each 0-cube with a sub-1-cube to its _Link.  A square joins its corners
-    only when both are sub-1-cubes; open_square is the first square that
-    does not, or None.  bad_square is the first square whose corner pair an
-    earlier square already joined, or None.
+    Returns (links, open_square, doubled): links maps the vertex key of each
+    0-cube with a sub-1-cube to its _Link.  A square joins its corners only
+    when both are sub-1-cubes; open_square is the least square, in
+    forest_key order, that does not, or None.  doubled is 1 when two
+    squares join one corner pair, else 0.
     """
     kind = D_KINDS[c.kind]
     links: Dict[tuple, _Link] = {}
@@ -282,36 +283,34 @@ def _link_graph(c: CubeComplex):
         link.bit[a] = len(link.ones)
         link.ones.append(s1)
         link.rows.append(0)
-    open_square = bad_square = None
+    opened, doubled = [], 0
     for sq in c.subcubes.get(2, ()):
         v, (a, b) = _link_keys(kind, sq)
         link = links.get(v, _NO_LINK)
         bit = link.bit
         if a not in bit or b not in bit:
-            if open_square is None:
-                open_square = sq
+            opened.append(sq)
             continue
         i, j = bit[a], bit[b]
         rows = link.rows
-        if bad_square is None and rows[i] >> j & 1:
-            bad_square = sq
+        doubled |= rows[i] >> j & 1
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return links, open_square, bad_square
+    return links, min(opened, key=forest_key, default=None), doubled
 
 
-def _square_fault(c: CubeComplex, sq: PlanarForest):
-    """(detail, witness) for the bad square of _link_graph: it repeats the
-    corner pair of the first square (in the same iteration order) that has
-    it."""
+def _twin_fault(c: CubeComplex, k: int, detail: str) -> FlagReport:
+    """The failed report when two sub-k-cubes have one vertex and one corner
+    set: in forest_key order, the first sub-k-cube whose vertex and corners
+    an earlier one has, after that earlier one."""
     kind = D_KINDS[c.kind]
-    v, (a, b) = _link_keys(kind, sq)
-    for first in c.subcubes[2]:
-        w, corners = _link_keys(kind, first)
-        if w == v and set(corners) == {a, b}:
-            witness = (forest_to_newick(first), forest_to_newick(sq))
-            return "two squares on the same corner pair", witness
-    raise AssertionError("a repeated pair has an earlier square")
+    first: dict = {}
+    for sigma in sorted(c.subcubes[k], key=forest_key):
+        v, corners = _link_keys(kind, sigma)
+        twin = first.setdefault((v, frozenset(corners)), sigma)
+        if twin is not sigma:
+            return FlagReport(False, (forest_to_newick(twin), forest_to_newick(sigma)), detail)
+    raise AssertionError("a repeated corner set has two cubes")
 
 
 def check_gromov_flag(c: CubeComplex) -> FlagReport:
@@ -321,12 +320,13 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
     and determine it uniquely, and every clique of sub-1-cubes pairwise
     joined by sub-2-cubes spans a unique sub-cube.  A missing face is
     reported with the cube and the expected face as witness; a passing
-    report counts the cliques it visited per size.
+    report counts the cliques it visited per size.  A failure names the
+    least faulty cube in forest_key order, so it depends on the complex alone.
     """
     if not c.is_cubical:
         raise ValueError("the flag certificate needs subcube data (a cube complex)")
     kind = D_KINDS[c.kind]
-    links, open_square, bad_square = _link_graph(c)
+    links, open_square, doubled = _link_graph(c)
 
     # face closure: both corners of every square are sub-1-cubes ...
     if open_square is not None:
@@ -342,32 +342,30 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
     # ... and every corner pair of a higher sub-cube spans a square at its
     # vertex.  The same pass indexes the higher link simplices by corner mask.
     simplices: Dict[tuple, Dict[int, PlanarForest]] = {v: {} for v in links}
-    simplex_fault = None
+    twin_k = None  # the least k at which two sub-k-cubes span one simplex
     for k in range(3, c.dim + 1):
+        unspanned = []
         for sigma in c.subcubes.get(k, ()):
             v, corners = _link_keys(kind, sigma)
             link = links.get(v, _NO_LINK)
             mask = link.span(corners)
-            if mask is None:
-                a, b = next(pair for pair in itertools.combinations(corners, 2) if link.span(pair) is None)
-                edge = dict(zip(corners, sigma.edges()))
-                face = c.sub_face(sigma, (edge[a], edge[b]))
-                return FlagReport(
-                    False, (forest_to_newick(sigma), forest_to_newick(face)), "missing square face"
-                )
-            if simplex_fault is not None:
-                continue
-            at_v = simplices[v]  # a spanned mask has its corners in links[v]
-            if mask in at_v:
-                simplex_fault = (
-                    "two cubes span the same link simplex",
-                    (forest_to_newick(at_v[mask]), forest_to_newick(sigma)),
-                )
-            at_v[mask] = sigma
-    fault = simplex_fault if bad_square is None else _square_fault(c, bad_square)
-    if fault is not None:
-        detail, witness = fault
-        return FlagReport(False, witness, detail)
+            if mask is None:  # forest_key tells distinct sub-cubes apart
+                unspanned.append((forest_key(sigma), sigma, link, corners))
+            elif twin_k is None:
+                at_v = simplices[v]  # a spanned mask has its corners in links[v]
+                if mask in at_v:
+                    twin_k = k
+                at_v[mask] = sigma
+        if unspanned:
+            _, sigma, link, corners = min(unspanned)
+            a, b = next(pair for pair in itertools.combinations(corners, 2) if link.span(pair) is None)
+            edge = dict(zip(corners, sigma.edges()))
+            face = c.sub_face(sigma, (edge[a], edge[b]))
+            return FlagReport(False, (forest_to_newick(sigma), forest_to_newick(face)), "missing square face")
+    if doubled:
+        return _twin_fault(c, 2, "two squares on the same corner pair")
+    if twin_k is not None:
+        return _twin_fault(c, twin_k, "two cubes span the same link simplex")
 
     # flagness: every clique spans a unique simplex; the 2-cliques are the
     # squares themselves.  A clique grows by its lowest joined candidate

@@ -51,12 +51,15 @@ above it), ORed up from the leaves.  A vertex returns its mask while the
 edge is not found; once it is, the vertex returns its rebuilt tuple instead,
 the caller tells the two apart by type and stops walking, so only the path
 down to the edge is rebuilt and every other subtree, and every other tree,
-is kept as the same object.  edges collects leaf sets in one preorder walk
-per tree; collapse_all and the certificates' keys read each vertex as a
-pair (start, stop), its span of the planar leaf order, which _spans lists
-in preorder.  PlanarForest(...) validates its trees (ordered children, at
-least two per internal vertex, distinct non-negative int labels); forests
-derived here from valid ones skip that (_forest sets the slot directly).
+is kept as the same object.  The other passes read a vertex as its span
+(start, stop) of the planar leaf order, listed in preorder by _spans:
+collapse_all and the certificates' keys directly; meet, gamma and the charts
+through _tree_walk, which adds each vertex's leaf set and parent and each
+gap's owner; tree_of_configuration by building spans for _keeping.  edges()
+keeps its own walk (_leafsets): read off spans, it was slower at n = 5.
+PlanarForest(...) validates its trees (ordered children, at least two per
+internal vertex, distinct non-negative int labels); forests derived here
+from valid ones skip that (_forest sets the slot directly).
 """
 from __future__ import annotations
 
@@ -71,7 +74,7 @@ Subtree = Union[int, tuple]
 
 
 class NoMeetError(LookupError):
-    """Raised when two leaves lie in different trees of a forest."""
+    """Raised when two leaves are equal or lie in different trees."""
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +171,6 @@ class PlanarForest:
 
     def num_edges(self) -> int:
         return len(self.edges())
-
-    def tree_of(self, label: int) -> int:
-        for i, t in enumerate(self.trees):
-            if label in leaves(t):
-                return i
-        raise KeyError(label)
 
     def leaf_order(self) -> Tuple[int, ...]:
         out = []
@@ -332,6 +329,32 @@ def _vertices(forest: PlanarForest):
     return order, spans
 
 
+def _tree_walk(forest: PlanarForest):
+    """(leaf order, leaf sets, span starts, parents, owners) of a forest
+    from one _vertices pass: per internal vertex in preorder, its leaf set,
+    the start of its span and its parent's index (-1 at a root); per gap r,
+    between order[r] and order[r + 1], the index of its owner, the deepest
+    vertex above both leaves (-1 between two trees).
+
+    >>> order, vertices, starts, parent, owner = _tree_walk(PlanarForest([(1, (2, 3)), 4]))
+    >>> [sorted(v) for v in vertices], starts, parent, owner
+    ([[1, 2, 3], [2, 3]], [0, 1], [-1, 0], [0, 1, -1])
+    """
+    order, spans = _vertices(forest)
+    vertices, starts, parent, stack = [], [], [], []
+    owner = [-1] * (len(order) - 1)
+    for j, (start, stop) in enumerate(spans):
+        while stack and spans[stack[-1]][1] <= start:
+            stack.pop()
+        parent.append(stack[-1] if stack else -1)
+        stack.append(j)
+        vertices.append(frozenset(order[start:stop]))
+        starts.append(start)
+        for r in range(start, stop - 1):
+            owner[r] = j  # a deeper vertex, later in preorder, overwrites
+    return order, vertices, starts, parent, owner
+
+
 def _nest(order: list, spans: list, lo: int, hi: int, j: int):
     """The subtrees covering order[lo:hi] when the vertices left are those of
     spans[j:] (preorder) that start before hi; return them and the index of
@@ -378,25 +401,23 @@ def collapse_all(forest: PlanarForest, edges: Iterable[FrozenSet[int]]) -> Plana
 def meet(forest: PlanarForest, a: int, b: int) -> FrozenSet[int]:
     """The meet of two leaves: the maximal vertex lying below both.
 
-    Returns the vertex as its leaf set.  Raises NoMeetError if the leaves lie
-    in different trees.
+    Returns the vertex as its leaf set: the first owner, in preorder, of the
+    gaps between the two leaves (_tree_walk).  Raises NoMeetError if the
+    leaves are equal or lie in different trees, KeyError if one is missing.
+
+    >>> f = PlanarForest([(1, (2, 3)), 4])
+    >>> sorted(meet(f, 1, 3)), sorted(meet(f, 3, 2))
+    ([1, 2, 3], [2, 3])
     """
-    ta, tb = forest.tree_of(a), forest.tree_of(b)
-    if ta != tb:
+    order, vertices, _, _, owner = _tree_walk(forest)
+    pos = {x: r for r, x in enumerate(order)}
+    lo, hi = sorted((pos[a], pos[b]))
+    if lo == hi:
+        raise NoMeetError(f"need distinct leaves, got {a}, {b}")
+    j = min(owner[lo:hi])
+    if j < 0:
         raise NoMeetError(f"leaves {a}, {b} lie in different trees")
-    node = forest.trees[ta]
-    while True:
-        if isinstance(node, int):
-            raise NoMeetError(f"need distinct leaves, got {a}, {b}")
-        nxt = None
-        for c in node:
-            ls = frozenset([c]) if isinstance(c, int) else leafset(c)
-            if a in ls and b in ls:
-                nxt = c
-                break
-        if nxt is None or isinstance(nxt, int):
-            return leafset(node)
-        node = nxt
+    return vertices[j]
 
 
 def path_edges(forest: PlanarForest, vertex: FrozenSet[int]) -> list[FrozenSet[int]]:
@@ -405,8 +426,7 @@ def path_edges(forest: PlanarForest, vertex: FrozenSet[int]) -> list[FrozenSet[i
     These are exactly the edges whose leaf sets contain the given vertex's
     leaf set (the vertex's own descending edge included).
     """
-    ti = forest.tree_of(min(vertex))
-    return [ls for ls in _forest(forest.trees[ti : ti + 1]).edges() if vertex <= ls]
+    return [ls for ls in forest.edges() if vertex <= ls]
 
 
 # ---------------------------------------------------------------------------
@@ -811,12 +831,6 @@ def random_binary_tree(labels: Sequence[int], rng) -> Subtree:
         pair = (items[i], items[i + 1])
         items[i : i + 2] = [pair]
     return items[0]
-
-
-def is_binary(s: Subtree) -> bool:
-    if isinstance(s, int):
-        return True
-    return len(s) == 2 and all(is_binary(c) for c in s)
 
 
 def binary_refinement(s: Subtree) -> tuple[Subtree, list[FrozenSet[int]]]:

@@ -13,6 +13,9 @@ order (consecutive differences x_i - x_{i+1} lie in [0, 1]), and theta_star
 sums f over these nonnegative differences, which makes the square
 gamma-then-star-map = flower-map-then-theta commute exactly.  Like the tree
 charts, it sums on ints: the finite f values over one common denominator.
+
+gamma and the charts read trees through forests._tree_walk, and
+tree_of_configuration builds its tree from vertex spans (forests._keeping).
 """
 from __future__ import annotations
 
@@ -29,14 +32,12 @@ from .combinatorics import Permutation, SetPartition, interval_reversal, partiti
 from .forests import (
     PlanarForest,
     PlanarForestWithZeros,
-    _spans,
+    _forest,
+    _keeping,
+    _tree_walk,
     binary_refinement,
     forest_from_newick,
     forest_to_newick,
-    is_binary,
-    leafset,
-    meet as forest_meet,
-    path_edges,
 )
 from .projective import (
     MuTuple,
@@ -188,22 +189,19 @@ def _json_fraction(v, where: str) -> Fraction:
 
 
 def gamma(p: CubePoint) -> StarPoint:
-    """The cube-to-star map: consecutive differences are products of the
-    edge values along the path from the meet to the root, and 1 across
-    trees."""
-    order = p.forest.leaf_order()
+    """The cube-to-star map: a gap's difference is the product of the edge
+    values on its owner's root path (its leaves' meet), and 1 across trees.
+
+    >>> t = {frozenset({1, 2, 3}): Fraction(1, 2), frozenset({2, 3}): Fraction(1, 3)}
+    >>> gamma(CubePoint(PlanarForest([(1, (2, 3)), 4]), t)).diffs
+    (Fraction(1, 2), Fraction(1, 6), Fraction(1, 1))
+    """
+    order, vertices, _, parent, owner = _tree_walk(p.forest)
     t = p.t_dict()
-    diffs = []
-    for a, b in zip(order, order[1:]):
-        if p.forest.tree_of(a) != p.forest.tree_of(b):
-            diffs.append(Fraction(1))
-        else:
-            v = forest_meet(p.forest, a, b)
-            prod = Fraction(1)
-            for e in path_edges(p.forest, v):
-                prod *= t[e]
-            diffs.append(prod)
-    return StarPoint(order, tuple(diffs))
+    prod: list = []  # per vertex: the product of t on its root path
+    for e, q in zip(vertices, parent):
+        prod.append(t[e] if q < 0 else prod[q] * t[e])
+    return StarPoint(order, tuple(ONE if j < 0 else prod[j] for j in owner))
 
 
 # ---------------------------------------------------------------------------
@@ -285,32 +283,6 @@ def _write_distances(nu: list, n1: int, rows: list, prefix: list, num: int, den:
 # tree charts
 
 
-def _tree_walk(tree):
-    """One preorder walk of a tree (forests._spans) and what the charts read
-    off it: the leaf order; each internal vertex as its leaf set, with the
-    start of its span of the order and the index of its parent (-1 at the
-    root); and for each consecutive gap r, between order[r] and
-    order[r + 1], the index of the vertex owning it, the deepest vertex
-    covering both leaves.  Vertices are indexed in preorder, so a vertex
-    comes before everything above it."""
-    order: list = []
-    spans: list = []
-    _spans(tree, order, spans)
-    vertices, starts, parent = [], [], []
-    owner = [0] * (len(order) - 1)
-    stack: list = []
-    for j, (start, stop) in enumerate(spans):
-        while stack and spans[stack[-1]][1] <= start:
-            stack.pop()
-        parent.append(stack[-1] if stack else -1)
-        stack.append(j)
-        vertices.append(frozenset(order[start:stop]))
-        starts.append(start)
-        for r in range(start, stop - 1):
-            owner[r] = j  # a deeper vertex, later in preorder, overwrites
-    return order, vertices, starts, parent, owner
-
-
 def b_map(tree, t: Dict[FrozenSet[int], Fraction]):
     """The chart reparameterization: on a binary tree with edge values in
     [0, 1] and trunk value below 1, b_trunk = f(t_trunk) and otherwise
@@ -318,9 +290,9 @@ def b_map(tree, t: Dict[FrozenSet[int], Fraction]):
         b_e = f(t_e * P) / f(P),  P the product over the edges below e,
 
     falling back to b_e = t_e when some edge below carries 0."""
-    if not is_binary(tree):
+    order, vertices, _, parent, _ = _tree_walk(_forest((tree,)))
+    if len(vertices) != len(order) - 1:  # m leaves, m - 1 vertices: binary
         raise ValueError("charts are indexed by binary trees")
-    _, vertices, _, parent, _ = _tree_walk(tree)
     tv = [Fraction(t[e]) for e in vertices]
     for e, v in zip(vertices, tv):
         if not 0 <= v <= 1:
@@ -445,7 +417,7 @@ def _six_slots(m: int) -> Tuple[int, ...]:
 @functools.lru_cache(maxsize=_PLAN_CACHE)
 def _plan(tree) -> _Plan:
     btree, added = binary_refinement(tree)
-    order, vertices, starts, parent, owner = _tree_walk(btree)
+    order, vertices, starts, parent, owner = _tree_walk(_forest((btree,)))
     kids = [-1] * (2 * len(vertices))
     for j in range(1, len(vertices)):  # a right child starts after its parent
         kids[2 * parent[j] + (starts[j] != starts[parent[j]])] = j
@@ -551,17 +523,13 @@ def chart_b(tree, zdiffs: Dict[tuple, Fraction]):
 
     with (i,j) meeting at the upper vertex of e and (k,l) at the lower (the
     trunk takes the bare difference)."""
-    if not is_binary(tree):
+    order, vertices, _, parent, owner = _tree_walk(_forest((tree,)))
+    if len(vertices) != len(order) - 1:
         raise ValueError("charts are indexed by binary trees")
-    order, vertices, _, parent, owner = _tree_walk(tree)
-    pair = [None] * len(vertices)  # a binary vertex owns exactly one gap
+    diff = [None] * len(vertices)  # a binary vertex owns exactly one gap
     for r, j in enumerate(owner):
-        pair[j] = (order[r], order[r + 1])
-    b = {}
-    for j, (e, p) in enumerate(zip(vertices, parent)):
-        num = zdiffs[pair[j]]
-        b[e] = num if p < 0 else num / zdiffs[pair[p]]
-    return b
+        diff[j] = zdiffs[order[r], order[r + 1]]
+    return {e: d if p < 0 else d / diff[p] for e, d, p in zip(vertices, diff, parent)}
 
 
 # ---------------------------------------------------------------------------
@@ -648,48 +616,37 @@ def tree_of_configuration(zs: Dict[int, Fraction]) -> PlanarForest:
 
     The input is a labelled configuration of distinct rationals; the planar
     order of the output is by decreasing position (matching the charts).
-    The recursion groups maximal runs of neighbouring points at the minimal
-    gap, collapses each group to a point, and repeats.
+    Top-down, each run of the order is a vertex, cut at its widest gaps
+    into its children; the runs of two or more points are the spans of the
+    tree's vertices, so tied gaps give one vertex with several children.
+
+    >>> print(tree_of_configuration({1: 0, 2: 1, 3: 2, 4: 4}))
+    (4,(3,2,1))
     """
     items = sorted(zs.items(), key=lambda kv: kv[1], reverse=True)
     if len(items) != len({v for _, v in zs.items()}):
         raise ValueError("positions must be distinct")
-    seq = [(Fraction(v), lab) for lab, v in items]
-    while len(seq) > 1:
-        gaps = [seq[r][0] - seq[r + 1][0] for r in range(len(seq) - 1)]
-        ell = min(gaps)
-        groups = []
-        cur = [seq[0]]
-        for r, g in enumerate(gaps):
-            if g == ell:
-                cur.append(seq[r + 1])
-            else:
-                groups.append(cur)
-                cur = [seq[r + 1]]
-        groups.append(cur)
-        new_seq = []
-        pos = seq[0][0]
-        prev_tail = None
-        for grp in groups:
-            if prev_tail is not None:
-                pos = pos - (prev_tail - grp[0][0])
-            if len(grp) == 1:
-                new_seq.append((pos, grp[0][1]))
-            else:
-                new_seq.append((pos, tuple(x[1] for x in grp)))
-            prev_tail = grp[-1][0]
-        seq = new_seq
-    return PlanarForest([seq[0][1]])
+    pos = [Fraction(v) for _, v in items]
+    gaps = [a - b for a, b in zip(pos, pos[1:])]
+    spans: list = []  # in preorder, as _keeping reads them
+    runs = [(0, len(items))]  # a stack of the runs left to cut
+    while runs:
+        lo, hi = runs.pop()
+        if hi - lo > 1:
+            spans.append((lo, hi))
+            widest = max(gaps[lo : hi - 1])
+            cuts = [lo] + [r + 1 for r in range(lo, hi - 1) if gaps[r] == widest] + [hi]
+            runs += reversed(list(zip(cuts, cuts[1:])))  # the leftmost on top
+    return _keeping([lab for lab, _ in items], spans)
 
 
 def tree_of_projective_configuration(zs: Dict[int, Fraction]) -> PlanarForestWithZeros:
     """The same tree considered up to overall reversal, recorded by
     decorating the trunk with a zero."""
-    forest = tree_of_configuration(zs)
-    tree = forest.trees[0]
-    if isinstance(tree, int):
+    if len(zs) < 2:
         raise ValueError("need at least two points")
-    return PlanarForestWithZeros([tree], [leafset(tree)])
+    (tree,) = tree_of_configuration(zs).trees
+    return PlanarForestWithZeros([tree], [zs.keys()])  # the trunk is above every label
 
 
 # ---------------------------------------------------------------------------

@@ -20,4 +20,4 @@ def test_doctests_are_found():
     found = sum(
         doctest.testmod(importlib.import_module(name)).attempted for name in MODULES
     )
-    assert found >= 48
+    assert found >= 55

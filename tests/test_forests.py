@@ -100,6 +100,17 @@ def test_meet_examples():
                 assert m1 == meet(flipped, a, b)
 
 
+def test_meet_of_equal_leaves_or_a_missing_label():
+    # equal leaves have no meet, at a bare leaf as inside a tree; a label
+    # that is not a leaf of the forest is a KeyError
+    with pytest.raises(NoMeetError):
+        meet(RUNNING, 2, 2)
+    with pytest.raises(NoMeetError):
+        meet(forest_from_newick("1;(2,3)"), 1, 1)
+    with pytest.raises(KeyError):
+        meet(RUNNING, 1, 9)
+
+
 def catalan(n):
     c = 1
     for i in range(n):

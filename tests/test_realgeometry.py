@@ -8,8 +8,10 @@ import pytest
 from cactusflower.combinatorics import Permutation, SetPartition
 from cactusflower.forests import (
     PlanarForest,
+    _tree_walk,
     binary_refinement,
     collapse,
+    collapse_all,
     enumerate_planar_forests,
     flip,
     leafset,
@@ -37,7 +39,6 @@ from cactusflower.realgeometry import (
     ThetaImage,
     _b_values,
     _plan,
-    _tree_walk,
     affine_cactus_path,
     b_map,
     chart_H,
@@ -266,7 +267,7 @@ def test_integer_b_values_match_the_reference():
             t[leafset(tree)] = F(rng.randrange(0, 16), 16)  # the trunk stays below 1
             cases.append((tree, t))
     for tree, t in cases:
-        _, vertices, _, parent, _ = _tree_walk(tree)
+        _, vertices, _, parent, _ = _tree_walk(PlanarForest([tree]))
         bn, bd = _b_values(parent, [t[e] for e in vertices])
         assert all(type(x) is int for x in bn + bd) and all(d > 0 for d in bd)
         assert all(math.gcd(num, den) == 1 for num, den in zip(bn, bd))
@@ -381,7 +382,7 @@ def test_theta_star_matches_reference():
 
 class _RefChart:
     def __init__(self, tree, b):
-        order, vertices, self.start, parent, self.owner = _tree_walk(tree)
+        order, vertices, self.start, parent, self.owner = _tree_walk(PlanarForest([tree]))
         self.pos = {lab: r for r, lab in enumerate(order)}
         rel = [[F(1)] * (len(v) - 1) for v in vertices]
         for j in reversed(range(1, len(vertices))):
@@ -544,6 +545,50 @@ def test_gamma_well_definedness():
                     assert star_related(a, b)
 
 
+# gamma as it was before forests._tree_walk: per gap, the trees of its two
+# leaves, their meet found by descending from the root while one child holds
+# both, and the product of t along path_edges of the meet.
+
+
+def _ref_gamma(p):
+    forest, t = p.forest, p.t_dict()
+    tree_of = {x: i for i, tree in enumerate(forest.trees) for x in leaves(tree)}
+    order = forest.leaf_order()
+    diffs = []
+    for a, b in zip(order, order[1:]):
+        if tree_of[a] != tree_of[b]:
+            diffs.append(F(1))
+            continue
+        node = forest.trees[tree_of[a]]
+        while True:
+            inner = [c for c in node if not isinstance(c, int) and {a, b} <= leafset(c)]
+            if not inner:
+                break
+            node = inner[0]
+        diffs.append(math.prod((t[e] for e in path_edges(forest, leafset(node))), start=F(1)))
+    return StarPoint(order, tuple(diffs))
+
+
+def test_gamma_matches_reference():
+    # every forest on [n] for n <= 4, several trees and bare leaves among
+    # them, with edge values of 0, 1 and between; seeded forests to n = 8:
+    # binary trees on runs of a shuffled order, some edges collapsed
+    rng = random.Random(35)
+    forests = [f for n in range(1, 5) for k in range(n) for f in enumerate_planar_forests(n, k)]
+    for n in range(5, 9):
+        for _ in range(30):
+            labels = rng.sample(range(1, n + 1), n)
+            cuts = [0] + sorted(rng.sample(range(1, n), rng.randrange(n))) + [n]
+            forest = PlanarForest([random_binary_tree(labels[a:b], rng) for a, b in zip(cuts, cuts[1:])])
+            edges = forest.edges()
+            forests.append(collapse_all(forest, rng.sample(edges, rng.randrange(len(edges) + 1))))
+    for forest in forests:
+        for _ in range(3):
+            t = {e: rng.choice((F(0), F(1), F(rng.randrange(1, 16), 16))) for e in forest.edges()}
+            p = CubePoint(forest, t)
+            assert gamma(p) == _ref_gamma(p), (forest, t)
+
+
 def test_big_cube_centre_hits_zero_section():
     p = CubePoint(RUNNING, {e: F(0) for e in RUNNING.edges()})
     image = theta(p)
@@ -571,6 +616,54 @@ def test_tree_of_configuration_roundtrip():
         for a, b in zip(order, order[1:]):
             zs[b] = zs[a] - image.nu.delta(a, b).value()
         assert tree_of_configuration(zs).trees[0] == tree
+
+
+# tree_of_configuration as it was before it read spans: bottom up, the runs
+# of neighbouring points at the least gap become one point, until one is
+# left.
+
+
+def _ref_tree_of_configuration(zs):
+    items = sorted(zs.items(), key=lambda kv: kv[1], reverse=True)
+    if len(items) != len({v for _, v in zs.items()}):
+        raise ValueError("positions must be distinct")
+    seq = [(F(v), lab) for lab, v in items]
+    while len(seq) > 1:
+        gaps = [seq[r][0] - seq[r + 1][0] for r in range(len(seq) - 1)]
+        ell = min(gaps)
+        groups = []
+        cur = [seq[0]]
+        for r, g in enumerate(gaps):
+            if g == ell:
+                cur.append(seq[r + 1])
+            else:
+                groups.append(cur)
+                cur = [seq[r + 1]]
+        groups.append(cur)
+        new_seq = []
+        pos = seq[0][0]
+        prev_tail = None
+        for grp in groups:
+            if prev_tail is not None:
+                pos = pos - (prev_tail - grp[0][0])
+            if len(grp) == 1:
+                new_seq.append((pos, grp[0][1]))
+            else:
+                new_seq.append((pos, tuple(x[1] for x in grp)))
+            prev_tail = grp[-1][0]
+        seq = new_seq
+    return PlanarForest([seq[0][1]])
+
+
+def test_tree_of_configuration_matches_reference_on_tied_gaps():
+    # gaps drawn from a few values, so most configurations tie somewhere
+    rng = random.Random(36)
+    for _ in range(600):
+        n = rng.randrange(1, 10)
+        gaps = [rng.choice((F(1), F(2), F(3), F(1, 2), F(rng.randrange(1, 40), 7))) for _ in range(n - 1)]
+        positions = list(itertools.accumulate(gaps, initial=F(rng.randrange(-5, 5))))
+        zs = dict(zip(rng.sample(range(1, n + 1), n), positions))
+        assert tree_of_configuration(zs) == _ref_tree_of_configuration(zs), zs
 
 
 def test_tree_of_projective_configuration_reversal():
