@@ -56,19 +56,20 @@ A sub-2-cube is determined by its 0-cube and its two corners (its two edge
 spans on the vertex's leaf order), so a face of a higher sub-cube is present
 exactly when its corner pair indexes a square at that cube's vertex.
 
-Each certificate call first builds one indexed link per 0-cube with a
-sub-1-cube (_link_graph, _Link): one pass over the sub-1-cubes in forest_key
-order appends each to its 0-cube's link as the next bit, and one pass over
-the sub-2-cubes sets two bits of the int adjacency masks (one mask per
-corner) for each square whose corners are both sub-1-cubes.  A higher
-sub-cube's corners map to a mask, which is a link simplex when each
-corner's mask holds the others; the flag check keys the simplices at a
-vertex by mask and grows its cliques on masks, lowest bit first.  The
-local-isometry check sends each source link into one target link, keyed
-there by corner key alone.  Its witnesses and the flag check's cliques
-follow bit order, and the flag check's other witnesses name the least
-faulty cube in forest_key order, so they depend on the complex alone.  The
-links live per call.
+A complex builds one indexed link per 0-cube with a sub-1-cube once, on
+first use, for every certificate call on it (CubeComplex._links, from
+_link_graph): it is frozen, so its links cannot go stale.  One pass over
+the sub-1-cubes in forest_key order appends each to its 0-cube's _Link as
+the next bit, and one pass over the sub-2-cubes sets two bits of the int
+adjacency masks (one mask per corner) for each square whose corners are
+both sub-1-cubes.  A higher sub-cube's corners map to a mask, which is a
+link simplex when each corner's mask holds the others; the flag check keys
+the simplices at a vertex by mask and grows its cliques on masks, lowest
+bit first.  The local-isometry check sends each source link into one
+target link, keyed there by corner key alone.  Its witnesses and the flag
+check's cliques follow bit order, and the flag check's other witnesses
+name the least faulty cube in forest_key order, so they depend on the
+complex alone.
 """
 from __future__ import annotations
 
@@ -76,7 +77,8 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 from .combinatorics import arrange, arrangements, set_partitions
 from .forests import (
@@ -103,16 +105,26 @@ P_KINDS = {"P": "ordered", "hatP": "unordered", "breveP": "cyclic"}
 # the forest cube complexes
 
 
-@dataclass
+@dataclass(frozen=True)
 class CubeComplex:
     """A forest complex stores its sub-cubes only.  Its big cubes are formed
     by canon_big where they are listed, and f_vector counts one big k-cube
-    per 2^k sub-k-cubes (the flips act freely; see the module docstring)."""
+    per 2^k sub-k-cubes (the flips act freely; see the module docstring).
+    It is frozen: a mutant (a negative control) is a new complex."""
 
     kind: str
     n: int
-    subcubes: Dict[int, set] = field(default_factory=dict)  # D-family only
-    cells: Dict[int, set] = field(default_factory=dict)  # P-family only
+    subcubes: Mapping[int, frozenset] = field(default_factory=dict)  # D-family only
+    cells: Mapping[int, frozenset] = field(default_factory=dict)  # P-family only
+
+    def __post_init__(self):
+        for name in ("subcubes", "cells"):  # read-only maps to frozensets
+            object.__setattr__(self, name, MappingProxyType({k: frozenset(v) for k, v in getattr(self, name).items()}))
+
+    @functools.cached_property
+    def _links(self):
+        """_link_graph(self), built on first use for every certificate."""
+        return _link_graph(self)
 
     @property
     def is_cubical(self) -> bool:
@@ -163,21 +175,15 @@ def build_complex(kind: str, n: int) -> CubeComplex:
     if n < 2:
         raise ValueError("need n >= 2")
     if kind in D_KINDS:
-        c, labels, memo = CubeComplex(kind, n), tuple(range(1, n + 1)), {}  # one tree table
-        for k in range(n):
-            c.subcubes[k] = set(map(_forest, _forests_on(labels, k, D_KINDS[kind], 1, memo)))
-        return c
+        labels, memo = tuple(range(1, n + 1)), {}  # one tree table
+        return CubeComplex(kind, n, {
+            k: frozenset(map(_forest, _forests_on(labels, k, D_KINDS[kind], 1, memo))) for k in range(n)
+        })
     if kind in P_KINDS:
-        c = CubeComplex(kind, n)
         partitions = list(set_partitions(range(1, n + 1)))
-        for k in range(n):
-            c.cells[k] = {
-                parts
-                for blocks in partitions
-                if len(blocks) == n - k
-                for parts in arrangements(P_KINDS[kind], blocks)
-            }
-        return c
+        return CubeComplex(kind, n, cells={k: frozenset(
+            parts for blocks in partitions if len(blocks) == n - k for parts in arrangements(P_KINDS[kind], blocks)
+        ) for k in range(n)})
     raise ValueError(f"unknown complex kind {kind!r}")
 
 
@@ -326,7 +332,7 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
     if not c.is_cubical:
         raise ValueError("the flag certificate needs subcube data (a cube complex)")
     kind = D_KINDS[c.kind]
-    links, open_square, doubled = _link_graph(c)
+    links, open_square, doubled = c._links
 
     # face closure: both corners of every square are sub-1-cubes ...
     if open_square is not None:
@@ -404,9 +410,7 @@ def remove_subcube(c: CubeComplex, sigma: PlanarForest) -> CubeComplex:
     k = sigma.num_edges()
     if sigma not in c.subcubes.get(k, ()):
         raise ValueError("subcube not present")
-    out = CubeComplex(c.kind, c.n, {d: set(v) for d, v in c.subcubes.items()})
-    out.subcubes[k].discard(sigma)
-    return out
+    return CubeComplex(c.kind, c.n, {d: v - {sigma} if d == k else v for d, v in c.subcubes.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +470,9 @@ def check_local_isometry(phi: CombinatorialMap) -> IsometryReport:
     """
     src, dst = phi.source, phi.target
     dst_kind = D_KINDS[dst.kind]
-    dst_links = _link_graph(dst)[0]
+    dst_links = dst._links[0]
 
-    for link in _link_graph(src)[0].values():
+    for link in src._links[0].values():
         images = {}  # image corner key -> source bit
         for si, s1 in enumerate(link.ones):
             image = phi.apply(s1)
@@ -714,13 +718,8 @@ def presentations_match(a: Presentation, b: Presentation) -> bool:
 
 def export_dot(c: CubeComplex) -> str:
     """The 1-skeleton in DOT format."""
-    if c.is_cubical:
-        verts, table = skeleton_D(c)
-    else:
-        verts, table = skeleton_P(c)
-    lines = ["graph skeleton {"]
-    for v in verts:
-        lines.append(f'  "{v}";')
+    verts, table = skeleton_D(c) if c.is_cubical else skeleton_P(c)
+    lines = ["graph skeleton {", *(f'  "{v}";' for v in verts)]
     seen = set()
     for sym, (start, end, rev) in sorted(table.items(), key=lambda kv: str(kv[0])):
         if rev in seen:

@@ -409,15 +409,23 @@ def meet(forest: PlanarForest, a: int, b: int) -> FrozenSet[int]:
     >>> sorted(meet(f, 1, 3)), sorted(meet(f, 3, 2))
     ([1, 2, 3], [2, 3])
     """
+    return _meets(forest)(a, b)
+
+
+def _meets(forest: PlanarForest):
+    """meet on one forest from one _tree_walk, for callers that take many."""
     order, vertices, _, _, owner = _tree_walk(forest)
     pos = {x: r for r, x in enumerate(order)}
-    lo, hi = sorted((pos[a], pos[b]))
-    if lo == hi:
-        raise NoMeetError(f"need distinct leaves, got {a}, {b}")
-    j = min(owner[lo:hi])
-    if j < 0:
-        raise NoMeetError(f"leaves {a}, {b} lie in different trees")
-    return vertices[j]
+
+    def meet_of(a: int, b: int) -> FrozenSet[int]:
+        lo, hi = sorted((pos[a], pos[b]))
+        if lo == hi:
+            raise NoMeetError(f"need distinct leaves, got {a}, {b}")
+        j = min(owner[lo:hi])
+        if j < 0:
+            raise NoMeetError(f"leaves {a}, {b} lie in different trees")
+        return vertices[j]
+    return meet_of
 
 
 def path_edges(forest: PlanarForest, vertex: FrozenSet[int]) -> list[FrozenSet[int]]:

@@ -42,7 +42,7 @@ from .combinatorics import (
     partition_closure,
     refines,
 )
-from .forests import PlanarForest, meet as forest_meet
+from .forests import PlanarForest, _meets
 from .scalars import (
     ONE,
     ZERO,
@@ -605,22 +605,15 @@ def chart_membership(tau: PlanarForest, mus: Dict[frozenset, MuTuple]) -> list:
 
     Returns the list of violations (empty means the point lies in the chart).
     """
-    bad = []
+    excluded = {"above": (PP_ONE, PP_INF), "equal": (PP_ZERO, PP_INF), "below": (PP_ZERO, PP_ONE)}
+    bad, meet = [], _meets(tau)  # one walk of tau for every triple
     for part, mu in mus.items():
         for (i, j, k) in ordered_triples(part):
-            v_ik = forest_meet(tau, i, k)
-            v_ij = forest_meet(tau, i, j)
-            m = mu[(i, j, k)]
-            # vertices nearer the leaves carry smaller leaf sets
-            if v_ik < v_ij:  # meet of i,k is above meet of i,j
-                if m == PP_ONE or m.is_infinite():
-                    bad.append(("above", (i, j, k), m))
-            elif v_ik == v_ij:
-                if m.is_zero() or m.is_infinite():
-                    bad.append(("equal", (i, j, k), m))
-            else:
-                if m.is_zero() or m == PP_ONE:
-                    bad.append(("below", (i, j, k), m))
+            # a meet above another, nearer the leaves, has fewer leaves
+            v_ik, v_ij, m = meet(i, k), meet(i, j), mu[(i, j, k)]
+            case = "above" if v_ik < v_ij else "equal" if v_ik == v_ij else "below"
+            if m in excluded[case]:
+                bad.append((case, (i, j, k), m))
     return bad
 
 

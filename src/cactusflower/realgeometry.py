@@ -297,7 +297,7 @@ def b_map(tree, t: Dict[FrozenSet[int], Fraction]):
     for e, v in zip(vertices, tv):
         if not 0 <= v <= 1:
             raise ValueError(f"edge {','.join(map(str, sorted(e)))}: value {v} outside [0, 1]")
-    if tv[0] == 1:  # vertices[0] is the trunk
+    if tv and tv[0] == 1:  # vertices[0] is the trunk; a bare leaf has none
         raise ValueError("the chart needs trunk value < 1")
     bn, bd = _b_values(parent, tv)
     return {e: Fraction(num, den) for e, num, den in zip(vertices, bn, bd)}

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from cactusflower import cubecomplexes
 from cactusflower.combinatorics import (
     SetPartition,
     all_permutations,
@@ -563,8 +564,7 @@ def test_two_squares_on_one_corner_pair_fail_naming_both(kind):
     square = min((s for s in c.subcubes[2] if len(s.trees) > 1), key=forest_key)
     twin = PlanarForest(square.trees[1:] + square.trees[:1])
     assert twin != square and c.canon_sub(twin) == square
-    mutant = CubeComplex(kind, 4, {k: set(v) for k, v in c.subcubes.items()})
-    mutant.subcubes[2].add(twin)
+    mutant = CubeComplex(kind, 4, {k: v | {twin} if k == 2 else v for k, v in c.subcubes.items()})
     rep = check_gromov_flag(mutant)
     assert not rep.ok and rep.detail == "two squares on the same corner pair"
     assert set(rep.witness) == {forest_to_newick(square), forest_to_newick(twin)}
@@ -580,8 +580,7 @@ def test_two_cubes_on_one_link_simplex_fail_naming_both(kind):
     cube = min((s for s in c.subcubes[3] if len(s.trees) > 1), key=forest_key)
     twin = PlanarForest(cube.trees[1:] + cube.trees[:1])
     assert twin != cube and c.canon_sub(twin) == cube
-    mutant = CubeComplex(kind, 5, {k: set(v) for k, v in c.subcubes.items()})
-    mutant.subcubes[3].add(twin)
+    mutant = CubeComplex(kind, 5, {k: v | {twin} if k == 3 else v for k, v in c.subcubes.items()})
     rep = check_gromov_flag(mutant)
     assert not rep.ok and rep.detail == "two cubes span the same link simplex"
     assert set(rep.witness) == {forest_to_newick(cube), forest_to_newick(twin)}
@@ -956,6 +955,84 @@ def test_witnesses_depend_only_on_the_complex(kind, away):
             rep = check_local_isometry(_MergeTwo(src, c, "elsewhere", (x, z)))
             again = check_local_isometry(_MergeTwo(src_twin, twin, "elsewhere", (x, z)))
             assert _verdict(rep) == _verdict(again)
+
+
+KINDS = ("D", "breveD", "hatD")
+QUOTIENTS = (("D", "breveD"), ("breveD", "hatD"))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cached_links_equal_a_fresh_build_after_the_checks(kind):
+    # the table a complex keeps is the one _link_graph builds, and the
+    # certificates that read it leave it so, on the complex and on a mutant
+    # whose squares keep a deleted corner
+    for n in (2, 3, 4, 5):
+        c = build_complex(kind, n)
+        for cx in (c, remove_subcube(c, min(c.subcubes[1], key=forest_key))):
+            check_gromov_flag(cx)
+            check_local_isometry(quotient_map(cx, c))
+            check_local_isometry(quotient_map(c, cx))
+            links, open_square, doubled = cx._links
+            fresh, fresh_open, fresh_doubled = _link_graph(cx)
+            assert (open_square, doubled) == (fresh_open, fresh_doubled)
+            assert (open_square is None) == (cx is c or n == 2)  # no complex at n = 2 has squares
+            assert links.keys() == fresh.keys()
+            for v, link in links.items():
+                assert (link.ones, link.bit, link.rows) == (fresh[v].ones, fresh[v].bit, fresh[v].rows)
+
+
+def _flag_then_isometry(build):
+    """The flag reports of D, breveD and hatD, then the isometry reports of
+    the two quotient maps, into their target, the target less its least
+    square or sub-1-cube, and between reordered copies; build(kind) gives
+    each complex."""
+    reports = [check_gromov_flag(build(kind)) for kind in KINDS]
+    for a, b in QUOTIENTS:
+        src, dst = build(a), build(b)
+        for target in (dst, *(remove_subcube(dst, min(dst.subcubes[k], key=forest_key)) for k in (2, 1))):
+            reports.append(check_local_isometry(quotient_map(src, target)))
+        reports.append(check_local_isometry(quotient_map(_reordered(src), _reordered(dst))))
+    return reports
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_shared_complexes_certify_as_fresh_builds(n):
+    # each complex built once and read by every check gives the reports
+    # (verdicts, details, witnesses and cliques) of a build per check
+    shared = {kind: build_complex(kind, n) for kind in KINDS}
+    reports = _flag_then_isometry(shared.__getitem__)
+    assert reports == _flag_then_isometry(lambda kind: build_complex(kind, n))
+    assert [rep.ok for rep in reports] == [True] * 3 + [True, False, False, True] * 2
+
+
+def test_a_flag_and_isometry_pass_builds_each_link_table_once(monkeypatch):
+    # the pass the complexes benchmark makes: three flag checks, then the
+    # two quotient maps, breveD as their target and then their source
+    built = []
+    monkeypatch.setattr(cubecomplexes, "_link_graph", lambda c: built.append(c.kind) or _link_graph(c))
+    shared = {kind: build_complex(kind, 4) for kind in KINDS}
+    assert all(check_gromov_flag(c).ok for c in shared.values())
+    assert all(check_local_isometry(quotient_map(shared[a], shared[b])).ok for a, b in QUOTIENTS)
+    assert built == list(KINDS)
+
+
+def test_a_complex_is_frozen_and_its_mutants_are_new_complexes():
+    c, p = build_complex("hatD", 4), build_complex("hatP", 3)
+    square = min(c.subcubes[2], key=forest_key)
+    for table, k in ((c.subcubes, 2), (p.cells, 1)):
+        with pytest.raises(AttributeError):
+            table[k].add(next(iter(table[k - 1])))
+        with pytest.raises(TypeError):
+            table[k] = frozenset()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.kind = "D"
+    assert check_gromov_flag(c).ok
+    links = c._links
+    mutant = remove_subcube(c, square)
+    assert not check_gromov_flag(mutant).ok
+    assert c._links is links and mutant._links is not links
+    assert square in c.subcubes[2] and square not in mutant.subcubes[2]
+    assert check_gromov_flag(c).ok
 
 
 def _hatD_subcube_counts(n):

@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from cactusflower.acceptance import _random_member
 from cactusflower.combinatorics import SetPartition
-from cactusflower.forests import PlanarForest
+from cactusflower.forests import NoMeetError, PlanarForest, collapse_all, leaves, meet, random_binary_tree
 from cactusflower.projective import (
     InvariantViolation,
     MuTuple,
@@ -695,6 +696,60 @@ def test_chart_membership_trichotomy():
     # colliding a pair whose meet is highest stays inside the chart
     zs_ok = {1: F(10), 2: F(9), 3: F(9), 4: F(0)}
     assert chart_membership(tau, {part: cross_ratios(zs_ok)}) == []
+
+
+def _two_meet_chart_membership(tau, mus):
+    """chart_membership with a forests.meet call, and so a walk of tau, per
+    meet: two per ordered triple."""
+    bad = []
+    for part, mu in mus.items():
+        for (i, j, k) in ordered_triples(part):
+            v_ik, v_ij, m = meet(tau, i, k), meet(tau, i, j), mu[(i, j, k)]
+            if v_ik < v_ij:
+                if m == PP_ONE or m.is_infinite():
+                    bad.append(("above", (i, j, k), m))
+            elif v_ik == v_ij:
+                if m.is_zero() or m.is_infinite():
+                    bad.append(("equal", (i, j, k), m))
+            elif m.is_zero() or m == PP_ONE:
+                bad.append(("below", (i, j, k), m))
+    return bad
+
+
+def _colliding_points(labels, rng):
+    """Seeded integer points on the labels, some disjoint pairs of them made
+    to coincide, so that mu takes the values 0, 1 and infinity."""
+    zs = dict(zip(labels, map(F, rng.sample(range(-30, 30), len(labels)))))
+    shuffled = rng.sample(labels, len(labels))
+    for a, b in zip(shuffled[::2], shuffled[1::2]):
+        if rng.random() < 0.3:
+            zs[b] = zs[a]
+    return zs
+
+
+def test_chart_membership_matches_two_meets_per_triple():
+    # one walk of tau gives the violations, in order, of a walk per meet, on
+    # seeded trees with some edges collapsed (the trunk too, making forests
+    # whose parts are their trees); a part across two trees has no meets
+    rng = random.Random(36)
+    cases = Counter()
+    for n in range(3, 9):
+        for _ in range(25):
+            forest = PlanarForest([random_binary_tree(range(1, n + 1), rng)])
+            edges = forest.edges()
+            tau = collapse_all(forest, rng.sample(edges, rng.randrange(len(edges))))
+            parts = [leaves(t) for t in tau.trees if not isinstance(t, int) and len(leaves(t)) > 2]
+            mus = {frozenset(part): cross_ratios(_colliding_points(part, rng)) for part in parts}
+            got = chart_membership(tau, mus)
+            assert got == _two_meet_chart_membership(tau, mus)
+            cases.update(case for case, _, _ in got)
+            if len(tau.trees) > 1:
+                labels = list(range(1, n + 1))
+                across = {frozenset(labels): cross_ratios(_colliding_points(labels, rng))}
+                for check in (chart_membership, _two_meet_chart_membership):
+                    with pytest.raises(NoMeetError, match="lie in different trees"):
+                        check(tau, across)
+    assert set(cases) == {"above", "equal", "below"}
 
 
 def test_json_point_roundtrip():

@@ -162,6 +162,12 @@ def test_b_map_refuses_values_outside_the_unit_interval(value):
         b_map(tree, {frozenset({1, 2, 3}): value, frozenset({1, 2}): F(1, 2)})
 
 
+def test_b_map_and_chart_b_give_a_bare_leaf_no_edges():
+    # the binarity count (m leaves, m - 1 vertices) admits one leaf, which
+    # has no trunk and no edge
+    assert b_map(1, {}) == {} == chart_b(1, {})
+
+
 def test_b_map_injective_on_grid():
     grid = [F(1, 4), F(2, 4), F(3, 4)]
     rng = random.Random(3)
