@@ -118,22 +118,22 @@ def set_partitions(items: Iterable[int]):
     >>> list(set_partitions([1, 2, 3]))
     [((1, 2, 3),), ((1, 2), (3,)), ((1, 3), (2,)), ((1,), (2, 3)), ((1,), (2,), (3,))]
     """
-    items = sorted(items)
-    blocks: list[list[int]] = []
+    return _grow(sorted(items), 0, [])
 
-    def rec(i: int):
-        if i == len(items):
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(items[i])
-            yield from rec(i + 1)
-            b.pop()
-        blocks.append([items[i]])
-        yield from rec(i + 1)
-        blocks.pop()
 
-    return rec(0)
+def _grow(items: list, i: int, blocks: list):
+    """The set partitions that extend blocks, a partition of items[:i], to
+    all the items: items[i] joins each block in turn, then starts its own."""
+    if i == len(items):
+        yield tuple(tuple(b) for b in blocks)
+        return
+    for b in blocks:
+        b.append(items[i])
+        yield from _grow(items, i + 1, blocks)
+        b.pop()
+    blocks.append([items[i]])
+    yield from _grow(items, i + 1, blocks)
+    blocks.pop()
 
 
 def all_set_partitions(n: int) -> list[SetPartition]:

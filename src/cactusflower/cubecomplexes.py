@@ -277,7 +277,8 @@ def _link_graph(c: CubeComplex):
     0-cube with a sub-1-cube to its _Link.  A square joins its corners only
     when both are sub-1-cubes; open_square is the least square, in
     forest_key order, that does not, or None.  doubled is 1 when two
-    squares join one corner pair, else 0.
+    squares join one corner pair, else 0.  The sort gives the bits, and so
+    the witnesses, their order: the enumerator promises none.
     """
     kind = D_KINDS[c.kind]
     links: Dict[tuple, _Link] = {}
@@ -380,21 +381,8 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
     for v, link in links.items():
         rows = link.rows
         higher = simplices[v]
-
-        def extend(mask, size, cands):
-            cliques[size] += 1
-            if size >= 3 and mask not in higher:
-                return mask
-            while cands:
-                low = cands & -cands
-                cands ^= low
-                bad = extend(mask | low, size + 1, cands & rows[low.bit_length() - 1])
-                if bad is not None:
-                    return bad
-            return None
-
         for i, row in enumerate(rows):
-            bad = extend(1 << i, 1, row >> (i + 1) << (i + 1))
+            bad = _extend(1 << i, 1, row >> (i + 1) << (i + 1), rows, higher, cliques)
             if bad is not None:
                 clique = [s1 for j, s1 in enumerate(link.ones) if bad >> j & 1]
                 return FlagReport(
@@ -403,6 +391,21 @@ def check_gromov_flag(c: CubeComplex) -> FlagReport:
                     f"{len(clique)}-clique spans no cube",
                 )
     return FlagReport(True, cliques={k: cliques[k] for k in range(1, c.dim + 1)})
+
+
+def _extend(mask: int, size: int, cands: int, rows: list, higher: dict, cliques: list):
+    """Count the clique mask and the cliques grown from it, lowest candidate
+    first; return the first of 3 or more that spans no simplex, or None."""
+    cliques[size] += 1
+    if size >= 3 and mask not in higher:
+        return mask
+    while cands:
+        low = cands & -cands
+        cands ^= low
+        bad = _extend(mask | low, size + 1, cands & rows[low.bit_length() - 1], rows, higher, cliques)
+        if bad is not None:
+            return bad
+    return None
 
 
 def remove_subcube(c: CubeComplex, sigma: PlanarForest) -> CubeComplex:

@@ -10,6 +10,8 @@ stable edge ids that survive flips and collapses of other edges).
 
 Forests are enumerated from set partitions of the labels: one planar tree
 per block, then the trees arranged in every order a complex kind tells apart.
+Only "cyclic" and "unordered" sort the trees, as their canonical forms need,
+so the yield order is not fixed: enumerate_planar_forests sorts by forest_key.
 
 Flipping at an edge mirrors the whole subtree above it.  Collapsing a
 non-trunk edge splices the children into the parent; collapsing a trunk
@@ -473,18 +475,21 @@ def _forests_on(labels: tuple, k: int, kind: str, min_trees: int, memo: dict):
     least min_trees trees, as tuples of trees, one per class of the kind in
     canon_forest(kind, f, False) form.
 
-    Each comes from a set partition of the labels, one tree per block, the
-    trees sorted by _leftmost (the forest_key order of disjoint trees) and
-    then arranged: for "cyclic" the smallest tree first is arrange's
-    minimal rotation.
+    Each comes from a set partition, one tree per block: the tree table's
+    trees for one block, every permutation of the trees for "ordered", and
+    for the others the trees sorted by _leftmost (the forest_key order of
+    disjoint trees) and arranged, "cyclic" as arrange's minimal rotation.
     """
     # a forest of m trees on s leaves has at most s - m internal edges
     for blocks in set_partitions(labels):
         if min_trees <= len(blocks) <= len(labels) - k:
             for split in _edge_splits(k, blocks):
+                if len(blocks) == 1:  # every kind keeps a one-tree forest
+                    yield from zip(_planar_trees(labels, k, memo))
+                    continue
                 choices = [_planar_trees(b, e, memo) for b, e in zip(blocks, split)]
                 for trees in itertools.product(*choices):
-                    yield from arrangements(kind, sorted(trees, key=_leftmost))
+                    yield from arrangements(kind, trees if kind == "ordered" else sorted(trees, key=_leftmost))
 
 
 def _planar_trees(labels: tuple, k: int, memo: dict) -> list:
@@ -504,7 +509,7 @@ def _planar_trees(labels: tuple, k: int, memo: dict) -> list:
 def planar_forests(n: int, k: int, kind: str):
     """Yield each planar forest on [n] with exactly k internal edges once,
     up to the tree order of a complex kind, in canon_forest(kind, f, False)
-    form.
+    form, in no promised order (see _forests_on).
 
     The sub-cubes of D_3, breveD_3 and hatD_3 per dimension:
 
@@ -514,6 +519,7 @@ def planar_forests(n: int, k: int, kind: str):
     """
     if not 0 <= k <= max(n - 1, 0):
         raise ValueError("need 0 <= k <= n-1")
+    arrangements(kind, ())  # refuses an unknown kind, which one-tree forests skip
     yield from map(_forest, _forests_on(tuple(range(1, n + 1)), k, kind, 1, {}))
 
 
@@ -849,15 +855,16 @@ def binary_refinement(s: Subtree) -> tuple[Subtree, list[FrozenSet[int]]]:
     unchanged.
     """
     added: list[FrozenSet[int]] = []
+    return _refine(s, added), added
 
-    def rec(t: Subtree) -> Subtree:
-        if isinstance(t, int):
-            return t
-        kids = [rec(c) for c in t]
-        while len(kids) > 2:
-            pair = (kids[0], kids[1])
-            added.append(leafset(pair))
-            kids[0:2] = [pair]
-        return tuple(kids)
 
-    return rec(s), added
+def _refine(t: Subtree, added: list) -> Subtree:
+    """binary_refinement's tree, appending the edges it adds to added."""
+    if isinstance(t, int):
+        return t
+    kids = [_refine(c, added) for c in t]
+    while len(kids) > 2:
+        pair = (kids[0], kids[1])
+        added.append(leafset(pair))
+        kids[0:2] = [pair]
+    return tuple(kids)

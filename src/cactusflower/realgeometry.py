@@ -555,6 +555,17 @@ class ThetaImage:
         return partition_closure(self.nu.n, lambda i, j: d[(i, j)].is_infinite())
 
 
+def _split(tree, t: dict) -> list:
+    """The tree's plan, or the plans of the trees left by collapsing its
+    trunks at value 1; a leaf stays a leaf."""
+    if isinstance(tree, int):
+        return [tree]
+    plan = _plan(tree)
+    if t[plan.part] != 1:
+        return [plan]
+    return [s for child in tree for s in _split(child, t)]
+
+
 def theta(p: CubePoint) -> ThetaImage:
     """The chart map on a cube point.
 
@@ -564,19 +575,8 @@ def theta(p: CubePoint) -> ThetaImage:
     b_map, and evaluated through its chart (_Plan).
     """
     t = p.t_dict()
-
-    def split(tree):
-        """The tree's plan, or the plans of the trees left by collapsing its
-        trunks at value 1; a leaf stays a leaf."""
-        if isinstance(tree, int):
-            return [tree]
-        plan = _plan(tree)
-        if t[plan.part] != 1:
-            return [plan]
-        return [s for child in tree for s in split(child)]
-
     # by least label, so the parts and their mu tuples come out sorted
-    plans = sorted((s for tree in p.forest.trees for s in split(tree)),
+    plans = sorted((s for tree in p.forest.trees for s in _split(tree, t)),
                    key=lambda s: s if isinstance(s, int) else s.labels[0])
     parts = tuple(frozenset([s]) if isinstance(s, int) else s.part for s in plans)
     n = sum(map(len, parts))

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import math
 import pickle
@@ -7,15 +8,19 @@ import random
 
 import pytest
 
-from cactusflower.combinatorics import interval_reversal
+from cactusflower.combinatorics import arrangements, interval_reversal, set_partitions
 from cactusflower.forests import (
     BushyForest,
     NoMeetError,
     PlanarForest,
     PlanarForestWithZeros,
     _bushy_contract,
+    _edge_splits,
     _forest,
+    _forests_on,
+    _leftmost,
     _zero_forest,
+    binary_refinement,
     canon_forest,
     canon_tree_mod_flips,
     collapse,
@@ -139,6 +144,8 @@ def test_planar_forests_yield_each_canonical_form_once(n):
     totals = dict.fromkeys(("ordered", "cyclic", "unordered"), 0)
     for k in range(n):
         ordered = enumerate_planar_forests(n, k)
+        keys = list(map(forest_key, ordered))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
         for kind in totals:
             got = list(planar_forests(n, k, kind))
             assert len(set(got)) == len(got)
@@ -208,6 +215,50 @@ def test_single_leaf_tree_allowed():
     f = PlanarForest([1])
     assert f.n == 1 and f.edges() == []
     assert f.leaf_order() == (1,)
+
+
+# ---------------------------------------------------------------------------
+# the enumerator against the one that sorted and arranged every product
+#
+# _ref_forests_on sorts each product of per-block trees by _leftmost and
+# arranges it for the kind, the one-block products and "ordered" included,
+# as the enumerator did before it took those straight from the tree table.
+
+
+def _ref_forests_on(labels, k, kind, min_trees, memo):
+    for blocks in set_partitions(labels):
+        if min_trees <= len(blocks) <= len(labels) - k:
+            for split in _edge_splits(k, blocks):
+                choices = [_ref_planar_trees(b, e, memo) for b, e in zip(blocks, split)]
+                for trees in itertools.product(*choices):
+                    yield from arrangements(kind, sorted(trees, key=_leftmost))
+
+
+def _ref_planar_trees(labels, k, memo):
+    trees = memo.get((labels, k))
+    if trees is None:
+        if len(labels) == 1:
+            trees = [labels[0]] if k == 0 else []
+        else:
+            trees = list(_ref_forests_on(labels, k - 1, "ordered", 2, memo))
+        memo[labels, k] = trees
+    return trees
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_forests_on_matches_the_sort_then_arrange_reference(n):
+    labels = tuple(range(1, n + 1))
+    for kind in ("ordered", "cyclic", "unordered"):
+        memo, ref_memo = {}, {}
+        for k in range(n):
+            got = list(_forests_on(labels, k, kind, 1, memo))
+            assert len(set(got)) == len(got)
+            assert set(got) == set(_ref_forests_on(labels, k, kind, 1, ref_memo))
+        # the same tree table: every entry holds the same trees, each once
+        assert memo.keys() == ref_memo.keys()
+        for key, trees in memo.items():
+            assert len(set(trees)) == len(trees)
+            assert set(trees) == set(ref_memo[key])
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +503,14 @@ def test_forest_core_error_parity():
     for op in (collapse_all, _ref_collapse_all):
         with pytest.raises(ValueError):
             op(forest, [e, e])
-    # canon_forest skips arrange on one tree, and still refuses an unknown kind
+    # canon_forest skips arrange on one tree, and still refuses an unknown
+    # kind; so does planar_forests, where only one-tree forests have k = n - 1
     for mod_flips in (False, True):
         with pytest.raises(ValueError, match="unknown kind"):
             canon_forest("dihedral", PlanarForest([(1, 2)]), mod_flips)
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="unknown kind"):
+            next(planar_forests(n, n - 1, "dihedral"))
     # the public constructor still validates; the leaf-mask passes need
     # non-negative labels
     for trees in ([(1,)], [(1, 2), 2], [(1, "a")], [(-1, 2)]):
@@ -634,3 +689,47 @@ def test_build_complex_keeps_the_enumeration_order(kind):
         c = build_complex(kind, n)
         for k in range(n):
             assert list(c.subcubes[k]) == list(set(planar_forests(n, k, D_KINDS[kind])))
+
+
+def _cycles_left_by(call):
+    """The objects that only the cyclic collector frees after call(), run
+    once to warm any cache first, with the collector off meanwhile."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        call()
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _theta_through_split():
+    from fractions import Fraction
+
+    from cactusflower.realgeometry import CubePoint, theta
+
+    # the trunks {1..6} and {3, 4, 5, 6} at value 1 split the tree twice
+    f = PlanarForest([((1, 2), (3, (4, 5, 6))), 7])
+    ones = {frozenset(range(1, 7)), frozenset(range(3, 7))}
+    return theta(CubePoint(f, {e: Fraction(1) if e in ones else Fraction(1, 4) for e in f.edges()}))
+
+
+def _flag_check():
+    from cactusflower.cubecomplexes import build_complex, check_gromov_flag
+
+    return check_gromov_flag(build_complex("hatD", 4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: list(set_partitions(range(1, 5))),
+    lambda: binary_refinement(((1, 2, 3), (4, 5, 6, 7))),
+    _theta_through_split,
+    _flag_check,
+], ids=["set_partitions", "binary_refinement", "theta", "build_and_flag"])
+def test_recursive_calls_leave_no_reference_cycles(call):
+    # each recursion passes its state as arguments, so no closure refers to
+    # itself and refcounting frees everything a call leaves behind
+    assert _cycles_left_by(call) == 0
