@@ -155,7 +155,7 @@ def criterion_6(seed=DEFAULT_SEED) -> CriterionResult:
     details = []
     ok = True
     for n in (3, 4):
-        rep = gr.verify_hom(gr.hom(("AC", "vC"), n), "bounded_rewrite", depth=6)
+        rep = gr.verify_hom(gr.hom(("AC", "vC"), n), "bounded_rewrite")
         proven = sum(1 for r in rep.results if r[1] == "proven")
         ok &= proven == len(rep.results)
         details.append(f"n={n}: {proven}/{len(rep.results)} proven")

@@ -15,12 +15,13 @@ Words are tuples of letters:
     ("sA", seq)    pure virtual cactus generator, seq an ordered subset
     ("sig", i, j)  pure virtual symmetric generator
 
-The word problem is solved by faithful evaluation in S, AS and EAS, and for
-vC words of trivial shadow exactly in the one-vertex complex hatD_n; vS words
-are verified by bounded rewriting with an honest inconclusive outcome.
+The word problem is solved by faithful evaluation in S, AS and EAS, for vC
+words of trivial shadow exactly in the one-vertex complex hatD_n, and for vS
+words exactly in the Coxeter kernel of vS_n -> S_n.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -33,13 +34,11 @@ from .combinatorics import (
     affine_interval_reversal,
     all_permutations,
     interval_reversal,
-    is_translation,
     lookup_table,
 )
 
 Letter = tuple
 Word = Tuple[Letter, ...]
-_MAX_STATES = 200000  # the most words one bounded rewriting may visit
 
 _FAMILY_OF = {
     "C": "cactus",
@@ -566,10 +565,6 @@ class HomReport:
     def failures(self):
         return [r for r in self.results if r[1] == "failed"]
 
-    @property
-    def inconclusive(self):
-        return [r for r in self.results if r[1] == "inconclusive"]
-
 
 def verify_hom(h: GroupHom, mode="solvable_target", depth: int = 6) -> HomReport:
     """Check that every relator of the source maps to the identity.
@@ -581,12 +576,12 @@ def verify_hom(h: GroupHom, mode="solvable_target", depth: int = 6) -> HomReport
     the shadow as witness.  Into vC, an image of trivial shadow is decided
     exactly in hatD_n: proven, or refuted with the stuck word of `_pvc_reduce`
     as witness, which rests on hatD_n being non-positively curved (certified
-    by the flag check for n <= 6, the paper's theorem beyond).  Into vS,
-    bounded rewriting to `depth` gives proven or inconclusive.  A negative
-    depth is rejected in either mode.
+    by the flag check for n <= 6, the paper's theorem beyond).  Into vS, one
+    of trivial shadow is failed with its `b` shadow if that is not trivial,
+    else proven or refuted with its reduced kernel word (`_vs_reduce`).
+    `depth` is read by nothing: `perfbench/roots_words.py` passes it and
+    `mode`, which ROADMAP item 4 removes with the benchmark's next revision.
     """
-    if depth < 0:
-        raise ValueError("depth must be at least 0")
     pres = make_presentation(_family_of(h.source), h.n)
     report = HomReport(h)
     if mode == "solvable_target":
@@ -616,15 +611,15 @@ def verify_hom(h: GroupHom, mode="solvable_target", depth: int = 6) -> HomReport
             raise ValueError(f"bounded rewriting targets only vC and vS, not {h.target}")
         for rel in pres.relators:
             word = h.map_word(rel)
-            shadow = evaluate_word("S", word, h.n)
+            shadow, witness = evaluate_word("S", word, h.n), ()
+            if shadow.is_identity() and h.target == "vS":
+                shadow, witness = _vs_reduce(word, h.n)
+            elif shadow.is_identity():
+                witness = tuple(("sA", a) for a in _pvc_reduce(_pure_letters(word, h.n)))
             if not shadow.is_identity():
                 report.results.append((rel, "failed", shadow))
-            elif h.target == "vS":
-                ok = rewrite_to_identity(word, h.n, depth=depth)
-                report.results.append((rel, "proven" if ok else "inconclusive", None))
             else:
-                stuck = tuple(("sA", a) for a in _pvc_reduce(_pure_letters(word, h.n)))
-                report.results.append((rel, "refuted" if stuck else "proven", stuck or None))
+                report.results.append((rel, "refuted" if witness else "proven", witness or None))
         return report
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -656,12 +651,14 @@ def _family_of(code: str) -> str:
 
 
 def merge_permutation_letters(word: Word) -> Word:
-    """Merge adjacent symmetric letters of one copy and drop identities."""
+    """Merge adjacent permutation letters of one copy and drop identities;
+    Coxeter-index letters such as ("a", k) pass through unchanged."""
     out: list[Letter] = []
     for x in word:
-        if x[0] in ("w", "a") and out and out[-1][0] == x[0]:
+        perm = isinstance(x[-1], Permutation)
+        if perm and out and out[-1][0] == x[0] and isinstance(out[-1][-1], Permutation):
             x = (x[0], out.pop()[1] * x[1])
-        if x[0] not in ("w", "a") or not x[1].is_identity():
+        if not perm or not x[1].is_identity():
             out.append(x)
     return tuple(out)
 
@@ -732,59 +729,64 @@ def _pvc_reduce(letters: list) -> list:
     return word
 
 
-def _vs_pair_moves(x: Letter, y: Letter):
-    """Rewrites for virtual symmetric words (whole-permutation letters):
-    w(u) a(p) = a(u p u^-1) w(u) whenever u translates the interval spanned
-    by the points p moves, and the mirror a(p) w(u) = w(u) a(v p v^-1),
-    v = u^-1, whenever v translates it.  Both follow from the relation
-    w a_k w^-1 = a_{w(k)} for w(k+1) = w(k) + 1, p being a product of the
-    a_k inside its interval."""
-    if x[0] == "w" and y[0] == "a":
-        u, p = x[1], y[1]
-        if is_translation(u, *_moved_span(p)):
-            yield (("a", u * p * u.inverse()), x)
-    if x[0] == "a" and y[0] == "w":
-        p, v = x[1], y[1].inverse()
-        if is_translation(v, *_moved_span(p)):
-            yield (y, ("a", v * p * y[1]))
+@functools.cache
+def _kernel_table(n: int):
+    """The index of each ordered pair (i, j) of [n], the pairs, and the
+    non-zero entries (t, A_st) of each pair's row of the Cartan matrix of
+    K_n: 2 on the diagonal, 0 for disjoint pairs (m = 2), -1 for a chain
+    (i, j), (j, l) with l != i (m = 3), and -2 for (j, i) or a shared first
+    or last entry (m = inf)."""
+    pairs = _cyclic_pairs(n)
+    ix = {p: k for k, p in enumerate(pairs)}
+    rows = []
+    for (i, j) in pairs:
+        row = [(ix[i, j], 2), (ix[j, i], -2)]
+        for l in set(range(1, n + 1)) - {i, j}:
+            row += [(ix[j, l], -1), (ix[l, i], -1), (ix[i, l], -2), (ix[l, j], -2)]
+        rows.append(row)
+    return ix, pairs, rows
 
 
-def _moved_span(p: Permutation) -> Tuple[int, int]:
-    """The least and the greatest point that p (not the identity) moves."""
-    moved = [k for k, v in enumerate(p.images, 1) if v != k]
-    return moved[0], moved[-1]
+def _vs_reduce(word: Word, n: int):
+    """(u, reduced) for a vS word: u the shadow of its `b` copy, and reduced a
+    reduced word in ordered pairs of its part w in the kernel K_n of the map
+    to that shadow; the word is trivial iff both are.
 
+    K_n is the Coxeter group on the x_ij of `_kernel_table`, by
+    Reidemeister-Schreier from the relators of virtual_sym.  Read at the `b`
+    shadow u of the prefix, a_k is x_(u(k), u(k+1)), and x_s reflects f by
+    f_t -= f_s A_st.  f starts at (1, ..., 1) in the fundamental chamber of
+    the contragredient Tits representation, whose chambers K_n permutes
+    simply transitively (Humphreys 5.13): w is trivial iff f comes back, and
+    reflecting at negative coordinates spells w^-1 reduced from the left
+    (Bjorner-Brenti 4.3).
 
-def rewrite_to_identity(word: Word, n: int, depth: int = 6) -> bool:
-    """Breadth-first search for a proof that a vS word is trivial.
-
-    Moves apply one defining relation at one position; merging adjacent
-    permutation letters is free.  Returns True iff the empty word is reached
-    within the depth bound; False is honest ignorance, not a disproof.
+    >>> _vs_reduce(parse_word("a[1] w(2 1 3) a[1] w(2 1 3)"), 3)[1]
+    ((1, 2), (2, 1))
     """
-    if depth < 0:
-        raise ValueError("depth must be at least 0")
-    start = merge_permutation_letters(word)
-    if not start:
-        return True
-    seen = {start}
-    frontier = [start]
-    maxlen = len(start) + 4
-    for _ in range(depth):
-        nxt = []
-        for w in frontier:
-            for pos in range(len(w) - 1):
-                for rep in _vs_pair_moves(w[pos], w[pos + 1]):
-                    cand = merge_permutation_letters(w[:pos] + rep + w[pos + 2 :])
-                    if not cand:
-                        return True
-                    if len(cand) <= maxlen and cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-                        if len(seen) > _MAX_STATES:
-                            return False
-        frontier = nxt
-    return False
+    index, pairs, rows = _kernel_table(n)
+    f = [1] * len(pairs)
+
+    def reflect(s: int):
+        fs = f[s]
+        for t, a in rows[s]:
+            f[t] -= a * fs
+
+    u = list(range(1, n + 1))  # the images of the `b` shadow
+    for x in word:
+        if x[0] == "a":
+            for k in [x[1]] if isinstance(x[1], int) else _transposition_word(x[1]):
+                reflect(index[(u[k - 1], u[k])])
+        elif x[0] in ("w", "b"):
+            u = [u[v - 1] for v in eval_letter_sym(x, n).images]
+        else:
+            raise ValueError(f"letter {x!r} is not a vS letter")
+    reduced = []
+    while min(f) < 0:
+        s = f.index(min(f))
+        reflect(s)
+        reduced.append(pairs[s])
+    return Permutation(u), tuple(reversed(reduced))
 
 
 # ---------------------------------------------------------------------------

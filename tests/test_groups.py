@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from cactusflower import groups
 from cactusflower.combinatorics import (
     AffinePermutation,
     CyclicInterval,
@@ -23,6 +22,7 @@ from cactusflower.groups import (
     _cyclic_pairs,
     _evaluate_path,
     _family_of,
+    _kernel_table,
     _letter_key,
     _pure_letters,
     _pure_virtual_cactus_words,
@@ -30,7 +30,7 @@ from cactusflower.groups import (
     _pvc_reduce,
     _standard_pairs,
     _sym_word,
-    _vs_pair_moves,
+    _vs_reduce,
     _word_key,
     canonical_cyclic,
     diagram_report,
@@ -42,7 +42,6 @@ from cactusflower.groups import (
     ordered_subsets,
     parse_word,
     pure_generator,
-    rewrite_to_identity,
     semidirect_action,
     shift_pair,
     verify_hom,
@@ -141,7 +140,7 @@ def test_verify_hom_detects_shadow_failure():
     images = dict(h.images)
     images[("s", 1, 2)] = (("s", 1, 3),)
     broken = GroupHom("AC", "vC", 3, tuple(sorted(images.items(), key=repr)))
-    rep = verify_hom(broken, "bounded_rewrite", depth=3)
+    rep = verify_hom(broken, "bounded_rewrite")
     assert rep.failures
     relator, status, witness = rep.failures[0]
     assert status == "failed" and isinstance(witness, Permutation)
@@ -236,14 +235,13 @@ def test_window_evaluation_agrees_with_object_products(pair, n):
     assert rep.failures or (pair, n) == (("C", "S"), 3)
 
 
-def test_bounded_rewrite_certificates():
+def test_ac_to_vc_relators_are_proven():
     for n in (3, 4):
-        rep = verify_hom(hom(("AC", "vC"), n), "bounded_rewrite", depth=6)
+        rep = verify_hom(hom(("AC", "vC"), n), "bounded_rewrite")
         assert rep.all_proven
-        assert not rep.inconclusive
 
 
-def test_rewrite_inconclusive_is_honest():
+def test_words_of_trivial_shadow_are_refuted_in_vc_and_vs():
     # a vC word of trivial shadow whose pure letters s_12 s_12 do not cancel
     # (s_12 is inverse to s_21): the decision refutes it
     t = Permutation((2, 1, 3))
@@ -251,24 +249,20 @@ def test_rewrite_inconclusive_is_honest():
     assert evaluate_word("S", word, 3).is_identity()
     assert _pure_letters(word, 3) == [(1, 2), (1, 2)]
     assert _pvc_reduce(_pure_letters(word, 3)) == [(1, 2), (1, 2)]
-    # bounded rewriting of a vS word at depth 0 is inconclusive, not an error
+    # its vS image is x_12 x_21, with m = inf: refuted with that reduced word
     word = (("a", t), ("w", t), ("a", t), ("w", t))
     assert evaluate_word("S", word, 3).is_identity()
-    assert rewrite_to_identity(word, 3, depth=0) is False
+    assert _vs_reduce(word, 3) == (Permutation.identity(3), ((1, 2), (2, 1)))
 
 
-def test_rewrite_proof_of_two_moves_needs_depth_two(monkeypatch):
+def test_vs_word_trivial_by_two_relations_is_proven():
     # w(2 3 1) a(2 1 3) w(2 3 1) a(1 3 2) w(2 3 1) a(2 3 1) is trivial in vS_3,
-    # and no single move shows it
+    # and no single relation shows it
     u = Permutation((2, 3, 1))
     word = (("w", u), ("a", Permutation((2, 1, 3))), ("w", u),
             ("a", Permutation((1, 3, 2))), ("w", u), ("a", u))
     assert evaluate_word("S", word, 3).is_identity()
-    assert rewrite_to_identity(word, 3, depth=1) is False
-    assert rewrite_to_identity(word, 3, depth=2) is True
-    # a search that may visit only one word gives up, honestly
-    monkeypatch.setattr(groups, "_MAX_STATES", 1)
-    assert rewrite_to_identity(word, 3, depth=2) is False
+    assert _vs_reduce(word, 3) == (Permutation.identity(3), ())
 
 
 @pytest.mark.parametrize("n, count", [(3, 10), (4, 39), (5, 159)])
@@ -278,14 +272,169 @@ def test_vc_to_vs_relators_are_proven(n, count):
     assert verify_hom(_swapped(hom(("vC", "vS"), n)), "bounded_rewrite").failures
 
 
-def test_vs_pair_moves_conjugate_across_a_translated_interval():
-    r24, r35 = interval_reversal(2, 4, 5), interval_reversal(3, 5, 5)
-    u = Permutation((1, 3, 4, 5, 2))  # translates [2, 4] onto [3, 5]
-    assert list(_vs_pair_moves(("w", u), ("a", r24))) == [(("a", r35), ("w", u))]
-    assert list(_vs_pair_moves(("a", r35), ("w", u))) == [(("w", u), ("a", r24))]
-    # u does not translate [3, 5], and r24 reverses [2, 4]: no move
-    assert list(_vs_pair_moves(("w", u), ("a", r35))) == []
-    assert list(_vs_pair_moves(("w", r24), ("a", r24))) == []
+def _x(pair, n):
+    """x_ij as a vS word: b_u a_1 b_u^-1 for a u with (u(1), u(2)) = (i, j)."""
+    rest = [v for v in range(1, n + 1) if v not in pair]
+    u = Permutation(tuple(pair) + tuple(rest))
+    return (("w", u), ("a", 1), ("w", u.inverse()))
+
+
+def _kernel_letters(word, n):
+    """The pairs that the `a` letters of a word of Coxeter-index letters read
+    as: with u the `b` shadow of the prefix, a_k is x_(u(k), u(k+1))."""
+    u, out = Permutation.identity(n), []
+    for x in word:
+        if x[0] == "a":
+            out.append((u(x[1]), u(x[1] + 1)))
+        else:
+            u = u * Permutation.transposition(n, x[1], x[1] + 1)
+    return out
+
+
+def _coxeter_m(s, t):
+    """The Coxeter matrix entry of the kernel K_n, from its definition."""
+    if s == t:
+        return 1
+    if not set(s) & set(t):
+        return 2
+    if s[1] == t[0] and s[0] != t[1] or t[1] == s[0] and t[0] != s[1]:
+        return 3
+    return 0  # infinity
+
+
+@pytest.mark.parametrize("n, pairs", [(3, 6), (4, 36), (5, 120)])
+def test_vs_relators_conjugate_to_coxeter_relators_of_the_kernel(n, pairs):
+    # Reidemeister-Schreier: every conjugate of a virtual_sym relator by the
+    # b copy reads, in the kernel, as empty, x_s x_s, (x_s x_t)^2 on a
+    # disjoint pair or (x_s x_t)^3 on a chained pair, and every disjoint and
+    # every chained pair arises
+    found = set()
+    for rel in make_presentation("virtual_sym", n).relators:
+        for u in all_permutations(n):
+            letters = _kernel_letters(_sym_word("b", u) + rel + _sym_word("b", u.inverse()), n)
+            if len(letters) > 2:
+                s, t = letters[:2]
+                m = _coxeter_m(s, t)
+                assert m in (2, 3) and letters == [s, t] * m
+                found.add(frozenset((s, t)))
+            else:
+                assert len(letters) in (0, 2) and letters[:1] == letters[1:]
+    cyclic = _cyclic_pairs(n)
+    finite = {frozenset((s, t)) for s in cyclic for t in cyclic if _coxeter_m(s, t) in (2, 3)}
+    assert found == finite and len(found) == pairs
+    # the decider's Cartan matrix is 2 cos(pi / m) negated, from the same m
+    index, table_pairs, rows = _kernel_table(n)
+    assert table_pairs == cyclic
+    cartan = {0: -2, 1: 2, 2: 0, 3: -1}
+    for s in cyclic:
+        row = {table_pairs[t]: a for t, a in rows[index[s]]}
+        assert row == {t: cartan[_coxeter_m(s, t)] for t in cyclic if _coxeter_m(s, t) != 2}
+
+
+@pytest.mark.parametrize("s, t, m", [
+    ((1, 2), (3, 4), 2),
+    ((1, 2), (2, 3), 3),
+    ((1, 2), (2, 1), None),
+    ((1, 2), (1, 3), None),
+    ((1, 2), (3, 2), None),
+])
+def test_kernel_products_have_their_coxeter_orders(s, t, m):
+    for k in range(1, (m or 4) + 1):
+        u, reduced = _vs_reduce((_x(s, 4) + _x(t, 4)) * k, 4)
+        assert u.is_identity()
+        if k == m:
+            assert reduced == ()
+        elif m is None:  # the infinite dihedral group: (s t)^k is reduced
+            assert reduced == (s, t) * k
+        else:  # (s t)^k, k < m, is (t s)^(m - k): the shorter is reduced
+            assert reduced in ((s, t) * k, (t, s) * (m - k))
+            assert len(reduced) == 2 * min(k, m - k)
+
+
+def test_every_vs_letter_form_is_decided():
+    identity = Permutation.identity(3)
+    assert _vs_reduce(parse_word("a[1] b[2] a[1] b[2]"), 3) == (identity, ((1, 2), (1, 3)))
+    assert _vs_reduce(parse_word("a(2 1 3) w(1 3 2) a(2 1 3) w(1 3 2)"), 3) == (
+        identity, ((1, 2), (1, 3)))
+    assert _vs_reduce(parse_word("b[1] a[1] b[1]"), 3) == (identity, ((2, 1),))
+    # a permutation letter reads as its reduced word in the a_k
+    longest = _vs_reduce(parse_word("a(3 2 1)"), 3)
+    assert longest == _vs_reduce(parse_word("a[1] a[2] a[1]"), 3)
+    assert longest == _vs_reduce(parse_word("a[2] a[1] a[2]"), 3)
+    assert len(longest[1]) == 3
+    # the b shadow is the product of the b and w letters alone
+    word = parse_word("b[1] a[2] w(2 3 1) a(1 3 2) b[2]")
+    expected = evaluate_word("S", parse_word("b[1] w(2 3 1) b[2]"), 3)
+    assert _vs_reduce(word, 3)[0] == expected
+    with pytest.raises(ValueError):
+        _vs_reduce(parse_word("s[1,2]"), 3)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_products_of_conjugated_vs_relators_are_proven(n):
+    rng = random.Random(n)
+    gens = generators_of("vS", n)
+    relators = make_presentation("virtual_sym", n).relators
+    for _ in range(100):
+        # every letter is an involution, so a reversed word is its inverse
+        word = ()
+        for _ in range(3):
+            g = tuple(rng.choice(gens) for _ in range(rng.randrange(6)))
+            rel = rng.choice(relators)
+            word += g + (rel if rng.randrange(2) else rel[::-1]) + g[::-1]
+        assert _vs_reduce(word, n) == (Permutation.identity(n), ())
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_vs_decision_is_sound_against_the_lattice_quotient(n):
+    # no word the lattice quotient separates from the identity is proven
+    rng = random.Random(n)
+    gens = generators_of("vS", n)
+    proven = separated = 0
+    for _ in range(500):
+        word = tuple(rng.choice(gens) for _ in range(rng.randrange(2, 9)))
+        if vs_lattice_image(word, n) != (Permutation.identity(n), ()):
+            assert _vs_reduce(word, n) != (Permutation.identity(n), ())
+            separated += 1
+        else:
+            proven += _vs_reduce(word, n) == (Permutation.identity(n), ())
+    assert proven and separated
+
+
+@pytest.mark.parametrize("n, refuted", [(3, 4), (4, 12), (5, 42)])
+def test_vs_kernel_refutes_what_the_shadow_cannot(n, refuted):
+    # s12 sent to a(t) x_12 x_21 x_12 ... keeps every shadow, so no relator
+    # fails; the kernel refutes the nesting relators it breaks, and each
+    # witness spells the kernel part of the relator's image
+    h = hom(("vC", "vS"), n)
+    images = dict(h.images)
+    t = Permutation.transposition(n, 1, 2)
+    images[("s", 1, 2)] = (("a", t), ("w", t), ("a", t), ("w", t), ("a", t))
+    twisted = GroupHom("vC", "vS", n, tuple(sorted(images.items(), key=repr)))
+    rep = verify_hom(twisted, "bounded_rewrite")
+    assert {st for _, st, _ in rep.results} == {"proven", "refuted"}
+    witnesses = [(rel, w) for rel, st, w in rep.results if st == "refuted"]
+    assert len(witnesses) == refuted
+    for rel, witness in witnesses:
+        inverse = sum((_x(p, n) for p in reversed(witness)), ())
+        assert _vs_reduce(twisted.map_word(rel) + inverse, n) == (Permutation.identity(n), ())
+    # s12 sent to w(t) keeps the S shadow but not the b shadow: failed with it
+    images[("s", 1, 2)] = (("w", t),)
+    twisted = GroupHom("vC", "vS", n, tuple(sorted(images.items(), key=repr)))
+    failures = verify_hom(twisted, "bounded_rewrite").failures
+    assert len(failures) == refuted
+    for rel, _, witness in failures:
+        assert evaluate_word("S", twisted.map_word(rel), n).is_identity()
+        assert not witness.is_identity()
+
+
+def test_vc_to_vs_is_not_injective():
+    # a vC word of trivial shadow that is not trivial in vC (its pure letters
+    # are stuck in hatD_3), while its image in vS is trivial
+    word = parse_word("s[1,2] s[2,3] s[1,2] s[1,3]")
+    assert evaluate_word("S", word, 3).is_identity()
+    assert _pvc_reduce(_pure_letters(word, 3)) == [(1, 2), (1, 3), (2, 3), (3, 2, 1)]
+    assert _vs_reduce(hom(("vC", "vS"), 3).map_word(word), 3) == (Permutation.identity(3), ())
 
 
 def test_merge_permutation_letters_merges_neighbours_of_one_copy():
@@ -294,6 +443,9 @@ def test_merge_permutation_letters_merges_neighbours_of_one_copy():
     assert merge_permutation_letters(word) == (("w", u * v), ("b", 1), ("w", u), ("a", v))
     assert merge_permutation_letters((("s", 1, 2), ("w", u), ("a", v))) == (
         ("s", 1, 2), ("w", u), ("a", v))
+    # Coxeter-index letters hold no permutation: they pass through unmerged
+    word = parse_word("a[1] a[1] w(2 1 3) a(2 1 3) a[2] b[1] b[1]")
+    assert merge_permutation_letters(word) == word
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -32,7 +32,6 @@ ALLOWED = {
     "forests.PlanarForestWithZeros.decorated_edges": "the edges a zero-forest decorates",
     "forests.PlanarForestWithZeros.undecorated_edges": "the edges a zero-forest leaves free: a little cube's directions",
     "forests.enumerate_zero_forests": "the zero-forests of [n], the cells of hatD's subdivision in one list",
-    "groups.HomReport.inconclusive": "the relators a bounded check left open, beside failures",
     "projective.NuTuple.relabel": "the S_n action on nu tuples",
     "projective.ProjPoint.conj": "complex conjugation, the real structure of P^1",
     "realgeometry.StarPoint.relabel": "the S_n action on star points",
