@@ -10,6 +10,7 @@ status: 0 on success/pass, 1 on a verification failure, 2 on usage errors
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -213,6 +214,7 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cactusflower",

@@ -80,21 +80,25 @@ class SetPartition:
         return "{" + ", ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in self.blocks) + "}"
 
 
-def partition_closure(n: int, related) -> SetPartition:
-    """The finest set partition of {1..n} with i and j in one block whenever
-    related(i, j) holds with i < j: the equivalence relation generated
-    by those pairs.
+def partition_closure(n: int, pairs: Iterable[Tuple[int, int]]) -> SetPartition:
+    """The finest set partition of {1..n} with i and j in one block for
+    each pair (i, j) of pairs: the equivalence relation they generate.
 
-    >>> print(partition_closure(4, lambda i, j: j == i + 1 and i != 2))
+    >>> print(partition_closure(4, [(1, 2), (3, 4)]))
     {{1,2}, {3,4}}
     """
-    parts = {i: {i} for i in range(1, n + 1)}
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        if related(i, j) and parts[i] is not parts[j]:
-            merged = parts[i] | parts[j]
-            for x in merged:
-                parts[x] = merged
-    return SetPartition({frozenset(b) for b in parts.values()})
+    parts = [{i} for i in range(n + 1)]  # parts[i] is i's block; parts[0] is unused
+    for i, j in pairs:
+        a, b = parts[i], parts[j]
+        if a is not b:
+            if len(a) < len(b):
+                a, b = b, a
+            a |= b
+            for x in b:
+                parts[x] = a
+    # each block comes first at its least label
+    blocks = {id(b): b for b in parts[1:]}.values()
+    return SetPartition._trusted(tuple(map(frozenset, blocks)))
 
 
 def refines(b: SetPartition, s: SetPartition) -> bool:
@@ -251,6 +255,13 @@ class Permutation:
             raise ValueError(f"not a permutation: {t}")
         object.__setattr__(self, "images", t)
 
+    @staticmethod
+    def _trusted(images: Tuple[int, ...]) -> "Permutation":
+        """Permutation(images) unchecked: images holds 1..n once each."""
+        perm = object.__new__(Permutation)
+        object.__setattr__(perm, "images", images)
+        return perm
+
     @property
     def n(self) -> int:
         return len(self.images)
@@ -259,34 +270,36 @@ class Permutation:
         return self.images[x - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.n != other.n:
+        sw, ow = self.images, other.images
+        if len(sw) != len(ow):
             raise ValueError("size mismatch")
-        sw = self.images
-        return Permutation(tuple(sw[x - 1] for x in other.images))
+        return Permutation._trusted(tuple([sw[x - 1] for x in ow]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
-        for x in range(1, self.n + 1):
-            inv[self(x) - 1] = x
-        return Permutation(tuple(inv))
+        for x, y in enumerate(self.images, 1):
+            inv[y - 1] = x
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(self(x) == x for x in range(1, self.n + 1))
 
     @staticmethod
     def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
+        return Permutation._trusted(tuple(range(1, n + 1)))
 
     @staticmethod
     def long_cycle(n: int) -> "Permutation":
         """r = (1 2 ... n), the rotation a -> a+1."""
-        return Permutation(tuple(list(range(2, n + 1)) + [1]))
+        return Permutation._trusted(tuple(range(2, n + 1)) + (1,))
 
     @staticmethod
     def transposition(n: int, a: int, b: int) -> "Permutation":
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ValueError(f"a transposition of 1..{n} swaps two of them, not {a} and {b}")
         im = list(range(1, n + 1))
         im[a - 1], im[b - 1] = b, a
-        return Permutation(tuple(im))
+        return Permutation._trusted(tuple(im))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:

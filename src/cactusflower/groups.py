@@ -349,10 +349,12 @@ def _translations(i: int, j: int, n: int) -> list[Permutation]:
     return [Permutation(w) for w in found if w != identity]
 
 
-def _transposition_word(p: Permutation) -> list[int]:
-    """A fixed reduced word for p in adjacent transpositions (bubble sort),
-    as the indices k of the letters (k, k+1)."""
-    images = list(p.images)
+@functools.lru_cache(maxsize=256)
+def _transposition_word(images: Tuple[int, ...]) -> Tuple[int, ...]:
+    """A fixed reduced word, in adjacent transpositions (bubble sort), for
+    the permutation with these images, as the indices k of the letters
+    (k, k+1); kept per permutation, as the same few recur."""
+    images = list(images)
     out = []
     changed = True
     while changed:
@@ -363,12 +365,12 @@ def _transposition_word(p: Permutation) -> list[int]:
                 out.append(k + 1)
                 changed = True
     # out sorts p to the identity multiplying on the right; reversal gives p
-    return list(reversed(out))
+    return tuple(reversed(out))
 
 
 def _sym_word(tag: str, w: Permutation) -> Word:
     """The word of _transposition_word(w) with each letter tagged."""
-    return tuple((tag, k) for k in _transposition_word(w))
+    return tuple((tag, k) for k in _transposition_word(w.images))
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +610,7 @@ def verify_hom(h: GroupHom, mode="solvable_target", depth: int = 6) -> HomReport
         return report
     if mode == "bounded_rewrite":
         if h.target not in ("vC", "vS"):
-            raise ValueError(f"bounded rewriting targets only vC and vS, not {h.target}")
+            raise ValueError(f"verify hom evaluates into S, AS and EAS and decides vC and vS, not {h.target}")
         for rel in pres.relators:
             word = h.map_word(rel)
             shadow, witness = evaluate_word("S", word, h.n), ()
@@ -775,7 +777,7 @@ def _vs_reduce(word: Word, n: int):
     u = list(range(1, n + 1))  # the images of the `b` shadow
     for x in word:
         if x[0] == "a":
-            for k in [x[1]] if isinstance(x[1], int) else _transposition_word(x[1]):
+            for k in [x[1]] if isinstance(x[1], int) else _transposition_word(x[1].images):
                 reflect(index[(u[k - 1], u[k])])
         elif x[0] in ("w", "b"):
             u = [u[v - 1] for v in eval_letter_sym(x, n).images]
@@ -1068,7 +1070,7 @@ def vs_lattice_image(word: Word, n: int):
         if x[0] in ("w", "b"):
             u = u * eval_letter_sym(x, n)
         elif x[0] in ("a", "s"):
-            for k in _transposition_word(eval_letter_sym(x, n)):
+            for k in _transposition_word(eval_letter_sym(x, n).images):
                 _pair_vec_add(vec, (u(k), u(k + 1)), 1)
                 u = u * Permutation.transposition(n, k, k + 1)
         else:

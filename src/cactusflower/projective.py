@@ -379,23 +379,16 @@ class MembershipReport:
         return "\n".join(lines)
 
 
-# equation evaluators: each returns a scalar residual, zero iff satisfied.
-# check_membership hands them every coordinate once, in the homogeneous
-# Gaussian-integer form of _hom, read off the stored triple: u = (Ur + i Ui)/d
-# is (Ur, Ui, d, d) and infinity is (1, 0, 0, 1); epsilon and other affine
-# constants are finite points.  Each evaluator is its multihomogenized
-# polynomial H over these ints, degree one in each point, so the residual at
-# the points is H over the product of the d's: a Fraction or
-# GaussianRational, built only when H != 0, and ZERO otherwise.
-
-
-def _hom(p: ProjPoint) -> Tuple[int, int, int, int]:
-    """(Ur, Ui, V, d): p = (Ur + i Ui : V) with V = d when p is finite."""
-    ur, ui, d = p.h
-    return ur, ui, d, d or 1
-
-
-_H_ONE = (1, 0, 1, 1)  # _hom(PP_ONE)
+# The relations are evaluated on the stored triples: a coordinate with
+# h = (ur, ui, v) is the homogeneous pair (ur + i ui : v), with v = 0 only at
+# infinity (1, 0, 0); epsilon and 1 are affine constants (cr + i ci)/cd with
+# cd > 0.  Each family's loop writes its relations' multihomogenized
+# polynomials H, of degree one in each point, over these ints.  The residual
+# is H over the product of the points' denominators (v, or 1 at infinity),
+# built by _scalar only when H != 0, so a member costs no call per equation.
+# The shape a*b = c has one loop, _products, but the mu loops write their
+# own: mu_reciprocal beside mu_sum, in their per-triple report order, and
+# mu_quad, the one n^4 loop, for speed.
 
 
 def _scalar(hr: int, hi: int, d: int) -> Scalar:
@@ -407,87 +400,70 @@ def _scalar(hr: int, hi: int, d: int) -> Scalar:
     return Fraction(hr, d)
 
 
-def _eq_prod(a, b, c) -> Scalar:
-    """a*b = c  homogenized as a1 b1 c2 = c1 a2 b2."""
-    ar, ai, av, ad = a
-    br, bi, bv, bd = b
-    cr, ci, cv, cd = c
-    w = av * bv
-    hr = (ar * br - ai * bi) * cv - cr * w
-    hi = (ar * bi + ai * br) * cv - ci * w
-    return _scalar(hr, hi, ad * bd * cd)
-
-
-def _eq_prod_one(a, b) -> Scalar:
-    """a*b = 1  homogenized as a1 b1 = a2 b2."""
-    return _eq_prod(a, b, _H_ONE)
-
-
-def _eq_sum_const(a, b, c) -> Scalar:
-    """a + b = c with c an affine scalar: a1 b2 c2 + b1 a2 c2 = c1 a2 b2."""
-    ar, ai, av, ad = a
-    br, bi, bv, bd = b
-    cr, ci, cv, cd = c
-    w = av * bv
-    hr = (ar * bv + br * av) * cv - cr * w
-    hi = (ai * bv + bi * av) * cv - ci * w
-    return _scalar(hr, hi, ad * bd * cd)
-
-
-def _eq_triangle(x, y, z, e) -> Scalar:
-    """eps*z + x*y = z*y + x*z for (x, y, z) = (nu_ij, nu_jk, nu_ik),
-    homogenized as eps1 z1 x2 y2 + eps2 x1 y1 z2 = eps2 (z1 y1 x2 + x1 z1 y2)."""
-    xr, xi, xv, xd = x
-    yr, yi, yv, yd = y
-    zr, zi, zv, zd = z
-    er, ei, ev, ed = e
-    # H = z1 (eps1 x2 y2 - eps2 (y1 x2 + x1 y2)) + eps2 x1 y1 z2
-    w = xv * yv
-    wr = er * w - (yr * xv + xr * yv) * ev
-    wi = ei * w - (yi * xv + xi * yv) * ev
-    s = zv * ev
-    hr = zr * wr - zi * wi + (xr * yr - xi * yi) * s
-    hi = zr * wi + zi * wr + (xr * yi + xi * yr) * s
-    return _scalar(hr, hi, xd * yd * zd * ed)
-
-
-def _eq_link(m, x, y) -> Scalar:
-    """m * x = y for (m, x, y) = (mu_ijk, nu_ik, nu_ij)."""
-    return _eq_prod(m, x, y)
+def _products(report: MembershipReport, name: str, rows) -> None:
+    """a*b = c, homogenized as a1 b1 c2 = c1 a2 b2, for each (indices, a, b, c) of rows."""
+    for idx, (ar, ai, av), (br, bi, bv), (cr, ci, cv) in rows:
+        w = av * bv
+        hr = (ar * br - ai * bi) * cv - cr * w
+        hi = (ar * bi + ai * br) * cv - ci * w
+        if hr or hi:
+            report.add(name, idx, _scalar(hr, hi, (av or 1) * (bv or 1) * (cv or 1)))
 
 
 def _mu_equations(labels, d: dict, report: MembershipReport, quad_style: str):
-    one = _hom(PP_ONE)
     for i, j, k in itertools.combinations(labels, 3):
         for a, b, c in itertools.permutations((i, j, k)):
-            r = _eq_prod_one(d[(a, b, c)], d[(a, c, b)])
-            if r:
-                report.add("mu_reciprocal", (a, b, c), r)
-            r = _eq_sum_const(d[(a, b, c)], d[(b, a, c)], one)
-            if r:
-                report.add("mu_sum", (a, b, c), r)
-    for quad in itertools.permutations(labels, 4):
-        i, j, k, l = quad
-        if quad_style == "dm":
-            # mu_ijk * mu_ilj = mu_ilk
-            r = _eq_prod(d[(i, j, k)], d[(i, l, j)], d[(i, l, k)])
-        else:
-            # mu_ijk * mu_ikl = mu_ijl
-            r = _eq_prod(d[(i, j, k)], d[(i, k, l)], d[(i, j, l)])
-        if r:
-            report.add("mu_quad", quad, r)
-
-
-def _nu_equations(labels, d: dict, eps: Scalar, report: MembershipReport):
-    e = _hom(ProjPoint.finite(eps))
-    for i, j in itertools.combinations(labels, 2):
-        r = _eq_sum_const(d[(i, j)], d[(j, i)], e)
-        if r:
-            report.add("nu_antisym", (i, j), r)
+            # m_abc m_acb = 1 and m_abc + m_bac = 1: x1 y1 = x2 y2 and
+            # x1 z2 + z1 x2 = x2 z2 at (x, y, z) = (m_abc, m_acb, m_bac)
+            xr, xi, xv = d[a, b, c]
+            yr, yi, yv = d[a, c, b]
+            zr, zi, zv = d[b, a, c]
+            hr, hi = xr * yr - xi * yi - xv * yv, xr * yi + xi * yr
+            if hr or hi:
+                report.add("mu_reciprocal", (a, b, c), _scalar(hr, hi, (xv or 1) * (yv or 1)))
+            hr, hi = xr * zv + zr * xv - xv * zv, xi * zv + zi * xv
+            if hr or hi:
+                report.add("mu_sum", (a, b, c), _scalar(hr, hi, (xv or 1) * (zv or 1)))
+    dm = quad_style == "dm"
     for i, j, k in itertools.permutations(labels, 3):
-        r = _eq_triangle(d[(i, j)], d[(j, k)], d[(i, k)], e)
-        if r:
-            report.add("nu_triangle", (i, j, k), r)
+        ar, ai, av = d[i, j, k]
+        for l in labels:
+            if l == i or l == j or l == k:
+                continue
+            # mu_ijk * mu_ilj = mu_ilk, or mu_ijk * mu_ikl = mu_ijl
+            (br, bi, bv), (cr, ci, cv) = (d[i, l, j], d[i, l, k]) if dm else (d[i, k, l], d[i, j, l])
+            w = av * bv
+            hr = (ar * br - ai * bi) * cv - cr * w
+            hi = (ar * bi + ai * br) * cv - ci * w
+            if hr or hi:
+                report.add("mu_quad", (i, j, k, l), _scalar(hr, hi, (av or 1) * (bv or 1) * (cv or 1)))
+
+
+def _nu_equations(labels, d: dict, eps: Optional[Scalar], report: MembershipReport):
+    er, ei, ed = PP_ZERO.h if eps is None else ProjPoint.finite(eps).h
+    for i, j in itertools.combinations(labels, 2):
+        # nu_ij + nu_ji = eps: x1 y2 e2 + y1 x2 e2 = e1 x2 y2
+        xr, xi, xv = d[i, j]
+        yr, yi, yv = d[j, i]
+        w = xv * yv
+        hr = (xr * yv + yr * xv) * ed - er * w
+        hi = (xi * yv + yi * xv) * ed - ei * w
+        if hr or hi:
+            report.add("nu_antisym", (i, j), _scalar(hr, hi, (xv or 1) * (yv or 1) * ed))
+    for i, j, k in itertools.permutations(labels, 3):
+        # eps z + x y = z y + x z at (x, y, z) = (nu_ij, nu_jk, nu_ik):
+        # H = z1 (e1 x2 y2 - e2 (y1 x2 + x1 y2)) + e2 x1 y1 z2
+        xr, xi, xv = d[i, j]
+        yr, yi, yv = d[j, k]
+        zr, zi, zv = d[i, k]
+        w = xv * yv
+        wr = er * w - (yr * xv + xr * yv) * ed
+        wi = ei * w - (yi * xv + xi * yv) * ed
+        s = zv * ed
+        hr = zr * wr - zi * wi + (xr * yr - xi * yi) * s
+        hi = zr * wi + zi * wr + (xr * yi + xi * yr) * s
+        if hr or hi:
+            report.add("nu_triangle", (i, j, k), _scalar(hr, hi, (xv or 1) * (yv or 1) * (zv or 1) * ed))
 
 
 def check_membership(spec: VarietySpec, point) -> MembershipReport:
@@ -501,33 +477,29 @@ def check_membership(spec: VarietySpec, point) -> MembershipReport:
     if len(labels) != spec.n:
         raise ValueError(f"a {tag}(n={spec.n}) check got a point on {len(labels)} labels")
     if tag == "LosevManin":
-        d = {ij: _hom(p) for ij, p in point.nu}
-        for i, j in itertools.combinations(labels, 2):
-            r = _eq_prod_one(d[(i, j)], d[(j, i)])
-            if r:
-                report.add("alpha_reciprocal", (i, j), r)
-        for i, j, k in itertools.permutations(labels, 3):
-            r = _eq_prod(d[(i, j)], d[(j, k)], d[(i, k)])
-            if r:
-                report.add("alpha_transitive", (i, j, k), r)
+        d = {ij: p.h for ij, p in point.nu}
+        one = PP_ONE.h
+        _products(report, "alpha_reciprocal",
+                  (((i, j), d[i, j], d[j, i], one) for i, j in itertools.combinations(labels, 2)))
+        _products(report, "alpha_transitive", (((i, j, k), d[i, j], d[j, k], d[i, k])
+                                               for i, j, k in itertools.permutations(labels, 3)))
         return report
     if tag in ("Flower", "DeformedFlower"):
-        eps = point.epsilon if (tag == "DeformedFlower" and point.epsilon is not None) else ZERO
-        _nu_equations(labels, {ij: _hom(p) for ij, p in point.nu}, eps, report)
+        eps = point.epsilon if tag == "DeformedFlower" else None
+        _nu_equations(labels, {ij: p.h for ij, p in point.nu}, eps, report)
         return report
     if tag == "DeligneMumford":
-        _mu_equations(labels, {ijk: _hom(p) for ijk, p in point.mu}, report, quad_style="dm")
+        _mu_equations(labels, {ijk: p.h for ijk, p in point.mu}, report, quad_style="dm")
         return report
     if tag in ("MauWoodward", "DeformedMauWoodward"):
-        eps = point.epsilon if (tag == "DeformedMauWoodward" and point.epsilon is not None) else ZERO
-        nud = {ij: _hom(p) for ij, p in point.nu.nu}
-        mud = {ijk: _hom(p) for ijk, p in point.mu.mu}
+        eps = point.epsilon if tag == "DeformedMauWoodward" else None
+        nud = {ij: p.h for ij, p in point.nu.nu}
+        mud = {ijk: p.h for ijk, p in point.mu.mu}
         _nu_equations(labels, nud, eps, report)
         _mu_equations(labels, mud, report, quad_style="mw")
-        for i, j, k in itertools.permutations(labels, 3):
-            r = _eq_link(mud[(i, j, k)], nud[(i, k)], nud[(i, j)])
-            if r:
-                report.add("mu_nu_link", (i, j, k), r)
+        # the link m_ijk nu_ik = nu_ij
+        _products(report, "mu_nu_link", (((i, j, k), mud[i, j, k], nud[i, k], nud[i, j])
+                                         for i, j, k in itertools.permutations(labels, 3)))
         return report
     raise ValueError(tag)
 
@@ -555,16 +527,25 @@ def classify_strata(point: NuTuple):
     if not rep.ok:
         raise NotAMember(f"not a flower-space member:\n{rep}")
     n = point.n
-    d = point.as_dict()
-
-    s_part = partition_closure(n, lambda i, j: not d[(i, j)].is_zero())
-    b_part = partition_closure(n, lambda i, j: d[(i, j)].is_infinite())
-    # members give genuine equivalence relations; assert no mixed pairs
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        if s_part.same_block(i, j) != (not d[(i, j)].is_zero()):
-            raise InvariantViolation(f"finiteness relation not transitive at {(i, j)}")
-        if b_part.same_block(i, j) != d[(i, j)].is_infinite():
-            raise InvariantViolation(f"vanishing relation not transitive at {(i, j)}")
+    finite, infinite = [], []  # the pairs i < j with nu_ij != 0, and with nu_ij = infinity
+    for ij, p in point.nu:
+        if ij[0] < ij[1]:
+            ur, ui, v = p.h
+            if ur or ui:
+                finite.append(ij)
+            if not v:
+                infinite.append(ij)
+    s_part, b_part = partition_closure(n, finite), partition_closure(n, infinite)
+    # a closure is its relation exactly when it relates no more pairs; for
+    # members the relations are genuine equivalences
+    if (sum(len(b) * (len(b) - 1) for b in s_part) != 2 * len(finite)
+            or sum(len(b) * (len(b) - 1) for b in b_part) != 2 * len(infinite)):
+        d = point.as_dict()
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            if s_part.same_block(i, j) != (not d[(i, j)].is_zero()):
+                raise InvariantViolation(f"finiteness relation not transitive at {(i, j)}")
+            if b_part.same_block(i, j) != d[(i, j)].is_infinite():
+                raise InvariantViolation(f"vanishing relation not transitive at {(i, j)}")
     if not refines(b_part, s_part):
         raise InvariantViolation("vanishing partition does not refine finiteness partition")
     m, r = len(s_part), len(b_part)
@@ -591,8 +572,8 @@ def natural_chart(point: NuTuple) -> SetPartition:
     """The set partition whose chart contains the point: i ~ j iff
     nu_ij is not 0 or eps."""
     eps = point.epsilon if point.epsilon is not None else ZERO
-    d = point.as_dict()
-    return partition_closure(point.n, lambda i, j: not (d[(i, j)].is_zero() or d[(i, j)] == eps))
+    return partition_closure(point.n, [(i, j) for (i, j), p in point.nu
+                                       if i < j and not (p.is_zero() or p == eps)])
 
 
 def chart_membership(tau: PlanarForest, mus: Dict[frozenset, MuTuple]) -> list:

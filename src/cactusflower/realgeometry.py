@@ -42,8 +42,9 @@ from .forests import (
 from .projective import (
     MuTuple,
     NuTuple,
+    PP_INF,
     PP_ZERO,
-    _int_point,
+    ProjPoint,
     _json_object,
     _real_pair,
     ordered_pairs,
@@ -268,15 +269,27 @@ def theta_star(x: StarPoint) -> NuTuple:
 
 def _write_distances(nu: list, n1: int, rows: list, prefix: list, num: int, den: int) -> None:
     """Fill nu, the ordered pairs of [n1 + 1] in order, for one block whose
-    labels less one are rows: nu_ac = (den : num (prefix[s] - prefix[r])) and
-    nu_ca = -nu_ac for each pair of positions r < s, a = rows[r], c = rows[s]."""
+    labels less one are rows: for each pair of positions r < s, a = rows[r]
+    and c = rows[s], nu_ac = (den : diff) and nu_ca = (-den : diff) with
+    diff = num (prefix[s] - prefix[r]).  Both are normalised by the one gcd
+    of den > 0 and diff, as _int_point would; diff = 0, where two leaves
+    coincide, writes infinity to both."""
+    new, put = object.__new__, object.__setattr__
     for s, c in enumerate(rows):
         zc = prefix[s]
         for r in range(s):
             a = rows[r]
             diff = num * (zc - prefix[r])
-            nu[a * n1 + c - (c > a)] = _int_point(den, 0, diff, 0)
-            nu[c * n1 + a - (a > c)] = _int_point(-den, 0, diff, 0)
+            if diff:
+                g = math.gcd(den, diff) if diff > 0 else -math.gcd(den, diff)  # so that diff // g > 0
+                u, v = den // g, diff // g
+                p, q = new(ProjPoint), new(ProjPoint)
+                put(p, "h", (u, 0, v))
+                put(q, "h", (-u, 0, v))
+            else:
+                p = q = PP_INF
+            nu[a * n1 + c - (c > a)] = p
+            nu[c * n1 + a - (a > c)] = q
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +564,7 @@ class ThetaImage:
 
     def b_part(self) -> SetPartition:
         """The coincidence partition: i ~ j iff the distance vanishes."""
-        d = self.nu.as_dict()
-        return partition_closure(self.nu.n, lambda i, j: d[(i, j)].is_infinite())
+        return partition_closure(self.nu.n, [(i, j) for (i, j), p in self.nu.nu if i < j and p.is_infinite()])
 
 
 def _split(tree, t: dict) -> list:

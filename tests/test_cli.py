@@ -401,7 +401,7 @@ def test_out_of_range_sizes_are_usage_errors(argv):
     ("S", "S", "source S has no presentation to check"),
     ("EAS", "vS", "source EAS has no presentation to check"),
     ("EAS", "S", "source EAS has no presentation to check"),
-    ("C", "EAC", "bounded rewriting targets only vC and vS, not EAC"),
+    ("C", "EAC", "verify hom evaluates into S, AS and EAS and decides vC and vS, not EAC"),
 ])
 def test_verify_hom_arrows_it_cannot_check_are_usage_errors(source, target, message, capsys):
     assert main(["verify", "hom", "--from", source, "--to", target, "--n", "3"]) == 2
@@ -731,3 +731,33 @@ def test_seeded_sweep_of_every_verb_exits_0_1_or_2(tmp_path, capsys):
     for verb, errors in pinned:
         for text, message in errors:
             _file_is_a_usage_error(verb, text, message, tmp_path, capsys)
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys, tmp_path):
+    # main reuses one parser per process; a run of calls through it, with and
+    # without --out, a usage error between them, gives the exit codes, stdout,
+    # stderr and files that a fresh parser per call gives
+    assert make_parser() is make_parser()
+    member = os.path.join(DEMOS, "figure2.json")
+    runs = [
+        ["classify", "--in", member],
+        ["classify", "--in", member, "--out", "{}"],
+        ["classify", "--in", member, "--no-such-flag"],
+        ["roots", "--type", "G2", "--format", "csv", "--out", "{}"],
+        ["verify", "membership", "--variety", "f", "--in", member],
+        ["roots", "--type", "G2"],
+    ]
+
+    def outcomes(folder):
+        folder.mkdir()
+        got = []
+        for k, argv in enumerate(runs):
+            out = folder / f"{k}.out"
+            code = main([str(out) if a == "{}" else a for a in argv])
+            got.append((code, *capsys.readouterr(), out.read_text() if out.exists() else None))
+        return got
+
+    shared = outcomes(tmp_path / "shared")
+    monkeypatch.setattr(cli, "make_parser", make_parser.__wrapped__)
+    assert shared == outcomes(tmp_path / "fresh")
+    assert [o[0] for o in shared] == [0, 0, 2, 0, 0, 0]

@@ -45,6 +45,10 @@ def _merge_loop_closure(n, related):
     return SetPartition({frozenset(b) for b in parts.values()})
 
 
+def _related_pairs(n, related):
+    return [(i, j) for i, j in itertools.combinations(range(1, n + 1), 2) if related(i, j)]
+
+
 def test_partition_closure_matches_merge_loop():
     relations = [
         (lambda i, j, p=p: p.same_block(i, j)) for p in all_set_partitions(4)
@@ -57,11 +61,25 @@ def test_partition_closure_matches_merge_loop():
         lambda i, j: False,
     ]
     for related in relations:
-        assert partition_closure(4, related) == _merge_loop_closure(4, related)
+        got = partition_closure(4, _related_pairs(4, related))
+        # built unchecked: the validating constructor gives the same partition
+        assert got == _merge_loop_closure(4, related) and repr(got) == repr(SetPartition(got.blocks))
     for p in all_set_partitions(4):
-        assert partition_closure(4, lambda i, j: p.same_block(i, j)) == p
-    assert partition_closure(4, lambda i, j: j == i + 1) == SetPartition([{1, 2, 3, 4}])
-    assert partition_closure(4, lambda i, j: False) == SetPartition([{1}, {2}, {3}, {4}])
+        assert partition_closure(4, _related_pairs(4, p.same_block)) == p
+    assert partition_closure(4, [(1, 2), (2, 3), (3, 4)]) == SetPartition([{1, 2, 3, 4}])
+    assert partition_closure(4, []) == SetPartition([{1}, {2}, {3}, {4}])
+
+
+def test_partition_closure_takes_pairs_in_any_order():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randrange(1, 8)
+        pairs = _related_pairs(n, lambda i, j: rng.random() < 0.3)
+        want = _merge_loop_closure(n, lambda i, j: (i, j) in pairs)
+        rng.shuffle(pairs)
+        pairs = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in pairs]
+        got = partition_closure(n, pairs + pairs[:2])
+        assert got == want and repr(got) == repr(SetPartition(got.blocks))
 
 
 def test_refines_partial_order_on_5():
@@ -270,3 +288,37 @@ def test_products_match_composition_of_maps():
     ):
         with pytest.raises(ValueError):
             a * b
+
+
+def test_permutations_built_unchecked_are_the_validated_ones():
+    # products, inverses, powers and the named permutations skip the
+    # constructor's check; the constructor, given their images, must accept
+    # them unchanged
+    def validated(p):
+        twin = Permutation(p.images)
+        assert type(p.images) is tuple and p == twin and hash(p) == hash(twin) and repr(p) == repr(twin)
+        return p
+
+    rng = random.Random(12)
+    for n in range(0, 8):
+        validated(Permutation.identity(n))
+        if n:
+            validated(Permutation.long_cycle(n))
+        for a, b in itertools.product(range(1, n + 1), repeat=2):
+            t = validated(Permutation.transposition(n, a, b))
+            assert t(a) == b and t(b) == a and (t * t).is_identity()
+        for _ in range(20):
+            u = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+            v = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+            validated(u * v)
+            assert (validated(u.inverse()) * u).is_identity()
+            k = rng.randrange(-3, 4)
+            images, w = list(range(1, n + 1)), u if k >= 0 else u.inverse()
+            for _ in range(abs(k)):
+                images = [w(x) for x in images]
+            assert validated(u ** k).images == tuple(images)
+    for a, b in ((0, 1), (1, 4), (-1, 2)):
+        with pytest.raises(ValueError, match="swaps two of them"):
+            Permutation.transposition(3, a, b)
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation((1, 1, 3))

@@ -30,6 +30,7 @@ from cactusflower.groups import (
     _pvc_reduce,
     _standard_pairs,
     _sym_word,
+    _transposition_word,
     _vs_reduce,
     _word_key,
     canonical_cyclic,
@@ -829,3 +830,32 @@ def _reference_virtual_cactus(n):
 def test_virtual_cactus_translations_match_the_filter(n):
     p = make_presentation("virtual_cactus", n)
     assert (p.generators, p.relators, p.partner) == _reference_virtual_cactus(n)
+
+
+def _bubble_word(p):
+    # _transposition_word before it was kept per permutation, as the reference
+    images, out, changed = list(p.images), [], True
+    while changed:
+        changed = False
+        for k in range(len(images) - 1):
+            if images[k] > images[k + 1]:
+                images[k], images[k + 1] = images[k + 1], images[k]
+                out.append(k + 1)
+                changed = True
+    return list(reversed(out))
+
+
+def test_transposition_words_match_bubble_sort_on_s5():
+    _transposition_word.cache_clear()
+    for p in all_permutations(5):
+        word = _transposition_word(p.images)
+        assert type(word) is tuple and list(word) == _bubble_word(p)
+        # reduced, and it spells p
+        assert len(word) == sum(a > b for a, b in itertools.combinations(p.images, 2))
+        u = Permutation.identity(5)
+        for k in word:
+            u = u * Permutation.transposition(5, k, k + 1)
+        assert u == p
+        assert _transposition_word(p.images) is word  # kept, not spelled again
+    info = _transposition_word.cache_info()
+    assert info.currsize == 120 and info.hits == 120 and 120 <= info.maxsize < 10**5

@@ -1,16 +1,26 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from cactusflower.acceptance import _random_member
-from cactusflower.combinatorics import SetPartition
-from cactusflower.forests import NoMeetError, PlanarForest, collapse_all, leaves, meet, random_binary_tree
+from cactusflower.combinatorics import SetPartition, refines
+from cactusflower.forests import (
+    NoMeetError,
+    PlanarForest,
+    collapse_all,
+    enumerate_planar_forests,
+    leaves,
+    meet,
+    random_binary_tree,
+)
 from cactusflower.projective import (
     InvariantViolation,
+    MembershipReport,
     MuTuple,
     NuTuple,
     PP_INF,
@@ -47,16 +57,8 @@ from cactusflower.projective import (
     sigma_flower,
     sigma_mau_woodward,
 )
-from cactusflower.projective import (
-    _eq_link,
-    _eq_prod,
-    _eq_prod_one,
-    _eq_sum_const,
-    _eq_triangle,
-    _hom,
-    _int_point,
-    _real_pair,
-)
+from cactusflower.projective import _int_point, _real_pair
+from cactusflower.realgeometry import CubePoint, theta
 from cactusflower.scalars import ONE, ZERO, GaussianRational, I, canon_scalar, format_scalar
 
 
@@ -140,18 +142,58 @@ def test_q3_example():
 
 
 def test_homogenization_soundness():
-    # on all-finite points each homogenized equation vanishes iff the affine
-    # relation holds
+    # at all-finite points on three or four labels, check_membership names
+    # exactly the relations that fail in affine arithmetic, each with its
+    # affine difference as the residual
     rng = random.Random(5)
-    for _ in range(200):
-        vals = [F(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(3)]
-        a, b, c = (_hom(ProjPoint.finite(v)) for v in vals)
+    values = [F(v, q) for v in range(-2, 3) for q in (1, 2)]  # small, so that some relations hold
+    held = failed = 0
+    for _ in range(150):
+        n, eps = rng.choice((3, 4)), rng.choice((F(0), F(1), F(-1, 2)))
+        labels = range(1, n + 1)
+        nu = {ij: rng.choice(values) for ij in ordered_pairs(labels)}
+        mu = {t: rng.choice(values) for t in ordered_triples(labels)}
+        nut = NuTuple(n, {ij: ProjPoint.finite(v) for ij, v in nu.items()}, eps)
+        mut = MuTuple(labels, {t: ProjPoint.finite(v) for t, v in mu.items()})
+        alpha = {
+            **{("alpha_reciprocal", (i, j)): nu[i, j] * nu[j, i] - 1 for i, j in itertools.combinations(labels, 2)},
+            **{("alpha_transitive", (i, j, k)): nu[i, j] * nu[j, k] - nu[i, k]
+               for i, j, k in itertools.permutations(labels, 3)},
+        }
 
-        assert (_eq_prod(a, b, c) == 0) == (vals[0] * vals[1] == vals[2])
-        assert (_eq_sum_const(a, b, _hom(PP_ONE)) == 0) == (vals[0] + vals[1] == 1)
-        eps = F(rng.randrange(-2, 3))
-        affine = eps * vals[2] + vals[0] * vals[1] == vals[2] * vals[1] + vals[0] * vals[2]
-        assert (_eq_triangle(a, b, c, _hom(ProjPoint.finite(eps))) == 0) == affine
+        def flower(e):
+            out = {("nu_antisym", (i, j)): nu[i, j] + nu[j, i] - e for i, j in itertools.combinations(labels, 2)}
+            for i, j, k in itertools.permutations(labels, 3):
+                x, y, z = nu[i, j], nu[j, k], nu[i, k]
+                out["nu_triangle", (i, j, k)] = e * z + x * y - z * y - x * z
+            return out
+
+        def moduli(style):
+            out = {}
+            for t in itertools.combinations(labels, 3):
+                for a, b, c in itertools.permutations(t):
+                    out["mu_reciprocal", (a, b, c)] = mu[a, b, c] * mu[a, c, b] - 1
+                    out["mu_sum", (a, b, c)] = mu[a, b, c] + mu[b, a, c] - 1
+            for i, j, k, l in itertools.permutations(labels, 4):
+                b, c = (mu[i, l, j], mu[i, l, k]) if style == "dm" else (mu[i, k, l], mu[i, j, l])
+                out["mu_quad", (i, j, k, l)] = mu[i, j, k] * b - c
+            return out
+
+        link = {("mu_nu_link", (i, j, k)): mu[i, j, k] * nu[i, k] - nu[i, j]
+                for i, j, k in itertools.permutations(labels, 3)}
+        cases = [
+            ("LosevManin", nut, alpha),
+            ("Flower", nut, flower(0)),
+            ("DeformedFlower", nut, flower(eps)),
+            ("DeligneMumford", mut, moduli("dm")),
+            ("MauWoodward", QTuple(n, nut, mut, eps), {**flower(0), **moduli("mw"), **link}),
+            ("DeformedMauWoodward", QTuple(n, nut, mut, eps), {**flower(eps), **moduli("mw"), **link}),
+        ]
+        for tag, point, affine in cases:
+            got = {(name, idx): r for name, idx, r in check_membership(VarietySpec(tag, n), point).violations}
+            assert got == {key: r for key, r in affine.items() if r}, (tag, point)
+            held, failed = held + len(affine) - len(got), failed + len(got)
+    assert held > 1000 and failed > 1000
 
 
 def _sample_scalar(rng):
@@ -230,40 +272,18 @@ def test_real_pair_is_two_reciprocal_int_points():
 
 
 def test_hom_round_trips_the_canonical_pool():
-    # (Ur, Ui, V, d): the point is (Ur + i Ui : V), d is the least common
-    # denominator of a finite point's parts and V = d, infinity is (1, 0, 0, 1)
+    # the membership kernels read a point's triple (ur, ui, v) as the
+    # homogeneous pair (ur + i ui : v): v = 0 only at infinity (1, 0, 0), and
+    # a finite point's v is the least common denominator of its parts
     for point in _canonical_scaling_pool():
-        ur, ui, v, d = _hom(point)
-        assert all(type(x) is int for x in (ur, ui, v, d)), point
+        ur, ui, v = point.h
+        assert all(type(x) is int for x in (ur, ui, v)), point
         assert ProjPoint(GaussianRational(F(ur), F(ui)), F(v)) == point
         if point.is_infinite():
-            assert (ur, ui, v, d) == (1, 0, 0, 1)
+            assert (ur, ui, v) == (1, 0, 0)
         else:
-            assert v == d > 0 and math.gcd(ur, ui, d) == 1
-            assert point.u == GaussianRational(F(ur, d), F(ui, d))
-
-
-def test_residuals_match_homogenized_formulas():
-    # at finite and infinite coordinates alike, the residuals of the integer
-    # evaluators must be the multihomogenized polynomials' values
-    pool = [PP_ZERO, PP_ONE, PP_INF, ProjPoint.finite(F(-3, 2)), ProjPoint.finite(F(5)),
-            ProjPoint.finite(GaussianRational(F(1), F(2))), ProjPoint.finite(I),
-            ProjPoint.finite(F(-123456789012345678901, 98765432109876543)),
-            ProjPoint(F(3**41 + 2), F(-(2**67) + 1)), ProjPoint.finite(F(-1, 10**18 + 9))]
-    for a, b, c in itertools.product(pool, repeat=3):
-        ha, hb, hc = _hom(a), _hom(b), _hom(c)
-        for eps in (F(0), F(1), F(1, 3), I):
-            he = _hom(ProjPoint.finite(eps))
-            pairs = [
-                (_eq_prod(ha, hb, hc), a.u * b.u * c.v - c.u * a.v * b.v),
-                (_eq_prod_one(ha, hb), a.u * b.u - a.v * b.v),
-                (_eq_sum_const(ha, hb, he), a.u * b.v + b.u * a.v - eps * a.v * b.v),
-                (_eq_triangle(ha, hb, hc, he),
-                 eps * c.u * a.v * b.v + a.u * b.u * c.v - c.u * b.u * a.v - a.u * c.u * b.v),
-                (_eq_link(ha, hb, hc), a.u * b.u * c.v - c.u * a.v * b.v),
-            ]
-            for got, want in pairs:
-                assert got == want and format_scalar(got) == format_scalar(want), (a, b, c, eps)
+            assert v > 0 and math.gcd(ur, ui, v) == 1
+            assert point.u == GaussianRational(F(ur, v), F(ui, v))
 
 
 # The equation evaluators as they were before the integer kernel, on
@@ -319,33 +339,101 @@ def _nonmembers():
     ]
 
 
-def _use_scalar_evaluators(monkeypatch):
-    """Make check_membership run the reference evaluators: _hom hands over
-    the points unchanged, and the affine constants (epsilon and 1) reach the
-    references as the scalars they were."""
-    import cactusflower.projective as pj
+def _reference_membership(spec, point, prod, prod_one, sum_const, triangle):
+    """check_membership as it was before its integer kernel: the same
+    equations in the same order, each evaluated by one of the given
+    functions on the points, with the affine constants 1 and epsilon passed
+    as scalars."""
+    report, tag = MembershipReport(spec), spec.tag
+    labels = point.labels if isinstance(point, MuTuple) else tuple(range(1, point.n + 1))
 
-    monkeypatch.setattr(pj, "_hom", lambda p: p)
-    monkeypatch.setattr(pj, "_eq_prod", _ref_eq_prod)
-    monkeypatch.setattr(pj, "_eq_prod_one", _ref_eq_prod_one)
-    monkeypatch.setattr(pj, "_eq_sum_const", lambda a, b, c: _ref_eq_sum_const(a, b, c.u))
-    monkeypatch.setattr(pj, "_eq_triangle", lambda x, y, z, e: _ref_eq_triangle(x, y, z, e.u))
+    def add(name, idx, r):
+        if r:
+            report.add(name, idx, r)
+
+    def nu_equations(d, eps):
+        for i, j in itertools.combinations(labels, 2):
+            add("nu_antisym", (i, j), sum_const(d[i, j], d[j, i], eps))
+        for i, j, k in itertools.permutations(labels, 3):
+            add("nu_triangle", (i, j, k), triangle(d[i, j], d[j, k], d[i, k], eps))
+
+    def mu_equations(d, style):
+        for t in itertools.combinations(labels, 3):
+            for a, b, c in itertools.permutations(t):
+                add("mu_reciprocal", (a, b, c), prod_one(d[a, b, c], d[a, c, b]))
+                add("mu_sum", (a, b, c), sum_const(d[a, b, c], d[b, a, c], ONE))
+        for i, j, k, l in itertools.permutations(labels, 4):
+            if style == "dm":
+                add("mu_quad", (i, j, k, l), prod(d[i, j, k], d[i, l, j], d[i, l, k]))
+            else:
+                add("mu_quad", (i, j, k, l), prod(d[i, j, k], d[i, k, l], d[i, j, l]))
+
+    eps = point.epsilon if tag.startswith("Deformed") and point.epsilon is not None else ZERO
+    if tag == "LosevManin":
+        d = point.as_dict()
+        for i, j in itertools.combinations(labels, 2):
+            add("alpha_reciprocal", (i, j), prod_one(d[i, j], d[j, i]))
+        for i, j, k in itertools.permutations(labels, 3):
+            add("alpha_transitive", (i, j, k), prod(d[i, j], d[j, k], d[i, k]))
+    elif tag in ("Flower", "DeformedFlower"):
+        nu_equations(point.as_dict(), eps)
+    elif tag == "DeligneMumford":
+        mu_equations(point.as_dict(), "dm")
+    else:
+        nud, mud = point.nu.as_dict(), point.mu.as_dict()
+        nu_equations(nud, eps)
+        mu_equations(mud, "mw")
+        for i, j, k in itertools.permutations(labels, 3):
+            add("mu_nu_link", (i, j, k), prod(mud[i, j, k], nud[i, k], nud[i, j]))
+    return report
 
 
-def test_membership_reports_match_scalar_evaluators(monkeypatch):
+_REFERENCE_EVALUATORS = dict(
+    prod=_ref_eq_prod, prod_one=_ref_eq_prod_one, sum_const=_ref_eq_sum_const, triangle=_ref_eq_triangle,
+)
+# the multihomogenized polynomials, in scalar arithmetic on (u : v)
+_POLYNOMIALS = dict(
+    prod=lambda a, b, c: a.u * b.u * c.v - c.u * a.v * b.v,
+    prod_one=lambda a, b: a.u * b.u - a.v * b.v,
+    sum_const=lambda a, b, eps: a.u * b.v + b.u * a.v - eps * a.v * b.v,
+    triangle=lambda x, y, z, eps: (eps * z.u * x.v * y.v + x.u * y.u * z.v
+                                   - z.u * y.u * x.v - x.u * z.u * y.v),
+)
+
+
+def test_residuals_match_homogenized_formulas():
+    # at finite and infinite coordinates alike, including huge ones, the
+    # residuals of the integer kernels must be the multihomogenized
+    # polynomials' values
+    pool = [PP_ZERO, PP_ONE, PP_INF, ProjPoint.finite(F(-3, 2)), ProjPoint.finite(F(5)),
+            ProjPoint.finite(GaussianRational(F(1), F(2))), ProjPoint.finite(I),
+            ProjPoint.finite(F(-123456789012345678901, 98765432109876543)),
+            ProjPoint(F(3**41 + 2), F(-(2**67) + 1)), ProjPoint.finite(F(-1, 10**18 + 9))]
+    rng = random.Random(6)
+    for _ in range(200):
+        n, eps = rng.choice((3, 4)), rng.choice((F(0), F(1), F(1, 3), I))
+        labels = range(1, n + 1)
+        nut = NuTuple(n, {ij: rng.choice(pool) for ij in ordered_pairs(labels)}, eps)
+        mut = MuTuple(labels, {t: rng.choice(pool) for t in ordered_triples(labels)})
+        q = QTuple(n, nut, mut, eps)
+        for tag, point in (("LosevManin", nut), ("Flower", nut), ("DeformedFlower", nut),
+                           ("DeligneMumford", mut), ("MauWoodward", q), ("DeformedMauWoodward", q)):
+            spec = VarietySpec(tag, n)
+            got = check_membership(spec, point).violations
+            want = _reference_membership(spec, point, **_POLYNOMIALS).violations
+            assert [v[:2] for v in got] == [v[:2] for v in want], (tag, point)
+            for (_, idx, r), (_, _, w) in zip(got, want):
+                assert r == w and format_scalar(r) == format_scalar(w), (tag, idx)
+
+
+def test_membership_reports_match_scalar_evaluators():
     # one perturbed non-member of each family: the report, residuals
     # included, is the one the scalar evaluators give
-    got = []
     for tag, point in _nonmembers():
-        rep = check_membership(VarietySpec(tag, 5), point)
+        spec = VarietySpec(tag, 5)
+        rep, want = check_membership(spec, point), _reference_membership(spec, point, **_REFERENCE_EVALUATORS)
         assert not rep.ok
-        got.append((str(rep), repr(rep.violations)))
-    _use_scalar_evaluators(monkeypatch)
-    want = [
-        (str(rep), repr(rep.violations))
-        for rep in (check_membership(VarietySpec(tag, 5), point) for tag, point in _nonmembers())
-    ]
-    assert got == want
+        assert (str(rep), repr(rep.violations)) == (str(want), repr(want.violations))
 
 
 _SPECS_BY_SHAPE = {
@@ -403,7 +491,7 @@ def _differential_points(n, rng):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_membership_reports_match_scalar_evaluators_differentially(n, monkeypatch):
+def test_membership_reports_match_scalar_evaluators_differentially(n):
     # every report, violations and residuals in order, equals the one the
     # scalar references give, at members and at points with coordinates at
     # 0, 1 and infinity
@@ -411,9 +499,8 @@ def test_membership_reports_match_scalar_evaluators_differentially(n, monkeypatc
     checks = [(VarietySpec(tag, n), point) for point in points for tag in _SPECS_BY_SHAPE[type(point)]]
     got = [check_membership(spec, point) for spec, point in checks]
     assert sum(rep.ok for rep in got) >= 5 * 6 and sum(not rep.ok for rep in got) >= 5 * 6 * 4
-    _use_scalar_evaluators(monkeypatch)
     for (spec, point), rep in zip(checks, got):
-        want = check_membership(spec, point)
+        want = _reference_membership(spec, point, **_REFERENCE_EVALUATORS)
         assert repr(rep.violations) == repr(want.violations), (spec, point)
         assert str(rep) == str(want)
 
@@ -447,6 +534,91 @@ def test_strata_partition_property():
         point = orbit_map(xs, F(0))
         s, b, _ = classify_strata(point)
         assert refines(b, s)
+
+
+def _predicate_closure(n, related):
+    # the closure classify_strata used before it collected its pairs
+    parts = {i: {i} for i in range(1, n + 1)}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        if related(i, j) and parts[i] is not parts[j]:
+            merged = parts[i] | parts[j]
+            for x in merged:
+                parts[x] = merged
+    return SetPartition({frozenset(b) for b in parts.values()})
+
+
+def _ref_classify_strata(point):
+    """classify_strata after its membership check, as it was: predicate
+    closures, then a scan of every pair for one the closures relate but the
+    relation does not."""
+    n, d = point.n, point.as_dict()
+    s_part = _predicate_closure(n, lambda i, j: not d[(i, j)].is_zero())
+    b_part = _predicate_closure(n, lambda i, j: d[(i, j)].is_infinite())
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        if s_part.same_block(i, j) != (not d[(i, j)].is_zero()):
+            raise InvariantViolation(f"finiteness relation not transitive at {(i, j)}")
+        if b_part.same_block(i, j) != d[(i, j)].is_infinite():
+            raise InvariantViolation(f"vanishing relation not transitive at {(i, j)}")
+    if not refines(b_part, s_part):
+        raise InvariantViolation("vanishing partition does not refine finiteness partition")
+    m, r = len(s_part), len(b_part)
+    p = sum(1 for b in b_part if len(b) == 1)
+    return s_part, b_part, (n - m, n - 1 - r + p)
+
+
+def _assert_strata_match_reference(point):
+    got, want = classify_strata(point), _ref_classify_strata(point)
+    assert got == want and repr(got) == repr(want), point
+
+
+def test_classify_strata_matches_reference_on_theta_images():
+    # every forest on [n], n <= 5, once, each edge at 0, 1 or a seeded value:
+    # infinite distances across trees, coincident leaves at the zeros
+    rng = random.Random(41)
+    for n in range(2, 6):
+        for k in range(n):
+            for forest in enumerate_planar_forests(n, k):
+                t = {e: rng.choice((F(0), F(1), F(rng.randrange(17), 16))) for e in forest.edges()}
+                _assert_strata_match_reference(theta(CubePoint(forest, t)).nu)
+
+
+def test_classify_strata_matches_reference_on_seeded_members():
+    # theta images of seeded forests on up to 8 labels, and orbit-map members
+    rng = random.Random(43)
+    for n in range(3, 9):
+        for _ in range(30):
+            labels = rng.sample(range(1, n + 1), n)
+            cuts = sorted(rng.sample(range(1, n), rng.randrange(n)))
+            trees = [labels[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+            forest = PlanarForest([c[0] if len(c) == 1 else random_binary_tree(c, rng) for c in trees])
+            t = {e: rng.choice((F(0), F(1), F(rng.randrange(17), 16))) for e in forest.edges()}
+            _assert_strata_match_reference(theta(CubePoint(forest, t)).nu)
+        xs = {}
+        while len(set(xs.values())) < n:
+            xs = {i: F(rng.randrange(-12, 13), rng.randrange(1, 5)) for i in range(1, n + 1)}
+        _assert_strata_match_reference(orbit_map(xs, F(0)))
+
+
+def test_classify_strata_names_the_first_intransitive_pair(monkeypatch):
+    # a non-member whose relations are not equivalences, let past the
+    # membership check, is refused at the pair the reference names
+    import cactusflower.projective as pj
+
+    monkeypatch.setattr(pj, "check_membership", lambda spec, point: MembershipReport(spec))
+    points = [
+        # nu_12, nu_23 != 0 but nu_13 = 0: finiteness is not transitive
+        NuTuple(3, {(1, 2): PP_ONE, (2, 3): PP_ONE, (1, 3): PP_ZERO}),
+        # nu_12 = nu_23 = infinity but nu_13 finite: vanishing is not transitive
+        NuTuple(3, {(1, 2): PP_INF, (2, 3): PP_INF, (1, 3): PP_ONE}),
+        # both fail first at (1, 4), where finiteness is named
+        NuTuple(4, {(1, 2): PP_INF, (1, 3): PP_ZERO, (1, 4): PP_ZERO,
+                    (2, 3): PP_ZERO, (2, 4): PP_INF, (3, 4): PP_ZERO}),
+    ]
+    for point in points:
+        with pytest.raises(InvariantViolation) as want:
+            _ref_classify_strata(point)
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(str(want.value))}$"):
+            classify_strata(point)
 
 
 def test_open_cover():

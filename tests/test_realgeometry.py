@@ -26,6 +26,7 @@ from cactusflower.projective import (
     NuTuple,
     ProjPoint,
     VarietySpec,
+    _int_point,
     chart_membership,
     check_membership,
     ordered_pairs,
@@ -39,6 +40,7 @@ from cactusflower.realgeometry import (
     ThetaImage,
     _b_values,
     _plan,
+    _write_distances,
     affine_cactus_path,
     b_map,
     chart_H,
@@ -485,6 +487,36 @@ def test_theta_matches_reference_on_seeded_binary_trees():
             # about one value in four is zero, the trunk included
             t = {e: F(max(rng.randrange(-4, 16), 0), 16) for e in forest.edges()}
             _assert_theta_matches_reference(CubePoint(forest, t))
+
+
+def _ref_write_distances(nu, n1, rows, prefix, num, den):
+    # _write_distances as it was: each point made by the one normaliser
+    for s, c in enumerate(rows):
+        for r in range(s):
+            a, diff = rows[r], num * (prefix[s] - prefix[r])
+            nu[a * n1 + c - (c > a)] = _int_point(den, 0, diff, 0)
+            nu[c * n1 + a - (a > c)] = _int_point(-den, 0, diff, 0)
+
+
+def test_distances_match_int_point_where_leaves_coincide():
+    # repeated prefix sums are coincident leaves, diff = 0: both points at
+    # infinity; elsewhere den and diff share factors that the gcd removes
+    rng = random.Random(47)
+    for _ in range(300):
+        n = rng.randrange(2, 9)
+        rows = rng.sample(range(n), rng.randrange(2, n + 1))
+        prefix = sorted((rng.randrange(-4, 5) * rng.choice((1, 6)) for _ in rows), reverse=True)
+        num, den = rng.choice((1, 2, 3)), rng.choice((1, 2, 6, 12, 35))
+        got, want = [PP_ZERO] * (n * (n - 1)), [PP_ZERO] * (n * (n - 1))
+        _write_distances(got, n - 1, rows, prefix, num, den)
+        _ref_write_distances(want, n - 1, rows, prefix, num, den)
+        assert [p.h for p in got] == [p.h for p in want] and repr(got) == repr(want)
+    # theta: t = 0 on {2, 3} puts leaves 2 and 3 at one point
+    image = theta(CubePoint(PlanarForest([(1, (2, 3)), 4]),
+                            {frozenset({1, 2, 3}): F(1, 2), frozenset({2, 3}): F(0)}))
+    assert image.nu[(2, 3)].is_infinite() and image.nu[(3, 2)].is_infinite()
+    assert not image.nu[(1, 2)].is_infinite() and image.nu[(1, 4)] == PP_ZERO
+    assert image.b_part() == SetPartition([{1}, {2, 3}, {4}])
 
 
 def test_degenerate_ratio_is_refused():
