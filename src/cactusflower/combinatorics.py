@@ -325,7 +325,7 @@ def interval_reversal(i: int, j: int, n: int) -> Permutation:
     im = list(range(1, n + 1))
     for k, x in enumerate(elems):
         im[x - 1] = elems[len(elems) - 1 - k]
-    return Permutation(tuple(im))
+    return Permutation._trusted(tuple(im))
 
 
 def is_translation(w: Permutation, i: int, j: int) -> bool:

@@ -2,18 +2,19 @@
 deformation families.
 
 Every coordinate is a point of P^1 over Q or Q(i), stored as one canonical
-Gaussian-integer triple (ProjPoint.h).  Equations between P^1-valued
-coordinates are multihomogenized: each relation is cleared to a polynomial
-of degree at most one in each participating homogeneous pair (so "ab = c"
-means a1*b1*c2 = c1*a2*b2, which is satisfied by a = 0, b = infinity, c
-arbitrary) and evaluated in integers on the triples.  The deformation
-parameter epsilon enters as an affine scalar.
+Gaussian-integer triple h = (ur, ui, v) (see ProjPoint): NuTuple and MuTuple
+keep the bare triples and make a ProjPoint only where one is asked for.
+Equations between P^1-valued coordinates are multihomogenized: each relation
+is cleared to a polynomial of degree at most one in each participating
+homogeneous pair (so "ab = c" means a1*b1*c2 = c1*a2*b2, which is satisfied
+by a = 0, b = infinity, c arbitrary) and evaluated in integers on the
+triples.  The deformation parameter epsilon enters as an affine scalar.
 
 The constructions of family members (orbit_map, cross_ratios,
 losev_manin_iso, eps_family_delta) scale their inputs once to Gaussian
 integers over one common denominator, form the pair differences once, and
 turn each integer pair (ur + i ui : vr + i vi) into its triple with
-_int_point, the one normaliser, which ProjPoint(u, v) calls too.
+_triple, the one normaliser, which ProjPoint(u, v) calls too.
 
 Space families (VarietySpec tags):
 
@@ -83,7 +84,7 @@ class ProjPoint:
 
     def __init__(self, u, v):
         _, ((ur, ui), (vr, vi)) = _gaussian_ints((u, v))
-        _setattr(self, "h", _int_point(ur, ui, vr, vi).h)
+        _setattr(self, "h", _triple(ur, ui, vr, vi))
 
     @property
     def u(self) -> Scalar:
@@ -136,9 +137,14 @@ class ProjPoint:
         return f"ProjPoint({self.u!r}, {self.v!r})"
 
 
-def _int_point(ur: int, ui: int, vr: int, vi: int) -> ProjPoint:
-    """The point (ur + i ui : vr + i vi) of Gaussian-integer parts, equal to
-    ProjPoint(ur + i ui, vr + i vi): the one normaliser of a point's triple."""
+def _triple(ur: int, ui: int, vr: int, vi: int) -> Tuple[int, int, int]:
+    """The canonical triple of the point (ur + i ui : vr + i vi) of
+    Gaussian-integer parts, equal to ProjPoint(ur + i ui, vr + i vi).h: the
+    one normaliser of a point's triple.
+
+    >>> _triple(4, 0, -6, 0), _triple(0, 1, 0, 2), _triple(3, 0, 0, 0)
+    ((-2, 0, 3), (1, 0, 2), (1, 0, 0))
+    """
     if vi:  # multiply through by the conjugate of v, which makes v a positive int
         ur, ui, vr = ur * vr + ui * vi, ui * vr - ur * vi, vr * vr + vi * vi
     elif vr < 0:
@@ -148,26 +154,19 @@ def _int_point(ur: int, ui: int, vr: int, vi: int) -> ProjPoint:
             raise ValueError("(0 : 0) is not a point of P^1")
         ur, ui = 1, 0
     g = math.gcd(ur, ui, vr)
+    return ur // g, ui // g, vr // g
+
+
+def _point(h: Tuple[int, int, int]) -> ProjPoint:
+    """The ProjPoint of a canonical triple, made without normalising it."""
     point = _new(ProjPoint)
-    _setattr(point, "h", (ur // g, ui // g, vr // g))
+    _setattr(point, "h", h)
     return point
 
 
-def _real_pair(u: int, v: int) -> Tuple[ProjPoint, ProjPoint]:
-    """The reciprocal points (u : v) and (v : u) of ints, equal to
-    (_int_point(u, 0, v, 0), _int_point(v, 0, u, 0)), with one gcd for both.
-
-    >>> [p.h for p in _real_pair(4, -6)]
-    [(-2, 0, 3), (-3, 0, 2)]
-    """
-    g = math.gcd(u, v)
-    if not g:
-        raise ValueError("(0 : 0) is not a point of P^1")
-    u, v = u // g, v // g
-    p, q = _new(ProjPoint), _new(ProjPoint)
-    _setattr(p, "h", (u, 0, v) if v > 0 else (-u, 0, -v) if v else (1, 0, 0))
-    _setattr(q, "h", (v, 0, u) if u > 0 else (-v, 0, -u) if u else (1, 0, 0))
-    return p, q
+def _int_point(ur: int, ui: int, vr: int, vi: int) -> ProjPoint:
+    """The point (ur + i ui : vr + i vi) of Gaussian-integer parts."""
+    return _point(_triple(ur, ui, vr, vi))
 
 
 PP_ZERO = _int_point(0, 0, 1, 0)
@@ -224,14 +223,15 @@ def ordered_triples(labels: Iterable[int]):
 
 @dataclass(frozen=True)
 class NuTuple:
-    """A map p([n]) -> P^1, with optional deformation parameter.
+    """A map p([n]) -> P^1, with optional deformation parameter; nu holds
+    each coordinate's canonical triple (ProjPoint.h) under its pair.
 
     Constructors may pass values only for i < j; the (j, i) values are
     synthesized from the antisymmetry nu_ij + nu_ji = eps.
     """
 
     n: int
-    nu: Tuple[Tuple[Tuple[int, int], ProjPoint], ...]
+    nu: Tuple[Tuple[Tuple[int, int], Tuple[int, int, int]], ...]
     epsilon: Optional[Scalar]
 
     def __init__(self, n: int, nu: Dict[Tuple[int, int], ProjPoint], epsilon=None):
@@ -239,11 +239,12 @@ class NuTuple:
             raise ValueError(f"a nu tuple needs n >= 1, not {n}")
         if epsilon is not None:
             epsilon = canon_scalar(epsilon)
-        full = dict(nu)
-        eps = epsilon if epsilon is not None else ZERO
-        for (i, j), p in list(full.items()):
+        full = {ij: p.h for ij, p in nu.items()}
+        # eps = E/e: nu_ji = eps - (ur + i ui)/v = (E v - e (ur + i ui) : e v)
+        e, ((er, ei),) = _gaussian_ints([epsilon if epsilon is not None else ZERO])
+        for (i, j), (ur, ui, v) in list(full.items()):
             if (j, i) not in full:
-                full[(j, i)] = ProjPoint(eps * p.v - p.u, p.v)
+                full[(j, i)] = _triple(er * v - e * ur, ei * v - e * ui, e * v, 0) if v else PP_INF.h
         pairs = set(ordered_pairs(range(1, n + 1)))
         if full.keys() != pairs:
             raise ValueError(f"nu on [{n}] holds each ordered pair once; missing or extra: "
@@ -263,10 +264,10 @@ class NuTuple:
         return point
 
     def as_dict(self) -> Dict[Tuple[int, int], ProjPoint]:
-        return dict(self.nu)
+        return {ij: _point(h) for ij, h in self.nu}
 
     def __getitem__(self, ij) -> ProjPoint:
-        return lookup_table(self, self.nu)[ij]
+        return _point(lookup_table(self, self.nu)[ij])
 
     def delta(self, i: int, j: int) -> ProjPoint:
         """delta_ij = 1/nu_ij, the coordinate swap."""
@@ -286,10 +287,11 @@ AlphaTuple = NuTuple  # same shape; alpha obeys the multiplicative equations
 
 @dataclass(frozen=True)
 class MuTuple:
-    """A map t(S) -> P^1 for a finite label set S."""
+    """A map t(S) -> P^1 for a finite label set S; mu holds each
+    coordinate's canonical triple (ProjPoint.h) under its ordered triple."""
 
     labels: Tuple[int, ...]
-    mu: Tuple[Tuple[Tuple[int, int, int], ProjPoint], ...]
+    mu: Tuple[Tuple[Tuple[int, int, int], Tuple[int, int, int]], ...]
 
     def __init__(self, labels: Iterable[int], mu: Dict[Tuple[int, int, int], ProjPoint]):
         ls = tuple(sorted(labels))
@@ -298,7 +300,7 @@ class MuTuple:
             raise ValueError(f"mu on {list(ls)} holds each ordered triple once; missing or extra: "
                              f"{sorted(mu.keys() ^ triples)[:4]}")
         object.__setattr__(self, "labels", ls)
-        object.__setattr__(self, "mu", tuple(sorted(mu.items())))
+        object.__setattr__(self, "mu", tuple(sorted((t, p.h) for t, p in mu.items())))
 
     @staticmethod
     def _trusted(labels: Tuple[int, ...], mu: tuple) -> "MuTuple":
@@ -310,10 +312,10 @@ class MuTuple:
         return point
 
     def as_dict(self) -> Dict[Tuple[int, int, int], ProjPoint]:
-        return dict(self.mu)
+        return {t: _point(h) for t, h in self.mu}
 
     def __getitem__(self, t) -> ProjPoint:
-        return lookup_table(self, self.mu)[t]
+        return _point(lookup_table(self, self.mu)[t])
 
 
 @dataclass(frozen=True)
@@ -379,7 +381,8 @@ class MembershipReport:
         return "\n".join(lines)
 
 
-# The relations are evaluated on the stored triples: a coordinate with
+# The relations are evaluated on the triples the tuples store, read into
+# one dict per family by dict(point.nu) and dict(point.mu): a coordinate
 # h = (ur, ui, v) is the homogeneous pair (ur + i ui : v), with v = 0 only at
 # infinity (1, 0, 0); epsilon and 1 are affine constants (cr + i ci)/cd with
 # cd > 0.  Each family's loop writes its relations' multihomogenized
@@ -477,7 +480,7 @@ def check_membership(spec: VarietySpec, point) -> MembershipReport:
     if len(labels) != spec.n:
         raise ValueError(f"a {tag}(n={spec.n}) check got a point on {len(labels)} labels")
     if tag == "LosevManin":
-        d = {ij: p.h for ij, p in point.nu}
+        d = dict(point.nu)
         one = PP_ONE.h
         _products(report, "alpha_reciprocal",
                   (((i, j), d[i, j], d[j, i], one) for i, j in itertools.combinations(labels, 2)))
@@ -486,15 +489,14 @@ def check_membership(spec: VarietySpec, point) -> MembershipReport:
         return report
     if tag in ("Flower", "DeformedFlower"):
         eps = point.epsilon if tag == "DeformedFlower" else None
-        _nu_equations(labels, {ij: p.h for ij, p in point.nu}, eps, report)
+        _nu_equations(labels, dict(point.nu), eps, report)
         return report
     if tag == "DeligneMumford":
-        _mu_equations(labels, {ijk: p.h for ijk, p in point.mu}, report, quad_style="dm")
+        _mu_equations(labels, dict(point.mu), report, quad_style="dm")
         return report
     if tag in ("MauWoodward", "DeformedMauWoodward"):
         eps = point.epsilon if tag == "DeformedMauWoodward" else None
-        nud = {ij: p.h for ij, p in point.nu.nu}
-        mud = {ijk: p.h for ijk, p in point.mu.mu}
+        nud, mud = dict(point.nu.nu), dict(point.mu.mu)
         _nu_equations(labels, nud, eps, report)
         _mu_equations(labels, mud, report, quad_style="mw")
         # the link m_ijk nu_ik = nu_ij
@@ -528,9 +530,8 @@ def classify_strata(point: NuTuple):
         raise NotAMember(f"not a flower-space member:\n{rep}")
     n = point.n
     finite, infinite = [], []  # the pairs i < j with nu_ij != 0, and with nu_ij = infinity
-    for ij, p in point.nu:
+    for ij, (ur, ui, v) in point.nu:
         if ij[0] < ij[1]:
-            ur, ui, v = p.h
             if ur or ui:
                 finite.append(ij)
             if not v:
@@ -556,24 +557,21 @@ def classify_strata(point: NuTuple):
 def open_cover_membership(s_part: SetPartition, point: NuTuple) -> bool:
     """Membership of the affine chart attached to a set partition: nu != inf
     across parts and nu not in {0, eps} within parts."""
-    eps = point.epsilon if point.epsilon is not None else ZERO
-    d = point.as_dict()
-    for (i, j), p in d.items():
+    zero_or_eps = (PP_ZERO.h, ProjPoint.finite(point.epsilon or ZERO).h)
+    for (i, j), h in point.nu:
         if s_part.same_block(i, j):
-            if p.is_zero() or p == eps:
+            if h in zero_or_eps:
                 return False
-        else:
-            if p.is_infinite():
-                return False
+        elif not h[2]:  # infinity
+            return False
     return True
 
 
 def natural_chart(point: NuTuple) -> SetPartition:
     """The set partition whose chart contains the point: i ~ j iff
     nu_ij is not 0 or eps."""
-    eps = point.epsilon if point.epsilon is not None else ZERO
-    return partition_closure(point.n, [(i, j) for (i, j), p in point.nu
-                                       if i < j and not (p.is_zero() or p == eps)])
+    zero_or_eps = (PP_ZERO.h, ProjPoint.finite(point.epsilon or ZERO).h)
+    return partition_closure(point.n, [(i, j) for (i, j), h in point.nu if i < j and h not in zero_or_eps])
 
 
 def chart_membership(tau: PlanarForest, mus: Dict[frozenset, MuTuple]) -> list:
@@ -586,15 +584,17 @@ def chart_membership(tau: PlanarForest, mus: Dict[frozenset, MuTuple]) -> list:
 
     Returns the list of violations (empty means the point lies in the chart).
     """
-    excluded = {"above": (PP_ONE, PP_INF), "equal": (PP_ZERO, PP_INF), "below": (PP_ZERO, PP_ONE)}
+    zero, one, inf = PP_ZERO.h, PP_ONE.h, PP_INF.h
+    excluded = {"above": (one, inf), "equal": (zero, inf), "below": (zero, one)}
     bad, meet = [], _meets(tau)  # one walk of tau for every triple
     for part, mu in mus.items():
+        table = lookup_table(mu, mu.mu)
         for (i, j, k) in ordered_triples(part):
             # a meet above another, nearer the leaves, has fewer leaves
-            v_ik, v_ij, m = meet(i, k), meet(i, j), mu[(i, j, k)]
+            v_ik, v_ij, h = meet(i, k), meet(i, j), table[i, j, k]
             case = "above" if v_ik < v_ij else "equal" if v_ik == v_ij else "below"
-            if m in excluded[case]:
-                bad.append((case, (i, j, k), m))
+            if h in excluded[case]:
+                bad.append((case, (i, j, k), _point(h)))
     return bad
 
 
@@ -657,9 +657,8 @@ def losev_manin_iso(point: NuTuple) -> AlphaTuple:
     # (1 : 0) goes to 1
     e, ((er, ei),) = _gaussian_ints([eps])
     alpha = []
-    for ij, p in point.nu:
-        xr, xi, x = p.h
-        alpha.append((ij, _int_point(xr * e - er * x, xi * e - ei * x, xr * e, xi * e) if x else PP_ONE))
+    for ij, (xr, xi, x) in point.nu:
+        alpha.append((ij, _triple(xr * e - er * x, xi * e - ei * x, xr * e, xi * e) if x else PP_ONE.h))
     return NuTuple._trusted(point.n, tuple(alpha), None)
 
 
@@ -714,7 +713,7 @@ def orbit_map(xs: Dict[int, Scalar], eps: Scalar) -> NuTuple:
             raise ValueError(f"coincident points x_{labels[a]} = x_{labels[b]}")
     n = len(labels)
     nu = [
-        _int_point(*top[b], d * dr, d * di)
+        _triple(*top[b], d * dr, d * di)
         for a in range(n)
         for b, (dr, di) in enumerate(diff[a])
         if a != b
@@ -734,15 +733,15 @@ def cross_ratios(zs: Dict[int, Scalar], distinguished: Optional[int] = None) -> 
     diff = _differences(_gaussian_ints(values)[1])
     triples = list(itertools.permutations(range(len(labels)), 3))
     if distinguished is None:
-        mu = [_int_point(*diff[i][k], *diff[i][j]) for i, j, k in triples]
+        mu = [_triple(*diff[i][k], *diff[i][j]) for i, j, k in triples]
     else:
         to_l = diff[-1]  # z_l - z_j
         mu = []
         for i, j, k in triples:
             (ar, ai), (br, bi) = diff[i][k], to_l[j]
             (cr, ci), (dr, di) = diff[i][j], to_l[k]
-            mu.append(_int_point(ar * br - ai * bi, ar * bi + ai * br,
-                                 cr * dr - ci * di, cr * di + ci * dr))
+            mu.append(_triple(ar * br - ai * bi, ar * bi + ai * br,
+                              cr * dr - ci * di, cr * di + ci * dr))
     return MuTuple._trusted(tuple(labels), tuple(zip(ordered_triples(labels), mu)))
 
 
@@ -765,7 +764,7 @@ def eps_family_delta(us: Dict[int, Scalar], y: Scalar, eps: Scalar) -> NuTuple:
             raise ValueError(f"y + eps*u_{i} = 0")
     n = len(labels)
     nu = [
-        _int_point(*top[a], d * dr, d * di)
+        _triple(*top[a], d * dr, d * di)
         for a, row in enumerate(_differences(zs))
         for b, (dr, di) in enumerate(row)
         if a != b
@@ -882,8 +881,9 @@ def point_to_json(point) -> str:
         blocks = {"nu": point.nu} if isinstance(point, NuTuple) else {"nu": point.nu.nu, "mu": point.mu.mu}
     else:
         raise TypeError(type(point))
-    for name, coords in blocks.items():
-        d[name] = {",".join(map(str, index)): [format_scalar(p.u), format_scalar(p.v)] for index, p in coords}
+    for name, coords in blocks.items():  # (u : v) is (x : 1), or (1 : 0) at infinity
+        d[name] = {",".join(map(str, index)): [format_scalar(_scalar(*h)), "1"] if h[2] else ["1", "0"]
+                   for index, h in coords}
     return json.dumps(d, sort_keys=True)
 
 

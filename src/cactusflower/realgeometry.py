@@ -44,9 +44,7 @@ from .projective import (
     NuTuple,
     PP_INF,
     PP_ZERO,
-    ProjPoint,
     _json_object,
-    _real_pair,
     ordered_pairs,
     ordered_triples,
 )
@@ -258,7 +256,7 @@ def theta_star(x: StarPoint) -> NuTuple:
     # per position: the prefix sum of the finite f values times den
     sums = list(accumulate((0 if v is INF else v.numerator * (den // v.denominator) for v in fd), initial=0))
     rows = [lab - 1 for lab in x.order]
-    nu = [PP_ZERO] * (n * (n - 1))
+    nu = [PP_ZERO.h] * (n * (n - 1))
     start = 0
     for s, v in enumerate(fd + [INF]):
         if v is INF:  # positions start..s have no f = inf between them
@@ -268,13 +266,13 @@ def theta_star(x: StarPoint) -> NuTuple:
 
 
 def _write_distances(nu: list, n1: int, rows: list, prefix: list, num: int, den: int) -> None:
-    """Fill nu, the ordered pairs of [n1 + 1] in order, for one block whose
-    labels less one are rows: for each pair of positions r < s, a = rows[r]
-    and c = rows[s], nu_ac = (den : diff) and nu_ca = (-den : diff) with
-    diff = num (prefix[s] - prefix[r]).  Both are normalised by the one gcd
-    of den > 0 and diff, as _int_point would; diff = 0, where two leaves
-    coincide, writes infinity to both."""
-    new, put = object.__new__, object.__setattr__
+    """Fill nu, the triples of the ordered pairs of [n1 + 1] in order, for
+    one block whose labels less one are rows: for each pair of positions
+    r < s, a = rows[r] and c = rows[s], nu_ac = (den : diff) and
+    nu_ca = (-den : diff) with diff = num (prefix[s] - prefix[r]).  Both are
+    normalised by the one gcd of den > 0 and diff, as projective._triple
+    would; diff = 0, where two leaves coincide, writes infinity to both."""
+    inf = PP_INF.h
     for s, c in enumerate(rows):
         zc = prefix[s]
         for r in range(s):
@@ -283,11 +281,9 @@ def _write_distances(nu: list, n1: int, rows: list, prefix: list, num: int, den:
             if diff:
                 g = math.gcd(den, diff) if diff > 0 else -math.gcd(den, diff)  # so that diff // g > 0
                 u, v = den // g, diff // g
-                p, q = new(ProjPoint), new(ProjPoint)
-                put(p, "h", (u, 0, v))
-                put(q, "h", (-u, 0, v))
+                p, q = (u, 0, v), (-u, 0, v)
             else:
-                p = q = PP_INF
+                p = q = inf
             nu[a * n1 + c - (c > a)] = p
             nu[c * n1 + a - (a > c)] = q
 
@@ -488,11 +484,14 @@ def _prefix_sums(kids, bn, bd) -> Tuple[list, int, int]:
 
 
 def _ratios(plan: _Plan, prefix) -> list:
-    """The ratios mu_ijk = (z_i - z_k)/(z_i - z_j) of a plan's triples, in
-    the order of its keys; at the meet of i, j and k, z_a - z_c is a
-    multiple, the same for all three, of the prefix sum at c less that at a.
-    The six ratios are three reciprocal pairs, each built by one _real_pair."""
+    """The triples of the ratios mu_ijk = (z_i - z_k)/(z_i - z_j) of a
+    plan's triples, in the order of its keys; at the meet of i, j and k,
+    z_a - z_c is a multiple, the same for all three, of the prefix sum at c
+    less that at a.  The six ratios are three reciprocal pairs (u : v) and
+    (v : u), both normalised by the one gcd of u and v, as projective._triple
+    would."""
     mu: list = [None] * len(plan.keys)
+    inf, gcd = PP_INF.h, math.gcd
     it, slots = iter(plan.triples), iter(plan.six)
     for ix, iy, iz, s0, s1, s2, s3, s4, s5 in zip(it, it, it, slots, slots, slots, slots, slots, slots):
         zx = prefix[ix]
@@ -500,9 +499,18 @@ def _ratios(plan: _Plan, prefix) -> list:
         if not (xy or xz):
             raise ValueError("degenerate ratio outside the chart domain")
         yz = xz - xy
-        mu[s0], mu[s1] = _real_pair(xz, xy)  # (x, y, z) and (x, z, y)
-        mu[s2], mu[s3] = _real_pair(-yz, xy)  # (y, x, z) and (y, z, x)
-        mu[s4], mu[s5] = _real_pair(yz, xz)  # (z, x, y) and (z, y, x)
+        g = gcd(xz, xy)  # (x, y, z) and (x, z, y)
+        u, v = xz // g, xy // g
+        mu[s0] = (u, 0, v) if v > 0 else (-u, 0, -v) if v else inf
+        mu[s1] = (v, 0, u) if u > 0 else (-v, 0, -u) if u else inf
+        g = gcd(yz, xy)  # (y, x, z) and (y, z, x)
+        u, v = -yz // g, xy // g
+        mu[s2] = (u, 0, v) if v > 0 else (-u, 0, -v) if v else inf
+        mu[s3] = (v, 0, u) if u > 0 else (-v, 0, -u) if u else inf
+        g = gcd(yz, xz)  # (z, x, y) and (z, y, x)
+        u, v = yz // g, xz // g
+        mu[s4] = (u, 0, v) if v > 0 else (-u, 0, -v) if v else inf
+        mu[s5] = (v, 0, u) if u > 0 else (-v, 0, -u) if u else inf
     return mu
 
 
@@ -564,7 +572,7 @@ class ThetaImage:
 
     def b_part(self) -> SetPartition:
         """The coincidence partition: i ~ j iff the distance vanishes."""
-        return partition_closure(self.nu.n, [(i, j) for (i, j), p in self.nu.nu if i < j and p.is_infinite()])
+        return partition_closure(self.nu.n, [(i, j) for (i, j), (_, _, v) in self.nu.nu if i < j and not v])
 
 
 def _split(tree, t: dict) -> list:
@@ -596,7 +604,7 @@ def theta(p: CubePoint) -> ThetaImage:
     if min(parts[0]) < 1 or max(map(max, parts)) > n:
         raise ValueError("theta needs a forest on the labels 1..n")
     n1 = n - 1
-    nu = [PP_ZERO] * (n * n1)  # nu = 0 is the infinite distance across trees
+    nu = [PP_ZERO.h] * (n * n1)  # nu = 0 is the infinite distance across trees
     mus = []
     for plan in plans:
         if isinstance(plan, int):

@@ -11,6 +11,7 @@ geometry.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,7 +194,9 @@ class Dual:
     """Dual number a + b*d, d^2 = 0, over any of the exact scalars.
 
     An exact scalar operand x of +, -, * and / acts directly on a and b,
-    as the dual number (x, 0) would."""
+    as the dual number (x, 0) would.  Where a b part is zero, the sums,
+    products and quotients it enters are skipped, and a b part they would
+    make zero is ZERO."""
 
     a: Scalar
     b: Scalar
@@ -203,48 +206,54 @@ class Dual:
         if isinstance(x, Dual):
             return x
         if isinstance(x, _EXACT):
-            return Dual(canon_scalar(x), ZERO)
+            return _dual(canon_scalar(x), ZERO)
         return NotImplemented
 
     def __add__(self, other):
         if isinstance(other, Dual):
-            return Dual(self.a + other.a, self.b + other.b)
+            return _dual(self.a + other.a, self.b + other.b if other.b else self.b)
         if isinstance(other, _EXACT):
-            return Dual(self.a + other, self.b)
+            return _dual(self.a + other, self.b)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual(-self.a, -self.b)
+        return _dual(-self.a, -self.b if self.b else ZERO)
 
     def __sub__(self, other):
         if isinstance(other, Dual):
-            return Dual(self.a - other.a, self.b - other.b)
+            return _dual(self.a - other.a, self.b - other.b if other.b else self.b)
         if isinstance(other, _EXACT):
-            return Dual(self.a - other, self.b)
+            return _dual(self.a - other, self.b)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _EXACT):
-            return Dual(other - self.a, -self.b)
+            return _dual(other - self.a, -self.b if self.b else ZERO)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, Dual):
-            return Dual(self.a * other.a, self.a * other.b + self.b * other.a)
+            a, b, c, d = self.a, self.b, other.a, other.b
+            if not d:
+                return _dual(a * c, b * c if b else ZERO)
+            return _dual(a * c, a * d + b * c if b else a * d)
         if isinstance(other, _EXACT):
-            return Dual(self.a * other, self.b * other)
+            return _dual(self.a * other, self.b * other if self.b else ZERO)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
-            q = self.a / other.a
-            return Dual(q, (self.b - q * other.b) / other.a)
+            a, b, c, d = self.a, self.b, other.a, other.b
+            q = a / c
+            if not d:
+                return _dual(q, b / c if b else ZERO)
+            return _dual(q, (b - q * d) / c)
         if isinstance(other, _EXACT):
-            return Dual(self.a / other, self.b / other)
+            return _dual(self.a / other, self.b / other if self.b else ZERO)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -257,29 +266,49 @@ class Dual:
         return self.a == o.a and self.b == o.b
 
 
+_new, _setattr = object.__new__, object.__setattr__
+
+
+def _dual(a: Scalar, b: Scalar) -> Dual:
+    """Dual(a, b), built without the dataclass __init__."""
+    x = _new(Dual)
+    _setattr(x, "a", a)
+    _setattr(x, "b", b)
+    return x
+
+
 def matrix_rank(rows) -> int:
-    """Rank of a matrix of exact scalars by Gaussian elimination: each row
-    below the pivot loses its multiple (entry / pivot) of the pivot row, in
-    exact arithmetic."""
+    """Rank of a matrix of exact scalars by Gaussian elimination.  Rows of
+    ints and Fractions are scaled to ints by the lcm of their denominators,
+    and each row below the pivot becomes pivot * row - entry * (pivot row),
+    divided by the gcd of its entries; over Q(i), each row below the pivot
+    loses its multiple (entry / pivot) of the pivot row."""
     m = [list(r) for r in rows]
+    ints = all(isinstance(x, (int, Fraction)) for r in m for x in r)
+    for k, r in enumerate(m):
+        if ints:
+            d = math.lcm(*(x.denominator for x in r))
+            m[k] = [x.numerator * (d // x.denominator) for x in r]
+        else:  # no int / int quotient, which would be a float
+            m[k] = [canon_scalar(x) for x in r]
     rank = 0
-    n_cols = len(m[0]) if m else 0
-    col = 0
-    while rank < len(m) and col < n_cols:
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
         if pivot is None:
-            col += 1
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
+        top = m[rank]
+        pv = top[col]
         for r in range(rank + 1, len(m)):
-            if m[r][col] != 0:
-                factor = m[r][col] / pv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
+            f = m[r][col]
+            if f != 0 and ints:
+                row = [pv * x - f * y for x, y in zip(m[r], top)]
+                g = math.gcd(*row)
+                m[r] = [x // g for x in row] if g > 1 else row
+            elif f != 0:
+                factor = f / pv
+                m[r] = [x - factor * y for x, y in zip(m[r], top)]
         rank += 1
-        col += 1
+        if rank == len(m):
+            break
     return rank

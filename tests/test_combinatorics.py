@@ -118,9 +118,28 @@ def test_interval_reversal_involution():
                 assert wa.reduce_mod_n() == w
 
 
+def test_interval_reversal_builds_what_the_checked_constructor_builds():
+    # built unchecked: the checked constructor must accept its images and
+    # give an equal permutation, which reverses the cyclic interval [i, j]
+    for n in range(2, 8):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                w = interval_reversal(i, j, n)
+                checked = Permutation(w.images)
+                assert w == checked and hash(w) == hash(checked) and repr(w) == repr(checked)
+                interval = [(i - 1 + k) % n + 1 for k in range((j - i) % n + 1)]
+                assert [w(x) for x in interval] == interval[::-1]
+                assert all(w(x) == x for x in range(1, n + 1) if x not in interval)
+
+
 def test_interval_reversal_rejects_degenerate():
     with pytest.raises(ValueError):
         interval_reversal(2, 2, 4)
+    for i, j, n in ((0, 2, 4), (1, 5, 4), (5, 1, 4)):
+        with pytest.raises(ValueError, match="endpoints out of range"):
+            interval_reversal(i, j, n)
     with pytest.raises(ValueError):
         affine_interval_reversal(3, 3, 5)
 

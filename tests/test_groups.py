@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +14,7 @@ from cactusflower.combinatorics import (
     interval_reversal,
     is_translation,
 )
+from cactusflower.cubecomplexes import build_complex
 from cactusflower.groups import (
     DIAGRAM_PATHS_TO_EAS,
     DIAGRAM_PATHS_TO_S,
@@ -330,6 +333,69 @@ def test_vs_relators_conjugate_to_coxeter_relators_of_the_kernel(n, pairs):
     for s in cyclic:
         row = {table_pairs[t]: a for t, a in rows[index[s]]}
         assert row == {t: cartan[_coxeter_m(s, t)] for t in cyclic if _coxeter_m(s, t) != 2}
+
+
+def _serre_euler_characteristic(rows):
+    """Serre's sum of (-1)^|T| / |W_T| over the spherical subsets T of the
+    Coxeter group whose Cartan rows are rows, as _kernel_table writes them:
+    -1 at m = 3, -2 at m = inf, nothing at m = 2.  With no two generators of
+    T at m = inf, a generator has at most one m = 3 neighbour (j, l) and one
+    (l, i) in T, so the m = 3 graph of T is a union of paths, each an A_k
+    with (k + 1)! elements, or holds a cycle, an affine A_k, which is
+    infinite and stays in every larger T."""
+    chain = [{t for t, a in row if a == -1} for row in rows]
+    infinite = [{t for t, a in row if a == -2} for row in rows]
+    total = Fraction(0)
+
+    def order(T):
+        # |W_T|, or None when the m = 3 graph of T has a cycle
+        seen, size = set(), 1
+        for root in T:
+            if root in seen:
+                continue
+            seen.add(root)
+            stack, vertices, edges = [root], 0, 0
+            while stack:
+                s = stack.pop()
+                vertices += 1
+                near = chain[s] & T
+                assert len(near) <= 2, "a branch point in a kernel diagram"
+                edges += len(near)
+                stack += near - seen
+                seen |= near
+            if edges // 2 >= vertices:
+                return None
+            size *= math.factorial(vertices + 1)
+        return size
+
+    def grow(T, start):
+        nonlocal total
+        w = order(T)
+        if w is None:
+            return
+        total += Fraction((-1) ** len(T), w)
+        for s in range(start, len(rows)):
+            if not infinite[s] & T:
+                grow(T | {s}, s + 1)
+
+    grow(frozenset(), 0)
+    return total
+
+
+def test_euler_characteristic_of_hat_p_is_serres_sum_over_the_kernel():
+    # hatP_n presents PvS_n (acceptance criterion 4), and PvS_n and the
+    # kernel K_n both have index n! in vS_n, so the alternating cell count of
+    # hatP_n is the Euler characteristic of K_n
+    for n, chi in zip(range(2, 7), (0, -1, 1, 2, -9)):
+        cells = build_complex("hatP", n).f_vector()
+        assert sum((-1) ** k * c for k, c in enumerate(cells)) == chi
+        _, _, rows = _kernel_table(n)
+        assert _serre_euler_characteristic(rows) == chi
+    # negative control: one chain pair (1, 2), (2, 3) set to m = inf
+    index, _, rows = _kernel_table(4)
+    s, t = index[1, 2], index[2, 3]
+    mutant = [[(u, -2 if (r, u) in ((s, t), (t, s)) else a) for u, a in row] for r, row in enumerate(rows)]
+    assert mutant != rows and _serre_euler_characteristic(mutant) != 1
 
 
 @pytest.mark.parametrize("s, t, m", [

@@ -57,8 +57,8 @@ from cactusflower.projective import (
     sigma_flower,
     sigma_mau_woodward,
 )
-from cactusflower.projective import _int_point, _real_pair
-from cactusflower.realgeometry import CubePoint, theta
+from cactusflower.projective import _int_point, _triple
+from cactusflower.realgeometry import CubePoint, StarPoint, theta, theta_star
 from cactusflower.scalars import ONE, ZERO, GaussianRational, I, canon_scalar, format_scalar
 
 
@@ -251,24 +251,9 @@ def test_int_point_is_the_constructor_on_gaussian_integers():
         u = canon_scalar(GaussianRational(F(ur), F(ui)))
         v = canon_scalar(GaussianRational(F(vr), F(vi)))
         p, q = _int_point(ur, ui, vr, vi), ProjPoint(u, v)
-        assert p == q and p.h == q.h and hash(p) == hash(q)
+        assert p == q and p.h == q.h == _triple(ur, ui, vr, vi) and hash(p) == hash(q)
         assert p.h[2] >= 0 and math.gcd(*p.h) == 1
         assert p.is_infinite() if v == 0 else p.u == u / v
-
-
-def test_real_pair_is_two_reciprocal_int_points():
-    # a seeded grid with zeros and both signs, plus every pair with a zero
-    rng = random.Random(30)
-    grid = [(rng.randrange(-40, 41), rng.randrange(-40, 41)) for _ in range(400)]
-    grid += [(0, v) for v in (-7, -1, 1, 12)] + [(u, 0) for u in (-9, -1, 1, 4)]
-    for u, v in grid:
-        if not (u or v):
-            continue
-        got, want = _real_pair(u, v), (_int_point(u, 0, v, 0), _int_point(v, 0, u, 0))
-        assert got == want and hash(got) == hash(want) and repr(got) == repr(want), (u, v)
-        assert [p.h for p in got] == [p.h for p in want]
-    with pytest.raises(ValueError, match=r"\(0 : 0\)"):
-        _real_pair(0, 0)
 
 
 def test_hom_round_trips_the_canonical_pool():
@@ -579,7 +564,10 @@ def test_classify_strata_matches_reference_on_theta_images():
         for k in range(n):
             for forest in enumerate_planar_forests(n, k):
                 t = {e: rng.choice((F(0), F(1), F(rng.randrange(17), 16))) for e in forest.edges()}
-                _assert_strata_match_reference(theta(CubePoint(forest, t)).nu)
+                image = theta(CubePoint(forest, t))
+                _assert_strata_match_reference(image.nu)
+                # the image's coincidence partition, read off the stored triples
+                assert image.b_part() == _ref_classify_strata(image.nu)[1]
 
 
 def test_classify_strata_matches_reference_on_seeded_members():
@@ -1166,6 +1154,75 @@ def test_extend_nu_matches_reference():
         assert got == want, (parts, eps)
         outcomes.add((member, isinstance(got[0], str)))
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def _stored_coordinates(point):
+    """The stored coordinate fields of a NuTuple, MuTuple, QTuple or theta image."""
+    if isinstance(point, QTuple):
+        return [point.nu.nu, point.mu.mu]
+    if isinstance(point, NuTuple):
+        return [point.nu]
+    if isinstance(point, MuTuple):
+        return [point.mu]
+    return [point.nu.nu] + [mu.mu for _, mu in point.mus]
+
+
+def _assert_stores_canonical_triples(point):
+    # ints, v >= 0, gcd 1 and infinity (1, 0, 0), under sorted indices; the
+    # validating constructors, given the points back, store the same
+    for stored in _stored_coordinates(point):
+        assert [index for index, _ in stored] == sorted(index for index, _ in stored)
+        for index, h in stored:
+            assert type(h) is tuple and len(h) == 3 and all(type(x) is int for x in h), (index, h)
+            ur, ui, v = h
+            assert v >= 0 and math.gcd(ur, ui, v) == 1 and (v or h == (1, 0, 0)), (index, h)
+    if isinstance(point, NuTuple):
+        assert NuTuple(point.n, point.as_dict(), point.epsilon) == point
+    elif isinstance(point, MuTuple):
+        assert MuTuple(point.labels, point.as_dict()) == point
+
+
+def _producer_outputs(rng, points):
+    """Seeded outputs of every producer of stored coordinates, the
+    constructors given points of the pool."""
+    labels, xs, eps = _construction_inputs(rng)
+    n = len(labels)
+    half = {ij: rng.choice(points) for ij in itertools.combinations(range(1, n + 1), 2)}
+    yield NuTuple(n, half, rng.choice((None, eps)))  # the (j, i) values synthesized
+    yield MuTuple(labels, {t: rng.choice(points) for t in ordered_triples(labels)})
+    for make in (lambda: orbit_map(xs, eps), lambda: cross_ratios(xs, rng.choice((None, labels[0]))),
+                 lambda: eps_family_delta(xs, _construction_scalar(rng), eps)):
+        try:
+            point = make()
+        except ValueError:  # coincident points, or 1 - eps*x = 0
+            continue
+        yield point
+        if isinstance(point, NuTuple) or len(point.labels) >= 3:  # a mu file names its labels by its indices
+            yield point_from_json(point_to_json(point))
+        if isinstance(point, NuTuple) and point.epsilon != 0:
+            yield losev_manin_iso(_with_coordinates(point, [PP_ZERO, PP_INF][: min(2, len(point.nu))], rng))
+    forest = rng.choice(enumerate_planar_forests(4, rng.randrange(4)))
+    t = {e: rng.choice((F(0), F(1), F(rng.randrange(17), 16))) for e in forest.edges()}
+    yield theta(CubePoint(forest, t))
+    yield theta_star(StarPoint(rng.sample(range(1, 6), 5), [rng.choice((F(0), F(1), F(rng.randrange(9), 8)))
+                                                            for _ in range(4)]))
+    cut = rng.randrange(1, n + 1)
+    parts = [p for p in (range(1, cut), range(cut, n + 1)) if p]
+    try:
+        blocks = {frozenset(p): _product_tuple(rng, len(p), eps, True) for p in parts}
+        yield extend_nu(SetPartition(parts), blocks, _product_tuple(rng, len(parts), eps, True), eps)
+    except ValueError:  # 1 - eps*x = 0 in an orbit map
+        pass
+
+
+def test_every_producer_stores_canonical_triples():
+    rng, pool = random.Random(71), list(_canonical_scaling_pool())
+    made = Counter()
+    for _ in range(300):
+        for point in _producer_outputs(rng, pool):
+            _assert_stores_canonical_triples(point)
+            made[type(point).__name__] += 1
+    assert made["NuTuple"] > 1000 and made["MuTuple"] > 400 and made["ThetaImage"] == 300
 
 
 def test_point_to_json_text():

@@ -40,6 +40,7 @@ from cactusflower.realgeometry import (
     ThetaImage,
     _b_values,
     _plan,
+    _ratios,
     _write_distances,
     affine_cactus_path,
     b_map,
@@ -451,14 +452,19 @@ def _ref_theta(p):
     )
 
 
+def _assert_canonical_triple(h):
+    # the stored form of a coordinate: ints, v >= 0, gcd 1, infinity (1, 0, 0)
+    assert type(h) is tuple and len(h) == 3 and all(type(x) is int for x in h), repr(h)
+    ur, ui, v = h
+    assert v >= 0 and math.gcd(ur, ui, v) == 1 and (v or h == (1, 0, 0)), h
+
+
 def _assert_theta_matches_reference(p):
     image = theta(p)
-    # repr tells an int from a Fraction and an unreduced pair from a reduced one
+    # repr tells an int from a Fraction and an unreduced triple from a reduced one
     assert repr(image) == repr(_ref_theta(p))
-    points = [v for _, v in image.nu.nu] + [v for _, mu in image.mus for _, v in mu.mu]
-    for point in points:
-        assert type(point.u) is F and type(point.v) is F, repr(point)
-        assert point.v == 1 or (point.v == 0 and point.u == 1), repr(point)
+    for _, h in image.nu.nu + tuple(x for _, mu in image.mus for x in mu.mu):
+        _assert_canonical_triple(h)
 
 
 def test_theta_matches_reference_on_small_forests():
@@ -494,8 +500,8 @@ def _ref_write_distances(nu, n1, rows, prefix, num, den):
     for s, c in enumerate(rows):
         for r in range(s):
             a, diff = rows[r], num * (prefix[s] - prefix[r])
-            nu[a * n1 + c - (c > a)] = _int_point(den, 0, diff, 0)
-            nu[c * n1 + a - (a > c)] = _int_point(-den, 0, diff, 0)
+            nu[a * n1 + c - (c > a)] = _int_point(den, 0, diff, 0).h
+            nu[c * n1 + a - (a > c)] = _int_point(-den, 0, diff, 0).h
 
 
 def test_distances_match_int_point_where_leaves_coincide():
@@ -507,16 +513,45 @@ def test_distances_match_int_point_where_leaves_coincide():
         rows = rng.sample(range(n), rng.randrange(2, n + 1))
         prefix = sorted((rng.randrange(-4, 5) * rng.choice((1, 6)) for _ in rows), reverse=True)
         num, den = rng.choice((1, 2, 3)), rng.choice((1, 2, 6, 12, 35))
-        got, want = [PP_ZERO] * (n * (n - 1)), [PP_ZERO] * (n * (n - 1))
+        got, want = [PP_ZERO.h] * (n * (n - 1)), [PP_ZERO.h] * (n * (n - 1))
         _write_distances(got, n - 1, rows, prefix, num, den)
         _ref_write_distances(want, n - 1, rows, prefix, num, den)
-        assert [p.h for p in got] == [p.h for p in want] and repr(got) == repr(want)
+        assert got == want and repr(got) == repr(want)
     # theta: t = 0 on {2, 3} puts leaves 2 and 3 at one point
     image = theta(CubePoint(PlanarForest([(1, (2, 3)), 4]),
                             {frozenset({1, 2, 3}): F(1, 2), frozenset({2, 3}): F(0)}))
     assert image.nu[(2, 3)].is_infinite() and image.nu[(3, 2)].is_infinite()
     assert not image.nu[(1, 2)].is_infinite() and image.nu[(1, 4)] == PP_ZERO
     assert image.b_part() == SetPartition([{1}, {2, 3}, {4}])
+
+
+def _ref_ratios(plan, prefix):
+    # each ratio (z_a - z_c)/(z_a - z_b) on its own, made by the one normaliser
+    slot, mu = iter(plan.six), [None] * len(plan.keys)
+    for t in range(0, len(plan.triples), 3):
+        x, y, z = (prefix[k] for k in plan.triples[t : t + 3])
+        for a, b, c in ((x, y, z), (x, z, y), (y, x, z), (y, z, x), (z, x, y), (z, y, x)):
+            mu[next(slot)] = _int_point(c - a, 0, b - a, 0).h
+    return mu
+
+
+def test_ratios_match_int_point_on_reciprocal_pairs():
+    # seeded prefix sums with repeats and both signs: ratios at 0, at
+    # infinity and of every sign; all three equal is a (0 : 0) ratio
+    rng = random.Random(30)
+    refused = 0
+    for _ in range(300):
+        plan = _plan(random_binary_tree(range(1, rng.randrange(3, 8) + 1), rng))
+        prefix = [rng.randrange(-4, 5) * rng.choice((1, 6)) for _ in range(max(plan.triples) + 1)]
+        try:
+            want = _ref_ratios(plan, prefix)
+        except ValueError:
+            with pytest.raises(ValueError, match="degenerate ratio"):
+                _ratios(plan, prefix)
+            refused += 1
+            continue
+        assert _ratios(plan, prefix) == want
+    assert 0 < refused < 300
 
 
 def test_degenerate_ratio_is_refused():
