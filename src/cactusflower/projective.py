@@ -875,7 +875,11 @@ def q_to_dm_identification(q: QTuple) -> MuTuple:
 
 def point_to_json(point) -> str:
     if isinstance(point, MuTuple):
-        d, blocks = {"n": len(point.labels)}, {"mu": point.mu}
+        n = len(point.labels)
+        if n < 3 and point.labels != tuple(range(1, n + 1)):  # no triple names these labels
+            raise ValueError(f"mu on labels {list(point.labels)} has no triples; "
+                             f"a file holds it on the labels 1..{n} only")
+        d, blocks = {"n": n}, {"mu": point.mu}
     elif isinstance(point, (NuTuple, QTuple)):
         d = {"n": point.n, "epsilon": None if point.epsilon is None else format_scalar(point.epsilon)}
         blocks = {"nu": point.nu} if isinstance(point, NuTuple) else {"nu": point.nu.nu, "mu": point.mu.mu}
@@ -930,7 +934,10 @@ def point_from_json(text: str):
     if "mu" not in d:
         return nu
     points = _json_points(d, "mu", 3)
-    mu = MuTuple({label for index in points for label in index}, points)
+    labels = {label for index in points for label in index}
+    if not points and n < 3:  # no triple names the labels; point_to_json writes only 1..n
+        labels = range(1, n + 1)
+    mu = MuTuple(labels, points)
     if nu is not None:
         return QTuple(n, nu, mu, eps)
     if len(mu.labels) != n:

@@ -18,7 +18,13 @@ coroot coordinates reflect under the transposed Cartan matrix.
 
 The permutahedron paths compute on integers and stay exact.  Each simple
 system keeps a table of doubled face centres, one integer vector per
-keep-mask, which face_center, xi and verify_face_center read.  A rational
+keep-mask, which face_center, xi and verify_face_center read.  Face vertices
+are walked in pairing coordinates (the pairings with a chamber's simple
+coroots), where rho_Pi is (1, ..., 1) and a simple reflection s_j subtracts
+p_j times column j of the Cartan matrix: the numbers game.  That W_J-orbit
+is the same for every chamber, and a vertex is the chamber's matrix times
+its point, so each root system keeps, per keep-mask, only the orbit's size
+and coordinate sum.  The dominance loop takes the same step.  A rational
 input point is scaled by the common denominator of its coordinates
 (_scaled) before it is reflected, paired or compared, and simple-root
 coordinates come from the integer matrix det(A) A^-1.  A Fraction is made
@@ -32,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add, mul, sub
 from typing import Dict, FrozenSet, List, Tuple
 
 from .realgeometry import INF, NEG_INF, reparameterize
@@ -182,27 +188,52 @@ class RootSystem:
             frontier = nxt
         self.order = len(self.elements)
         self._simple_systems = self._build_simple_systems()
+        self._orbit_sums = [None] * (1 << r)  # per keep-mask, filled by orbit_sum
+        self._supports = [sum(1 << i for i, x in enumerate(rt.simple) if x) if min(rt.simple) >= 0
+                          else None for rt in self.roots]  # a positive root's support mask
 
     # -- pairings -----------------------------------------------------------
 
     def copair(self, root: Root, x: Vec) -> Fraction:
         """<alpha^vee, x> for a weight-basis vector x."""
-        return sum(q * xi for q, xi in zip(root.copairing, x))
-
-    def reflect(self, root: Root, x: Vec) -> Vec:
-        """The reflection in the root; integer vectors stay integer."""
-        c = self.copair(root, x)
-        return tuple(v - c * w for v, w in zip(x, root.weight))
+        return sum(map(mul, root.copairing, x))
 
     def apply_matrix(self, m, x: Vec) -> Vec:
-        r = self.rank
-        return tuple(sum(m[i][j] * x[j] for j in range(r)) for i in range(r))
+        return tuple(sum(map(mul, row, x)) for row in m)
 
     # -- derived data --------------------------------------------------------
 
     @property
     def rho(self) -> Tuple[int, ...]:
         return (1,) * self.rank
+
+    def parabolic_orbit(self, mask: int) -> Tuple[Tuple[int, ...], ...]:
+        """The orbit of rho under the simple reflections the mask keeps, in
+        pairing coordinates, breadth first; the weight of alpha_j is column j."""
+        gens = [(j, self.roots[k].weight) for j, k in enumerate(self._simple_idx) if mask >> j & 1]
+        orbit = {self.rho: None}  # a dict keeps the order points are met
+        frontier = list(orbit)
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for j, w in gens:
+                    # rho is regular: p_j < 0 leads back to a point already met
+                    c = p[j]
+                    if c > 0:
+                        y = tuple([v - c * u for v, u in zip(p, w)])
+                        if y not in orbit:
+                            orbit[y] = None
+                            nxt.append(y)
+            frontier = nxt
+        return tuple(orbit)
+
+    def orbit_sum(self, mask: int) -> Tuple[int, Tuple[int, ...]]:
+        """(size, coordinate sum) of parabolic_orbit(mask), kept from first use."""
+        entry = self._orbit_sums[mask]
+        if entry is None:
+            orbit = self.parabolic_orbit(mask)
+            entry = self._orbit_sums[mask] = (len(orbit), tuple(map(sum, zip(*orbit))))
+        return entry
 
     def simple_systems(self) -> list["SimpleSystem"]:
         """Every simple system, one per Weyl element, sorted by the indices
@@ -318,20 +349,18 @@ class SimpleSystem:
         position i is kept): 2 rho_Pi minus the sum of the positive roots of
         this system whose support lies in J.  Built on first use, from one
         pass over the roots bucketed by support and a subset sum over masks."""
-        r = self.system.rank
-        sums = [[0] * r for _ in range(1 << r)]
-        for root in self.system.roots:
-            c = self.coords_in(root)
-            if min(c) >= 0:
-                bucket = sums[sum(1 << i for i, x in enumerate(c) if x)]
-                for k, w in enumerate(root.weight):
-                    bucket[k] += w
+        r, supports = self.system.rank, self.system._supports
+        sums = [(0,) * r] * (1 << r)
+        for root, k in zip(self.system.roots, self.inv_perm):
+            mask = supports[k]  # of the root's coordinates in this system
+            if mask is not None:
+                sums[mask] = tuple(map(add, sums[mask], root.weight))
         for i in range(r):
             for mask in range(1 << r):
                 if mask >> i & 1:
-                    sums[mask] = [a + b for a, b in zip(sums[mask], sums[mask ^ 1 << i])]
+                    sums[mask] = tuple(map(add, sums[mask], sums[mask ^ 1 << i]))
         rho2 = [2 * x for x in self.rho()]
-        return tuple(tuple(a - b for a, b in zip(rho2, s)) for s in sums)
+        return tuple(tuple(map(sub, rho2, s)) for s in sums)
 
     def __str__(self):
         return f"Pi{self.root_indices}"
@@ -370,35 +399,20 @@ def face_center(fd: FaceDatum) -> Vec:
 
 
 def face_vertices(fd: FaceDatum) -> FrozenSet[Vec]:
-    """The vertex set of the face: the orbit of rho_Pi under the parabolic
-    subgroup generated by the reflections in Pi minus Delta."""
-    ss = fd.simple_system
-    gens = [(g.copairing, g.weight) for i, g in enumerate(ss.roots()) if i not in fd.delta]
-    start = ss.rho()
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for cop, w in gens:
-                # rho_Pi is regular, so c != 0; c < 0 leads one level back
-                # towards rho_Pi, to a vertex already in the orbit
-                c = sum(map(mul, cop, x))
-                if c > 0:
-                    y = tuple([v - c * u for v, u in zip(x, w)])
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    return frozenset(orbit)
+    """The vertex set of the face: the orbit of rho_Pi under the reflections
+    in Pi minus Delta, the chamber's matrix times rho's parabolic orbit."""
+    ss, sys_ = fd.simple_system, fd.simple_system.system
+    return frozenset(sys_.apply_matrix(ss.matrix, p) for p in sys_.parabolic_orbit(fd.keep_mask))
 
 
 def verify_face_center(fd: FaceDatum) -> bool:
     """The vertex average of the face equals the centre formula, exactly:
-    twice the vertex sum is the vertex count times the doubled centre."""
-    verts = face_vertices(fd)
-    centre2 = fd.simple_system.doubled_centres[fd.keep_mask]
-    return all(2 * sum(col) == len(verts) * c for col, c in zip(zip(*verts), centre2))
+    twice the vertex sum (matrix times orbit sum) is the count times the
+    doubled centre."""
+    ss, mask = fd.simple_system, fd.keep_mask
+    count, total = ss.system.orbit_sum(mask)
+    return all(2 * v == count * c
+               for v, c in zip(ss.system.apply_matrix(ss.matrix, total), ss.doubled_centres[mask]))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +502,9 @@ def permutahedron_membership(sys_: RootSystem, x: Vec) -> bool:
     guard = 0
     while any(v < 0 for v in y):
         i = next(k for k, v in enumerate(y) if v < 0)
-        y = sys_.reflect(sys_.roots[sys_._simple_idx[i]], y)
+        # weight coordinates are the base pairings: the numbers-game step
+        c = y[i]
+        y = tuple([v - c * u for v, u in zip(y, sys_.roots[sys_._simple_idx[i]].weight)])
         guard += 1
         if guard > 10 * sys_.order:
             raise RuntimeError("dominance loop failed to terminate")
@@ -559,8 +575,8 @@ def permutahedron_faces_containing(sys_: RootSystem, y: Vec):
     out = []
     q, yq = _scaled(y)
     for ss in sys_.simple_systems():
-        diff = tuple(a - q * b for a, b in zip(yq, ss.rho()))
-        coords = sys_.apply_matrix(sys_._adj, [sys_.copair(root, diff) for root in ss.roots()])
+        # Pi's coroots pair to 1 with rho_Pi: q*(y - rho_Pi) pairs as q*y, less q
+        coords = sys_.apply_matrix(sys_._adj, [sys_.copair(root, yq) - q for root in ss.roots()])
         zero_positions = [i for i in range(sys_.rank) if coords[i] == 0]
         for size in range(len(zero_positions) + 1):
             for delta in itertools.combinations(zero_positions, size):

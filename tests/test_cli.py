@@ -179,6 +179,14 @@ def test_roots_verify():
     assert code == 0 and json.loads(out)["pass"]
 
 
+@pytest.mark.parametrize("name, checked", [("F4", 18432), ("B4", 6144), ("C4", 6144)])
+def test_roots_verify_rank_four(name, checked, capsys):
+    # every face (chamber, Delta): |W| * 2^4 of them
+    assert main(["roots", "--type", name, "--verify", "face-centers"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"type": name, "checked": checked, "failures": 0,
+                                                   "pass": True}
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_roots_verify_and_format_are_exclusive(fmt):
     # a verification prints its own JSON, so --format would do nothing there

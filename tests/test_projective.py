@@ -1197,7 +1197,12 @@ def _producer_outputs(rng, points):
         except ValueError:  # coincident points, or 1 - eps*x = 0
             continue
         yield point
-        if isinstance(point, NuTuple) or len(point.labels) >= 3:  # a mu file names its labels by its indices
+        few = isinstance(point, MuTuple) and len(point.labels) < 3
+        if few and point.labels != tuple(range(1, len(point.labels) + 1)):
+            # a mu file names its labels by its triples, and reads back 1..n without any
+            with pytest.raises(ValueError, match=re.escape(f"mu on labels {list(point.labels)} has no triples")):
+                point_to_json(point)
+        else:
             yield point_from_json(point_to_json(point))
         if isinstance(point, NuTuple) and point.epsilon != 0:
             yield losev_manin_iso(_with_coordinates(point, [PP_ZERO, PP_INF][: min(2, len(point.nu))], rng))
@@ -1240,6 +1245,16 @@ def test_point_to_json_text():
         '"2,1": ["1", "1"], "2,3": ["-1/2", "1"], "3,1": ["1/3", "1"], "3,2": ["1/2", "1"]}}')
     with pytest.raises(TypeError):
         point_to_json(PP_ONE)
+
+
+def test_mu_files_without_triples_hold_the_labels_one_to_n():
+    for xs in ({}, {1: F(0)}, {1: F(0), 2: F(1)}):
+        point = cross_ratios(xs)
+        assert point_to_json(point) == f'{{"mu": {{}}, "n": {len(xs)}}}'
+        assert point_from_json(point_to_json(point)) == point
+    for labels in ((2,), (1, 3), (4, 7)):
+        with pytest.raises(ValueError, match=re.escape(f"mu on labels {list(labels)} has no triples")):
+            point_to_json(cross_ratios({k: F(k) for k in labels}))
 
 
 def test_point_json_roundtrip_of_every_family():

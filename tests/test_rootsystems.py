@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -321,6 +322,14 @@ def _reference_simple_systems(rs, elements):
     return sorted(out)
 
 
+@functools.cache
+def _reference_chambers(name):
+    """_reference_simple_systems of a named type, built once per test run:
+    the Fraction closure of F4 takes seconds."""
+    rs = build_root_system(name)
+    return _reference_simple_systems(rs, _reference_elements(rs))
+
+
 def _reference_face(rs, chamber, delta):
     """Vertex set and centre of a face, in Fractions: the orbit of rho_Pi
     under the reflections kept, and rho_Pi minus the parabolic half-sum."""
@@ -366,7 +375,7 @@ def _reference_xi(rs, chamber, delta, t):
 @pytest.mark.parametrize("name", ["A2", "A3", "B3", "G2"])
 def test_xi_matches_fraction_reference_off_grid(name):
     rs = build_root_system(name)
-    chambers = _reference_simple_systems(rs, _reference_elements(rs))
+    chambers = _reference_chambers(name)
     rng = random.Random(13)
     for ss, chamber in zip(rs.simple_systems(), chambers):
         for size in range(rs.rank + 1):
@@ -488,6 +497,70 @@ def test_wrong_centre_fails_the_face_centre_comparison(name):
                 ss.__dict__["doubled_centres"] = table
 
 
+def _reference_weight_orbit(ss, mask):
+    """A face's vertices by breadth-first search in weight coordinates: the
+    orbit of rho_Pi under the reflections in the kept roots of Pi, one
+    coroot pairing per (vertex, reflection)."""
+    gens = [(g.copairing, g.weight) for i, g in enumerate(ss.roots()) if mask >> i & 1]
+    start = ss.rho()
+    orbit, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for cop, w in gens:
+                c = sum(a * b for a, b in zip(cop, x))
+                if c > 0:
+                    y = tuple(v - c * u for v, u in zip(x, w))
+                    if y not in orbit:
+                        orbit.add(y)
+                        nxt.append(y)
+        frontier = nxt
+    return orbit
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_CARTAN))
+def test_parabolic_orbit_matches_weight_coordinate_reference(name):
+    rs = build_root_system(name)
+    systems = rs.simple_systems()
+    base = next(ss for ss in systems if ss.rho() == rs.rho)  # the identity's chamber
+    seeded = random.Random(44).sample(systems, min(3, len(systems)))
+    for mask in range(1 << rs.rank):
+        orbit = rs.parabolic_orbit(mask)
+        # at the base chamber pairing coordinates are weight coordinates
+        assert len(set(orbit)) == len(orbit) and set(orbit) == _reference_weight_orbit(base, mask)
+        assert rs.orbit_sum(mask) == (len(orbit), tuple(sum(col) for col in zip(*orbit)))
+        for ss in seeded:
+            assert face_vertices(FaceDatum(ss, frozenset(k for k in range(rs.rank) if not mask >> k & 1))) \
+                == _reference_weight_orbit(ss, mask)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_CARTAN))
+def test_parabolic_orbit_size_is_the_parabolic_weyl_order(name):
+    rs = build_root_system(name)
+    for mask in range(1 << rs.rank):
+        keep = [k for k in range(rs.rank) if mask >> k & 1]
+        sub = build_root_system([[rs.cartan[i][j] for j in keep] for i in keep])
+        assert rs.orbit_sum(mask)[0] == len(rs.parabolic_orbit(mask)) == sub.order
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_CARTAN))
+def test_orbit_table_with_a_point_dropped_fails_every_face_of_its_mask(name):
+    rs = build_root_system(name)
+    rng = random.Random(45)
+    # the one-point orbit (nothing kept) has no point to drop and stay an orbit
+    for mask in range(1, 1 << rs.rank):
+        faces = [FaceDatum(ss, frozenset(k for k in range(rs.rank) if not mask >> k & 1))
+                 for ss in rs.simple_systems()]
+        assert all(verify_face_center(fd) for fd in faces)
+        orbit, entry = rs.parabolic_orbit(mask), rs.orbit_sum(mask)
+        for dropped in (orbit[0], rng.choice(orbit[1:])):
+            rs._orbit_sums[mask] = (entry[0] - 1, tuple(s - p for s, p in zip(entry[1], dropped)))
+            try:
+                assert not any(verify_face_center(fd) for fd in faces)
+            finally:
+                rs._orbit_sums[mask] = entry
+
+
 @pytest.mark.parametrize("name", sorted(NAMED_CARTAN))
 def test_integer_weyl_closure_matches_fraction_reference(name):
     rs = build_root_system(name)
@@ -501,11 +574,17 @@ def test_integer_weyl_closure_matches_fraction_reference(name):
     assert ours == _reference_simple_systems(rs, ref)
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
+# rank-4 types are checked on this many seeded chambers, the others on all
+_SEEDED_CHAMBERS = {"B4": 3, "C4": 3, "F4": 3}
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "B4", "C4", "F4"])
 def test_faces_match_fraction_reference(name):
     rs = build_root_system(name)
-    chambers = _reference_simple_systems(rs, _reference_elements(rs))
-    for ss, chamber in zip(rs.simple_systems(), chambers):
+    pairs = list(zip(rs.simple_systems(), _reference_chambers(name)))
+    if name in _SEEDED_CHAMBERS:
+        pairs = random.Random(46).sample(pairs, _SEEDED_CHAMBERS[name])
+    for ss, chamber in pairs:
         for size in range(rs.rank + 1):
             for delta in itertools.combinations(range(rs.rank), size):
                 fd = FaceDatum(ss, frozenset(delta))
@@ -525,15 +604,18 @@ def _reference_faces_containing(rs, chamber, y):
             for d in itertools.combinations(zeros, size)]
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "B4", "F4"])
 def test_faces_containing_match_fraction_reference(name):
     rs = build_root_system(name)
     systems = rs.simple_systems()
-    chambers = _reference_simple_systems(rs, _reference_elements(rs))
+    chambers = _reference_chambers(name)
     rng = random.Random(12)
-    points = [face_center(fd) for fd in all_face_data(rs) if fd.simple_system in systems[:4]]
+    # the face centres of four chambers and 20 points; at rank 4, of one
+    # seeded chamber and 8 points
+    centred, count = (rng.sample(systems, 1), 8) if name in _SEEDED_CHAMBERS else (systems[:4], 20)
+    points = [face_center(fd) for fd in all_face_data(rs) if fd.simple_system in centred]
     points += [tuple(F(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(rs.rank))
-               for _ in range(20)]
+               for _ in range(count)]
     for y in points:
         got = [(fd.simple_system, fd.delta) for fd in permutahedron_faces_containing(rs, y)]
         want = [(ss, delta) for ss, chamber in zip(systems, chambers)
